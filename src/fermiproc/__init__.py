@@ -12,8 +12,8 @@ from .lattice import (Boundary, FockBasis, LatticeSpec, LatticeTooLargeError,
                       annihilation_op, creation_op, embed_local, gauge_transform,
                       hopping_hamiltonian, is_gauge_invariant, number_operator,
                       one_body_laplacian, quadratic_fock_operator)
-from .states import (GibbsParams, GibbsResult, evolve_state, gibbs_state,
-                     reference_state, relative_entropy, von_neumann_entropy)
+from .states import (GibbsParams, GibbsResult, gibbs_state, relative_entropy,
+                     von_neumann_entropy)
 from .propagator import (Propagator, TimeDependentHamiltonian, dyson_propagator,
                          heisenberg_derivative, heisenberg_evolve,
                          interaction_to_schrodinger, moller_approx, propagate)
@@ -21,8 +21,7 @@ from .observables import (ProcessRecord, charge, charge_rate, delta_entropy,
                           energy_rate, entropy_rate, entropy_S, gibbs_gradient,
                           internal_energy, work_accumulate)
 from .quadratic import (evolve_correlation, gibbs_correlation,
-                        one_body_grand_potential, quadratic_entropy_ledger,
-                        quadratic_observable)
+                        quadratic_entropy_ledger, quadratic_observable)
 from .smallness import SMALLNESS_THRESHOLD, grid_norm, kernel_norm, smallness_norm
 from .drive import (DriveProtocol, KernelSpec, Perturbation, build_perturbation,
                     certify_drive, periodic_protocol, switch_on_protocol)

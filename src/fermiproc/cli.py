@@ -164,10 +164,7 @@ def main(argv=None):
                 "norm": cmd_norm}
     try:
         return handlers[args.command](args)
-    except harness.ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (harness.ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

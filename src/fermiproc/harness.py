@@ -4,6 +4,16 @@ A run is declared in a YAML file whose sections mirror the RunConfig fields;
 unknown keys are errors. Runs emit `series.csv` (the thermodynamic ledger)
 and `manifest.json` (config echo, invariant verdicts, summary scalars).
 
+Layout. One trajectory loop, `_trajectory`, owns the integrator call, the
+state update, the probe reads, the work recurrence and the entropy drift;
+`exact_trajectory` (Fock space, rho) and `quadratic_trajectory` (one-body
+correlation matrix, Gamma) supply only their representation: initial state,
+update, probe read, entropy and ledger row. One process runner,
+`_run_process`, builds the lattice, drive, probes and manifest, simulates
+each configured path, and applies the shared ledger checks, the `both` oracle
+comparison, timing and output; `run_process_I`, `run_process_II` and
+`run_plain` supply only their time grid, window checks and a verdict function.
+
 Finite volumes recur: every convergence-flavored statement is evaluated only
 inside the declared recurrence window 0.8 * L / v_max (v_max = 2, the maximal
 group velocity of the unit-hopping band), and every manifest carries a note
@@ -15,7 +25,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import yaml
@@ -26,13 +36,12 @@ from .drive import (DriveProtocol, KernelSpec, Perturbation, periodic_protocol,
                     switch_on_protocol)
 from .lattice import (EXACT_SITE_CAP, Boundary, FockBasis, LatticeSpec,
                       creation_op, gauge_transform, hopping_hamiltonian,
-                      is_gauge_invariant, number_operator, one_body_laplacian,
-                      quadratic_fock_operator)
+                      number_operator, one_body_laplacian, quadratic_fock_operator)
 from .linalg import max_abs, unitarity_defect
 from .observables import (ProcessRecord, charge, delta_entropy, entropy_rate,
-                          entropy_rate_decomposed, expectation, gibbs_gradient,
-                          internal_energy, relative_entropy_to_reference,
-                          work_accumulate)
+                          entropy_rate_bound, entropy_rate_decomposed, expectation,
+                          gibbs_gradient, internal_energy,
+                          relative_entropy_to_reference, work_accumulate)
 from .propagator import TimeDependentHamiltonian, dyson_propagator, \
     interaction_to_schrodinger, heisenberg_evolve, propagate, propagate_grid
 from .quadratic import (ScalarDriveReferenceCache, correlation_entropy,
@@ -206,6 +215,13 @@ def validate_config(cfg: RunConfig):
         raise ConfigError("output.grid_step must be positive")
     if cfg.gibbs.beta <= 0:
         raise ConfigError("gibbs.beta must be positive")
+    # the lattice, the drive and the probes reject what they cannot represent
+    try:
+        spec = lattice_spec(cfg)
+        build_protocol(cfg, spec)
+        probe_site_pairs(cfg, spec)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 # -- assembly ------------------------------------------------------------------
@@ -239,14 +255,16 @@ def recurrence_window(n_sites):
 
 def probe_site_pairs(cfg: RunConfig, spec: LatticeSpec):
     if cfg.output.probes is not None:
+        if not cfg.output.probes:
+            raise ConfigError("output.probes must list at least one probe (or be null)")
         pairs = []
         for p in cfg.output.probes:
-            if len(p) == 1:
-                pairs.append((int(p[0]), int(p[0])))
-            elif len(p) == 2:
-                pairs.append((int(p[0]), int(p[1])))
-            else:
+            if len(p) not in (1, 2):
                 raise ConfigError(f"probes entries must be [i] or [i, j], got {p}")
+            i, j = int(p[0]), int(p[-1])
+            if not (0 <= i < spec.n_sites and 0 <= j < spec.n_sites):
+                raise ConfigError(f"probe sites must lie in [0, {spec.n_sites}), got {p}")
+            pairs.append((i, j))
         return pairs
     region = spec.local_region
     pairs = [(i, i) for i in region]
@@ -258,20 +276,9 @@ def probe_matrices(pairs, spec: LatticeSpec, representation):
     """n_i for (i,i) pairs, a_i^* a_j + a_j^* a_i otherwise."""
     mats = []
     for i, j in pairs:
-        if representation == "one_body":
-            w = np.zeros((spec.n_sites,) * 2)
-            if i == j:
-                w[i, i] = 1.0
-            else:
-                w[i, j] = w[j, i] = 1.0
-            mats.append(w)
-        else:
-            w = np.zeros((spec.n_sites,) * 2)
-            if i == j:
-                w[i, i] = 1.0
-            else:
-                w[i, j] = w[j, i] = 1.0
-            mats.append(quadratic_fock_operator(spec, w))
+        w = np.zeros((spec.n_sites,) * 2)
+        w[i, j] = w[j, i] = 1.0
+        mats.append(w if representation == "one_body" else quadratic_fock_operator(spec, w))
     return mats
 
 
@@ -282,7 +289,7 @@ def time_grid(t0, t_final, step):
     return t0 + step * np.arange(n + 1)
 
 
-# -- trajectory runners --------------------------------------------------------
+# -- trajectory loop -----------------------------------------------------------
 
 @dataclass
 class Trajectory:
@@ -291,6 +298,16 @@ class Trajectory:
     times: np.ndarray
     final_state: np.ndarray
     entropy_drift: float  # |S_vN(final) - S_vN(initial)|, spectrum-preservation check
+
+
+class _Representation(NamedTuple):
+    """What a state representation supplies to the trajectory loop."""
+
+    state: np.ndarray  # initial state: rho (Fock) or Gamma (one-body)
+    update: Callable  # (state, propagator matrix) -> evolved state, unsymmetrized
+    read: Callable  # (state, probe operator) -> expectation value
+    entropy: Callable  # state -> von Neumann entropy
+    row: Callable  # (state, t, s_start) -> ProcessRecord; the loop fills `work`
 
 
 def _grid_steps(tdh, times, tol, method="direct", dyson_order=8):
@@ -308,27 +325,43 @@ def _grid_steps(tdh, times, tol, method="direct", dyson_order=8):
     return steps
 
 
-def exact_trajectory(spec, params, protocol, times, tol, probe_ops=None,
-                     probe_target=None, method="direct", dyson_order=8):
-    """Full Fock-space simulation with the complete ledger at each grid time."""
-    h0 = hopping_hamiltonian(spec)
-    n_op = number_operator(spec)
-    tdh = TimeDependentHamiltonian(h0, protocol, times[0], "fock")
-    init = gibbs_state(h0, n_op, params)
-    rho = init.rho
-    s_start = von_neumann_entropy(rho)
-    probe_ops = probe_ops or []
+def _trajectory(rep, tdh, params, times, tol, probe_ops, method, dyson_order):
+    """Evolve the state over the grid and record the ledger and probes.
+
+    Work accumulates from the exact charge increment and the trapezoid rule
+    on (dG/dlambda).lambda_dot; the entropy drift checks that the unitary
+    flow preserved the spectrum.
+    """
+    state = rep.state
+    s_start = rep.entropy(state)
     steps = _grid_steps(tdh, times, tol, method, dyson_order)
+    probe_ops = probe_ops or []
     records = []
     probe_rows = []
     work = 0.0
-    prev_dg = 0.0
-    prev_q = None
     for k, t in enumerate(times):
         if k:
-            u = steps[k - 1]
-            rho = u.matrix @ rho @ u.matrix.conj().T
-            rho = 0.5 * (rho + rho.conj().T)
+            state = rep.update(state, steps[k - 1].matrix)
+            state = 0.5 * (state + state.conj().T)
+        rec = rep.row(state, t, s_start)
+        if records:
+            prev = records[-1]
+            work += (-params.mu * (rec.q - prev.q)
+                     - 0.5 * (rec.dG_dt + prev.dG_dt) * (t - prev.t))
+        rec.work = work
+        records.append(rec)
+        probe_rows.append(np.array([rep.read(state, a) for a in probe_ops]))
+    drift = abs(rep.entropy(state) - s_start)
+    return Trajectory(records, np.array(probe_rows), np.asarray(times), state, drift)
+
+
+def exact_trajectory(spec, params, protocol, times, tol, probe_ops=None,
+                     method="direct", dyson_order=8):
+    """Full Fock-space simulation with the complete ledger at each grid time."""
+    h0 = hopping_hamiltonian(spec)
+    n_op = number_operator(spec)
+
+    def row(rho, t, s_start):
         if protocol is not None:
             w_t = protocol.operator(t, "fock")
             dw = protocol.d_operator(t, "fock")
@@ -345,73 +378,42 @@ def exact_trajectory(spec, params, protocol, times, tol, probe_ops=None,
         rel_s = relative_entropy_to_reference(rho, ref.rho)
         sdot = entropy_rate(rho, ref.rho, dw, lam_dot, w_t, n_op, params)
         dg_dt = float(gibbs_gradient(h_t, n_op, params, dw, ref.rho) @ lam_dot) if dw else 0.0
-        if prev_q is not None:
-            dt = t - times[k - 1]
-            work += -params.mu * (q - prev_q) - 0.5 * (dg_dt + prev_dg) * dt
-        probes = np.array([expectation(rho, a) for a in probe_ops])
-        probe_rows.append(probes)
-        dev = float(np.max(np.abs(probes - probe_target))) if probe_target is not None else float("nan")
-        records.append(ProcessRecord(t=t, U=u_int, q=q, S=s_val, Sdot=sdot,
-                                     relS=rel_s, work=work, G=ref.grand_potential,
-                                     D_probe=dev, dG_dt=dg_dt))
-        prev_dg, prev_q = dg_dt, q
-    drift = abs(von_neumann_entropy(rho) - s_start)
-    return Trajectory(records, np.array(probe_rows), np.asarray(times), rho, drift)
+        return ProcessRecord(t=t, U=u_int, q=q, S=s_val, Sdot=sdot, relS=rel_s,
+                             work=0.0, G=ref.grand_potential, dG_dt=dg_dt)
+
+    rep = _Representation(gibbs_state(h0, n_op, params).rho,
+                          lambda rho, u: u @ rho @ u.conj().T,
+                          expectation, von_neumann_entropy, row)
+    tdh = TimeDependentHamiltonian(h0, protocol, times[0], "fock")
+    return _trajectory(rep, tdh, params, times, tol, probe_ops, method, dyson_order)
 
 
 def quadratic_trajectory(spec, params, protocol, times, tol, probe_ops=None,
-                         probe_target=None, method="direct", dyson_order=8):
+                         method="direct", dyson_order=8):
     """One-particle fast path: correlation-matrix dynamics plus the ledger."""
     if protocol is not None and not protocol.is_quadratic:
         raise ConfigError("quadratic path requires a quadratic (degree-1) drive")
     h0 = one_body_laplacian(spec)
-    tdh = TimeDependentHamiltonian(h0, protocol, times[0], "one_body")
-    gamma = gibbs_correlation(h0, params)
-    s_start = correlation_entropy(gamma)
-    probe_ops = probe_ops or []
-
-    ref_cache = None
+    # reference scalars: one direct evaluation when undriven, a Chebyshev
+    # cache for scalar drives, else direct evaluation per row by the ledger
+    undriven = reference_scalars(h0, params, []) if protocol is None else None
+    cache = None
     if protocol is not None and protocol.control_dim == 1 and protocol.components:
         lams = np.array([protocol.lam(t)[0] for t in times])
-        v = protocol.components[0].one_body()
-        ref_cache = ScalarDriveReferenceCache(h0, v, params,
-                                              float(lams.min()), float(lams.max()))
+        cache = ScalarDriveReferenceCache(h0, protocol.components[0].one_body(), params,
+                                          float(lams.min()), float(lams.max()))
 
-    steps = _grid_steps(tdh, times, tol, method, dyson_order)
-    records = []
-    probe_rows = []
-    prev = None
-    work = 0.0
-    for k, t in enumerate(times):
-        if k:
-            v = steps[k - 1].matrix.conj()
-            gamma = v @ gamma @ v.conj().T
-            gamma = 0.5 * (gamma + gamma.conj().T)
-        reference = None
-        if protocol is None:
-            reference = reference_scalars(h0, params, [])
-        elif ref_cache is not None:
-            reference = ref_cache(protocol.lam(t)[0])
-        probes = np.array([quadratic_observable(gamma, w) for w in probe_ops])
-        probe_rows.append(probes)
-        dev = float(np.max(np.abs(probes - probe_target))) if probe_target is not None else float("nan")
-        rec = quadratic_entropy_ledger(gamma, t, h0, protocol, params, s_start,
-                                       work_prev=work, prev=prev,
-                                       reference=reference, probe_deviation=dev)
-        work = rec.work
-        records.append(rec)
-        prev = rec
-    drift = abs(correlation_entropy(gamma) - s_start)
-    return Trajectory(records, np.array(probe_rows), np.asarray(times), gamma, drift)
+    def row(gamma, t, s_start):
+        reference = cache(protocol.lam(t)[0]) if cache is not None else undriven
+        return quadratic_entropy_ledger(gamma, t, h0, protocol, params, s_start,
+                                        reference=reference)
 
-
-def _run_trajectory(cfg, spec, params, protocol, times, representation,
-                    probe_pairs, probe_target=None):
-    ops = probe_matrices(probe_pairs, spec, representation)
-    integ = cfg.integrator
-    runner = exact_trajectory if representation == "fock" else quadratic_trajectory
-    return runner(spec, params, protocol, times, integ.tol, ops, probe_target,
-                  method=integ.method, dyson_order=integ.dyson_order)
+    # Gamma_ij = <a_i^* a_j> evolves with the complex conjugate of u
+    rep = _Representation(gibbs_correlation(h0, params),
+                          lambda gamma, u: u.conj() @ gamma @ u.T,
+                          quadratic_observable, correlation_entropy, row)
+    tdh = TimeDependentHamiltonian(h0, protocol, times[0], "one_body")
+    return _trajectory(rep, tdh, params, times, tol, probe_ops, method, dyson_order)
 
 
 # -- manifests -----------------------------------------------------------------
@@ -484,22 +486,15 @@ def _window_average(times, values, lo, hi):
 def saturation_coefficient(protocol, params, t, representation):
     """C with |dS/dt| <= C * eps when probes pin the state to the reference.
 
-    For one-body drives the gauge commutator vanishes structurally; on the
-    Fock representation the full constant of `entropy_rate_bound` applies.
+    `entropy_rate_bound` with the representation's number operator; in the
+    one-body representation that is the identity, so the gauge commutator
+    vanishes.
     """
-    if protocol is None:
-        return 0.0
-    dw = protocol.d_operator(t, representation)
-    lam_dot = np.atleast_1d(protocol.lam_dot(t))
-    from .linalg import spectral_norm
-    drive = sum(spectral_norm(np.asarray(d)) * abs(ld)
-                for d, ld in zip(dw, lam_dot))
-    comm = 0.0
-    if representation == "fock":
-        w = protocol.operator(t, "fock")
-        n_op = number_operator(protocol.lattice)
-        comm = spectral_norm(w @ n_op - n_op @ w)
-    return float(params.beta * (drive + abs(params.mu) * comm))
+    spec = protocol.lattice
+    n_op = number_operator(spec) if representation == "fock" else np.eye(spec.n_sites)
+    return entropy_rate_bound(params, protocol.d_operator(t, representation),
+                              protocol.lam_dot(t), protocol.operator(t, representation),
+                              n_op)
 
 
 def _common_ledger_checks(manifest, records, prefix=""):
@@ -516,6 +511,54 @@ def _common_ledger_checks(manifest, records, prefix=""):
 
 # -- process runs ----------------------------------------------------------------
 
+class _PathRun(NamedTuple):
+    """One simulated path of a process run, as handed to its verdict function."""
+
+    spec: LatticeSpec
+    params: GibbsParams
+    protocol: Optional[DriveProtocol]
+    representation: str  # "fock" (exact path) | "one_body" (quadratic path)
+    probe_ops: list
+    traj: Trajectory
+
+
+def _run_process(cfg: RunConfig, kind, times, verdict=None) -> ProcessResult:
+    """Simulate every configured path on `times`, judge it, and write outputs.
+
+    `verdict(manifest, prefix, path_run)` records the process's own invariants
+    and summary scalars for one path; the ledger checks, the `both` oracle
+    comparison, timing and output are shared by every process.
+    """
+    t_start = time.time()
+    spec = lattice_spec(cfg)
+    params = GibbsParams(cfg.gibbs.beta, cfg.gibbs.mu)
+    protocol = build_protocol(cfg, spec)
+    pairs = probe_site_pairs(cfg, spec)
+    integ = cfg.integrator
+    manifest = _manifest_skeleton(cfg, spec, kind)
+    trajectories = {}
+    both = cfg.path == "both"
+    for tag in (("exact", "quadratic") if both else (cfg.path,)):
+        rep = "fock" if tag == "exact" else "one_body"
+        ops = probe_matrices(pairs, spec, rep)
+        simulate = exact_trajectory if tag == "exact" else quadratic_trajectory
+        traj = simulate(spec, params, protocol, times, integ.tol, ops,
+                        method=integ.method, dyson_order=integ.dyson_order)
+        trajectories[tag] = traj
+        prefix = f"{tag}_" if both else ""
+        if verdict is not None:
+            verdict(manifest, prefix, _PathRun(spec, params, protocol, rep, ops, traj))
+        _common_ledger_checks(manifest, traj.records, prefix)
+
+    if both:
+        dev = _compare_paths(trajectories["exact"], trajectories["quadratic"])
+        _verdict(manifest, "oracle_equivalence", dev <= 1e-7, dev, 1e-7)
+    manifest["timing_seconds"] = time.time() - t_start
+    records_by_path = {tag: traj.records for tag, traj in trajectories.items()}
+    write_outputs(cfg, manifest, records_by_path)
+    return ProcessResult(manifest, records_by_path, trajectories)
+
+
 def run_process_I(cfg: RunConfig) -> ProcessResult:
     """Switch-on drive: probe relaxation toward the perturbed Gibbs state.
 
@@ -523,13 +566,9 @@ def run_process_I(cfg: RunConfig) -> ProcessResult:
     |<A>_rho(t) - <A>_gibbs(H_inf)| is summarized by the late/early window
     ratio; the entropy rate magnitude must collapse in the late window.
     """
-    t_start = time.time()
     if cfg.drive.type != "switch_on":
         raise ConfigError("run_process_I requires drive.type switch_on")
-    spec = lattice_spec(cfg)
-    params = GibbsParams(cfg.gibbs.beta, cfg.gibbs.mu)
-    protocol = build_protocol(cfg, spec)
-    window = recurrence_window(spec.n_sites)
+    window = recurrence_window(cfg.lattice.L)
     tau_r = cfg.drive.tau_r
     if window <= 3.0 * tau_r:
         raise ConfigError(
@@ -546,16 +585,12 @@ def run_process_I(cfg: RunConfig) -> ProcessResult:
         raise ConfigError(
             "early and late comparison quarters overlap; enlarge L or shorten tau_r"
         )
-    pairs = probe_site_pairs(cfg, spec)
 
-    manifest = _manifest_skeleton(cfg, spec, "process_I")
-    records_by_path = {}
-    trajectories = {}
-    for tag in (("exact", "quadratic") if cfg.path == "both" else (cfg.path,)):
-        rep = "fock" if tag == "exact" else "one_body"
-        ops = probe_matrices(pairs, spec, rep)
+    def verdict(manifest, prefix, run):
+        spec, params, protocol, ops, traj = (run.spec, run.params, run.protocol,
+                                             run.probe_ops, run.traj)
         amp = cfg.drive.amplitude
-        if rep == "fock":
+        if run.representation == "fock":
             h_inf = hopping_hamiltonian(spec) + amp * protocol.components[0].fock()
             target_rho = gibbs_state(h_inf, number_operator(spec), params).rho
             target = np.array([expectation(target_rho, a) for a in ops])
@@ -563,12 +598,11 @@ def run_process_I(cfg: RunConfig) -> ProcessResult:
             h_inf = one_body_laplacian(spec) + amp * protocol.components[0].one_body()
             gamma_inf = gibbs_correlation(h_inf, params)
             target = np.array([quadratic_observable(gamma_inf, w) for w in ops])
-        traj = _run_trajectory(cfg, spec, params, protocol, times, rep, pairs, target)
-        records_by_path[tag] = traj.records
-        trajectories[tag] = traj
+        dvals = np.max(np.abs(traj.probe_series - target), axis=1)
+        for rec, dev in zip(traj.records, dvals):
+            rec.D_probe = float(dev)
 
         t_arr = traj.times
-        dvals = np.array([r.D_probe for r in traj.records])
         sdots = np.array([abs(r.Sdot) for r in traj.records])
         in_window = t_arr <= horizon
         d_early = _window_average(t_arr, dvals, *early)
@@ -577,7 +611,6 @@ def run_process_I(cfg: RunConfig) -> ProcessResult:
         sdot_late = _window_average(t_arr, sdots, *late)
         sdot_max = float(np.max(sdots[in_window]))
         sdot_ratio = sdot_late / sdot_max if sdot_max > 0 else 0.0
-        prefix = f"{tag}_" if cfg.path == "both" else ""
         _verdict(manifest, prefix + "process1_decay_ratio",
                  decay_ratio <= PROCESS1_DECAY_BOUND, decay_ratio, PROCESS1_DECAY_BOUND)
         _verdict(manifest, prefix + "process1_sdot_ratio",
@@ -586,16 +619,9 @@ def run_process_I(cfg: RunConfig) -> ProcessResult:
         manifest["summary"][prefix + "sdot_ratio"] = sdot_ratio
         manifest["summary"][prefix + "entropy_drift"] = traj.entropy_drift
         manifest["summary"][prefix + "sdot_bound_coefficient"] = \
-            saturation_coefficient(protocol, params, float(t_arr[-1]), rep)
-        _common_ledger_checks(manifest, traj.records, prefix)
+            saturation_coefficient(protocol, params, float(t_arr[-1]), run.representation)
 
-    if cfg.path == "both":
-        dev = _compare_paths(records_by_path["exact"], records_by_path["quadratic"],
-                             trajectories)
-        _verdict(manifest, "oracle_equivalence", dev <= 1e-7, dev, 1e-7)
-    manifest["timing_seconds"] = time.time() - t_start
-    write_outputs(cfg, manifest, records_by_path)
-    return ProcessResult(manifest, records_by_path, trajectories)
+    return _run_process(cfg, "process_I", times, verdict)
 
 
 def run_process_II(cfg: RunConfig) -> ProcessResult:
@@ -605,13 +631,9 @@ def run_process_II(cfg: RunConfig) -> ProcessResult:
     |<A>(t0 + nT + tau) - <A>(t0 + (n+1)T + tau)|; the sequence must shrink
     (final <= 0.25 * first) with a strongly negative Spearman trend.
     """
-    t_start = time.time()
     if cfg.drive.type != "periodic":
         raise ConfigError("run_process_II requires drive.type periodic")
-    spec = lattice_spec(cfg)
-    params = GibbsParams(cfg.gibbs.beta, cfg.gibbs.mu)
-    protocol = build_protocol(cfg, spec)
-    window = recurrence_window(spec.n_sites)
+    window = recurrence_window(cfg.lattice.L)
     period = cfg.drive.period
     if window / period < 4.0:
         raise ConfigError(
@@ -627,24 +649,16 @@ def run_process_II(cfg: RunConfig) -> ProcessResult:
         raise ConfigError("window too short for a cycle-distance trend; enlarge L")
     t_final = (n_max + 1) * period + 7.0 * phase_step
     times = time_grid(0.0, t_final, step)
-    pairs = probe_site_pairs(cfg, spec)
 
-    manifest = _manifest_skeleton(cfg, spec, "process_II")
-    records_by_path = {}
-    trajectories = {}
-    for tag in (("exact", "quadratic") if cfg.path == "both" else (cfg.path,)):
-        rep = "fock" if tag == "exact" else "one_body"
-        traj = _run_trajectory(cfg, spec, params, protocol, times, rep, pairs)
-        records_by_path[tag] = traj.records
-        trajectories[tag] = traj
-
+    def verdict(manifest, prefix, run):
+        probes = run.traj.probe_series
         d_seq = []
         for n in range(1, n_max + 1):
             worst = 0.0
             for k in range(8):
                 idx_a = (8 * n + k) * m_sub
                 idx_b = (8 * (n + 1) + k) * m_sub
-                diff = np.max(np.abs(traj.probe_series[idx_a] - traj.probe_series[idx_b]))
+                diff = np.max(np.abs(probes[idx_a] - probes[idx_b]))
                 worst = max(worst, float(diff))
             d_seq.append(worst)
         d_seq = np.array(d_seq)
@@ -655,7 +669,6 @@ def run_process_II(cfg: RunConfig) -> ProcessResult:
         else:
             ratio = d_seq[-1] / d_seq[0] if d_seq[0] > 0 else 0.0
             rho_trend = float(spearmanr(np.arange(1, n_max + 1), d_seq).statistic)
-        prefix = f"{tag}_" if cfg.path == "both" else ""
         _verdict(manifest, prefix + "process2_cycle_ratio",
                  ratio <= PROCESS2_CYCLE_BOUND, ratio, PROCESS2_CYCLE_BOUND)
         _verdict(manifest, prefix + "process2_spearman",
@@ -663,43 +676,15 @@ def run_process_II(cfg: RunConfig) -> ProcessResult:
         manifest["summary"][prefix + "cycle_distances"] = d_seq.tolist()
         manifest["summary"][prefix + "cycle_ratio"] = ratio
         manifest["summary"][prefix + "spearman"] = rho_trend
-        _common_ledger_checks(manifest, traj.records, prefix)
 
-    if cfg.path == "both":
-        dev = _compare_paths(records_by_path["exact"], records_by_path["quadratic"],
-                             trajectories)
-        _verdict(manifest, "oracle_equivalence", dev <= 1e-7, dev, 1e-7)
-    manifest["timing_seconds"] = time.time() - t_start
-    write_outputs(cfg, manifest, records_by_path)
-    return ProcessResult(manifest, records_by_path, trajectories)
+    return _run_process(cfg, "process_II", times, verdict)
 
 
 def run_plain(cfg: RunConfig) -> ProcessResult:
     """Undriven (or custom-window) ledger run without process verdicts."""
-    t_start = time.time()
-    spec = lattice_spec(cfg)
-    params = GibbsParams(cfg.gibbs.beta, cfg.gibbs.mu)
-    protocol = build_protocol(cfg, spec)
-    window = recurrence_window(spec.n_sites)
+    window = recurrence_window(cfg.lattice.L)
     t_final = cfg.output.t_final if cfg.output.t_final is not None else window
-    times = time_grid(0.0, t_final, cfg.output.grid_step)
-    pairs = probe_site_pairs(cfg, spec)
-    manifest = _manifest_skeleton(cfg, spec, "run")
-    records_by_path = {}
-    trajectories = {}
-    for tag in (("exact", "quadratic") if cfg.path == "both" else (cfg.path,)):
-        rep = "fock" if tag == "exact" else "one_body"
-        traj = _run_trajectory(cfg, spec, params, protocol, times, rep, pairs)
-        records_by_path[tag] = traj.records
-        trajectories[tag] = traj
-        _common_ledger_checks(manifest, traj.records, f"{tag}_" if cfg.path == "both" else "")
-    if cfg.path == "both":
-        dev = _compare_paths(records_by_path["exact"], records_by_path["quadratic"],
-                             trajectories)
-        _verdict(manifest, "oracle_equivalence", dev <= 1e-7, dev, 1e-7)
-    manifest["timing_seconds"] = time.time() - t_start
-    write_outputs(cfg, manifest, records_by_path)
-    return ProcessResult(manifest, records_by_path, trajectories)
+    return _run_process(cfg, "run", time_grid(0.0, t_final, cfg.output.grid_step))
 
 
 def execute_run(cfg: RunConfig) -> ProcessResult:
@@ -710,15 +695,14 @@ def execute_run(cfg: RunConfig) -> ProcessResult:
     return run_plain(cfg)
 
 
-def _compare_paths(exact_records, quad_records, trajectories):
-    """Max deviation of any ledger field or probe between the two paths."""
+def _compare_paths(exact, quad):
+    """Max deviation of any ledger field or probe between two trajectories."""
     fields = ("t", "U", "q", "S", "Sdot", "relS", "work", "G")
     dev = 0.0
-    for re_, rq in zip(exact_records, quad_records):
+    for re_, rq in zip(exact.records, quad.records):
         for name in fields:
             dev = max(dev, abs(getattr(re_, name) - getattr(rq, name)))
-    pe = trajectories["exact"].probe_series
-    pq = trajectories["quadratic"].probe_series
+    pe, pq = exact.probe_series, quad.probe_series
     if pe.size and pq.size:
         dev = max(dev, float(np.max(np.abs(pe - pq))))
     return dev
@@ -853,8 +837,7 @@ def run_verify(cfg: RunConfig) -> dict:
                               probe_matrices(pairs5, sp5, "fock"))
         tq = quadratic_trajectory(sp5, params, prot5, times5, 1e-10,
                                   probe_matrices(pairs5, sp5, "one_body"))
-        dev = _compare_paths(te.records, tq.records,
-                             {"exact": te, "quadratic": tq})
+        dev = _compare_paths(te, tq)
         _verdict(manifest, "oracle_equivalence", dev <= 1e-7, dev, 1e-7)
         pauli = pauli_defect(tq.final_state)
         _verdict(manifest, "pauli_bounds", pauli <= 1e-9, pauli, 1e-9)
@@ -866,12 +849,7 @@ def run_verify(cfg: RunConfig) -> dict:
     _verdict(manifest, "smallness_homogeneity", hom <= 1e-10, hom, 1e-10)
 
     manifest["timing_seconds"] = time.time() - t_start
-    if cfg.output.directory:
-        out = Path(cfg.output.directory)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "manifest.json", "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True, default=_json_default)
-            fh.write("\n")
+    write_outputs(cfg, manifest, {})
     return manifest
 
 

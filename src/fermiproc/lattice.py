@@ -354,19 +354,10 @@ def locality_defect(a, spec):
     return max_abs(np.asarray(a) - embed_local(restrict_local(a, spec), spec))
 
 
-def dump_operator_text(a, stream):
-    """Debug dump: one `row col re im` line per nonzero entry."""
-    a = np.asarray(a)
-    rows, cols = np.nonzero(a)
-    for r, c in zip(rows, cols):
-        v = a[r, c]
-        stream.write(f"{r} {c} {v.real:.17g} {v.imag:.17g}\n")
-
-
 __all__ = [
     "EXACT_SITE_CAP", "Boundary", "LatticeSpec", "FockBasis", "LatticeTooLargeError",
     "creation_op", "annihilation_op", "number_operator", "one_body_laplacian",
     "quadratic_fock_operator", "hopping_hamiltonian", "gauge_transform",
     "is_gauge_invariant", "monomial_matrix", "embed_local", "local_parity_defect",
-    "restrict_local", "locality_defect", "dump_operator_text", "ensure_hermitian",
+    "restrict_local", "locality_defect", "ensure_hermitian",
 ]

@@ -23,10 +23,6 @@ def hermiticity_drift(a):
     return max_abs(a - a.conj().T)
 
 
-def is_hermitian(a, tol=HERMITIAN_TOL):
-    return hermiticity_drift(a) <= tol
-
-
 def ensure_hermitian(a, name="operator"):
     """Certify `a` as Hermitian.
 

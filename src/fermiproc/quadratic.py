@@ -36,13 +36,6 @@ def gibbs_correlation(h, params):
     return symmetrize(((v * occ) @ v.conj().T).conj())
 
 
-def one_body_grand_potential(h, params):
-    """(G, beta*G) with beta*G = -sum_k ln(1 + e^{-beta*(eps_k - mu)})."""
-    w = np.linalg.eigvalsh(ensure_hermitian(np.asarray(h), "one-body Hamiltonian"))
-    beta_g = -float(np.sum(np.logaddexp(0.0, -params.beta * (w - params.mu))))
-    return beta_g / params.beta, beta_g
-
-
 def evolve_correlation(gamma, h_of_t, s, t, tol=DEFAULT_TOL):
     """Propagate Gamma from time s to t under the one-particle Hamiltonian.
 
@@ -161,17 +154,15 @@ class ScalarDriveReferenceCache:
 
 
 def quadratic_entropy_ledger(gamma_t, t, h0, drive, params, s_start,
-                             work_prev=0.0, prev: Optional[ProcessRecord] = None,
-                             reference: Optional[ReferenceScalars] = None,
-                             probe_deviation=float("nan")):
+                             reference: Optional[ReferenceScalars] = None):
     """One ledger row of a quadratic-drive process at time t.
 
     All expectations reduce to trace pairings with Gamma; the entropy uses
     the closed-form grand potential of the one-particle spectrum. `s_start`
     is the entropy at the initial time (conserved along the unitary flow, a
-    fact verified separately rather than re-diagonalized per row). Work is
-    accumulated from the previous record via the exact charge increment and
-    the trapezoid rule on (dG/dlambda).lambda_dot.
+    fact verified separately rather than re-diagonalized per row). The row's
+    `work` is left at zero: work is a running sum over rows, accumulated by
+    the trajectory loop from `q` and `dG_dt`.
     """
     if drive is not None and not drive.is_quadratic:
         raise NonQuadraticDriveError("fast path accepts one-body (degree-1) kernels only")
@@ -195,20 +186,14 @@ def quadratic_entropy_ledger(gamma_t, t, h0, drive, params, s_start,
                              for dk in d_kernels])
     sdot = float(beta * np.sum((drive_expect - reference.gradient) * lam_dot))
     dg_dt = float(np.sum(reference.gradient * lam_dot))
-    work = work_prev
-    if prev is not None:
-        dt = t - prev.t
-        work += -mu * (q - prev.q) - 0.5 * (dg_dt + prev.dG_dt) * dt
     return ProcessRecord(
         t=t, U=energy, q=q, S=s_val, Sdot=sdot, relS=s_val - s_start,
-        work=work, G=reference.grand_potential, D_probe=probe_deviation,
-        dG_dt=dg_dt,
+        work=0.0, G=reference.grand_potential, dG_dt=dg_dt,
     )
 
 
 __all__ = [
-    "NonQuadraticDriveError", "gibbs_correlation", "one_body_grand_potential",
-    "evolve_correlation", "quadratic_observable", "correlation_entropy",
-    "pauli_defect", "ReferenceScalars", "reference_scalars",
-    "ScalarDriveReferenceCache", "quadratic_entropy_ledger",
+    "NonQuadraticDriveError", "gibbs_correlation", "evolve_correlation",
+    "quadratic_observable", "correlation_entropy", "pauli_defect", "ReferenceScalars",
+    "reference_scalars", "ScalarDriveReferenceCache", "quadratic_entropy_ledger",
 ]

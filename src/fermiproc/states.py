@@ -1,4 +1,4 @@
-"""Grand-canonical Gibbs states, reference states, and entropies."""
+"""Grand-canonical Gibbs states and entropies."""
 
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -66,20 +66,6 @@ def gibbs_state(h, n_op, params):
     return GibbsResult(rho, beta_g / params.beta, beta_g, float(weights.min()))
 
 
-def reference_state(h_t, n_op, params):
-    """Instantaneous Gibbs state of the time-t Hamiltonian H_t = H_0 + W(t)."""
-    return gibbs_state(h_t, n_op, params)
-
-
-def evolve_state(rho, propagator):
-    """Unitary update rho -> U rho U^dagger (spectrum and trace preserved)."""
-    u = propagator.matrix if hasattr(propagator, "matrix") else np.asarray(propagator)
-    rho = np.asarray(rho)
-    if rho.shape != u.shape:
-        raise ValueError("state and propagator dimensions differ")
-    return symmetrize(u @ rho @ u.conj().T)
-
-
 def validate_density_matrix(rho, trace_tol=1e-10, herm_tol=1e-12, eig_tol=NEGATIVE_EIG_TOL):
     """Raise unless rho is Hermitian, positive within eig_tol, unit trace."""
     rho = np.asarray(rho)
@@ -138,14 +124,7 @@ def relative_entropy(state, reference):
     return s_rho - cross
 
 
-def purity(rho):
-    """tr(rho^2)."""
-    rho = np.asarray(rho)
-    return float(np.real(np.einsum("ij,ji->", rho, rho)))
-
-
 __all__ = [
-    "GibbsParams", "GibbsResult", "SupportError", "gibbs_state", "reference_state",
-    "evolve_state", "von_neumann_entropy", "relative_entropy", "purity",
-    "validate_density_matrix", "EIG_FLOOR",
+    "GibbsParams", "GibbsResult", "SupportError", "gibbs_state", "von_neumann_entropy",
+    "relative_entropy", "validate_density_matrix", "EIG_FLOOR",
 ]

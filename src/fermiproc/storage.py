@@ -1,39 +1,8 @@
-"""On-disk formats: binary operator checkpoints and the series CSV."""
+"""On-disk format of the ledger time series (CSV)."""
 
-import struct
 from pathlib import Path
 
-import numpy as np
-
 from .observables import ProcessRecord
-
-_MAGIC = b"FPOP"
-
-
-def save_operator(path, matrix):
-    """Checkpoint a complex matrix: dimension header then row-major entries.
-
-    Layout: 4-byte magic, two little-endian uint64 (rows, cols), then
-    interleaved little-endian float64 (re, im) pairs, row-major.
-    """
-    a = np.ascontiguousarray(np.asarray(matrix, dtype=complex))
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<QQ", a.shape[0], a.shape[1]))
-        fh.write(a.astype("<c16").tobytes())
-
-
-def load_operator(path):
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: not an operator checkpoint")
-        rows, cols = struct.unpack("<QQ", fh.read(16))
-        data = np.frombuffer(fh.read(), dtype="<c16")
-    if data.size != rows * cols:
-        raise ValueError(f"{path}: truncated checkpoint")
-    return data.reshape(rows, cols).astype(complex)
-
 
 CSV_HEADER = ",".join(ProcessRecord.CSV_FIELDS)
 
@@ -65,5 +34,4 @@ def read_series_csv(path):
     return records
 
 
-__all__ = ["save_operator", "load_operator", "write_series_csv", "read_series_csv",
-           "CSV_HEADER", "format_float"]
+__all__ = ["write_series_csv", "read_series_csv", "CSV_HEADER", "format_float"]

@@ -13,8 +13,7 @@ from fermiproc.harness import (ConfigError, DriveConfig, GibbsConfig, KernelConf
                                RunConfig, execute_run, load_config, manifest_passed,
                                parse_config, recurrence_window, run_process_I,
                                run_process_II, run_sweep, run_verify, time_grid)
-from fermiproc.storage import (format_float, load_operator, read_series_csv,
-                               save_operator, write_series_csv)
+from fermiproc.storage import format_float, read_series_csv, write_series_csv
 
 KERNEL = [[0.6, 0.3], [0.3, -0.5]]
 
@@ -334,25 +333,6 @@ def test_sweep_axis_validation(tmp_path):
 
 # -- storage ----------------------------------------------------------------------
 
-def test_operator_checkpoint_roundtrip(tmp_path, rng):
-    a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    path = tmp_path / "op.bin"
-    save_operator(path, a)
-    # layout: magic + two little-endian uint64 + interleaved little-endian doubles
-    raw = path.read_bytes()
-    assert raw[:4] == b"FPOP"
-    assert int.from_bytes(raw[4:12], "little") == 6
-    back = load_operator(path)
-    assert np.array_equal(back, a)
-
-
-def test_checkpoint_rejects_garbage(tmp_path):
-    p = tmp_path / "x.bin"
-    p.write_bytes(b"NOPE" + b"\0" * 16)
-    with pytest.raises(ValueError, match="checkpoint"):
-        load_operator(p)
-
-
 def test_series_csv_roundtrip(tmp_path):
     from fermiproc.observables import ProcessRecord
     recs = [ProcessRecord(t=0.1 * k, U=1.0 / (k + 1), q=2.0, S=0.5, Sdot=1e-17,
@@ -401,6 +381,34 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     p.write_text("lattice: {L: 99}\ngibbs: {beta: 1.0}\npath: exact\n")
     assert main(["run", str(p)]) == 2
     assert main(["run", str(tmp_path / "missing.yaml")]) == 2
+
+
+_SWITCH_ON = {"type": "switch_on", "amplitude": 0.1, "tau_r": 0.5}
+
+
+@pytest.mark.parametrize("section, value", [
+    ("lattice", {"L": 6, "local_region": [7]}),
+    ("lattice", {"L": 6, "boundary": "open"}),
+    ("drive", dict(_SWITCH_ON, kernels=[{"degree": 1, "sites": [0, 1],
+                                         "coeffs": KERNEL}])),
+    ("drive", dict(_SWITCH_ON, kernels=[{"degree": 1, "sites": [2, 3],
+                                         "coeffs": [[1.0, 0.0, 0.0]] * 3}])),
+    ("output", {"probes": [[9]]}),
+    ("output", {"probes": [[-1]]}),
+    ("output", {"probes": []}),
+], ids=["region_off_lattice", "unknown_boundary", "kernel_off_region",
+        "kernel_shape", "probe_off_lattice", "probe_negative", "probes_empty"])
+def test_cli_malformed_config_exit_code(tmp_path, capsys, section, value):
+    # malformed configs are configuration errors (exit 2, one line), never
+    # tracebacks or silently reinterpreted input
+    from fermiproc.cli import main
+    data = {"lattice": {"L": 6, "local_region": [2, 3]}, "gibbs": {"beta": 1.0},
+            "path": "exact", section: value}
+    p = tmp_path / "bad.yaml"
+    p.write_text(yaml.safe_dump(data))
+    assert main(["run", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
 
 
 def test_cli_norm(tmp_path, capsys):

@@ -277,15 +277,3 @@ def test_lattice_spec_validation():
         LatticeSpec(3, local_region=(0, 0))
     with pytest.raises(ValueError):
         LatticeSpec(3, local_region=(5,))
-
-
-def test_dump_operator_text(tmp_path):
-    import io
-    spec = LatticeSpec(2)
-    buf = io.StringIO()
-    from fermiproc.lattice import dump_operator_text
-    dump_operator_text(creation_op(spec, 1), buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert len(lines) == 2  # two nonzero entries
-    row, col, re, im = lines[0].split()
-    assert float(im) == 0.0

@@ -14,8 +14,7 @@ from fermiproc.observables import expectation
 from fermiproc.propagator import TimeDependentHamiltonian, propagate
 from fermiproc.quadratic import (NonQuadraticDriveError, ScalarDriveReferenceCache,
                                  correlation_entropy, evolve_correlation,
-                                 gibbs_correlation, one_body_grand_potential,
-                                 pauli_defect, quadratic_entropy_ledger,
+                                 gibbs_correlation, pauli_defect, quadratic_entropy_ledger,
                                  quadratic_observable, reference_scalars)
 from fermiproc.states import GibbsParams, gibbs_state, von_neumann_entropy
 
@@ -57,9 +56,9 @@ def test_one_body_grand_potential_matches_fock():
     spec = LatticeSpec(5)
     params = GibbsParams(0.9, -0.3)
     g_fock = gibbs_state(hopping_hamiltonian(spec), number_operator(spec), params)
-    g_one, beta_g = one_body_grand_potential(one_body_laplacian(spec), params)
+    g_one = reference_scalars(one_body_laplacian(spec), params, []).grand_potential
     assert g_one == pytest.approx(g_fock.grand_potential, abs=1e-10)
-    assert beta_g == pytest.approx(g_fock.beta_g, abs=1e-10)
+    assert params.beta * g_one == pytest.approx(g_fock.beta_g, abs=1e-10)
 
 
 def test_static_evolution_conserves_number_and_entropy():

@@ -6,8 +6,7 @@ import scipy.linalg as sla
 
 from fermiproc.lattice import LatticeSpec, hopping_hamiltonian, number_operator
 from fermiproc.linalg import max_abs
-from fermiproc.states import (GibbsParams, SupportError, evolve_state, gibbs_state,
-                              purity, reference_state, relative_entropy,
+from fermiproc.states import (GibbsParams, SupportError, gibbs_state, relative_entropy,
                               validate_density_matrix, von_neumann_entropy)
 
 from conftest import random_density, random_hermitian, random_unitary
@@ -59,17 +58,6 @@ def test_gibbs_requires_hermitian(rng):
         gibbs_state(bad, np.eye(4), GibbsParams(1.0))
 
 
-def test_reference_state_reduces_to_gibbs():
-    spec = LatticeSpec(3)
-    h0 = hopping_hamiltonian(spec)
-    n = number_operator(spec)
-    params = GibbsParams(0.9, -0.1)
-    a = gibbs_state(h0, n, params)
-    b = reference_state(h0, n, params)
-    assert max_abs(a.rho - b.rho) == 0
-    assert a.grand_potential == b.grand_potential
-
-
 def test_gibbs_commutes_with_number():
     spec = LatticeSpec(4)
     n = number_operator(spec)
@@ -93,22 +81,6 @@ def test_gibbs_variational_property(rng):
     for _ in range(100):
         rho = random_density(rng, 8)
         assert free_energy(rho) >= f_gibbs - 1e-9
-
-
-def test_evolve_state_preserves_spectrum_and_purity(rng):
-    rho = random_density(rng, 8)
-    u = random_unitary(rng, 8)
-    evolved = evolve_state(rho, u)
-    assert abs(np.trace(evolved) - 1.0) <= 1e-10
-    assert abs(purity(evolved) - purity(rho)) <= 1e-10
-    assert abs(von_neumann_entropy(evolved) - von_neumann_entropy(rho)) <= 1e-8
-    with pytest.raises(ValueError):
-        evolve_state(rho, np.eye(4))
-
-
-def test_identity_evolution():
-    rho = np.diag([0.5, 0.3, 0.2, 0.0]).astype(complex)
-    assert max_abs(evolve_state(rho, np.eye(4, dtype=complex)) - rho) == 0
 
 
 def test_von_neumann_entropy_values():
