@@ -2,7 +2,9 @@
 
 A run is declared in a YAML file whose sections mirror the RunConfig fields;
 unknown keys are errors. Runs emit `series.csv` (the thermodynamic ledger)
-and `manifest.json` (config echo, invariant verdicts, summary scalars).
+and `manifest.json` (config echo, invariant verdicts, summary scalars, and
+per path the integrator's summed error estimate, refined-interval count and
+warnings).
 
 Layout. One trajectory loop, `_trajectory`, owns the integrator call, the
 state update, the probe reads, the work recurrence and the entropy drift;
@@ -292,12 +294,28 @@ def time_grid(t0, t_final, step):
 # -- trajectory loop -----------------------------------------------------------
 
 @dataclass
+class IntegratorReport:
+    """What the integrator reported over a trajectory's intervals."""
+
+    est_error: float = 0.0  # summed Propagator.est_error
+    refined_intervals: int = 0  # intervals the step control subdivided
+    warnings: list = field(default_factory=list)  # every propagator warning
+
+    def add(self, step):
+        self.est_error += step.est_error
+        self.refined_intervals += int(step.refined)
+        if step.warning:
+            self.warnings.append(f"[{step.t_start:.6g}, {step.t_end:.6g}] {step.warning}")
+
+
+@dataclass
 class Trajectory:
     records: list
     probe_series: np.ndarray  # (n_times, n_probes)
     times: np.ndarray
     final_state: np.ndarray
     entropy_drift: float  # |S_vN(final) - S_vN(initial)|, spectrum-preservation check
+    integrator: IntegratorReport = field(default_factory=IntegratorReport)
 
 
 class _Representation(NamedTuple):
@@ -311,18 +329,22 @@ class _Representation(NamedTuple):
 
 
 def _grid_steps(tdh, times, tol, method="direct", dyson_order=8):
-    """Per-interval propagators via the configured integrator."""
+    """Per-interval propagators via the configured integrator, yielded in order.
+
+    The direct method runs `propagate_grid` on consecutive three-point windows,
+    which are exactly the interval pairs of its Richardson comparison, so only
+    one pair of propagators is alive at a time.
+    """
     if method == "direct":
-        return propagate_grid(tdh, times, tol)
+        for k in range(0, len(times) - 1, 2):
+            yield from propagate_grid(tdh, times[k:k + 3], tol)
+        return
     if method != "dyson":
         raise ConfigError(f"integrator.method must be direct or dyson, got {method!r}")
-    steps = []
     for k in range(len(times) - 1):
         u_int = dyson_propagator(tdh.h0, tdh.w, times[k], times[k + 1],
                                  dyson_order, tol)
-        steps.append(interaction_to_schrodinger(u_int, tdh.h0,
-                                                times[k], times[k + 1]))
-    return steps
+        yield interaction_to_schrodinger(u_int, tdh.h0, times[k], times[k + 1])
 
 
 def _trajectory(rep, tdh, params, times, tol, probe_ops, method, dyson_order):
@@ -335,13 +357,16 @@ def _trajectory(rep, tdh, params, times, tol, probe_ops, method, dyson_order):
     state = rep.state
     s_start = rep.entropy(state)
     steps = _grid_steps(tdh, times, tol, method, dyson_order)
+    report = IntegratorReport()
     probe_ops = probe_ops or []
     records = []
     probe_rows = []
     work = 0.0
     for k, t in enumerate(times):
         if k:
-            state = rep.update(state, steps[k - 1].matrix)
+            step = next(steps)
+            report.add(step)
+            state = rep.update(state, step.matrix)
             state = 0.5 * (state + state.conj().T)
         rec = rep.row(state, t, s_start)
         if records:
@@ -352,7 +377,8 @@ def _trajectory(rep, tdh, params, times, tol, probe_ops, method, dyson_order):
         records.append(rec)
         probe_rows.append(np.array([rep.read(state, a) for a in probe_ops]))
     drift = abs(rep.entropy(state) - s_start)
-    return Trajectory(records, np.array(probe_rows), np.asarray(times), state, drift)
+    return Trajectory(records, np.array(probe_rows), np.asarray(times), state, drift,
+                      report)
 
 
 def exact_trajectory(spec, params, protocol, times, tol, probe_ops=None,
@@ -536,6 +562,7 @@ def _run_process(cfg: RunConfig, kind, times, verdict=None) -> ProcessResult:
     pairs = probe_site_pairs(cfg, spec)
     integ = cfg.integrator
     manifest = _manifest_skeleton(cfg, spec, kind)
+    manifest["integrator"] = {}  # path tag -> IntegratorReport
     trajectories = {}
     both = cfg.path == "both"
     for tag in (("exact", "quadratic") if both else (cfg.path,)):
@@ -545,6 +572,7 @@ def _run_process(cfg: RunConfig, kind, times, verdict=None) -> ProcessResult:
         traj = simulate(spec, params, protocol, times, integ.tol, ops,
                         method=integ.method, dyson_order=integ.dyson_order)
         trajectories[tag] = traj
+        manifest["integrator"][tag] = asdict(traj.integrator)
         prefix = f"{tag}_" if both else ""
         if verdict is not None:
             verdict(manifest, prefix, _PathRun(spec, params, protocol, rep, ops, traj))
@@ -951,7 +979,7 @@ __all__ = [
     "ConfigError", "RunConfig", "LatticeConfig", "GibbsConfig", "DriveConfig",
     "KernelConfig", "IntegratorConfig", "OutputConfig", "parse_config", "load_config",
     "validate_config", "lattice_spec", "build_protocol", "recurrence_window",
-    "probe_site_pairs", "probe_matrices", "time_grid", "Trajectory",
+    "probe_site_pairs", "probe_matrices", "time_grid", "IntegratorReport", "Trajectory",
     "exact_trajectory", "quadratic_trajectory", "ProcessResult", "run_process_I",
     "run_process_II", "run_plain", "execute_run", "run_verify", "run_sweep",
     "manifest_passed", "write_outputs", "V_MAX", "WINDOW_FRACTION",

@@ -21,8 +21,13 @@ import numpy as np
 from .linalg import ensure_hermitian, max_abs
 
 #: largest site count for which full Fock-space (2^L-dimensional) matrices
-#: are constructed; beyond this the exact path refuses to run
-EXACT_SITE_CAP = 14
+#: are constructed; beyond this the exact path refuses to run. Each dense
+#: complex operator takes 16 * 4^L bytes, and the exact path holds many at
+#: once: H_0, N, H(t), W, dW, rho, the reference state, the integrator's
+#: exponentials and the probes (26 operator sizes at the traced peak of an
+#: L = 10 run with the default ten probes). That is 6.5 GiB at L = 12 and
+#: 26 GiB at L = 13, so 12 is the cap that fits an 8 GB machine.
+EXACT_SITE_CAP = 12
 
 
 class LatticeTooLargeError(ValueError):

@@ -31,6 +31,9 @@ class Propagator:
 
     `est_error` is the integrator's accumulated local-error estimate for the
     direct method, or the series remainder bound for the Dyson method.
+    `refined` says the direct method's step control subdivided the interval
+    because it failed its first error test (the pair test of
+    `propagate_grid`, the one-step against two-half-steps test otherwise).
     """
 
     matrix: np.ndarray
@@ -39,6 +42,7 @@ class Propagator:
     method: str
     est_error: float
     warning: Optional[str] = None
+    refined: bool = False
 
     @property
     def dim(self):
@@ -109,7 +113,7 @@ def _adaptive(h_at, a, b, tol, expm_method, min_step, u_coarse=None):
     u_total = out[0][1]
     for _, piece, _ in out[1:]:
         u_total = piece @ u_total
-    return u_total, float(sum(e for _, _, e in out))
+    return u_total, float(sum(e for _, _, e in out)), len(out)
 
 
 def propagate(h, s, t, tol=DEFAULT_TOL, expm_method="auto"):
@@ -128,12 +132,12 @@ def propagate(h, s, t, tol=DEFAULT_TOL, expm_method="auto"):
         return Propagator(np.eye(dim, dtype=complex), s, t, "direct", 0.0)
     a, b = (s, t) if t > s else (t, s)
     min_step = max((b - a) * 2.0 ** -42, 1e-300)
-    u, err = _adaptive(h_at, a, b, tol, expm_method, min_step)
+    u, err, pieces = _adaptive(h_at, a, b, tol, expm_method, min_step)
     if t < s:
         u = u.conj().T
     if not np.all(np.isfinite(u)):
         raise IntegrationError("non-finite propagator entries")
-    return Propagator(u, s, t, "direct", err)
+    return Propagator(u, s, t, "direct", err, refined=pieces > 1)
 
 
 def propagate_grid(h, times, tol=DEFAULT_TOL, expm_method="auto"):
@@ -170,8 +174,8 @@ def propagate_grid(h, times, tol=DEFAULT_TOL, expm_method="auto"):
         else:
             min_step = max((b - a) * 2.0 ** -42, 1e-300)
             for lo, hi, coarse in ((a, m, ul), (m, b, ur)):
-                u, e = _adaptive(h_at, lo, hi, tol, expm_method, min_step, coarse)
-                out.append(Propagator(u, lo, hi, "direct", e))
+                u, e, _ = _adaptive(h_at, lo, hi, tol, expm_method, min_step, coarse)
+                out.append(Propagator(u, lo, hi, "direct", e, refined=True))
         i += 2
     if not all(np.all(np.isfinite(p.matrix)) for p in out):
         raise IntegrationError("non-finite propagator entries")

@@ -5,7 +5,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import ensure_hermitian, max_abs, symmetrize
+from .linalg import assemble_blocks, decoupled_blocks, ensure_hermitian, max_abs, symmetrize
 
 #: eigenvalues below this contribute zero to entropy sums (x ln x -> 0)
 EIG_FLOOR = 1e-14
@@ -47,7 +47,8 @@ class GibbsResult(NamedTuple):
 def gibbs_state(h, n_op, params):
     """Grand-canonical state rho = exp(-beta*(H - mu*N)) / Xi.
 
-    Diagonalizes K = H - mu*N and shifts by the ground energy before
+    Diagonalizes K = H - mu*N one decoupled block (charge sector, for a
+    gauge-invariant H) at a time and shifts by the ground energy before
     exponentiating (log-sum-exp stabilization), so arbitrary beta are safe.
     Returns the state together with the grand potential G and beta*G = -ln Xi.
     """
@@ -56,14 +57,17 @@ def gibbs_state(h, n_op, params):
     if h.shape != n_op.shape:
         raise ValueError("Hamiltonian and charge operator dimensions differ")
     k = h - params.mu * n_op
-    w, v = np.linalg.eigh(k)
-    w0 = w - w[0]
-    z = np.exp(-params.beta * w0)
-    xi_shifted = float(np.sum(z))
-    beta_g = float(params.beta * w[0] - np.log(xi_shifted))
-    weights = z / xi_shifted
-    rho = symmetrize((v * weights) @ v.conj().T)
-    return GibbsResult(rho, beta_g / params.beta, beta_g, float(weights.min()))
+    keys = decoupled_blocks(k)
+    eigs = [np.linalg.eigh(k[key]) for key in keys]
+    w_ground = min(w[0] for w, _ in eigs)
+    zs = [np.exp(-params.beta * (w - w_ground)) for w, _ in eigs]
+    xi_shifted = float(sum(np.sum(z) for z in zs))
+    beta_g = float(params.beta * w_ground - np.log(xi_shifted))
+    weights = [z / xi_shifted for z in zs]
+    rho = assemble_blocks(keys, [(v * p) @ v.conj().T for (_, v), p in zip(eigs, weights)],
+                          k.shape)
+    return GibbsResult(symmetrize(rho), beta_g / params.beta, beta_g,
+                       float(min(p.min() for p in weights)))
 
 
 def validate_density_matrix(rho, trace_tol=1e-10, herm_tol=1e-12, eig_tol=NEGATIVE_EIG_TOL):
@@ -97,30 +101,36 @@ def relative_entropy(state, reference):
     non-negative (Klein inequality) and zero iff the states coincide. The
     reference must be strictly positive, or at least carry the state's
     support; a support violation raises `SupportError` naming the deficient
-    eigenspace.
+    eigenspace. Both states are diagonalized one block of their joint
+    exact-zero pattern at a time.
     """
     rho = np.asarray(state)
     sigma = np.asarray(reference)
     if rho.shape != sigma.shape:
         raise ValueError("state dimensions differ")
-    ws, vs = np.linalg.eigh(sigma)
-    null = ws <= EIG_FLOOR
-    if np.any(null):
-        null_vecs = vs[:, null]
-        mass = float(np.real(np.sum(null_vecs.conj() * (rho @ null_vecs))))
-        if mass > 1e-12:
-            raise SupportError(
-                f"reference state has {int(null.sum())} null direction(s) "
-                f"carrying state mass {mass:.3e}"
-            )
-    wr = np.linalg.eigvalsh(rho)
-    if wr[0] < -NEGATIVE_EIG_TOL:
-        raise ValueError(f"state eigenvalue {wr[0]:.3e} beyond tolerance")
-    wr = wr[wr > EIG_FLOOR]
-    s_rho = float(np.sum(wr * np.log(wr)))  # tr(rho ln rho)
-    keep = ~null
-    diag = np.real(np.einsum("ik,ij,jk->k", vs[:, keep].conj(), rho, vs[:, keep]))
-    cross = float(np.sum(diag * np.log(ws[keep])))  # tr(rho ln sigma) on the support
+    n_null, null_mass, wr_min, s_rho, cross = 0, 0.0, np.inf, 0.0, 0.0
+    for key in decoupled_blocks(rho, sigma):
+        r = rho[key]
+        ws, vs = np.linalg.eigh(sigma[key])
+        null = ws <= EIG_FLOOR
+        if np.any(null):
+            null_vecs = vs[:, null]
+            n_null += int(null.sum())
+            null_mass += float(np.real(np.sum(null_vecs.conj() * (r @ null_vecs))))
+        wr = np.linalg.eigvalsh(r)
+        wr_min = min(wr_min, wr[0])
+        wr = wr[wr > EIG_FLOOR]
+        s_rho += float(np.sum(wr * np.log(wr)))  # tr(rho ln rho)
+        keep = vs[:, ~null]
+        diag = np.real(np.sum(keep.conj() * (r @ keep), axis=0))
+        cross += float(np.sum(diag * np.log(ws[~null])))  # tr(rho ln sigma) on the support
+    if null_mass > 1e-12:
+        raise SupportError(
+            f"reference state has {n_null} null direction(s) "
+            f"carrying state mass {null_mass:.3e}"
+        )
+    if wr_min < -NEGATIVE_EIG_TOL:
+        raise ValueError(f"state eigenvalue {wr_min:.3e} beyond tolerance")
     return s_rho - cross
 
 

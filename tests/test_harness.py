@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,6 +130,74 @@ def test_dyson_integrator_matches_direct():
     for rd, rx in zip(t_dyson.records, t_direct.records):
         assert abs(rd.S - rx.S) <= 1e-7
         assert abs(rd.U - rx.U) <= 1e-7
+
+
+def test_dyson_remainder_warning_in_manifest(tmp_path):
+    # order 1 on a coarse grid: the series remainder bound passes 0.5
+    cfg = RunConfig(
+        lattice=LatticeConfig(L=4, local_region=[1, 2]),
+        gibbs=GibbsConfig(beta=1.0),
+        drive=DriveConfig(type="switch_on", amplitude=3.0, tau_r=0.2,
+                          kernels=[KernelConfig(1, [1, 2], KERNEL)]),
+        integrator=IntegratorConfig(tol=1e-8, method="dyson", dyson_order=1),
+        output=OutputConfig(grid_step=0.5, t_final=1.0, directory=str(tmp_path)),
+    )
+    harness.run_plain(cfg)
+    with open(tmp_path / "manifest.json") as fh:
+        report = json.load(fh)["integrator"]["exact"]
+    assert report["warnings"]
+    assert all("exceeds 0.5 at order 1" in w for w in report["warnings"])
+    assert report["est_error"] > 0.5
+    assert report["refined_intervals"] == 0
+
+
+def test_streamed_steps_match_full_grid():
+    # three-point windows repeat propagate_grid's pair computations exactly
+    from fermiproc.harness import build_protocol, lattice_spec
+    from fermiproc.lattice import one_body_laplacian
+    from fermiproc.propagator import TimeDependentHamiltonian, propagate_grid
+    cfg = small_process1_config(L=20)
+    spec = lattice_spec(cfg)
+    tdh = TimeDependentHamiltonian(one_body_laplacian(spec), build_protocol(cfg, spec),
+                                   0.0, "one_body")
+    times = time_grid(0.0, 2.3, 0.1)  # odd interval count: a lone last interval
+    full = propagate_grid(tdh, times, 1e-4)  # refines the early pairs only
+    streamed = list(harness._grid_steps(tdh, times, 1e-4))
+    assert len(streamed) == len(full) == 23
+    assert any(p.refined for p in full) and not all(p.refined for p in full)
+    for a, b in zip(streamed, full):
+        assert np.array_equal(a.matrix, b.matrix)
+        assert (a.t_start, a.t_end, a.est_error, a.refined) == \
+            (b.t_start, b.t_end, b.est_error, b.refined)
+    traj = harness.quadratic_trajectory(spec, harness.GibbsParams(1.0, 0.0),
+                                        tdh.drive, times, 1e-4)
+    assert traj.integrator.est_error == sum(p.est_error for p in full)
+    assert traj.integrator.refined_intervals == sum(p.refined for p in full)
+    assert traj.integrator.warnings == []
+
+
+def _quadratic_peak_bytes(n_intervals):
+    from fermiproc.harness import (build_protocol, lattice_spec, probe_matrices,
+                                   probe_site_pairs)
+    cfg = small_process1_config(L=128)
+    spec = lattice_spec(cfg)
+    protocol = build_protocol(cfg, spec)
+    ops = probe_matrices(probe_site_pairs(cfg, spec), spec, "one_body")
+    times = 5.0 + 0.05 * np.arange(n_intervals + 1)
+    tracemalloc.start()
+    try:
+        harness.quadratic_trajectory(spec, harness.GibbsParams(1.0, 0.0), protocol,
+                                     times, 1e-4, ops)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_trajectory_memory_does_not_grow_with_intervals():
+    propagator_bytes = 128 * 128 * 16
+    short, long_ = _quadratic_peak_bytes(20), _quadratic_peak_bytes(200)
+    assert long_ - short <= 2 * propagator_bytes
+    assert long_ <= 20 * propagator_bytes
 
 
 def test_integrator_method_validated():

@@ -263,6 +263,10 @@ def test_locality_defect_detects_nonlocal():
 
 def test_site_cap():
     with pytest.raises(LatticeTooLargeError):
+        LatticeSpec(13).fock_dim
+    with pytest.raises(LatticeTooLargeError):
+        number_operator(LatticeSpec(13, local_region=(0,)))
+    with pytest.raises(LatticeTooLargeError):
         LatticeSpec(15).fock_dim
     with pytest.raises(LatticeTooLargeError):
         number_operator(LatticeSpec(20, local_region=(0,)))
