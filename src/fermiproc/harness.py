@@ -47,7 +47,7 @@ from .observables import (ProcessRecord, charge, delta_entropy, entropy_rate,
 from .propagator import TimeDependentHamiltonian, dyson_propagator, \
     interaction_to_schrodinger, heisenberg_evolve, propagate, propagate_grid
 from .quadratic import (ScalarDriveReferenceCache, correlation_entropy,
-                        gibbs_correlation, pauli_defect,
+                        correlation_update, gibbs_correlation, pauli_defect,
                         quadratic_entropy_ledger, quadratic_observable,
                         reference_scalars)
 from .smallness import grid_axis, grid_norm
@@ -300,10 +300,13 @@ class IntegratorReport:
     est_error: float = 0.0  # summed Propagator.est_error
     refined_intervals: int = 0  # intervals the step control subdivided
     warnings: list = field(default_factory=list)  # every propagator warning
+    min_step: Optional[float] = None  # narrowest accepted step
 
     def add(self, step):
         self.est_error += step.est_error
         self.refined_intervals += int(step.refined)
+        width = step.min_step if step.min_step is not None else step.t_end - step.t_start
+        self.min_step = width if self.min_step is None else min(self.min_step, width)
         if step.warning:
             self.warnings.append(f"[{step.t_start:.6g}, {step.t_end:.6g}] {step.warning}")
 
@@ -322,8 +325,8 @@ class _Representation(NamedTuple):
     """What a state representation supplies to the trajectory loop."""
 
     state: np.ndarray  # initial state: rho (Fock) or Gamma (one-body)
-    update: Callable  # (state, propagator matrix) -> evolved state, unsymmetrized
-    read: Callable  # (state, probe operator) -> expectation value
+    update: Callable  # (state, Propagator) -> evolved state, unsymmetrized
+    read: Callable  # (state, probe) -> expectation value
     entropy: Callable  # state -> von Neumann entropy
     row: Callable  # (state, t, s_start) -> ProcessRecord; the loop fills `work`
 
@@ -366,7 +369,7 @@ def _trajectory(rep, tdh, params, times, tol, probe_ops, method, dyson_order):
         if k:
             step = next(steps)
             report.add(step)
-            state = rep.update(state, step.matrix)
+            state = rep.update(state, step)
             state = 0.5 * (state + state.conj().T)
         rec = rep.row(state, t, s_start)
         if records:
@@ -408,7 +411,7 @@ def exact_trajectory(spec, params, protocol, times, tol, probe_ops=None,
                              work=0.0, G=ref.grand_potential, dG_dt=dg_dt)
 
     rep = _Representation(gibbs_state(h0, n_op, params).rho,
-                          lambda rho, u: u @ rho @ u.conj().T,
+                          lambda rho, step: step.matrix @ rho @ step.matrix.conj().T,
                           expectation, von_neumann_entropy, row)
     tdh = TimeDependentHamiltonian(h0, protocol, times[0], "fock")
     return _trajectory(rep, tdh, params, times, tol, probe_ops, method, dyson_order)
@@ -434,12 +437,21 @@ def quadratic_trajectory(spec, params, protocol, times, tol, probe_ops=None,
         return quadratic_entropy_ledger(gamma, t, h0, protocol, params, s_start,
                                         reference=reference)
 
-    # Gamma_ij = <a_i^* a_j> evolves with the complex conjugate of u
+    def read(gamma, probe):
+        index, vals = probe
+        return float(complex(np.sum(vals * gamma[index])).real)
+
+    # a probe is read from its nonzero entries: quadratic_observable's sum
+    # without the exact zeros
+    probes = []
+    for w in probe_ops or []:
+        index = np.nonzero(w)
+        probes.append((index, np.asarray(w)[index]))
     rep = _Representation(gibbs_correlation(h0, params),
-                          lambda gamma, u: u.conj() @ gamma @ u.T,
-                          quadratic_observable, correlation_entropy, row)
+                          lambda gamma, step: correlation_update(gamma, step.matrix, step.band),
+                          read, correlation_entropy, row)
     tdh = TimeDependentHamiltonian(h0, protocol, times[0], "one_body")
-    return _trajectory(rep, tdh, params, times, tol, probe_ops, method, dyson_order)
+    return _trajectory(rep, tdh, params, times, tol, probes, method, dyson_order)
 
 
 # -- manifests -----------------------------------------------------------------

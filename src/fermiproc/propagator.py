@@ -7,13 +7,13 @@ tolerance per unit time. Every step is the exponential of a Hermitian matrix,
 so unitarity holds to roundoff regardless of step size.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import gammainc
 
-from .linalg import expm_unitary, max_abs, spectral_norm
+from .linalg import band_matmul, expm_unitary, max_abs, spectral_norm
 
 DEFAULT_TOL = 1e-8  # local error budget per unit time
 #: absolute acceptance floor: Richardson differences at roundoff scale stop
@@ -34,6 +34,10 @@ class Propagator:
     `refined` says the direct method's step control subdivided the interval
     because it failed its first error test (the pair test of
     `propagate_grid`, the one-step against two-half-steps test otherwise).
+    `band` is the half-bandwidth of `matrix` (None: dense); every entry
+    outside it is an exact zero. `min_step` is the narrowest exponential step
+    the direct method's step control accepted (None: the interval is one
+    step).
     """
 
     matrix: np.ndarray
@@ -43,6 +47,8 @@ class Propagator:
     est_error: float
     warning: Optional[str] = None
     refined: bool = False
+    band: Optional[int] = None
+    min_step: Optional[float] = None
 
     @property
     def dim(self):
@@ -84,19 +90,25 @@ def _as_callable(h) -> Callable[[float], np.ndarray]:
     return lambda t: arr
 
 
+def _band_sum(ka, kb):
+    """Half-bandwidth of a product of two banded factors (None: dense)."""
+    return None if ka is None or kb is None else ka + kb
+
+
 def _adaptive(h_at, a, b, tol, expm_method, min_step, u_coarse=None):
+    """Propagator over [a, b] by recursive step halving against `u_coarse`."""
     if u_coarse is None:
-        u_coarse = expm_unitary(h_at(0.5 * (a + b)), b - a, expm_method)
+        u_coarse = expm_unitary(h_at(0.5 * (a + b)), b - a, expm_method)[0]
     if not np.all(np.isfinite(u_coarse)):
         raise IntegrationError(f"non-finite propagator entries on [{a}, {b}]")
     stack = [(a, b, u_coarse)]
-    out = []  # accepted (a, U, err) pieces, left to right
+    out = []  # accepted (a, b, U, band, err) pieces
     while stack:
         a0, b0, u0 = stack.pop()
         m = 0.5 * (a0 + b0)
-        ul = expm_unitary(h_at(0.5 * (a0 + m)), m - a0, expm_method)
-        ur = expm_unitary(h_at(0.5 * (m + b0)), b0 - m, expm_method)
-        fine = ur @ ul
+        ul, kl = expm_unitary(h_at(0.5 * (a0 + m)), m - a0, expm_method)
+        ur, kr = expm_unitary(h_at(0.5 * (m + b0)), b0 - m, expm_method)
+        fine = band_matmul(ur, kr, ul, kl)
         err = max_abs(fine - u0)
         budget = tol * (b0 - a0) + ROUNDOFF_FLOOR
         if err <= budget or (b0 - a0) <= min_step:
@@ -105,15 +117,19 @@ def _adaptive(h_at, a, b, tol, expm_method, min_step, u_coarse=None):
                     f"step underflow at t={a0}: local error {err:.3e} "
                     f"still above tolerance at step {b0 - a0:.3e}"
                 )
-            out.append((a0, fine, err / 3.0))
+            out.append((a0, b0, fine, _band_sum(kr, kl), err / 3.0))
         else:
             stack.append((m, b0, ur))
             stack.append((a0, m, ul))
     out.sort(key=lambda item: item[0])
-    u_total = out[0][1]
-    for _, piece, _ in out[1:]:
-        u_total = piece @ u_total
-    return u_total, float(sum(e for _, _, e in out)), len(out)
+    u_total, k_total = out[0][2], out[0][3]
+    for _, _, piece, k, _ in out[1:]:
+        u_total = band_matmul(piece, k, u_total, k_total)
+        k_total = _band_sum(k, k_total)
+    # an accepted piece is the fine solution: two steps of half its width
+    return Propagator(u_total, a, b, "direct", float(sum(e for *_, e in out)),
+                      refined=len(out) > 1, band=k_total,
+                      min_step=0.5 * min(hi - lo for lo, hi, *_ in out))
 
 
 def propagate(h, s, t, tol=DEFAULT_TOL, expm_method="auto"):
@@ -132,12 +148,12 @@ def propagate(h, s, t, tol=DEFAULT_TOL, expm_method="auto"):
         return Propagator(np.eye(dim, dtype=complex), s, t, "direct", 0.0)
     a, b = (s, t) if t > s else (t, s)
     min_step = max((b - a) * 2.0 ** -42, 1e-300)
-    u, err, pieces = _adaptive(h_at, a, b, tol, expm_method, min_step)
+    p = _adaptive(h_at, a, b, tol, expm_method, min_step)
     if t < s:
-        u = u.conj().T
-    if not np.all(np.isfinite(u)):
+        p = replace(p, matrix=p.matrix.conj().T, t_start=s, t_end=t)
+    if not np.all(np.isfinite(p.matrix)):
         raise IntegrationError("non-finite propagator entries")
-    return Propagator(u, s, t, "direct", err, refined=pieces > 1)
+    return p
 
 
 def propagate_grid(h, times, tol=DEFAULT_TOL, expm_method="auto"):
@@ -163,19 +179,19 @@ def propagate_grid(h, times, tol=DEFAULT_TOL, expm_method="auto"):
             out.append(propagate(h_at, times[i], times[i + 1], tol, expm_method))
             break
         a, m, b = times[i], times[i + 1], times[i + 2]
-        ul = expm_unitary(h_at(0.5 * (a + m)), m - a, expm_method)
-        ur = expm_unitary(h_at(0.5 * (m + b)), b - m, expm_method)
-        u_coarse = expm_unitary(h_at(0.5 * (a + b)), b - a, expm_method)
-        err = max_abs(ur @ ul - u_coarse)
+        ul, kl = expm_unitary(h_at(0.5 * (a + m)), m - a, expm_method)
+        ur, kr = expm_unitary(h_at(0.5 * (m + b)), b - m, expm_method)
+        u_coarse = expm_unitary(h_at(0.5 * (a + b)), b - a, expm_method)[0]
+        err = max_abs(band_matmul(ur, kr, ul, kl) - u_coarse)
         budget = tol * (b - a) + ROUNDOFF_FLOOR
         if err <= budget:
-            out.append(Propagator(ul, a, m, "direct", err / 6.0))
-            out.append(Propagator(ur, m, b, "direct", err / 6.0))
+            out.append(Propagator(ul, a, m, "direct", err / 6.0, band=kl))
+            out.append(Propagator(ur, m, b, "direct", err / 6.0, band=kr))
         else:
             min_step = max((b - a) * 2.0 ** -42, 1e-300)
             for lo, hi, coarse in ((a, m, ul), (m, b, ur)):
-                u, e, _ = _adaptive(h_at, lo, hi, tol, expm_method, min_step, coarse)
-                out.append(Propagator(u, lo, hi, "direct", e, refined=True))
+                p = _adaptive(h_at, lo, hi, tol, expm_method, min_step, coarse)
+                out.append(replace(p, refined=True))
         i += 2
     if not all(np.all(np.isfinite(p.matrix)) for p in out):
         raise IntegrationError("non-finite propagator entries")

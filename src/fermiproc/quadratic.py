@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy.special import expit
 
-from .linalg import ensure_hermitian, symmetrize
+from .linalg import band_matmul, ensure_hermitian, symmetrize
 from .observables import ProcessRecord
 from .propagator import DEFAULT_TOL, propagate
 from .states import EIG_FLOOR
@@ -46,6 +46,16 @@ def evolve_correlation(gamma, h_of_t, s, t, tol=DEFAULT_TOL):
     u = propagate(h_of_t, s, t, tol).matrix
     v = u.conj()
     return symmetrize(v @ np.asarray(gamma) @ v.conj().T)
+
+
+def correlation_update(gamma, u, band=None):
+    """conj(u) Gamma u^T, unsymmetrized: Gamma_ij = <a_i^* a_j> after the
+    one-particle propagator u.
+
+    `band` is the half-bandwidth of u (None: dense); both products run on it,
+    so an update costs O(band * L^2) instead of O(L^3).
+    """
+    return band_matmul(band_matmul(u.conj(), band, gamma), None, u.T, band)
 
 
 def quadratic_observable(gamma, w):
@@ -193,7 +203,7 @@ def quadratic_entropy_ledger(gamma_t, t, h0, drive, params, s_start,
 
 
 __all__ = [
-    "NonQuadraticDriveError", "gibbs_correlation", "evolve_correlation",
+    "NonQuadraticDriveError", "gibbs_correlation", "evolve_correlation", "correlation_update",
     "quadratic_observable", "correlation_entropy", "pauli_defect", "ReferenceScalars",
     "reference_scalars", "ScalarDriveReferenceCache", "quadratic_entropy_ledger",
 ]

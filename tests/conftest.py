@@ -1,5 +1,13 @@
-import numpy as np
-import pytest
+import os
+
+# one BLAS thread per test process: on a shared or small machine, BLAS threads
+# oversubscribe the cores and the timing criterion measures the contention;
+# set before numpy is imported, which is when BLAS reads them
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 
 @pytest.fixture

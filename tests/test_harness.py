@@ -149,6 +149,7 @@ def test_dyson_remainder_warning_in_manifest(tmp_path):
     assert all("exceeds 0.5 at order 1" in w for w in report["warnings"])
     assert report["est_error"] > 0.5
     assert report["refined_intervals"] == 0
+    assert report["min_step"] == 0.5  # every interval in one step
 
 
 def test_streamed_steps_match_full_grid():
@@ -174,6 +175,33 @@ def test_streamed_steps_match_full_grid():
     assert traj.integrator.est_error == sum(p.est_error for p in full)
     assert traj.integrator.refined_intervals == sum(p.refined for p in full)
     assert traj.integrator.warnings == []
+    # refined intervals took steps narrower than the grid step
+    assert traj.integrator.min_step == min(p.min_step for p in full if p.refined)
+    assert traj.integrator.min_step < 0.1
+
+
+def test_quadratic_probes_match_quadratic_observable(monkeypatch):
+    # probes read from their nonzero entries give quadratic_observable's sums
+    from fermiproc.harness import (build_protocol, lattice_spec, probe_matrices,
+                                   probe_site_pairs)
+    from fermiproc.quadratic import quadratic_observable
+    cfg = small_process1_config(L=20)
+    spec = lattice_spec(cfg)
+    ops = probe_matrices(probe_site_pairs(cfg, spec), spec, "one_body")
+    states = []
+    ledger = harness.quadratic_entropy_ledger
+
+    def recording_ledger(gamma, *args, **kwargs):
+        states.append(gamma.copy())
+        return ledger(gamma, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "quadratic_entropy_ledger", recording_ledger)
+    traj = harness.quadratic_trajectory(spec, harness.GibbsParams(1.0, 0.0),
+                                        build_protocol(cfg, spec), time_grid(0.0, 1.0, 0.1),
+                                        1e-8, ops)
+    assert len(states) == len(traj.probe_series) == 11
+    for gamma, row in zip(states, traj.probe_series):
+        assert np.array_equal(row, [quadratic_observable(gamma, w) for w in ops])
 
 
 def _quadratic_peak_bytes(n_intervals):
