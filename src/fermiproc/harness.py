@@ -3,8 +3,8 @@
 A run is declared in a YAML file whose sections mirror the RunConfig fields;
 unknown keys are errors. Runs emit `series.csv` (the thermodynamic ledger)
 and `manifest.json` (config echo, invariant verdicts, summary scalars, and
-per path the integrator's summed error estimate, refined-interval count and
-warnings).
+per path the integrator's summed error estimate, refined-interval and
+fourth-order-interval counts, narrowest step and warnings).
 
 Layout. One trajectory loop, `_trajectory`, owns the integrator call, the
 state update, the probe reads, the work recurrence and the entropy drift;
@@ -298,13 +298,15 @@ class IntegratorReport:
     """What the integrator reported over a trajectory's intervals."""
 
     est_error: float = 0.0  # summed Propagator.est_error
-    refined_intervals: int = 0  # intervals the step control subdivided
+    refined_intervals: int = 0  # intervals that failed their first error test
+    fourth_order_intervals: int = 0  # intervals propagated by CFM4 steps
     warnings: list = field(default_factory=list)  # every propagator warning
     min_step: Optional[float] = None  # narrowest accepted step
 
     def add(self, step):
         self.est_error += step.est_error
         self.refined_intervals += int(step.refined)
+        self.fourth_order_intervals += int(step.order == 4)
         width = step.min_step if step.min_step is not None else step.t_end - step.t_start
         self.min_step = width if self.min_step is None else min(self.min_step, width)
         if step.warning:
@@ -909,11 +911,12 @@ def _two_route_entropy_rate_defect(spec, params, protocol, times, tol):
     n_op = number_operator(spec)
     tdh = TimeDependentHamiltonian(h0, protocol, times[0], "fock")
     rho = gibbs_state(h0, n_op, params).rho
+    steps = _grid_steps(tdh, times, tol)
     worst = 0.0
     for k, t in enumerate(times):
         if k:
-            u = propagate(tdh, times[k - 1], t, tol)
-            rho = u.matrix @ rho @ u.matrix.conj().T
+            u = next(steps).matrix
+            rho = u @ rho @ u.conj().T
         w_t = protocol.operator(t, "fock")
         dw = protocol.d_operator(t, "fock")
         lam_dot = protocol.lam_dot(t)

@@ -1,24 +1,31 @@
 """Propagator laws: unitarity, cocycle, Dyson series, Heisenberg picture."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from fermiproc import harness
 from fermiproc.drive import KernelSpec, Perturbation, switch_on_protocol
 from fermiproc.lattice import (LatticeSpec, hopping_hamiltonian, number_operator,
                                one_body_laplacian, quadratic_fock_operator)
 from fermiproc.linalg import (expm_hermitian_spectral, expm_hermitian_taylor,
-                              max_abs, unitarity_defect)
+                              expm_unitary, max_abs, unitarity_defect)
 from fermiproc.propagator import (IntegrationError, TimeDependentHamiltonian,
+                                  _cfm4_step, _midpoint_step,
                                   dyson_propagator, dyson_remainder,
                                   heisenberg_derivative, heisenberg_evolve,
                                   interaction_to_schrodinger, moller_approx,
-                                  propagate, schrodinger_to_interaction)
+                                  propagate, propagate_grid,
+                                  schrodinger_to_interaction)
 from fermiproc.states import GibbsParams, gibbs_state
 
 from conftest import random_hermitian
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture
@@ -29,6 +36,15 @@ def driven_problem(rng):
     protocol = switch_on_protocol(pert, 0.0, 0.7, 0.5)
     h0 = hopping_hamiltonian(spec)
     return spec, h0, TimeDependentHamiltonian(h0, protocol, 0.0, "fock"), protocol
+
+
+def _config_problem(name):
+    """One-body H(t) of a reference config, and the config."""
+    cfg = harness.load_config(CONFIGS / f"{name}.yaml")
+    spec = harness.lattice_spec(cfg)
+    return TimeDependentHamiltonian(one_body_laplacian(spec),
+                                    harness.build_protocol(cfg, spec), 0.0,
+                                    "one_body"), cfg
 
 
 def test_taylor_exponential_matches_spectral(rng):
@@ -112,6 +128,84 @@ def test_energy_conservation_free():
     rho_t = u.matrix @ rho @ u.matrix.conj().T
     drift = abs(np.real(np.trace((rho_t - rho) @ h0)))
     assert drift <= 1e-9
+
+
+# -- CFM4 step -------------------------------------------------------------------
+
+@pytest.mark.parametrize("case", ["fock", "one_body"])
+def test_cfm4_step_is_fourth_order(case, driven_problem):
+    # local error O(dt^5): halving the step divides it by ~32; midpoint ~8
+    if case == "fock":
+        h, t = driven_problem[2], 0.1
+    else:
+        h, t = _config_problem("process2_L200")[0], 1.0
+    errs = {}
+    for step in (_cfm4_step, _midpoint_step):
+        errs[step] = [max_abs(step(h, t, t + dt, "auto")[0]
+                              - propagate(h, t, t + dt, 1e-12).matrix)
+                      for dt in (0.4, 0.2)]
+    cfm4, midpoint = errs[_cfm4_step], errs[_midpoint_step]
+    assert cfm4[0] / cfm4[1] > 20
+    assert midpoint[0] / midpoint[1] < 10
+    assert cfm4[1] < midpoint[1]
+
+
+@pytest.mark.parametrize("dim", [16, 200])
+def test_cfm4_step_constant_hamiltonian(dim, rng):
+    # w1 + w2 = 1/2: the two factors are exp(-i dt h / 2) each
+    if dim == 16:
+        h = random_hermitian(rng, dim)  # spectral route
+    else:
+        h, _ = _config_problem("process2_L200")
+        h = h(1.3)  # real, 200 rows: Taylor route on the band
+    u, band = _cfm4_step(lambda t: h, 0.0, 0.3, "auto")
+    assert max_abs(u - expm_unitary(h, 0.3)[0]) <= 1e-14
+    if band is not None:  # the product's band is the sum of the factors'
+        assert not np.any(np.triu(u, band + 1)) and not np.any(np.tril(u, -band - 1))
+
+
+def test_saturated_pair_keeps_midpoint_steps():
+    # L = 512 past the ramp: the midpoint pair test accepts, and each interval
+    # is exactly the midpoint exponential
+    h, cfg = _config_problem("process1_L512")
+    times = 30.0 + cfg.output.grid_step * np.arange(3)
+    grid = propagate_grid(h, times, cfg.integrator.tol)
+    for p, a, b in zip(grid, times[:-1], times[1:]):
+        u, band = expm_unitary(h(0.5 * (a + b)), b - a)
+        assert np.array_equal(p.matrix, u)
+        assert (p.band, p.order, p.refined, p.min_step) == (band, 2, False, None)
+
+
+def test_refined_pair_meets_budget():
+    # a process II L = 200 pair fails the midpoint test; the CFM4 result at
+    # tol 1e-6 lies within tol * dt of the tol 1e-10 one
+    h, cfg = _config_problem("process2_L200")
+    step = cfg.drive.period / 64  # process II's output grid
+    times = 1.5 + step * np.arange(3)
+    loose = propagate_grid(h, times, 1e-6)
+    tight = propagate_grid(h, times, 1e-10)
+    for p, q in zip(loose, tight):
+        assert p.refined and p.order == 4
+        assert p.min_step is not None and p.min_step <= p.t_end - p.t_start
+        assert max_abs(p.matrix - q.matrix) <= 1e-6 * step
+
+
+def test_manifest_counts_fourth_order_intervals(tmp_path):
+    cfg = harness.RunConfig(
+        lattice=harness.LatticeConfig(L=20, boundary="dirichlet", local_region=[9, 10]),
+        gibbs=harness.GibbsConfig(beta=1.0),
+        drive=harness.DriveConfig(type="periodic", amplitude=0.08, period=1.6,
+                                  kernels=[harness.KernelConfig(1, [9, 10],
+                                                                [[0.6, 0.3], [0.3, -0.5]])]),
+        path="quadratic",
+        integrator=harness.IntegratorConfig(tol=1e-8),
+        output=harness.OutputConfig(grid_step=0.1, t_final=1.6, directory=str(tmp_path)),
+    )
+    harness.run_plain(cfg)
+    with open(tmp_path / "manifest.json") as fh:
+        report = json.load(fh)["integrator"]["quadratic"]
+    assert report["fourth_order_intervals"] > 0
+    assert report["refined_intervals"] <= report["fourth_order_intervals"] <= 16
 
 
 # -- Dyson series -------------------------------------------------------------
