@@ -48,9 +48,10 @@ class Propagator:
     CFM4 step against two half steps.
     `band` is the half-bandwidth of `matrix` (None: dense); every entry
     outside it is an exact zero. `min_step` is the width of the narrowest
-    CFM4 step the direct method accepted (None: the interval is one midpoint
-    step). `order` is the direct method's order on the interval: 2 (one
-    midpoint step) or 4 (CFM4 steps); None for other methods.
+    step the direct method accepted: a CFM4 step, or the two midpoint half
+    steps of a grid's lone last interval (None: the interval is one midpoint
+    step). `order` is the direct method's order on the interval: 2 (midpoint
+    steps) or 4 (CFM4 steps); None for other methods.
     """
 
     matrix: np.ndarray
@@ -179,6 +180,22 @@ def _adaptive(h_at, a, b, tol, expm_method, min_step, u_coarse=None):
                       min_step=0.5 * min(hi - lo for lo, hi, *_ in out), order=4)
 
 
+def _lone_interval(h_at, a, b, tol, expm_method):
+    """Propagator over the unpaired last interval of an odd-length grid.
+
+    The midpoint test compares one step over [a, b] with two half steps and
+    keeps the half steps, with the estimate difference / 3; if it fails,
+    `_adaptive` halves CFM4 steps from a fresh CFM4 step over [a, b].
+    """
+    (ul, kl), (ur, kr), err = _pair_test(_midpoint_step, h_at, a, 0.5 * (a + b), b,
+                                         expm_method)
+    if err <= tol * (b - a) + ROUNDOFF_FLOOR:
+        return Propagator(band_matmul(ur, kr, ul, kl), a, b, "direct", err / 3.0,
+                          band=_band_sum(kr, kl), min_step=0.5 * (b - a), order=2)
+    min_step = max((b - a) * 2.0 ** -42, 1e-300)
+    return replace(_adaptive(h_at, a, b, tol, expm_method, min_step), refined=True)
+
+
 def propagate(h, s, t, tol=DEFAULT_TOL, expm_method="auto"):
     """Unitary propagator U(t, s) of i dU/dt = H(t) U, U(s, s) = 1, by CFM4.
 
@@ -219,7 +236,9 @@ def propagate_grid(h, times, tol=DEFAULT_TOL, expm_method="auto"):
     3. `_adaptive` on each interval, halving CFM4 steps from the test-2
        step.
 
-    A lone last interval goes to `propagate`.
+    A lone last interval (odd interval count) runs the midpoint test of one
+    step against two half steps (3 exponentials) and keeps the half steps; if
+    that fails, `_adaptive` halves CFM4 steps from a fresh CFM4 step.
     """
     times = np.asarray(times, dtype=float)
     if times.size < 2:
@@ -232,7 +251,7 @@ def propagate_grid(h, times, tol=DEFAULT_TOL, expm_method="auto"):
     n = times.size - 1
     while i < n:
         if i + 1 >= n:
-            out.append(propagate(h_at, times[i], times[i + 1], tol, expm_method))
+            out.append(_lone_interval(h_at, times[i], times[i + 1], tol, expm_method))
             break
         a, m, b = times[i], times[i + 1], times[i + 2]
         i += 2

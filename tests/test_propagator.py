@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from fermiproc import harness
+from fermiproc import harness, propagator
 from fermiproc.drive import KernelSpec, Perturbation, switch_on_protocol
 from fermiproc.lattice import (LatticeSpec, hopping_hamiltonian, number_operator,
                                one_body_laplacian, quadratic_fock_operator)
-from fermiproc.linalg import (expm_hermitian_spectral, expm_hermitian_taylor,
-                              expm_unitary, max_abs, unitarity_defect)
+from fermiproc.linalg import (band_matmul, expm_hermitian_spectral,
+                              expm_hermitian_taylor, expm_unitary, max_abs,
+                              unitarity_defect)
 from fermiproc.propagator import (IntegrationError, TimeDependentHamiltonian,
                                   _cfm4_step, _midpoint_step,
                                   dyson_propagator, dyson_remainder,
@@ -188,6 +189,43 @@ def test_refined_pair_meets_budget():
         assert p.refined and p.order == 4
         assert p.min_step is not None and p.min_step <= p.t_end - p.t_start
         assert max_abs(p.matrix - q.matrix) <= 1e-6 * step
+    # at tol 1e-10 the CFM4 pair test fails too: the halved steps are narrower
+    # than the grid step, and the run's report keeps the narrowest of them
+    assert all(q.refined and q.min_step < q.t_end - q.t_start for q in tight)
+    report = harness.IntegratorReport()
+    for q in tight:
+        report.add(q)
+    assert report.min_step == min(q.min_step for q in tight if q.refined)
+    assert report.min_step < step
+
+
+def test_lone_last_interval_tries_midpoint_first(monkeypatch):
+    # an odd grid's last interval: one midpoint step against two half steps
+    # (3 exponentials) keeps the half steps; if that fails, CFM4 steps
+    h, cfg = _config_problem("process1_L512")
+    a, b = 30.0, 30.0 + cfg.output.grid_step
+    m = 0.5 * (a + b)
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return expm_unitary(*args)
+
+    monkeypatch.setattr(propagator, "expm_unitary", counted)
+    (p,) = propagate_grid(h, [a, b], cfg.integrator.tol)
+    monkeypatch.undo()
+    assert len(calls) == 3
+    ul, kl = expm_unitary(h(0.5 * (a + m)), m - a)
+    ur, kr = expm_unitary(h(0.5 * (m + b)), b - m)
+    assert np.array_equal(p.matrix, band_matmul(ur, kr, ul, kl))
+    assert (p.order, p.refined, p.min_step) == (2, False, 0.5 * (b - a))
+
+    h, cfg = _config_problem("process2_L200")
+    step = cfg.drive.period / 64
+    (p,) = propagate_grid(h, [1.5, 1.5 + step], 1e-6)
+    assert (p.order, p.refined) == (4, True)
+    assert p.min_step <= 0.5 * step
+    assert max_abs(p.matrix - propagate(h, 1.5, 1.5 + step, 1e-10).matrix) <= 1e-6 * step
 
 
 def test_manifest_counts_fourth_order_intervals(tmp_path):
