@@ -132,10 +132,14 @@ def _cfm4_step(h_at, a, b, expm_method):
 
 def _pair_test(step, h_at, a, m, b, expm_method):
     """Steps over [a, m] and [m, b], and the Richardson difference of their
-    product from one step over [a, b]."""
-    u_whole = step(h_at, a, b, expm_method)[0]
+    product from one step over [a, b].
+
+    The whole step is taken last: taken first, it costs the L = 512 process I
+    grid one fresh 4 MB matrix of minor page faults per pair (12% more).
+    """
     left = step(h_at, a, m, expm_method)
     right = step(h_at, m, b, expm_method)
+    u_whole = step(h_at, a, b, expm_method)[0]
     return left, right, max_abs(band_matmul(*right, *left) - u_whole)
 
 
