@@ -7,8 +7,7 @@ sum w_{i1 i2 j1 j2} a_{i1}^* a_{i2}^* a_{j1} a_{j2}. Every built perturbation
 is Hermitian, local, and gauge-invariant by construction.
 
 Protocols wrap a control path lambda(t) with its analytic derivative and a
-linear map lambda -> W(lambda) = sum_j lambda_j V_j; a Custom kind accepts
-nonlinear builders provided the caller supplies the derivative builder too.
+linear map lambda -> W(lambda) = sum_j lambda_j V_j.
 """
 
 from dataclasses import dataclass, field
@@ -202,22 +201,18 @@ WAVEFORMS = {
 
 @dataclass(frozen=True)
 class DriveProtocol:
-    """Control path lambda(t) plus the map lambda -> W(lambda).
+    """Control path lambda(t) plus the linear map lambda -> W(lambda).
 
-    Linear protocols carry `components` with W(lambda) = sum lambda_j V_j;
-    Custom protocols supply `builder`/`d_builder` callables
-    (lambda_vector, representation) -> matrix / list of matrices. Before t0
-    the perturbation vanishes and lambda is frozen at lambda(t0).
+    `components` are the V_j of W(lambda) = sum lambda_j V_j. Before t0 the
+    perturbation vanishes and lambda is frozen at lambda(t0).
     """
 
-    kind: str
+    kind: str  # switch_on | periodic
     t0: float
     control_dim: int
     lam_fn: Callable[[float], np.ndarray]
     lam_dot_fn: Callable[[float], np.ndarray]
-    components: Optional[tuple] = None
-    builder: Optional[Callable] = None
-    d_builder: Optional[Callable] = None
+    components: tuple
     tau_r: Optional[float] = None
     period: Optional[float] = None
     waveform: Optional[str] = None
@@ -235,48 +230,33 @@ class DriveProtocol:
 
     @property
     def is_quadratic(self):
-        if self.components is not None:
-            return all(c.is_quadratic for c in self.components)
-        return False
+        return all(c.is_quadratic for c in self.components)
 
     @property
     def lattice(self):
-        if self.components:
-            return self.components[0].lattice
-        return None
+        return self.components[0].lattice
 
     def operator(self, t, representation="fock"):
         """W(lambda(t)) in the requested representation (zero before t0)."""
         lam = self.lam(t)
-        if self.components is not None:
-            mats = [c.matrix(representation) for c in self.components]
-            out = np.zeros_like(mats[0])
-            if t >= self.t0:
-                for lj, vj in zip(lam, mats):
-                    out = out + lj * vj
-            return out
-        out = self.builder(lam, representation)
-        if t < self.t0:
-            return np.zeros_like(out)
+        mats = [c.matrix(representation) for c in self.components]
+        out = np.zeros_like(mats[0])
+        if t >= self.t0:
+            for lj, vj in zip(lam, mats):
+                out = out + lj * vj
         return out
 
     def d_operator(self, t, representation="fock"):
         """[dW/dlambda_j at lambda(t)] in the requested representation."""
-        if self.components is not None:
-            return [c.matrix(representation) for c in self.components]
-        return self.d_builder(self.lam(t), representation)
+        return [c.matrix(representation) for c in self.components]
 
     def sup_lambda(self, horizon=None):
         """sup_t |lambda_j(t)| per component, over [t0, t0 + horizon]."""
         if self.kind == "switch_on":
             t_eval = self.t0 + (1e9 if horizon is None else horizon)
             return np.abs(self.lam(t_eval))
-        if self.kind == "periodic":
-            taus = np.linspace(0.0, self.period, 513)
-            return np.max([np.abs(self.lam(self.t0 + x)) for x in taus], axis=0)
-        horizon = 10.0 if horizon is None else horizon
-        ts = np.linspace(self.t0, self.t0 + horizon, 257)
-        return np.max([np.abs(self.lam(x)) for x in ts], axis=0)
+        taus = np.linspace(0.0, self.period, 513)
+        return np.max([np.abs(self.lam(self.t0 + x)) for x in taus], axis=0)
 
 
 def switch_on_protocol(w_inf: Perturbation, t0, tau_r, amplitude=1.0):
@@ -326,39 +306,6 @@ def periodic_protocol(w_base: Perturbation, period, waveform="sin", t0=0.0,
     )
 
 
-def custom_protocol(builder, d_builder, lam_fn, lam_dot_fn, t0, control_dim):
-    """Nonlinear control: caller supplies W(lambda) and its lambda-derivatives."""
-    if d_builder is None:
-        raise ValueError("custom protocols must supply d_builder")
-    return DriveProtocol(
-        kind="custom", t0=t0, control_dim=control_dim, lam_fn=lam_fn,
-        lam_dot_fn=lam_dot_fn, builder=builder, d_builder=d_builder,
-    )
-
-
-def _complement_commutator_defect(w, lattice):
-    dim = w.shape[0]
-    k = np.arange(dim, dtype=np.int64)
-    defect = 0.0
-    for s in range(lattice.n_sites):
-        if s in lattice.local_region:
-            continue
-        occ = (k >> s) & 1
-        defect = max(defect, max_abs(w * (occ[None, :] - occ[:, None])))
-    return defect
-
-
-def decompose_period(t, t0, period):
-    """t - t0 = n*T + tau with integer n and tau in [0, T)."""
-    x = t - t0
-    n = int(np.floor(x / period))
-    tau = x - n * period
-    if tau >= period:  # guard the roundoff edge
-        n += 1
-        tau -= period
-    return n, tau
-
-
 @dataclass(frozen=True)
 class DriveCertificate:
     """Numerical certification of a protocol against its declared properties."""
@@ -398,19 +345,14 @@ def certify_drive(protocol: DriveProtocol, lattice: LatticeSpec,
     gauge_ok = True
     loc_defect = 0.0
     region = set(lattice.local_region)
-    parity_note = False
     for t in sample_times:
         if exact_scale:
             w = protocol.operator(t, "fock")
             sup_w = max(sup_w, spectral_norm(w))
             gauge_ok &= bool(is_gauge_invariant(w, 1e-10, lattice.n_sites))
-            try:
-                loc_defect = max(loc_defect, locality_defect(w, lattice))
-            except ValueError:
-                # parity-odd operator: the embed round trip is ambiguous, so
-                # fall back to commutators with complement-site occupations
-                parity_note = True
-                loc_defect = max(loc_defect, _complement_commutator_defect(w, lattice))
+            # kernels build parity-even operators, for which the embed round
+            # trip of `locality_defect` is unambiguous (it raises otherwise)
+            loc_defect = max(loc_defect, locality_defect(w, lattice))
         else:
             w = protocol.operator(t, "one_body")
             sup_w = max(sup_w, spectral_norm(w))
@@ -419,15 +361,12 @@ def certify_drive(protocol: DriveProtocol, lattice: LatticeSpec,
                 for j in region:
                     mask[i, j] = False
             loc_defect = max(loc_defect, max_abs(np.where(mask, w, 0.0)))
-    if parity_note:
-        notes.append("parity-odd drive: locality checked via complement-site "
-                     "occupation commutators (necessary condition only)")
     if not exact_scale:
         notes.append("locality and gauge checks ran on the one-body representation; "
                      "one-body kernels are gauge-invariant by construction")
 
     integrability = None
-    if protocol.kind == "switch_on" and protocol.components is not None:
+    if protocol.kind == "switch_on":
         w_inf_norm = sum(
             abs(protocol.amplitude or 1.0) * c.norm("one_body" if not exact_scale else "fock")
             for c in protocol.components
@@ -436,7 +375,7 @@ def certify_drive(protocol: DriveProtocol, lattice: LatticeSpec,
         sup_w = max(sup_w, w_inf_norm)
 
     small = None
-    if protocol.is_quadratic and protocol.components is not None:
+    if protocol.is_quadratic:
         sup_scale = float(np.max(protocol.sup_lambda()))
         terms = [(k.degree, k.coeffs, k.sites)
                  for c in protocol.components for k in c.kernels]
@@ -458,6 +397,6 @@ def certify_drive(protocol: DriveProtocol, lattice: LatticeSpec,
 
 __all__ = [
     "KernelSpec", "Perturbation", "build_one_body", "build_perturbation",
-    "DriveProtocol", "switch_on_protocol", "periodic_protocol", "custom_protocol",
-    "decompose_period", "DriveCertificate", "certify_drive", "WAVEFORMS",
+    "DriveProtocol", "switch_on_protocol", "periodic_protocol",
+    "DriveCertificate", "certify_drive", "WAVEFORMS",
 ]

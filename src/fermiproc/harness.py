@@ -15,6 +15,7 @@ update, probe read, entropy and ledger row. One process runner,
 each configured path, and applies the shared ledger checks, the `both` oracle
 comparison, timing and output; `run_process_I`, `run_process_II` and
 `run_plain` supply only their time grid, window checks and a verdict function.
+`run_verify` and the acceptance suite call the same checks (verification suite).
 
 Finite volumes recur: every convergence-flavored statement is evaluated only
 inside the declared recurrence window 0.8 * L / v_max (v_max = 2, the maximal
@@ -40,10 +41,10 @@ from .lattice import (EXACT_SITE_CAP, Boundary, FockBasis, LatticeSpec,
                       creation_op, gauge_transform, hopping_hamiltonian,
                       number_operator, one_body_laplacian, quadratic_fock_operator)
 from .linalg import max_abs, unitarity_defect
-from .observables import (ProcessRecord, charge, delta_entropy, entropy_rate,
+from .observables import (charge, charge_rate, delta_entropy, entropy_rate,
                           entropy_rate_bound, entropy_rate_decomposed, expectation,
-                          gibbs_gradient, internal_energy,
-                          relative_entropy_to_reference, work_accumulate)
+                          internal_energy, ledger_row, relative_entropy_to_reference,
+                          work_accumulate)
 from .propagator import TimeDependentHamiltonian, dyson_propagator, \
     interaction_to_schrodinger, heisenberg_evolve, propagate, propagate_grid
 from .quadratic import (ScalarDriveReferenceCache, correlation_entropy,
@@ -189,7 +190,20 @@ def load_config(path) -> RunConfig:
     return parse_config(data or {})
 
 
+def _require_integers(where, values):
+    """Sizes and sites are YAML integers: int() would truncate 2.7 to site 2."""
+    if not (isinstance(values, (list, tuple)) and all(type(v) is int for v in values)):
+        raise ConfigError(f"{where} must be integers, got {values!r}")
+
+
 def validate_config(cfg: RunConfig):
+    _require_integers("lattice.L", [cfg.lattice.L])
+    if cfg.lattice.local_region is not None:
+        _require_integers("lattice.local_region", cfg.lattice.local_region)
+    for i, kernel in enumerate(cfg.drive.kernels):
+        _require_integers(f"drive.kernels[{i}].sites", kernel.sites)
+    for probe in cfg.output.probes or []:
+        _require_integers("output.probes entries", probe)
     if cfg.path not in ("exact", "quadratic", "both"):
         raise ConfigError(f"path must be exact|quadratic|both, got {cfg.path!r}")
     if cfg.path == "exact" and cfg.lattice.L > EXACT_SITE_CAP:
@@ -403,14 +417,11 @@ def exact_trajectory(spec, params, protocol, times, tol, probe_ops=None,
             lam_dot = np.zeros(0)
         h_t = h0 + w_t
         ref = gibbs_state(h_t, n_op, params)
-        u_int = internal_energy(rho, h_t)
-        q = charge(rho, n_op)
-        s_val = params.beta * (u_int - params.mu * q - ref.grand_potential)
-        rel_s = relative_entropy_to_reference(rho, ref.rho)
-        sdot = entropy_rate(rho, ref.rho, dw, lam_dot, w_t, n_op, params)
-        dg_dt = float(gibbs_gradient(h_t, n_op, params, dw, ref.rho) @ lam_dot) if dw else 0.0
-        return ProcessRecord(t=t, U=u_int, q=q, S=s_val, Sdot=sdot, relS=rel_s,
-                             work=0.0, G=ref.grand_potential, dG_dt=dg_dt)
+        return ledger_row(t, internal_energy(rho, h_t), charge(rho, n_op),
+                          [expectation(rho, d) for d in dw], ref.grand_potential,
+                          [expectation(ref.rho, d) for d in dw], lam_dot, params,
+                          s_start, rel_s=relative_entropy_to_reference(rho, ref.rho),
+                          qdot=charge_rate(rho, w_t, n_op))
 
     rep = _Representation(gibbs_state(h0, n_op, params).rho,
                           lambda rho, step: step.matrix @ rho @ step.matrix.conj().T,
@@ -538,13 +549,12 @@ def saturation_coefficient(protocol, params, t, representation):
 
 
 def _common_ledger_checks(manifest, records, prefix=""):
-    s0 = records[0].S
-    min_gap = min(r.S - s0 for r in records)
+    min_gap = entropy_gap(records)
     _verdict(manifest, prefix + "entropy_monotone_start", min_gap >= -1e-8, min_gap, -1e-8)
     min_rel = min(r.relS for r in records)
     _verdict(manifest, prefix + "relative_entropy_positive", min_rel >= -1e-10,
              min_rel, -1e-10)
-    manifest["summary"][prefix + "delta_S_final"] = records[-1].S - s0
+    manifest["summary"][prefix + "delta_S_final"] = records[-1].S - records[0].S
     manifest["summary"][prefix + "relS_final"] = records[-1].relS
     manifest["summary"][prefix + "work_final"] = records[-1].work
 
@@ -593,7 +603,7 @@ def _run_process(cfg: RunConfig, kind, times, verdict=None) -> ProcessResult:
         _common_ledger_checks(manifest, traj.records, prefix)
 
     if both:
-        dev = _compare_paths(trajectories["exact"], trajectories["quadratic"])
+        dev = path_deviation(trajectories["exact"], trajectories["quadratic"])
         _verdict(manifest, "oracle_equivalence", dev <= 1e-7, dev, 1e-7)
     manifest["timing_seconds"] = time.time() - t_start
     records_by_path = {tag: traj.records for tag, traj in trajectories.items()}
@@ -737,7 +747,103 @@ def execute_run(cfg: RunConfig) -> ProcessResult:
     return run_plain(cfg)
 
 
-def _compare_paths(exact, quad):
+# -- verification suite ----------------------------------------------------------
+
+def car_defect(max_sites):
+    """Worst defect of {a_i, a_j^*} = delta_ij and {a_i, a_j} = 0 for L = 1..max_sites."""
+    worst = 0.0
+    for n in range(1, max_sites + 1):
+        ops = [creation_op(n, s) for s in range(n)]
+        eye = np.eye(1 << n)
+        for i in range(n):
+            ai = ops[i].conj().T
+            for j in range(n):
+                anti = ai @ ops[j] + ops[j] @ ai
+                worst = max(worst, max_abs(anti - (eye if i == j else 0.0)),
+                            max_abs(ops[i] @ ops[j] + ops[j] @ ops[i]))
+    return worst
+
+
+def propagator_law_defects(spec, protocol, t_end, mids, tol, w_static):
+    """(unitarity, cocycle, dyson, dyson_bound): defects of U(t_end, 0) under
+    `protocol`, the worst cocycle split over `mids`, and the Dyson series
+    against the direct integrator for the static `w_static` on [0, 1], with
+    its bound max(1e-6, 10 * the series' remainder estimate)."""
+    h0 = hopping_hamiltonian(spec)
+    tdh = TimeDependentHamiltonian(h0, protocol, 0.0, "fock")
+    u_full = propagate(tdh, 0.0, t_end, tol).matrix
+    cocycle = 0.0
+    for mid in mids:
+        u1 = propagate(tdh, 0.0, mid, tol)
+        u2 = propagate(tdh, mid, t_end, tol)
+        cocycle = max(cocycle, max_abs(u_full - u2.matrix @ u1.matrix))
+    u_dyson = dyson_propagator(h0, lambda t: w_static, 0.0, 1.0, 8, 1e-10)
+    u_direct = propagate(lambda t: h0 + w_static, 0.0, 1.0, 1e-10)
+    dyson = max_abs(interaction_to_schrodinger(u_dyson, h0, 0.0, 1.0).matrix
+                    - u_direct.matrix)
+    return (unitarity_defect(u_full), cocycle, dyson,
+            max(1e-6, 10 * u_dyson.est_error))
+
+
+def random_density(rng, dim):
+    """Full-rank random density matrix (normalized complex Wishart)."""
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+def klein_minimum(rng, pairs, max_dim):
+    """Smallest relative entropy over random density-matrix pairs of dimension
+    2..max_dim (Klein's inequality: never below zero)."""
+    worst = np.inf
+    for _ in range(pairs):
+        dim = int(rng.integers(2, max_dim + 1))
+        worst = min(worst, relative_entropy(random_density(rng, dim),
+                                            random_density(rng, dim)))
+    return worst
+
+
+def two_route_entropy_rate_defect(spec, params, protocol, times, tol):
+    """Worst gap between `entropy_rate` and `entropy_rate_decomposed` along the
+    exact trajectory sampled at `times`."""
+    h0 = hopping_hamiltonian(spec)
+    n_op = number_operator(spec)
+    tdh = TimeDependentHamiltonian(h0, protocol, times[0], "fock")
+    rho = gibbs_state(h0, n_op, params).rho
+    steps = _grid_steps(tdh, times, tol)
+    worst = 0.0
+    for k, t in enumerate(times):
+        if k:
+            u = next(steps).matrix
+            rho = u @ rho @ u.conj().T
+        w_t = protocol.operator(t, "fock")
+        dw = protocol.d_operator(t, "fock")
+        lam_dot = protocol.lam_dot(t)
+        h_t = h0 + w_t
+        ref = gibbs_state(h_t, n_op, params).rho
+        r1 = entropy_rate(rho, ref, dw, lam_dot, w_t, n_op, params)
+        r2 = entropy_rate_decomposed(rho, h_t, n_op, params, dw, lam_dot, w_t, ref)
+        worst = max(worst, abs(r1 - r2))
+    return worst
+
+
+def first_law_residual(records, params):
+    """|Delta U - T Delta S + int dA| over the recorded ledger."""
+    return abs((records[-1].U - records[0].U) - delta_entropy(records) / params.beta
+               + work_accumulate(records, params))
+
+
+def charge_drift(records):
+    """max_t |q(t) - q(t0)|."""
+    return max(abs(r.q - records[0].q) for r in records)
+
+
+def entropy_gap(records):
+    """min_t S(t) - S(t0): the second law at the start of a process."""
+    return min(r.S - records[0].S for r in records)
+
+
+def path_deviation(exact, quad):
     """Max deviation of any ledger field or probe between two trajectories."""
     fields = ("t", "U", "q", "S", "Sdot", "relS", "work", "G")
     dev = 0.0
@@ -750,7 +856,13 @@ def _compare_paths(exact, quad):
     return dev
 
 
-# -- verification suite ----------------------------------------------------------
+def smallness_homogeneity_defect(points, factors):
+    """Worst |N(c f) - c N(f)| of the grid norm over `factors`, for the
+    oscillator ground state on a `points`-point grid of half-width 8."""
+    x, _ = grid_axis(8.0, points)
+    f = np.pi**-0.25 * np.exp(-0.5 * x**2)
+    return max(abs(grid_norm(c * f) - c * grid_norm(f)) for c in factors)
+
 
 def run_verify(cfg: RunConfig) -> dict:
     """Execute every module invariant suite and record verdicts.
@@ -767,18 +879,7 @@ def run_verify(cfg: RunConfig) -> dict:
     params = GibbsParams(cfg.gibbs.beta, cfg.gibbs.mu)
     bc = Boundary(cfg.lattice.boundary)
 
-    # CAR relations
-    l_car = min(cfg.lattice.L, 6)
-    worst = 0.0
-    for n in range(1, l_car + 1):
-        sp = LatticeSpec(n, bc)
-        ops = [creation_op(sp, s) for s in range(n)]
-        eye = np.eye(1 << n)
-        for i in range(n):
-            for j in range(n):
-                anti = ops[i].conj().T @ ops[j] + ops[j] @ ops[i].conj().T
-                worst = max(worst, max_abs(anti - (eye if i == j else 0.0)))
-                worst = max(worst, max_abs(ops[i] @ ops[j] + ops[j] @ ops[i]))
+    worst = car_defect(min(cfg.lattice.L, 6))
     _verdict(manifest, "car_relations", worst <= 1e-12, worst, 1e-12)
 
     # hopping Hamiltonian structure
@@ -813,24 +914,12 @@ def run_verify(cfg: RunConfig) -> dict:
     kern = KernelSpec(1, (1, 2), np.array([[0.3, 0.1], [0.1, -0.2]]))
     prot = switch_on_protocol(Perturbation([kern], sp4), 0.0, 0.8, 0.5)
     h04 = hopping_hamiltonian(sp4)
-    tdh = TimeDependentHamiltonian(h04, prot, 0.0, "fock")
     tol = cfg.integrator.tol
-    u_full = propagate(tdh, 0.0, 1.5, tol)
-    _verdict(manifest, "propagator_unitarity", unitarity_defect(u_full.matrix) <= 1e-9,
-             unitarity_defect(u_full.matrix), 1e-9)
-    u_mid = float(rng.uniform(0.3, 1.2))
-    u1 = propagate(tdh, 0.0, u_mid, tol)
-    u2 = propagate(tdh, u_mid, 1.5, tol)
-    coc = max_abs(u_full.matrix - u2.matrix @ u1.matrix)
+    unit, coc, dy, dy_bound = propagator_law_defects(
+        sp4, prot, 1.5, [float(rng.uniform(0.3, 1.2))], tol,
+        0.2 * Perturbation([kern], sp4).fock())
+    _verdict(manifest, "propagator_unitarity", unit <= 1e-9, unit, 1e-9)
     _verdict(manifest, "cocycle_law", coc <= 10 * tol, coc, 10 * tol)
-
-    # Dyson vs direct with a static small perturbation
-    w_static = 0.2 * Perturbation([kern], sp4).fock()
-    u_dyson = dyson_propagator(h04, lambda t: w_static, 0.0, 1.0, 8, 1e-10)
-    u_dir = propagate(lambda t: h04 + w_static, 0.0, 1.0, 1e-10)
-    u_conv = interaction_to_schrodinger(u_dyson, h04, 0.0, 1.0)
-    dy = max_abs(u_conv.matrix - u_dir.matrix)
-    dy_bound = max(1e-6, 10 * u_dyson.est_error)
     _verdict(manifest, "dyson_direct_agreement", dy <= dy_bound, dy, dy_bound)
 
     # free evolution conserves energy; duality of the two pictures
@@ -844,11 +933,7 @@ def run_verify(cfg: RunConfig) -> dict:
                expectation(rho0, heisenberg_evolve(a_obs, u_free)))
     _verdict(manifest, "heisenberg_schrodinger_duality", dual <= 1e-9, dual, 1e-9)
 
-    # Klein positivity on random pairs
-    worst = np.inf
-    for _ in range(200):
-        d = int(rng.integers(2, 17))
-        worst = min(worst, relative_entropy(_random_density(rng, d), _random_density(rng, d)))
+    worst = klein_minimum(rng, 200, 16)
     _verdict(manifest, "klein_positivity", worst >= -1e-10, worst, -1e-10)
 
     # driven ledger identities on a short trajectory
@@ -856,16 +941,14 @@ def run_verify(cfg: RunConfig) -> dict:
     traj = exact_trajectory(sp4, params, prot, times, tol)
     _verdict(manifest, "entropy_unitary_invariance", traj.entropy_drift <= 1e-7,
              traj.entropy_drift, 1e-7)
-    worst = _two_route_entropy_rate_defect(sp4, params, prot, times[::20], tol)
+    worst = two_route_entropy_rate_defect(sp4, params, prot, times[::20], tol)
     _verdict(manifest, "entropy_rate_two_route", worst <= 1e-8, worst, 1e-8)
     recs = traj.records
-    first_law = abs((recs[-1].U - recs[0].U)
-                    - delta_entropy(recs) / params.beta
-                    + work_accumulate(recs, params))
-    _verdict(manifest, "first_law_residual", first_law <= 1e-4, first_law, 1e-4)
-    q_drift = max(abs(r.q - recs[0].q) for r in recs)
+    residual = first_law_residual(recs, params)
+    _verdict(manifest, "first_law_residual", residual <= 1e-4, residual, 1e-4)
+    q_drift = charge_drift(recs)
     _verdict(manifest, "charge_conservation", q_drift <= 1e-8, q_drift, 1e-8)
-    gap = min(r.S - recs[0].S for r in recs)
+    gap = entropy_gap(recs)
     _verdict(manifest, "entropy_monotone_start", gap >= -1e-8, gap, -1e-8)
 
     # fast-path oracle (small L) and Pauli bounds
@@ -879,15 +962,12 @@ def run_verify(cfg: RunConfig) -> dict:
                               probe_matrices(pairs5, sp5, "fock"))
         tq = quadratic_trajectory(sp5, params, prot5, times5, 1e-10,
                                   probe_matrices(pairs5, sp5, "one_body"))
-        dev = _compare_paths(te, tq)
+        dev = path_deviation(te, tq)
         _verdict(manifest, "oracle_equivalence", dev <= 1e-7, dev, 1e-7)
         pauli = pauli_defect(tq.final_state)
         _verdict(manifest, "pauli_bounds", pauli <= 1e-9, pauli, 1e-9)
 
-    # smallness norm homogeneity
-    x, _ = grid_axis(8.0, 256)
-    f = np.pi**-0.25 * np.exp(-0.5 * x**2)
-    hom = abs(grid_norm(2.5 * f) - 2.5 * grid_norm(f))
+    hom = smallness_homogeneity_defect(256, (2.5,))
     _verdict(manifest, "smallness_homogeneity", hom <= 1e-10, hom, 1e-10)
 
     manifest["timing_seconds"] = time.time() - t_start
@@ -895,37 +975,9 @@ def run_verify(cfg: RunConfig) -> dict:
     return manifest
 
 
-def _random_density(rng, dim):
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho).real
-
-
 def _random_symmetric(rng, m):
     a = rng.normal(size=(m, m))
     return 0.5 * (a + a.T)
-
-
-def _two_route_entropy_rate_defect(spec, params, protocol, times, tol):
-    h0 = hopping_hamiltonian(spec)
-    n_op = number_operator(spec)
-    tdh = TimeDependentHamiltonian(h0, protocol, times[0], "fock")
-    rho = gibbs_state(h0, n_op, params).rho
-    steps = _grid_steps(tdh, times, tol)
-    worst = 0.0
-    for k, t in enumerate(times):
-        if k:
-            u = next(steps).matrix
-            rho = u @ rho @ u.conj().T
-        w_t = protocol.operator(t, "fock")
-        dw = protocol.d_operator(t, "fock")
-        lam_dot = protocol.lam_dot(t)
-        h_t = h0 + w_t
-        ref = gibbs_state(h_t, n_op, params).rho
-        r1 = entropy_rate(rho, ref, dw, lam_dot, w_t, n_op, params)
-        r2 = entropy_rate_decomposed(rho, h_t, n_op, params, dw, lam_dot, w_t, ref)
-        worst = max(worst, abs(r1 - r2))
-    return worst
 
 
 # -- sweeps ----------------------------------------------------------------------
@@ -943,24 +995,27 @@ def _with_axis(cfg: RunConfig, axis, value) -> RunConfig:
     raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
 
 
-def run_sweep(cfg: RunConfig, axis, values, max_workers=None) -> dict:
+def run_sweep(cfg: RunConfig, axis, values) -> dict:
     """One child run per axis value; failures are recorded, not fatal.
 
     Children run concurrently (they share no mutable state); each writes to
-    its own subdirectory when an output directory is configured. Returns the
-    sweep index manifest.
+    its own subdirectory `<axis>_<value:g>` when an output directory is
+    configured, so values that print alike there are refused before any child
+    starts. Returns the sweep index manifest.
     """
     values = list(values)
     if not values:
         raise ConfigError("sweep needs at least one value")
     base_dir = Path(cfg.output.directory) if cfg.output.directory else None
-    child_cfgs = []
-    for v in values:
-        child = _with_axis(cfg, axis, v)
-        if base_dir is not None:
-            child = replace(child, output=replace(
-                child.output, directory=str(base_dir / f"{axis}_{v:g}")))
-        child_cfgs.append(child)
+    child_cfgs = [_with_axis(cfg, axis, v) for v in values]
+    if base_dir is not None:
+        names = [f"{axis}_{v:g}" for v in values]
+        clashes = sorted({n for n in names if names.count(n) > 1})
+        if clashes:
+            raise ConfigError(f"sweep values share output directories {clashes}; "
+                              "values must differ within 6 significant digits")
+        child_cfgs = [replace(c, output=replace(c.output, directory=str(base_dir / n)))
+                      for c, n in zip(child_cfgs, names)]
 
     def _one(child):
         try:
@@ -972,7 +1027,7 @@ def run_sweep(cfg: RunConfig, axis, values, max_workers=None) -> dict:
             return {"status": "error", "error": f"{type(exc).__name__}: {exc}",
                     "directory": child.output.directory}
 
-    with ThreadPoolExecutor(max_workers=max_workers or min(4, len(values))) as pool:
+    with ThreadPoolExecutor(max_workers=min(4, len(values))) as pool:
         outcomes = list(pool.map(_one, child_cfgs))
 
     index = {
@@ -997,6 +1052,9 @@ __all__ = [
     "probe_site_pairs", "probe_matrices", "time_grid", "IntegratorReport", "Trajectory",
     "exact_trajectory", "quadratic_trajectory", "ProcessResult", "run_process_I",
     "run_process_II", "run_plain", "execute_run", "run_verify", "run_sweep",
+    "car_defect", "propagator_law_defects", "random_density",
+    "klein_minimum", "two_route_entropy_rate_defect", "first_law_residual",
+    "charge_drift", "entropy_gap", "path_deviation", "smallness_homogeneity_defect",
     "manifest_passed", "write_outputs", "V_MAX", "WINDOW_FRACTION",
     "PROCESS1_DECAY_BOUND", "PROCESS1_SDOT_BOUND", "PROCESS2_CYCLE_BOUND",
     "PROCESS2_SPEARMAN_BOUND",

@@ -108,9 +108,6 @@ class FockBasis:
     def dim(self):
         return 1 << self.n_sites
 
-    def occupancy(self, index, site):
-        return (index >> site) & 1
-
     def sector_indices(self, n_particles):
         """Basis indices of the n-particle sector, ascending."""
         return np.nonzero(self.popcounts == n_particles)[0]

@@ -21,11 +21,6 @@ def max_abs(a):
     return 0.0 if a.size == 0 else float(np.max(np.abs(a)))
 
 
-def hermiticity_drift(a):
-    """||A - A^dagger||_max."""
-    return max_abs(a - a.conj().T)
-
-
 def ensure_hermitian(a, name="operator"):
     """Certify `a` as Hermitian.
 
@@ -33,7 +28,7 @@ def ensure_hermitian(a, name="operator"):
     A <- (A + A^dagger)/2; anything larger is a hard error.
     """
     a = np.asarray(a)
-    drift = hermiticity_drift(a)
+    drift = max_abs(a - a.conj().T)
     if drift <= HERMITIAN_TOL:
         return a
     if drift < HERMITIAN_REPAIR_TOL:
@@ -224,16 +219,6 @@ def _taylor_banded(h, dt):
         u = band_matmul(u, k, u, k)
         k *= 2
     return u, min(k, h.shape[0] - 1)
-
-
-def expm_hermitian_taylor(h, dt):
-    """exp(-i*dt*h) via scaled cos/sin Taylor series.
-
-    For real-symmetric h the powers stay in real arithmetic, which is the
-    fast path for large one-particle matrices; the products run on the band
-    of h. Truncation error < 1e-16.
-    """
-    return _taylor_banded(h, dt)[0]
 
 
 def expm_unitary(h, dt, method="auto"):

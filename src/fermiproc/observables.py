@@ -2,17 +2,18 @@
 
 Internal energy, charge, the entropy functional relative to the running
 reference state, its rate, the work differential, and their integrated
-budgets. All rate formulas come in two algebraically equivalent routes (the
-direct formula and the energy/charge/grand-potential decomposition) so tests
-can assert the identity rather than trust one code path.
+budgets. `ledger_row` is the one formula both state representations use for
+S, dS/dt and dG/dt. The entropy rate also comes in two algebraically
+equivalent routes (the direct formula and the energy/charge/grand-potential
+decomposition) so checks can assert the identity rather than trust one code
+path.
 """
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .lattice import gauge_transform
 from .linalg import spectral_norm
 from .states import gibbs_state, relative_entropy
 
@@ -66,42 +67,6 @@ def charge(rho, n_op):
     return expectation(rho, n_op)
 
 
-class EntropyRoutes(NamedTuple):
-    """The entropy functional by its two computations.
-
-    `value`: beta * [<H_t - mu N> - G(t)]; `direct`: -tr(rho ln rho_ref) via
-    the spectral logarithm of the constructed reference state.
-    """
-
-    value: float
-    direct: float
-
-
-def entropy_S(rho, h_t, n_op, params, grand_potential, reference_rho=None,
-              consistency_tol=1e-6):
-    """Entropy functional S(t) = beta * [<H_t - mu*N>_rho - G].
-
-    Also evaluates -tr(rho ln rho_t) through the reference state's spectral
-    decomposition and raises if the two routes disagree beyond
-    `consistency_tol` (which flags a grand potential computed at the wrong
-    control value).
-    """
-    beta, mu = params.beta, params.mu
-    value = beta * (internal_energy(rho, h_t) - mu * charge(rho, n_op) - grand_potential)
-    if reference_rho is None:
-        reference_rho = gibbs_state(h_t, n_op, params).rho
-    w, v = np.linalg.eigh(np.asarray(reference_rho))
-    w = np.clip(w, 1e-300, None)
-    diag = np.real(np.einsum("ik,ij,jk->k", v.conj(), np.asarray(rho), v))
-    direct = float(-np.sum(diag * np.log(w)))
-    if abs(value - direct) > consistency_tol:
-        raise ValueError(
-            f"entropy routes disagree by {abs(value - direct):.3e}: "
-            "grand potential inconsistent with H_t (mismatched control value?)"
-        )
-    return EntropyRoutes(value, direct)
-
-
 def energy_rate(rho, dw_dlambda, lambda_dot):
     """dU/dt = <dW/dlambda>_rho . lambda_dot."""
     lam_dot = np.atleast_1d(np.asarray(lambda_dot, dtype=float))
@@ -121,17 +86,6 @@ def charge_rate(rho, w_t, n_op):
     return float(np.real(1j * np.einsum("ij,ji->", np.asarray(rho), comm)))
 
 
-def charge_rate_gauge_route(rho, w_t, n_op=None, step=1e-4):
-    """dq/dt = -d/dtau <e^{i tau N} W e^{-i tau N}>_rho at tau = 0.
-
-    Centered finite difference in the gauge angle; cross-checks the
-    commutator route to O(step^2).
-    """
-    plus = expectation(rho, gauge_transform(w_t, step))
-    minus = expectation(rho, gauge_transform(w_t, -step))
-    return -(plus - minus) / (2.0 * step)
-
-
 def gibbs_gradient(h_t, n_op, params, dw_dlambda, reference_rho=None):
     """dG/dlambda_j = <dW/dlambda_j> in the instantaneous reference state."""
     if reference_rho is None:
@@ -144,8 +98,7 @@ def entropy_rate(rho, reference_rho, dw_dlambda, lambda_dot, w_t, n_op, params):
 
     The gauge term enters through the identity
     d/dtau <phi_tau(W)>|_0 = -dq/dt = -i<[W,N]>, evaluated with the exact
-    commutator; the finite-difference gauge route is kept separately for
-    cross-checks.
+    commutator.
     """
     lam_dot = np.atleast_1d(np.asarray(lambda_dot, dtype=float))
     drive_term = sum(
@@ -163,6 +116,28 @@ def entropy_rate_decomposed(rho, h_t, n_op, params, dw_dlambda, lambda_dot, w_t,
     dq = charge_rate(rho, w_t, n_op)
     dg = float(gibbs_gradient(h_t, n_op, params, dw_dlambda, reference_rho) @ lam_dot)
     return params.beta * (du - params.mu * dq - dg)
+
+
+def ledger_row(t, energy, q, drive_expect, grand_potential, gradient, lam_dot,
+               params, s_start, rel_s=None, qdot=None):
+    """One ledger row: the only place S, dS/dt and dG/dt are formed.
+
+    S = beta*(U - mu*q - G); dS/dt = beta*sum_j (<dW/dl_j>_rho - dG/dl_j)
+    lambda_dot_j - beta*mu*dq/dt; dG/dt = sum_j dG/dl_j lambda_dot_j, with
+    `drive_expect` the <dW/dl_j>_rho and `gradient` the dG/dl_j = <dW/dl_j> in
+    the reference state. `qdot` is omitted where one-body drives conserve
+    charge by construction. relS is `rel_s` when given, else the entropy gap
+    S - s_start, equal to it along a unitary flow. `work` is left at zero.
+    """
+    beta, mu = params.beta, params.mu
+    s_val = beta * (energy - mu * q - grand_potential)
+    sdot = beta * sum((d - g) * ld for d, g, ld in zip(drive_expect, gradient, lam_dot))
+    if qdot is not None:
+        sdot = sdot - beta * mu * qdot
+    dg_dt = sum(g * ld for g, ld in zip(gradient, lam_dot))
+    return ProcessRecord(t=t, U=energy, q=q, S=s_val, Sdot=float(sdot),
+                         relS=s_val - s_start if rel_s is None else rel_s, work=0.0,
+                         G=grand_potential, dG_dt=float(dg_dt))
 
 
 def _check_monotone(times):
@@ -218,8 +193,8 @@ def entropy_rate_bound(params, dw_dlambda, lambda_dot, w_t, n_op):
 
 
 __all__ = [
-    "ProcessRecord", "EntropyRoutes", "expectation", "internal_energy", "charge",
-    "entropy_S", "energy_rate", "charge_rate", "charge_rate_gauge_route",
-    "gibbs_gradient", "entropy_rate", "entropy_rate_decomposed", "work_accumulate",
-    "delta_entropy", "relative_entropy_to_reference", "entropy_rate_bound",
+    "ProcessRecord", "expectation", "internal_energy", "charge", "energy_rate",
+    "charge_rate", "gibbs_gradient", "entropy_rate", "entropy_rate_decomposed",
+    "ledger_row", "work_accumulate", "delta_entropy", "relative_entropy_to_reference",
+    "entropy_rate_bound",
 ]

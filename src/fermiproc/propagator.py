@@ -65,10 +65,6 @@ class Propagator:
     min_step: Optional[float] = None
     order: Optional[int] = None
 
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
-
 
 @dataclass(frozen=True)
 class TimeDependentHamiltonian:
@@ -84,18 +80,15 @@ class TimeDependentHamiltonian:
     t0: float = 0.0
     representation: str = "fock"
 
-    def at(self, t):
-        if self.drive is None or t < self.t0:
-            return self.h0
-        return self.h0 + self.drive.operator(t, self.representation)
-
     def w(self, t):
         if self.drive is None or t < self.t0:
             return np.zeros_like(self.h0)
         return self.drive.operator(t, self.representation)
 
     def __call__(self, t):
-        return self.at(t)
+        if self.drive is None or t < self.t0:
+            return self.h0
+        return self.h0 + self.drive.operator(t, self.representation)
 
 
 def _as_callable(h) -> Callable[[float], np.ndarray]:
@@ -363,29 +356,16 @@ def dyson_propagator(h0, w_of_t, s, t, order, tol=1e-10, max_nodes=128):
 
 def interaction_to_schrodinger(u_int, h0, s, t):
     """Undo the interaction picture: U(t,s) = e^{-itH_0} U^I(t,s) e^{isH_0}."""
-    if isinstance(u_int, Propagator):
-        if (u_int.t_start, u_int.t_end) != (s, t):
-            raise ValueError(
-                f"endpoint mismatch: propagator covers ({u_int.t_start}, {u_int.t_end}), "
-                f"requested ({s}, {t})"
-            )
-        mat, err, warn, method = u_int.matrix, u_int.est_error, u_int.warning, u_int.method
-    else:
-        mat, err, warn, method = np.asarray(u_int), 0.0, None, "converted"
+    if (u_int.t_start, u_int.t_end) != (s, t):
+        raise ValueError(
+            f"endpoint mismatch: propagator covers ({u_int.t_start}, {u_int.t_end}), "
+            f"requested ({s}, {t})"
+        )
     w, v = np.linalg.eigh(np.asarray(h0))
     left = (v * np.exp(-1j * t * w)) @ v.conj().T
     right = (v * np.exp(1j * s * w)) @ v.conj().T
-    return Propagator(left @ mat @ right, s, t, method, err, warn)
-
-
-def schrodinger_to_interaction(u, h0, s, t):
-    """U^I(t,s) = e^{itH_0} U(t,s) e^{-isH_0}."""
-    mat = u.matrix if isinstance(u, Propagator) else np.asarray(u)
-    w, v = np.linalg.eigh(np.asarray(h0))
-    left = (v * np.exp(1j * t * w)) @ v.conj().T
-    right = (v * np.exp(-1j * s * w)) @ v.conj().T
-    err = u.est_error if isinstance(u, Propagator) else 0.0
-    return Propagator(left @ mat @ right, s, t, "interaction", err)
+    return Propagator(left @ u_int.matrix @ right, s, t, u_int.method, u_int.est_error,
+                      u_int.warning)
 
 
 # -- Heisenberg picture -------------------------------------------------------
@@ -399,64 +379,8 @@ def heisenberg_evolve(a, propagator):
     return u.conj().T @ a @ u
 
 
-def heisenberg_derivative(a_t, da_dt, h_t):
-    """DA/Dt = i[H_t, A_t] + dA_t/dt."""
-    a_t = np.asarray(a_t)
-    h_t = np.asarray(h_t)
-    if a_t.shape != h_t.shape:
-        raise ValueError("operator dimensions differ")
-    out = 1j * (h_t @ a_t - a_t @ h_t)
-    if da_dt is not None:
-        out = out + np.asarray(da_dt)
-    return out
-
-
-# -- finite-time wave-operator approximants -----------------------------------
-
-@dataclass(frozen=True)
-class MollerResult:
-    """Finite-time approximant to the asymptotic conjugation of an observable.
-
-    `cauchy_estimate` is ||sigma^(s) - sigma^(s/2)||_max: a convergence
-    *diagnostic*, not a convergence claim (finite volumes recur).
-    """
-
-    operator: np.ndarray
-    cauchy_estimate: float
-    s_cut: float
-
-
-def moller_approx(a, h0, w_static, s_cut, tol=DEFAULT_TOL):
-    """sigma^(s)(A) = e^{isH_0} e^{-isH} A e^{isH} e^{-isH_0} at s = s_cut.
-
-    H = H_0 + W with a time-independent perturbation; computed spectrally, so
-    `tol` is only a placeholder for time-dependent generalizations. Evaluated
-    at s_cut and s_cut/2 to report a Cauchy difference; divergence is
-    reported, never masked.
-    """
-    if s_cut <= 0:
-        raise ValueError("s_cut must be positive")
-    a = np.asarray(a)
-    h0 = np.asarray(h0)
-    h_full = h0 + np.asarray(w_static)
-    w0, v0 = np.linalg.eigh(h0)
-    wf, vf = np.linalg.eigh(h_full)
-
-    def sigma(s):
-        e0 = (v0 * np.exp(1j * s * w0)) @ v0.conj().T
-        ef = (vf * np.exp(-1j * s * wf)) @ vf.conj().T
-        omega = e0 @ ef  # (e^{isH} e^{-isH0})^dagger
-        return omega @ a @ omega.conj().T
-
-    full = sigma(s_cut)
-    half = sigma(0.5 * s_cut)
-    return MollerResult(full, max_abs(full - half), s_cut)
-
-
 __all__ = [
     "DEFAULT_TOL", "IntegrationError", "Propagator", "TimeDependentHamiltonian",
     "propagate", "propagate_grid", "dyson_propagator", "dyson_remainder",
-    "interaction_to_schrodinger",
-    "schrodinger_to_interaction", "heisenberg_evolve", "heisenberg_derivative",
-    "MollerResult", "moller_approx",
+    "interaction_to_schrodinger", "heisenberg_evolve",
 ]

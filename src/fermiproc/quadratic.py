@@ -15,8 +15,7 @@ import numpy as np
 from scipy.special import expit
 
 from .linalg import band_matmul, ensure_hermitian, symmetrize
-from .observables import ProcessRecord
-from .propagator import DEFAULT_TOL, propagate
+from .observables import ledger_row
 from .states import EIG_FLOOR
 
 
@@ -34,18 +33,6 @@ def gibbs_correlation(h, params):
     w, v = np.linalg.eigh(h)
     occ = expit(-params.beta * (w - params.mu))
     return symmetrize(((v * occ) @ v.conj().T).conj())
-
-
-def evolve_correlation(gamma, h_of_t, s, t, tol=DEFAULT_TOL):
-    """Propagate Gamma from time s to t under the one-particle Hamiltonian.
-
-    Uses the same adaptive midpoint-exponential integrator as the full-space
-    propagator, on the L x L matrix; the spectrum of Gamma (hence the Pauli
-    bounds) is preserved up to integrator roundoff.
-    """
-    u = propagate(h_of_t, s, t, tol).matrix
-    v = u.conj()
-    return symmetrize(v @ np.asarray(gamma) @ v.conj().T)
 
 
 def correlation_update(gamma, u, band=None):
@@ -170,14 +157,13 @@ def quadratic_entropy_ledger(gamma_t, t, h0, drive, params, s_start,
     All expectations reduce to trace pairings with Gamma; the entropy uses
     the closed-form grand potential of the one-particle spectrum. `s_start`
     is the entropy at the initial time (conserved along the unitary flow, a
-    fact verified separately rather than re-diagonalized per row). The row's
-    `work` is left at zero: work is a running sum over rows, accumulated by
-    the trajectory loop from `q` and `dG_dt`.
+    fact verified separately rather than re-diagonalized per row), so relS is
+    the entropy gap S - s_start. Degree-1 drives conserve charge exactly, so
+    the row carries no charge-rate term.
     """
     if drive is not None and not drive.is_quadratic:
         raise NonQuadraticDriveError("fast path accepts one-body (degree-1) kernels only")
     gamma_t = np.asarray(gamma_t)
-    beta, mu = params.beta, params.mu
     if drive is None:
         w_t = np.zeros_like(h0)
         d_kernels = []
@@ -189,21 +175,15 @@ def quadratic_entropy_ledger(gamma_t, t, h0, drive, params, s_start,
     h_t = h0 + w_t
     if reference is None:
         reference = reference_scalars(h_t, params, d_kernels)
-    energy = float(np.real(np.sum(h_t * gamma_t)))
-    q = float(np.real(np.trace(gamma_t)))
-    s_val = beta * (energy - mu * q - reference.grand_potential)
-    drive_expect = np.array([float(np.real(np.sum(np.asarray(dk) * gamma_t)))
-                             for dk in d_kernels])
-    sdot = float(beta * np.sum((drive_expect - reference.gradient) * lam_dot))
-    dg_dt = float(np.sum(reference.gradient * lam_dot))
-    return ProcessRecord(
-        t=t, U=energy, q=q, S=s_val, Sdot=sdot, relS=s_val - s_start,
-        work=0.0, G=reference.grand_potential, dG_dt=dg_dt,
-    )
+    drive_expect = [float(np.real(np.sum(np.asarray(dk) * gamma_t))) for dk in d_kernels]
+    return ledger_row(t, float(np.real(np.sum(h_t * gamma_t))),
+                      float(np.real(np.trace(gamma_t))), drive_expect,
+                      reference.grand_potential, reference.gradient, lam_dot, params,
+                      s_start)
 
 
 __all__ = [
-    "NonQuadraticDriveError", "gibbs_correlation", "evolve_correlation", "correlation_update",
+    "NonQuadraticDriveError", "gibbs_correlation", "correlation_update",
     "quadratic_observable", "correlation_entropy", "pauli_defect", "ReferenceScalars",
     "reference_scalars", "ScalarDriveReferenceCache", "quadratic_entropy_ledger",
 ]

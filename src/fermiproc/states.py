@@ -5,7 +5,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import assemble_blocks, decoupled_blocks, ensure_hermitian, max_abs, symmetrize
+from .linalg import assemble_blocks, decoupled_blocks, ensure_hermitian, symmetrize
 
 #: eigenvalues below this contribute zero to entropy sums (x ln x -> 0)
 EIG_FLOOR = 1e-14
@@ -70,21 +70,6 @@ def gibbs_state(h, n_op, params):
                        float(min(p.min() for p in weights)))
 
 
-def validate_density_matrix(rho, trace_tol=1e-10, herm_tol=1e-12, eig_tol=NEGATIVE_EIG_TOL):
-    """Raise unless rho is Hermitian, positive within eig_tol, unit trace."""
-    rho = np.asarray(rho)
-    drift = max_abs(rho - rho.conj().T)
-    if drift > herm_tol:
-        raise ValueError(f"density matrix Hermiticity drift {drift:.3e}")
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > trace_tol:
-        raise ValueError(f"density matrix trace {tr} deviates from 1")
-    wmin = float(np.linalg.eigvalsh(rho)[0])
-    if wmin < -eig_tol:
-        raise ValueError(f"density matrix eigenvalue {wmin:.3e} below -{eig_tol:.0e}")
-    return rho
-
-
 def von_neumann_entropy(rho):
     """S(rho) = -tr(rho ln rho), eigenvalues below 1e-14 contributing zero."""
     w = np.linalg.eigvalsh(np.asarray(rho))
@@ -136,5 +121,5 @@ def relative_entropy(state, reference):
 
 __all__ = [
     "GibbsParams", "GibbsResult", "SupportError", "gibbs_state", "von_neumann_entropy",
-    "relative_entropy", "validate_density_matrix", "EIG_FLOOR",
+    "relative_entropy", "EIG_FLOOR",
 ]

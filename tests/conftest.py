@@ -20,12 +20,6 @@ def random_hermitian(rng, dim, scale=1.0):
     return scale * 0.5 * (a + a.conj().T)
 
 
-def random_density(rng, dim):
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho).real
-
-
 def random_unitary(rng, dim):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(a)

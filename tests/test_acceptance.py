@@ -15,23 +15,19 @@ import pytest
 from fermiproc.drive import KernelSpec, Perturbation, switch_on_protocol
 from fermiproc.harness import (DriveConfig, GibbsConfig, IntegratorConfig,
                                KernelConfig, LatticeConfig, OutputConfig,
-                               RunConfig, build_protocol, exact_trajectory,
-                               lattice_spec, probe_matrices, probe_site_pairs,
-                               quadratic_trajectory, recurrence_window,
-                               run_process_I, run_process_II, time_grid)
-from fermiproc.lattice import (LatticeSpec, LatticeTooLargeError, creation_op,
+                               RunConfig, build_protocol, car_defect, charge_drift,
+                               entropy_gap, exact_trajectory, first_law_residual,
+                               klein_minimum, lattice_spec, path_deviation,
+                               probe_matrices, probe_site_pairs,
+                               propagator_law_defects, quadratic_trajectory,
+                               recurrence_window, run_process_I, run_process_II,
+                               smallness_homogeneity_defect, time_grid,
+                               two_route_entropy_rate_defect)
+from fermiproc.lattice import (LatticeSpec, LatticeTooLargeError,
                                hopping_hamiltonian, number_operator)
-from fermiproc.linalg import max_abs, unitarity_defect
-from fermiproc.observables import delta_entropy, entropy_rate_decomposed, \
-    work_accumulate
-from fermiproc.propagator import (TimeDependentHamiltonian, dyson_propagator,
-                                  interaction_to_schrodinger, propagate)
-from fermiproc.quadratic import gibbs_correlation
-from fermiproc.smallness import grid_axis, grid_norm, kernel_norm
-from fermiproc.states import GibbsParams, gibbs_state, relative_entropy, \
-    von_neumann_entropy
-
-from conftest import random_density
+from fermiproc.propagator import TimeDependentHamiltonian
+from fermiproc.smallness import kernel_norm
+from fermiproc.states import GibbsParams, gibbs_state, von_neumann_entropy
 
 
 def report(number, name, passed, detail, elapsed):
@@ -94,18 +90,7 @@ def process2_result():
 
 def test_criterion_01_car_conformance():
     t0 = time.time()
-    worst = 0.0
-    for n_sites in range(1, 9):
-        spec = LatticeSpec(n_sites)
-        ops = [creation_op(spec, s) for s in range(n_sites)]
-        eye = np.eye(1 << n_sites)
-        for i in range(n_sites):
-            ai = ops[i].conj().T
-            for j in range(n_sites):
-                anti = ai @ ops[j] + ops[j] @ ai
-                target = eye if i == j else 0.0
-                worst = max(worst, max_abs(anti - target))
-                worst = max(worst, max_abs(ops[i] @ ops[j] + ops[j] @ ops[i]))
+    worst = car_defect(8)
     elapsed = time.time() - t0
     report(1, "CAR conformance L=1..8", worst <= 1e-12 and elapsed < 10.0,
            f"max anticommutator defect {worst:.2e}", elapsed)
@@ -116,23 +101,9 @@ def test_criterion_02_propagator_laws(rng):
     spec = LatticeSpec(4, local_region=(1, 2))
     pert = Perturbation([KernelSpec(1, (1, 2), np.array([[0.5, 0.2], [0.2, -0.4]]))], spec)
     protocol = switch_on_protocol(pert, 0.0, 0.7, 0.4)
-    h0 = hopping_hamiltonian(spec)
-    tdh = TimeDependentHamiltonian(h0, protocol, 0.0, "fock")
-    tol = 1e-8
-    u_full = propagate(tdh, 0.0, 2.0, tol)
-    unit = unitarity_defect(u_full.matrix)
-    cocycle = 0.0
-    for _ in range(3):
-        mid = float(rng.uniform(0.3, 1.7))
-        u1 = propagate(tdh, 0.0, mid, tol)
-        u2 = propagate(tdh, mid, 2.0, tol)
-        cocycle = max(cocycle, max_abs(u_full.matrix - u2.matrix @ u1.matrix))
-    w_static = 0.3 * pert.fock()
-    u_dyson = dyson_propagator(h0, lambda t: w_static, 0.0, 1.0, 8, 1e-10)
-    u_direct = propagate(lambda t: h0 + w_static, 0.0, 1.0, 1e-10)
-    dy = max_abs(interaction_to_schrodinger(u_dyson, h0, 0.0, 1.0).matrix
-                 - u_direct.matrix)
-    dy_bound = max(1e-6, 10 * u_dyson.est_error)
+    mids = [float(rng.uniform(0.3, 1.7)) for _ in range(3)]
+    unit, cocycle, dy, dy_bound = propagator_law_defects(spec, protocol, 2.0, mids, 1e-8,
+                                                         0.3 * pert.fock())
     elapsed = time.time() - t0
     ok = unit <= 1e-9 and cocycle <= 1e-7 and dy <= dy_bound and elapsed < 60.0
     report(2, "propagator laws", ok,
@@ -163,12 +134,7 @@ def test_criterion_03_entropy_invariance(l6_trajectory):
 
 def test_criterion_04_klein_positivity():
     t0 = time.time()
-    rng = np.random.default_rng(4)
-    worst = np.inf
-    for _ in range(1000):
-        dim = int(rng.integers(2, 65))
-        worst = min(worst, relative_entropy(random_density(rng, dim),
-                                            random_density(rng, dim)))
+    worst = klein_minimum(np.random.default_rng(4), 1000, 64)
     elapsed = time.time() - t0
     report(4, "Klein positivity (1000 pairs, dim <= 64)",
            worst >= -1e-10 and elapsed < 30.0, f"min value {worst:.2e}", elapsed)
@@ -177,12 +143,9 @@ def test_criterion_04_klein_positivity():
 def test_criterion_05_second_law_start(l6_trajectory, process1_result,
                                        process2_result):
     t0 = time.time()
-    worst = np.inf
-    for records in ([l6_trajectory[3].records]
-                    + list(process1_result.records.values())
-                    + list(process2_result.records.values())):
-        s0 = records[0].S
-        worst = min(worst, min(r.S - s0 for r in records))
+    worst = min(entropy_gap(records) for records in (
+        [l6_trajectory[3].records] + list(process1_result.records.values())
+        + list(process2_result.records.values())))
     elapsed = time.time() - t0
     report(5, "second law start S(t) >= S(t0)", worst >= -1e-8,
            f"min S(t)-S(t0) = {worst:.2e} over all reference runs", elapsed)
@@ -191,28 +154,9 @@ def test_criterion_05_second_law_start(l6_trajectory, process1_result,
 def test_criterion_06_two_route_entropy_rate(l6_trajectory):
     t0 = time.time()
     spec, params, protocol, traj = l6_trajectory
-    h0 = hopping_hamiltonian(spec)
-    n_op = number_operator(spec)
     # route agreement: formula vs energy/charge/grand-potential decomposition
-    from fermiproc.propagator import propagate_grid
-    worst_pair = 0.0
-    rho = gibbs_state(h0, n_op, params).rho
-    times = traj.times
-    steps = propagate_grid(TimeDependentHamiltonian(h0, protocol, 0.0, "fock"),
-                           times, 1e-8)
-    for k in range(0, len(times), 100):
-        if k:
-            for step in steps[k - 100:k]:
-                rho = step.matrix @ rho @ step.matrix.conj().T
-        t = times[k]
-        w = protocol.operator(t, "fock")
-        dw = protocol.d_operator(t, "fock")
-        lam_dot = protocol.lam_dot(t)
-        ref = gibbs_state(h0 + w, n_op, params).rho
-        from fermiproc.observables import entropy_rate
-        r1 = entropy_rate(rho, ref, dw, lam_dot, w, n_op, params)
-        r2 = entropy_rate_decomposed(rho, h0 + w, n_op, params, dw, lam_dot, w, ref)
-        worst_pair = max(worst_pair, abs(r1 - r2))
+    worst_pair = two_route_entropy_rate_defect(spec, params, protocol, traj.times[::100],
+                                               1e-8)
     # numeric derivative of the recorded S at h = 1e-3
     s = np.array([r.S for r in traj.records])
     sdot = np.array([r.Sdot for r in traj.records])
@@ -227,10 +171,7 @@ def test_criterion_06_two_route_entropy_rate(l6_trajectory):
 def test_criterion_07_first_law(l6_trajectory):
     t0 = time.time()
     _, params, _, traj = l6_trajectory
-    recs = traj.records
-    residual = abs((recs[-1].U - recs[0].U)
-                   - delta_entropy(recs) / params.beta
-                   + work_accumulate(recs, params))
+    residual = first_law_residual(traj.records, params)
     elapsed = time.time() - t0
     report(7, "first law residual (L=6, h=1e-3)", residual <= 1e-4,
            f"|dU - T dS + dA| = {residual:.2e}", elapsed)
@@ -238,11 +179,8 @@ def test_criterion_07_first_law(l6_trajectory):
 
 def test_criterion_08_charge_conservation(l6_trajectory, process1_result):
     t0 = time.time()
-    worst = 0.0
-    for records in ([l6_trajectory[3].records]
-                    + list(process1_result.records.values())):
-        q0 = records[0].q
-        worst = max(worst, max(abs(r.q - q0) for r in records))
+    worst = max(charge_drift(records) for records in (
+        [l6_trajectory[3].records] + list(process1_result.records.values())))
     elapsed = time.time() - t0
     report(8, "charge conservation under gauge-invariant drives",
            worst <= 1e-8, f"max |q(t)-q(t0)| = {worst:.2e}", elapsed)
@@ -267,10 +205,7 @@ def test_criterion_09_fast_path_oracle():
                               probe_matrices(pairs, spec, "fock"))
         tq = quadratic_trajectory(spec, params, protocol, times, 1e-9,
                                   probe_matrices(pairs, spec, "one_body"))
-        for re_, rq in zip(te.records, tq.records):
-            for name in ("t", "U", "q", "S", "Sdot", "relS", "work", "G"):
-                worst = max(worst, abs(getattr(re_, name) - getattr(rq, name)))
-        worst = max(worst, float(np.max(np.abs(te.probe_series - tq.probe_series))))
+        worst = max(worst, path_deviation(te, tq))
     elapsed = time.time() - t0
     report(9, "fast-path oracle equivalence L=2..6",
            worst <= 1e-7 and elapsed < 600.0,
@@ -310,9 +245,7 @@ def test_criterion_12_smallness_norm():
         return np.pi**-0.25 * np.exp(-0.5 * np.asarray(x) ** 2)
 
     est = kernel_norm(hermite0, 1)  # doubles the grid internally
-    x, _ = grid_axis(8.0, 512)
-    f = hermite0(x)
-    hom = max(abs(grid_norm(c * f) - c * grid_norm(f)) for c in (2.0, 0.3, 7.5))
+    hom = smallness_homogeneity_defect(512, (2.0, 0.3, 7.5))
     elapsed = time.time() - t0
     ok = abs(est.value - 1.0) <= 0.01 and hom <= 1e-10 and elapsed < 60.0
     report(12, "smallness norm", ok,

@@ -7,8 +7,8 @@ import pytest
 
 from fermiproc.drive import KernelSpec, Perturbation
 from fermiproc.lattice import Boundary, LatticeSpec, one_body_laplacian
-from fermiproc.linalg import (_BAND_BLOCK, _TAYLOR_THETA, band_matmul,
-                              expm_hermitian_taylor, expm_unitary, half_bandwidth)
+from fermiproc.linalg import (_BAND_BLOCK, _TAYLOR_THETA, band_matmul, expm_unitary,
+                              half_bandwidth)
 from fermiproc.propagator import TimeDependentHamiltonian, propagate_grid
 from fermiproc.quadratic import correlation_update, gibbs_correlation
 from fermiproc.states import GibbsParams
@@ -108,7 +108,7 @@ def test_taylor_matches_unbanded_polynomial(kernel, k_h, squarings):
     u, k = expm_unitary(h, dt)
     assert k == 9 * k_h * 2**squarings
     assert np.max(np.abs(u - want)) <= 1e-14
-    assert np.array_equal(u, expm_hermitian_taylor(h, dt))
+    assert np.array_equal(u, expm_unitary(h, dt, "taylor")[0])
     i, j = np.indices(u.shape)
     assert not np.any(u[np.abs(i - j) > k])  # exact zeros outside the band
 

@@ -326,15 +326,6 @@ def test_process2_rejects_long_period():
         run_process_II(cfg)
 
 
-def test_process2_phase_decomposition():
-    from fermiproc.drive import decompose_period
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        t = float(rng.uniform(0, 30))
-        n, tau = decompose_period(t, 0.0, 1.6)
-        assert 0 <= tau < 1.6
-
-
 # -- both-path oracle ---------------------------------------------------------
 
 def test_both_path_oracle_small(tmp_path):
@@ -371,13 +362,14 @@ def test_verify_all_pass(verify_manifest):
 
 
 def test_verify_covers_expected_suites(verify_manifest):
-    names = set(verify_manifest["invariants"])
-    for expected in ("car_relations", "propagator_unitarity", "cocycle_law",
-                     "dyson_direct_agreement", "klein_positivity",
-                     "entropy_rate_two_route", "first_law_residual",
-                     "charge_conservation", "oracle_equivalence", "pauli_bounds",
-                     "smallness_homogeneity"):
-        assert expected in names
+    assert set(verify_manifest["invariants"]) == {
+        "car_relations", "hopping_charge_commute", "sector_block_structure",
+        "gauge_multiplicative", "propagator_unitarity", "cocycle_law",
+        "dyson_direct_agreement", "free_energy_conservation",
+        "heisenberg_schrodinger_duality", "klein_positivity",
+        "entropy_unitary_invariance", "entropy_rate_two_route", "first_law_residual",
+        "charge_conservation", "entropy_monotone_start", "oracle_equivalence",
+        "pauli_bounds", "smallness_homogeneity"}
 
 
 def test_verify_detects_corrupted_propagator(monkeypatch):
@@ -433,6 +425,13 @@ def test_sweep_axis_validation(tmp_path):
     cfg = small_process1_config()
     with pytest.raises(ConfigError, match="axis"):
         run_sweep(cfg, "temperature", [1.0])
+
+
+def test_sweep_rejects_values_sharing_a_directory(tmp_path):
+    # 1 and 1.0000001 both print as beta_1: refused before any child runs
+    with pytest.raises(ConfigError, match="beta_1"):
+        run_sweep(small_process1_config(tmp_path), "beta", [1.0, 1.0000001])
+    assert not any(tmp_path.iterdir())
 
 
 # -- storage ----------------------------------------------------------------------
@@ -500,8 +499,14 @@ _SWITCH_ON = {"type": "switch_on", "amplitude": 0.1, "tau_r": 0.5}
     ("output", {"probes": [[9]]}),
     ("output", {"probes": [[-1]]}),
     ("output", {"probes": []}),
+    ("lattice", {"L": 6.0}),
+    ("lattice", {"L": 6, "local_region": [2.7, 3]}),
+    ("drive", dict(_SWITCH_ON, kernels=[{"degree": 1, "sites": [2.2, 3.9],
+                                         "coeffs": KERNEL}])),
+    ("output", {"probes": [[2.5]]}),
 ], ids=["region_off_lattice", "unknown_boundary", "kernel_off_region",
-        "kernel_shape", "probe_off_lattice", "probe_negative", "probes_empty"])
+        "kernel_shape", "probe_off_lattice", "probe_negative", "probes_empty",
+        "float_size", "float_region_site", "float_kernel_site", "float_probe_site"])
 def test_cli_malformed_config_exit_code(tmp_path, capsys, section, value):
     # malformed configs are configuration errors (exit 2, one line), never
     # tracebacks or silently reinterpreted input

@@ -5,15 +5,12 @@ import pytest
 
 from fermiproc.drive import KernelSpec, Perturbation, switch_on_protocol
 from fermiproc.harness import exact_trajectory, time_grid
-from fermiproc.lattice import (LatticeSpec, creation_op, hopping_hamiltonian,
-                               number_operator, quadratic_fock_operator)
-from fermiproc.observables import (ProcessRecord, charge, charge_rate,
-                                   charge_rate_gauge_route, delta_entropy,
-                                   energy_rate, entropy_rate,
-                                   entropy_rate_decomposed, entropy_S,
-                                   entropy_rate_bound, expectation,
-                                   gibbs_gradient, internal_energy,
-                                   work_accumulate)
+from fermiproc.lattice import (LatticeSpec, creation_op, gauge_transform,
+                               hopping_hamiltonian, number_operator)
+from fermiproc.observables import (ProcessRecord, charge, charge_rate, delta_entropy,
+                                   energy_rate, entropy_rate, entropy_rate_decomposed,
+                                   entropy_rate_bound, expectation, gibbs_gradient,
+                                   internal_energy, work_accumulate)
 from fermiproc.propagator import TimeDependentHamiltonian, propagate
 from fermiproc.states import (GibbsParams, gibbs_state, relative_entropy,
                               von_neumann_entropy)
@@ -69,20 +66,12 @@ def test_charge_single_mode_formula():
     assert charge(rho, n) == pytest.approx(1.0 / (1.0 + np.exp(beta * (eps - mu))), abs=1e-10)
 
 
-def test_entropy_S_routes_and_initial_value(setup):
+def test_ledger_entropy_initial_value(setup):
+    # S(t0) = beta*(U - mu*q - G) of the initial Gibbs state is its entropy
     spec, h0, n_op, params, protocol = setup
-    res = gibbs_state(h0, n_op, params)
-    routes = entropy_S(res.rho, h0, n_op, params, res.grand_potential, res.rho)
-    s_vn = von_neumann_entropy(res.rho)
-    assert routes.value == pytest.approx(s_vn, abs=1e-9)
-    assert routes.direct == pytest.approx(s_vn, abs=1e-9)
-
-
-def test_entropy_S_detects_mismatched_potential(setup):
-    spec, h0, n_op, params, _ = setup
-    res = gibbs_state(h0, n_op, params)
-    with pytest.raises(ValueError, match="inconsistent"):
-        entropy_S(res.rho, h0, n_op, params, res.grand_potential + 0.1, res.rho)
+    traj = exact_trajectory(spec, params, protocol, time_grid(0.0, 0.1, 0.05), 1e-9)
+    s_vn = von_neumann_entropy(gibbs_state(h0, n_op, params).rho)
+    assert traj.records[0].S == pytest.approx(s_vn, abs=1e-9)
 
 
 def test_energy_rate_zero_and_linear(setup, rng):
@@ -133,7 +122,11 @@ def test_charge_rate_two_routes_parity_probe(setup):
     rho = gibbs_state(h0, n_op, params).rho
     rho = u.matrix @ rho @ u.matrix.conj().T
     commutator_route = charge_rate(rho, w, n_op)
-    gauge_route = charge_rate_gauge_route(rho, w, n_op)
+    # dq/dt = -d/dtau <e^{i tau N} W e^{-i tau N}> at tau = 0, by a centered
+    # finite difference in the gauge angle: an independent route, O(step^2)
+    step = 1e-4
+    gauge_route = -(expectation(rho, gauge_transform(w, step))
+                    - expectation(rho, gauge_transform(w, -step))) / (2.0 * step)
     assert abs(commutator_route) > 1e-3
     assert abs(commutator_route - gauge_route) <= 1e-6
 

@@ -13,7 +13,7 @@ from fermiproc.linalg import max_abs
 from fermiproc.observables import expectation
 from fermiproc.propagator import TimeDependentHamiltonian, propagate
 from fermiproc.quadratic import (NonQuadraticDriveError, ScalarDriveReferenceCache,
-                                 correlation_entropy, evolve_correlation,
+                                 correlation_entropy, correlation_update,
                                  gibbs_correlation, pauli_defect, quadratic_entropy_ledger,
                                  quadratic_observable, reference_scalars)
 from fermiproc.states import GibbsParams, gibbs_state, von_neumann_entropy
@@ -65,11 +65,12 @@ def test_static_evolution_conserves_number_and_entropy():
     h = one_body_laplacian(LatticeSpec(8))
     params = GibbsParams(1.0, 0.5)
     gamma0 = gibbs_correlation(h, params)
-    gamma_t = evolve_correlation(gamma0, h, 0.0, 2.5, 1e-10)
+    gamma_t = correlation_update(gamma0, propagate(h, 0.0, 2.5, 1e-10).matrix)
     assert abs(np.trace(gamma_t).real - np.trace(gamma0).real) <= 1e-10
     assert abs(correlation_entropy(gamma_t) - correlation_entropy(gamma0)) <= 1e-9
     # t = s leaves Gamma unchanged
-    assert max_abs(evolve_correlation(gamma0, h, 1.0, 1.0, 1e-10) - gamma0) == 0
+    assert max_abs(correlation_update(gamma0, propagate(h, 1.0, 1.0, 1e-10).matrix)
+                   - gamma0) == 0
 
 
 def test_two_site_rabi_conformance():
@@ -78,7 +79,7 @@ def test_two_site_rabi_conformance():
     h = np.array([[0.0, 1.0], [1.0, 0.0]])
     gamma0 = np.diag([1.0, 0.0]).astype(complex)
     for t in (0.3, 0.7, 1.9):
-        gamma = evolve_correlation(gamma0, h, 0.0, t, 1e-12)
+        gamma = correlation_update(gamma0, propagate(h, 0.0, t, 1e-12).matrix)
         assert gamma[0, 0].real == pytest.approx(np.cos(t) ** 2, abs=1e-10)
         assert gamma[1, 1].real == pytest.approx(np.sin(t) ** 2, abs=1e-10)
 
@@ -98,7 +99,7 @@ def test_driven_occupations_match_fock_oracle():
     for t in (0.4, 1.1, 1.9):
         u = propagate(tdh_f, t_prev, t, 1e-9)
         rho = u.matrix @ rho @ u.matrix.conj().T
-        gamma = evolve_correlation(gamma, tdh_q, t_prev, t, 1e-9)
+        gamma = correlation_update(gamma, propagate(tdh_q, t_prev, t, 1e-9).matrix)
         t_prev = t
         for site in range(4):
             w = np.zeros((4, 4))
@@ -198,6 +199,6 @@ def test_pauli_bounds_along_run(rng):
     tdh = TimeDependentHamiltonian(one_body_laplacian(spec), protocol, 0.0, "one_body")
     t_prev = 0.0
     for t in np.linspace(0.5, 6.0, 12):
-        gamma = evolve_correlation(gamma, tdh, t_prev, float(t), 1e-7)
+        gamma = correlation_update(gamma, propagate(tdh, t_prev, float(t), 1e-7).matrix)
         t_prev = float(t)
         assert pauli_defect(gamma) <= 1e-9

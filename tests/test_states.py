@@ -6,10 +6,11 @@ import scipy.linalg as sla
 
 from fermiproc.lattice import LatticeSpec, hopping_hamiltonian, number_operator
 from fermiproc.linalg import max_abs
+from fermiproc.harness import random_density
 from fermiproc.states import (GibbsParams, SupportError, gibbs_state, relative_entropy,
-                              validate_density_matrix, von_neumann_entropy)
+                              von_neumann_entropy)
 
-from conftest import random_density, random_hermitian, random_unitary
+from conftest import random_hermitian, random_unitary
 
 
 def test_gibbs_params_validation():
@@ -141,11 +142,3 @@ def test_relative_entropy_klein_positivity(rng):
         worst = min(worst, relative_entropy(random_density(rng, dim),
                                             random_density(rng, dim)))
     assert worst >= -1e-10
-
-
-def test_validate_density_matrix(rng):
-    validate_density_matrix(random_density(rng, 5))
-    with pytest.raises(ValueError):
-        validate_density_matrix(np.diag([0.9, 0.2]))  # trace 1.1
-    with pytest.raises(ValueError):
-        validate_density_matrix(np.diag([1.5, -0.5]))
