@@ -18,7 +18,8 @@ import numpy as np
 from . import smallness
 from .smallness import SmallnessReport
 from .lattice import (LatticeSpec, ensure_hermitian, is_gauge_invariant,
-                      locality_defect, monomial_matrix, quadratic_fock_operator)
+                      locality_defect, monomial_matrix, quadratic_fock_operator,
+                      site_index)
 from .linalg import max_abs, spectral_norm
 
 
@@ -37,7 +38,8 @@ class KernelSpec:
     coeffs: np.ndarray = field(compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "sites", tuple(int(s) for s in self.sites))
+        object.__setattr__(self, "sites",
+                           tuple(site_index(s, "kernel sites") for s in self.sites))
         c = np.asarray(self.coeffs, dtype=complex)
         object.__setattr__(self, "coeffs", c)
         if self.degree not in (1, 2):
@@ -236,15 +238,15 @@ class DriveProtocol:
     def lattice(self):
         return self.components[0].lattice
 
+    def controls(self, t):
+        """lambda(t) where the drive acts: zero before t0."""
+        return self.lam(t) if t >= self.t0 else np.zeros(self.control_dim)
+
     def operator(self, t, representation="fock"):
         """W(lambda(t)) in the requested representation (zero before t0)."""
-        lam = self.lam(t)
         mats = [c.matrix(representation) for c in self.components]
-        out = np.zeros_like(mats[0])
-        if t >= self.t0:
-            for lj, vj in zip(lam, mats):
-                out = out + lj * vj
-        return out
+        return sum((lj * vj for lj, vj in zip(self.controls(t), mats)),
+                   np.zeros_like(mats[0]))
 
     def d_operator(self, t, representation="fock"):
         """[dW/dlambda_j at lambda(t)] in the requested representation."""

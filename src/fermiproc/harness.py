@@ -6,15 +6,17 @@ and `manifest.json` (config echo, invariant verdicts, summary scalars, and
 per path the integrator's summed error estimate, refined-interval and
 fourth-order-interval counts, narrowest step and warnings).
 
-Layout. One trajectory loop, `_trajectory`, owns the integrator call, the
-state update, the probe reads, the work recurrence and the entropy drift;
+Layout. One trajectory loop, `_trajectory`, owns the step loop, the
+integrator report, the work recurrence and the entropy drift;
 `exact_trajectory` (Fock space, rho) and `quadratic_trajectory` (one-body
-correlation matrix, Gamma) supply only their representation: initial state,
-update, probe read, entropy and ledger row. One process runner,
+correlations in the interaction picture of h0) supply only their
+representation: initial state, per-interval steps, update, ledger row and
+probe reads, entropy and final state. One process runner,
 `_run_process`, builds the lattice, drive, probes and manifest, simulates
-each configured path, and applies the shared ledger checks, the `both` oracle
-comparison, timing and output; `run_process_I`, `run_process_II` and
-`run_plain` supply only their time grid, window checks and a verdict function.
+each configured path, and applies the shared ledger and health checks, the
+`both` oracle comparison, timing and output; `run_process_I`,
+`run_process_II` and `run_plain` supply only their time grid, window checks
+and a verdict function.
 `run_verify` and the acceptance suite call the same checks (verification suite).
 
 Finite volumes recur: every convergence-flavored statement is evaluated only
@@ -28,10 +30,11 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 import yaml
+from scipy.special import expit
 from scipy.stats import spearmanr
 
 from . import __version__
@@ -39,17 +42,19 @@ from .drive import (DriveProtocol, KernelSpec, Perturbation, periodic_protocol,
                     switch_on_protocol)
 from .lattice import (EXACT_SITE_CAP, Boundary, FockBasis, LatticeSpec,
                       creation_op, gauge_transform, hopping_hamiltonian,
-                      number_operator, one_body_laplacian, quadratic_fock_operator)
-from .linalg import max_abs, unitarity_defect
+                      number_operator, one_body_laplacian, quadratic_fock_operator,
+                      site_index)
+from .linalg import max_abs, symmetrize, unitarity_defect
 from .observables import (charge, charge_rate, delta_entropy, entropy_rate,
                           entropy_rate_bound, entropy_rate_decomposed, expectation,
                           internal_energy, ledger_row, relative_entropy_to_reference,
                           work_accumulate)
-from .propagator import TimeDependentHamiltonian, dyson_propagator, \
-    interaction_to_schrodinger, heisenberg_evolve, propagate, propagate_grid
+from .propagator import (LowRankUnitary, TimeDependentHamiltonian, dyson_propagator,
+                         heisenberg_evolve, interaction_to_schrodinger, propagate,
+                         propagate_grid, step_grid)
 from .quadratic import (ScalarDriveReferenceCache, correlation_entropy,
-                        correlation_update, gibbs_correlation, pauli_defect,
-                        quadratic_entropy_ledger, quadratic_observable,
+                        gibbs_correlation, interaction_picture, pauli_defect,
+                        quadratic_entropy_ledger, quadratic_observable, rank_update,
                         reference_scalars)
 from .smallness import grid_axis, grid_norm
 from .states import GibbsParams, gibbs_state, relative_entropy, von_neumann_entropy
@@ -67,6 +72,10 @@ PROCESS1_DECAY_BOUND = 0.15
 PROCESS1_SDOT_BOUND = 0.20
 PROCESS2_CYCLE_BOUND = 0.25
 PROCESS2_SPEARMAN_BOUND = -0.8
+# numerical-health bounds of every process run: the unitary flow keeps the
+# entropy, and a quasi-free state keeps the spectrum of Gamma in [0, 1]
+ENTROPY_DRIFT_BOUND = 1e-7
+PAULI_BOUND = 1e-9
 
 WINDOW_NOTE = (
     "finite-volume surrogate: asymptotic statements are evaluated only inside "
@@ -190,20 +199,13 @@ def load_config(path) -> RunConfig:
     return parse_config(data or {})
 
 
-def _require_integers(where, values):
-    """Sizes and sites are YAML integers: int() would truncate 2.7 to site 2."""
-    if not (isinstance(values, (list, tuple)) and all(type(v) is int for v in values)):
-        raise ConfigError(f"{where} must be integers, got {values!r}")
-
-
 def validate_config(cfg: RunConfig):
-    _require_integers("lattice.L", [cfg.lattice.L])
-    if cfg.lattice.local_region is not None:
-        _require_integers("lattice.local_region", cfg.lattice.local_region)
-    for i, kernel in enumerate(cfg.drive.kernels):
-        _require_integers(f"drive.kernels[{i}].sites", kernel.sites)
-    for probe in cfg.output.probes or []:
-        _require_integers("output.probes entries", probe)
+    # the lattice, the drive and the probes reject what they cannot represent,
+    # non-integer sizes and sites among it
+    try:
+        spec = lattice_spec(cfg)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"lattice: {exc}") from exc
     if cfg.path not in ("exact", "quadratic", "both"):
         raise ConfigError(f"path must be exact|quadratic|both, got {cfg.path!r}")
     if cfg.path == "exact" and cfg.lattice.L > EXACT_SITE_CAP:
@@ -231,25 +233,24 @@ def validate_config(cfg: RunConfig):
         raise ConfigError("output.grid_step must be positive")
     if cfg.gibbs.beta <= 0:
         raise ConfigError("gibbs.beta must be positive")
-    # the lattice, the drive and the probes reject what they cannot represent
     try:
-        spec = lattice_spec(cfg)
         build_protocol(cfg, spec)
         probe_site_pairs(cfg, spec)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
 # -- assembly ------------------------------------------------------------------
 
 def lattice_spec(cfg: RunConfig) -> LatticeSpec:
+    n_sites = site_index(cfg.lattice.L, "lattice.L")
     region = cfg.lattice.local_region
     if region is None:
         # default: a centered block of up to four sites
-        width = min(4, cfg.lattice.L)
-        start = (cfg.lattice.L - width) // 2
-        region = list(range(start, start + width))
-    return LatticeSpec(cfg.lattice.L, Boundary(cfg.lattice.boundary), tuple(region))
+        width = min(4, n_sites)
+        start = (n_sites - width) // 2
+        region = range(start, start + width)
+    return LatticeSpec(n_sites, Boundary(cfg.lattice.boundary), tuple(region))
 
 
 def build_protocol(cfg: RunConfig, spec: LatticeSpec, t0=0.0) -> Optional[DriveProtocol]:
@@ -275,9 +276,9 @@ def probe_site_pairs(cfg: RunConfig, spec: LatticeSpec):
             raise ConfigError("output.probes must list at least one probe (or be null)")
         pairs = []
         for p in cfg.output.probes:
-            if len(p) not in (1, 2):
+            if not isinstance(p, (list, tuple)) or len(p) not in (1, 2):
                 raise ConfigError(f"probes entries must be [i] or [i, j], got {p}")
-            i, j = int(p[0]), int(p[-1])
+            i, j = (site_index(s, "probe sites") for s in (p[0], p[-1]))
             if not (0 <= i < spec.n_sites and 0 <= j < spec.n_sites):
                 raise ConfigError(f"probe sites must lie in [0, {spec.n_sites}), got {p}")
             pairs.append((i, j))
@@ -340,33 +341,39 @@ class Trajectory:
 class _Representation(NamedTuple):
     """What a state representation supplies to the trajectory loop."""
 
-    state: np.ndarray  # initial state: rho (Fock) or Gamma (one-body)
+    state: np.ndarray  # initial state: rho (Fock) or G (one-body, see quadratic_trajectory)
+    steps: Iterator  # per-interval Propagators, in grid order
     update: Callable  # (state, Propagator) -> evolved state, unsymmetrized
-    read: Callable  # (state, probe) -> expectation value
+    observe: Callable  # (state, t, s_start) -> (ProcessRecord, probe values); the loop fills `work`
     entropy: Callable  # state -> von Neumann entropy
-    row: Callable  # (state, t, s_start) -> ProcessRecord; the loop fills `work`
+    final: Callable  # (state, t) -> the reported final state
 
 
-def _grid_steps(tdh, times, tol, method="direct", dyson_order=8):
-    """Per-interval propagators via the configured integrator, yielded in order.
-
-    The direct method runs `propagate_grid` on consecutive three-point windows,
-    which are exactly the interval pairs of its Richardson comparison, so only
-    one pair of propagators is alive at a time.
-    """
+def _grid_steps(times, method, window, dyson):
+    """Per-interval propagators, yielded in order: `window(times)` on
+    consecutive three-point windows for the direct method (exactly the
+    interval pairs of its Richardson comparison, so one pair is alive at a
+    time), `dyson(s, t)` per interval for the Dyson method."""
     if method == "direct":
         for k in range(0, len(times) - 1, 2):
-            yield from propagate_grid(tdh, times[k:k + 3], tol)
+            yield from window(times[k:k + 3])
         return
     if method != "dyson":
         raise ConfigError(f"integrator.method must be direct or dyson, got {method!r}")
     for k in range(len(times) - 1):
-        u_int = dyson_propagator(tdh.h0, tdh.w, times[k], times[k + 1],
-                                 dyson_order, tol)
-        yield interaction_to_schrodinger(u_int, tdh.h0, times[k], times[k + 1])
+        yield dyson(times[k], times[k + 1])
 
 
-def _trajectory(rep, tdh, params, times, tol, probe_ops, method, dyson_order):
+def _fock_steps(tdh, times, tol, method="direct", dyson_order=8):
+    """Dense Schroedinger-picture propagators of `tdh` along the grid."""
+    def dyson(s, t):
+        u_int = dyson_propagator(tdh.h0, tdh.w, s, t, dyson_order, tol)
+        return interaction_to_schrodinger(u_int, tdh.h0, s, t)
+
+    return _grid_steps(times, method, lambda w: propagate_grid(tdh, w, tol), dyson)
+
+
+def _trajectory(rep, params, times):
     """Evolve the state over the grid and record the ledger and probes.
 
     Work accumulates from the exact charge increment and the trapezoid rule
@@ -375,29 +382,27 @@ def _trajectory(rep, tdh, params, times, tol, probe_ops, method, dyson_order):
     """
     state = rep.state
     s_start = rep.entropy(state)
-    steps = _grid_steps(tdh, times, tol, method, dyson_order)
     report = IntegratorReport()
-    probe_ops = probe_ops or []
     records = []
     probe_rows = []
     work = 0.0
     for k, t in enumerate(times):
         if k:
-            step = next(steps)
+            step = next(rep.steps)
             report.add(step)
             state = rep.update(state, step)
             state = 0.5 * (state + state.conj().T)
-        rec = rep.row(state, t, s_start)
+        rec, probes = rep.observe(state, t, s_start)
         if records:
             prev = records[-1]
             work += (-params.mu * (rec.q - prev.q)
                      - 0.5 * (rec.dG_dt + prev.dG_dt) * (t - prev.t))
         rec.work = work
         records.append(rec)
-        probe_rows.append(np.array([rep.read(state, a) for a in probe_ops]))
+        probe_rows.append(probes)
     drift = abs(rep.entropy(state) - s_start)
-    return Trajectory(records, np.array(probe_rows), np.asarray(times), state, drift,
-                      report)
+    return Trajectory(records, np.array(probe_rows), np.asarray(times),
+                      rep.final(state, times[-1]), drift, report)
 
 
 def exact_trajectory(spec, params, protocol, times, tol, probe_ops=None,
@@ -406,38 +411,46 @@ def exact_trajectory(spec, params, protocol, times, tol, probe_ops=None,
     h0 = hopping_hamiltonian(spec)
     n_op = number_operator(spec)
 
-    def row(rho, t, s_start):
-        if protocol is not None:
-            w_t = protocol.operator(t, "fock")
-            dw = protocol.d_operator(t, "fock")
-            lam_dot = protocol.lam_dot(t)
-        else:
-            w_t = np.zeros_like(h0)
-            dw = []
-            lam_dot = np.zeros(0)
+    def observe(rho, t, s_start):
+        w_t = protocol.operator(t, "fock") if protocol else np.zeros_like(h0)
+        dw = protocol.d_operator(t, "fock") if protocol else []
+        lam_dot = protocol.lam_dot(t) if protocol else np.zeros(0)
         h_t = h0 + w_t
         ref = gibbs_state(h_t, n_op, params)
-        return ledger_row(t, internal_energy(rho, h_t), charge(rho, n_op),
-                          [expectation(rho, d) for d in dw], ref.grand_potential,
-                          [expectation(ref.rho, d) for d in dw], lam_dot, params,
-                          s_start, rel_s=relative_entropy_to_reference(rho, ref.rho),
-                          qdot=charge_rate(rho, w_t, n_op))
+        rec = ledger_row(t, internal_energy(rho, h_t), charge(rho, n_op),
+                         [expectation(rho, d) for d in dw], ref.grand_potential,
+                         [expectation(ref.rho, d) for d in dw], lam_dot, params,
+                         s_start, rel_s=relative_entropy_to_reference(rho, ref.rho),
+                         qdot=charge_rate(rho, w_t, n_op))
+        return rec, np.array([expectation(rho, a) for a in probe_ops or []])
 
-    rep = _Representation(gibbs_state(h0, n_op, params).rho,
-                          lambda rho, step: step.matrix @ rho @ step.matrix.conj().T,
-                          expectation, von_neumann_entropy, row)
     tdh = TimeDependentHamiltonian(h0, protocol, times[0], "fock")
-    return _trajectory(rep, tdh, params, times, tol, probe_ops, method, dyson_order)
+    rep = _Representation(gibbs_state(h0, n_op, params).rho,
+                          _fock_steps(tdh, times, tol, method, dyson_order),
+                          lambda rho, step: step.matrix @ rho @ step.matrix.conj().T,
+                          observe, von_neumann_entropy, lambda rho, t: rho)
+    return _trajectory(rep, params, times)
 
 
 def quadratic_trajectory(spec, params, protocol, times, tol, probe_ops=None,
                          method="direct", dyson_order=8):
-    """One-particle fast path: correlation-matrix dynamics plus the ledger."""
+    """One-particle fast path: correlation-matrix dynamics plus the ledger.
+
+    The state is G = conj(Gamma) in h0's eigenbasis and in the interaction
+    picture of h0; the Gibbs start is diag(f(eps)). Each interval's
+    propagator is one LowRankUnitary (a Dyson step enters as a full-rank
+    factor, Q = I), applied by `rank_update`. The ledger and the probes read
+    Gamma on S = R + the probe sites only: Gamma_SS = conj(Y_S^dagger G Y_S),
+    with Y_S(t) = diag(e^{i eps t}) phi_S^T. `final_state` is Gamma, from one
+    basis change at the end.
+    """
     if protocol is not None and not protocol.is_quadratic:
         raise ConfigError("quadratic path requires a quadratic (degree-1) drive")
     h0 = one_body_laplacian(spec)
+    steps, blocks = interaction_picture(h0, protocol)
+    eps, phi = steps.eps, steps.phi
     # reference scalars: one direct evaluation when undriven, a Chebyshev
-    # cache for scalar drives, else direct evaluation per row by the ledger
+    # cache for scalar drives, else direct evaluation per row
     undriven = reference_scalars(h0, params, []) if protocol is None else None
     cache = None
     if protocol is not None and protocol.control_dim == 1 and protocol.components:
@@ -445,26 +458,48 @@ def quadratic_trajectory(spec, params, protocol, times, tol, probe_ops=None,
         cache = ScalarDriveReferenceCache(h0, protocol.components[0].one_body(), params,
                                           float(lams.min()), float(lams.max()))
 
-    def row(gamma, t, s_start):
-        reference = cache(protocol.lam(t)[0]) if cache is not None else undriven
-        return quadratic_entropy_ledger(gamma, t, h0, protocol, params, s_start,
-                                        reference=reference)
-
-    def read(gamma, probe):
-        index, vals = probe
-        return float(complex(np.sum(vals * gamma[index])).real)
-
     # a probe is read from its nonzero entries: quadratic_observable's sum
     # without the exact zeros
-    probes = []
-    for w in probe_ops or []:
-        index = np.nonzero(w)
-        probes.append((index, np.asarray(w)[index]))
-    rep = _Representation(gibbs_correlation(h0, params),
-                          lambda gamma, step: correlation_update(gamma, step.matrix, step.band),
-                          read, correlation_entropy, row)
-    tdh = TimeDependentHamiltonian(h0, protocol, times[0], "one_body")
-    return _trajectory(rep, tdh, params, times, tol, probes, method, dyson_order)
+    probes = [(np.nonzero(w), np.asarray(w)[np.nonzero(w)]) for w in probe_ops or []]
+    sites = np.unique(np.concatenate([steps.rows] + [np.concatenate(idx)
+                                                     for idx, _ in probes]).astype(int))
+    on_rows = np.ix_(np.searchsorted(sites, steps.rows), np.searchsorted(sites, steps.rows))
+    reads = [(tuple(np.searchsorted(sites, i) for i in idx), vals) for idx, vals in probes]
+
+    def observe(g, t, s_start):
+        y = steps.frame(t, sites)
+        gamma = (y.conj().T @ (g @ y)).conj()  # Gamma on S x S
+        if cache is not None:
+            reference = cache(protocol.lam(t)[0])
+        else:
+            reference = undriven or reference_scalars(
+                h0 + protocol.operator(t, "one_body"), params,
+                protocol.d_operator(t, "one_body"))
+        lam_dot = protocol.lam_dot(t) if protocol else np.zeros(0)
+        rec = quadratic_entropy_ledger(t, float(eps @ np.real(np.diagonal(g))),
+                                       float(np.real(np.trace(g))), gamma[on_rows], blocks,
+                                       protocol.controls(t) if protocol else (), lam_dot,
+                                       params, s_start, reference)
+        return rec, np.array([float(np.real(np.sum(vals * gamma[loc])))
+                              for loc, vals in reads])
+
+    def dyson(s, t):
+        w_of_t = TimeDependentHamiltonian(h0, protocol, times[0], "one_body").w
+        p = dyson_propagator(h0, w_of_t, s, t, dyson_order, tol)
+        eye = np.eye(eps.size)
+        return replace(p, matrix=LowRankUnitary(eye, phi.T @ p.matrix @ phi - eye))
+
+    def final(g, t):
+        v = phi * np.exp(-1j * t * eps)
+        return symmetrize((v @ g @ v.conj().T).conj())
+
+    occupations = expit(-params.beta * (eps - params.mu))
+    rep = _Representation(np.diag(occupations).astype(complex),
+                          _grid_steps(times, method, lambda w: step_grid(steps, w, tol),
+                                      dyson),
+                          lambda g, step: rank_update(g, step.matrix), observe,
+                          correlation_entropy, final)
+    return _trajectory(rep, params, times)
 
 
 # -- manifests -----------------------------------------------------------------
@@ -548,7 +583,14 @@ def saturation_coefficient(protocol, params, t, representation):
                               n_op)
 
 
-def _common_ledger_checks(manifest, records, prefix=""):
+def _common_ledger_checks(manifest, traj, representation, prefix=""):
+    """Ledger and numerical-health verdicts shared by every process run."""
+    records, drift = traj.records, traj.entropy_drift
+    _verdict(manifest, prefix + "entropy_drift", drift <= ENTROPY_DRIFT_BOUND, drift,
+             ENTROPY_DRIFT_BOUND)
+    if representation == "one_body":
+        pauli = pauli_defect(traj.final_state)
+        _verdict(manifest, prefix + "pauli_defect", pauli <= PAULI_BOUND, pauli, PAULI_BOUND)
     min_gap = entropy_gap(records)
     _verdict(manifest, prefix + "entropy_monotone_start", min_gap >= -1e-8, min_gap, -1e-8)
     min_rel = min(r.relS for r in records)
@@ -600,7 +642,7 @@ def _run_process(cfg: RunConfig, kind, times, verdict=None) -> ProcessResult:
         prefix = f"{tag}_" if both else ""
         if verdict is not None:
             verdict(manifest, prefix, _PathRun(spec, params, protocol, rep, ops, traj))
-        _common_ledger_checks(manifest, traj.records, prefix)
+        _common_ledger_checks(manifest, traj, rep, prefix)
 
     if both:
         dev = path_deviation(trajectories["exact"], trajectories["quadratic"])
@@ -810,7 +852,7 @@ def two_route_entropy_rate_defect(spec, params, protocol, times, tol):
     n_op = number_operator(spec)
     tdh = TimeDependentHamiltonian(h0, protocol, times[0], "fock")
     rho = gibbs_state(h0, n_op, params).rho
-    steps = _grid_steps(tdh, times, tol)
+    steps = _fock_steps(tdh, times, tol)
     worst = 0.0
     for k, t in enumerate(times):
         if k:
@@ -939,8 +981,9 @@ def run_verify(cfg: RunConfig) -> dict:
     # driven ledger identities on a short trajectory
     times = time_grid(0.0, 1.0, 0.01)
     traj = exact_trajectory(sp4, params, prot, times, tol)
-    _verdict(manifest, "entropy_unitary_invariance", traj.entropy_drift <= 1e-7,
-             traj.entropy_drift, 1e-7)
+    _verdict(manifest, "entropy_unitary_invariance",
+             traj.entropy_drift <= ENTROPY_DRIFT_BOUND, traj.entropy_drift,
+             ENTROPY_DRIFT_BOUND)
     worst = two_route_entropy_rate_defect(sp4, params, prot, times[::20], tol)
     _verdict(manifest, "entropy_rate_two_route", worst <= 1e-8, worst, 1e-8)
     recs = traj.records
@@ -965,7 +1008,7 @@ def run_verify(cfg: RunConfig) -> dict:
         dev = path_deviation(te, tq)
         _verdict(manifest, "oracle_equivalence", dev <= 1e-7, dev, 1e-7)
         pauli = pauli_defect(tq.final_state)
-        _verdict(manifest, "pauli_bounds", pauli <= 1e-9, pauli, 1e-9)
+        _verdict(manifest, "pauli_bounds", pauli <= PAULI_BOUND, pauli, PAULI_BOUND)
 
     hom = smallness_homogeneity_defect(256, (2.5,))
     _verdict(manifest, "smallness_homogeneity", hom <= 1e-10, hom, 1e-10)

@@ -40,6 +40,14 @@ class Boundary(Enum):
     PERIODIC = "periodic"
 
 
+def site_index(value, what="sites"):
+    """`value` as a site index or count; ValueError unless it is an integer
+    (int() would silently truncate 2.7 to site 2)."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{what} must be integers, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LatticeSpec:
     """1-D chain geometry: site count, boundary condition, local region.
@@ -53,9 +61,11 @@ class LatticeSpec:
     local_region: tuple = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "n_sites", site_index(self.n_sites, "n_sites"))
         if self.n_sites < 1:
             raise ValueError("n_sites must be positive")
-        region = tuple(int(s) for s in self.local_region) or tuple(range(self.n_sites))
+        region = (tuple(site_index(s, "local_region sites") for s in self.local_region)
+                  or tuple(range(self.n_sites)))
         object.__setattr__(self, "local_region", region)
         if not 1 <= len(region) <= self.n_sites:
             raise ValueError("local_region must contain between 1 and n_sites sites")
@@ -361,5 +371,5 @@ __all__ = [
     "creation_op", "annihilation_op", "number_operator", "one_body_laplacian",
     "quadratic_fock_operator", "hopping_hamiltonian", "gauge_transform",
     "is_gauge_invariant", "monomial_matrix", "embed_local", "local_parity_defect",
-    "restrict_local", "locality_defect", "ensure_hermitian",
+    "restrict_local", "locality_defect", "ensure_hermitian", "site_index",
 ]

@@ -1,5 +1,5 @@
 """Shared dense linear-algebra helpers: norms, Hermiticity policy, decoupled
-blocks, banded products, unitary exponentials."""
+blocks, unitary exponentials."""
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -91,84 +91,9 @@ def assemble_blocks(keys, parts, shape):
     return out
 
 
-# -- banded products -----------------------------------------------------------
-
-#: rows (columns) per block of `band_matmul`; 64 measured well at L = 200..512
-_BAND_BLOCK = 64
-
-
-def half_bandwidth(a):
-    """Largest |i - j| over the nonzero entries of a matrix (0 if there are none)."""
-    nz = np.asarray(a) != 0
-    rows = np.flatnonzero(nz.any(axis=1))
-    if rows.size == 0:
-        return 0
-    first = nz[rows].argmax(axis=1)
-    last = nz.shape[1] - 1 - nz[rows, ::-1].argmax(axis=1)
-    return int(max(np.max(rows - first), np.max(last - rows)))
-
-
-def _covers(k, n):
-    """Whether a half-bandwidth k (None: dense) leaves a block of rows of an
-    n x n matrix no zero columns to skip."""
-    return k is None or 2 * k + _BAND_BLOCK >= n
-
-
-def _band_blocks(n, k):
-    """Row blocks of an n x n matrix of half-bandwidth k, each with the column
-    range the band fills in it."""
-    for r0 in range(0, n, _BAND_BLOCK):
-        r1 = min(n, r0 + _BAND_BLOCK)
-        yield slice(r0, r1), slice(max(0, r0 - k), min(n, r1 + k))
-
-
-def band_matmul(a, ka, b, kb=None):
-    """a @ b for square operands of half-bandwidths ka and kb (None: dense).
-
-    Entries of a banded operand outside its band must be exact zeros. The
-    product runs over blocks of `_BAND_BLOCK` rows of a (of columns of b when
-    only b's band leaves zeros to skip); each block multiplies only the inner
-    range and the output columns the bands allow, with one BLAS call. When
-    both bands cover the matrix, the result is plain `a @ b`, bit for bit.
-    """
-    if _covers(ka, a.shape[0]):
-        if _covers(kb, b.shape[0]):
-            return a @ b
-        return band_matmul(b.T, kb, a.T).T
-    n, m = a.shape[0], b.shape[1]
-    out = np.zeros((n, m), np.result_type(a, b))
-    for rows, inner in _band_blocks(n, ka):
-        cols = slice(None) if kb is None else slice(max(0, inner.start - kb),
-                                                    min(m, inner.stop + kb))
-        out[rows, cols] = a[rows, inner] @ b[inner, cols]
-    return out
-
-
-def _entrywise_on_band(f, k, *mats):
-    """f(*mats) for an entrywise f with f(0, ..., 0) = 0 on matrices of
-    half-bandwidth k, evaluated only on the blocks the band fills."""
-    n = mats[0].shape[0]
-    if _covers(k, n):
-        return f(*mats)
-    out = None
-    for rows, cols in _band_blocks(n, k):
-        part = f(*(a[rows, cols] for a in mats))
-        if out is None:
-            out = np.zeros(mats[0].shape, part.dtype)
-        out[rows, cols] = part
-    return out
-
-
 # -- unitary exponentials ----------------------------------------------------
 
-# Taylor threshold: after scaling, |dt|*||h|| <= _TAYLOR_THETA keeps the
-# degree-8 remainder below 3e-17.
-_TAYLOR_THETA = 0.1
-# below this dimension the spectral route is at least as fast as Taylor
-_TAYLOR_MIN_DIM = 129
-
-
-def expm_hermitian_spectral(h, dt):
+def expm_unitary(h, dt):
     """exp(-i*dt*h) for Hermitian h via eigendecomposition (exactly unitary).
 
     Diagonalizes each decoupled block of h separately.
@@ -179,62 +104,6 @@ def expm_hermitian_spectral(h, dt):
         w, v = np.linalg.eigh(h[key])
         parts.append((v * np.exp(-1j * dt * w)) @ v.conj().T)
     return assemble_blocks(keys, parts, h.shape)
-
-
-def _cos_sin_taylor(x, k):
-    """(cos(x), sin(x)) of a square matrix with ||x|| <= theta, degree 8/9.
-
-    x has half-bandwidth k; x^p has half-bandwidth p*k, and every product
-    runs on those bands.
-    """
-    eye = np.eye(x.shape[0], dtype=x.dtype)
-    x2 = band_matmul(x, k, x, k)
-    x4 = band_matmul(x2, 2 * k, x2, 2 * k)
-    x6 = band_matmul(x4, 4 * k, x2, 2 * k)
-    x8 = band_matmul(x4, 4 * k, x4, 4 * k)
-    powers = (eye, x2, x4, x6, x8)
-    c = _entrywise_on_band(
-        lambda e, y2, y4, y6, y8: e - y2 / 2.0 + y4 / 24.0 - y6 / 720.0 + y8 / 40320.0,
-        8 * k, *powers)
-    s = _entrywise_on_band(
-        lambda e, y2, y4, y6, y8: e - y2 / 6.0 + y4 / 120.0 - y6 / 5040.0 + y8 / 362880.0,
-        8 * k, *powers)
-    return c, band_matmul(x, k, s, 8 * k)
-
-
-def _taylor_banded(h, dt):
-    """exp(-i*dt*h) by the scaled cos/sin Taylor series, and its half-bandwidth.
-
-    A degree-9 polynomial in h of half-bandwidth b has half-bandwidth 9b, and
-    each squaring doubles it; the result is n - 1 at most.
-    """
-    nrm = abs(dt) * float(np.linalg.norm(h, np.inf))
-    squarings = max(0, int(np.ceil(np.log2(nrm / _TAYLOR_THETA)))) if nrm > _TAYLOR_THETA else 0
-    k = half_bandwidth(h)
-    x = (dt / 2.0**squarings) * h
-    c, s = _cos_sin_taylor(x, k)
-    k *= 9
-    u = _entrywise_on_band(lambda cb, sb: cb - 1j * sb, k, c, s)
-    for _ in range(squarings):
-        u = band_matmul(u, k, u, k)
-        k *= 2
-    return u, min(k, h.shape[0] - 1)
-
-
-def expm_unitary(h, dt, method="auto"):
-    """exp(-i*dt*h) for Hermitian h, and its half-bandwidth (None: dense).
-
-    method: "spectral", "taylor", or "auto" (Taylor for large real-symmetric
-    matrices, spectral otherwise). Only the Taylor route reports a band; it
-    reads it from the zero pattern of h.
-    """
-    if method == "spectral":
-        return expm_hermitian_spectral(h, dt), None
-    if method == "taylor":
-        return _taylor_banded(h, dt)
-    if h.shape[0] >= _TAYLOR_MIN_DIM and np.isrealobj(h):
-        return _taylor_banded(h, dt)
-    return expm_hermitian_spectral(h, dt), None
 
 
 def unitarity_defect(u):

@@ -79,10 +79,13 @@ def energy_rate(rho, dw_dlambda, lambda_dot):
 
 
 def charge_rate(rho, w_t, n_op):
-    """dq/dt = i <[W, N]>_rho (exactly zero for gauge-invariant W)."""
-    w_t = np.asarray(w_t)
-    n_op = np.asarray(n_op)
-    comm = w_t @ n_op - n_op @ w_t
+    """dq/dt = i <[W, N]>_rho (exactly zero for gauge-invariant W).
+
+    N is diagonal in the occupation basis, so [W, N]_ij = W_ij (n_j - n_i)
+    entrywise, with no dense products.
+    """
+    n = np.real(np.diagonal(n_op))
+    comm = np.asarray(w_t) * (n[None, :] - n[:, None])
     return float(np.real(1j * np.einsum("ij,ji->", np.asarray(rho), comm)))
 
 

@@ -5,27 +5,39 @@ of exponentials of Hermitian matrices, so unitarity holds to roundoff
 regardless of step size:
 
 - the midpoint rule (order 2), exp(-i*dt*H(t + dt/2)), used only as the first,
-  cheap pair test of `propagate_grid`;
+  cheap pair test of dense grids (`propagate_grid`);
 - the fourth-order commutator-free Magnus step CFM4 (Blanes & Moan 2006,
   Appl. Numer. Math. 56, 1519; Alvermann & Fehske 2011, J. Comput. Phys.
-  230, 5930), used everywhere the step control refines. With H- and H+ the
-  Hamiltonian at the Gauss-Legendre points t + (1/2 -+ sqrt(3)/6) dt,
+  230, 5930), used everywhere else. With H- and H+ the Hamiltonian at the
+  Gauss-Legendre points t + (1/2 -+ sqrt(3)/6) dt,
   U = exp(-i*dt*(w1 H- + w2 H+)) exp(-i*dt*(w2 H- + w1 H+)), w1,2 = (3 -+
   2 sqrt(3))/12; the right factor acts first.
 
 Step control is step doubling: a step is accepted when the Richardson
 difference between one step and two half steps falls below the tolerance per
-unit time. The accepted fine solution's error is estimated as that difference
-/ 3 for the midpoint rule and / 15 for CFM4, split evenly over a pair.
+unit time; the fine solution's error is estimated as that difference / 3
+(midpoint) or / 15 (CFM4), split evenly over a grid pair. The pair test and
+the halving are written once, over a step representation with `step`,
+`compose` and `distance`:
+
+- `DenseSteps`: dense unitaries of H(t), compared entrywise (max-modulus
+  norm); the Fock path, and the one-body oracle.
+- `InteractionSteps`: the one-body fast path in the interaction picture of
+  h0 = phi diag(eps) phi^T, in h0's eigenbasis. A drive on the sites R is
+  Y(t) C(t) Y(t)^dagger there, with Y(t) = diag(e^{i eps t}) phi_R^T, so a
+  CFM4 step is the `LowRankUnitary` I + Q K Q^dagger: Q from a QR of the
+  L x 2|R| matrix [Y(t-), Y(t+)], K from two 2|R| x 2|R| exponentials, and
+  no L x L exponential. Steps compose on their joint span, and the Richardson
+  difference is the spectral norm there, an upper bound of the max-modulus.
 """
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy.special import gammainc
 
-from .linalg import band_matmul, expm_unitary, max_abs, spectral_norm
+from .linalg import expm_unitary, max_abs, spectral_norm
 
 DEFAULT_TOL = 1e-8  # local error budget per unit time
 #: absolute acceptance floor: Richardson differences at roundoff scale stop
@@ -41,27 +53,22 @@ class IntegrationError(RuntimeError):
 class Propagator:
     """Unitary U(t_end, t_start) with its construction metadata.
 
-    `est_error` is the integrator's accumulated local-error estimate for the
-    direct method, or the series remainder bound for the Dyson method.
-    `refined` says the interval failed the direct method's first error test:
-    the midpoint pair test of `propagate_grid`, or otherwise the test of one
-    CFM4 step against two half steps.
-    `band` is the half-bandwidth of `matrix` (None: dense); every entry
-    outside it is an exact zero. `min_step` is the width of the narrowest
-    step the direct method accepted: a CFM4 step, or the two midpoint half
-    steps of a grid's lone last interval (None: the interval is one midpoint
-    step). `order` is the direct method's order on the interval: 2 (midpoint
-    steps) or 4 (CFM4 steps); None for other methods.
+    `matrix` is dense, or a `LowRankUnitary` from `InteractionSteps`.
+    `est_error` is the direct method's accumulated local-error estimate, or
+    the Dyson series remainder bound. `refined` says the interval failed the
+    direct method's first error test (the grid's first pair test, or one step
+    against two half steps). `min_step` is the width of the narrowest step
+    accepted (None: the interval is one midpoint step). `order` is 2
+    (midpoint steps) or 4 (CFM4 steps); None for other methods.
     """
 
-    matrix: np.ndarray
+    matrix: object
     t_start: float
     t_end: float
     method: str
     est_error: float
     warning: Optional[str] = None
     refined: bool = False
-    band: Optional[int] = None
     min_step: Optional[float] = None
     order: Optional[int] = None
 
@@ -86,9 +93,7 @@ class TimeDependentHamiltonian:
         return self.drive.operator(t, self.representation)
 
     def __call__(self, t):
-        if self.drive is None or t < self.t0:
-            return self.h0
-        return self.h0 + self.drive.operator(t, self.representation)
+        return self.h0 + self.w(t)
 
 
 def _as_callable(h) -> Callable[[float], np.ndarray]:
@@ -98,102 +103,197 @@ def _as_callable(h) -> Callable[[float], np.ndarray]:
     return lambda t: arr
 
 
-def _band_sum(ka, kb):
-    """Half-bandwidth of a product of two banded factors (None: dense)."""
-    return None if ka is None or kb is None else ka + kb
-
-
 _GAUSS_OFFSET = np.sqrt(3.0) / 6.0  # Gauss-Legendre points at 1/2 -+ this
 _CFM4_W1 = (3.0 - 2.0 * np.sqrt(3.0)) / 12.0
 _CFM4_W2 = (3.0 + 2.0 * np.sqrt(3.0)) / 12.0
 
 
-def _midpoint_step(h_at, a, b, expm_method):
-    """(U, band) of one midpoint step over [a, b]."""
-    return expm_unitary(h_at(0.5 * (a + b)), b - a, expm_method)
+def _gauss_points(a, b):
+    return a + (0.5 - _GAUSS_OFFSET) * (b - a), a + (0.5 + _GAUSS_OFFSET) * (b - a)
 
 
-def _cfm4_step(h_at, a, b, expm_method):
-    """(U, band) of one CFM4 step over [a, b]; the right factor acts first."""
-    dt = b - a
-    h_early = h_at(a + (0.5 - _GAUSS_OFFSET) * dt)
-    h_late = h_at(a + (0.5 + _GAUSS_OFFSET) * dt)
-    first, kf = expm_unitary(_CFM4_W2 * h_early + _CFM4_W1 * h_late, dt, expm_method)
-    second, ks = expm_unitary(_CFM4_W1 * h_early + _CFM4_W2 * h_late, dt, expm_method)
-    return band_matmul(second, ks, first, kf), _band_sum(ks, kf)
+def _cfm4_pair(early, late, dt):
+    """The two CFM4 exponentials of the Hermitian matrices sampled at the
+    Gauss points, as (first, second); the first acts first."""
+    return (expm_unitary(_CFM4_W2 * early + _CFM4_W1 * late, dt),
+            expm_unitary(_CFM4_W1 * early + _CFM4_W2 * late, dt))
 
 
-def _pair_test(step, h_at, a, m, b, expm_method):
-    """Steps over [a, m] and [m, b], and the Richardson difference of their
-    product from one step over [a, b].
-
-    The whole step is taken last: taken first, it costs the L = 512 process I
-    grid one fresh 4 MB matrix of minor page faults per pair (12% more).
-    """
-    left = step(h_at, a, m, expm_method)
-    right = step(h_at, m, b, expm_method)
-    u_whole = step(h_at, a, b, expm_method)[0]
-    return left, right, max_abs(band_matmul(*right, *left) - u_whole)
+def _midpoint_step(h_at, a, b):
+    return expm_unitary(h_at(0.5 * (a + b)), b - a)
 
 
-def _adaptive(h_at, a, b, tol, expm_method, min_step, u_coarse=None):
-    """Propagator over [a, b] by recursive halving of CFM4 steps.
+def _cfm4_step(h_at, a, b):
+    first, second = _cfm4_pair(*(h_at(t) for t in _gauss_points(a, b)), b - a)
+    return second @ first
 
-    `u_coarse` is one CFM4 step over [a, b] when the caller has it. An
-    accepted piece is two CFM4 steps of half its width, with the
+
+class DenseSteps(NamedTuple):
+    """Dense unitaries of one step rule (`_midpoint_step` or `_cfm4_step`)."""
+
+    h_at: Callable
+    rule: Callable
+
+    def step(self, a, b):
+        return self.rule(self.h_at, a, b)
+
+    def compose(self, right, left):
+        return right @ left
+
+    def distance(self, x, y):
+        return max_abs(x - y)
+
+
+class LowRankUnitary(NamedTuple):
+    """U = I + Q K Q^dagger, with Q an L x r orthonormal basis and K r x r."""
+
+    q: np.ndarray
+    k: np.ndarray
+
+
+def _on_joint_span(*factors):
+    """An orthonormal basis P of the factors' joint span, and each factor's K
+    on it: with Q = P M from the QR, Q K Q^dagger = P (M K M^dagger) P^dagger."""
+    p, r = np.linalg.qr(np.hstack([f.q for f in factors]))
+    ks, start = [], 0
+    for f in factors:
+        m = r[:, start:start + f.q.shape[1]]
+        ks.append(m @ f.k @ m.conj().T)
+        start += f.q.shape[1]
+    return p, ks
+
+
+class InteractionSteps:
+    """CFM4 steps of a one-body drive in the interaction picture of h0 =
+    phi diag(eps) phi^T: the drive acts on the sites `rows` (R) through its
+    R x R block `coupling(t)`."""
+
+    def __init__(self, eps, phi, rows, coupling):
+        self.eps, self.phi, self.rows, self.coupling = eps, phi, rows, coupling
+
+    def frame(self, t, sites):
+        """Y(t) = diag(e^{i eps t}) phi_S^T for the sites S."""
+        return np.exp(1j * t * self.eps)[:, None] * self.phi[sites].T
+
+    def step(self, a, b):
+        times = _gauss_points(a, b)
+        n = len(self.rows)
+        q, r = np.linalg.qr(np.hstack([self.frame(t, self.rows) for t in times]))
+        early, late = (m @ self.coupling(t) @ m.conj().T
+                       for m, t in zip((r[:, :n], r[:, n:]), times))
+        first, second = _cfm4_pair(early, late, b - a)
+        return LowRankUnitary(q, second @ first - np.eye(q.shape[1]))
+
+    def compose(self, right, left):
+        p, (kl, kr) = _on_joint_span(left, right)
+        return LowRankUnitary(p, kl + kr + kr @ kl)
+
+    def distance(self, x, y):
+        d = np.subtract(*_on_joint_span(x, y)[1])
+        return float(np.linalg.norm(d, 2)) if d.size else 0.0
+
+
+def _finite(u):
+    """Whether a dense unitary or a LowRankUnitary has finite entries only."""
+    return all(np.all(np.isfinite(a)) for a in (u if isinstance(u, tuple) else (u,)))
+
+
+def _pair_test(steps, a, m, b, whole=None):
+    """Steps over [a, m] and [m, b], their product, and its Richardson
+    difference from one step over [a, b] (`whole`, when the caller has it;
+    otherwise taken last)."""
+    left = steps.step(a, m)
+    right = steps.step(m, b)
+    fine = steps.compose(right, left)
+    if whole is None:
+        whole = steps.step(a, b)
+    return left, right, fine, steps.distance(fine, whole)
+
+
+def _adaptive(steps, pieces, tol):
+    """One propagator over consecutive `pieces` (a, b, one CFM4 step over
+    [a, b]) by recursive halving of CFM4 steps, down to 2^-42 of their span.
+
+    An accepted piece is two CFM4 steps of half its width, with the
     fourth-order Richardson estimate (difference from one step) / 15.
     """
-    if u_coarse is None:
-        u_coarse = _cfm4_step(h_at, a, b, expm_method)[0]
-    if not np.all(np.isfinite(u_coarse)):
-        raise IntegrationError(f"non-finite propagator entries on [{a}, {b}]")
-    stack = [(a, b, u_coarse)]
-    out = []  # accepted (a, b, U, band, err) pieces
+    min_step = max((pieces[-1][1] - pieces[0][0]) * 2.0 ** -42, 1e-300)
+    if not all(_finite(u) for *_, u in pieces):
+        raise IntegrationError(f"non-finite propagator entries on "
+                               f"[{pieces[0][0]}, {pieces[-1][1]}]")
+    stack = pieces[::-1]
+    out = []  # accepted (a, b, U, err) pieces
     while stack:
         a0, b0, u0 = stack.pop()
         m = 0.5 * (a0 + b0)
-        ul, kl = _cfm4_step(h_at, a0, m, expm_method)
-        ur, kr = _cfm4_step(h_at, m, b0, expm_method)
-        fine = band_matmul(ur, kr, ul, kl)
-        err = max_abs(fine - u0)
+        ul, ur, fine, err = _pair_test(steps, a0, m, b0, u0)
         budget = tol * (b0 - a0) + ROUNDOFF_FLOOR
-        if err <= budget or (b0 - a0) <= min_step:
-            if (b0 - a0) <= min_step and err > budget:
-                raise IntegrationError(
-                    f"step underflow at t={a0}: local error {err:.3e} "
-                    f"still above tolerance at step {b0 - a0:.3e}"
-                )
-            out.append((a0, b0, fine, _band_sum(kr, kl), err / 15.0))
+        if err <= budget:
+            out.append((a0, b0, fine, err / 15.0))
+        elif b0 - a0 <= min_step:
+            raise IntegrationError(f"step underflow at t={a0}: local error {err:.3e} "
+                                   f"still above tolerance at step {b0 - a0:.3e}")
         else:
             stack.append((m, b0, ur))
             stack.append((a0, m, ul))
     out.sort(key=lambda item: item[0])
-    u_total, k_total = out[0][2], out[0][3]
-    for _, _, piece, k, _ in out[1:]:
-        u_total = band_matmul(piece, k, u_total, k_total)
-        k_total = _band_sum(k, k_total)
-    return Propagator(u_total, a, b, "direct", float(sum(e for *_, e in out)),
-                      refined=len(out) > 1, band=k_total,
+    u_total = out[0][2]
+    for _, _, piece, _ in out[1:]:
+        u_total = steps.compose(piece, u_total)
+    return Propagator(u_total, pieces[0][0], pieces[-1][1], "direct",
+                      float(sum(e for *_, e in out)), refined=len(out) > 1,
                       min_step=0.5 * min(hi - lo for lo, hi, *_ in out), order=4)
 
 
-def _lone_interval(h_at, a, b, tol, expm_method):
-    """Propagator over the unpaired last interval of an odd-length grid.
+def step_grid(cfm4, times, tol=DEFAULT_TOL, midpoint=None):
+    """Per-interval propagators along an output grid, from the CFM4 step
+    representation `cfm4` and, for dense grids, a cheaper `midpoint` tier.
 
-    The midpoint test compares one step over [a, b] with two half steps and
-    keeps the half steps, with the estimate difference / 3; if it fails,
-    `_adaptive` halves CFM4 steps from a fresh CFM4 step over [a, b].
+    The step control runs on pairs of grid intervals (the lone last interval
+    of an odd grid as a pair of half steps, keeping their product), with the
+    error budget per unit time of `propagate`. The first test that passes
+    supplies the pair's propagators:
+
+    1. Midpoint (with `midpoint` only): two one-interval midpoint steps
+       against one two-interval step; 1.5 exponentials per interval.
+    2. CFM4: the same with CFM4 steps; refined when test 1 ran first.
+    3. `_adaptive` on each interval, halving CFM4 steps from test 2's.
     """
-    (ul, kl), (ur, kr), err = _pair_test(_midpoint_step, h_at, a, 0.5 * (a + b), b,
-                                         expm_method)
-    if err <= tol * (b - a) + ROUNDOFF_FLOOR:
-        return Propagator(band_matmul(ur, kr, ul, kl), a, b, "direct", err / 3.0,
-                          band=_band_sum(kr, kl), min_step=0.5 * (b - a), order=2)
-    min_step = max((b - a) * 2.0 ** -42, 1e-300)
-    return replace(_adaptive(h_at, a, b, tol, expm_method, min_step), refined=True)
+    times = np.asarray(times, dtype=float)
+    if times.size < 2:
+        return []
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("time grid must be strictly increasing")
+    out = []
+    n = times.size - 1
+    for i in range(0, n, 2):
+        lone = i + 1 == n
+        a, b = times[i], times[min(i + 2, n)]
+        m = 0.5 * (a + b) if lone else times[i + 1]
+        budget = tol * (b - a) + ROUNDOFF_FLOOR
+        for steps, order in ((midpoint, 2), (cfm4, 4)):
+            if steps is not None:
+                left = right = fine = None  # free a failed test's steps first
+                left, right, fine, err = _pair_test(steps, a, m, b)
+                if err <= budget:
+                    break
+        else:
+            halves = [[(a, m, left)], [(m, b, right)]]
+            for pieces in ([halves[0] + halves[1]] if lone else halves):
+                out.append(replace(_adaptive(cfm4, pieces, tol), refined=True))
+            continue
+        parts = [(a, b, fine)] if lone else [(a, m, left), (m, b, right)]
+        for lo, hi, u in parts:
+            width = 0.5 * (b - a) if lone else (hi - lo if order == 4 else None)
+            out.append(Propagator(u, lo, hi, "direct", err / (2 ** order - 1) / len(parts),
+                                  refined=order == 4 and midpoint is not None,
+                                  min_step=width, order=order))
+    if not all(_finite(p.matrix) for p in out):
+        raise IntegrationError("non-finite propagator entries")
+    return out
 
 
-def propagate(h, s, t, tol=DEFAULT_TOL, expm_method="auto"):
+def propagate(h, s, t, tol=DEFAULT_TOL):
     """Unitary propagator U(t, s) of i dU/dt = H(t) U, U(s, s) = 1, by CFM4.
 
     `h` is a TimeDependentHamiltonian, a callable t -> matrix, or a constant
@@ -208,8 +308,8 @@ def propagate(h, s, t, tol=DEFAULT_TOL, expm_method="auto"):
     if t == s:
         return Propagator(np.eye(dim, dtype=complex), s, t, "direct", 0.0)
     a, b = (s, t) if t > s else (t, s)
-    min_step = max((b - a) * 2.0 ** -42, 1e-300)
-    p = _adaptive(h_at, a, b, tol, expm_method, min_step)
+    steps = DenseSteps(h_at, _cfm4_step)
+    p = _adaptive(steps, [(a, b, steps.step(a, b))], tol)
     if t < s:
         p = replace(p, matrix=p.matrix.conj().T, t_start=s, t_end=t)
     if not np.all(np.isfinite(p.matrix)):
@@ -217,61 +317,12 @@ def propagate(h, s, t, tol=DEFAULT_TOL, expm_method="auto"):
     return p
 
 
-def propagate_grid(h, times, tol=DEFAULT_TOL, expm_method="auto"):
-    """Per-interval propagators along an output grid.
-
-    The step control runs on pairs of grid intervals, with the same error
-    budget per unit time as `propagate`. Each pair tries three tests in turn,
-    and the first that passes supplies both intervals' propagators:
-
-    1. Midpoint: two one-interval midpoint steps (needed anyway for the
-       gridded states) against one two-interval step; 1.5 exponentials per
-       interval. Each interval's estimate is the difference / 6.
-    2. CFM4: the same comparison with CFM4 steps; 3 more exponentials per
-       interval. Each interval's estimate is the difference / 30, and both
-       intervals count as refined.
-    3. `_adaptive` on each interval, halving CFM4 steps from the test-2
-       step.
-
-    A lone last interval (odd interval count) runs the midpoint test of one
-    step against two half steps (3 exponentials) and keeps the half steps; if
-    that fails, `_adaptive` halves CFM4 steps from a fresh CFM4 step.
-    """
-    times = np.asarray(times, dtype=float)
-    if times.size < 2:
-        return []
-    if np.any(np.diff(times) <= 0):
-        raise ValueError("time grid must be strictly increasing")
+def propagate_grid(h, times, tol=DEFAULT_TOL):
+    """Dense per-interval propagators along an output grid (`step_grid` with
+    the midpoint tier first)."""
     h_at = _as_callable(h)
-    out = []
-    i = 0
-    n = times.size - 1
-    while i < n:
-        if i + 1 >= n:
-            out.append(_lone_interval(h_at, times[i], times[i + 1], tol, expm_method))
-            break
-        a, m, b = times[i], times[i + 1], times[i + 2]
-        i += 2
-        budget = tol * (b - a) + ROUNDOFF_FLOOR
-        (ul, kl), (ur, kr), err = _pair_test(_midpoint_step, h_at, a, m, b, expm_method)
-        if err <= budget:
-            out.append(Propagator(ul, a, m, "direct", err / 6.0, band=kl, order=2))
-            out.append(Propagator(ur, m, b, "direct", err / 6.0, band=kr, order=2))
-            continue
-        del ul, ur  # free the midpoint steps before the CFM4 test's matrices
-        (ul, kl), (ur, kr), err = _pair_test(_cfm4_step, h_at, a, m, b, expm_method)
-        if err <= budget:
-            for lo, hi, u, k in ((a, m, ul, kl), (m, b, ur, kr)):
-                out.append(Propagator(u, lo, hi, "direct", err / 30.0, refined=True,
-                                      band=k, min_step=hi - lo, order=4))
-            continue
-        min_step = max((b - a) * 2.0 ** -42, 1e-300)
-        for lo, hi, coarse in ((a, m, ul), (m, b, ur)):
-            p = _adaptive(h_at, lo, hi, tol, expm_method, min_step, coarse)
-            out.append(replace(p, refined=True))
-    if not all(np.all(np.isfinite(p.matrix)) for p in out):
-        raise IntegrationError("non-finite propagator entries")
-    return out
+    return step_grid(DenseSteps(h_at, _cfm4_step), times, tol,
+                     DenseSteps(h_at, _midpoint_step))
 
 
 # -- Dyson series in the interaction picture ---------------------------------
@@ -381,6 +432,7 @@ def heisenberg_evolve(a, propagator):
 
 __all__ = [
     "DEFAULT_TOL", "IntegrationError", "Propagator", "TimeDependentHamiltonian",
+    "DenseSteps", "LowRankUnitary", "InteractionSteps", "step_grid",
     "propagate", "propagate_grid", "dyson_propagator", "dyson_remainder",
     "interaction_to_schrodinger", "heisenberg_evolve",
 ]

@@ -1,26 +1,29 @@
-"""Free-fermion fast path: L x L one-particle dynamics for quadratic drives.
+"""Free-fermion fast path: one-particle dynamics for quadratic drives.
 
 A quasi-free state is fully described by its correlation matrix
 Gamma_ij = <a_i^* a_j>. For a quadratic Hamiltonian H = sum h_ij a_i^* a_j the
 evolved correlations are Gamma(t) = conj(u) Gamma conj(u)^dagger with u the
 one-particle propagator of h(t); Gibbs states have Gamma = transpose of the
 Fermi-Dirac function of h. The transpose/conjugate placement is the classic
-bug source; it is pinned here by an exact-diagonalization oracle in the test
-suite before anything large runs on it.
+bug source; it is pinned by exact-diagonalization and dense oracles in the
+test suite before anything large runs on it.
+
+The trajectory runs in the interaction picture of h0 = phi diag(eps) phi^T
+(`interaction_picture`): the state is G = conj(Gamma) in h0's eigenbasis, a
+Gibbs start is diag(f(eps)), and an interval's propagator is a
+`LowRankUnitary` of rank 2|R| per CFM4 step, R being the sites the drive acts
+on, which `rank_update` applies in O(|R| L^2).
 """
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit
 
-from .linalg import band_matmul, ensure_hermitian, symmetrize
+from .linalg import ensure_hermitian, symmetrize
 from .observables import ledger_row
+from .propagator import InteractionSteps
 from .states import EIG_FLOOR
-
-
-class NonQuadraticDriveError(ValueError):
-    """Fast path requested for a drive with interaction (degree >= 2) kernels."""
 
 
 def gibbs_correlation(h, params):
@@ -35,14 +38,37 @@ def gibbs_correlation(h, params):
     return symmetrize(((v * occ) @ v.conj().T).conj())
 
 
-def correlation_update(gamma, u, band=None):
-    """conj(u) Gamma u^T, unsymmetrized: Gamma_ij = <a_i^* a_j> after the
-    one-particle propagator u.
+def interaction_picture(h0, protocol):
+    """CFM4 steps of `protocol` in the interaction picture of h0, and the
+    drive's R x R blocks dW/dlambda_j.
 
-    `band` is the half-bandwidth of u (None: dense); both products run on it,
-    so an update costs O(band * L^2) instead of O(L^3).
+    R is the set of rows where a component's one-body matrix is nonzero
+    (empty without a drive); one `eigh` of h0 serves the whole trajectory.
     """
-    return band_matmul(band_matmul(u.conj(), band, gamma), None, u.T, band)
+    eps, phi = np.linalg.eigh(h0)
+    mats = [c.one_body() for c in protocol.components] if protocol is not None else []
+    rows = np.flatnonzero(sum((np.any(m != 0, axis=1) for m in mats), np.zeros(eps.size)))
+    blocks = [m[np.ix_(rows, rows)] for m in mats]
+
+    def coupling(t):
+        lam = protocol.controls(t) if protocol is not None else ()
+        return sum((lj * c for lj, c in zip(lam, blocks)), np.zeros((rows.size,) * 2))
+
+    return InteractionSteps(eps, phi, rows, coupling), blocks
+
+
+def rank_update(g, u):
+    """U G U^dagger for Hermitian G and U = I + Q K Q^dagger, in two GEMMs.
+
+    With X = Q^dagger G and Y = K X + K (X Q) K^dagger Q^dagger / 2, the
+    update is G + Q Y + Y^dagger Q^dagger = G + [Q, Y^dagger] [Y; Q^dagger]:
+    O(r L^2) for rank r, and a full-rank factor (Q = I) takes the same path.
+    """
+    q, k = u
+    qh = q.conj().T
+    x = qh @ g
+    y = k @ x + 0.5 * (k @ (x @ q) @ k.conj().T) @ qh
+    return g + np.hstack([q, y.conj().T]) @ np.vstack([y, qh])
 
 
 def quadratic_observable(gamma, w):
@@ -150,40 +176,25 @@ class ScalarDriveReferenceCache:
         return ReferenceScalars(self._g(lam), np.array([self._d(lam)]))
 
 
-def quadratic_entropy_ledger(gamma_t, t, h0, drive, params, s_start,
-                             reference: Optional[ReferenceScalars] = None):
+def quadratic_entropy_ledger(t, free_energy, q, gamma_rr, blocks, lam, lam_dot, params,
+                             s_start, reference: ReferenceScalars):
     """One ledger row of a quadratic-drive process at time t.
 
-    All expectations reduce to trace pairings with Gamma; the entropy uses
-    the closed-form grand potential of the one-particle spectrum. `s_start`
-    is the entropy at the initial time (conserved along the unitary flow, a
-    fact verified separately rather than re-diagonalized per row), so relS is
-    the entropy gap S - s_start. Degree-1 drives conserve charge exactly, so
-    the row carries no charge-rate term.
+    `free_energy` = sum_k eps_k G_kk = <h0> and `q` = tr G; `gamma_rr` is
+    Gamma on the drive's rows R, where `blocks` are the dW/dlambda_j, so
+    U = <h0> + sum_j lambda_j <dW/dlambda_j>. `s_start` is the initial entropy,
+    conserved by the unitary flow, so relS is the entropy gap S - s_start.
+    Degree-1 drives conserve charge exactly: the row has no charge-rate term.
     """
-    if drive is not None and not drive.is_quadratic:
-        raise NonQuadraticDriveError("fast path accepts one-body (degree-1) kernels only")
-    gamma_t = np.asarray(gamma_t)
-    if drive is None:
-        w_t = np.zeros_like(h0)
-        d_kernels = []
-        lam_dot = np.zeros(0)
-    else:
-        w_t = drive.operator(t, "one_body")
-        d_kernels = drive.d_operator(t, "one_body")
-        lam_dot = np.atleast_1d(drive.lam_dot(t))
-    h_t = h0 + w_t
-    if reference is None:
-        reference = reference_scalars(h_t, params, d_kernels)
-    drive_expect = [float(np.real(np.sum(np.asarray(dk) * gamma_t))) for dk in d_kernels]
-    return ledger_row(t, float(np.real(np.sum(h_t * gamma_t))),
-                      float(np.real(np.trace(gamma_t))), drive_expect,
-                      reference.grand_potential, reference.gradient, lam_dot, params,
-                      s_start)
+    drive_expect = [float(np.real(np.sum(c * gamma_rr))) for c in blocks]
+    energy = free_energy + sum(lj * d for lj, d in zip(lam, drive_expect))
+    return ledger_row(t, float(energy), q, drive_expect, reference.grand_potential,
+                      reference.gradient, lam_dot, params, s_start)
 
 
 __all__ = [
-    "NonQuadraticDriveError", "gibbs_correlation", "correlation_update",
+    "gibbs_correlation", "interaction_picture",
+    "rank_update",
     "quadratic_observable", "correlation_entropy", "pauli_defect", "ReferenceScalars",
     "reference_scalars", "ScalarDriveReferenceCache", "quadratic_entropy_ledger",
 ]

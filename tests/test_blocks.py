@@ -8,7 +8,7 @@ import pytest
 from fermiproc.drive import KernelSpec, Perturbation
 from fermiproc.lattice import (LatticeSpec, creation_op, hopping_hamiltonian,
                                number_operator, one_body_laplacian)
-from fermiproc.linalg import decoupled_blocks, expm_hermitian_spectral
+from fermiproc.linalg import decoupled_blocks, expm_unitary
 from fermiproc.states import GibbsParams, SupportError, gibbs_state, relative_entropy
 
 PARAMS = GibbsParams(beta=1.3, mu=0.2)
@@ -105,7 +105,7 @@ def test_blocks_of_joint_pattern_and_small_matrices():
 def test_blocked_kernels_match_dense_formulas(degree):
     h, n_op = _driven_fock(degree, 0.4)
     assert len(decoupled_blocks(h)) > 1
-    assert np.max(np.abs(expm_hermitian_spectral(h, 0.37) - _dense_expm(h, 0.37))) <= 1e-12
+    assert np.max(np.abs(expm_unitary(h, 0.37) - _dense_expm(h, 0.37))) <= 1e-12
 
     ref = gibbs_state(h, n_op, PARAMS)
     rho_dense, beta_g_dense = _dense_gibbs(h, n_op, PARAMS)
@@ -114,7 +114,7 @@ def test_blocked_kernels_match_dense_formulas(degree):
 
     # a state of the undriven chain, evolved, against the driven reference
     rho0 = gibbs_state(hopping_hamiltonian(LatticeSpec(8)), n_op, GibbsParams(0.7, -0.1)).rho
-    u = expm_hermitian_spectral(h, 0.9)
+    u = expm_unitary(h, 0.9)
     rho = u @ rho0 @ u.conj().T
     rel = relative_entropy(rho, ref.rho)
     assert abs(rel - _dense_relative_entropy(rho, ref.rho)) <= 1e-12
@@ -129,7 +129,7 @@ def test_single_block_matches_dense_code_bit_for_bit():
     small, n_small = _driven_fock(1, 0.4)
     small, n_small = small[:64, :64], n_small[:64, :64]
     for h, n_op in ((h1, np.eye(200)), (small, n_small)):
-        assert np.array_equal(expm_hermitian_spectral(h, 0.3), _dense_expm(h, 0.3))
+        assert np.array_equal(expm_unitary(h, 0.3), _dense_expm(h, 0.3))
         ref = gibbs_state(h, n_op, PARAMS)
         rho_dense, beta_g_dense = _dense_gibbs(h, n_op, PARAMS)
         assert np.array_equal(ref.rho, rho_dense)
@@ -162,11 +162,11 @@ def test_non_gauge_invariant_fock_matrix():
     # a_3 + a_3^* couples every sector: a single block, today's dense route
     source = h + 0.3 * (c3 + c3.conj().T)
     assert len(decoupled_blocks(source)) == 1
-    assert np.array_equal(expm_hermitian_spectral(source, 0.3), _dense_expm(source, 0.3))
+    assert np.array_equal(expm_unitary(source, 0.3), _dense_expm(source, 0.3))
     # pairing a_3^* a_4^* + h.c. keeps only the parity: two blocks, not nine
     pairing = h + 0.3 * (c3 @ c4 + (c3 @ c4).conj().T)
     assert len(decoupled_blocks(pairing)) == 2
-    assert np.max(np.abs(expm_hermitian_spectral(pairing, 0.3)
+    assert np.max(np.abs(expm_unitary(pairing, 0.3)
                          - _dense_expm(pairing, 0.3))) <= 1e-12
     ref = gibbs_state(pairing, n_op, PARAMS)
     rho_dense, beta_g_dense = _dense_gibbs(pairing, n_op, PARAMS)

@@ -153,62 +153,65 @@ def test_dyson_remainder_warning_in_manifest(tmp_path):
 
 
 def test_streamed_steps_match_full_grid():
-    # three-point windows repeat propagate_grid's pair computations exactly
+    # three-point windows repeat step_grid's pair computations exactly, on the
+    # fast path's interaction-picture steps
     from fermiproc.harness import build_protocol, lattice_spec
     from fermiproc.lattice import one_body_laplacian
-    from fermiproc.propagator import TimeDependentHamiltonian, propagate_grid
+    from fermiproc.propagator import step_grid
+    from fermiproc.quadratic import interaction_picture
     cfg = small_process1_config(L=20)
     spec = lattice_spec(cfg)
-    tdh = TimeDependentHamiltonian(one_body_laplacian(spec), build_protocol(cfg, spec),
-                                   0.0, "one_body")
+    protocol = build_protocol(cfg, spec)
+    steps, _ = interaction_picture(one_body_laplacian(spec), protocol)
     times = time_grid(0.0, 2.3, 0.1)  # odd interval count: a lone last interval
-    full = propagate_grid(tdh, times, 1e-4)  # refines the early pairs only
-    streamed = list(harness._grid_steps(tdh, times, 1e-4))
+    tol = 1.5e-6  # refines the early pairs only
+    full = step_grid(steps, times, tol)
+    streamed = list(harness._grid_steps(times, "direct",
+                                        lambda w: step_grid(steps, w, tol), None))
     assert len(streamed) == len(full) == 23
     assert any(p.refined for p in full) and not all(p.refined for p in full)
     for a, b in zip(streamed, full):
-        assert np.array_equal(a.matrix, b.matrix)
+        assert all(np.array_equal(x, y) for x, y in zip(a.matrix, b.matrix))
         assert (a.t_start, a.t_end, a.est_error, a.refined) == \
             (b.t_start, b.t_end, b.est_error, b.refined)
-    traj = harness.quadratic_trajectory(spec, harness.GibbsParams(1.0, 0.0),
-                                        tdh.drive, times, 1e-4)
+    traj = harness.quadratic_trajectory(spec, harness.GibbsParams(1.0, 0.0), protocol,
+                                        times, tol)
     assert traj.integrator.est_error == sum(p.est_error for p in full)
     assert traj.integrator.refined_intervals == sum(p.refined for p in full)
     assert traj.integrator.warnings == []
-    # refined intervals failed the midpoint test and took CFM4 steps at most
-    # one interval wide; the report keeps the narrowest accepted step of all
-    # intervals, here the half steps of the lone last interval's midpoint test
-    # (tests/test_propagator.py checks steps narrower than the grid step)
-    assert all(p.order == 4 and p.min_step <= p.t_end - p.t_start
-               for p in full if p.refined)
-    assert traj.integrator.fourth_order_intervals == sum(p.order == 4 for p in full)
-    assert traj.integrator.min_step == min(p.min_step or p.t_end - p.t_start
-                                           for p in full)
+    # every interval takes CFM4 steps; refined ones failed the pair test and
+    # took steps narrower than one interval, and the report keeps the
+    # narrowest accepted step of all intervals
+    assert traj.integrator.fourth_order_intervals == 23
+    assert all(p.min_step < p.t_end - p.t_start for p in full if p.refined)
+    assert traj.integrator.min_step == min(p.min_step for p in full)
     assert traj.integrator.min_step < 0.1
 
 
-def test_quadratic_probes_match_quadratic_observable(monkeypatch):
-    # probes read from their nonzero entries give quadratic_observable's sums
+def test_quadratic_probes_match_quadratic_observable():
+    # probes and ledger read from Gamma on the drive's rows and the probe
+    # sites give quadratic_observable's sums on the whole Gamma; the last
+    # probe lies outside the drive's rows
     from fermiproc.harness import (build_protocol, lattice_spec, probe_matrices,
                                    probe_site_pairs)
     from fermiproc.quadratic import quadratic_observable
     cfg = small_process1_config(L=20)
     spec = lattice_spec(cfg)
-    ops = probe_matrices(probe_site_pairs(cfg, spec), spec, "one_body")
-    states = []
-    ledger = harness.quadratic_entropy_ledger
-
-    def recording_ledger(gamma, *args, **kwargs):
-        states.append(gamma.copy())
-        return ledger(gamma, *args, **kwargs)
-
-    monkeypatch.setattr(harness, "quadratic_entropy_ledger", recording_ledger)
-    traj = harness.quadratic_trajectory(spec, harness.GibbsParams(1.0, 0.0),
-                                        build_protocol(cfg, spec), time_grid(0.0, 1.0, 0.1),
-                                        1e-8, ops)
-    assert len(states) == len(traj.probe_series) == 11
-    for gamma, row in zip(states, traj.probe_series):
-        assert np.array_equal(row, [quadratic_observable(gamma, w) for w in ops])
+    protocol = build_protocol(cfg, spec)
+    ops = probe_matrices(probe_site_pairs(cfg, spec) + [(3, 3), (2, 15)], spec,
+                         "one_body")
+    h0 = harness.one_body_laplacian(spec)
+    times = time_grid(0.0, 1.0, 0.1)
+    for k in range(1, len(times)):
+        traj = harness.quadratic_trajectory(spec, harness.GibbsParams(1.0, 0.0), protocol,
+                                            times[:k + 1], 1e-8, ops)
+        gamma, t = traj.final_state, times[k]
+        want = [quadratic_observable(gamma, w) for w in ops]
+        assert np.max(np.abs(traj.probe_series[-1] - want)) <= 1e-13
+        rec = traj.records[-1]
+        energy = quadratic_observable(gamma, h0 + protocol.operator(t, "one_body"))
+        assert abs(rec.U - energy) <= 1e-12
+        assert abs(rec.q - np.trace(gamma).real) <= 1e-12
 
 
 def _quadratic_peak_bytes(n_intervals):
@@ -229,10 +232,51 @@ def _quadratic_peak_bytes(n_intervals):
 
 
 def test_trajectory_memory_does_not_grow_with_intervals():
-    propagator_bytes = 128 * 128 * 16
+    # the state and the update's L x L temporaries are all a trajectory holds;
+    # steps are streamed, and each is a rank-2|R| factor
+    matrix_bytes = 128 * 128 * 16
     short, long_ = _quadratic_peak_bytes(20), _quadratic_peak_bytes(200)
-    assert long_ - short <= 2 * propagator_bytes
-    assert long_ <= 20 * propagator_bytes
+    assert long_ - short <= 2 * matrix_bytes
+    assert long_ <= 20 * matrix_bytes
+
+
+def test_health_verdicts_fail_on_corrupted_final_state(monkeypatch):
+    # entropy drift and the Pauli defect of the final Gamma are verdicts of
+    # every process run
+    from dataclasses import replace
+    cfg = small_process1_config(L=20)
+    cfg.output.t_final = 0.5
+    healthy = harness.run_plain(cfg).manifest["invariants"]
+    assert healthy["entropy_drift"]["passed"] and healthy["pauli_defect"]["passed"]
+    real = harness.quadratic_trajectory
+
+    def corrupted(*args, **kwargs):
+        traj = real(*args, **kwargs)
+        shifted = traj.final_state - 0.1 * np.eye(traj.final_state.shape[0])
+        return replace(traj, final_state=shifted, entropy_drift=1e-5)
+
+    monkeypatch.setattr(harness, "quadratic_trajectory", corrupted)
+    result = harness.run_plain(cfg)
+    invariants = result.manifest["invariants"]
+    assert not invariants["pauli_defect"]["passed"]
+    assert not invariants["entropy_drift"]["passed"]
+    assert not result.passed
+
+
+@pytest.mark.parametrize("field", ["region", "kernel", "probe"])
+def test_run_plain_rejects_non_integer_sites(field):
+    # a config built in Python skips validate_config: the lattice, the kernel
+    # and the probes refuse non-integer sites themselves instead of truncating
+    cfg = small_process1_config(L=6)
+    cfg.output.t_final = 0.2
+    if field == "region":
+        cfg.lattice.local_region = [2.7, 3]
+    elif field == "kernel":
+        cfg.drive.kernels[0].sites = [2.2, 3.9]
+    else:
+        cfg.output.probes = [[2.5]]
+    with pytest.raises(ValueError, match="integers"):
+        harness.run_plain(cfg)
 
 
 def test_integrator_method_validated():
@@ -378,8 +422,8 @@ def test_verify_detects_corrupted_propagator(monkeypatch):
 
     real_propagate = harness.propagate
 
-    def corrupted(h, s, t, tol=1e-8, expm_method="auto"):
-        out = real_propagate(h, s, t, tol, expm_method)
+    def corrupted(h, s, t, tol=1e-8):
+        out = real_propagate(h, s, t, tol)
         bad = out.matrix.copy()
         bad[0, 0] += 1e-5
         return prop.Propagator(bad, out.t_start, out.t_end, out.method, out.est_error)

@@ -12,15 +12,14 @@ from fermiproc import harness, propagator
 from fermiproc.drive import KernelSpec, Perturbation, switch_on_protocol
 from fermiproc.lattice import (LatticeSpec, hopping_hamiltonian, number_operator,
                                one_body_laplacian, quadratic_fock_operator)
-from fermiproc.linalg import (band_matmul, expm_hermitian_spectral, expm_unitary,
-                              max_abs, unitarity_defect)
+from fermiproc.linalg import expm_unitary, max_abs, unitarity_defect
 from fermiproc.propagator import (IntegrationError, TimeDependentHamiltonian,
                                   _cfm4_step, _midpoint_step,
                                   dyson_propagator, dyson_remainder, heisenberg_evolve,
                                   interaction_to_schrodinger, propagate, propagate_grid)
 from fermiproc.states import GibbsParams, gibbs_state
 
-from conftest import random_hermitian
+from conftest import random_hermitian, taylor_expm
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -45,18 +44,19 @@ def _config_problem(name):
 
 
 def test_taylor_exponential_matches_spectral(rng):
+    # the spectral exponential against the scaled-and-squared Taylor one
     for dim, dt in ((40, 0.05), (40, 1.7), (7, 0.3)):
         h = rng.normal(size=(dim, dim))
         h = 0.5 * (h + h.T)
-        u_t = expm_unitary(h, dt, "taylor")[0]
-        u_s = expm_hermitian_spectral(h, dt)
+        u_t = taylor_expm(h, dt)[0]
+        u_s = expm_unitary(h, dt)
         assert max_abs(u_t - u_s) <= 1e-12
 
 
 def test_free_propagation_is_exponential(driven_problem):
     spec, h0, _, _ = driven_problem
     u = propagate(h0, 0.0, 1.3, 1e-10)
-    exact = expm_hermitian_spectral(h0, 1.3)
+    exact = expm_unitary(h0, 1.3)
     assert max_abs(u.matrix - exact) <= 1e-10
     assert u.est_error <= 1e-9
 
@@ -138,7 +138,7 @@ def test_cfm4_step_is_fourth_order(case, driven_problem):
         h, t = _config_problem("process2_L200")[0], 1.0
     errs = {}
     for step in (_cfm4_step, _midpoint_step):
-        errs[step] = [max_abs(step(h, t, t + dt, "auto")[0]
+        errs[step] = [max_abs(step(h, t, t + dt)
                               - propagate(h, t, t + dt, 1e-12).matrix)
                       for dt in (0.4, 0.2)]
     cfm4, midpoint = errs[_cfm4_step], errs[_midpoint_step]
@@ -151,14 +151,12 @@ def test_cfm4_step_is_fourth_order(case, driven_problem):
 def test_cfm4_step_constant_hamiltonian(dim, rng):
     # w1 + w2 = 1/2: the two factors are exp(-i dt h / 2) each
     if dim == 16:
-        h = random_hermitian(rng, dim)  # spectral route
+        h = random_hermitian(rng, dim)
     else:
         h, _ = _config_problem("process2_L200")
-        h = h(1.3)  # real, 200 rows: Taylor route on the band
-    u, band = _cfm4_step(lambda t: h, 0.0, 0.3, "auto")
-    assert max_abs(u - expm_unitary(h, 0.3)[0]) <= 1e-14
-    if band is not None:  # the product's band is the sum of the factors'
-        assert not np.any(np.triu(u, band + 1)) and not np.any(np.tril(u, -band - 1))
+        h = h(1.3)  # real, 200 rows
+    u = _cfm4_step(lambda t: h, 0.0, 0.3)
+    assert max_abs(u - expm_unitary(h, 0.3)) <= 1e-14
 
 
 def test_saturated_pair_keeps_midpoint_steps():
@@ -168,9 +166,8 @@ def test_saturated_pair_keeps_midpoint_steps():
     times = 30.0 + cfg.output.grid_step * np.arange(3)
     grid = propagate_grid(h, times, cfg.integrator.tol)
     for p, a, b in zip(grid, times[:-1], times[1:]):
-        u, band = expm_unitary(h(0.5 * (a + b)), b - a)
-        assert np.array_equal(p.matrix, u)
-        assert (p.band, p.order, p.refined, p.min_step) == (band, 2, False, None)
+        assert np.array_equal(p.matrix, expm_unitary(h(0.5 * (a + b)), b - a))
+        assert (p.order, p.refined, p.min_step) == (2, False, None)
 
 
 def test_refined_pair_meets_budget():
@@ -211,9 +208,9 @@ def test_lone_last_interval_tries_midpoint_first(monkeypatch):
     (p,) = propagate_grid(h, [a, b], cfg.integrator.tol)
     monkeypatch.undo()
     assert len(calls) == 3
-    ul, kl = expm_unitary(h(0.5 * (a + m)), m - a)
-    ur, kr = expm_unitary(h(0.5 * (m + b)), b - m)
-    assert np.array_equal(p.matrix, band_matmul(ur, kr, ul, kl))
+    ul = expm_unitary(h(0.5 * (a + m)), m - a)
+    ur = expm_unitary(h(0.5 * (m + b)), b - m)
+    assert np.array_equal(p.matrix, ur @ ul)
     assert (p.order, p.refined, p.min_step) == (2, False, 0.5 * (b - a))
 
     h, cfg = _config_problem("process2_L200")
@@ -307,7 +304,7 @@ def test_interaction_free_case(driven_problem):
     eye = np.eye(16, dtype=complex)
     from fermiproc.propagator import Propagator
     u = interaction_to_schrodinger(Propagator(eye, 0.0, 0.9, "dyson(0)", 0.0), h0, 0.0, 0.9)
-    assert max_abs(u.matrix - expm_hermitian_spectral(h0, 0.9)) <= 1e-12
+    assert max_abs(u.matrix - expm_unitary(h0, 0.9)) <= 1e-12
 
 
 def test_interaction_endpoint_mismatch(driven_problem):

@@ -12,13 +12,13 @@ from fermiproc.lattice import (LatticeSpec, hopping_hamiltonian, number_operator
 from fermiproc.linalg import max_abs
 from fermiproc.observables import expectation
 from fermiproc.propagator import TimeDependentHamiltonian, propagate
-from fermiproc.quadratic import (NonQuadraticDriveError, ScalarDriveReferenceCache,
-                                 correlation_entropy, correlation_update,
-                                 gibbs_correlation, pauli_defect, quadratic_entropy_ledger,
+from fermiproc.harness import ConfigError
+from fermiproc.quadratic import (ScalarDriveReferenceCache, correlation_entropy,
+                                 gibbs_correlation, pauli_defect,
                                  quadratic_observable, reference_scalars)
 from fermiproc.states import GibbsParams, gibbs_state, von_neumann_entropy
 
-from conftest import random_hermitian
+from conftest import correlation_update, random_hermitian
 
 
 def test_gibbs_correlation_scalar():
@@ -134,14 +134,14 @@ def test_reference_cache_matches_direct(rng):
 
 
 def test_ledger_rejects_interaction_kernels():
+    # the fast path refuses degree-2 kernels before it writes any ledger row
     spec = LatticeSpec(4, local_region=(1, 2))
     quartic = KernelSpec(2, (1, 2), np.zeros((2, 2, 2, 2)))
     pert = Perturbation([quartic], spec)
     protocol = switch_on_protocol(pert, 0.0, 0.5, 0.1)
-    gamma = gibbs_correlation(one_body_laplacian(spec), GibbsParams(1.0))
-    with pytest.raises(NonQuadraticDriveError):
-        quadratic_entropy_ledger(gamma, 0.0, one_body_laplacian(spec), protocol,
-                                 GibbsParams(1.0), 0.0)
+    with pytest.raises(ConfigError, match="degree-1"):
+        quadratic_trajectory(spec, GibbsParams(1.0), protocol, time_grid(0.0, 0.2, 0.1),
+                             1e-8)
 
 
 def test_zero_drive_ledger_is_flat():
