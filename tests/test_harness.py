@@ -179,10 +179,9 @@ def test_streamed_steps_match_full_grid():
     assert traj.integrator.est_error == sum(p.est_error for p in full)
     assert traj.integrator.refined_intervals == sum(p.refined for p in full)
     assert traj.integrator.warnings == []
-    # every interval takes CFM4 steps; refined ones failed the pair test and
-    # took steps narrower than one interval, and the report keeps the
-    # narrowest accepted step of all intervals
-    assert traj.integrator.fourth_order_intervals == 23
+    # refined intervals failed the CFM4 pair test and took steps narrower than
+    # one interval, and the report keeps the narrowest accepted step of all
+    # intervals
     assert all(p.min_step < p.t_end - p.t_start for p in full if p.refined)
     assert traj.integrator.min_step == min(p.min_step for p in full)
     assert traj.integrator.min_step < 0.1
@@ -390,6 +389,44 @@ def test_both_path_oracle_small(tmp_path):
     assert (tmp_path / "series_quadratic.csv").exists()
 
 
+# -- exact-path relative entropy -------------------------------------------------
+
+def _exact_switch_on(beta, mu, t_final):
+    return RunConfig(
+        lattice=LatticeConfig(L=6, local_region=[2, 3]),
+        gibbs=GibbsConfig(beta=beta, mu=mu),
+        drive=DriveConfig(type="switch_on", amplitude=0.1, tau_r=0.5,
+                          kernels=[KernelConfig(1, [2, 3], KERNEL)]),
+        path="exact",
+        output=OutputConfig(grid_step=0.1, t_final=t_final),
+    )
+
+
+def test_exact_low_temperature_run_completes():
+    # at beta = 8 the Gibbs reference has weights below the entropy floor, so
+    # relS must not come from diagonalizing it (it raised SupportError)
+    result = harness.run_plain(_exact_switch_on(8.0, 0.0, 2.0))
+    assert min(r.relS for r in result.records["exact"]) >= -1e-10
+    assert result.manifest["invariants"]["relative_entropy_positive"]["passed"]
+
+
+def test_exact_relative_entropy_matches_klein_route():
+    # relS = beta*(U - mu*q - G) - S_vN(rho) is tr(rho ln rho - rho ln sigma)
+    from fermiproc.lattice import hopping_hamiltonian, number_operator
+    from fermiproc.states import gibbs_state, relative_entropy
+    cfg = _exact_switch_on(1.0, 0.3, 1.0)
+    spec = harness.lattice_spec(cfg)
+    params = harness.GibbsParams(cfg.gibbs.beta, cfg.gibbs.mu)
+    protocol = harness.build_protocol(cfg, spec)
+    times = time_grid(0.0, cfg.output.t_final, cfg.output.grid_step)
+    traj = harness.exact_trajectory(spec, params, protocol, times, 1e-8)
+    h_t = hopping_hamiltonian(spec) + protocol.operator(times[-1], "fock")
+    sigma = gibbs_state(h_t, number_operator(spec), params).rho
+    klein = relative_entropy(traj.final_state, sigma)
+    assert klein > 1e-6  # the drive moved the state off the reference
+    assert abs(traj.records[-1].relS - klein) <= 1e-10
+
+
 # -- verification ----------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -548,18 +585,29 @@ _SWITCH_ON = {"type": "switch_on", "amplitude": 0.1, "tau_r": 0.5}
     ("drive", dict(_SWITCH_ON, kernels=[{"degree": 1, "sites": [2.2, 3.9],
                                          "coeffs": KERNEL}])),
     ("output", {"probes": [[2.5]]}),
+    ("integrator", {"tol": -1e-8}),
+    ("integrator", {"tol": "tight"}),
+    ("integrator", {"method": "dyson", "dyson_order": -1}),
+    ("gibbs", {"beta": math.inf}),
+    ("gibbs", {"beta": 1.0, "mu": math.nan}),
+    ("drive", {"type": "periodic", "amplitude": 0.1, "period": "long",
+               "kernels": [{"degree": 1, "sites": [2, 3], "coeffs": KERNEL}]}),
+    ("seed", "x"),
 ], ids=["region_off_lattice", "unknown_boundary", "kernel_off_region",
         "kernel_shape", "probe_off_lattice", "probe_negative", "probes_empty",
-        "float_size", "float_region_site", "float_kernel_site", "float_probe_site"])
+        "float_size", "float_region_site", "float_kernel_site", "float_probe_site",
+        "negative_tol", "string_tol", "negative_dyson_order", "infinite_beta",
+        "nan_mu", "string_period", "string_seed"])
 def test_cli_malformed_config_exit_code(tmp_path, capsys, section, value):
     # malformed configs are configuration errors (exit 2, one line), never
-    # tracebacks or silently reinterpreted input
+    # tracebacks, hangs (a negative tol never meets its budget) or silently
+    # reinterpreted input; verify is the command that draws from the seed
     from fermiproc.cli import main
     data = {"lattice": {"L": 6, "local_region": [2, 3]}, "gibbs": {"beta": 1.0},
             "path": "exact", section: value}
     p = tmp_path / "bad.yaml"
     p.write_text(yaml.safe_dump(data))
-    assert main(["run", str(p)]) == 2
+    assert main(["verify" if section == "seed" else "run", str(p)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
 

@@ -138,7 +138,7 @@ def test_step_is_the_dense_interaction_picture_step():
         assert np.max(np.abs(low_rank_dense(low) - _cfm4_step(h_int, a, b))) <= 1e-13
     whole = steps.step(0.1, 0.3)
     fine = steps.compose(steps.step(0.2, 0.3), steps.step(0.1, 0.2))
-    entrywise = DenseSteps(h_int, _cfm4_step).distance(low_rank_dense(fine),
+    entrywise = DenseSteps(h_int).distance(low_rank_dense(fine),
                                                        low_rank_dense(whole))
     assert entrywise <= steps.distance(fine, whole) <= 64 * entrywise
     assert np.max(np.abs(low_rank_dense(fine) - _cfm4_step(h_int, 0.2, 0.3)

@@ -13,9 +13,9 @@ from fermiproc.drive import KernelSpec, Perturbation, switch_on_protocol
 from fermiproc.lattice import (LatticeSpec, hopping_hamiltonian, number_operator,
                                one_body_laplacian, quadratic_fock_operator)
 from fermiproc.linalg import expm_unitary, max_abs, unitarity_defect
-from fermiproc.propagator import (IntegrationError, TimeDependentHamiltonian,
-                                  _cfm4_step, _midpoint_step,
-                                  dyson_propagator, dyson_remainder, heisenberg_evolve,
+from fermiproc.propagator import (DenseSteps, IntegrationError, TimeDependentHamiltonian,
+                                  _adaptive, _cfm4_step, dyson_propagator,
+                                  dyson_remainder, heisenberg_evolve,
                                   interaction_to_schrodinger, propagate, propagate_grid)
 from fermiproc.states import GibbsParams, gibbs_state
 
@@ -102,6 +102,8 @@ def test_propagate_argument_validation():
     with pytest.raises(ValueError):
         propagate(h, 0.0, 1.0, tol=0.0)
     with pytest.raises(ValueError):
+        propagate_grid(h, [0.0, 0.5, 1.0], tol=-1e-8)
+    with pytest.raises(ValueError):
         propagate(h, 0.0, np.inf, 1e-8)
 
 
@@ -131,17 +133,21 @@ def test_energy_conservation_free():
 
 @pytest.mark.parametrize("case", ["fock", "one_body"])
 def test_cfm4_step_is_fourth_order(case, driven_problem):
-    # local error O(dt^5): halving the step divides it by ~32; midpoint ~8
+    # local error O(dt^5): halving the step divides it by ~32; the midpoint
+    # rule, the second-order oracle, by ~8
+    def midpoint_step(h_at, a, b):
+        return expm_unitary(h_at(0.5 * (a + b)), b - a)
+
     if case == "fock":
         h, t = driven_problem[2], 0.1
     else:
         h, t = _config_problem("process2_L200")[0], 1.0
     errs = {}
-    for step in (_cfm4_step, _midpoint_step):
+    for step in (_cfm4_step, midpoint_step):
         errs[step] = [max_abs(step(h, t, t + dt)
                               - propagate(h, t, t + dt, 1e-12).matrix)
                       for dt in (0.4, 0.2)]
-    cfm4, midpoint = errs[_cfm4_step], errs[_midpoint_step]
+    cfm4, midpoint = errs[_cfm4_step], errs[midpoint_step]
     assert cfm4[0] / cfm4[1] > 20
     assert midpoint[0] / midpoint[1] < 10
     assert cfm4[1] < midpoint[1]
@@ -159,45 +165,8 @@ def test_cfm4_step_constant_hamiltonian(dim, rng):
     assert max_abs(u - expm_unitary(h, 0.3)) <= 1e-14
 
 
-def test_saturated_pair_keeps_midpoint_steps():
-    # L = 512 past the ramp: the midpoint pair test accepts, and each interval
-    # is exactly the midpoint exponential
-    h, cfg = _config_problem("process1_L512")
-    times = 30.0 + cfg.output.grid_step * np.arange(3)
-    grid = propagate_grid(h, times, cfg.integrator.tol)
-    for p, a, b in zip(grid, times[:-1], times[1:]):
-        assert np.array_equal(p.matrix, expm_unitary(h(0.5 * (a + b)), b - a))
-        assert (p.order, p.refined, p.min_step) == (2, False, None)
-
-
-def test_refined_pair_meets_budget():
-    # a process II L = 200 pair fails the midpoint test; the CFM4 result at
-    # tol 1e-6 lies within tol * dt of the tol 1e-10 one
-    h, cfg = _config_problem("process2_L200")
-    step = cfg.drive.period / 64  # process II's output grid
-    times = 1.5 + step * np.arange(3)
-    loose = propagate_grid(h, times, 1e-6)
-    tight = propagate_grid(h, times, 1e-10)
-    for p, q in zip(loose, tight):
-        assert p.refined and p.order == 4
-        assert p.min_step is not None and p.min_step <= p.t_end - p.t_start
-        assert max_abs(p.matrix - q.matrix) <= 1e-6 * step
-    # at tol 1e-10 the CFM4 pair test fails too: the halved steps are narrower
-    # than the grid step, and the run's report keeps the narrowest of them
-    assert all(q.refined and q.min_step < q.t_end - q.t_start for q in tight)
-    report = harness.IntegratorReport()
-    for q in tight:
-        report.add(q)
-    assert report.min_step == min(q.min_step for q in tight if q.refined)
-    assert report.min_step < step
-
-
-def test_lone_last_interval_tries_midpoint_first(monkeypatch):
-    # an odd grid's last interval: one midpoint step against two half steps
-    # (3 exponentials) keeps the half steps; if that fails, CFM4 steps
-    h, cfg = _config_problem("process1_L512")
-    a, b = 30.0, 30.0 + cfg.output.grid_step
-    m = 0.5 * (a + b)
+def _counted_exponentials(monkeypatch):
+    """The step widths of the exponentials the propagator takes from now on."""
     calls = []
 
     def counted(*args):
@@ -205,23 +174,79 @@ def test_lone_last_interval_tries_midpoint_first(monkeypatch):
         return expm_unitary(*args)
 
     monkeypatch.setattr(propagator, "expm_unitary", counted)
+    return calls
+
+
+def test_saturated_pair_keeps_cfm4_steps(monkeypatch):
+    # L = 512 past the ramp: the CFM4 pair test accepts at its cost of three
+    # steps (6 exponentials), and each interval is exactly the test's
+    # one-interval step
+    h, cfg = _config_problem("process1_L512")
+    times = 30.0 + cfg.output.grid_step * np.arange(3)
+    calls = _counted_exponentials(monkeypatch)
+    grid = propagate_grid(h, times, cfg.integrator.tol)
+    monkeypatch.undo()
+    assert len(calls) == 6
+    for p, a, b in zip(grid, times[:-1], times[1:]):
+        assert np.array_equal(p.matrix, _cfm4_step(h, a, b))
+        assert (p.refined, p.min_step) == (False, b - a)
+
+
+def test_refined_pair_meets_budget():
+    # a process II L = 200 pair passes the CFM4 pair test at tol 1e-6, and
+    # its steps lie within tol * dt of the tol 1e-10 result
+    h, cfg = _config_problem("process2_L200")
+    step = cfg.drive.period / 64  # process II's output grid
+    times = 1.5 + step * np.arange(3)
+    loose = propagate_grid(h, times, 1e-6)
+    tight = propagate_grid(h, times, 1e-10)
+    for p, q in zip(loose, tight):
+        assert not p.refined and p.min_step == p.t_end - p.t_start
+        assert max_abs(p.matrix - q.matrix) <= 1e-6 * step
+    # at tol 1e-10 the pair test fails: the halved steps are narrower than
+    # the grid step, and the run's report keeps the narrowest of them
+    assert all(q.refined and q.min_step < q.t_end - q.t_start for q in tight)
+    report = harness.IntegratorReport()
+    for q in tight:
+        report.add(q)
+    assert report.min_step == min(q.min_step for q in tight)
+    assert report.min_step < step
+
+
+def test_lone_last_interval_is_a_pair_of_half_steps(monkeypatch):
+    # an odd grid's last interval: one CFM4 step against two half steps (6
+    # exponentials) keeps the half steps; if that fails, it halves them
+    h, cfg = _config_problem("process1_L512")
+    a, b = 30.0, 30.0 + cfg.output.grid_step
+    m = 0.5 * (a + b)
+    calls = _counted_exponentials(monkeypatch)
     (p,) = propagate_grid(h, [a, b], cfg.integrator.tol)
     monkeypatch.undo()
-    assert len(calls) == 3
-    ul = expm_unitary(h(0.5 * (a + m)), m - a)
-    ur = expm_unitary(h(0.5 * (m + b)), b - m)
-    assert np.array_equal(p.matrix, ur @ ul)
-    assert (p.order, p.refined, p.min_step) == (2, False, 0.5 * (b - a))
+    assert len(calls) == 6
+    assert np.array_equal(p.matrix, _cfm4_step(h, m, b) @ _cfm4_step(h, a, m))
+    assert (p.refined, p.min_step) == (False, 0.5 * (b - a))
 
     h, cfg = _config_problem("process2_L200")
     step = cfg.drive.period / 64
-    (p,) = propagate_grid(h, [1.5, 1.5 + step], 1e-6)
-    assert (p.order, p.refined) == (4, True)
-    assert p.min_step <= 0.5 * step
-    assert max_abs(p.matrix - propagate(h, 1.5, 1.5 + step, 1e-10).matrix) <= 1e-6 * step
+    (p,) = propagate_grid(h, [1.5, 1.5 + step], 1e-8)
+    assert p.refined and p.min_step <= 0.25 * step
+    assert max_abs(p.matrix - propagate(h, 1.5, 1.5 + step, 1e-10).matrix) <= 1e-8 * step
 
 
-def test_manifest_counts_fourth_order_intervals(tmp_path):
+def test_propagate_is_the_one_interval_grid(driven_problem):
+    # on an interval that refines, propagate's step_grid over [a, b] gives
+    # bit for bit the halving from one CFM4 step over [a, b]
+    _, _, tdh, _ = driven_problem
+    a, b, tol = 0.0, 1.5, 1e-8
+    p = propagate(tdh, a, b, tol)
+    steps = DenseSteps(tdh)
+    q = _adaptive(steps, [(a, b, steps.step(a, b))], tol)
+    assert p.refined and q.refined
+    assert np.array_equal(p.matrix, q.matrix)
+    assert (p.est_error, p.min_step) == (q.est_error, q.min_step)
+
+
+def test_manifest_counts_refined_intervals(tmp_path):
     cfg = harness.RunConfig(
         lattice=harness.LatticeConfig(L=20, boundary="dirichlet", local_region=[9, 10]),
         gibbs=harness.GibbsConfig(beta=1.0),
@@ -235,8 +260,8 @@ def test_manifest_counts_fourth_order_intervals(tmp_path):
     harness.run_plain(cfg)
     with open(tmp_path / "manifest.json") as fh:
         report = json.load(fh)["integrator"]["quadratic"]
-    assert report["fourth_order_intervals"] > 0
-    assert report["refined_intervals"] <= report["fourth_order_intervals"] <= 16
+    assert set(report) == {"est_error", "refined_intervals", "min_step", "warnings"}
+    assert 0 < report["refined_intervals"] <= 16
 
 
 # -- Dyson series -------------------------------------------------------------
