@@ -89,7 +89,10 @@ def cmd_verify(args):
 
 def cmd_sweep(args):
     cfg = _apply_overrides(harness.load_config(args.config), args)
-    values = [float(x) for x in args.values.split(",") if x.strip()]
+    try:
+        values = [float(x) for x in args.values.split(",") if x.strip()]
+    except ValueError as exc:
+        raise harness.ConfigError(f"--values: {exc}") from exc
     index = harness.run_sweep(cfg, args.axis, values)
     failed = False
     for v, outcome in zip(index["values"], index["runs"]):

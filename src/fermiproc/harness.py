@@ -53,8 +53,9 @@ from .propagator import (LowRankUnitary, TimeDependentHamiltonian, dyson_propaga
                          propagate_grid, step_grid)
 from .quadratic import (ScalarDriveReferenceCache, correlation_entropy,
                         gibbs_correlation, interaction_picture, pauli_defect,
-                        quadratic_entropy_ledger, quadratic_observable, rank_update,
-                        reference_scalars)
+                        quadratic_entropy_ledger, quadratic_observable, rank_update)
+# not called here; perfbench/tracing.py wraps harness.reference_scalars by name
+from .quadratic import reference_scalars  # noqa: F401
 from .smallness import grid_axis, grid_norm
 from .states import GibbsParams, gibbs_state, relative_entropy, von_neumann_entropy
 from .storage import write_series_csv
@@ -361,7 +362,7 @@ class _Representation(NamedTuple):
 
     state: np.ndarray  # initial state: rho (Fock) or G (one-body, see quadratic_trajectory)
     steps: Iterator  # per-interval Propagators, in grid order
-    update: Callable  # (state, Propagator) -> evolved state, unsymmetrized
+    update: Callable  # (state, Propagator) -> evolved state, exactly Hermitian
     observe: Callable  # (state, t, s_start) -> (ProcessRecord, probe values); the loop fills `work`
     entropy: Callable  # state -> von Neumann entropy
     final: Callable  # (state, t) -> the reported final state
@@ -409,7 +410,6 @@ def _trajectory(rep, params, times):
             step = next(rep.steps)
             report.add(step)
             state = rep.update(state, step)
-            state = 0.5 * (state + state.conj().T)
         rec, probes = rep.observe(state, t, s_start)
         if records:
             prev = records[-1]
@@ -430,6 +430,7 @@ def exact_trajectory(spec, params, protocol, times, tol, probe_ops=None,
     n_op = number_operator(spec)
 
     def observe(rho, t, s_start):
+        # relS takes S_vN(rho_t) = s_start: the unitary flow keeps the spectrum
         w_t = protocol.operator(t, "fock") if protocol else np.zeros_like(h0)
         dw = protocol.d_operator(t, "fock") if protocol else []
         lam_dot = protocol.lam_dot(t) if protocol else np.zeros(0)
@@ -438,13 +439,13 @@ def exact_trajectory(spec, params, protocol, times, tol, probe_ops=None,
         rec = ledger_row(t, internal_energy(rho, h_t), charge(rho, n_op),
                          [expectation(rho, d) for d in dw], ref.grand_potential,
                          [expectation(ref.rho, d) for d in dw], lam_dot, params,
-                         von_neumann_entropy(rho), charge_rate(rho, w_t, n_op))
+                         s_start, charge_rate(rho, w_t, n_op))
         return rec, np.array([expectation(rho, a) for a in probe_ops or []])
 
     tdh = TimeDependentHamiltonian(h0, protocol, times[0], "fock")
     rep = _Representation(gibbs_state(h0, n_op, params).rho,
                           _fock_steps(tdh, times, tol, method, dyson_order),
-                          lambda rho, step: step.matrix @ rho @ step.matrix.conj().T,
+                          lambda rho, step: symmetrize(step.matrix @ rho @ step.matrix.conj().T),
                           observe, von_neumann_entropy, lambda rho, t: rho)
     return _trajectory(rep, params, times)
 
@@ -458,22 +459,19 @@ def quadratic_trajectory(spec, params, protocol, times, tol, probe_ops=None,
     propagator is one LowRankUnitary (a Dyson step enters as a full-rank
     factor, Q = I), applied by `rank_update`. The ledger and the probes read
     Gamma on S = R + the probe sites only: Gamma_SS = conj(Y_S^dagger G Y_S),
-    with Y_S(t) = diag(e^{i eps t}) phi_S^T. `final_state` is Gamma, from one
-    basis change at the end.
+    with Y_S(t) = diag(e^{i eps t}) phi_S^T. One `ScalarDriveReferenceCache`,
+    sized for the run's largest |lambda_j|, gives every row's reference
+    scalars from |R| x |R| resolvents. `final_state` is Gamma, from one basis
+    change at the end.
     """
     if protocol is not None and not protocol.is_quadratic:
         raise ConfigError("quadratic path requires a quadratic (degree-1) drive")
     h0 = one_body_laplacian(spec)
     steps, blocks = interaction_picture(h0, protocol)
     eps, phi = steps.eps, steps.phi
-    # reference scalars: one direct evaluation when undriven, a Chebyshev
-    # cache for scalar drives, else direct evaluation per row
-    undriven = reference_scalars(h0, params, []) if protocol is None else None
-    cache = None
-    if protocol is not None and protocol.control_dim == 1 and protocol.components:
-        lams = np.array([protocol.lam(t)[0] for t in times])
-        cache = ScalarDriveReferenceCache(h0, protocol.components[0].one_body(), params,
-                                          float(lams.min()), float(lams.max()))
+    lams = [protocol.controls(t) if protocol else np.zeros(0) for t in times]
+    reference = ScalarDriveReferenceCache(eps, phi[steps.rows], blocks, params,
+                                          np.max(np.abs(lams), axis=0))
 
     # a probe is read from its nonzero entries: quadratic_observable's sum
     # without the exact zeros
@@ -486,17 +484,11 @@ def quadratic_trajectory(spec, params, protocol, times, tol, probe_ops=None,
     def observe(g, t, s_start):
         y = steps.frame(t, sites)
         gamma = (y.conj().T @ (g @ y)).conj()  # Gamma on S x S
-        if cache is not None:
-            reference = cache(protocol.lam(t)[0])
-        else:
-            reference = undriven or reference_scalars(
-                h0 + protocol.operator(t, "one_body"), params,
-                protocol.d_operator(t, "one_body"))
+        lam = protocol.controls(t) if protocol else np.zeros(0)
         lam_dot = protocol.lam_dot(t) if protocol else np.zeros(0)
         rec = quadratic_entropy_ledger(t, float(eps @ np.real(np.diagonal(g))),
                                        float(np.real(np.trace(g))), gamma[on_rows], blocks,
-                                       protocol.controls(t) if protocol else (), lam_dot,
-                                       params, s_start, reference)
+                                       lam, lam_dot, params, s_start, reference(lam))
         return rec, np.array([float(np.real(np.sum(vals * gamma[loc])))
                               for loc, vals in reads])
 
@@ -1060,14 +1052,16 @@ def run_sweep(cfg: RunConfig, axis, values) -> dict:
 
     Children run concurrently (they share no mutable state); each writes to
     its own subdirectory `<axis>_<value:g>` when an output directory is
-    configured, so values that print alike there are refused before any child
-    starts. Returns the sweep index manifest.
+    configured. Invalid child configs and values that print alike there are
+    refused before any child starts. Returns the sweep index manifest.
     """
     values = list(values)
     if not values:
         raise ConfigError("sweep needs at least one value")
     base_dir = Path(cfg.output.directory) if cfg.output.directory else None
     child_cfgs = [_with_axis(cfg, axis, v) for v in values]
+    for child in child_cfgs:
+        validate_config(child)
     if base_dir is not None:
         names = [f"{axis}_{v:g}" for v in values]
         clashes = sorted({n for n in names if names.count(n) > 1})

@@ -123,16 +123,17 @@ def entropy_rate_decomposed(rho, h_t, n_op, params, dw_dlambda, lambda_dot, w_t,
 
 
 def ledger_row(t, energy, q, drive_expect, grand_potential, gradient, lam_dot,
-               params, s_vn, qdot=None):
+               params, s_start, qdot=None):
     """One ledger row: the only place S, dS/dt and dG/dt are formed.
 
     S = beta*(U - mu*q - G); dS/dt = beta*sum_j (<dW/dl_j>_rho - dG/dl_j)
     lambda_dot_j - beta*mu*dq/dt; dG/dt = sum_j dG/dl_j lambda_dot_j, with
     `drive_expect` the <dW/dl_j>_rho and `gradient` the dG/dl_j = <dW/dl_j> in
     the reference state. `qdot` is omitted where one-body drives conserve
-    charge by construction. `s_vn` is the state's von Neumann entropy, and
-    relS = S - s_vn is the relative entropy to the Gibbs reference sigma in
-    closed form: -tr(rho ln sigma) = S, since ln sigma = -beta*(H - mu*N - G).
+    charge by construction. `s_start` is the initial von Neumann entropy,
+    which the unitary flow conserves, and relS = S - s_start is the relative
+    entropy to the Gibbs reference sigma in closed form: -tr(rho ln sigma) = S,
+    since ln sigma = -beta*(H - mu*N - G).
     `work` is left at zero.
     """
     beta, mu = params.beta, params.mu
@@ -142,7 +143,7 @@ def ledger_row(t, energy, q, drive_expect, grand_potential, gradient, lam_dot,
         sdot = sdot - beta * mu * qdot
     dg_dt = sum(g * ld for g, ld in zip(gradient, lam_dot))
     return ProcessRecord(t=t, U=energy, q=q, S=s_val, Sdot=float(sdot),
-                         relS=s_val - s_vn, work=0.0,
+                         relS=s_val - s_start, work=0.0,
                          G=grand_potential, dG_dt=float(dg_dt))
 
 

@@ -323,7 +323,7 @@ def dyson_remainder(strength, order):
     return float(np.exp(strength) * gammainc(order + 1, strength))
 
 
-def dyson_propagator(h0, w_of_t, s, t, order, tol=1e-10, max_nodes=128):
+def dyson_propagator(h0, w_of_t, s, t, order, tol=1e-10, node_limit=128):
     """Interaction-picture propagator as a truncated time-ordered series.
 
     U^I(t,s) = 1 + sum_{k<=order} (-i)^k int_s^t dt_1 ... int_s^{t_{k-1}} dt_k
@@ -350,7 +350,7 @@ def dyson_propagator(h0, w_of_t, s, t, order, tol=1e-10, max_nodes=128):
     strength = 0.0
     prev = None
     m = 8
-    while m <= max_nodes:
+    while m <= node_limit:
         x, gw, q = _legendre_integration(m)
         nodes = 0.5 * (s + t) + 0.5 * span * x
         wi = np.stack([w_interaction(u) for u in nodes])
@@ -367,7 +367,7 @@ def dyson_propagator(h0, w_of_t, s, t, order, tol=1e-10, max_nodes=128):
         m *= 2
     else:
         raise IntegrationError(
-            f"Dyson quadrature did not stabilize to {tol:.1e} at {max_nodes} nodes"
+            f"Dyson quadrature did not stabilize to {tol:.1e} at {node_limit} nodes"
         )
     remainder = dyson_remainder(strength * abs(span), order)
     warning = None

@@ -12,7 +12,8 @@ The trajectory runs in the interaction picture of h0 = phi diag(eps) phi^T
 (`interaction_picture`): the state is G = conj(Gamma) in h0's eigenbasis, a
 Gibbs start is diag(f(eps)), and an interval's propagator is a
 `LowRankUnitary` of rank 2|R| per CFM4 step, R being the sites the drive acts
-on, which `rank_update` applies in O(|R| L^2).
+on, which `rank_update` applies in O(|R| L^2). Each row's reference scalars
+come from |R| x |R| resolvents (`ScalarDriveReferenceCache`), with no L x L `eigh`.
 """
 
 from typing import NamedTuple
@@ -60,15 +61,16 @@ def interaction_picture(h0, protocol):
 def rank_update(g, u):
     """U G U^dagger for Hermitian G and U = I + Q K Q^dagger, in two GEMMs.
 
-    With X = Q^dagger G and Y = K X + K (X Q) K^dagger Q^dagger / 2, the
-    update is G + Q Y + Y^dagger Q^dagger = G + [Q, Y^dagger] [Y; Q^dagger]:
-    O(r L^2) for rank r, and a full-rank factor (Q = I) takes the same path.
+    With X = Q^dagger G, Y = K X + K (X Q) K^dagger Q^dagger / 2 and Z = Q Y,
+    the update is G + Z + Z^dagger: O(r L^2) for rank r, and a full-rank factor
+    (Q = I) takes the same path. The sum is exactly Hermitian whenever G is,
+    since floating-point addition commutes.
     """
     q, k = u
     qh = q.conj().T
     x = qh @ g
-    y = k @ x + 0.5 * (k @ (x @ q) @ k.conj().T) @ qh
-    return g + np.hstack([q, y.conj().T]) @ np.vstack([y, qh])
+    z = q @ (k @ x + 0.5 * (k @ (x @ q) @ k.conj().T) @ qh)
+    return g + (z + z.conj().T)
 
 
 def quadratic_observable(gamma, w):
@@ -107,7 +109,8 @@ class ReferenceScalars(NamedTuple):
 
 
 def reference_scalars(h_t, params, d_kernels):
-    """Direct evaluation of G and the reference gradient at one Hamiltonian."""
+    """Direct evaluation of G and the reference gradient at one Hamiltonian:
+    one L x L `eigh`, the oracle for `ScalarDriveReferenceCache`."""
     h_t = np.asarray(h_t)
     w, v = np.linalg.eigh(h_t)
     beta_g = -float(np.sum(np.logaddexp(0.0, -params.beta * (w - params.mu))))
@@ -118,62 +121,55 @@ def reference_scalars(h_t, params, d_kernels):
     return ReferenceScalars(beta_g / params.beta, grads)
 
 
-class _ChebyshevFit:
-    """Deterministic Chebyshev interpolant on first-kind nodes over [lo, hi]."""
-
-    def __init__(self, lo, hi, values):
-        n = len(values)
-        j = np.arange(n)
-        theta = np.pi * (2 * j + 1) / (2 * n)
-        # coefficients of the degree-(n-1) interpolant through f(cos theta_j)
-        k = np.arange(n)[:, None]
-        self.coeffs = (2.0 / n) * (np.cos(k * theta[None, :]) @ np.asarray(values))
-        self.coeffs[0] *= 0.5
-        self.lo, self.hi = lo, hi
-
-    def __call__(self, x):
-        u = (2.0 * x - (self.lo + self.hi)) / (self.hi - self.lo)
-        return float(np.polynomial.chebyshev.chebval(u, self.coeffs))
+def _fermi_poles(n):
+    """Ozaki's n poles i z_p and residues r_p (Phys. Rev. B 75, 035123 (2007)):
+    1/(1 + e^x) = 1/2 - sum_p r_p (1/(x - i z_p) + 1/(x + i z_p)) to 1e-14 for
+    |x| <= (n - 2)^2 / 4, with 1/z_p the positive eigenvalues of a tridiagonal."""
+    m = np.arange(1, 2 * n)
+    b = 0.5 / np.sqrt((2 * m - 1) * (2 * m + 1))
+    vals, vecs = np.linalg.eigh(np.diag(b, 1) + np.diag(b, -1))
+    pos = vals > 0
+    return 1.0 / vals[pos], vecs[0, pos] ** 2 / (4.0 * vals[pos] ** 2)
 
 
 class ScalarDriveReferenceCache:
-    """Chebyshev interpolation of G(lambda) and <dW/dlambda>_ref(lambda).
+    """G(lambda) and <dW/dlambda_j>_ref(lambda) from |R| x |R| resolvents.
 
-    For a single-control linear drive h(lambda) = h0 + lambda*v the reference
-    scalars are analytic functions of the scalar lambda; interpolating them on
-    Chebyshev nodes replaces an O(L^3) eigendecomposition per output time with
-    an O(nodes) evaluation. Accuracy is checked against the direct route at
-    construction; out-of-range lookups fall back to the direct route.
+    h(lambda) = h0 + sum_j lambda_j V_j, h0 = phi diag(eps) phi^dagger and V_j
+    the block C_j on the rows R. With the Fermi poles w_p = mu + i z_p / beta,
+    G0(w) = phi_R diag(1/(w - eps)) phi_R^dagger (built once), C = sum_j
+    lambda_j C_j and the Dyson resolvent (I - G0 C)^-1 G0 on R:
+        <V_j>_ref = tr C_j / 2 + sum_p (2 r_p / beta) Re tr(C_j (I - G0 C)^-1 G0),
+        G = G(0) + tr C / 2 - sum_p (2 r_p / beta) ln|det(I - G0(w_p) C)|,
+    G(0) from eps. The pole count follows from beta times a bound on
+    |spec h(lambda) - mu| for |lambda_j| <= lam_bound_j; a call beyond it raises.
     """
 
-    def __init__(self, h0, v, params, lam_min, lam_max, nodes=33, check_tol=1e-9):
-        self.lam_min = float(lam_min)
-        self.lam_max = float(lam_max)
-        if self.lam_max <= self.lam_min:
-            self.lam_max = self.lam_min + 1e-12
-        j = np.arange(nodes)
-        x = np.cos(np.pi * (2 * j + 1) / (2 * nodes))  # first-kind nodes on (-1, 1)
-        lams = 0.5 * (self.lam_min + self.lam_max) + 0.5 * (self.lam_max - self.lam_min) * x
-        g_vals, d_vals = [], []
-        for lam in lams:
-            ref = reference_scalars(h0 + lam * v, params, [v])
-            g_vals.append(ref.grand_potential)
-            d_vals.append(ref.gradient[0])
-        self._g = _ChebyshevFit(self.lam_min, self.lam_max, g_vals)
-        self._d = _ChebyshevFit(self.lam_min, self.lam_max, d_vals)
-        self._h0, self._v, self._params = h0, v, params
-        mid = 0.5 * (self.lam_min + self.lam_max) + 0.123456 * (self.lam_max - self.lam_min) / 2
-        exact = reference_scalars(h0 + mid * v, params, [v])
-        err = max(abs(self._g(mid) - exact.grand_potential),
-                  abs(self._d(mid) - exact.gradient[0]))
-        if err > check_tol:
-            raise RuntimeError(f"reference interpolation error {err:.3e} exceeds {check_tol:.1e}")
+    def __init__(self, eps, phi_r, blocks, params, lam_bound):
+        self.blocks = np.array(blocks, dtype=complex).reshape((len(blocks),) + (len(phi_r),) * 2)
+        self.lam_bound = np.asarray(lam_bound, dtype=float)
+        width = np.max(np.abs(eps - params.mu)) + sum(
+            b * np.linalg.norm(c, 2) for b, c in zip(self.lam_bound, self.blocks))
+        z, r = _fermi_poles(int(np.ceil(2.0 * np.sqrt(params.beta * width))) + 2)
+        self.weights = 2.0 * r / params.beta
+        w = params.mu + 1j * z / params.beta
+        self.g0 = (phi_r * (1.0 / (w[:, None] - eps))[:, None, :]) @ phi_r.conj().T
+        beta_g = -float(np.sum(np.logaddexp(0.0, -params.beta * (eps - params.mu))))
+        self.g_zero = beta_g / params.beta
 
     def __call__(self, lam):
-        lam = float(lam)
-        if not (self.lam_min - 1e-12 <= lam <= self.lam_max + 1e-12):
-            return reference_scalars(self._h0 + lam * self._v, self._params, [self._v])
-        return ReferenceScalars(self._g(lam), np.array([self._d(lam)]))
+        lam = np.asarray(lam, dtype=float)
+        if np.any(np.abs(lam) > self.lam_bound):
+            raise ValueError(f"controls {lam} leave the bound {self.lam_bound} "
+                             "the Fermi poles were sized for")
+        c = np.tensordot(lam, self.blocks, axes=1)
+        m = np.eye(len(c)) - self.g0 @ c
+        resolvent = np.linalg.solve(m, self.g0)  # [(w_p - h)^-1]_RR
+        grads = (np.real(np.einsum("jaa->j", self.blocks)) / 2
+                 + np.real(np.einsum("jab,pba->jp", self.blocks, resolvent)) @ self.weights)
+        g = (self.g_zero + np.real(np.trace(c)) / 2
+             - self.weights @ np.linalg.slogdet(m)[1])
+        return ReferenceScalars(float(g), grads)
 
 
 def quadratic_entropy_ledger(t, free_energy, q, gamma_rr, blocks, lam, lam_dot, params,

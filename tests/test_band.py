@@ -118,6 +118,22 @@ def test_banded_gamma_update_matches_dense_random(rng, k):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("rank", [8, 16, 0], ids=["r8", "r16", "q_identity"])
+def test_rank_update_is_exactly_hermitian(rng, rank):
+    # G + (Z + Z^dagger) is Hermitian bit for bit whenever G is, so the
+    # trajectory loop never symmetrizes; rank 0 stands for a full-rank factor
+    # (Q = I, as a Dyson step enters)
+    n = 200
+    if rank:
+        q, _ = np.linalg.qr(rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank)))
+        u = LowRankUnitary(q, random_unitary(rng, rank) - np.eye(rank))
+    else:
+        u = LowRankUnitary(np.eye(n), random_unitary(rng, n) - np.eye(n))
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    got = rank_update(a + a.conj().T, u)
+    assert np.array_equal(got, got.conj().T)
+
+
 @pytest.mark.parametrize("kernel", [TRIDIAGONAL, FILLED])
 def test_banded_gamma_update_matches_dense(kernel):
     # L = 512: each grid interval's factor, applied by two GEMMs, against the

@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -636,6 +640,20 @@ def test_cli_sweep(tmp_path, capsys):
     assert (tmp_path / "sw" / "sweep_index.json").exists()
 
 
+@pytest.mark.parametrize("axis, values", [("beta", "abc"), ("beta", "0,inf"),
+                                          ("mu", "0.1,nan")])
+def test_cli_sweep_refuses_bad_values(tmp_path, capsys, axis, values):
+    # a value that is not a number, beta <= 0 or a non-finite value: one
+    # config error line and exit 2, before any child starts
+    from fermiproc.cli import main
+    cfg = write_cfg(tmp_path, lattice={"L": 4}, path="exact")
+    assert main(["sweep", str(cfg), "--axis", axis, "--values", values,
+                 "--out", str(tmp_path / "sw")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert not (tmp_path / "sw").exists()
+
+
 def test_cli_path_override(tmp_path, capsys):
     from fermiproc.cli import main
     cfg = write_cfg(tmp_path, lattice={"L": 5, "local_region": [1, 2]})
@@ -663,3 +681,18 @@ def test_cli_verify(tmp_path, capsys):
     code = main(["verify", str(cfg)])
     assert code == 0
     assert "[PASS] car_relations" in capsys.readouterr().out
+
+
+# -- benchmark tracer ------------------------------------------------------------
+
+def test_benchmark_tracer_installs():
+    # perfbench/tracing.py wraps fermiproc functions by name, and a renamed or
+    # deleted one raises AttributeError there. It runs in a child process:
+    # its wrappers stay for the life of the process that installs them.
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"),
+                                                       str(root / "perfbench")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import tracing; tracing.install(tracing.Tracer('t'))"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

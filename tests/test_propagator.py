@@ -115,7 +115,7 @@ def test_dyson_quadrature_nonconvergence():
         return np.array([[0.0, np.sin(900.0 * t)], [np.sin(900.0 * t), 0.0]])
 
     with pytest.raises(IntegrationError, match="stabilize"):
-        dyson_propagator(h0, w, 0.0, 1.0, 4, 1e-12, max_nodes=16)
+        dyson_propagator(h0, w, 0.0, 1.0, 4, 1e-12, node_limit=16)
 
 
 def test_energy_conservation_free():

@@ -1,5 +1,7 @@
 """Free-fermion fast path against the exact-diagonalization oracle."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from fermiproc.drive import KernelSpec, Perturbation, switch_on_protocol
 from fermiproc.harness import (exact_trajectory, probe_matrices, probe_site_pairs,
                                quadratic_trajectory, time_grid)
 from fermiproc.harness import LatticeConfig, GibbsConfig, RunConfig
-from fermiproc.lattice import (LatticeSpec, hopping_hamiltonian, number_operator,
+from fermiproc.lattice import (Boundary, LatticeSpec, hopping_hamiltonian, number_operator,
                                one_body_laplacian, quadratic_fock_operator)
 from fermiproc.linalg import max_abs
 from fermiproc.observables import expectation
@@ -120,17 +122,60 @@ def test_quadratic_observable_dimension_check():
         quadratic_observable(np.eye(3), np.eye(4))
 
 
-def test_reference_cache_matches_direct(rng):
+def _reference_drive(n_sites, kind):
+    """Rows R and R x R blocks C_j: a complex Hermitian kernel, two hand-built
+    controls, or no drive."""
+    rows = np.arange(n_sites // 2 - 1, n_sites // 2 + 2)
+    if kind == "none":
+        return rows[:0], []
+    complex_kernel = np.array([[0.7, 0.3 + 0.2j, -0.1j],
+                               [0.3 - 0.2j, -0.4, 0.25],
+                               [0.1j, 0.25, 0.5]])
+    if kind == "complex":
+        return rows, [complex_kernel]
+    return rows, [np.diag([0.6, -0.3, 0.0]),
+                  np.array([[0.0, 0.5, 0.0], [0.5, 0.0, -0.2], [0.0, -0.2, 0.0]])]
+
+
+def test_reference_cache_matches_direct():
+    # the resolvent route against one L x L eigh per control value, in G and
+    # in every gradient entry, over lambda in [-1, 2]
+    controls = {"complex": [[-1.0], [0.3], [2.0]],
+                "two_controls": [[-1.0, 2.0], [1.5, -0.4]], "none": [[]]}
+    for n_sites, boundary, beta, mu in itertools.product(
+            (30, 512), (Boundary.DIRICHLET, Boundary.PERIODIC), (0.1, 1.0, 10.0),
+            (-0.3, 0.0, 0.25)):
+        h0 = one_body_laplacian(LatticeSpec(n_sites, boundary))
+        eps, phi = np.linalg.eigh(h0)
+        params = GibbsParams(beta, mu)
+        for kind, lams in controls.items():
+            rows, blocks = _reference_drive(n_sites, kind)
+            cache = ScalarDriveReferenceCache(eps, phi[rows], blocks, params,
+                                              np.max(np.abs(lams), axis=0))
+            full = []
+            for c in blocks:
+                v = np.zeros((n_sites, n_sites), dtype=complex)
+                v[np.ix_(rows, rows)] = c
+                full.append(v)
+            for lam in lams:
+                h = h0 + sum((lj * v for lj, v in zip(lam, full)), np.zeros_like(h0))
+                direct = reference_scalars(h, params, full)
+                got = cache(lam)
+                assert abs(got.grand_potential - direct.grand_potential) <= 1e-10
+                assert got.gradient.shape == direct.gradient.shape
+                assert np.max(np.abs(got.gradient - direct.gradient), initial=0.0) <= 1e-10
+
+
+def test_reference_cache_refuses_controls_beyond_its_bound():
+    # the pole count is sized for |lambda_j| <= the bound; beyond it, loud
     h0 = one_body_laplacian(LatticeSpec(30))
-    v = np.zeros((30, 30))
-    v[14, 14], v[15, 15], v[14, 15], v[15, 14] = 0.7, -0.4, 0.3, 0.3
-    params = GibbsParams(1.1, 0.25)
-    cache = ScalarDriveReferenceCache(h0, v, params, 0.0, 0.08)
-    for lam in rng.uniform(0.0, 0.08, 7):
-        direct = reference_scalars(h0 + lam * v, params, [v])
-        interp = cache(lam)
-        assert interp.grand_potential == pytest.approx(direct.grand_potential, abs=1e-10)
-        assert interp.gradient[0] == pytest.approx(direct.gradient[0], abs=1e-10)
+    eps, phi = np.linalg.eigh(h0)
+    rows, blocks = _reference_drive(30, "two_controls")
+    cache = ScalarDriveReferenceCache(eps, phi[rows], blocks, GibbsParams(1.0),
+                                      [1.0, 0.5])
+    cache([-1.0, 0.5])
+    with pytest.raises(ValueError, match="bound"):
+        cache([0.2, -0.6])
 
 
 def test_ledger_rejects_interaction_kernels():
