@@ -8,13 +8,15 @@ failed the CFM4 pair test, narrowest step and warnings).
 
 Layout. One trajectory loop, `_trajectory`, owns the step loop, the
 integrator report, the work recurrence and the entropy drift;
-`exact_trajectory` (Fock space, rho) and `quadratic_trajectory` (one-body
-correlations in the interaction picture of h0) supply only their
+`exact_trajectory` (Fock space, with rho, H(t), the propagators and the
+probes as tuples of charge-sector blocks) and `quadratic_trajectory`
+(one-body correlations in the interaction picture of h0) supply only their
 representation: initial state, per-interval steps, update, ledger row and
-probe reads, entropy and final state. One process runner,
-`_run_process`, builds the lattice, drive, probes and manifest, simulates
-each configured path, and applies the shared ledger and health checks, the
-`both` oracle comparison, timing and output; `run_process_I`,
+probe reads, entropy and final state. Both call `step_grid` on their own
+step representation (`DenseSteps` over the sectors, `InteractionSteps`).
+One process runner, `_run_process`, builds the lattice, drive, probes and
+manifest, simulates each configured path, and applies the shared ledger and
+health checks, the `both` oracle comparison, timing and output; `run_process_I`,
 `run_process_II` and `run_plain` supply only their time grid, window checks
 and a verdict function.
 `run_verify` and the acceptance suite call the same checks (verification suite).
@@ -44,22 +46,27 @@ from .lattice import (EXACT_SITE_CAP, Boundary, FockBasis, LatticeSpec,
                       creation_op, gauge_transform, hopping_hamiltonian,
                       number_operator, one_body_laplacian, quadratic_fock_operator,
                       site_index)
-from .linalg import max_abs, symmetrize, unitarity_defect
-from .observables import (charge, charge_rate, delta_entropy, entropy_rate,
-                          entropy_rate_bound, entropy_rate_decomposed, expectation,
-                          internal_energy, ledger_row, work_accumulate)
-from .propagator import (LowRankUnitary, TimeDependentHamiltonian, dyson_propagator,
-                         heisenberg_evolve, interaction_to_schrodinger, propagate,
-                         propagate_grid, step_grid)
+from .linalg import assemble_blocks, max_abs, symmetrize, unitarity_defect
+from .observables import (delta_entropy, entropy_rate, entropy_rate_bound,
+                          entropy_rate_decomposed, expectation, internal_energy,
+                          ledger_row, work_accumulate)
+from .propagator import (DenseSteps, LowRankUnitary, TimeDependentHamiltonian,
+                         dyson_propagator, heisenberg_evolve, interaction_to_schrodinger,
+                         propagate, propagate_grid, step_grid)
 from .quadratic import (ScalarDriveReferenceCache, correlation_entropy,
                         gibbs_correlation, interaction_picture, pauli_defect,
                         quadratic_entropy_ledger, quadratic_observable, rank_update)
 # not called here; perfbench/tracing.py wraps harness.reference_scalars by name
 from .quadratic import reference_scalars  # noqa: F401
 from .smallness import grid_axis, grid_norm
-from .states import GibbsParams, gibbs_state, relative_entropy, von_neumann_entropy
+from .states import (GibbsParams, gibbs_state, relative_entropy, sector_gibbs_state,
+                     von_neumann_entropy)
 from .storage import write_series_csv
 
+#: largest L of a `both` run; at L = 10 the exact oracle takes about 0.5 s per
+#: grid interval (43 s for an 80-interval switch-on run, one BLAS thread on a
+#: 2-core VM)
+BOTH_SITE_CAP = 10
 #: maximal group velocity of the unit-hopping dispersion 2 - 2 cos k
 V_MAX = 2.0
 #: fraction of the ballistic traversal time taken as the safe window
@@ -227,8 +234,9 @@ def validate_config(cfg: RunConfig):
             f"exact path limited to L <= {EXACT_SITE_CAP}, got L={cfg.lattice.L}; "
             "use path: quadratic"
         )
-    if cfg.path == "both" and cfg.lattice.L > 6:
-        raise ConfigError("path 'both' (oracle comparison) requires L <= 6")
+    if cfg.path == "both" and cfg.lattice.L > BOTH_SITE_CAP:
+        raise ConfigError(
+            f"path 'both' (oracle comparison) requires L <= {BOTH_SITE_CAP}")
     if cfg.drive.type not in ("none", "switch_on", "periodic"):
         raise ConfigError(f"drive.type must be none|switch_on|periodic, got {cfg.drive.type!r}")
     if cfg.drive.type == "switch_on":
@@ -383,15 +391,6 @@ def _grid_steps(times, method, window, dyson):
         yield dyson(times[k], times[k + 1])
 
 
-def _fock_steps(tdh, times, tol, method="direct", dyson_order=8):
-    """Dense Schroedinger-picture propagators of `tdh` along the grid."""
-    def dyson(s, t):
-        u_int = dyson_propagator(tdh.h0, tdh.w, s, t, dyson_order, tol)
-        return interaction_to_schrodinger(u_int, tdh.h0, s, t)
-
-    return _grid_steps(times, method, lambda w: propagate_grid(tdh, w, tol), dyson)
-
-
 def _trajectory(rep, params, times):
     """Evolve the state over the grid and record the ledger and probes.
 
@@ -425,28 +424,71 @@ def _trajectory(rep, params, times):
 
 def exact_trajectory(spec, params, protocol, times, tol, probe_ops=None,
                      method="direct", dyson_order=8):
-    """Full Fock-space simulation with the complete ledger at each grid time."""
-    h0 = hopping_hamiltonian(spec)
-    n_op = number_operator(spec)
+    """Fock-space simulation with the complete ledger at each grid time, on
+    charge-sector blocks.
+
+    H_0, each V_j = dW/dlambda_j and every probe are sliced once into their
+    n-particle blocks; N is n on sector n, so it is never built. rho, H(t) and
+    every propagator are tuples of those blocks, and U_n rho_n U_n^dagger is
+    the update. Each row takes G and <V_j>_ref from the per-sector spectra of
+    H(t) (`sector_gibbs_state`), and a probe A reads sum_n tr(rho_n A_nn),
+    exact for any A since rho is block-diagonal. dq/dt is zero by
+    construction. A drive component with a nonzero entry between sectors is
+    refused before any step. `final_state` is the dense rho.
+    """
+    basis = FockBasis(spec.n_sites)
+    keys = [np.ix_(idx, idx) for idx in map(basis.sector_indices, range(spec.n_sites + 1))]
+
+    def sectors(a):
+        return tuple(a[key] for key in keys)
+
+    h0 = sectors(hopping_hamiltonian(spec))
+    components = protocol.d_operator(times[0], "fock") if protocol else []
+    vs = [sectors(v) for v in components]
+    for j, (v, blocks) in enumerate(zip(components, vs)):
+        if np.count_nonzero(v) != sum(np.count_nonzero(b) for b in blocks):
+            raise ValueError(f"drive component {j} couples charge sectors; the exact "
+                             "path needs gauge-invariant drives")
+    probes = [sectors(np.asarray(a)) for a in probe_ops or []]
+
+    def trace(rho, a):
+        return sum(expectation(r, b) for r, b in zip(rho, a))
+
+    def w_at(t, n):
+        # W = 0 before the grid starts, as in TimeDependentHamiltonian
+        lam = protocol.controls(t) if protocol and t >= times[0] else np.zeros(len(vs))
+        return sum((lj * v[n] for lj, v in zip(lam, vs)), np.zeros_like(h0[n]))
+
+    def h_at(t):
+        return tuple(h + w_at(t, n) for n, h in enumerate(h0))
+
+    def dyson(s, t):
+        parts = [interaction_to_schrodinger(
+            dyson_propagator(h, lambda u, n=n: w_at(u, n), s, t, dyson_order, tol), h, s, t)
+            for n, h in enumerate(h0)]
+        return replace(max(parts, key=lambda p: p.est_error),
+                       matrix=tuple(p.matrix for p in parts))
 
     def observe(rho, t, s_start):
         # relS takes S_vN(rho_t) = s_start: the unitary flow keeps the spectrum
-        w_t = protocol.operator(t, "fock") if protocol else np.zeros_like(h0)
-        dw = protocol.d_operator(t, "fock") if protocol else []
+        h_t = h_at(t)
+        ref = sector_gibbs_state(h_t, params)
         lam_dot = protocol.lam_dot(t) if protocol else np.zeros(0)
-        h_t = h0 + w_t
-        ref = gibbs_state(h_t, n_op, params)
-        rec = ledger_row(t, internal_energy(rho, h_t), charge(rho, n_op),
-                         [expectation(rho, d) for d in dw], ref.grand_potential,
-                         [expectation(ref.rho, d) for d in dw], lam_dot, params,
-                         s_start, charge_rate(rho, w_t, n_op))
-        return rec, np.array([expectation(rho, a) for a in probe_ops or []])
+        rec = ledger_row(t, trace(rho, h_t),
+                         sum(n * float(np.real(np.trace(r))) for n, r in enumerate(rho)),
+                         [trace(rho, v) for v in vs], ref.grand_potential,
+                         [trace(ref.rho, v) for v in vs], lam_dot, params, s_start)
+        return rec, np.array([trace(rho, a) for a in probes])
 
-    tdh = TimeDependentHamiltonian(h0, protocol, times[0], "fock")
-    rep = _Representation(gibbs_state(h0, n_op, params).rho,
-                          _fock_steps(tdh, times, tol, method, dyson_order),
-                          lambda rho, step: symmetrize(step.matrix @ rho @ step.matrix.conj().T),
-                          observe, von_neumann_entropy, lambda rho, t: rho)
+    def update(rho, step):
+        return tuple(symmetrize(u @ r @ u.conj().T) for u, r in zip(step.matrix, rho))
+
+    rep = _Representation(sector_gibbs_state(h0, params).rho,
+                          _grid_steps(times, method,
+                                      lambda w: step_grid(DenseSteps(h_at), w, tol), dyson),
+                          update, observe,
+                          lambda rho: sum(von_neumann_entropy(r) for r in rho),
+                          lambda rho, t: assemble_blocks(keys, rho, (basis.dim,) * 2))
     return _trajectory(rep, params, times)
 
 
@@ -861,11 +903,11 @@ def two_route_entropy_rate_defect(spec, params, protocol, times, tol):
     n_op = number_operator(spec)
     tdh = TimeDependentHamiltonian(h0, protocol, times[0], "fock")
     rho = gibbs_state(h0, n_op, params).rho
-    steps = _fock_steps(tdh, times, tol)
+    steps = propagate_grid(tdh, times, tol)
     worst = 0.0
     for k, t in enumerate(times):
         if k:
-            u = next(steps).matrix
+            u = steps[k - 1].matrix
             rho = u @ rho @ u.conj().T
         w_t = protocol.operator(t, "fock")
         dw = protocol.d_operator(t, "fock")

@@ -21,12 +21,14 @@ import numpy as np
 from .linalg import ensure_hermitian, max_abs
 
 #: largest site count for which full Fock-space (2^L-dimensional) matrices
-#: are constructed; beyond this the exact path refuses to run. Each dense
-#: complex operator takes 16 * 4^L bytes, and the exact path holds many at
-#: once: H_0, N, H(t), W, dW, rho, the reference state, the integrator's
-#: exponentials and the probes (26 operator sizes at the traced peak of an
-#: L = 10 run with the default ten probes). That is 6.5 GiB at L = 12 and
-#: 26 GiB at L = 13, so 12 is the cap that fits an 8 GB machine.
+#: are constructed; beyond this the exact path refuses to run. The exact path
+#: steps charge-sector blocks, but its inputs are dense: H_0, each V_j and
+#: the probes take 16 * 4^L bytes each (the default ten probes alone 2.5 GiB
+#: at L = 12). Measured peak RSS with the default ten probes, one BLAS thread:
+#: 1057 MB for a 2-interval exact run at L = 11, 3919 MB at L = 12 (the x4 of
+#: one more site), and 1279 MB for a 44-interval process I run at L = 11,
+#: about 5.1 GB extrapolated to L = 12. L = 13 would need four times that,
+#: so 12 is the cap that fits an 8 GB machine.
 EXACT_SITE_CAP = 12
 
 

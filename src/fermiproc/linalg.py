@@ -48,7 +48,7 @@ def spectral_norm(a):
     return float(np.max(np.abs(np.linalg.eigvalsh(a))))
 
 
-# -- decoupled blocks ----------------------------------------------------------
+# -- decoupled blocks (dense Gibbs states and relative entropies) ----------------
 
 # below this dimension a dense eigendecomposition is cheaper than the block
 # search plus the per-block gathers (measured crossover between 64 and 128 on
@@ -96,14 +96,10 @@ def assemble_blocks(keys, parts, shape):
 def expm_unitary(h, dt):
     """exp(-i*dt*h) for Hermitian h via eigendecomposition (exactly unitary).
 
-    Diagonalizes each decoupled block of h separately.
+    No block search: the exact path hands in its charge sectors one at a time.
     """
-    keys = decoupled_blocks(h)
-    parts = []
-    for key in keys:
-        w, v = np.linalg.eigh(h[key])
-        parts.append((v * np.exp(-1j * dt * w)) @ v.conj().T)
-    return assemble_blocks(keys, parts, h.shape)
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * dt * w)) @ v.conj().T
 
 
 def unitarity_defect(u):

@@ -129,11 +129,11 @@ def ledger_row(t, energy, q, drive_expect, grand_potential, gradient, lam_dot,
     S = beta*(U - mu*q - G); dS/dt = beta*sum_j (<dW/dl_j>_rho - dG/dl_j)
     lambda_dot_j - beta*mu*dq/dt; dG/dt = sum_j dG/dl_j lambda_dot_j, with
     `drive_expect` the <dW/dl_j>_rho and `gradient` the dG/dl_j = <dW/dl_j> in
-    the reference state. `qdot` is omitted where one-body drives conserve
-    charge by construction. `s_start` is the initial von Neumann entropy,
-    which the unitary flow conserves, and relS = S - s_start is the relative
-    entropy to the Gibbs reference sigma in closed form: -tr(rho ln sigma) = S,
-    since ln sigma = -beta*(H - mu*N - G).
+    the reference state. `qdot` is omitted where the representation conserves
+    charge by construction (one-body drives, charge-sector blocks). `s_start`
+    is the initial von Neumann entropy, which the unitary flow conserves, and
+    relS = S - s_start is the relative entropy to the Gibbs reference sigma in
+    closed form: -tr(rho ln sigma) = S, since ln sigma = -beta*(H - mu*N - G).
     `work` is left at zero.
     """
     beta, mu = params.beta, params.mu

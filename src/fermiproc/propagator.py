@@ -15,8 +15,11 @@ unit time; the fine solution's error is estimated as that difference / 15,
 split evenly over a grid pair. The pair test and the halving are written
 once, over a step representation with `step`, `compose` and `distance`:
 
-- `DenseSteps`: dense unitaries of H(t), compared entrywise (max-modulus
-  norm); the Fock path, and the one-body oracle.
+- `DenseSteps`: dense unitaries of H(t) given as a tuple of Hermitian
+  diagonal blocks, one unitary per block, compared entrywise (max-modulus
+  norm, the largest over blocks, which is that of the block-diagonal
+  matrix). The exact path steps its charge sectors; `propagate` and
+  `propagate_grid` are the one-block case of a whole matrix.
 - `InteractionSteps`: the one-body fast path in the interaction picture of
   h0 = phi diag(eps) phi^T, in h0's eigenbasis. A drive on the sites R is
   Y(t) C(t) Y(t)^dagger there, with Y(t) = diag(e^{i eps t}) phi_R^T, so a
@@ -48,7 +51,8 @@ class IntegrationError(RuntimeError):
 class Propagator:
     """Unitary U(t_end, t_start) with its construction metadata.
 
-    `matrix` is dense, or a `LowRankUnitary` from `InteractionSteps`.
+    `matrix` is dense, a tuple of diagonal blocks from `DenseSteps`, or a
+    `LowRankUnitary` from `InteractionSteps`.
     `est_error` is the direct method's accumulated local-error estimate, or
     the Dyson series remainder bound. `refined` says the interval failed the
     direct method's CFM4 pair test and was propagated by halved steps.
@@ -112,24 +116,29 @@ def _cfm4_pair(early, late, dt):
             expm_unitary(_CFM4_W1 * early + _CFM4_W2 * late, dt))
 
 
-def _cfm4_step(h_at, a, b):
-    first, second = _cfm4_pair(*(h_at(t) for t in _gauss_points(a, b)), b - a)
-    return second @ first
-
-
 class DenseSteps(NamedTuple):
-    """Dense CFM4 unitaries of the Hamiltonian `h_at(t)`."""
+    """Dense CFM4 unitaries of the Hamiltonian `h_at(t)`, a tuple of Hermitian
+    diagonal blocks; a unitary is the tuple of its blocks."""
 
     h_at: Callable
 
     def step(self, a, b):
-        return _cfm4_step(self.h_at, a, b)
+        blocks = zip(*(self.h_at(t) for t in _gauss_points(a, b)))
+        return tuple(second @ first for first, second in
+                     (_cfm4_pair(early, late, b - a) for early, late in blocks))
 
     def compose(self, right, left):
-        return right @ left
+        return tuple(r @ l for r, l in zip(right, left))
 
     def distance(self, x, y):
-        return max_abs(x - y)
+        return max(max_abs(a - b) for a, b in zip(x, y))
+
+
+def _one_block(h):
+    """`DenseSteps` of a whole matrix: `h` is a TimeDependentHamiltonian, a
+    callable t -> matrix, or a constant matrix."""
+    h_at = _as_callable(h)
+    return DenseSteps(lambda t: (h_at(t),))
 
 
 class LowRankUnitary(NamedTuple):
@@ -182,8 +191,8 @@ class InteractionSteps:
 
 
 def _finite(u):
-    """Whether a dense unitary or a LowRankUnitary has finite entries only."""
-    return all(np.all(np.isfinite(a)) for a in (u if isinstance(u, tuple) else (u,)))
+    """Whether a block tuple or a LowRankUnitary has finite entries only."""
+    return all(np.all(np.isfinite(a)) for a in u)
 
 
 def _pair_test(steps, a, m, b, whole=None):
@@ -281,19 +290,19 @@ def propagate(h, s, t, tol=DEFAULT_TOL):
     """
     if not (np.isfinite(s) and np.isfinite(t)):
         raise ValueError("endpoints must be finite")
-    h_at = _as_callable(h)
     if t == s:
-        return Propagator(np.eye(np.asarray(h_at(s)).shape[0], dtype=complex), s, t,
-                          "direct", 0.0)
-    (p,) = step_grid(DenseSteps(h_at), sorted((s, t)), tol)
+        return Propagator(np.eye(np.asarray(_as_callable(h)(s)).shape[0], dtype=complex),
+                          s, t, "direct", 0.0)
+    (p,) = step_grid(_one_block(h), sorted((s, t)), tol)
+    (u,) = p.matrix
     if t < s:
-        p = replace(p, matrix=p.matrix.conj().T, t_start=s, t_end=t)
-    return p
+        return replace(p, matrix=u.conj().T, t_start=s, t_end=t)
+    return replace(p, matrix=u)
 
 
 def propagate_grid(h, times, tol=DEFAULT_TOL):
     """Dense per-interval propagators along an output grid (`step_grid`)."""
-    return step_grid(DenseSteps(_as_callable(h)), times, tol)
+    return [replace(p, matrix=p.matrix[0]) for p in step_grid(_one_block(h), times, tol)]
 
 
 # -- Dyson series in the interaction picture ---------------------------------

@@ -34,7 +34,9 @@ class GibbsParams:
 class GibbsResult(NamedTuple):
     """Gibbs state with its grand potential.
 
-    `beta_g` is -ln Xi (dimensionless); `grand_potential` is beta_g / beta.
+    `rho` is dense (`gibbs_state`) or a tuple of charge-sector blocks
+    (`sector_gibbs_state`). `beta_g` is -ln Xi (dimensionless);
+    `grand_potential` is beta_g / beta.
     `min_eigenvalue` is the smallest Boltzmann weight of rho (always > 0).
     """
 
@@ -59,14 +61,35 @@ def gibbs_state(h, n_op, params):
     k = h - params.mu * n_op
     keys = decoupled_blocks(k)
     eigs = [np.linalg.eigh(k[key]) for key in keys]
-    w_ground = min(w[0] for w, _ in eigs)
-    zs = [np.exp(-params.beta * (w - w_ground)) for w, _ in eigs]
-    xi_shifted = float(sum(np.sum(z) for z in zs))
-    beta_g = float(params.beta * w_ground - np.log(xi_shifted))
-    weights = [z / xi_shifted for z in zs]
+    weights, beta_g = _boltzmann_weights([w for w, _ in eigs], params.beta)
     rho = assemble_blocks(keys, [(v * p) @ v.conj().T for (_, v), p in zip(eigs, weights)],
                           k.shape)
     return GibbsResult(symmetrize(rho), beta_g / params.beta, beta_g,
+                       float(min(p.min() for p in weights)))
+
+
+def _boltzmann_weights(spectra, beta):
+    """Weights exp(-beta*w) / Xi of the blocks' spectra of K = H - mu*N, and
+    beta*G = -ln Xi, shifted by the ground energy (log-sum-exp)."""
+    w_ground = min(w[0] for w in spectra)
+    zs = [np.exp(-beta * (w - w_ground)) for w in spectra]
+    xi_shifted = float(sum(np.sum(z) for z in zs))
+    return [z / xi_shifted for z in zs], float(beta * w_ground - np.log(xi_shifted))
+
+
+def sector_gibbs_state(h_sectors, params):
+    """`gibbs_state` of a charge-conserving H given by its charge-sector
+    blocks: `h_sectors[n]` is H on the n-particle sector, where N = n.
+
+    Each block is diagonalized once and its spectrum shifted by -mu*n; the
+    weights use `gibbs_state`'s log-sum-exp. `rho` is the tuple of the
+    state's sector blocks.
+    """
+    eigs = [np.linalg.eigh(h) for h in h_sectors]
+    weights, beta_g = _boltzmann_weights(
+        [w - params.mu * n for n, (w, _) in enumerate(eigs)], params.beta)
+    rho = tuple(symmetrize((v * p) @ v.conj().T) for (_, v), p in zip(eigs, weights))
+    return GibbsResult(rho, beta_g / params.beta, beta_g,
                        float(min(p.min() for p in weights)))
 
 
@@ -120,6 +143,6 @@ def relative_entropy(state, reference):
 
 
 __all__ = [
-    "GibbsParams", "GibbsResult", "SupportError", "gibbs_state", "von_neumann_entropy",
-    "relative_entropy", "EIG_FLOOR",
+    "GibbsParams", "GibbsResult", "SupportError", "gibbs_state", "sector_gibbs_state",
+    "von_neumann_entropy", "relative_entropy", "EIG_FLOOR",
 ]

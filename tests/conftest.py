@@ -9,6 +9,16 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
+from fermiproc import harness  # noqa: E402
+from fermiproc.lattice import hopping_hamiltonian, number_operator  # noqa: E402
+from fermiproc.linalg import symmetrize  # noqa: E402
+from fermiproc.observables import (charge, charge_rate, expectation,  # noqa: E402
+                                   internal_energy, ledger_row)
+from fermiproc.propagator import (DenseSteps, TimeDependentHamiltonian,  # noqa: E402
+                                  dyson_propagator, interaction_to_schrodinger,
+                                  propagate_grid)
+from fermiproc.states import gibbs_state, von_neumann_entropy  # noqa: E402
+
 
 @pytest.fixture
 def rng():
@@ -24,6 +34,45 @@ def random_unitary(rng, dim):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(a)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def dense_exact_trajectory(spec, params, protocol, times, tol, probe_ops=None,
+                           method="direct", dyson_order=8):
+    """The exact path on dense 2^L x 2^L Fock matrices (the oracle of the
+    sector-blocked `harness.exact_trajectory`): `propagate_grid` steps, and per
+    row the dense `gibbs_state`, `expectation` and `charge_rate`."""
+    h0 = hopping_hamiltonian(spec)
+    n_op = number_operator(spec)
+    tdh = TimeDependentHamiltonian(h0, protocol, times[0], "fock")
+
+    def dyson(s, t):
+        u_int = dyson_propagator(tdh.h0, tdh.w, s, t, dyson_order, tol)
+        return interaction_to_schrodinger(u_int, tdh.h0, s, t)
+
+    def observe(rho, t, s_start):
+        w_t = protocol.operator(t, "fock") if protocol else np.zeros_like(h0)
+        dw = protocol.d_operator(t, "fock") if protocol else []
+        lam_dot = protocol.lam_dot(t) if protocol else np.zeros(0)
+        h_t = h0 + w_t
+        ref = gibbs_state(h_t, n_op, params)
+        rec = ledger_row(t, internal_energy(rho, h_t), charge(rho, n_op),
+                         [expectation(rho, d) for d in dw], ref.grand_potential,
+                         [expectation(ref.rho, d) for d in dw], lam_dot, params,
+                         s_start, charge_rate(rho, w_t, n_op))
+        return rec, np.array([expectation(rho, a) for a in probe_ops or []])
+
+    rep = harness._Representation(
+        gibbs_state(h0, n_op, params).rho,
+        harness._grid_steps(times, method, lambda w: propagate_grid(tdh, w, tol), dyson),
+        lambda rho, step: symmetrize(step.matrix @ rho @ step.matrix.conj().T),
+        observe, von_neumann_entropy, lambda rho, t: rho)
+    return harness._trajectory(rep, params, times)
+
+
+def cfm4_step(h_at, a, b):
+    """One dense CFM4 step of the matrix h_at(t) over [a, b]: `DenseSteps`'
+    one-block case."""
+    return DenseSteps(lambda t: (h_at(t),)).step(a, b)[0]
 
 
 def correlation_update(gamma, u):

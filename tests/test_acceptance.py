@@ -190,7 +190,7 @@ def test_criterion_09_fast_path_oracle():
     t0 = time.time()
     rng = np.random.default_rng(9)
     worst = 0.0
-    for n_sites in range(2, 7):
+    for n_sites in (2, 3, 4, 5, 6, 8):
         region = tuple(range(max(0, n_sites // 2 - 1), min(n_sites, n_sites // 2 + 1)))
         spec = LatticeSpec(n_sites, local_region=region)
         m = len(region)
@@ -207,7 +207,7 @@ def test_criterion_09_fast_path_oracle():
                                   probe_matrices(pairs, spec, "one_body"))
         worst = max(worst, path_deviation(te, tq))
     elapsed = time.time() - t0
-    report(9, "fast-path oracle equivalence L=2..6",
+    report(9, "fast-path oracle equivalence L=2..6, 8",
            worst <= 1e-7 and elapsed < 600.0,
            f"max ledger/probe deviation {worst:.2e}", elapsed)
 

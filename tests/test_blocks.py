@@ -1,6 +1,6 @@
 """Blocked eigendecompositions: decoupled blocks of exact-zero patterns, and
-the exponential, Gibbs state and relative entropy computed one block at a
-time against their dense formulas."""
+the Gibbs state and relative entropy computed one block at a time against
+their dense formulas (with the exponential, which takes no block search)."""
 
 import numpy as np
 import pytest

@@ -70,13 +70,19 @@ def test_required_sections():
 
 
 def test_path_site_cap():
+    from fermiproc.lattice import LatticeSpec, LatticeTooLargeError
     with pytest.raises(ConfigError, match="exact path"):
         parse_config({"lattice": {"L": 32}, "gibbs": {"beta": 1.0}, "path": "exact"})
+    # the sector path refuses before it builds any Fock-space array
+    with pytest.raises(LatticeTooLargeError):
+        harness.exact_trajectory(LatticeSpec(13), harness.GibbsParams(1.0), None,
+                                 [0.0, 0.1], 1e-8)
 
 
 def test_both_path_needs_small_lattice():
     with pytest.raises(ConfigError, match="both"):
-        parse_config({"lattice": {"L": 10}, "gibbs": {"beta": 1.0}, "path": "both"})
+        parse_config({"lattice": {"L": 11}, "gibbs": {"beta": 1.0}, "path": "both"})
+    parse_config({"lattice": {"L": 10}, "gibbs": {"beta": 1.0}, "path": "both"})
 
 
 def test_quadratic_path_rejects_interaction_kernels():
@@ -391,6 +397,76 @@ def test_both_path_oracle_small(tmp_path):
     assert result.manifest["invariants"]["oracle_equivalence"]["passed"]
     assert (tmp_path / "series_exact.csv").exists()
     assert (tmp_path / "series_quadratic.csv").exists()
+
+
+# -- sector-blocked exact path against the dense Fock oracle ---------------------
+
+def _sector_case(n_sites, degree, drive):
+    from fermiproc.drive import (KernelSpec, Perturbation, periodic_protocol,
+                                 switch_on_protocol)
+    from fermiproc.lattice import LatticeSpec
+    region = (1, 2, 3)
+    spec = LatticeSpec(n_sites, local_region=region)
+    kernels = [KernelSpec(1, region, [[0.5, 0.3, 0.0], [0.3, -0.4, 0.2], [0.0, 0.2, 0.1]])]
+    if degree == 2:
+        w2 = np.zeros((3,) * 4)
+        w2[0, 1, 1, 0] = 0.7  # n_1 n_2
+        w2[0, 2, 2, 1] = w2[1, 2, 2, 0] = 0.25  # hop 2 <-> 1 next to an occupied 3
+        kernels.append(KernelSpec(2, region, w2))
+    pert = Perturbation(kernels, spec)
+    if drive == "switch_on":
+        return spec, switch_on_protocol(pert, 0.0, 0.5, 0.4)
+    return spec, periodic_protocol(pert, 0.8, "sin", 0.0, 0.4)
+
+
+@pytest.mark.parametrize("n_sites,degree,drive,method", [
+    (5, 1, "switch_on", "direct"),
+    (6, 2, "periodic", "direct"),
+    (5, 1, "periodic", "dyson"),
+    (6, 2, "switch_on", "dyson"),
+])
+def test_sector_exact_path_matches_dense_oracle(n_sites, degree, drive, method):
+    from conftest import dense_exact_trajectory
+    spec, protocol = _sector_case(n_sites, degree, drive)
+    params = harness.GibbsParams(1.2, 0.3)
+    times = time_grid(0.0, 0.8, 0.1)
+    pairs = harness.probe_site_pairs(RunConfig(LatticeConfig(n_sites), GibbsConfig(1.0)),
+                                     spec)
+    ops = harness.probe_matrices(pairs, spec, "fock")
+    sector = harness.exact_trajectory(spec, params, protocol, times, 1e-8, ops,
+                                      method=method)
+    dense = dense_exact_trajectory(spec, params, protocol, times, 1e-8, ops,
+                                   method=method)
+    assert harness.path_deviation(sector, dense) <= 1e-12
+    assert np.max(np.abs(sector.final_state - dense.final_state)) <= 1e-12
+    assert sector.integrator.refined_intervals == dense.integrator.refined_intervals
+
+
+class _HandMadeComponent:
+    """A drive component given by its Fock matrix, with no gauge check."""
+
+    def __init__(self, fock):
+        self.fock = fock
+
+    def matrix(self, representation):
+        return self.fock
+
+
+def test_sector_exact_path_refuses_off_sector_drive(monkeypatch):
+    from dataclasses import replace
+    from fermiproc.lattice import creation_op
+    spec, protocol = _sector_case(5, 1, "switch_on")
+    a2 = creation_op(spec, 2)
+    off_sector = replace(protocol, components=(_HandMadeComponent(0.3 * (a2 + a2.conj().T)),))
+
+    def no_steps(*args, **kwargs):
+        raise AssertionError("a step was taken")
+
+    monkeypatch.setattr(harness, "step_grid", no_steps)
+    monkeypatch.setattr(harness, "sector_gibbs_state", no_steps)
+    with pytest.raises(ValueError, match="couples charge sectors"):
+        harness.exact_trajectory(spec, harness.GibbsParams(1.0), off_sector,
+                                 time_grid(0.0, 0.2, 0.1), 1e-8)
 
 
 # -- exact-path relative entropy -------------------------------------------------

@@ -12,12 +12,13 @@ from fermiproc import harness
 from fermiproc.drive import KernelSpec, Perturbation, periodic_protocol, switch_on_protocol
 from fermiproc.lattice import Boundary, LatticeSpec, one_body_laplacian
 from fermiproc.observables import ledger_row, work_accumulate
-from fermiproc.propagator import DenseSteps, TimeDependentHamiltonian, _cfm4_step, propagate
+from fermiproc.propagator import DenseSteps, TimeDependentHamiltonian, propagate
 from fermiproc.quadratic import (correlation_entropy, gibbs_correlation, interaction_picture,
                                  quadratic_observable, reference_scalars)
 from fermiproc.states import GibbsParams
 
 from conftest import FILLED, TRIDIAGONAL, correlation_update, low_rank_dense
+from conftest import cfm4_step as _cfm4_step
 
 # Hermitian with imaginary hoppings: Gamma and conj(Gamma) give different ledgers
 COMPLEX = TRIDIAGONAL + 0.3j * np.array([[0, 1, 0, 0], [-1, 0, 1, 0], [0, -1, 0, 1],
@@ -138,8 +139,8 @@ def test_step_is_the_dense_interaction_picture_step():
         assert np.max(np.abs(low_rank_dense(low) - _cfm4_step(h_int, a, b))) <= 1e-13
     whole = steps.step(0.1, 0.3)
     fine = steps.compose(steps.step(0.2, 0.3), steps.step(0.1, 0.2))
-    entrywise = DenseSteps(h_int).distance(low_rank_dense(fine),
-                                                       low_rank_dense(whole))
+    entrywise = DenseSteps(h_int).distance((low_rank_dense(fine),),
+                                           (low_rank_dense(whole),))
     assert entrywise <= steps.distance(fine, whole) <= 64 * entrywise
     assert np.max(np.abs(low_rank_dense(fine) - _cfm4_step(h_int, 0.2, 0.3)
                          @ _cfm4_step(h_int, 0.1, 0.2))) <= 1e-13

@@ -14,11 +14,12 @@ from fermiproc.lattice import (LatticeSpec, hopping_hamiltonian, number_operator
                                one_body_laplacian, quadratic_fock_operator)
 from fermiproc.linalg import expm_unitary, max_abs, unitarity_defect
 from fermiproc.propagator import (DenseSteps, IntegrationError, TimeDependentHamiltonian,
-                                  _adaptive, _cfm4_step, dyson_propagator,
+                                  _adaptive, dyson_propagator,
                                   dyson_remainder, heisenberg_evolve,
                                   interaction_to_schrodinger, propagate, propagate_grid)
 from fermiproc.states import GibbsParams, gibbs_state
 
+from conftest import cfm4_step as _cfm4_step
 from conftest import random_hermitian, taylor_expm
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -239,10 +240,10 @@ def test_propagate_is_the_one_interval_grid(driven_problem):
     _, _, tdh, _ = driven_problem
     a, b, tol = 0.0, 1.5, 1e-8
     p = propagate(tdh, a, b, tol)
-    steps = DenseSteps(tdh)
+    steps = DenseSteps(lambda t: (tdh(t),))
     q = _adaptive(steps, [(a, b, steps.step(a, b))], tol)
     assert p.refined and q.refined
-    assert np.array_equal(p.matrix, q.matrix)
+    assert np.array_equal(p.matrix, q.matrix[0])
     assert (p.est_error, p.min_step) == (q.est_error, q.min_step)
 
 
