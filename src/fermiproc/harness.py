@@ -11,8 +11,9 @@ integrator report, the work recurrence and the entropy drift;
 `exact_trajectory` (Fock space, with rho, H(t), the propagators and the
 probes as tuples of charge-sector blocks) and `quadratic_trajectory`
 (one-body correlations in the interaction picture of h0) supply only their
-representation: initial state, per-interval steps, update, ledger row and
-probe reads, entropy and final state. Both call `step_grid` on their own
+representation: initial state and its entropy, per-interval steps, update,
+ledger row and probe reads, and the final state with its entropy (and, on the
+one-body path, its Pauli defect). Both call `step_grid` on their own
 step representation (`DenseSteps` over the sectors, `InteractionSteps`).
 One process runner, `_run_process`, builds the lattice, drive, probes and
 manifest, simulates each configured path, and applies the shared ledger and
@@ -36,6 +37,7 @@ from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 import yaml
+from scipy.linalg.blas import zgemm, zhemm
 from scipy.special import expit
 from scipy.stats import spearmanr
 
@@ -46,18 +48,18 @@ from .lattice import (EXACT_SITE_CAP, Boundary, FockBasis, LatticeSpec,
                       creation_op, gauge_transform, hopping_hamiltonian,
                       number_operator, one_body_laplacian, quadratic_fock_operator,
                       site_index)
-from .linalg import assemble_blocks, max_abs, symmetrize, unitarity_defect
+from .linalg import assemble_blocks, fill_upper, max_abs, symmetrize, unitarity_defect
 from .observables import (delta_entropy, entropy_rate, entropy_rate_bound,
                           entropy_rate_decomposed, expectation, internal_energy,
                           ledger_row, work_accumulate)
 from .propagator import (DenseSteps, LowRankUnitary, TimeDependentHamiltonian,
                          dyson_propagator, heisenberg_evolve, interaction_to_schrodinger,
                          propagate, propagate_grid, step_grid)
-from .quadratic import (ScalarDriveReferenceCache, correlation_entropy,
-                        gibbs_correlation, interaction_picture, pauli_defect,
+from .quadratic import (ScalarDriveReferenceCache, binary_entropy, diagonal_state,
+                        gibbs_correlation, interaction_picture, pauli_excess,
                         quadratic_entropy_ledger, quadratic_observable, rank_update)
-# not called here; perfbench/tracing.py wraps harness.reference_scalars by name
-from .quadratic import reference_scalars  # noqa: F401
+# not called here; perfbench/tracing.py wraps these harness attributes by name
+from .quadratic import correlation_entropy, reference_scalars  # noqa: F401
 from .smallness import grid_axis, grid_norm
 from .states import (GibbsParams, gibbs_state, relative_entropy, sector_gibbs_state,
                      von_neumann_entropy)
@@ -363,17 +365,21 @@ class Trajectory:
     final_state: np.ndarray
     entropy_drift: float  # |S_vN(final) - S_vN(initial)|, spectrum-preservation check
     integrator: IntegratorReport = field(default_factory=IntegratorReport)
+    # one-body path: how far the final Gamma's spectrum escapes [0, 1]
+    pauli_defect: Optional[float] = None
 
 
 class _Representation(NamedTuple):
     """What a state representation supplies to the trajectory loop."""
 
     state: np.ndarray  # initial state: rho (Fock) or G (one-body, see quadratic_trajectory)
+    s_start: float  # von Neumann entropy of the initial state
     steps: Iterator  # per-interval Propagators, in grid order
     update: Callable  # (state, Propagator) -> evolved state, exactly Hermitian
     observe: Callable  # (state, t, s_start) -> (ProcessRecord, probe values); the loop fills `work`
-    entropy: Callable  # state -> von Neumann entropy
-    final: Callable  # (state, t) -> the reported final state
+    # (state, t) -> (the reported final state, its von Neumann entropy, its
+    # Pauli defect or None where the representation has none)
+    final: Callable
 
 
 def _grid_steps(times, method, window, dyson):
@@ -398,8 +404,7 @@ def _trajectory(rep, params, times):
     on (dG/dlambda).lambda_dot; the entropy drift checks that the unitary
     flow preserved the spectrum.
     """
-    state = rep.state
-    s_start = rep.entropy(state)
+    state, s_start = rep.state, rep.s_start
     report = IntegratorReport()
     records = []
     probe_rows = []
@@ -417,9 +422,20 @@ def _trajectory(rep, params, times):
         rec.work = work
         records.append(rec)
         probe_rows.append(probes)
-    drift = abs(rep.entropy(state) - s_start)
-    return Trajectory(records, np.array(probe_rows), np.asarray(times),
-                      rep.final(state, times[-1]), drift, report)
+    final_state, s_final, pauli = rep.final(state, times[-1])
+    return Trajectory(records, np.array(probe_rows), np.asarray(times), final_state,
+                      abs(s_final - s_start), report, pauli)
+
+
+def _sector_keys(n_sites):
+    """Index keys of the charge-sector blocks of a Fock matrix, n = 0..L."""
+    basis = FockBasis(n_sites)
+    return [np.ix_(idx, idx) for idx in map(basis.sector_indices, range(n_sites + 1))]
+
+
+def _sector_trace(rho, a):
+    """tr(rho A) from the sector blocks of a block-diagonal rho and of any A."""
+    return sum(expectation(r, b) for r, b in zip(rho, a))
 
 
 def exact_trajectory(spec, params, protocol, times, tol, probe_ops=None,
@@ -436,8 +452,7 @@ def exact_trajectory(spec, params, protocol, times, tol, probe_ops=None,
     construction. A drive component with a nonzero entry between sectors is
     refused before any step. `final_state` is the dense rho.
     """
-    basis = FockBasis(spec.n_sites)
-    keys = [np.ix_(idx, idx) for idx in map(basis.sector_indices, range(spec.n_sites + 1))]
+    keys = _sector_keys(spec.n_sites)
 
     def sectors(a):
         return tuple(a[key] for key in keys)
@@ -450,9 +465,6 @@ def exact_trajectory(spec, params, protocol, times, tol, probe_ops=None,
             raise ValueError(f"drive component {j} couples charge sectors; the exact "
                              "path needs gauge-invariant drives")
     probes = [sectors(np.asarray(a)) for a in probe_ops or []]
-
-    def trace(rho, a):
-        return sum(expectation(r, b) for r, b in zip(rho, a))
 
     def w_at(t, n):
         # W = 0 before the grid starts, as in TimeDependentHamiltonian
@@ -474,21 +486,25 @@ def exact_trajectory(spec, params, protocol, times, tol, probe_ops=None,
         h_t = h_at(t)
         ref = sector_gibbs_state(h_t, params)
         lam_dot = protocol.lam_dot(t) if protocol else np.zeros(0)
-        rec = ledger_row(t, trace(rho, h_t),
+        rec = ledger_row(t, _sector_trace(rho, h_t),
                          sum(n * float(np.real(np.trace(r))) for n, r in enumerate(rho)),
-                         [trace(rho, v) for v in vs], ref.grand_potential,
-                         [trace(ref.rho, v) for v in vs], lam_dot, params, s_start)
-        return rec, np.array([trace(rho, a) for a in probes])
+                         [_sector_trace(rho, v) for v in vs], ref.grand_potential,
+                         [_sector_trace(ref.rho, v) for v in vs], lam_dot, params, s_start)
+        return rec, np.array([_sector_trace(rho, a) for a in probes])
 
     def update(rho, step):
         return tuple(symmetrize(u @ r @ u.conj().T) for u, r in zip(step.matrix, rho))
 
-    rep = _Representation(sector_gibbs_state(h0, params).rho,
+    def entropy(rho):
+        return sum(von_neumann_entropy(r) for r in rho)
+
+    rho0 = sector_gibbs_state(h0, params).rho
+    rep = _Representation(rho0, entropy(rho0),
                           _grid_steps(times, method,
                                       lambda w: step_grid(DenseSteps(h_at), w, tol), dyson),
                           update, observe,
-                          lambda rho: sum(von_neumann_entropy(r) for r in rho),
-                          lambda rho, t: assemble_blocks(keys, rho, (basis.dim,) * 2))
+                          lambda rho, t: (assemble_blocks(keys, rho, (1 << spec.n_sites,) * 2),
+                                          entropy(rho), None))
     return _trajectory(rep, params, times)
 
 
@@ -497,14 +513,19 @@ def quadratic_trajectory(spec, params, protocol, times, tol, probe_ops=None,
     """One-particle fast path: correlation-matrix dynamics plus the ledger.
 
     The state is G = conj(Gamma) in h0's eigenbasis and in the interaction
-    picture of h0; the Gibbs start is diag(f(eps)). Each interval's
-    propagator is one LowRankUnitary (a Dyson step enters as a full-rank
-    factor, Q = I), applied by `rank_update`. The ledger and the probes read
-    Gamma on S = R + the probe sites only: Gamma_SS = conj(Y_S^dagger G Y_S),
-    with Y_S(t) = diag(e^{i eps t}) phi_S^T. One `ScalarDriveReferenceCache`,
+    picture of h0, kept as the lower triangle of one Fortran-ordered
+    complex128 array; the Gibbs start is diag(f(eps)), built in that array,
+    and its entropy is sum_k -f_k ln f_k - (1 - f_k) ln(1 - f_k) in closed
+    form. Each interval's propagator is one LowRankUnitary (a Dyson step
+    enters as a full-rank factor, Q = I), which `rank_update` applies in
+    place. The ledger and the probes read Gamma on S = R + the probe sites
+    only: Gamma_SS = conj(Y_S^dagger G Y_S) with G Y_S by `zhemm`, and
+    Y_S(t) = diag(e^{i eps t}) phi_S^T. One `ScalarDriveReferenceCache`,
     sized for the run's largest |lambda_j|, gives every row's reference
-    scalars from |R| x |R| resolvents. `final_state` is Gamma, from one basis
-    change at the end.
+    scalars from |R| x |R| resolvents. At the end one `eigvalsh` of G (whose
+    spectrum is Gamma's) gives both the final entropy and the Pauli defect;
+    `final_state` is Gamma, from one basis change written over G and
+    completed to an exactly Hermitian matrix.
     """
     if protocol is not None and not protocol.is_quadratic:
         raise ConfigError("quadratic path requires a quadratic (degree-1) drive")
@@ -525,7 +546,7 @@ def quadratic_trajectory(spec, params, protocol, times, tol, probe_ops=None,
 
     def observe(g, t, s_start):
         y = steps.frame(t, sites)
-        gamma = (y.conj().T @ (g @ y)).conj()  # Gamma on S x S
+        gamma = (y.conj().T @ zhemm(1.0, g, y, lower=1)).conj()  # Gamma on S x S
         lam = protocol.controls(t) if protocol else np.zeros(0)
         lam_dot = protocol.lam_dot(t) if protocol else np.zeros(0)
         rec = quadratic_entropy_ledger(t, float(eps @ np.real(np.diagonal(g))),
@@ -541,15 +562,18 @@ def quadratic_trajectory(spec, params, protocol, times, tol, probe_ops=None,
         return replace(p, matrix=LowRankUnitary(eye, phi.T @ p.matrix @ phi - eye))
 
     def final(g, t):
-        v = phi * np.exp(-1j * t * eps)
-        return symmetrize((v @ g @ v.conj().T).conj())
+        nu = np.linalg.eigvalsh(g, UPLO="L")
+        # Gamma = conj(V G V^dagger), V = phi diag(e^{-i eps t}), over G's memory
+        v = np.multiply(phi, np.exp(-1j * t * eps), order="F")
+        gamma = zgemm(1.0, zhemm(1.0, g, v, side=1, lower=1), v, trans_b=2, c=g,
+                      overwrite_c=1)
+        return fill_upper(np.conjugate(gamma, out=gamma)), binary_entropy(nu), pauli_excess(nu)
 
     occupations = expit(-params.beta * (eps - params.mu))
-    rep = _Representation(np.diag(occupations).astype(complex),
+    rep = _Representation(diagonal_state(occupations), binary_entropy(occupations),
                           _grid_steps(times, method, lambda w: step_grid(steps, w, tol),
                                       dyson),
-                          lambda g, step: rank_update(g, step.matrix), observe,
-                          correlation_entropy, final)
+                          lambda g, step: rank_update(g, step.matrix), observe, final)
     return _trajectory(rep, params, times)
 
 
@@ -640,7 +664,7 @@ def _common_ledger_checks(manifest, traj, representation, prefix=""):
     _verdict(manifest, prefix + "entropy_drift", drift <= ENTROPY_DRIFT_BOUND, drift,
              ENTROPY_DRIFT_BOUND)
     if representation == "one_body":
-        pauli = pauli_defect(traj.final_state)
+        pauli = traj.pauli_defect
         _verdict(manifest, prefix + "pauli_defect", pauli <= PAULI_BOUND, pauli, PAULI_BOUND)
     min_gap = entropy_gap(records)
     _verdict(manifest, prefix + "entropy_monotone_start", min_gap >= -1e-8, min_gap, -1e-8)
@@ -736,9 +760,11 @@ def run_process_I(cfg: RunConfig) -> ProcessResult:
                                              run.probe_ops, run.traj)
         amp = cfg.drive.amplitude
         if run.representation == "fock":
-            h_inf = hopping_hamiltonian(spec) + amp * protocol.components[0].fock()
-            target_rho = gibbs_state(h_inf, number_operator(spec), params).rho
-            target = np.array([expectation(target_rho, a) for a in ops])
+            # the Gibbs state at H_inf and the probes, sector by sector
+            keys = _sector_keys(spec.n_sites)
+            h0, v = hopping_hamiltonian(spec), protocol.components[0].fock()
+            target_rho = sector_gibbs_state([h0[k] + amp * v[k] for k in keys], params).rho
+            target = np.array([_sector_trace(target_rho, [a[k] for k in keys]) for a in ops])
         else:
             h_inf = one_body_laplacian(spec) + amp * protocol.components[0].one_body()
             gamma_inf = gibbs_correlation(h_inf, params)
@@ -1058,7 +1084,7 @@ def run_verify(cfg: RunConfig) -> dict:
                                   probe_matrices(pairs5, sp5, "one_body"))
         dev = path_deviation(te, tq)
         _verdict(manifest, "oracle_equivalence", dev <= 1e-7, dev, 1e-7)
-        pauli = pauli_defect(tq.final_state)
+        pauli = tq.pauli_defect
         _verdict(manifest, "pauli_bounds", pauli <= PAULI_BOUND, pauli, PAULI_BOUND)
 
     hom = smallness_homogeneity_defect(256, (2.5,))

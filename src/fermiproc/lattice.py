@@ -26,8 +26,8 @@ from .linalg import ensure_hermitian, max_abs
 #: the probes take 16 * 4^L bytes each (the default ten probes alone 2.5 GiB
 #: at L = 12). Measured peak RSS with the default ten probes, one BLAS thread:
 #: 1057 MB for a 2-interval exact run at L = 11, 3919 MB at L = 12 (the x4 of
-#: one more site), and 1279 MB for a 44-interval process I run at L = 11,
-#: about 5.1 GB extrapolated to L = 12. L = 13 would need four times that,
+#: one more site), and 1215 MB for a 44-interval process I run at L = 11,
+#: about 4.9 GB extrapolated to L = 12. L = 13 would need four times that,
 #: so 12 is the cap that fits an 8 GB machine.
 EXACT_SITE_CAP = 12
 

@@ -41,6 +41,23 @@ def symmetrize(a):
     return 0.5 * (a + np.asarray(a).conj().T)
 
 
+def fill_upper(a):
+    """Complete in place a square array whose lower triangle holds a
+    Hermitian matrix: the upper triangle becomes the conjugate of the lower
+    and the diagonal is made real, so A equals A^dagger bit for bit. Goes by
+    strips of 256 rows, so no L x L temporary is made."""
+    n = a.shape[0]
+    for s in range(0, n, 256):
+        e = min(s + 256, n)
+        upper = np.triu_indices(e - s, 1)
+        diag = a[s:e, s:e]
+        diag[upper] = diag.T[upper].conj()
+        a[s:e, e:] = a[e:, s:e].conj().T
+    idx = np.arange(n)
+    a[idx, idx] = a[idx, idx].real
+    return a
+
+
 def spectral_norm(a):
     """Operator 2-norm of a Hermitian matrix (max |eigenvalue|)."""
     if a.shape[0] == 0:

@@ -12,13 +12,18 @@ The trajectory runs in the interaction picture of h0 = phi diag(eps) phi^T
 (`interaction_picture`): the state is G = conj(Gamma) in h0's eigenbasis, a
 Gibbs start is diag(f(eps)), and an interval's propagator is a
 `LowRankUnitary` of rank 2|R| per CFM4 step, R being the sites the drive acts
-on, which `rank_update` applies in O(|R| L^2). Each row's reference scalars
-come from |R| x |R| resolvents (`ScalarDriveReferenceCache`), with no L x L `eigh`.
+on. G is stored as the lower triangle of a Fortran-ordered complex128 array,
+which `rank_update` overwrites in O(|R| L^2) with one BLAS `zhemm` and one
+`zher2k`, allocating nothing of size L x L; whatever reads G reads that
+triangle only (`zhemm`, `eigvalsh(..., UPLO="L")`). Each row's reference
+scalars come from |R| x |R| resolvents (`ScalarDriveReferenceCache`), with no
+L x L `eigh`.
 """
 
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg.blas import zhemm, zher2k
 from scipy.special import expit
 
 from .linalg import ensure_hermitian, symmetrize
@@ -59,18 +64,36 @@ def interaction_picture(h0, protocol):
 
 
 def rank_update(g, u):
-    """U G U^dagger for Hermitian G and U = I + Q K Q^dagger, in two GEMMs.
+    """Overwrite the lower triangle of a Hermitian G with that of U G U^dagger,
+    for U = I + Q K Q^dagger, and return G.
 
-    With X = Q^dagger G, Y = K X + K (X Q) K^dagger Q^dagger / 2 and Z = Q Y,
-    the update is G + Z + Z^dagger: O(r L^2) for rank r, and a full-rank factor
-    (Q = I) takes the same path. The sum is exactly Hermitian whenever G is,
-    since floating-point addition commutes.
+    G must be a square, writable, Fortran-ordered complex128 array, of which
+    only the lower triangle is read; anything else raises ValueError rather
+    than being copied. With W = G Q (`zhemm`, so X = Q^dagger G = W^dagger),
+    Y = K X + K (X Q) K^dagger Q^dagger / 2 and
+    Y^dagger = W K^dagger + Q K (Q^dagger W) K^dagger / 2, the update is
+    G + Q Y + Y^dagger Q^dagger: one `zher2k` with beta = 1, O(r L^2) for rank
+    r. It is Hermitian by construction (BLAS keeps the diagonal real), and a
+    full-rank factor (Q = I, as a Dyson step enters) takes the same path.
     """
+    if not (g.dtype == np.complex128 and g.ndim == 2 and g.shape[0] == g.shape[1]
+            and g.flags.f_contiguous and g.flags.writeable):
+        raise ValueError("rank_update overwrites a square, writable, Fortran-ordered "
+                         f"complex128 G; got {g.dtype} {g.shape} "
+                         f"(Fortran order: {g.flags.f_contiguous})")
     q, k = u
-    qh = q.conj().T
-    x = qh @ g
-    z = q @ (k @ x + 0.5 * (k @ (x @ q) @ k.conj().T) @ qh)
-    return g + (z + z.conj().T)
+    kh = k.conj().T
+    w = zhemm(1.0, g, q, lower=1)
+    y_h = w @ kh + 0.5 * (q @ (k @ (q.conj().T @ w) @ kh))
+    return zher2k(1.0, q, y_h, beta=1.0, c=g, lower=1, overwrite_c=1)
+
+
+def diagonal_state(occupations):
+    """G = diag(occupations) in `rank_update`'s storage: Fortran-ordered
+    complex128, built in place."""
+    g = np.zeros((len(occupations),) * 2, dtype=complex, order="F")
+    np.fill_diagonal(g, occupations)
+    return g
 
 
 def quadratic_observable(gamma, w):
@@ -83,22 +106,32 @@ def quadratic_observable(gamma, w):
     return float(val.real)
 
 
-def correlation_entropy(gamma):
-    """Von Neumann entropy of the quasi-free state with correlations Gamma."""
-    nu = np.clip(np.linalg.eigvalsh(np.asarray(gamma)), 0.0, 1.0)
+def binary_entropy(nu):
+    """sum_k -nu_k ln nu_k - (1 - nu_k) ln(1 - nu_k): the von Neumann entropy
+    of the quasi-free state whose correlation matrix has spectrum nu, clipped
+    to [0, 1]; terms below EIG_FLOOR contribute zero."""
+    nu = np.clip(np.asarray(nu, dtype=float), 0.0, 1.0)
     out = 0.0
-    for x in nu:
-        if x > EIG_FLOOR:
-            out -= x * np.log(x)
-        if 1.0 - x > EIG_FLOOR:
-            out -= (1.0 - x) * np.log(1.0 - x)
-    return float(out)
+    for x in (nu, 1.0 - nu):
+        x = x[x > EIG_FLOOR]
+        out -= float(np.sum(x * np.log(x)))
+    return out
+
+
+def pauli_excess(nu):
+    """How far the spectrum nu of a correlation matrix escapes [0, 1]."""
+    return float(max(0.0, -np.min(nu), np.max(nu) - 1.0))
+
+
+def correlation_entropy(gamma):
+    """Von Neumann entropy of the quasi-free state with correlations Gamma
+    (its lower triangle is read)."""
+    return binary_entropy(np.linalg.eigvalsh(np.asarray(gamma), UPLO="L"))
 
 
 def pauli_defect(gamma):
-    """How far the spectrum of Gamma escapes [0, 1]."""
-    nu = np.linalg.eigvalsh(np.asarray(gamma))
-    return float(max(0.0, -nu.min(), nu.max() - 1.0))
+    """How far the spectrum of Gamma (its lower triangle) escapes [0, 1]."""
+    return pauli_excess(np.linalg.eigvalsh(np.asarray(gamma), UPLO="L"))
 
 
 class ReferenceScalars(NamedTuple):
@@ -190,7 +223,7 @@ def quadratic_entropy_ledger(t, free_energy, q, gamma_rr, blocks, lam, lam_dot, 
 
 __all__ = [
     "gibbs_correlation", "interaction_picture",
-    "rank_update",
-    "quadratic_observable", "correlation_entropy", "pauli_defect", "ReferenceScalars",
+    "rank_update", "diagonal_state", "quadratic_observable", "binary_entropy", "pauli_excess",
+    "correlation_entropy", "pauli_defect", "ReferenceScalars",
     "reference_scalars", "ScalarDriveReferenceCache", "quadratic_entropy_ledger",
 ]

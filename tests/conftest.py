@@ -61,11 +61,12 @@ def dense_exact_trajectory(spec, params, protocol, times, tol, probe_ops=None,
                          s_start, charge_rate(rho, w_t, n_op))
         return rec, np.array([expectation(rho, a) for a in probe_ops or []])
 
+    rho0 = gibbs_state(h0, n_op, params).rho
     rep = harness._Representation(
-        gibbs_state(h0, n_op, params).rho,
+        rho0, von_neumann_entropy(rho0),
         harness._grid_steps(times, method, lambda w: propagate_grid(tdh, w, tol), dyson),
         lambda rho, step: symmetrize(step.matrix @ rho @ step.matrix.conj().T),
-        observe, von_neumann_entropy, lambda rho, t: rho)
+        observe, lambda rho, t: (rho, von_neumann_entropy(rho), None))
     return harness._trajectory(rep, params, times)
 
 
@@ -94,6 +95,13 @@ FILLED = np.array([[0.8, 0.4, -0.1, 0.05],
 def low_rank_dense(u):
     """The dense I + Q K Q^dagger of a LowRankUnitary."""
     return np.eye(u.q.shape[0]) + u.q @ u.k @ u.q.conj().T
+
+
+def from_lower(a):
+    """The Hermitian matrix whose lower triangle `a` holds (`rank_update`'s
+    storage): the strict upper triangle is replaced by the conjugate of the
+    strict lower one."""
+    return np.tril(a) + np.tril(a, -1).conj().T
 
 
 #: norm ||dt h||_inf up to which `taylor_expm` uses its polynomial unsquared

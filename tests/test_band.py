@@ -1,7 +1,9 @@
 """Where the drive's one-body matrix is nonzero, and what that costs: the
 drive's support R and the step's rank 2|R|, the L = 512 one-body exponential
 against the scaled Taylor polynomial, the periodic chain's single dense block,
-and the rank-r Gamma update against its dense formula."""
+and the rank-r Gamma update against its dense formula. `rank_update` writes
+only the lower triangle, so its output is completed from that triangle
+(`from_lower`) before it is compared with the dense U G U^dagger."""
 
 import numpy as np
 import pytest
@@ -12,8 +14,8 @@ from fermiproc.linalg import expm_unitary
 from fermiproc.propagator import LowRankUnitary, step_grid
 from fermiproc.quadratic import interaction_picture, rank_update
 
-from conftest import (FILLED, TAYLOR_THETA, TRIDIAGONAL, low_rank_dense, random_unitary,
-                      taylor_expm)
+from conftest import (FILLED, TAYLOR_THETA, TRIDIAGONAL, from_lower, low_rank_dense,
+                      random_unitary, taylor_expm)
 
 
 def _drive(n_sites, kernel, boundary=Boundary.DIRICHLET, amplitude=0.05):
@@ -64,7 +66,7 @@ def test_band_matmul_covering_band_is_plain_product(rng):
     a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     g = a + a.conj().T
     for q, k in ((u.q, u.k), (np.eye(6), dense - np.eye(6))):
-        got = rank_update(g, LowRankUnitary(q, k))
+        got = from_lower(rank_update(np.array(g, order="F"), LowRankUnitary(q, k)))
         assert np.max(np.abs(got - dense @ g @ dense.conj().T)) <= 1e-13
 
 
@@ -101,7 +103,8 @@ def test_periodic_chain_takes_dense_route_bit_for_bit(rng):
     assert u.q.shape == (200, 8)
     g = np.diag(rng.uniform(size=200)).astype(complex)
     dense = low_rank_dense(u)
-    assert np.max(np.abs(rank_update(g, u) - dense @ g @ dense.conj().T)) <= 1e-13
+    got = from_lower(rank_update(np.array(g, order="F"), u))
+    assert np.max(np.abs(got - dense @ g @ dense.conj().T)) <= 1e-13
 
 
 @pytest.mark.parametrize("k", [9, 70])
@@ -114,15 +117,15 @@ def test_banded_gamma_update_matches_dense_random(rng, k):
     g = a + a.conj().T
     dense = low_rank_dense(u)
     want = dense @ g @ dense.conj().T
-    got = rank_update(g, u)
+    got = from_lower(rank_update(np.array(g, order="F"), u))
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("rank", [8, 16, 0], ids=["r8", "r16", "q_identity"])
 def test_rank_update_is_exactly_hermitian(rng, rank):
-    # G + (Z + Z^dagger) is Hermitian bit for bit whenever G is, so the
-    # trajectory loop never symmetrizes; rank 0 stands for a full-rank factor
-    # (Q = I, as a Dyson step enters)
+    # zher2k's triangle has an exactly real diagonal, so its completion is
+    # Hermitian bit for bit and the trajectory loop never symmetrizes; rank 0
+    # stands for a full-rank factor (Q = I, as a Dyson step enters)
     n = 200
     if rank:
         q, _ = np.linalg.qr(rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank)))
@@ -130,14 +133,16 @@ def test_rank_update_is_exactly_hermitian(rng, rank):
     else:
         u = LowRankUnitary(np.eye(n), random_unitary(rng, n) - np.eye(n))
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    got = rank_update(a + a.conj().T, u)
-    assert np.array_equal(got, got.conj().T)
+    got = rank_update(np.array(a + a.conj().T, order="F"), u)
+    assert np.all(np.diagonal(got).imag == 0)
+    full = from_lower(got)
+    assert np.array_equal(full, full.conj().T)
 
 
 @pytest.mark.parametrize("kernel", [TRIDIAGONAL, FILLED])
 def test_banded_gamma_update_matches_dense(kernel):
-    # L = 512: each grid interval's factor, applied by two GEMMs, against the
-    # dense U G U^dagger
+    # L = 512: each grid interval's factor, applied in place by zhemm and
+    # zher2k, against the dense U G U^dagger
     h0, protocol, _ = _drive(512, kernel, amplitude=0.3)
     steps, _ = interaction_picture(h0, protocol)
     g = np.diag(np.linspace(0.05, 0.95, 512)).astype(complex)
@@ -145,5 +150,51 @@ def test_banded_gamma_update_matches_dense(kernel):
         u = low_rank_dense(step.matrix)
         want = u @ g @ u.conj().T
         assert step.matrix.q.shape[1] <= 16
-        assert np.max(np.abs(rank_update(g, step.matrix) - want)) <= 1e-13
+        got = from_lower(rank_update(np.array(g, order="F"), step.matrix))
+        assert np.max(np.abs(got - want)) <= 1e-13
         g = want
+
+
+def test_rank_update_overwrites_fortran_input_in_place(rng):
+    # the state's own memory is updated and returned: no per-step copy
+    n, r = 40, 6
+    q, _ = np.linalg.qr(rng.normal(size=(n, r)) + 1j * rng.normal(size=(n, r)))
+    u = LowRankUnitary(q, random_unitary(rng, r) - np.eye(r))
+    g = np.diag(rng.uniform(size=n)).astype(complex)
+    state = np.array(g, order="F")
+    got = rank_update(state, u)
+    assert got is state
+    dense = low_rank_dense(u)
+    assert np.max(np.abs(from_lower(state) - dense @ g @ dense.conj().T)) <= 1e-14
+
+
+def test_rank_update_refuses_inputs_it_would_copy(rng):
+    u = LowRankUnitary(np.eye(4, dtype=complex)[:, :2], np.zeros((2, 2), dtype=complex))
+    g = np.diag([0.1, 0.2, 0.3, 0.4])
+    for bad in (g.astype(complex),  # C order
+                np.array(g, order="F"),  # real
+                np.zeros((4, 3), dtype=complex, order="F")):  # not square
+        with pytest.raises(ValueError, match="Fortran-ordered"):
+            rank_update(bad, u)
+    frozen = np.array(g, dtype=complex, order="F")
+    frozen.flags.writeable = False
+    with pytest.raises(ValueError, match="writable"):
+        rank_update(frozen, u)
+
+
+def test_rank_update_chain_matches_dense_oracle(rng):
+    # L = 512: ten updates of one state in place, nine interaction-picture
+    # factors and one full-rank factor (Q = I, as a Dyson step enters),
+    # against the dense U G U^dagger chain
+    h0, protocol, _ = _drive(512, FILLED, amplitude=0.3)
+    steps, _ = interaction_picture(h0, protocol)
+    factors = [step.matrix for step in step_grid(steps, 0.0125 * np.arange(10), 1e-6)]
+    factors.insert(4, LowRankUnitary(np.eye(512), random_unitary(rng, 512) - np.eye(512)))
+    assert len(factors) == 10
+    want = np.diag(np.linspace(0.05, 0.95, 512)).astype(complex)
+    state = np.array(want, order="F")
+    for u in factors:
+        dense = low_rank_dense(u)
+        want = dense @ want @ dense.conj().T
+        assert rank_update(state, u) is state
+    assert np.max(np.abs(from_lower(state) - want)) <= 1e-13

@@ -251,8 +251,11 @@ def test_trajectory_memory_does_not_grow_with_intervals():
 
 def test_health_verdicts_fail_on_corrupted_final_state(monkeypatch):
     # entropy drift and the Pauli defect of the final Gamma are verdicts of
-    # every process run
+    # every process run; the trajectory reports both from the final spectrum,
+    # so a corrupted final state arrives with its own Pauli defect
     from dataclasses import replace
+
+    from fermiproc.quadratic import pauli_defect
     cfg = small_process1_config(L=20)
     cfg.output.t_final = 0.5
     healthy = harness.run_plain(cfg).manifest["invariants"]
@@ -262,7 +265,8 @@ def test_health_verdicts_fail_on_corrupted_final_state(monkeypatch):
     def corrupted(*args, **kwargs):
         traj = real(*args, **kwargs)
         shifted = traj.final_state - 0.1 * np.eye(traj.final_state.shape[0])
-        return replace(traj, final_state=shifted, entropy_drift=1e-5)
+        return replace(traj, final_state=shifted, entropy_drift=1e-5,
+                       pauli_defect=pauli_defect(shifted))
 
     monkeypatch.setattr(harness, "quadratic_trajectory", corrupted)
     result = harness.run_plain(cfg)

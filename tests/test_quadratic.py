@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from fermiproc.drive import KernelSpec, Perturbation, switch_on_protocol
 from fermiproc.harness import (exact_trajectory, probe_matrices, probe_site_pairs,
@@ -15,8 +16,8 @@ from fermiproc.linalg import max_abs
 from fermiproc.observables import expectation
 from fermiproc.propagator import TimeDependentHamiltonian, propagate
 from fermiproc.harness import ConfigError
-from fermiproc.quadratic import (ScalarDriveReferenceCache, correlation_entropy,
-                                 gibbs_correlation, pauli_defect,
+from fermiproc.quadratic import (ScalarDriveReferenceCache, binary_entropy,
+                                 correlation_entropy, gibbs_correlation, pauli_defect,
                                  quadratic_observable, reference_scalars)
 from fermiproc.states import GibbsParams, gibbs_state, von_neumann_entropy
 
@@ -247,3 +248,27 @@ def test_pauli_bounds_along_run(rng):
         gamma = correlation_update(gamma, propagate(tdh, t_prev, float(t), 1e-7).matrix)
         t_prev = float(t)
         assert pauli_defect(gamma) <= 1e-9
+
+
+@pytest.mark.parametrize("beta,mu", [(0.3, 0.0), (1.0, 0.2), (40.0, -0.5), (400.0, 1.0)])
+def test_closed_form_start_entropy(beta, mu):
+    # the start entropy from the Gibbs occupations, against the entropy of
+    # diag(f) through its spectrum; beta = 400 drives occupations to 0 and 1
+    eps = np.linalg.eigvalsh(one_body_laplacian(LatticeSpec(64)))
+    f = expit(-beta * (eps - mu))
+    assert abs(binary_entropy(f) - correlation_entropy(np.diag(f))) <= 1e-12
+
+
+def test_final_state_is_exactly_hermitian(rng):
+    # Gamma is completed from one triangle, and the trajectory's Pauli defect
+    # and entropy drift come from the final spectrum
+    spec = LatticeSpec(40, local_region=(19, 20, 21))
+    c = rng.normal(size=(3, 3))
+    pert = Perturbation([KernelSpec(1, (19, 20, 21), 0.5 * (c + c.T))], spec)
+    protocol = switch_on_protocol(pert, 0.0, 0.5, 0.4)
+    traj = quadratic_trajectory(spec, GibbsParams(1.5, 0.1), protocol,
+                                time_grid(0.0, 1.0, 0.1), 1e-8)
+    gamma = traj.final_state
+    assert gamma.dtype == complex and np.array_equal(gamma, gamma.conj().T)
+    assert abs(traj.pauli_defect - pauli_defect(gamma)) <= 1e-12
+    assert traj.pauli_defect <= 1e-9 and traj.entropy_drift <= 1e-9
