@@ -4,7 +4,7 @@ A run is declared in a YAML file whose sections mirror the RunConfig fields;
 unknown keys are errors. Runs emit `series.csv` (the thermodynamic ledger)
 and `manifest.json` (config echo, invariant verdicts, summary scalars, and
 per path the integrator's summed error estimate, the count of intervals that
-failed the CFM4 pair test, narrowest step and warnings).
+failed the CFM4 pair test and the narrowest step).
 
 Layout. One trajectory loop, `_trajectory`, owns the step loop, the
 integrator report, the work recurrence and the entropy drift;
@@ -13,8 +13,8 @@ probes as tuples of charge-sector blocks) and `quadratic_trajectory`
 (one-body correlations in the interaction picture of h0) supply only their
 representation: initial state and its entropy, per-interval steps, update,
 ledger row and probe reads, and the final state with its entropy (and, on the
-one-body path, its Pauli defect). Both call `step_grid` on their own
-step representation (`DenseSteps` over the sectors, `InteractionSteps`).
+one-body path, its Pauli defect). Both take every propagator from CFM4
+`step_grid` on their own step representation (`DenseSteps`, `InteractionSteps`).
 One process runner, `_run_process`, builds the lattice, drive, probes and
 manifest, simulates each configured path, and applies the shared ledger and
 health checks, the `both` oracle comparison, timing and output; `run_process_I`,
@@ -52,9 +52,9 @@ from .linalg import assemble_blocks, fill_upper, max_abs, symmetrize, unitarity_
 from .observables import (delta_entropy, entropy_rate, entropy_rate_bound,
                           entropy_rate_decomposed, expectation, internal_energy,
                           ledger_row, work_accumulate)
-from .propagator import (DenseSteps, LowRankUnitary, TimeDependentHamiltonian,
-                         dyson_propagator, heisenberg_evolve, interaction_to_schrodinger,
-                         propagate, propagate_grid, step_grid)
+from .propagator import (DenseSteps, TimeDependentHamiltonian, dyson_propagator,
+                         heisenberg_evolve, interaction_to_schrodinger, propagate,
+                         propagate_grid, step_grid)
 from .quadratic import (ScalarDriveReferenceCache, binary_entropy, diagonal_state,
                         gibbs_correlation, interaction_picture, pauli_excess,
                         quadratic_entropy_ledger, quadratic_observable, rank_update)
@@ -132,8 +132,6 @@ class DriveConfig:
 @dataclass
 class IntegratorConfig:
     tol: float = 1e-8
-    method: str = "direct"  # direct | dyson
-    dyson_order: int = 8
 
 
 @dataclass
@@ -251,11 +249,7 @@ def validate_config(cfg: RunConfig):
     if cfg.path in ("quadratic", "both"):
         if any(k.degree != 1 for k in cfg.drive.kernels):
             raise ConfigError("quadratic path requires degree-1 kernels only")
-    if cfg.integrator.method not in ("direct", "dyson"):
-        raise ConfigError(
-            f"integrator.method must be direct|dyson, got {cfg.integrator.method!r}")
     _number(cfg.integrator.tol, "integrator.tol")
-    _count(cfg.integrator.dyson_order, "integrator.dyson_order")
     _number(cfg.output.grid_step, "output.grid_step")
     if cfg.output.t_final is not None:
         _number(cfg.output.t_final, "output.t_final", positive=False)
@@ -345,16 +339,13 @@ class IntegratorReport:
 
     est_error: float = 0.0  # summed Propagator.est_error
     refined_intervals: int = 0  # intervals that failed the CFM4 pair test
-    warnings: list = field(default_factory=list)  # every propagator warning
     min_step: Optional[float] = None  # narrowest accepted step
 
     def add(self, step):
         self.est_error += step.est_error
         self.refined_intervals += int(step.refined)
-        width = step.min_step if step.min_step is not None else step.t_end - step.t_start
-        self.min_step = width if self.min_step is None else min(self.min_step, width)
-        if step.warning:
-            self.warnings.append(f"[{step.t_start:.6g}, {step.t_end:.6g}] {step.warning}")
+        self.min_step = step.min_step if self.min_step is None else min(self.min_step,
+                                                                         step.min_step)
 
 
 @dataclass
@@ -382,46 +373,26 @@ class _Representation(NamedTuple):
     final: Callable
 
 
-def _grid_steps(times, method, window, dyson):
-    """Per-interval propagators, yielded in order: `window(times)` on
-    consecutive three-point windows for the direct method (exactly the
-    interval pairs of its Richardson comparison, so one pair is alive at a
-    time), `dyson(s, t)` per interval for the Dyson method."""
-    if method == "direct":
-        for k in range(0, len(times) - 1, 2):
-            yield from window(times[k:k + 3])
-        return
-    if method != "dyson":
-        raise ConfigError(f"integrator.method must be direct or dyson, got {method!r}")
-    for k in range(len(times) - 1):
-        yield dyson(times[k], times[k + 1])
-
-
 def _trajectory(rep, params, times):
     """Evolve the state over the grid and record the ledger and probes.
 
-    Work accumulates from the exact charge increment and the trapezoid rule
-    on (dG/dlambda).lambda_dot; the entropy drift checks that the unitary
-    flow preserved the spectrum.
+    Each row's work is `work_accumulate`'s running sum; the entropy drift
+    checks that the unitary flow preserved the spectrum.
     """
     state, s_start = rep.state, rep.s_start
     report = IntegratorReport()
     records = []
     probe_rows = []
-    work = 0.0
     for k, t in enumerate(times):
         if k:
             step = next(rep.steps)
             report.add(step)
             state = rep.update(state, step)
         rec, probes = rep.observe(state, t, s_start)
-        if records:
-            prev = records[-1]
-            work += (-params.mu * (rec.q - prev.q)
-                     - 0.5 * (rec.dG_dt + prev.dG_dt) * (t - prev.t))
-        rec.work = work
         records.append(rec)
         probe_rows.append(probes)
+    for rec, work in zip(records, work_accumulate(records, params)):
+        rec.work = work
     final_state, s_final, pauli = rep.final(state, times[-1])
     return Trajectory(records, np.array(probe_rows), np.asarray(times), final_state,
                       abs(s_final - s_start), report, pauli)
@@ -438,8 +409,7 @@ def _sector_trace(rho, a):
     return sum(expectation(r, b) for r, b in zip(rho, a))
 
 
-def exact_trajectory(spec, params, protocol, times, tol, probe_ops=None,
-                     method="direct", dyson_order=8):
+def exact_trajectory(spec, params, protocol, times, tol, probe_ops=None):
     """Fock-space simulation with the complete ledger at each grid time, on
     charge-sector blocks.
 
@@ -466,20 +436,11 @@ def exact_trajectory(spec, params, protocol, times, tol, probe_ops=None,
                              "path needs gauge-invariant drives")
     probes = [sectors(np.asarray(a)) for a in probe_ops or []]
 
-    def w_at(t, n):
+    def h_at(t):
         # W = 0 before the grid starts, as in TimeDependentHamiltonian
         lam = protocol.controls(t) if protocol and t >= times[0] else np.zeros(len(vs))
-        return sum((lj * v[n] for lj, v in zip(lam, vs)), np.zeros_like(h0[n]))
-
-    def h_at(t):
-        return tuple(h + w_at(t, n) for n, h in enumerate(h0))
-
-    def dyson(s, t):
-        parts = [interaction_to_schrodinger(
-            dyson_propagator(h, lambda u, n=n: w_at(u, n), s, t, dyson_order, tol), h, s, t)
-            for n, h in enumerate(h0)]
-        return replace(max(parts, key=lambda p: p.est_error),
-                       matrix=tuple(p.matrix for p in parts))
+        return tuple(h + sum((lj * v[n] for lj, v in zip(lam, vs)), np.zeros_like(h))
+                     for n, h in enumerate(h0))
 
     def observe(rho, t, s_start):
         # relS takes S_vN(rho_t) = s_start: the unitary flow keeps the spectrum
@@ -499,27 +460,24 @@ def exact_trajectory(spec, params, protocol, times, tol, probe_ops=None,
         return sum(von_neumann_entropy(r) for r in rho)
 
     rho0 = sector_gibbs_state(h0, params).rho
-    rep = _Representation(rho0, entropy(rho0),
-                          _grid_steps(times, method,
-                                      lambda w: step_grid(DenseSteps(h_at), w, tol), dyson),
+    rep = _Representation(rho0, entropy(rho0), step_grid(DenseSteps(h_at), times, tol),
                           update, observe,
                           lambda rho, t: (assemble_blocks(keys, rho, (1 << spec.n_sites,) * 2),
                                           entropy(rho), None))
     return _trajectory(rep, params, times)
 
 
-def quadratic_trajectory(spec, params, protocol, times, tol, probe_ops=None,
-                         method="direct", dyson_order=8):
+def quadratic_trajectory(spec, params, protocol, times, tol, probe_ops=None):
     """One-particle fast path: correlation-matrix dynamics plus the ledger.
 
     The state is G = conj(Gamma) in h0's eigenbasis and in the interaction
     picture of h0, kept as the lower triangle of one Fortran-ordered
     complex128 array; the Gibbs start is diag(f(eps)), built in that array,
     and its entropy is sum_k -f_k ln f_k - (1 - f_k) ln(1 - f_k) in closed
-    form. Each interval's propagator is one LowRankUnitary (a Dyson step
-    enters as a full-rank factor, Q = I), which `rank_update` applies in
-    place. The ledger and the probes read Gamma on S = R + the probe sites
-    only: Gamma_SS = conj(Y_S^dagger G Y_S) with G Y_S by `zhemm`, and
+    form. Each interval's propagator is one LowRankUnitary I + Q K Q^dagger
+    from CFM4 `step_grid`, which `rank_update` applies in place. The ledger
+    and the probes read Gamma on S = R + the probe sites only: Gamma_SS =
+    conj(Y_S^dagger G Y_S) with G Y_S by `zhemm`, and
     Y_S(t) = diag(e^{i eps t}) phi_S^T. One `ScalarDriveReferenceCache`,
     sized for the run's largest |lambda_j|, gives every row's reference
     scalars from |R| x |R| resolvents. At the end one `eigvalsh` of G (whose
@@ -555,12 +513,6 @@ def quadratic_trajectory(spec, params, protocol, times, tol, probe_ops=None,
         return rec, np.array([float(np.real(np.sum(vals * gamma[loc])))
                               for loc, vals in reads])
 
-    def dyson(s, t):
-        w_of_t = TimeDependentHamiltonian(h0, protocol, times[0], "one_body").w
-        p = dyson_propagator(h0, w_of_t, s, t, dyson_order, tol)
-        eye = np.eye(eps.size)
-        return replace(p, matrix=LowRankUnitary(eye, phi.T @ p.matrix @ phi - eye))
-
     def final(g, t):
         nu = np.linalg.eigvalsh(g, UPLO="L")
         # Gamma = conj(V G V^dagger), V = phi diag(e^{-i eps t}), over G's memory
@@ -571,8 +523,7 @@ def quadratic_trajectory(spec, params, protocol, times, tol, probe_ops=None,
 
     occupations = expit(-params.beta * (eps - params.mu))
     rep = _Representation(diagonal_state(occupations), binary_entropy(occupations),
-                          _grid_steps(times, method, lambda w: step_grid(steps, w, tol),
-                                      dyson),
+                          step_grid(steps, times, tol),
                           lambda g, step: rank_update(g, step.matrix), observe, final)
     return _trajectory(rep, params, times)
 
@@ -647,15 +598,22 @@ def _window_average(times, values, lo, hi):
 def saturation_coefficient(protocol, params, t, representation):
     """C with |dS/dt| <= C * eps when probes pin the state to the reference.
 
-    `entropy_rate_bound` with the representation's number operator; in the
-    one-body representation that is the identity, so the gauge commutator
-    vanishes.
+    `entropy_rate_bound` with the representation's number operator: the
+    identity one-body; n on sector n in Fock space, where every operator goes
+    in as its charge-sector blocks (the exact path refuses drives that leave
+    them), so [W, N] = 0 and no 2^L x 2^L N, product or spectrum is formed.
     """
-    spec = protocol.lattice
-    n_op = number_operator(spec) if representation == "fock" else np.eye(spec.n_sites)
-    return entropy_rate_bound(params, protocol.d_operator(t, representation),
-                              protocol.lam_dot(t), protocol.operator(t, representation),
-                              n_op)
+    n_sites = protocol.lattice.n_sites
+    vs = protocol.d_operator(t, representation)
+    if representation == "fock":
+        keys = _sector_keys(n_sites)
+        vs = [tuple(v[key] for key in keys) for v in vs]
+        w_t = tuple(sum(lj * v[n] for lj, v in zip(protocol.controls(t), vs))
+                    for n in range(len(keys)))
+        n_op = tuple(n * np.eye(len(key[0])) for n, key in enumerate(keys))
+    else:
+        w_t, n_op = protocol.operator(t, representation), np.eye(n_sites)
+    return entropy_rate_bound(params, vs, protocol.lam_dot(t), w_t, n_op)
 
 
 def _common_ledger_checks(manifest, traj, representation, prefix=""):
@@ -701,7 +659,6 @@ def _run_process(cfg: RunConfig, kind, times, verdict=None) -> ProcessResult:
     params = GibbsParams(cfg.gibbs.beta, cfg.gibbs.mu)
     protocol = build_protocol(cfg, spec)
     pairs = probe_site_pairs(cfg, spec)
-    integ = cfg.integrator
     manifest = _manifest_skeleton(cfg, spec, kind)
     manifest["integrator"] = {}  # path tag -> IntegratorReport
     trajectories = {}
@@ -710,8 +667,7 @@ def _run_process(cfg: RunConfig, kind, times, verdict=None) -> ProcessResult:
         rep = "fock" if tag == "exact" else "one_body"
         ops = probe_matrices(pairs, spec, rep)
         simulate = exact_trajectory if tag == "exact" else quadratic_trajectory
-        traj = simulate(spec, params, protocol, times, integ.tol, ops,
-                        method=integ.method, dyson_order=integ.dyson_order)
+        traj = simulate(spec, params, protocol, times, cfg.integrator.tol, ops)
         trajectories[tag] = traj
         manifest["integrator"][tag] = asdict(traj.integrator)
         prefix = f"{tag}_" if both else ""
@@ -949,7 +905,7 @@ def two_route_entropy_rate_defect(spec, params, protocol, times, tol):
 def first_law_residual(records, params):
     """|Delta U - T Delta S + int dA| over the recorded ledger."""
     return abs((records[-1].U - records[0].U) - delta_entropy(records) / params.beta
-               + work_accumulate(records, params))
+               + work_accumulate(records, params)[-1])
 
 
 def charge_drift(records):

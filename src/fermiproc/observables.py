@@ -155,20 +155,20 @@ def _check_monotone(times):
 
 
 def work_accumulate(records: Sequence[ProcessRecord], params):
-    """Total work int dA = int [-mu dq - (dG/dlambda).dlambda] over the grid.
+    """Running work int dA = int [-mu dq - (dG/dlambda).dlambda] from the first
+    record to each record, as a list (0.0 first; the last entry is the total).
 
     The charge contribution uses the exact increments of the recorded q; the
     control contribution integrates the recorded (dG/dlambda).lambda_dot by
-    the trapezoid rule.
+    the trapezoid rule, summed interval by interval from the left.
     """
-    if len(records) < 2:
-        return 0.0
     _check_monotone([r.t for r in records])
-    total = 0.0
+    work = [0.0] if records else []
     for prev, cur in zip(records, records[1:]):
         dt = cur.t - prev.t
-        total += -params.mu * (cur.q - prev.q) - 0.5 * (cur.dG_dt + prev.dG_dt) * dt
-    return float(total)
+        work.append(work[-1]
+                    + (-params.mu * (cur.q - prev.q) - 0.5 * (cur.dG_dt + prev.dG_dt) * dt))
+    return work
 
 
 def delta_entropy(records: Sequence[ProcessRecord]):
@@ -180,18 +180,24 @@ def delta_entropy(records: Sequence[ProcessRecord]):
     return float(np.trapezoid(sdot, t))
 
 
+def _blocks(a):
+    """The diagonal blocks of `a`: a tuple of blocks as is, a matrix as one."""
+    return a if isinstance(a, tuple) else (np.asarray(a),)
+
+
 def entropy_rate_bound(params, dw_dlambda, lambda_dot, w_t, n_op):
     """Coefficient C with |dS/dt| <= C * eps when local probes pin the state.
 
     eps bounds |tr((rho - rho_ref) A)| over the probe set; the constant
     collects beta * sum_j ||dW_j|| |lambda_dot_j| plus the gauge-route term
-    beta * |mu| * ||[W, N]||.
+    beta * |mu| * ||[W, N]||. Each operator is a matrix or a tuple of diagonal
+    blocks (the same blocks for all), whose norm is the largest over blocks.
     """
     lam_dot = np.atleast_1d(np.asarray(lambda_dot, dtype=float))
-    drive = sum(spectral_norm(np.asarray(dw)) * abs(ld)
+    drive = sum(max(map(spectral_norm, _blocks(dw))) * abs(ld)
                 for dw, ld in zip(dw_dlambda, lam_dot))
-    comm = np.asarray(w_t) @ np.asarray(n_op) - np.asarray(n_op) @ np.asarray(w_t)
-    return float(params.beta * (drive + abs(params.mu) * spectral_norm(comm)))
+    gauge = max(spectral_norm(w @ n - n @ w) for w, n in zip(_blocks(w_t), _blocks(n_op)))
+    return float(params.beta * (drive + abs(params.mu) * gauge))
 
 
 __all__ = [

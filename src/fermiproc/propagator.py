@@ -242,43 +242,48 @@ def _adaptive(steps, pieces, tol):
                       min_step=0.5 * min(hi - lo for lo, hi, *_ in out))
 
 
+def _grid_pair(steps, a, m, b, lone, tol):
+    """The propagators of one grid pair, [a, m] and [m, b], or of the `lone`
+    interval [a, b] (m its midpoint); the pair test's other steps die here."""
+    left, right, fine, err = _pair_test(steps, a, m, b)
+    if err <= tol * (b - a) + ROUNDOFF_FLOOR:
+        parts = [(a, b, fine)] if lone else [(a, m, left), (m, b, right)]
+        pair = [Propagator(u, lo, hi, "direct", err / 15.0 / len(parts),
+                           min_step=0.5 * (b - a) if lone else hi - lo)
+                for lo, hi, u in parts]
+    else:
+        halves = [[(a, m, left)], [(m, b, right)]]
+        pair = [replace(_adaptive(steps, pieces, tol), refined=True)
+                for pieces in ([halves[0] + halves[1]] if lone else halves)]
+    if not all(_finite(p.matrix) for p in pair):
+        raise IntegrationError(f"non-finite propagator entries on [{a}, {b}]")
+    return pair
+
+
 def step_grid(steps, times, tol=DEFAULT_TOL):
-    """Per-interval propagators along an output grid, from the CFM4 step
-    representation `steps` (`DenseSteps` or `InteractionSteps`).
+    """Per-interval propagators along an output grid, in grid order, from the
+    CFM4 step representation `steps` (`DenseSteps` or `InteractionSteps`).
+
+    A generator: it checks `tol` and the grid before the first step and
+    yields each pair of intervals as soon as it is done, one pair at a time.
 
     The step control runs on pairs of grid intervals (the lone last interval
     of an odd grid as a pair of half steps, keeping their product), with the
     error budget `tol` per unit time. A pair whose two one-interval steps
     agree with one two-interval step keeps those steps (6 exponentials per
     pair); otherwise `_adaptive` halves each interval from them, and the
-    intervals are `refined`.
+    intervals are `refined`. A non-finite entry raises IntegrationError.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     times = np.asarray(times, dtype=float)
-    if times.size < 2:
-        return []
     if np.any(np.diff(times) <= 0):
         raise ValueError("time grid must be strictly increasing")
-    out = []
     n = times.size - 1
     for i in range(0, n, 2):
         lone = i + 1 == n
         a, b = times[i], times[min(i + 2, n)]
-        m = 0.5 * (a + b) if lone else times[i + 1]
-        left, right, fine, err = _pair_test(steps, a, m, b)
-        if err <= tol * (b - a) + ROUNDOFF_FLOOR:
-            parts = [(a, b, fine)] if lone else [(a, m, left), (m, b, right)]
-            for lo, hi, u in parts:
-                out.append(Propagator(u, lo, hi, "direct", err / 15.0 / len(parts),
-                                      min_step=0.5 * (b - a) if lone else hi - lo))
-            continue
-        halves = [[(a, m, left)], [(m, b, right)]]
-        for pieces in ([halves[0] + halves[1]] if lone else halves):
-            out.append(replace(_adaptive(steps, pieces, tol), refined=True))
-    if not all(_finite(p.matrix) for p in out):
-        raise IntegrationError("non-finite propagator entries")
-    return out
+        yield from _grid_pair(steps, a, 0.5 * (a + b) if lone else times[i + 1], b, lone, tol)
 
 
 def propagate(h, s, t, tol=DEFAULT_TOL):

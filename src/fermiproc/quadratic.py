@@ -74,7 +74,7 @@ def rank_update(g, u):
     Y^dagger = W K^dagger + Q K (Q^dagger W) K^dagger / 2, the update is
     G + Q Y + Y^dagger Q^dagger: one `zher2k` with beta = 1, O(r L^2) for rank
     r. It is Hermitian by construction (BLAS keeps the diagonal real), and a
-    full-rank factor (Q = I, as a Dyson step enters) takes the same path.
+    full-rank factor (Q = I) takes the same path.
     """
     if not (g.dtype == np.complex128 and g.ndim == 2 and g.shape[0] == g.shape[1]
             and g.flags.f_contiguous and g.flags.writeable):

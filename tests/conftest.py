@@ -15,7 +15,6 @@ from fermiproc.linalg import symmetrize  # noqa: E402
 from fermiproc.observables import (charge, charge_rate, expectation,  # noqa: E402
                                    internal_energy, ledger_row)
 from fermiproc.propagator import (DenseSteps, TimeDependentHamiltonian,  # noqa: E402
-                                  dyson_propagator, interaction_to_schrodinger,
                                   propagate_grid)
 from fermiproc.states import gibbs_state, von_neumann_entropy  # noqa: E402
 
@@ -36,18 +35,13 @@ def random_unitary(rng, dim):
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
-def dense_exact_trajectory(spec, params, protocol, times, tol, probe_ops=None,
-                           method="direct", dyson_order=8):
+def dense_exact_trajectory(spec, params, protocol, times, tol, probe_ops=None):
     """The exact path on dense 2^L x 2^L Fock matrices (the oracle of the
     sector-blocked `harness.exact_trajectory`): `propagate_grid` steps, and per
     row the dense `gibbs_state`, `expectation` and `charge_rate`."""
     h0 = hopping_hamiltonian(spec)
     n_op = number_operator(spec)
     tdh = TimeDependentHamiltonian(h0, protocol, times[0], "fock")
-
-    def dyson(s, t):
-        u_int = dyson_propagator(tdh.h0, tdh.w, s, t, dyson_order, tol)
-        return interaction_to_schrodinger(u_int, tdh.h0, s, t)
 
     def observe(rho, t, s_start):
         w_t = protocol.operator(t, "fock") if protocol else np.zeros_like(h0)
@@ -63,8 +57,7 @@ def dense_exact_trajectory(spec, params, protocol, times, tol, probe_ops=None,
 
     rho0 = gibbs_state(h0, n_op, params).rho
     rep = harness._Representation(
-        rho0, von_neumann_entropy(rho0),
-        harness._grid_steps(times, method, lambda w: propagate_grid(tdh, w, tol), dyson),
+        rho0, von_neumann_entropy(rho0), iter(propagate_grid(tdh, times, tol)),
         lambda rho, step: symmetrize(step.matrix @ rho @ step.matrix.conj().T),
         observe, lambda rho, t: (rho, von_neumann_entropy(rho), None))
     return harness._trajectory(rep, params, times)

@@ -55,7 +55,7 @@ def test_half_bandwidth():
 
 def test_band_matmul_covering_band_is_plain_product(rng):
     # 2|R| >= L: the step's basis covers the whole space, and the update with
-    # a full-rank factor (Q = I, as a Dyson step enters) is the plain product
+    # a full-rank factor (Q = I) is the plain product
     h0, protocol, _ = _drive(6, FILLED, Boundary.PERIODIC, amplitude=0.3)
     steps, _ = interaction_picture(h0, protocol)
     u = steps.step(0.0, 0.4)
@@ -125,7 +125,7 @@ def test_banded_gamma_update_matches_dense_random(rng, k):
 def test_rank_update_is_exactly_hermitian(rng, rank):
     # zher2k's triangle has an exactly real diagonal, so its completion is
     # Hermitian bit for bit and the trajectory loop never symmetrizes; rank 0
-    # stands for a full-rank factor (Q = I, as a Dyson step enters)
+    # stands for a full-rank factor (Q = I)
     n = 200
     if rank:
         q, _ = np.linalg.qr(rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank)))
@@ -184,7 +184,7 @@ def test_rank_update_refuses_inputs_it_would_copy(rng):
 
 def test_rank_update_chain_matches_dense_oracle(rng):
     # L = 512: ten updates of one state in place, nine interaction-picture
-    # factors and one full-rank factor (Q = I, as a Dyson step enters),
+    # factors and one full-rank factor (Q = I),
     # against the dense U G U^dagger chain
     h0, protocol, _ = _drive(512, FILLED, amplitude=0.3)
     steps, _ = interaction_picture(h0, protocol)

@@ -54,7 +54,6 @@ def test_parse_config_roundtrip():
     cfg = parse_config(data)
     assert cfg.lattice.L == 6
     assert cfg.drive.kernels[0].sites == [2, 3]
-    assert cfg.integrator.dyson_order == 8  # default preserved
 
 
 def test_unknown_keys_rejected():
@@ -119,52 +118,10 @@ def test_recurrence_window():
     assert recurrence_window(200) == pytest.approx(0.8 * 200 / 2.0)
 
 
-def test_dyson_integrator_matches_direct():
-    # the configured interaction-picture integrator reproduces the direct one
-    from fermiproc.harness import exact_trajectory, lattice_spec, build_protocol
-    from fermiproc.states import GibbsParams
-    cfg = RunConfig(
-        lattice=LatticeConfig(L=4, local_region=[1, 2]),
-        gibbs=GibbsConfig(beta=1.1, mu=0.1),
-        drive=DriveConfig(type="switch_on", amplitude=0.05, tau_r=0.4,
-                          kernels=[KernelConfig(1, [1, 2], KERNEL)]),
-        integrator=IntegratorConfig(tol=1e-10, method="dyson", dyson_order=10),
-    )
-    spec = lattice_spec(cfg)
-    params = GibbsParams(1.1, 0.1)
-    protocol = build_protocol(cfg, spec)
-    times = time_grid(0.0, 0.8, 0.1)
-    t_dyson = exact_trajectory(spec, params, protocol, times, 1e-10,
-                               method="dyson", dyson_order=10)
-    t_direct = exact_trajectory(spec, params, protocol, times, 1e-10)
-    for rd, rx in zip(t_dyson.records, t_direct.records):
-        assert abs(rd.S - rx.S) <= 1e-7
-        assert abs(rd.U - rx.U) <= 1e-7
-
-
-def test_dyson_remainder_warning_in_manifest(tmp_path):
-    # order 1 on a coarse grid: the series remainder bound passes 0.5
-    cfg = RunConfig(
-        lattice=LatticeConfig(L=4, local_region=[1, 2]),
-        gibbs=GibbsConfig(beta=1.0),
-        drive=DriveConfig(type="switch_on", amplitude=3.0, tau_r=0.2,
-                          kernels=[KernelConfig(1, [1, 2], KERNEL)]),
-        integrator=IntegratorConfig(tol=1e-8, method="dyson", dyson_order=1),
-        output=OutputConfig(grid_step=0.5, t_final=1.0, directory=str(tmp_path)),
-    )
-    harness.run_plain(cfg)
-    with open(tmp_path / "manifest.json") as fh:
-        report = json.load(fh)["integrator"]["exact"]
-    assert report["warnings"]
-    assert all("exceeds 0.5 at order 1" in w for w in report["warnings"])
-    assert report["est_error"] > 0.5
-    assert report["refined_intervals"] == 0
-    assert report["min_step"] == 0.5  # every interval in one step
-
-
 def test_streamed_steps_match_full_grid():
-    # three-point windows repeat step_grid's pair computations exactly, on the
-    # fast path's interaction-picture steps
+    # step_grid over consecutive three-point windows repeats its pair
+    # computations over the whole grid exactly, on the fast path's
+    # interaction-picture steps
     from fermiproc.harness import build_protocol, lattice_spec
     from fermiproc.lattice import one_body_laplacian
     from fermiproc.propagator import step_grid
@@ -175,9 +132,9 @@ def test_streamed_steps_match_full_grid():
     steps, _ = interaction_picture(one_body_laplacian(spec), protocol)
     times = time_grid(0.0, 2.3, 0.1)  # odd interval count: a lone last interval
     tol = 1.5e-6  # refines the early pairs only
-    full = step_grid(steps, times, tol)
-    streamed = list(harness._grid_steps(times, "direct",
-                                        lambda w: step_grid(steps, w, tol), None))
+    full = list(step_grid(steps, times, tol))
+    streamed = [p for k in range(0, len(times) - 1, 2)
+                for p in step_grid(steps, times[k:k + 3], tol)]
     assert len(streamed) == len(full) == 23
     assert any(p.refined for p in full) and not all(p.refined for p in full)
     for a, b in zip(streamed, full):
@@ -188,7 +145,6 @@ def test_streamed_steps_match_full_grid():
                                         times, tol)
     assert traj.integrator.est_error == sum(p.est_error for p in full)
     assert traj.integrator.refined_intervals == sum(p.refined for p in full)
-    assert traj.integrator.warnings == []
     # refined intervals failed the CFM4 pair test and took steps narrower than
     # one interval, and the report keeps the narrowest accepted step of all
     # intervals
@@ -423,13 +379,13 @@ def _sector_case(n_sites, degree, drive):
     return spec, periodic_protocol(pert, 0.8, "sin", 0.0, 0.4)
 
 
-@pytest.mark.parametrize("n_sites,degree,drive,method", [
-    (5, 1, "switch_on", "direct"),
-    (6, 2, "periodic", "direct"),
-    (5, 1, "periodic", "dyson"),
-    (6, 2, "switch_on", "dyson"),
+@pytest.mark.parametrize("n_sites,degree,drive", [
+    (5, 1, "switch_on"),
+    (6, 2, "periodic"),
+    (5, 1, "periodic"),
+    (6, 2, "switch_on"),
 ])
-def test_sector_exact_path_matches_dense_oracle(n_sites, degree, drive, method):
+def test_sector_exact_path_matches_dense_oracle(n_sites, degree, drive):
     from conftest import dense_exact_trajectory
     spec, protocol = _sector_case(n_sites, degree, drive)
     params = harness.GibbsParams(1.2, 0.3)
@@ -437,13 +393,32 @@ def test_sector_exact_path_matches_dense_oracle(n_sites, degree, drive, method):
     pairs = harness.probe_site_pairs(RunConfig(LatticeConfig(n_sites), GibbsConfig(1.0)),
                                      spec)
     ops = harness.probe_matrices(pairs, spec, "fock")
-    sector = harness.exact_trajectory(spec, params, protocol, times, 1e-8, ops,
-                                      method=method)
-    dense = dense_exact_trajectory(spec, params, protocol, times, 1e-8, ops,
-                                   method=method)
+    sector = harness.exact_trajectory(spec, params, protocol, times, 1e-8, ops)
+    dense = dense_exact_trajectory(spec, params, protocol, times, 1e-8, ops)
     assert harness.path_deviation(sector, dense) <= 1e-12
     assert np.max(np.abs(sector.final_state - dense.final_state)) <= 1e-12
     assert sector.integrator.refined_intervals == dense.integrator.refined_intervals
+
+
+@pytest.mark.parametrize("degree,drive", [(1, "switch_on"), (2, "periodic")])
+def test_sector_saturation_coefficient_matches_dense(monkeypatch, degree, drive):
+    # the Fock-space coefficient from charge-sector blocks equals the dense
+    # entropy_rate_bound, and builds no 2^L x 2^L number operator
+    from fermiproc.lattice import number_operator
+    from fermiproc.observables import entropy_rate_bound
+    spec, protocol = _sector_case(6, degree, drive)
+    params = harness.GibbsParams(1.2, 0.3)
+    t = 0.3
+    dense = entropy_rate_bound(params, protocol.d_operator(t, "fock"), protocol.lam_dot(t),
+                               protocol.operator(t, "fock"), number_operator(spec))
+
+    def no_dense_n(*args, **kwargs):
+        raise AssertionError("a dense number operator was built")
+
+    monkeypatch.setattr(harness, "number_operator", no_dense_n)
+    value = harness.saturation_coefficient(protocol, params, t, "fock")
+    assert dense > 0
+    assert abs(value - dense) <= 1e-12
 
 
 class _HandMadeComponent:
@@ -671,7 +646,7 @@ _SWITCH_ON = {"type": "switch_on", "amplitude": 0.1, "tau_r": 0.5}
     ("output", {"probes": [[2.5]]}),
     ("integrator", {"tol": -1e-8}),
     ("integrator", {"tol": "tight"}),
-    ("integrator", {"method": "dyson", "dyson_order": -1}),
+    ("integrator", {"method": "dyson"}),
     ("gibbs", {"beta": math.inf}),
     ("gibbs", {"beta": 1.0, "mu": math.nan}),
     ("drive", {"type": "periodic", "amplitude": 0.1, "period": "long",
@@ -680,7 +655,7 @@ _SWITCH_ON = {"type": "switch_on", "amplitude": 0.1, "tau_r": 0.5}
 ], ids=["region_off_lattice", "unknown_boundary", "kernel_off_region",
         "kernel_shape", "probe_off_lattice", "probe_negative", "probes_empty",
         "float_size", "float_region_site", "float_kernel_site", "float_probe_site",
-        "negative_tol", "string_tol", "negative_dyson_order", "infinite_beta",
+        "negative_tol", "string_tol", "removed_method_key", "infinite_beta",
         "nan_mu", "string_period", "string_seed"])
 def test_cli_malformed_config_exit_code(tmp_path, capsys, section, value):
     # malformed configs are configuration errors (exit 2, one line), never

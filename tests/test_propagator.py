@@ -261,7 +261,7 @@ def test_manifest_counts_refined_intervals(tmp_path):
     harness.run_plain(cfg)
     with open(tmp_path / "manifest.json") as fh:
         report = json.load(fh)["integrator"]["quadratic"]
-    assert set(report) == {"est_error", "refined_intervals", "min_step", "warnings"}
+    assert set(report) == {"est_error", "refined_intervals", "min_step"}
     assert 0 < report["refined_intervals"] <= 16
 
 
