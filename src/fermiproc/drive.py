@@ -59,6 +59,12 @@ class KernelSpec:
             raise ValueError(f"kernel sites {outside} lie outside the local region")
 
 
+def _add_one_body(w, kernel):
+    """Add a degree-1 kernel's coefficients to the L x L matrix `w` in place."""
+    w[np.ix_(kernel.sites, kernel.sites)] += kernel.coeffs
+    return w
+
+
 def build_one_body(kernels: Sequence[KernelSpec], lattice: LatticeSpec):
     """L x L one-body matrix of a purely degree-1 kernel family.
 
@@ -70,9 +76,7 @@ def build_one_body(kernels: Sequence[KernelSpec], lattice: LatticeSpec):
         if k.degree != 1:
             raise ValueError("one-body matrix exists only for degree-1 kernels")
         k.validate_support(lattice)
-        for a, sa in enumerate(k.sites):
-            for b, sb in enumerate(k.sites):
-                w[sa, sb] += k.coeffs[a, b]
+        _add_one_body(w, k)
     w = ensure_hermitian(w, "one-body kernel")
     if not np.any(w.imag):
         return np.ascontiguousarray(w.real)
@@ -90,10 +94,7 @@ def build_perturbation(kernels: Sequence[KernelSpec], lattice: LatticeSpec):
     for k in kernels:
         k.validate_support(lattice)
         if k.degree == 1:
-            one = np.zeros((lattice.n_sites,) * 2, dtype=complex)
-            for a, sa in enumerate(k.sites):
-                for b, sb in enumerate(k.sites):
-                    one[sa, sb] += k.coeffs[a, b]
+            one = _add_one_body(np.zeros((lattice.n_sites,) * 2, dtype=complex), k)
             w += quadratic_fock_operator(lattice, one)
         else:
             it = np.ndindex(*k.coeffs.shape)

@@ -48,7 +48,7 @@ from .lattice import (EXACT_SITE_CAP, Boundary, FockBasis, LatticeSpec,
                       creation_op, gauge_transform, hopping_hamiltonian,
                       number_operator, one_body_laplacian, quadratic_fock_operator,
                       site_index)
-from .linalg import assemble_blocks, fill_upper, max_abs, symmetrize, unitarity_defect
+from .linalg import fill_upper, max_abs, symmetrize, unitarity_defect
 from .observables import (delta_entropy, entropy_rate, entropy_rate_bound,
                           entropy_rate_decomposed, expectation, internal_energy,
                           ledger_row, work_accumulate)
@@ -398,12 +398,6 @@ def _trajectory(rep, params, times):
                       abs(s_final - s_start), report, pauli)
 
 
-def _sector_keys(n_sites):
-    """Index keys of the charge-sector blocks of a Fock matrix, n = 0..L."""
-    basis = FockBasis(n_sites)
-    return [np.ix_(idx, idx) for idx in map(basis.sector_indices, range(n_sites + 1))]
-
-
 def _sector_trace(rho, a):
     """tr(rho A) from the sector blocks of a block-diagonal rho and of any A."""
     return sum(expectation(r, b) for r, b in zip(rho, a))
@@ -422,19 +416,15 @@ def exact_trajectory(spec, params, protocol, times, tol, probe_ops=None):
     construction. A drive component with a nonzero entry between sectors is
     refused before any step. `final_state` is the dense rho.
     """
-    keys = _sector_keys(spec.n_sites)
-
-    def sectors(a):
-        return tuple(a[key] for key in keys)
-
-    h0 = sectors(hopping_hamiltonian(spec))
+    basis = FockBasis(spec.n_sites)
+    h0 = basis.sectors(hopping_hamiltonian(spec))
     components = protocol.d_operator(times[0], "fock") if protocol else []
-    vs = [sectors(v) for v in components]
+    vs = [basis.sectors(v) for v in components]
     for j, (v, blocks) in enumerate(zip(components, vs)):
         if np.count_nonzero(v) != sum(np.count_nonzero(b) for b in blocks):
             raise ValueError(f"drive component {j} couples charge sectors; the exact "
                              "path needs gauge-invariant drives")
-    probes = [sectors(np.asarray(a)) for a in probe_ops or []]
+    probes = [basis.sectors(np.asarray(a)) for a in probe_ops or []]
 
     def h_at(t):
         # W = 0 before the grid starts, as in TimeDependentHamiltonian
@@ -462,8 +452,7 @@ def exact_trajectory(spec, params, protocol, times, tol, probe_ops=None):
     rho0 = sector_gibbs_state(h0, params).rho
     rep = _Representation(rho0, entropy(rho0), step_grid(DenseSteps(h_at), times, tol),
                           update, observe,
-                          lambda rho, t: (assemble_blocks(keys, rho, (1 << spec.n_sites,) * 2),
-                                          entropy(rho), None))
+                          lambda rho, t: (basis.assemble(rho), entropy(rho), None))
     return _trajectory(rep, params, times)
 
 
@@ -606,23 +595,23 @@ def saturation_coefficient(protocol, params, t, representation):
     n_sites = protocol.lattice.n_sites
     vs = protocol.d_operator(t, representation)
     if representation == "fock":
-        keys = _sector_keys(n_sites)
-        vs = [tuple(v[key] for key in keys) for v in vs]
+        basis = FockBasis(n_sites)
+        vs = [basis.sectors(v) for v in vs]
         w_t = tuple(sum(lj * v[n] for lj, v in zip(protocol.controls(t), vs))
-                    for n in range(len(keys)))
-        n_op = tuple(n * np.eye(len(key[0])) for n, key in enumerate(keys))
+                    for n in range(n_sites + 1))
+        n_op = tuple(n * np.eye(len(w)) for n, w in enumerate(w_t))
     else:
         w_t, n_op = protocol.operator(t, representation), np.eye(n_sites)
     return entropy_rate_bound(params, vs, protocol.lam_dot(t), w_t, n_op)
 
 
-def _common_ledger_checks(manifest, traj, representation, prefix=""):
+def _common_ledger_checks(manifest, traj, prefix=""):
     """Ledger and numerical-health verdicts shared by every process run."""
     records, drift = traj.records, traj.entropy_drift
     _verdict(manifest, prefix + "entropy_drift", drift <= ENTROPY_DRIFT_BOUND, drift,
              ENTROPY_DRIFT_BOUND)
-    if representation == "one_body":
-        pauli = traj.pauli_defect
+    pauli = traj.pauli_defect
+    if pauli is not None:
         _verdict(manifest, prefix + "pauli_defect", pauli <= PAULI_BOUND, pauli, PAULI_BOUND)
     min_gap = entropy_gap(records)
     _verdict(manifest, prefix + "entropy_monotone_start", min_gap >= -1e-8, min_gap, -1e-8)
@@ -673,7 +662,7 @@ def _run_process(cfg: RunConfig, kind, times, verdict=None) -> ProcessResult:
         prefix = f"{tag}_" if both else ""
         if verdict is not None:
             verdict(manifest, prefix, _PathRun(spec, params, protocol, rep, ops, traj))
-        _common_ledger_checks(manifest, traj, rep, prefix)
+        _common_ledger_checks(manifest, traj, prefix)
 
     if both:
         dev = path_deviation(trajectories["exact"], trajectories["quadratic"])
@@ -717,10 +706,11 @@ def run_process_I(cfg: RunConfig) -> ProcessResult:
         amp = cfg.drive.amplitude
         if run.representation == "fock":
             # the Gibbs state at H_inf and the probes, sector by sector
-            keys = _sector_keys(spec.n_sites)
-            h0, v = hopping_hamiltonian(spec), protocol.components[0].fock()
-            target_rho = sector_gibbs_state([h0[k] + amp * v[k] for k in keys], params).rho
-            target = np.array([_sector_trace(target_rho, [a[k] for k in keys]) for a in ops])
+            basis = FockBasis(spec.n_sites)
+            h0 = basis.sectors(hopping_hamiltonian(spec))
+            v = basis.sectors(protocol.components[0].fock())
+            target_rho = sector_gibbs_state([h + amp * b for h, b in zip(h0, v)], params).rho
+            target = np.array([_sector_trace(target_rho, basis.sectors(a)) for a in ops])
         else:
             h_inf = one_body_laplacian(spec) + amp * protocol.components[0].one_body()
             gamma_inf = gibbs_correlation(h_inf, params)

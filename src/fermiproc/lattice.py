@@ -108,13 +108,21 @@ def _popcounts(n_sites):
 
 @dataclass(frozen=True)
 class FockBasis:
-    """Occupation-number basis bookkeeping for L sites (dimension 2^L)."""
+    """Occupation-number basis bookkeeping for L sites (dimension 2^L).
+
+    The charge sectors n = 0..L are Fock space's block structure: every
+    gauge-invariant operator is block-diagonal over them. `sectors` slices a
+    matrix into its diagonal blocks and `assemble` puts blocks back.
+    """
 
     n_sites: int
     popcounts: np.ndarray = field(init=False, repr=False, compare=False)
+    _keys: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "popcounts", _popcounts(self.n_sites))
+        object.__setattr__(self, "_keys", tuple(
+            np.ix_(idx, idx) for idx in map(self.sector_indices, range(self.n_sites + 1))))
 
     @property
     def dim(self):
@@ -123,6 +131,17 @@ class FockBasis:
     def sector_indices(self, n_particles):
         """Basis indices of the n-particle sector, ascending."""
         return np.nonzero(self.popcounts == n_particles)[0]
+
+    def sectors(self, a):
+        """The n-particle diagonal blocks of a Fock matrix, n = 0..L."""
+        return tuple(a[key] for key in self._keys)
+
+    def assemble(self, blocks):
+        """Dense block-diagonal Fock matrix with `blocks[n]` on sector n."""
+        out = np.zeros((self.dim, self.dim), np.result_type(*blocks))
+        for key, block in zip(self._keys, blocks):
+            out[key] = block
+        return out
 
 
 def _parity_of_bits(values):

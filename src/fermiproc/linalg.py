@@ -1,9 +1,8 @@
-"""Shared dense linear-algebra helpers: norms, Hermiticity policy, decoupled
-blocks, unitary exponentials."""
+"""Shared dense linear-algebra helpers: norms, Hermiticity policy, unitary
+exponentials. Block structure in Fock space is the charge sectors, held by
+`lattice.FockBasis`."""
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 #: entrywise drift below which a matrix is accepted as Hermitian outright
 HERMITIAN_TOL = 1e-12
@@ -65,55 +64,13 @@ def spectral_norm(a):
     return float(np.max(np.abs(np.linalg.eigvalsh(a))))
 
 
-# -- decoupled blocks (dense Gibbs states and relative entropies) ----------------
-
-# below this dimension a dense eigendecomposition is cheaper than the block
-# search plus the per-block gathers (measured crossover between 64 and 128 on
-# charge-sector Hamiltonians: 0.8 ms dense vs 1.1 ms blocked at 64, 4.7 vs
-# 1.9 ms at 128)
-_BLOCK_MIN_DIM = 128
-_WHOLE = (slice(None), slice(None))
-
-
-def decoupled_blocks(*mats):
-    """Diagonal blocks on which square matrices jointly decouple.
-
-    The blocks are the connected components of the joint exact-zero pattern:
-    every matrix vanishes exactly between indices of different blocks, so a
-    Hermitian function of each matrix acts block by block. Returns a list of
-    index keys, `a[key]` being a diagonal block. A single block (and any
-    matrix below `_BLOCK_MIN_DIM`, which is not scanned) is the one key that
-    views the whole matrix.
-    """
-    if mats[0].shape[0] < _BLOCK_MIN_DIM:
-        return [_WHOLE]
-    pattern = mats[0] != 0
-    for a in mats[1:]:
-        pattern |= a != 0
-    n_blocks, labels = connected_components(csr_matrix(pattern), directed=False)
-    if n_blocks == 1:
-        return [_WHOLE]
-    order = np.argsort(labels, kind="stable")
-    return [np.ix_(idx, idx)
-            for idx in np.split(order, np.cumsum(np.bincount(labels))[:-1])]
-
-
-def assemble_blocks(keys, parts, shape):
-    """Matrix with `parts` on the diagonal blocks `keys`, zero elsewhere."""
-    if len(parts) == 1:  # the single key covers the whole matrix
-        return parts[0]
-    out = np.zeros(shape, np.result_type(*parts))
-    for key, part in zip(keys, parts):
-        out[key] = part
-    return out
-
-
 # -- unitary exponentials ----------------------------------------------------
 
 def expm_unitary(h, dt):
     """exp(-i*dt*h) for Hermitian h via eigendecomposition (exactly unitary).
 
-    No block search: the exact path hands in its charge sectors one at a time.
+    One eigendecomposition of the whole matrix: the exact path hands in its
+    charge sectors one at a time.
     """
     w, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * dt * w)) @ v.conj().T

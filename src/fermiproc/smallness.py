@@ -16,7 +16,6 @@ quadratic form factorizes over axes and only 1-D grids are ever needed.
 """
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
@@ -152,22 +151,12 @@ def lattice_kernel_norm(coeffs, sites, sigma=0.5, spacing=1.0,
         raise ValueError(f"coefficient tensor shape {w.shape} does not match {n_sites} sites")
 
     def quad_form(pts):
+        # <w, S^{(x)M} w>: S contracted along each axis of w in turn
         s_mat = _bump_form_matrix(positions, sigma, box, pts)
-        total = 0.0 + 0.0j
-        flat = w.reshape(-1)
-        indices = list(product(range(n_sites), repeat=m_dim))
-        for ia, idx_a in enumerate(indices):
-            wa = flat[ia]
-            if wa == 0:
-                continue
-            for ib, idx_b in enumerate(indices):
-                wb = flat[ib]
-                if wb == 0:
-                    continue
-                prod_val = 1.0
-                for k in range(m_dim):
-                    prod_val *= s_mat[idx_a[k], idx_b[k]]
-                total += np.conj(wa) * wb * prod_val
+        sw = w
+        for axis in range(m_dim):
+            sw = np.moveaxis(np.tensordot(s_mat, sw, axes=([1], [axis])), 0, axis)
+        total = np.vdot(w, sw)
         return 2.0 ** (-1.5 * m_dim) * np.sqrt(max(float(np.real(total)), 0.0))
 
     coarse, fine = quad_form(points), quad_form(2 * points)

@@ -5,7 +5,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import assemble_blocks, decoupled_blocks, ensure_hermitian, symmetrize
+from .linalg import ensure_hermitian, symmetrize
 
 #: eigenvalues below this contribute zero to entropy sums (x ln x -> 0)
 EIG_FLOOR = 1e-14
@@ -34,8 +34,9 @@ class GibbsParams:
 class GibbsResult(NamedTuple):
     """Gibbs state with its grand potential.
 
-    `rho` is dense (`gibbs_state`) or a tuple of charge-sector blocks
-    (`sector_gibbs_state`). `beta_g` is -ln Xi (dimensionless);
+    `rho` is dense (`gibbs_state`, one eigendecomposition of the whole
+    matrix) or a tuple of charge-sector blocks (`sector_gibbs_state`, one per
+    sector). `beta_g` is -ln Xi (dimensionless);
     `grand_potential` is beta_g / beta.
     `min_eigenvalue` is the smallest Boltzmann weight of rho (always > 0).
     """
@@ -49,23 +50,20 @@ class GibbsResult(NamedTuple):
 def gibbs_state(h, n_op, params):
     """Grand-canonical state rho = exp(-beta*(H - mu*N)) / Xi.
 
-    Diagonalizes K = H - mu*N one decoupled block (charge sector, for a
-    gauge-invariant H) at a time and shifts by the ground energy before
+    Diagonalizes K = H - mu*N once and shifts by the ground energy before
     exponentiating (log-sum-exp stabilization), so arbitrary beta are safe.
     Returns the state together with the grand potential G and beta*G = -ln Xi.
+    A charge-conserving H given by its sector blocks goes to
+    `sector_gibbs_state` instead.
     """
     h = ensure_hermitian(np.asarray(h), "Hamiltonian")
     n_op = ensure_hermitian(np.asarray(n_op), "charge operator")
     if h.shape != n_op.shape:
         raise ValueError("Hamiltonian and charge operator dimensions differ")
-    k = h - params.mu * n_op
-    keys = decoupled_blocks(k)
-    eigs = [np.linalg.eigh(k[key]) for key in keys]
-    weights, beta_g = _boltzmann_weights([w for w, _ in eigs], params.beta)
-    rho = assemble_blocks(keys, [(v * p) @ v.conj().T for (_, v), p in zip(eigs, weights)],
-                          k.shape)
-    return GibbsResult(symmetrize(rho), beta_g / params.beta, beta_g,
-                       float(min(p.min() for p in weights)))
+    w, v = np.linalg.eigh(h - params.mu * n_op)
+    (p,), beta_g = _boltzmann_weights([w], params.beta)
+    return GibbsResult(symmetrize((v * p) @ v.conj().T), beta_g / params.beta, beta_g,
+                       float(p.min()))
 
 
 def _boltzmann_weights(spectra, beta):
@@ -109,37 +107,30 @@ def relative_entropy(state, reference):
     non-negative (Klein inequality) and zero iff the states coincide. The
     reference must be strictly positive, or at least carry the state's
     support; a support violation raises `SupportError` naming the deficient
-    eigenspace. Both states are diagonalized one block of their joint
-    exact-zero pattern at a time.
+    eigenspace. One eigendecomposition of sigma and one spectrum of rho.
     """
     rho = np.asarray(state)
     sigma = np.asarray(reference)
     if rho.shape != sigma.shape:
         raise ValueError("state dimensions differ")
-    n_null, null_mass, wr_min, s_rho, cross = 0, 0.0, np.inf, 0.0, 0.0
-    for key in decoupled_blocks(rho, sigma):
-        r = rho[key]
-        ws, vs = np.linalg.eigh(sigma[key])
-        null = ws <= EIG_FLOOR
-        if np.any(null):
-            null_vecs = vs[:, null]
-            n_null += int(null.sum())
-            null_mass += float(np.real(np.sum(null_vecs.conj() * (r @ null_vecs))))
-        wr = np.linalg.eigvalsh(r)
-        wr_min = min(wr_min, wr[0])
-        wr = wr[wr > EIG_FLOOR]
-        s_rho += float(np.sum(wr * np.log(wr)))  # tr(rho ln rho)
-        keep = vs[:, ~null]
-        diag = np.real(np.sum(keep.conj() * (r @ keep), axis=0))
-        cross += float(np.sum(diag * np.log(ws[~null])))  # tr(rho ln sigma) on the support
-    if null_mass > 1e-12:
-        raise SupportError(
-            f"reference state has {n_null} null direction(s) "
-            f"carrying state mass {null_mass:.3e}"
-        )
-    if wr_min < -NEGATIVE_EIG_TOL:
-        raise ValueError(f"state eigenvalue {wr_min:.3e} beyond tolerance")
-    return s_rho - cross
+    ws, vs = np.linalg.eigh(sigma)
+    null = ws <= EIG_FLOOR
+    if np.any(null):
+        null_vecs = vs[:, null]
+        null_mass = float(np.real(np.sum(null_vecs.conj() * (rho @ null_vecs))))
+        if null_mass > 1e-12:
+            raise SupportError(
+                f"reference state has {int(null.sum())} null direction(s) "
+                f"carrying state mass {null_mass:.3e}"
+            )
+    wr = np.linalg.eigvalsh(rho)
+    if wr[0] < -NEGATIVE_EIG_TOL:
+        raise ValueError(f"state eigenvalue {wr[0]:.3e} beyond tolerance")
+    wr = wr[wr > EIG_FLOOR]
+    keep = vs[:, ~null]
+    diag = np.real(np.sum(keep.conj() * (rho @ keep), axis=0))
+    # tr(rho ln rho) - tr(rho ln sigma) on sigma's support
+    return float(np.sum(wr * np.log(wr))) - float(np.sum(diag * np.log(ws[~null])))
 
 
 __all__ = [

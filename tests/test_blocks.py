@@ -1,25 +1,19 @@
-"""Blocked eigendecompositions: decoupled blocks of exact-zero patterns, and
-the Gibbs state and relative entropy computed one block at a time against
-their dense formulas (with the exponential, which takes no block search)."""
+"""Charge sectors as Fock space's block structure: `FockBasis.sectors` and
+`assemble`, the sector Gibbs state against the dense one at L = 8, and the
+dense Gibbs state, relative entropy and exponential against their formulas,
+including Fock matrices that are not gauge-invariant."""
 
 import numpy as np
 import pytest
 
 from fermiproc.drive import KernelSpec, Perturbation
-from fermiproc.lattice import (LatticeSpec, creation_op, hopping_hamiltonian,
+from fermiproc.lattice import (FockBasis, LatticeSpec, creation_op, hopping_hamiltonian,
                                number_operator, one_body_laplacian)
-from fermiproc.linalg import decoupled_blocks, expm_unitary
-from fermiproc.states import GibbsParams, SupportError, gibbs_state, relative_entropy
+from fermiproc.linalg import expm_unitary
+from fermiproc.states import (GibbsParams, SupportError, gibbs_state, relative_entropy,
+                              sector_gibbs_state)
 
 PARAMS = GibbsParams(beta=1.3, mu=0.2)
-
-
-def _block_sets(mat):
-    sets = set()
-    for key in decoupled_blocks(mat):
-        rows = np.arange(mat.shape[0])[key[0]].ravel()
-        sets.add(frozenset(rows.tolist()))
-    return sets
 
 
 def _random_hermitian(rng, n):
@@ -67,44 +61,25 @@ def _driven_fock(degree, amplitude):
     return h, number_operator(spec)
 
 
-def test_blocks_of_permuted_block_diagonal_matrix():
-    rng = np.random.default_rng(3)
-    sizes = [40, 1, 70, 17, 12]
-    n = sum(sizes)
-    a = np.zeros((n, n), dtype=complex)
-    start = 0
-    for size in sizes:
-        a[start:start + size, start:start + size] = _random_hermitian(rng, size)
-        start += size
-    perm = rng.permutation(n)
-    permuted = a[np.ix_(perm, perm)]
-    # index i of `permuted` is index perm[i] of `a`
-    position = np.argsort(perm)
-    expected = set()
-    start = 0
-    for size in sizes:
-        expected.add(frozenset(position[start:start + size].tolist()))
-        start += size
-    assert _block_sets(permuted) == expected
-
-
-def test_blocks_of_joint_pattern_and_small_matrices():
-    h, n_op = _driven_fock(1, 0.3)
-    assert len(decoupled_blocks(h)) == 9  # one block per particle number
-    # a matrix coupling sectors 0 and 1 merges them in the joint pattern
-    link = np.zeros_like(h)
-    link[0, 1] = link[1, 0] = 1.0
-    assert len(decoupled_blocks(h, link)) == 8
-    # below the dimension floor nothing is scanned: one whole-matrix block
-    small, _ = _driven_fock(1, 0.3)
-    small = small[:64, :64]
-    assert decoupled_blocks(small) == [(slice(None), slice(None))]
+@pytest.mark.parametrize("beta", [1.3, 8.0])
+def test_sector_gibbs_state_matches_dense_at_L8(beta):
+    # what the exact-zero block search guarded: the dense Gibbs state of a
+    # driven degree-2 Hamiltonian, one eigendecomposition of 256 rows, equals
+    # the charge-sector one assembled
+    h, n_op = _driven_fock(2, 0.4)
+    params = GibbsParams(beta=beta, mu=0.2)
+    basis = FockBasis(8)
+    dense = gibbs_state(h, n_op, params)
+    sector = sector_gibbs_state(basis.sectors(h), params)
+    assert np.max(np.abs(dense.rho - basis.assemble(sector.rho))) <= 1e-12
+    assert abs(dense.beta_g - sector.beta_g) <= 1e-12
+    # h is block-diagonal over the sectors: slicing and assembling is exact
+    assert np.array_equal(basis.assemble(basis.sectors(h)), h)
 
 
 @pytest.mark.parametrize("degree", [1, 2])
 def test_blocked_kernels_match_dense_formulas(degree):
     h, n_op = _driven_fock(degree, 0.4)
-    assert len(decoupled_blocks(h)) > 1
     assert np.max(np.abs(expm_unitary(h, 0.37) - _dense_expm(h, 0.37))) <= 1e-12
 
     ref = gibbs_state(h, n_op, PARAMS)
@@ -122,13 +97,14 @@ def test_blocked_kernels_match_dense_formulas(degree):
 
 
 def test_single_block_matches_dense_code_bit_for_bit():
-    # one-body matrix (one block) and a Fock matrix below the scan floor
+    # a one-body matrix, a corner of a Fock matrix and the whole L = 8 one:
+    # each takes one eigendecomposition of the whole matrix
     spec = LatticeSpec(200, local_region=(98, 99))
     h1 = one_body_laplacian(spec)
     h1[98, 99] = h1[99, 98] = -0.7
-    small, n_small = _driven_fock(1, 0.4)
-    small, n_small = small[:64, :64], n_small[:64, :64]
-    for h, n_op in ((h1, np.eye(200)), (small, n_small)):
+    fock, n_fock = _driven_fock(1, 0.4)
+    small, n_small = fock[:64, :64], n_fock[:64, :64]
+    for h, n_op in ((h1, np.eye(200)), (small, n_small), (fock, n_fock)):
         assert np.array_equal(expm_unitary(h, 0.3), _dense_expm(h, 0.3))
         ref = gibbs_state(h, n_op, PARAMS)
         rho_dense, beta_g_dense = _dense_gibbs(h, n_op, PARAMS)
@@ -147,7 +123,6 @@ def test_support_error_inside_one_sector():
     # block-diagonal, with a null direction inside that sector
     deficient = sigma - w[0] * np.outer(null_vec, null_vec.conj())
     deficient /= np.trace(deficient).real
-    assert len(decoupled_blocks(deficient)) == 9
     rho = gibbs_state(hopping_hamiltonian(LatticeSpec(8)), n_op, PARAMS).rho
     with pytest.raises(SupportError, match="1 null direction"):
         relative_entropy(rho, deficient)
@@ -159,13 +134,11 @@ def test_non_gauge_invariant_fock_matrix():
     h, n_op = _driven_fock(1, 0.4)
     spec = LatticeSpec(8)
     c3, c4 = creation_op(spec, 3), creation_op(spec, 4)
-    # a_3 + a_3^* couples every sector: a single block, today's dense route
+    # a_3 + a_3^* couples every sector
     source = h + 0.3 * (c3 + c3.conj().T)
-    assert len(decoupled_blocks(source)) == 1
     assert np.array_equal(expm_unitary(source, 0.3), _dense_expm(source, 0.3))
-    # pairing a_3^* a_4^* + h.c. keeps only the parity: two blocks, not nine
+    # pairing a_3^* a_4^* + h.c. keeps only the parity
     pairing = h + 0.3 * (c3 @ c4 + (c3 @ c4).conj().T)
-    assert len(decoupled_blocks(pairing)) == 2
     assert np.max(np.abs(expm_unitary(pairing, 0.3)
                          - _dense_expm(pairing, 0.3))) <= 1e-12
     ref = gibbs_state(pairing, n_op, PARAMS)

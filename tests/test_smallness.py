@@ -1,12 +1,13 @@
 """Weighted Sobolev norm of perturbation kernels."""
 
 import functools
+import itertools
 
 import numpy as np
 import pytest
 
 from fermiproc.smallness import (DEFAULT_BOX, GridTooCoarseError, SMALLNESS_THRESHOLD,
-                                 UnsupportedKernelDegree, grid_axis, grid_norm,
+                                 UnsupportedKernelDegree, _bump_form_matrix, grid_axis, grid_norm,
                                  kernel_norm, lattice_kernel_norm, site_positions,
                                  smallness_norm)
 
@@ -92,6 +93,21 @@ def test_degree_two_kernel_supported():
     w[1, 0, 0, 1] = 0.05
     est = lattice_kernel_norm(w, (0, 1), points=256)
     assert est.value > 0
+
+    # a non-symmetric 3-site kernel against the explicit pair sum
+    # sum_{a,b} conj(w_a) w_b prod_k S[a_k, b_k] on the fine grid
+    rng = np.random.default_rng(11)
+    w = rng.normal(size=(3,) * 4) + 1j * rng.normal(size=(3,) * 4)
+    sites = (0, 1, 2)
+    est = lattice_kernel_norm(w, sites, points=256)
+    s_mat = _bump_form_matrix(site_positions(sites), 0.5, DEFAULT_BOX, 512)
+    total = 0.0
+    for idx_a in itertools.product(range(3), repeat=4):
+        for idx_b in itertools.product(range(3), repeat=4):
+            total += (np.conj(w[idx_a]) * w[idx_b]
+                      * np.prod([s_mat[i, j] for i, j in zip(idx_a, idx_b)]))
+    expected = 2.0 ** -6 * np.sqrt(total.real)
+    assert abs(est.value - expected) <= 1e-12 * expected
 
 
 def test_degree_three_rejected():
