@@ -39,7 +39,6 @@ import numpy as np
 import yaml
 from scipy.linalg.blas import zgemm, zhemm
 from scipy.special import expit
-from scipy.stats import spearmanr
 
 from . import __version__
 from .drive import (DriveProtocol, KernelSpec, Perturbation, periodic_protocol,
@@ -741,6 +740,17 @@ def run_process_I(cfg: RunConfig) -> ProcessResult:
     return _run_process(cfg, "process_I", times, verdict)
 
 
+def _average_ranks(x):
+    """Ranks 1..n of the values x, tied values sharing their average rank."""
+    _, group, counts = np.unique(x, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - 0.5 * (counts - 1))[group]
+
+
+def _spearman(x, y):
+    """Spearman's rank correlation: Pearson's correlation of the average ranks."""
+    return float(np.corrcoef(_average_ranks(x), _average_ranks(y))[0, 1])
+
+
 def run_process_II(cfg: RunConfig) -> ProcessResult:
     """Periodic drive: probe distance between consecutive cycles.
 
@@ -785,7 +795,7 @@ def run_process_II(cfg: RunConfig) -> ProcessResult:
             rho_trend = -1.0
         else:
             ratio = d_seq[-1] / d_seq[0] if d_seq[0] > 0 else 0.0
-            rho_trend = float(spearmanr(np.arange(1, n_max + 1), d_seq).statistic)
+            rho_trend = _spearman(np.arange(1, n_max + 1), d_seq)
         _verdict(manifest, prefix + "process2_cycle_ratio",
                  ratio <= PROCESS2_CYCLE_BOUND, ratio, PROCESS2_CYCLE_BOUND)
         _verdict(manifest, prefix + "process2_spearman",

@@ -2,12 +2,16 @@
 
 The direct integrator takes fourth-order commutator-free Magnus steps, CFM4
 (Blanes & Moan 2006, Appl. Numer. Math. 56, 1519; Alvermann & Fehske 2011,
-J. Comput. Phys. 230, 5930): with H- and H+ the Hamiltonian at the
-Gauss-Legendre points t + (1/2 -+ sqrt(3)/6) dt,
-U = exp(-i*dt*(w1 H- + w2 H+)) exp(-i*dt*(w2 H- + w1 H+)), w1,2 = (3 -+
-2 sqrt(3))/12; the right factor acts first. Each step is a product of
-exponentials of Hermitian matrices, so unitarity holds to roundoff regardless
-of step size.
+J. Comput. Phys. 230, 5930), built from Magnus moments on three
+Gauss-Legendre nodes (Blanes, Casas & Ros 2000, BIT 40, 434): with h_i the
+Hamiltonian at t + c_i dt, c = 1/2 + (-1, 0, 1) sqrt(15)/10, weights
+w = (5, 8, 5)/18, B0 = sum_i w_i h_i and B1 = sum_i w_i (c_i - 1/2) h_i,
+U = exp(-i dt (B0/2 + 2 B1)) exp(-i dt (B0/2 - 2 B1)); the right factor acts
+first (`cfm4`). On the two-point nodes 1/2 -+ sqrt(3)/6 the same moments give
+the classic two-point CFM4. Three nodes matter in the interaction picture,
+where h carries the phases e^{i eps t}: two-point quadrature errs there to
+first order in the drive. Each step is a product of exponentials of Hermitian
+matrices, so unitarity holds to roundoff regardless of step size.
 
 Step control is step doubling: a step is accepted when the Richardson
 difference between one step and two half steps falls below the tolerance per
@@ -24,8 +28,13 @@ once, over a step representation with `step`, `compose` and `distance`:
   h0 = phi diag(eps) phi^T, in h0's eigenbasis. A drive on the sites R is
   Y(t) C(t) Y(t)^dagger there, with Y(t) = diag(e^{i eps t}) phi_R^T, so a
   CFM4 step is the `LowRankUnitary` I + Q K Q^dagger: Q from a QR of the
-  L x 2|R| matrix [Y(t-), Y(t+)], K from two 2|R| x 2|R| exponentials, and
-  no L x L exponential. Steps compose on their joint span, and the Richardson
+  L x 3|R| frames [Y(a + c_i dt)], K from two 3|R| x 3|R| exponentials, and
+  no L x L exponential. Since Y(a + c dt) = diag(e^{i eps a}) Y(c dt), that
+  QR is diag(e^{i eps a}) times the QR of [Y(c_i dt)], kept for the last
+  `BASIS_CACHE_SIZE` step widths. I + K is unitary, so K is normal: its
+  eigen-directions with |d| <= ROUNDOFF_FLOOR, inside the pair test's
+  absolute floor, are dropped, leaving rank <= 3|R| (8 of 12 for the
+  reference drives). Steps compose on their joint span, and the Richardson
   difference is the spectral norm there, an upper bound of the max-modulus.
 """
 
@@ -33,6 +42,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
+from scipy.linalg import schur
 from scipy.special import gammainc
 
 from .linalg import expm_unitary, max_abs, spectral_norm
@@ -100,20 +110,20 @@ def _as_callable(h) -> Callable[[float], np.ndarray]:
     return lambda t: arr
 
 
-_GAUSS_OFFSET = np.sqrt(3.0) / 6.0  # Gauss-Legendre points at 1/2 -+ this
-_CFM4_W1 = (3.0 - 2.0 * np.sqrt(3.0)) / 12.0
-_CFM4_W2 = (3.0 + 2.0 * np.sqrt(3.0)) / 12.0
+#: three-node Gauss-Legendre rule on [0, 1]: nodes 1/2 + (-1, 0, 1) sqrt(15)/10
+GAUSS_NODES = 0.5 + np.sqrt(15.0) / 10.0 * np.array([-1.0, 0.0, 1.0])
+GAUSS_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 18.0
 
 
-def _gauss_points(a, b):
-    return a + (0.5 - _GAUSS_OFFSET) * (b - a), a + (0.5 + _GAUSS_OFFSET) * (b - a)
-
-
-def _cfm4_pair(early, late, dt):
-    """The two CFM4 exponentials of the Hermitian matrices sampled at the
-    Gauss points, as (first, second); the first acts first."""
-    return (expm_unitary(_CFM4_W2 * early + _CFM4_W1 * late, dt),
-            expm_unitary(_CFM4_W1 * early + _CFM4_W2 * late, dt))
+def cfm4(samples, dt, nodes=GAUSS_NODES, weights=GAUSS_WEIGHTS):
+    """One CFM4 step from the Hermitian matrices h(a + c_i dt) sampled at the
+    quadrature `nodes` c_i: with the Magnus moments B0 = sum_i w_i h(c_i) and
+    B1 = sum_i w_i (c_i - 1/2) h(c_i),
+    U = exp(-i dt (B0/2 + 2 B1)) exp(-i dt (B0/2 - 2 B1)), the right factor
+    acting first."""
+    b0 = sum(w * h for w, h in zip(weights, samples))
+    b1 = sum(w * (c - 0.5) * h for c, w, h in zip(nodes, weights, samples))
+    return expm_unitary(0.5 * b0 + 2.0 * b1, dt) @ expm_unitary(0.5 * b0 - 2.0 * b1, dt)
 
 
 class DenseSteps(NamedTuple):
@@ -123,9 +133,8 @@ class DenseSteps(NamedTuple):
     h_at: Callable
 
     def step(self, a, b):
-        blocks = zip(*(self.h_at(t) for t in _gauss_points(a, b)))
-        return tuple(second @ first for first, second in
-                     (_cfm4_pair(early, late, b - a) for early, late in blocks))
+        blocks = zip(*(self.h_at(a + c * (b - a)) for c in GAUSS_NODES))
+        return tuple(cfm4(samples, b - a) for samples in blocks)
 
     def compose(self, right, left):
         return tuple(r @ l for r, l in zip(right, left))
@@ -160,6 +169,11 @@ def _on_joint_span(*factors):
     return p, ks
 
 
+#: step widths whose frame basis `InteractionSteps` keeps; reference grids
+#: take 1 to 17 distinct widths
+BASIS_CACHE_SIZE = 32
+
+
 class InteractionSteps:
     """CFM4 steps of a one-body drive in the interaction picture of h0 =
     phi diag(eps) phi^T: the drive acts on the sites `rows` (R) through its
@@ -167,19 +181,39 @@ class InteractionSteps:
 
     def __init__(self, eps, phi, rows, coupling):
         self.eps, self.phi, self.rows, self.coupling = eps, phi, rows, coupling
+        self.bases = {}  # step width -> `basis`, in the order first seen
 
     def frame(self, t, sites):
         """Y(t) = diag(e^{i eps t}) phi_S^T for the sites S."""
         return np.exp(1j * t * self.eps)[:, None] * self.phi[sites].T
 
+    def basis(self, dt):
+        """The QR (Q0, R) of the frames [Y(c_i dt)] at the Gauss nodes c_i, a
+        step of width dt from t = 0; kept for the BASIS_CACHE_SIZE widths seen
+        last."""
+        if dt not in self.bases:
+            if len(self.bases) == BASIS_CACHE_SIZE:
+                del self.bases[next(iter(self.bases))]
+            self.bases[dt] = np.linalg.qr(np.hstack([self.frame(c * dt, self.rows)
+                                                     for c in GAUSS_NODES]))
+        return self.bases[dt]
+
     def step(self, a, b):
-        times = _gauss_points(a, b)
+        # [Y(a + c_i dt)] = diag(e^{i eps a}) [Y(c_i dt)], whose QR is
+        # diag(e^{i eps a}) Q0 times the same R
+        dt = b - a
+        q0, r = self.basis(dt)
         n = len(self.rows)
-        q, r = np.linalg.qr(np.hstack([self.frame(t, self.rows) for t in times]))
-        early, late = (m @ self.coupling(t) @ m.conj().T
-                       for m, t in zip((r[:, :n], r[:, n:]), times))
-        first, second = _cfm4_pair(early, late, b - a)
-        return LowRankUnitary(q, second @ first - np.eye(q.shape[1]))
+        cols = [r[:, i * n:(i + 1) * n] for i in range(len(GAUSS_NODES))]
+        samples = [m @ self.coupling(a + c * dt) @ m.conj().T for m, c in zip(cols, GAUSS_NODES)]
+        k = cfm4(samples, dt) - np.eye(q0.shape[1])
+        if not np.all(np.isfinite(k)):
+            raise IntegrationError(f"non-finite propagator entries on [{a}, {b}]")
+        # I + K is unitary, so K is normal and its Schur form diagonal: the
+        # eigen-directions with |d| <= ROUNDOFF_FLOOR are dropped
+        form, z, rank = schur(k, output="complex", sort=lambda d: abs(d) > ROUNDOFF_FLOOR)
+        q = np.exp(1j * a * self.eps)[:, None] * (q0 @ z[:, :rank])
+        return LowRankUnitary(q, form[:rank, :rank])
 
     def compose(self, right, left):
         p, (kl, kr) = _on_joint_span(left, right)
@@ -417,7 +451,8 @@ def heisenberg_evolve(a, propagator):
 
 __all__ = [
     "DEFAULT_TOL", "IntegrationError", "Propagator", "TimeDependentHamiltonian",
-    "DenseSteps", "LowRankUnitary", "InteractionSteps", "step_grid",
+    "GAUSS_NODES", "GAUSS_WEIGHTS", "cfm4", "DenseSteps", "LowRankUnitary",
+    "InteractionSteps", "step_grid",
     "propagate", "propagate_grid", "dyson_propagator", "dyson_remainder",
     "interaction_to_schrodinger", "heisenberg_evolve",
 ]

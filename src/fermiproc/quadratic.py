@@ -11,13 +11,14 @@ test suite before anything large runs on it.
 The trajectory runs in the interaction picture of h0 = phi diag(eps) phi^T
 (`interaction_picture`): the state is G = conj(Gamma) in h0's eigenbasis, a
 Gibbs start is diag(f(eps)), and an interval's propagator is a
-`LowRankUnitary` of rank 2|R| per CFM4 step, R being the sites the drive acts
-on. G is stored as the lower triangle of a Fortran-ordered complex128 array,
-which `rank_update` overwrites in O(|R| L^2) with one BLAS `zhemm` and one
-`zher2k`, allocating nothing of size L x L; whatever reads G reads that
-triangle only (`zhemm`, `eigvalsh(..., UPLO="L")`). Each row's reference
-scalars come from |R| x |R| resolvents (`ScalarDriveReferenceCache`), with no
-L x L `eigh`.
+`LowRankUnitary` of rank at most 3|R| per CFM4 step (three Gauss nodes'
+frames, compressed to the eigen-directions above roundoff), R being the sites
+the drive acts on. G is stored as the lower triangle of a Fortran-ordered
+complex128 array, which `rank_update` overwrites in O(|R| L^2) with one BLAS
+`zhemm` and one `zher2k`, allocating nothing of size L x L; whatever reads G
+reads that triangle only (`zhemm`, `eigvalsh(..., UPLO="L")`). Each row's
+reference scalars come from |R| x |R| resolvents (`ScalarDriveReferenceCache`),
+with no L x L `eigh`.
 """
 
 from typing import NamedTuple

@@ -131,7 +131,7 @@ def test_streamed_steps_match_full_grid():
     protocol = build_protocol(cfg, spec)
     steps, _ = interaction_picture(one_body_laplacian(spec), protocol)
     times = time_grid(0.0, 2.3, 0.1)  # odd interval count: a lone last interval
-    tol = 1.5e-6  # refines the early pairs only
+    tol = 1e-7  # refines three late pairs only
     full = list(step_grid(steps, times, tol))
     streamed = [p for k in range(0, len(times) - 1, 2)
                 for p in step_grid(steps, times[k:k + 3], tol)]
@@ -198,7 +198,7 @@ def _quadratic_peak_bytes(n_intervals):
 
 def test_trajectory_memory_does_not_grow_with_intervals():
     # the state and the update's L x L temporaries are all a trajectory holds;
-    # steps are streamed, and each is a rank-2|R| factor
+    # steps are streamed, and each is a factor of rank at most 3|R|
     matrix_bytes = 128 * 128 * 16
     short, long_ = _quadratic_peak_bytes(20), _quadratic_peak_bytes(200)
     assert long_ - short <= 2 * matrix_bytes
@@ -319,6 +319,38 @@ def test_process2_small_quadratic():
     assert len(d_seq) >= 3
     assert "process2_cycle_ratio" in m["invariants"]
     assert "process2_spearman" in m["invariants"]
+
+
+def test_process2_period_refines_no_interval():
+    # one period of process II's reference drive at L = 40, on its output grid
+    # T/64 at tol 1e-6: the three-node Magnus moments resolve the frame phases
+    # e^{i eps t}, so every pair passes the CFM4 pair test (two-node Gauss
+    # sampling of the phases refined all 64 intervals)
+    from fermiproc.lattice import one_body_laplacian
+    from fermiproc.propagator import step_grid
+    from fermiproc.quadratic import interaction_picture
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs"
+                      / "process2_L200.yaml")
+    sites = [18, 19, 20, 21]
+    cfg.lattice = LatticeConfig(L=40, boundary="dirichlet", local_region=sites)
+    cfg.drive.kernels[0].sites = sites
+    spec = harness.lattice_spec(cfg)
+    steps, _ = interaction_picture(one_body_laplacian(spec),
+                                   harness.build_protocol(cfg, spec))
+    step = cfg.drive.period / 64
+    grid = list(step_grid(steps, step * np.arange(65), 1e-6))
+    assert len(grid) == 64
+    assert not any(p.refined for p in grid)
+    assert all(p.min_step == p.t_end - p.t_start for p in grid)
+
+
+def test_spearman_matches_scipy_with_ties(rng):
+    # process II's trend statistic: average ranks for ties, as scipy's spearmanr
+    from scipy.stats import spearmanr
+    x = np.arange(1, 12)
+    for y in (rng.normal(size=11), np.round(rng.normal(size=11)), np.r_[x[:6], x[:5]]):
+        for a, b in ((x, y), (y, x), (y, y[::-1])):
+            assert abs(harness._spearman(a, b) - spearmanr(a, b).statistic) <= 1e-12
 
 
 def test_process2_zero_amplitude():

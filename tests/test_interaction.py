@@ -5,6 +5,8 @@ Gamma -> conj(u) Gamma u^T; ledger columns, probes and the final Gamma of
 `quadratic_trajectory` must agree with it to 1e-7.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,9 @@ from fermiproc import harness
 from fermiproc.drive import KernelSpec, Perturbation, periodic_protocol, switch_on_protocol
 from fermiproc.lattice import Boundary, LatticeSpec, one_body_laplacian
 from fermiproc.observables import ledger_row, work_accumulate
-from fermiproc.propagator import DenseSteps, TimeDependentHamiltonian, propagate
+from fermiproc.propagator import (BASIS_CACHE_SIZE, GAUSS_NODES, ROUNDOFF_FLOOR,
+                                  DenseSteps, InteractionSteps, TimeDependentHamiltonian,
+                                  cfm4, propagate)
 from fermiproc.quadratic import (correlation_entropy, gibbs_correlation, interaction_picture,
                                  quadratic_observable, reference_scalars)
 from fermiproc.states import GibbsParams
@@ -94,7 +98,7 @@ def test_fast_path_matches_dense_oracle(case):
 
 @pytest.mark.parametrize("region", [(1, 2, 3), (0, 1, 2, 3)])
 def test_both_path_oracle_where_rank_exceeds_lattice(region):
-    # 2|R| >= L: the QR's basis is the whole one-particle space
+    # 3|R| >= L: the QR's basis is the whole one-particle space
     cfg = harness.RunConfig(
         lattice=harness.LatticeConfig(L=5, boundary="periodic", local_region=list(region)),
         gibbs=harness.GibbsConfig(beta=1.2, mu=0.1),
@@ -133,3 +137,45 @@ def test_step_is_the_dense_interaction_picture_step():
     assert entrywise <= steps.distance(fine, whole) <= 64 * entrywise
     assert np.max(np.abs(low_rank_dense(fine) - _cfm4_step(h_int, 0.2, 0.3)
                          @ _cfm4_step(h_int, 0.1, 0.2))) <= 1e-13
+
+
+def test_compressed_step_matches_uncompressed():
+    # a step drops the eigen-directions of K with |d| <= ROUNDOFF_FLOOR: on the
+    # whole space it is the uncompressed I + Q K Q^dagger, Q from the QR of
+    # the L x 3|R| frames [Y(a + c_i dt)], to 1e-14, and its rank is below 3|R|
+    cfg = harness.load_config(Path(__file__).resolve().parents[1] / "configs"
+                              / "process2_L200.yaml")
+    spec = harness.lattice_spec(cfg)
+    steps, _ = interaction_picture(one_body_laplacian(spec),
+                                   harness.build_protocol(cfg, spec))
+    n = steps.rows.size
+    for a, dt in ((0.0, 0.09375), (1.7, 0.09375), (2.3, 0.046875)):
+        q, r = np.linalg.qr(np.hstack([steps.frame(a + c * dt, steps.rows)
+                                       for c in GAUSS_NODES]))
+        samples = [r[:, i * n:(i + 1) * n] @ steps.coupling(a + c * dt)
+                   @ r[:, i * n:(i + 1) * n].conj().T for i, c in enumerate(GAUSS_NODES)]
+        full = np.eye(spec.n_sites) + q @ (cfm4(samples, dt) - np.eye(3 * n)) @ q.conj().T
+        u = steps.step(a, a + dt)
+        assert u.q.shape[1] < 3 * n
+        assert np.max(np.abs(u.q.conj().T @ u.q - np.eye(u.q.shape[1]))) <= 1e-14
+        assert np.max(np.abs(low_rank_dense(u) - full)) <= 1e-14
+        assert ROUNDOFF_FLOOR < np.min(np.abs(np.diagonal(u.k)))
+
+
+def test_frame_basis_cache_is_bounded_and_exact():
+    # a grid of 200 distinct step widths: the per-width frame bases stay within
+    # BASIS_CACHE_SIZE, and steps from cached bases (the repeat) or fresh ones
+    # are bit for bit those of a new InteractionSteps
+    spec, protocol = _protocol(64, "periodic")
+    steps, _ = interaction_picture(one_body_laplacian(spec), protocol)
+    times = np.concatenate([[0.0], np.cumsum(0.05 + 1e-4 * np.arange(200))])
+    assert len(set(np.diff(times))) == 200
+    for a, b in zip(times[:-1], times[1:]):
+        new = InteractionSteps(steps.eps, steps.phi, steps.rows, steps.coupling)
+        fresh = new.step(a, b)
+        first = steps.step(a, b)
+        assert b - a in steps.bases  # the repeat takes the kept basis
+        for u in (first, steps.step(a, b)):
+            assert np.array_equal(u.q, fresh.q) and np.array_equal(u.k, fresh.k)
+        assert len(steps.bases) <= BASIS_CACHE_SIZE
+    assert len(steps.bases) == BASIS_CACHE_SIZE

@@ -14,7 +14,7 @@ from fermiproc.lattice import (LatticeSpec, hopping_hamiltonian, number_operator
                                one_body_laplacian, quadratic_fock_operator)
 from fermiproc.linalg import expm_unitary, max_abs, unitarity_defect
 from fermiproc.propagator import (DenseSteps, IntegrationError, TimeDependentHamiltonian,
-                                  _adaptive, dyson_propagator,
+                                  _adaptive, cfm4, dyson_propagator,
                                   dyson_remainder, heisenberg_evolve,
                                   interaction_to_schrodinger, propagate, propagate_grid)
 from fermiproc.states import GibbsParams, gibbs_state
@@ -156,7 +156,7 @@ def test_cfm4_step_is_fourth_order(case, driven_problem):
 
 @pytest.mark.parametrize("dim", [16, 200])
 def test_cfm4_step_constant_hamiltonian(dim, rng):
-    # w1 + w2 = 1/2: the two factors are exp(-i dt h / 2) each
+    # B0 = h and B1 = 0: the two factors are exp(-i dt h / 2) each
     if dim == 16:
         h = random_hermitian(rng, dim)
     else:
@@ -164,6 +164,31 @@ def test_cfm4_step_constant_hamiltonian(dim, rng):
         h = h(1.3)  # real, 200 rows
     u = _cfm4_step(lambda t: h, 0.0, 0.3)
     assert max_abs(u - expm_unitary(h, 0.3)) <= 1e-14
+
+
+def test_two_node_moments_are_two_point_cfm4(rng, monkeypatch):
+    # the moment form at the two-point Gauss nodes 1/2 -+ sqrt(3)/6 (weights
+    # 1/2) is CFM4 as exp(-i dt (w1 h- + w2 h+)) exp(-i dt (w2 h- + w1 h+)),
+    # w1,2 = (3 -+ 2 sqrt(3)) / 12: the exponents agree to 1e-15, and the
+    # unitaries to the roundoff of their eigendecompositions
+    nodes = 0.5 + np.sqrt(3.0) / 6.0 * np.array([-1.0, 1.0])
+    w1, w2 = (3.0 - 2.0 * np.sqrt(3.0)) / 12.0, (3.0 + 2.0 * np.sqrt(3.0)) / 12.0
+    exponents = []
+
+    def recorded(h, dt):
+        exponents.append(h)
+        return expm_unitary(h, dt)
+
+    monkeypatch.setattr(propagator, "expm_unitary", recorded)
+    for dim, dt in ((6, 0.1), (40, 0.7)):
+        early, late = random_hermitian(rng, dim), random_hermitian(rng, dim)
+        got = cfm4([early, late], dt, nodes, [0.5, 0.5])
+        second, first = exponents[-2:]  # the right factor acts first
+        assert max_abs(first - (w2 * early + w1 * late)) <= 1e-15
+        assert max_abs(second - (w1 * early + w2 * late)) <= 1e-15
+        want = (expm_unitary(w1 * early + w2 * late, dt)
+                @ expm_unitary(w2 * early + w1 * late, dt))
+        assert max_abs(got - want) <= 1e-14
 
 
 def _counted_exponentials(monkeypatch):
