@@ -17,9 +17,8 @@ import numpy as np
 
 from . import smallness
 from .smallness import SmallnessReport
-from .lattice import (LatticeSpec, ensure_hermitian, is_gauge_invariant,
-                      locality_defect, monomial_matrix, quadratic_fock_operator,
-                      site_index)
+from .lattice import (LatticeSpec, _monomial, ensure_hermitian, is_gauge_invariant,
+                      locality_defect, quadratic_fock_operator, site_index)
 from .linalg import max_abs, spectral_norm
 
 
@@ -86,6 +85,8 @@ def build_one_body(kernels: Sequence[KernelSpec], lattice: LatticeSpec):
 def build_perturbation(kernels: Sequence[KernelSpec], lattice: LatticeSpec):
     """Full Fock-space matrix W = sum_N sum w^N a^*..a^* a..a.
 
+    Each degree-2 monomial's entries are scattered into W from their
+    `_monomial` triplets, with no 2^L x 2^L temporary per coefficient.
     Hermitian, supported on the local region, and gauge-invariant (equal
     creator/annihilator counts per monomial); violations raise.
     """
@@ -97,13 +98,10 @@ def build_perturbation(kernels: Sequence[KernelSpec], lattice: LatticeSpec):
             one = _add_one_body(np.zeros((lattice.n_sites,) * 2, dtype=complex), k)
             w += quadratic_fock_operator(lattice, one)
         else:
-            it = np.ndindex(*k.coeffs.shape)
-            for idx in it:
-                c = k.coeffs[idx]
-                if c == 0:
-                    continue
+            for idx in zip(*np.nonzero(k.coeffs)):
                 a1, a2, b1, b2 = (k.sites[i] for i in idx)
-                w += c * monomial_matrix(lattice.n_sites, (a1, a2), (b1, b2))
+                rows, cols, signs = _monomial(lattice.n_sites, (a1, a2), (b1, b2))
+                w[rows, cols] += k.coeffs[idx] * signs
     w = ensure_hermitian(w, "perturbation")
     if not is_gauge_invariant(w, 1e-10, lattice.n_sites):
         raise ValueError("built perturbation is not gauge-invariant")

@@ -12,14 +12,15 @@ integrator report, the work recurrence and the entropy drift;
 probes as tuples of charge-sector blocks) and `quadratic_trajectory`
 (one-body correlations in the interaction picture of h0) supply only their
 representation: initial state and its entropy, per-interval steps, update,
-ledger row and probe reads, and the final state with its entropy (and, on the
-one-body path, its Pauli defect). Both take every propagator from CFM4
+ledger row and probe reads, the final state with its entropy (and, on the
+one-body path, its Pauli defect), the probes' Gibbs values at any lambda and
+the drive components' norms. Both take every propagator from CFM4
 `step_grid` on their own step representation (`DenseSteps`, `InteractionSteps`).
 One process runner, `_run_process`, builds the lattice, drive, probes and
 manifest, simulates each configured path, and applies the shared ledger and
 health checks, the `both` oracle comparison, timing and output; `run_process_I`,
 `run_process_II` and `run_plain` supply only their time grid, window checks
-and a verdict function.
+and a verdict function, which reads the trajectory and the protocol only.
 `run_verify` and the acceptance suite call the same checks (verification suite).
 
 Finite volumes recur: every convergence-flavored statement is evaluated only
@@ -47,10 +48,9 @@ from .lattice import (EXACT_SITE_CAP, Boundary, FockBasis, LatticeSpec,
                       creation_op, gauge_transform, hopping_hamiltonian,
                       number_operator, one_body_laplacian, quadratic_fock_operator,
                       site_index)
-from .linalg import fill_upper, max_abs, symmetrize, unitarity_defect
-from .observables import (delta_entropy, entropy_rate, entropy_rate_bound,
-                          entropy_rate_decomposed, expectation, internal_energy,
-                          ledger_row, work_accumulate)
+from .linalg import fill_upper, max_abs, spectral_norm, symmetrize, unitarity_defect
+from .observables import (delta_entropy, entropy_rate, entropy_rate_decomposed,
+                          expectation, internal_energy, ledger_row, work_accumulate)
 from .propagator import (DenseSteps, TimeDependentHamiltonian, dyson_propagator,
                          heisenberg_evolve, interaction_to_schrodinger, propagate,
                          propagate_grid, step_grid)
@@ -314,12 +314,15 @@ def probe_site_pairs(cfg: RunConfig, spec: LatticeSpec):
 
 
 def probe_matrices(pairs, spec: LatticeSpec, representation):
-    """n_i for (i,i) pairs, a_i^* a_j + a_j^* a_i otherwise."""
+    """n_i for (i,i) pairs, a_i^* a_j + a_j^* a_i otherwise: L x L kernels
+    ("one_body") or their Fock matrices ("fock")."""
+    build = {"one_body": lambda w: w,
+             "fock": lambda w: quadratic_fock_operator(spec, w)}[representation]
     mats = []
     for i, j in pairs:
         w = np.zeros((spec.n_sites,) * 2)
         w[i, j] = w[j, i] = 1.0
-        mats.append(w if representation == "one_body" else quadratic_fock_operator(spec, w))
+        mats.append(build(w))
     return mats
 
 
@@ -357,6 +360,9 @@ class Trajectory:
     integrator: IntegratorReport = field(default_factory=IntegratorReport)
     # one-body path: how far the final Gamma's spectrum escapes [0, 1]
     pauli_defect: Optional[float] = None
+    # lambda -> the probe values in the Gibbs state of H(lambda)
+    gibbs_probes: Optional[Callable] = None
+    drive_norms: tuple = ()  # ||dW/dlambda_j|| per drive component
 
 
 class _Representation(NamedTuple):
@@ -370,6 +376,8 @@ class _Representation(NamedTuple):
     # (state, t) -> (the reported final state, its von Neumann entropy, its
     # Pauli defect or None where the representation has none)
     final: Callable
+    gibbs_probes: Callable  # lambda -> probe values in the Gibbs state of H(lambda)
+    drive_norms: tuple  # spectral norm of each V_j = dW/dlambda_j
 
 
 def _trajectory(rep, params, times):
@@ -394,7 +402,8 @@ def _trajectory(rep, params, times):
         rec.work = work
     final_state, s_final, pauli = rep.final(state, times[-1])
     return Trajectory(records, np.array(probe_rows), np.asarray(times), final_state,
-                      abs(s_final - s_start), report, pauli)
+                      abs(s_final - s_start), report, pauli, rep.gibbs_probes,
+                      rep.drive_norms)
 
 
 def _sector_trace(rho, a):
@@ -413,7 +422,9 @@ def exact_trajectory(spec, params, protocol, times, tol, probe_ops=None):
     H(t) (`sector_gibbs_state`), and a probe A reads sum_n tr(rho_n A_nn),
     exact for any A since rho is block-diagonal. dq/dt is zero by
     construction. A drive component with a nonzero entry between sectors is
-    refused before any step. `final_state` is the dense rho.
+    refused before any step. `final_state` is the dense rho. The Gibbs probe
+    values and the norm of each V_j (the largest over its sectors) come from
+    the same blocks.
     """
     basis = FockBasis(spec.n_sites)
     h0 = basis.sectors(hopping_hamiltonian(spec))
@@ -425,11 +436,18 @@ def exact_trajectory(spec, params, protocol, times, tol, probe_ops=None):
                              "path needs gauge-invariant drives")
     probes = [basis.sectors(np.asarray(a)) for a in probe_ops or []]
 
-    def h_at(t):
-        # W = 0 before the grid starts, as in TimeDependentHamiltonian
-        lam = protocol.controls(t) if protocol and t >= times[0] else np.zeros(len(vs))
+    def h_of(lam):
         return tuple(h + sum((lj * v[n] for lj, v in zip(lam, vs)), np.zeros_like(h))
                      for n, h in enumerate(h0))
+
+    def h_at(t):
+        # W = 0 before the grid starts, as in TimeDependentHamiltonian
+        return h_of(protocol.controls(t) if protocol and t >= times[0]
+                    else np.zeros(len(vs)))
+
+    def gibbs_probes(lam):
+        rho = sector_gibbs_state(h_of(lam), params).rho
+        return np.array([_sector_trace(rho, a) for a in probes])
 
     def observe(rho, t, s_start):
         # relS takes S_vN(rho_t) = s_start: the unitary flow keeps the spectrum
@@ -451,7 +469,8 @@ def exact_trajectory(spec, params, protocol, times, tol, probe_ops=None):
     rho0 = sector_gibbs_state(h0, params).rho
     rep = _Representation(rho0, entropy(rho0), step_grid(DenseSteps(h_at), times, tol),
                           update, observe,
-                          lambda rho, t: (basis.assemble(rho), entropy(rho), None))
+                          lambda rho, t: (basis.assemble(rho), entropy(rho), None),
+                          gibbs_probes, tuple(max(map(spectral_norm, v)) for v in vs))
     return _trajectory(rep, params, times)
 
 
@@ -471,7 +490,9 @@ def quadratic_trajectory(spec, params, protocol, times, tol, probe_ops=None):
     scalars from |R| x |R| resolvents. At the end one `eigvalsh` of G (whose
     spectrum is Gamma's) gives both the final entropy and the Pauli defect;
     `final_state` is Gamma, from one basis change written over G and
-    completed to an exactly Hermitian matrix.
+    completed to an exactly Hermitian matrix. The Gibbs probe values are
+    `gibbs_correlation` of h0 + sum_j lambda_j V_j, and ||V_j|| is the norm
+    of its R x R block.
     """
     if protocol is not None and not protocol.is_quadratic:
         raise ConfigError("quadratic path requires a quadratic (degree-1) drive")
@@ -501,6 +522,11 @@ def quadratic_trajectory(spec, params, protocol, times, tol, probe_ops=None):
         return rec, np.array([float(np.real(np.sum(vals * gamma[loc])))
                               for loc, vals in reads])
 
+    def gibbs_probes(lam):
+        mats = [c.one_body() for c in protocol.components] if protocol else []
+        gamma = gibbs_correlation(h0 + sum(lj * v for lj, v in zip(lam, mats)), params)
+        return np.array([quadratic_observable(gamma, w) for w in probe_ops or []])
+
     def final(g, t):
         nu = np.linalg.eigvalsh(g, UPLO="L")
         # Gamma = conj(V G V^dagger), V = phi diag(e^{-i eps t}), over G's memory
@@ -512,7 +538,8 @@ def quadratic_trajectory(spec, params, protocol, times, tol, probe_ops=None):
     occupations = expit(-params.beta * (eps - params.mu))
     rep = _Representation(diagonal_state(occupations), binary_entropy(occupations),
                           step_grid(steps, times, tol),
-                          lambda g, step: rank_update(g, step.matrix), observe, final)
+                          lambda g, step: rank_update(g, step.matrix), observe, final,
+                          gibbs_probes, tuple(map(spectral_norm, blocks)))
     return _trajectory(rep, params, times)
 
 
@@ -583,25 +610,14 @@ def _window_average(times, values, lo, hi):
     return float(np.mean(np.asarray(values)[mask]))
 
 
-def saturation_coefficient(protocol, params, t, representation):
-    """C with |dS/dt| <= C * eps when probes pin the state to the reference.
-
-    `entropy_rate_bound` with the representation's number operator: the
-    identity one-body; n on sector n in Fock space, where every operator goes
-    in as its charge-sector blocks (the exact path refuses drives that leave
-    them), so [W, N] = 0 and no 2^L x 2^L N, product or spectrum is formed.
+def sdot_bound_coefficient(traj, beta, lam_dot):
+    """C with |dS/dt| <= C * eps when the probes pin the state to the
+    reference: beta * sum_j ||V_j|| |lambda_dot_j|, the norms from the path
+    that ran. `entropy_rate_bound`'s gauge term beta * |mu| * ||[W, N]|| is
+    zero on both paths: the exact path refuses drives between charge sectors,
+    and the one-body N is the identity.
     """
-    n_sites = protocol.lattice.n_sites
-    vs = protocol.d_operator(t, representation)
-    if representation == "fock":
-        basis = FockBasis(n_sites)
-        vs = [basis.sectors(v) for v in vs]
-        w_t = tuple(sum(lj * v[n] for lj, v in zip(protocol.controls(t), vs))
-                    for n in range(n_sites + 1))
-        n_op = tuple(n * np.eye(len(w)) for n, w in enumerate(w_t))
-    else:
-        w_t, n_op = protocol.operator(t, representation), np.eye(n_sites)
-    return entropy_rate_bound(params, vs, protocol.lam_dot(t), w_t, n_op)
+    return float(beta * sum(norm * abs(ld) for norm, ld in zip(traj.drive_norms, lam_dot)))
 
 
 def _common_ledger_checks(manifest, traj, prefix=""):
@@ -624,23 +640,14 @@ def _common_ledger_checks(manifest, traj, prefix=""):
 
 # -- process runs ----------------------------------------------------------------
 
-class _PathRun(NamedTuple):
-    """One simulated path of a process run, as handed to its verdict function."""
-
-    spec: LatticeSpec
-    params: GibbsParams
-    protocol: Optional[DriveProtocol]
-    representation: str  # "fock" (exact path) | "one_body" (quadratic path)
-    probe_ops: list
-    traj: Trajectory
-
-
 def _run_process(cfg: RunConfig, kind, times, verdict=None) -> ProcessResult:
     """Simulate every configured path on `times`, judge it, and write outputs.
 
-    `verdict(manifest, prefix, path_run)` records the process's own invariants
-    and summary scalars for one path; the ledger checks, the `both` oracle
-    comparison, timing and output are shared by every process.
+    `verdict(manifest, prefix, traj, protocol)` records the process's own
+    invariants and summary scalars for one path from its trajectory, which
+    carries the probes' Gibbs values and the drive norms of that path; the
+    ledger checks, the `both` oracle comparison, timing and output are shared
+    by every process.
     """
     t_start = time.time()
     spec = lattice_spec(cfg)
@@ -652,15 +659,15 @@ def _run_process(cfg: RunConfig, kind, times, verdict=None) -> ProcessResult:
     trajectories = {}
     both = cfg.path == "both"
     for tag in (("exact", "quadratic") if both else (cfg.path,)):
-        rep = "fock" if tag == "exact" else "one_body"
-        ops = probe_matrices(pairs, spec, rep)
-        simulate = exact_trajectory if tag == "exact" else quadratic_trajectory
-        traj = simulate(spec, params, protocol, times, cfg.integrator.tol, ops)
+        simulate, rep = ((exact_trajectory, "fock") if tag == "exact"
+                         else (quadratic_trajectory, "one_body"))
+        traj = simulate(spec, params, protocol, times, cfg.integrator.tol,
+                        probe_matrices(pairs, spec, rep))
         trajectories[tag] = traj
         manifest["integrator"][tag] = asdict(traj.integrator)
         prefix = f"{tag}_" if both else ""
         if verdict is not None:
-            verdict(manifest, prefix, _PathRun(spec, params, protocol, rep, ops, traj))
+            verdict(manifest, prefix, traj, protocol)
         _common_ledger_checks(manifest, traj, prefix)
 
     if both:
@@ -699,21 +706,9 @@ def run_process_I(cfg: RunConfig) -> ProcessResult:
             "early and late comparison quarters overlap; enlarge L or shorten tau_r"
         )
 
-    def verdict(manifest, prefix, run):
-        spec, params, protocol, ops, traj = (run.spec, run.params, run.protocol,
-                                             run.probe_ops, run.traj)
-        amp = cfg.drive.amplitude
-        if run.representation == "fock":
-            # the Gibbs state at H_inf and the probes, sector by sector
-            basis = FockBasis(spec.n_sites)
-            h0 = basis.sectors(hopping_hamiltonian(spec))
-            v = basis.sectors(protocol.components[0].fock())
-            target_rho = sector_gibbs_state([h + amp * b for h, b in zip(h0, v)], params).rho
-            target = np.array([_sector_trace(target_rho, basis.sectors(a)) for a in ops])
-        else:
-            h_inf = one_body_laplacian(spec) + amp * protocol.components[0].one_body()
-            gamma_inf = gibbs_correlation(h_inf, params)
-            target = np.array([quadratic_observable(gamma_inf, w) for w in ops])
+    def verdict(manifest, prefix, traj, protocol):
+        # the probes in the Gibbs state of H_inf = H_0 + A V
+        target = traj.gibbs_probes([cfg.drive.amplitude])
         dvals = np.max(np.abs(traj.probe_series - target), axis=1)
         for rec, dev in zip(traj.records, dvals):
             rec.D_probe = float(dev)
@@ -734,8 +729,8 @@ def run_process_I(cfg: RunConfig) -> ProcessResult:
         manifest["summary"][prefix + "deviation_ratio"] = decay_ratio
         manifest["summary"][prefix + "sdot_ratio"] = sdot_ratio
         manifest["summary"][prefix + "entropy_drift"] = traj.entropy_drift
-        manifest["summary"][prefix + "sdot_bound_coefficient"] = \
-            saturation_coefficient(protocol, params, float(t_arr[-1]), run.representation)
+        manifest["summary"][prefix + "sdot_bound_coefficient"] = sdot_bound_coefficient(
+            traj, cfg.gibbs.beta, protocol.lam_dot(float(t_arr[-1])))
 
     return _run_process(cfg, "process_I", times, verdict)
 
@@ -777,8 +772,8 @@ def run_process_II(cfg: RunConfig) -> ProcessResult:
     t_final = (n_max + 1) * period + 7.0 * phase_step
     times = time_grid(0.0, t_final, step)
 
-    def verdict(manifest, prefix, run):
-        probes = run.traj.probe_series
+    def verdict(manifest, prefix, traj, protocol):
+        probes = traj.probe_series
         d_seq = []
         for n in range(1, n_max + 1):
             worst = 0.0
@@ -1128,7 +1123,8 @@ __all__ = [
     "KernelConfig", "IntegratorConfig", "OutputConfig", "parse_config", "load_config",
     "validate_config", "lattice_spec", "build_protocol", "recurrence_window",
     "probe_site_pairs", "probe_matrices", "time_grid", "IntegratorReport", "Trajectory",
-    "exact_trajectory", "quadratic_trajectory", "ProcessResult", "run_process_I",
+    "exact_trajectory", "quadratic_trajectory", "sdot_bound_coefficient",
+    "ProcessResult", "run_process_I",
     "run_process_II", "run_plain", "execute_run", "run_verify", "run_sweep",
     "car_defect", "propagator_law_defects", "random_density",
     "klein_minimum", "two_route_entropy_rate_defect", "first_law_residual",

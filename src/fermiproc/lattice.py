@@ -144,40 +144,32 @@ class FockBasis:
         return out
 
 
-def _parity_of_bits(values):
-    """Parity (0/1) of the popcount of each entry of an integer array."""
-    v = values.copy()
-    p = np.zeros_like(v)
-    while np.any(v):
-        p ^= v & 1
-        v >>= 1
-    return p
+def _monomial(n_sites, creators, annihilators):
+    """(rows, cols, signs) of the nonzero entries of the Fock matrix of
+    a_{c1}^* ... a_{cM}^* a_{d1} ... a_{dK}: the one Jordan-Wigner sign rule.
+
+    Operators act on a ket right to left (a_{dK} first), each taking the sign
+    (-1)^{# occupied sites below it}. Every column holds at most one entry.
+    Repeated sites in either list annihilate the whole monomial.
+    """
+    pops = _popcounts(n_sites)
+    k = np.arange(pops.size, dtype=np.int64)
+    sign = np.ones(k.size, dtype=np.int64)
+    alive = np.ones(k.size, dtype=bool)
+    for s, occupied in ([(s, True) for s in reversed(tuple(annihilators))]
+                        + [(s, False) for s in reversed(tuple(creators))]):
+        bit = np.int64(1 << int(s))
+        alive &= ((k & bit) != 0) == occupied
+        sign *= 1 - 2 * (pops[k & (bit - 1)] & 1)
+        k = k ^ bit
+    return k[alive], np.flatnonzero(alive), sign[alive]
 
 
 def monomial_matrix(n_sites, creators, annihilators):
-    """Dense matrix of a_{c1}^* ... a_{cM}^* a_{d1} ... a_{dK}.
-
-    Operators act on a ket right to left (a_{dK} first). Repeated sites in
-    either list annihilate the whole monomial.
-    """
-    _check_cap(n_sites)
-    dim = 1 << n_sites
-    k = np.arange(dim, dtype=np.int64)
-    sign = np.ones(dim, dtype=np.int64)
-    alive = np.ones(dim, dtype=bool)
-    for s in reversed(tuple(annihilators)):
-        bit = np.int64(1 << s)
-        alive &= (k & bit) != 0
-        sign *= 1 - 2 * _parity_of_bits(k & (bit - 1))
-        k = k & ~bit
-    for s in reversed(tuple(creators)):
-        bit = np.int64(1 << s)
-        alive &= (k & bit) == 0
-        sign *= 1 - 2 * _parity_of_bits(k & (bit - 1))
-        k = k | bit
-    cols = np.arange(dim, dtype=np.int64)[alive]
-    mat = np.zeros((dim, dim), dtype=complex)
-    mat[k[alive], cols] = sign[alive]
+    """Dense matrix of a_{c1}^* ... a_{cM}^* a_{d1} ... a_{dK} (`_monomial`)."""
+    rows, cols, signs = _monomial(n_sites, creators, annihilators)
+    mat = np.zeros((1 << n_sites,) * 2, dtype=complex)
+    mat[rows, cols] = signs
     return mat
 
 
@@ -228,31 +220,17 @@ def one_body_laplacian(spec):
 
 
 def quadratic_fock_operator(spec_or_sites, w):
-    """Second quantization sum_{ij} w_ij a_i^* a_j as a dense Fock matrix.
-
-    Built directly in the occupation basis: the i<->j hop picks up the sign
-    (-1)^{# occupied sites strictly between i and j}.
-    """
+    """Second quantization sum_{ij} w_ij a_i^* a_j as a dense Fock matrix,
+    scattered term by term from `_monomial`."""
     n = spec_or_sites.n_sites if isinstance(spec_or_sites, LatticeSpec) else int(spec_or_sites)
     _check_cap(n)
     w = np.asarray(w, dtype=complex)
     if w.shape != (n, n):
         raise ValueError(f"one-body matrix must be {n}x{n}, got {w.shape}")
-    dim = 1 << n
-    k = np.arange(dim, dtype=np.int64)
-    pops = _popcounts(n)
-    mat = np.zeros((dim, dim), dtype=complex)
-    mat[k, k] = sum(w[i, i] * ((k >> i) & 1) for i in range(n))
-    for i in range(n):
-        for j in range(n):
-            if i == j or w[i, j] == 0:
-                continue
-            bi, bj = np.int64(1 << i), np.int64(1 << j)
-            ok = ((k & bj) != 0) & ((k & bi) == 0)
-            lo, hi = (min(i, j), max(i, j))
-            between = k & ((np.int64(1 << hi) - 1) & ~(np.int64(1 << (lo + 1)) - 1))
-            sgn = 1 - 2 * _parity_of_bits(between)
-            mat[(k[ok] ^ bj) | bi, k[ok]] += w[i, j] * sgn[ok]
+    mat = np.zeros((1 << n,) * 2, dtype=complex)
+    for i, j in zip(*np.nonzero(w)):
+        rows, cols, signs = _monomial(n, (i,), (j,))
+        mat[rows, cols] += w[i, j] * signs
     return mat
 
 

@@ -180,23 +180,18 @@ def delta_entropy(records: Sequence[ProcessRecord]):
     return float(np.trapezoid(sdot, t))
 
 
-def _blocks(a):
-    """The diagonal blocks of `a`: a tuple of blocks as is, a matrix as one."""
-    return a if isinstance(a, tuple) else (np.asarray(a),)
-
-
 def entropy_rate_bound(params, dw_dlambda, lambda_dot, w_t, n_op):
     """Coefficient C with |dS/dt| <= C * eps when local probes pin the state.
 
     eps bounds |tr((rho - rho_ref) A)| over the probe set; the constant
     collects beta * sum_j ||dW_j|| |lambda_dot_j| plus the gauge-route term
-    beta * |mu| * ||[W, N]||. Each operator is a matrix or a tuple of diagonal
-    blocks (the same blocks for all), whose norm is the largest over blocks.
+    beta * |mu| * ||[W, N]||, every operator a dense matrix. This general
+    formula is the reference of `harness.sdot_bound_coefficient`, which
+    reads the drive norms from the path that ran.
     """
     lam_dot = np.atleast_1d(np.asarray(lambda_dot, dtype=float))
-    drive = sum(max(map(spectral_norm, _blocks(dw))) * abs(ld)
-                for dw, ld in zip(dw_dlambda, lam_dot))
-    gauge = max(spectral_norm(w @ n - n @ w) for w, n in zip(_blocks(w_t), _blocks(n_op)))
+    drive = sum(spectral_norm(dw) * abs(ld) for dw, ld in zip(dw_dlambda, lam_dot))
+    gauge = spectral_norm(w_t @ n_op - n_op @ w_t)
     return float(params.beta * (drive + abs(params.mu) * gauge))
 
 

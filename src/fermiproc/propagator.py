@@ -126,6 +126,13 @@ def cfm4(samples, dt, nodes=GAUSS_NODES, weights=GAUSS_WEIGHTS):
     return expm_unitary(0.5 * b0 + 2.0 * b1, dt) @ expm_unitary(0.5 * b0 - 2.0 * b1, dt)
 
 
+def _check_finite(samples, a, b):
+    """Raise IntegrationError, before any moment or exponential is formed, if
+    a Hamiltonian sampled on [a, b] has a non-finite entry."""
+    if not all(np.isfinite(h).all() for h in samples):
+        raise IntegrationError(f"non-finite Hamiltonian entries on [{a}, {b}]")
+
+
 class DenseSteps(NamedTuple):
     """Dense CFM4 unitaries of the Hamiltonian `h_at(t)`, a tuple of Hermitian
     diagonal blocks; a unitary is the tuple of its blocks."""
@@ -133,8 +140,9 @@ class DenseSteps(NamedTuple):
     h_at: Callable
 
     def step(self, a, b):
-        blocks = zip(*(self.h_at(a + c * (b - a)) for c in GAUSS_NODES))
-        return tuple(cfm4(samples, b - a) for samples in blocks)
+        samples = [self.h_at(a + c * (b - a)) for c in GAUSS_NODES]
+        _check_finite([h for blocks in samples for h in blocks], a, b)
+        return tuple(cfm4(blocks, b - a) for blocks in zip(*samples))
 
     def compose(self, right, left):
         return tuple(r @ l for r, l in zip(right, left))
@@ -205,10 +213,10 @@ class InteractionSteps:
         q0, r = self.basis(dt)
         n = len(self.rows)
         cols = [r[:, i * n:(i + 1) * n] for i in range(len(GAUSS_NODES))]
-        samples = [m @ self.coupling(a + c * dt) @ m.conj().T for m, c in zip(cols, GAUSS_NODES)]
+        couplings = [self.coupling(a + c * dt) for c in GAUSS_NODES]
+        _check_finite(couplings, a, b)
+        samples = [m @ h @ m.conj().T for m, h in zip(cols, couplings)]
         k = cfm4(samples, dt) - np.eye(q0.shape[1])
-        if not np.all(np.isfinite(k)):
-            raise IntegrationError(f"non-finite propagator entries on [{a}, {b}]")
         # I + K is unitary, so K is normal and its Schur form diagonal: the
         # eigen-directions with |d| <= ROUNDOFF_FLOOR are dropped
         form, z, rank = schur(k, output="complex", sort=lambda d: abs(d) > ROUNDOFF_FLOOR)
@@ -306,7 +314,8 @@ def step_grid(steps, times, tol=DEFAULT_TOL):
     error budget `tol` per unit time. A pair whose two one-interval steps
     agree with one two-interval step keeps those steps (6 exponentials per
     pair); otherwise `_adaptive` halves each interval from them, and the
-    intervals are `refined`. A non-finite entry raises IntegrationError.
+    intervals are `refined`. A non-finite Hamiltonian sample, or a non-finite
+    propagator entry, raises IntegrationError.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")

@@ -11,7 +11,7 @@ import pytest  # noqa: E402
 
 from fermiproc import harness  # noqa: E402
 from fermiproc.lattice import hopping_hamiltonian, number_operator  # noqa: E402
-from fermiproc.linalg import symmetrize  # noqa: E402
+from fermiproc.linalg import spectral_norm, symmetrize  # noqa: E402
 from fermiproc.observables import (charge, charge_rate, expectation,  # noqa: E402
                                    internal_energy, ledger_row)
 from fermiproc.propagator import (DenseSteps, TimeDependentHamiltonian,  # noqa: E402
@@ -37,11 +37,14 @@ def random_unitary(rng, dim):
 
 def dense_exact_trajectory(spec, params, protocol, times, tol, probe_ops=None):
     """The exact path on dense 2^L x 2^L Fock matrices (the oracle of the
-    sector-blocked `harness.exact_trajectory`): `propagate_grid` steps, and per
-    row the dense `gibbs_state`, `expectation` and `charge_rate`."""
+    sector-blocked `harness.exact_trajectory`): `propagate_grid` steps, per
+    row the dense `gibbs_state`, `expectation` and `charge_rate`, the Gibbs
+    probe values from the dense `gibbs_state` of H_0 + sum_j lambda_j V_j, and
+    the spectral norm of each dense V_j."""
     h0 = hopping_hamiltonian(spec)
     n_op = number_operator(spec)
     tdh = TimeDependentHamiltonian(h0, protocol, times[0], "fock")
+    vs = protocol.d_operator(times[0], "fock") if protocol else []
 
     def observe(rho, t, s_start):
         w_t = protocol.operator(t, "fock") if protocol else np.zeros_like(h0)
@@ -55,11 +58,16 @@ def dense_exact_trajectory(spec, params, protocol, times, tol, probe_ops=None):
                          s_start, charge_rate(rho, w_t, n_op))
         return rec, np.array([expectation(rho, a) for a in probe_ops or []])
 
+    def gibbs_probes(lam):
+        rho = gibbs_state(h0 + sum(lj * v for lj, v in zip(lam, vs)), n_op, params).rho
+        return np.array([expectation(rho, a) for a in probe_ops or []])
+
     rho0 = gibbs_state(h0, n_op, params).rho
     rep = harness._Representation(
         rho0, von_neumann_entropy(rho0), iter(propagate_grid(tdh, times, tol)),
         lambda rho, step: symmetrize(step.matrix @ rho @ step.matrix.conj().T),
-        observe, lambda rho, t: (rho, von_neumann_entropy(rho), None))
+        observe, lambda rho, t: (rho, von_neumann_entropy(rho), None),
+        gibbs_probes, tuple(map(spectral_norm, vs)))
     return harness._trajectory(rep, params, times)
 
 

@@ -430,27 +430,60 @@ def test_sector_exact_path_matches_dense_oracle(n_sites, degree, drive):
     assert harness.path_deviation(sector, dense) <= 1e-12
     assert np.max(np.abs(sector.final_state - dense.final_state)) <= 1e-12
     assert sector.integrator.refined_intervals == dense.integrator.refined_intervals
+    # the Gibbs probe values at any lambda and the drive norms, from the blocks
+    for lam in ([0.0], [0.4], [-1.3]):
+        assert np.max(np.abs(sector.gibbs_probes(lam) - dense.gibbs_probes(lam))) <= 1e-12
+    assert len(sector.drive_norms) == len(dense.drive_norms) == 1
+    assert np.max(np.abs(np.subtract(sector.drive_norms, dense.drive_norms))) <= 1e-12
 
 
 @pytest.mark.parametrize("degree,drive", [(1, "switch_on"), (2, "periodic")])
 def test_sector_saturation_coefficient_matches_dense(monkeypatch, degree, drive):
-    # the Fock-space coefficient from charge-sector blocks equals the dense
-    # entropy_rate_bound, and builds no 2^L x 2^L number operator
+    # sdot_bound_coefficient from each path's drive norms equals the dense
+    # entropy_rate_bound with that path's N: Fock space (n on sector n, never
+    # built as a 2^L x 2^L matrix) and, for the degree-1 drive, the one-body
+    # path (N = I)
     from fermiproc.lattice import number_operator
     from fermiproc.observables import entropy_rate_bound
     spec, protocol = _sector_case(6, degree, drive)
     params = harness.GibbsParams(1.2, 0.3)
     t = 0.3
-    dense = entropy_rate_bound(params, protocol.d_operator(t, "fock"), protocol.lam_dot(t),
-                               protocol.operator(t, "fock"), number_operator(spec))
+    lam_dot = protocol.lam_dot(t)
+    times = time_grid(0.0, 0.2, 0.1)
+    cases = [("fock", harness.exact_trajectory, number_operator(spec))]
+    if degree == 1:
+        cases.append(("one_body", harness.quadratic_trajectory, np.eye(spec.n_sites)))
 
     def no_dense_n(*args, **kwargs):
         raise AssertionError("a dense number operator was built")
 
     monkeypatch.setattr(harness, "number_operator", no_dense_n)
-    value = harness.saturation_coefficient(protocol, params, t, "fock")
-    assert dense > 0
-    assert abs(value - dense) <= 1e-12
+    for rep, simulate, n_op in cases:
+        dense = entropy_rate_bound(params, protocol.d_operator(t, rep), lam_dot,
+                                   protocol.operator(t, rep), n_op)
+        traj = simulate(spec, params, protocol, times, 1e-8)
+        value = harness.sdot_bound_coefficient(traj, params.beta, lam_dot)
+        assert dense > 0
+        assert abs(value - dense) <= 1e-12, rep
+
+
+def test_exact_process1_builds_the_hopping_hamiltonian_once(monkeypatch):
+    # process I's verdict reads its Gibbs target and drive norms from the
+    # trajectory: no second Fock-space H_0
+    cfg = RunConfig(
+        lattice=LatticeConfig(L=6, local_region=[0, 1]),
+        gibbs=GibbsConfig(beta=4.0, mu=0.2),
+        drive=DriveConfig(type="switch_on", amplitude=0.05, tau_r=0.3,
+                          kernels=[KernelConfig(1, [0, 1], KERNEL)]),
+        path="exact", output=OutputConfig(grid_step=0.1))
+    calls = []
+    real = harness.hopping_hamiltonian
+    monkeypatch.setattr(harness, "hopping_hamiltonian",
+                        lambda spec: calls.append(spec) or real(spec))
+    result = run_process_I(cfg)
+    assert len(calls) == 1
+    assert result.manifest["summary"]["sdot_bound_coefficient"] > 0
+    assert all(np.isfinite(r.D_probe) for r in result.records["exact"])
 
 
 class _HandMadeComponent:

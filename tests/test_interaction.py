@@ -15,8 +15,8 @@ from fermiproc.drive import KernelSpec, Perturbation, periodic_protocol, switch_
 from fermiproc.lattice import Boundary, LatticeSpec, one_body_laplacian
 from fermiproc.observables import ledger_row, work_accumulate
 from fermiproc.propagator import (BASIS_CACHE_SIZE, GAUSS_NODES, ROUNDOFF_FLOOR,
-                                  DenseSteps, InteractionSteps, TimeDependentHamiltonian,
-                                  cfm4, propagate)
+                                  DenseSteps, IntegrationError, InteractionSteps,
+                                  TimeDependentHamiltonian, cfm4, propagate)
 from fermiproc.quadratic import (correlation_entropy, gibbs_correlation, interaction_picture,
                                  quadratic_observable, reference_scalars)
 from fermiproc.states import GibbsParams
@@ -179,3 +179,15 @@ def test_frame_basis_cache_is_bounded_and_exact():
             assert np.array_equal(u.q, fresh.q) and np.array_equal(u.k, fresh.k)
         assert len(steps.bases) <= BASIS_CACHE_SIZE
     assert len(steps.bases) == BASIS_CACHE_SIZE
+
+
+def test_nonfinite_coupling_aborts():
+    # like the dense step rule, the interaction-picture one refuses a
+    # non-finite drive sample before any moment is formed
+    spec, protocol = _protocol(16, "switch_on")
+    steps, _ = interaction_picture(one_body_laplacian(spec), protocol)
+    bad = InteractionSteps(steps.eps, steps.phi, steps.rows,
+                           lambda t: np.full((steps.rows.size,) * 2, np.nan))
+    with pytest.raises(IntegrationError,
+                       match=r"non-finite Hamiltonian entries on \[0\.0, 0\.1\]"):
+        bad.step(0.0, 0.1)

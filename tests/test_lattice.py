@@ -130,7 +130,8 @@ def test_quadratic_fock_operator_matches_monomials(rng):
     built = quadratic_fock_operator(spec, w)
     direct = sum(w[i, j] * monomial_matrix(4, (i,), (j,))
                  for i in range(4) for j in range(4))
-    assert max_abs(built - direct) <= 1e-12
+    # one sign rule, the terms summed in the same order: equal bit for bit
+    assert np.array_equal(built, direct)
 
 
 def test_gauge_fixes_number_operator():
