@@ -11,11 +11,13 @@ integrator report, the work recurrence and the entropy drift;
 `exact_trajectory` (Fock space, with rho, H(t), the propagators and the
 probes as tuples of charge-sector blocks) and `quadratic_trajectory`
 (one-body correlations in the interaction picture of h0) supply only their
-representation: initial state and its entropy, per-interval steps, update,
-ledger row and probe reads, the final state with its entropy (and, on the
-one-body path, its Pauli defect), the probes' Gibbs values at any lambda and
-the drive components' norms. Both take every propagator from CFM4
-`step_grid` on their own step representation (`DenseSteps`, `InteractionSteps`).
+representation: initial state and its entropy, the blocks of grid pairs, the
+state update with the ledger rows and probe reads of each block (`advance`;
+the exact path steps and reads interval by interval), the final
+state with its entropy (and, on the one-body path, its Pauli defect), the
+probes' Gibbs values at any lambda and the drive components' norms. Both take
+every block from CFM4 `step_grid` on their own step representation
+(`DenseSteps`, `InteractionSteps`).
 One process runner, `_run_process`, builds the lattice, drive, probes and
 manifest, simulates each configured path, and applies the shared ledger and
 health checks, the `both` oracle comparison, timing and output; `run_process_I`,
@@ -33,6 +35,7 @@ import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, Optional
 
@@ -51,9 +54,9 @@ from .lattice import (EXACT_SITE_CAP, Boundary, FockBasis, LatticeSpec,
 from .linalg import fill_upper, max_abs, spectral_norm, symmetrize, unitarity_defect
 from .observables import (delta_entropy, entropy_rate, entropy_rate_decomposed,
                           expectation, internal_energy, ledger_row, work_accumulate)
-from .propagator import (DenseSteps, TimeDependentHamiltonian, dyson_propagator,
-                         heisenberg_evolve, interaction_to_schrodinger, propagate,
-                         propagate_grid, step_grid)
+from .propagator import (Block, DenseSteps, LowRankUnitary, TimeDependentHamiltonian,
+                         dyson_propagator, heisenberg_evolve, interaction_to_schrodinger,
+                         propagate, propagate_grid, step_grid)
 from .quadratic import (ScalarDriveReferenceCache, binary_entropy, diagonal_state,
                         gibbs_correlation, interaction_picture, pauli_excess,
                         quadratic_entropy_ledger, quadratic_observable, rank_update)
@@ -366,13 +369,18 @@ class Trajectory:
 
 
 class _Representation(NamedTuple):
-    """What a state representation supplies to the trajectory loop."""
+    """What a state representation supplies to the trajectory loop, which
+    hands `advance` one grid pair's Block at a time: the one-body path reads
+    G once per block (one `zhemm`) and writes it once (one `zher2k`); the
+    exact path applies the block's sector steps one by one."""
 
     state: np.ndarray  # initial state: rho (Fock) or G (one-body, see quadratic_trajectory)
     s_start: float  # von Neumann entropy of the initial state
-    steps: Iterator  # per-interval Propagators, in grid order
-    update: Callable  # (state, Propagator) -> evolved state, exactly Hermitian
-    observe: Callable  # (state, t, s_start) -> (ProcessRecord, probe values); the loop fills `work`
+    blocks: Iterator  # `step_grid`'s Blocks, one per grid pair, in grid order
+    # (state, Block) -> (the state at the block's last time, exactly Hermitian,
+    # and per block time its (ProcessRecord, probe values)); the loop fills
+    # `work`. The empty Block of the grid's first time reads row 0.
+    advance: Callable
     # (state, t) -> (the reported final state, its von Neumann entropy, its
     # Pauli defect or None where the representation has none)
     final: Callable
@@ -381,29 +389,42 @@ class _Representation(NamedTuple):
 
 
 def _trajectory(rep, params, times):
-    """Evolve the state over the grid and record the ledger and probes.
+    """Evolve the state over the grid one block at a time and record the
+    ledger and probes.
 
     Each row's work is `work_accumulate`'s running sum; the entropy drift
     checks that the unitary flow preserved the spectrum.
     """
-    state, s_start = rep.state, rep.s_start
+    state = rep.state
     report = IntegratorReport()
     records = []
     probe_rows = []
-    for k, t in enumerate(times):
-        if k:
-            step = next(rep.steps)
+    for block in chain([Block((times[0],))], rep.blocks):
+        for step in block.propagators:
             report.add(step)
-            state = rep.update(state, step)
-        rec, probes = rep.observe(state, t, s_start)
-        records.append(rec)
-        probe_rows.append(probes)
+        state, rows = rep.advance(state, block)
+        for rec, probes in rows:
+            records.append(rec)
+            probe_rows.append(probes)
+    block = step = None  # the last block's basis would live on through `final`
     for rec, work in zip(records, work_accumulate(records, params)):
         rec.work = work
     final_state, s_final, pauli = rep.final(state, times[-1])
     return Trajectory(records, np.array(probe_rows), np.asarray(times), final_state,
-                      abs(s_final - s_start), report, pauli, rep.gibbs_probes,
+                      abs(s_final - rep.s_start), report, pauli, rep.gibbs_probes,
                       rep.drive_norms)
+
+
+def _one_at_a_time(update, observe):
+    """`advance` from `update(state, Propagator)` and `observe(state, t)`:
+    the block's propagators applied one by one, each followed by its row."""
+    def advance(state, block):
+        rows = [] if block.propagators else [observe(state, block.times[0])]
+        for step in block.propagators:
+            state = update(state, step)
+            rows.append(observe(state, step.t_end))
+        return state, rows
+    return advance
 
 
 def _sector_trace(rho, a):
@@ -449,7 +470,13 @@ def exact_trajectory(spec, params, protocol, times, tol, probe_ops=None):
         rho = sector_gibbs_state(h_of(lam), params).rho
         return np.array([_sector_trace(rho, a) for a in probes])
 
-    def observe(rho, t, s_start):
+    def entropy(rho):
+        return sum(von_neumann_entropy(r) for r in rho)
+
+    rho0 = sector_gibbs_state(h0, params).rho
+    s_start = entropy(rho0)
+
+    def observe(rho, t):
         # relS takes S_vN(rho_t) = s_start: the unitary flow keeps the spectrum
         h_t = h_at(t)
         ref = sector_gibbs_state(h_t, params)
@@ -463,12 +490,8 @@ def exact_trajectory(spec, params, protocol, times, tol, probe_ops=None):
     def update(rho, step):
         return tuple(symmetrize(u @ r @ u.conj().T) for u, r in zip(step.matrix, rho))
 
-    def entropy(rho):
-        return sum(von_neumann_entropy(r) for r in rho)
-
-    rho0 = sector_gibbs_state(h0, params).rho
-    rep = _Representation(rho0, entropy(rho0), step_grid(DenseSteps(h_at), times, tol),
-                          update, observe,
+    rep = _Representation(rho0, s_start, step_grid(DenseSteps(h_at), times, tol),
+                          _one_at_a_time(update, observe),
                           lambda rho, t: (basis.assemble(rho), entropy(rho), None),
                           gibbs_probes, tuple(max(map(spectral_norm, v)) for v in vs))
     return _trajectory(rep, params, times)
@@ -481,11 +504,12 @@ def quadratic_trajectory(spec, params, protocol, times, tol, probe_ops=None):
     picture of h0, kept as the lower triangle of one Fortran-ordered
     complex128 array; the Gibbs start is diag(f(eps)), built in that array,
     and its entropy is sum_k -f_k ln f_k - (1 - f_k) ln(1 - f_k) in closed
-    form. Each interval's propagator is one LowRankUnitary I + Q K Q^dagger
-    from CFM4 `step_grid`, which `rank_update` applies in place. The ledger
-    and the probes read Gamma on S = R + the probe sites only: Gamma_SS =
-    conj(Y_S^dagger G Y_S) with G Y_S by `zhemm`, and
-    Y_S(t) = diag(e^{i eps t}) phi_S^T. One `ScalarDriveReferenceCache`,
+    form. The state advances one grid pair at a time (`advance`): CFM4
+    `step_grid` yields the pair's joint basis P (rank at most 6|R|) and each
+    interval's cumulative K on it; one `zhemm`, G [P, Y_S(t_mid), Y_S(t_end)],
+    gives both rows, and one `zher2k` (`rank_update`) writes the update in
+    place. The ledger and the probes read Gamma on S = R + the probe sites
+    only, Y_S(t) = diag(e^{i eps t}) phi_S^T. One `ScalarDriveReferenceCache`,
     sized for the run's largest |lambda_j|, gives every row's reference
     scalars from |R| x |R| resolvents. At the end one `eigvalsh` of G (whose
     spectrum is Gamma's) gives both the final entropy and the Pauli defect;
@@ -503,24 +527,74 @@ def quadratic_trajectory(spec, params, protocol, times, tol, probe_ops=None):
     reference = ScalarDriveReferenceCache(eps, phi[steps.rows], blocks, params,
                                           np.max(np.abs(lams), axis=0))
 
-    # a probe is read from its nonzero entries: quadratic_observable's sum
-    # without the exact zeros
-    probes = [(np.nonzero(w), np.asarray(w)[np.nonzero(w)]) for w in probe_ops or []]
-    sites = np.unique(np.concatenate([steps.rows] + [np.concatenate(idx)
-                                                     for idx, _ in probes]).astype(int))
-    on_rows = np.ix_(np.searchsorted(sites, steps.rows), np.searchsorted(sites, steps.rows))
-    reads = [(tuple(np.searchsorted(sites, i) for i in idx), vals) for idx, vals in probes]
+    # S = R + the probe sites, and each probe's entries on S x S, where all
+    # its nonzero entries lie: a row reads every probe by one product
+    def support(w):
+        nonzero = np.asarray(w) != 0
+        return np.flatnonzero(nonzero.any(0) | nonzero.any(1))
 
-    def observe(g, t, s_start):
-        y = steps.frame(t, sites)
-        gamma = (y.conj().T @ zhemm(1.0, g, y, lower=1)).conj()  # Gamma on S x S
+    sites = np.unique(np.concatenate([steps.rows] + [support(w) for w in probe_ops or []]))
+    on_rows = np.ix_(np.searchsorted(sites, steps.rows), np.searchsorted(sites, steps.rows))
+    probe_rows = np.array([np.asarray(w)[np.ix_(sites, sites)].ravel() for w in probe_ops or []])
+    probe_rows = probe_rows.reshape(len(probe_rows), sites.size ** 2)
+
+    occupations = expit(-params.beta * (eps - params.mu))
+    s_start = binary_entropy(occupations)
+
+    def row(t, energy, charge, gamma):
+        """The ledger row and probe values at t from sum_k eps_k G_kk, tr G
+        and Gamma on S x S."""
         lam = protocol.controls(t) if protocol else np.zeros(0)
         lam_dot = protocol.lam_dot(t) if protocol else np.zeros(0)
-        rec = quadratic_entropy_ledger(t, float(eps @ np.real(np.diagonal(g))),
-                                       float(np.real(np.trace(g))), gamma[on_rows], blocks,
-                                       lam, lam_dot, params, s_start, reference(lam))
-        return rec, np.array([float(np.real(np.sum(vals * gamma[loc])))
-                              for loc, vals in reads])
+        rec = quadratic_entropy_ledger(t, energy, charge, gamma[on_rows], blocks, lam,
+                                       lam_dot, params, s_start, reference(lam))
+        # a copy: np.real's view would keep each row's complex product alive
+        return rec, (probe_rows @ gamma.ravel()).real.copy()
+
+    # the empty block reads row 0 through the same formula: rank 0, M 0 x 0
+    unmoved = (np.zeros((eps.size, 0), dtype=complex), (np.zeros((0, 0), dtype=complex),))
+
+    def advance(g, block):
+        # one zhemm, X = G F for F = [P, Y_S(t_1), ...], serves every row and
+        # the update: W = G P = X[:, :rank], and F^dagger X holds C = P^dagger W,
+        # each P^dagger G Y_S and Y_S^dagger G Y_S, all from G at the block's start
+        p, ks = (block.basis, block.ks) if block.ks else unmoved
+        rank, width = p.shape[1], sites.size
+        frames = np.hstack([p] + [steps.frame(t, sites) for t in block.times])
+        x = zhemm(1.0, g, frames, lower=1)
+        fh = frames.conj().T
+        fx, py = fh @ x, fh[:rank] @ frames[:, rank:]
+        w, c = x[:, :rank], fx[:rank, :rank]
+        if len(ks) > 1:
+            # mid rows' sum_k eps_k G_kk and tr G: with G' = U G U^dagger,
+            # tr(E G') = tr(E G) + 2 Re tr(M W^dagger E P) + tr(M C M^dagger P^dagger E P)
+            # for E = diag(eps), and P^dagger P = I for E = I
+            g_diag = np.real(np.diagonal(g))
+            scalars = (float(eps @ g_diag), float(np.sum(g_diag)))
+            pe = fh[:rank] * eps
+            wep, pep = (pe @ w).conj(), (pe @ p).T  # transposed, for tr(A B) = sum(A * B^T)
+        rows = []
+        for i, (t, m) in enumerate(zip(block.times, ks)):
+            on = slice(rank + i * width, rank + (i + 1) * width)
+            # Gamma_SS after U = I + P M P^dagger, with a = P^dagger Y and
+            # b = P^dagger G Y: conj(Y^dagger G Y + a^dagger M b + (a^dagger M b)^dagger
+            # + a^dagger M C M^dagger a)
+            z = m.conj().T @ py[:, i * width:(i + 1) * width]
+            amb = z.conj().T @ fx[:rank, on]
+            gamma = (fx[on, on] + amb + amb.conj().T + z.conj().T @ c @ z).conj()
+            if i + 1 < len(ks):
+                mcm = m @ c @ m.conj().T
+                energy = scalars[0] + float(np.real(2 * np.sum(m * wep) + np.sum(mcm * pep)))
+                charge = scalars[1] + float(np.real(2 * np.sum(m * c.T) + np.trace(mcm)))
+            else:
+                # the last row's scalars from the updated diagonal, so no
+                # error accumulates across blocks
+                if rank:
+                    g = rank_update(g, LowRankUnitary(p, m), w)
+                g_diag = np.real(np.diagonal(g))
+                energy, charge = float(eps @ g_diag), float(np.sum(g_diag))
+            rows.append(row(t, energy, charge, gamma))
+        return g, rows
 
     def gibbs_probes(lam):
         mats = [c.one_body() for c in protocol.components] if protocol else []
@@ -535,11 +609,8 @@ def quadratic_trajectory(spec, params, protocol, times, tol, probe_ops=None):
                       overwrite_c=1)
         return fill_upper(np.conjugate(gamma, out=gamma)), binary_entropy(nu), pauli_excess(nu)
 
-    occupations = expit(-params.beta * (eps - params.mu))
-    rep = _Representation(diagonal_state(occupations), binary_entropy(occupations),
-                          step_grid(steps, times, tol),
-                          lambda g, step: rank_update(g, step.matrix), observe, final,
-                          gibbs_probes, tuple(map(spectral_norm, blocks)))
+    rep = _Representation(diagonal_state(occupations), s_start, step_grid(steps, times, tol),
+                          advance, final, gibbs_probes, tuple(map(spectral_norm, blocks)))
     return _trajectory(rep, params, times)
 
 

@@ -267,8 +267,9 @@ def is_gauge_invariant(a, tol=1e-10, n_sites=None):
     if n_sites is None:
         n_sites = _infer_sites(a.shape[0])
     pops = _popcounts(n_sites)
-    comm = a * (pops[None, :] - pops[:, None])
-    return max_abs(comm) <= tol
+    # [A, N]_ij = A_ij (N_j - N_i), read on A's nonzero entries only
+    rows, cols = np.nonzero(a)
+    return max_abs(a[rows, cols] * (pops[cols] - pops[rows])) <= tol
 
 
 def _infer_sites(dim):

@@ -8,6 +8,8 @@ import numpy as np
 HERMITIAN_TOL = 1e-12
 #: drift above HERMITIAN_TOL but below this is repaired by symmetrization
 HERMITIAN_REPAIR_TOL = 1e-8
+#: rows per strip where a square matrix is read or written by strips
+STRIP = 256
 
 
 class NonHermitianError(ValueError):
@@ -20,14 +22,23 @@ def max_abs(a):
     return 0.0 if a.size == 0 else float(np.max(np.abs(a)))
 
 
+def _strip_drift(a, start):
+    """||A - A^dagger||_max on the rows start..start + STRIP of a square A,
+    with one temporary of that strip's size."""
+    strip = np.conjugate(a[:, start:start + STRIP]).T  # a copy, also of a real A
+    return max_abs(np.subtract(a[start:start + STRIP], strip, out=strip))
+
+
 def ensure_hermitian(a, name="operator"):
     """Certify `a` as Hermitian.
 
     Drift <= 1e-12 passes unchanged; drift below 1e-8 is repaired by
-    A <- (A + A^dagger)/2; anything larger is a hard error.
+    A <- (A + A^dagger)/2; anything larger is a hard error. The drift is read
+    by strips of STRIP rows, as `fill_upper` writes, so no temporary is the
+    size of A.
     """
     a = np.asarray(a)
-    drift = max_abs(a - a.conj().T)
+    drift = max_abs([_strip_drift(a, s) for s in range(0, a.shape[0], STRIP)])
     if drift <= HERMITIAN_TOL:
         return a
     if drift < HERMITIAN_REPAIR_TOL:
@@ -44,10 +55,10 @@ def fill_upper(a):
     """Complete in place a square array whose lower triangle holds a
     Hermitian matrix: the upper triangle becomes the conjugate of the lower
     and the diagonal is made real, so A equals A^dagger bit for bit. Goes by
-    strips of 256 rows, so no L x L temporary is made."""
+    strips of STRIP rows, so no L x L temporary is made."""
     n = a.shape[0]
-    for s in range(0, n, 256):
-        e = min(s + 256, n)
+    for s in range(0, n, STRIP):
+        e = min(s + STRIP, n)
         upper = np.triu_indices(e - s, 1)
         diag = a[s:e, s:e]
         diag[upper] = diag.T[upper].conj()

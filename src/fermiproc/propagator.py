@@ -17,7 +17,9 @@ Step control is step doubling: a step is accepted when the Richardson
 difference between one step and two half steps falls below the tolerance per
 unit time; the fine solution's error is estimated as that difference / 15,
 split evenly over a grid pair. The pair test and the halving are written
-once, over a step representation with `step`, `compose` and `distance`:
+once, over a step representation with `step`, `compose`, `pair` (the
+products over a pair's first interval and over both, and the Richardson
+difference) and `block` (what `step_grid` yields for a grid pair):
 
 - `DenseSteps`: dense unitaries of H(t) given as a tuple of Hermitian
   diagonal blocks, one unitary per block, compared entrywise (max-modulus
@@ -35,7 +37,9 @@ once, over a step representation with `step`, `compose` and `distance`:
   eigen-directions with |d| <= ROUNDOFF_FLOOR, inside the pair test's
   absolute floor, are dropped, leaving rank <= 3|R| (8 of 12 for the
   reference drives). Steps compose on their joint span, and the Richardson
-  difference is the spectral norm there, an upper bound of the max-modulus.
+  difference is the spectral norm there, an upper bound of the max-modulus;
+  the pair test takes one QR of [Q_l, Q_r, Q_whole], whose first columns are
+  the grid pair's joint basis P.
 """
 
 from dataclasses import dataclass, replace
@@ -147,8 +151,14 @@ class DenseSteps(NamedTuple):
     def compose(self, right, left):
         return tuple(r @ l for r, l in zip(right, left))
 
-    def distance(self, x, y):
-        return max(max_abs(a - b) for a, b in zip(x, y))
+    def pair(self, left, right, whole):
+        """The products over [a, m] and [a, b] of `left` and `right` after
+        it, and the max-modulus difference of the latter from `whole`."""
+        fine = self.compose(right, left)
+        return (left, fine), max(max_abs(a - b) for a, b in zip(fine, whole))
+
+    def block(self, propagators, cumulative=None):
+        return Block(tuple(p.t_end for p in propagators), tuple(propagators))
 
 
 def _one_block(h):
@@ -175,6 +185,27 @@ def _on_joint_span(*factors):
         ks.append(m @ f.k @ m.conj().T)
         start += f.q.shape[1]
     return p, ks
+
+
+def _cumulative(p, ks):
+    """The products of two consecutive factors whose Ks on the basis P are
+    kl, kr = ks[:2]: I + P kl P^dagger over the first, and
+    I + P (kl + kr + kr kl) P^dagger over both."""
+    kl, kr = ks[:2]
+    return LowRankUnitary(p, kl), LowRankUnitary(p, kl + kr + kr @ kl)
+
+
+class Block(NamedTuple):
+    """One grid pair of `step_grid`: the grid times its intervals end at
+    (their rows; the grid's first time for the empty block that reads row 0),
+    the one or two per-interval Propagators, and, from `InteractionSteps`, the
+    pair's joint orthonormal basis P with each interval's cumulative K on it,
+    U(times[i], start) = I + P ks[i] P^dagger."""
+
+    times: tuple
+    propagators: tuple = ()
+    basis: Optional[np.ndarray] = None
+    ks: tuple = ()
 
 
 #: step widths whose frame basis `InteractionSteps` keeps; reference grids
@@ -224,12 +255,31 @@ class InteractionSteps:
         return LowRankUnitary(q, form[:rank, :rank])
 
     def compose(self, right, left):
-        p, (kl, kr) = _on_joint_span(left, right)
-        return LowRankUnitary(p, kl + kr + kr @ kl)
+        return _cumulative(*_on_joint_span(left, right))[1]
 
-    def distance(self, x, y):
-        d = np.subtract(*_on_joint_span(x, y)[1])
-        return float(np.linalg.norm(d, 2)) if d.size else 0.0
+    def pair(self, left, right, whole):
+        """The products over [a, m] and [a, b] of `left` and `right` after
+        it, on their joint basis P, and the spectral norm of the latter's
+        difference from `whole`: one QR of [Q_l, Q_r, Q_whole], whose first
+        columns are P."""
+        p, ks = _on_joint_span(left, right, whole)
+        cumulative = _cumulative(p, ks)
+        d = cumulative[1].k - ks[2]
+        # R is upper trapezoidal, so kl and kr vanish beyond [Q_l, Q_r]'s columns
+        n = min(left.q.shape[1] + right.q.shape[1], p.shape[1])
+        return (tuple(LowRankUnitary(p[:, :n], u.k[:n, :n]) for u in cumulative),
+                float(np.linalg.norm(d, 2)) if d.size else 0.0)
+
+    def block(self, propagators, cumulative=None):
+        """The Block of one grid pair's propagators: P and the cumulative Ks
+        from the pair test's products on P (`cumulative`), from a lone
+        interval's own factor, or from one `_on_joint_span` of a refined
+        pair's two."""
+        if cumulative is None:
+            units = [p.matrix for p in propagators]
+            cumulative = units if len(units) == 1 else _cumulative(*_on_joint_span(*units))
+        return Block(tuple(p.t_end for p in propagators), tuple(propagators),
+                     cumulative[0].q, tuple(u.k for u in cumulative))
 
 
 def _finite(u):
@@ -238,15 +288,14 @@ def _finite(u):
 
 
 def _pair_test(steps, a, m, b, whole=None):
-    """Steps over [a, m] and [m, b], their product, and its Richardson
-    difference from one step over [a, b] (`whole`, when the caller has it;
-    otherwise taken last)."""
+    """Steps over [a, m] and [m, b], their products over [a, m] and [a, b]
+    (`steps.pair`), and the latter's Richardson difference from one step over
+    [a, b] (`whole`, when the caller has it; otherwise taken last)."""
     left = steps.step(a, m)
     right = steps.step(m, b)
-    fine = steps.compose(right, left)
     if whole is None:
         whole = steps.step(a, b)
-    return left, right, fine, steps.distance(fine, whole)
+    return (left, right) + steps.pair(left, right, whole)
 
 
 def _adaptive(steps, pieces, tol):
@@ -265,7 +314,7 @@ def _adaptive(steps, pieces, tol):
     while stack:
         a0, b0, u0 = stack.pop()
         m = 0.5 * (a0 + b0)
-        ul, ur, fine, err = _pair_test(steps, a0, m, b0, u0)
+        ul, ur, (_, fine), err = _pair_test(steps, a0, m, b0, u0)
         budget = tol * (b0 - a0) + ROUNDOFF_FLOOR
         if err <= budget:
             out.append((a0, b0, fine, err / 15.0))
@@ -285,37 +334,42 @@ def _adaptive(steps, pieces, tol):
 
 
 def _grid_pair(steps, a, m, b, lone, tol):
-    """The propagators of one grid pair, [a, m] and [m, b], or of the `lone`
+    """The Block of one grid pair, [a, m] and [m, b], or of the `lone`
     interval [a, b] (m its midpoint); the pair test's other steps die here."""
-    left, right, fine, err = _pair_test(steps, a, m, b)
+    left, right, cumulative, err = _pair_test(steps, a, m, b)
     if err <= tol * (b - a) + ROUNDOFF_FLOOR:
-        parts = [(a, b, fine)] if lone else [(a, m, left), (m, b, right)]
+        parts = [(a, b, cumulative[1])] if lone else [(a, m, left), (m, b, right)]
         pair = [Propagator(u, lo, hi, "direct", err / 15.0 / len(parts),
                            min_step=0.5 * (b - a) if lone else hi - lo)
                 for lo, hi, u in parts]
+        block = steps.block(pair, cumulative[1:] if lone else cumulative)
     else:
         halves = [[(a, m, left)], [(m, b, right)]]
         pair = [replace(_adaptive(steps, pieces, tol), refined=True)
                 for pieces in ([halves[0] + halves[1]] if lone else halves)]
+        block = steps.block(pair)
     if not all(_finite(p.matrix) for p in pair):
         raise IntegrationError(f"non-finite propagator entries on [{a}, {b}]")
-    return pair
+    return block
 
 
 def step_grid(steps, times, tol=DEFAULT_TOL):
-    """Per-interval propagators along an output grid, in grid order, from the
-    CFM4 step representation `steps` (`DenseSteps` or `InteractionSteps`).
+    """The Blocks of an output grid, one per pair of grid intervals, in grid
+    order, from the CFM4 step representation `steps` (`DenseSteps` or
+    `InteractionSteps`).
 
     A generator: it checks `tol` and the grid before the first step and
-    yields each pair of intervals as soon as it is done, one pair at a time.
+    yields each grid pair's Block as soon as it is done; from
+    `InteractionSteps` a Block's joint basis P has rank at most 6|R|, so the
+    fast path advances a pair with one `zhemm` and one `zher2k`.
 
-    The step control runs on pairs of grid intervals (the lone last interval
-    of an odd grid as a pair of half steps, keeping their product), with the
-    error budget `tol` per unit time. A pair whose two one-interval steps
-    agree with one two-interval step keeps those steps (6 exponentials per
-    pair); otherwise `_adaptive` halves each interval from them, and the
-    intervals are `refined`. A non-finite Hamiltonian sample, or a non-finite
-    propagator entry, raises IntegrationError.
+    The step control runs on the grid pairs (the lone last interval of an odd
+    grid as a pair of half steps, keeping their product), with the error
+    budget `tol` per unit time. A pair whose two one-interval steps agree with one
+    two-interval step keeps those steps (6 exponentials per pair); otherwise
+    `_adaptive` halves each interval from them, and the intervals are
+    `refined`. A non-finite Hamiltonian sample, or a non-finite propagator
+    entry, raises IntegrationError.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -326,7 +380,7 @@ def step_grid(steps, times, tol=DEFAULT_TOL):
     for i in range(0, n, 2):
         lone = i + 1 == n
         a, b = times[i], times[min(i + 2, n)]
-        yield from _grid_pair(steps, a, 0.5 * (a + b) if lone else times[i + 1], b, lone, tol)
+        yield _grid_pair(steps, a, 0.5 * (a + b) if lone else times[i + 1], b, lone, tol)
 
 
 def propagate(h, s, t, tol=DEFAULT_TOL):
@@ -341,7 +395,8 @@ def propagate(h, s, t, tol=DEFAULT_TOL):
     if t == s:
         return Propagator(np.eye(np.asarray(_as_callable(h)(s)).shape[0], dtype=complex),
                           s, t, "direct", 0.0)
-    (p,) = step_grid(_one_block(h), sorted((s, t)), tol)
+    (block,) = step_grid(_one_block(h), sorted((s, t)), tol)
+    (p,) = block.propagators
     (u,) = p.matrix
     if t < s:
         return replace(p, matrix=u.conj().T, t_start=s, t_end=t)
@@ -350,7 +405,8 @@ def propagate(h, s, t, tol=DEFAULT_TOL):
 
 def propagate_grid(h, times, tol=DEFAULT_TOL):
     """Dense per-interval propagators along an output grid (`step_grid`)."""
-    return [replace(p, matrix=p.matrix[0]) for p in step_grid(_one_block(h), times, tol)]
+    return [replace(p, matrix=p.matrix[0])
+            for block in step_grid(_one_block(h), times, tol) for p in block.propagators]
 
 
 # -- Dyson series in the interaction picture ---------------------------------
@@ -461,7 +517,7 @@ def heisenberg_evolve(a, propagator):
 __all__ = [
     "DEFAULT_TOL", "IntegrationError", "Propagator", "TimeDependentHamiltonian",
     "GAUSS_NODES", "GAUSS_WEIGHTS", "cfm4", "DenseSteps", "LowRankUnitary",
-    "InteractionSteps", "step_grid",
+    "InteractionSteps", "Block", "step_grid",
     "propagate", "propagate_grid", "dyson_propagator", "dyson_remainder",
     "interaction_to_schrodinger", "heisenberg_evolve",
 ]

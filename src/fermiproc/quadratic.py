@@ -14,11 +14,13 @@ Gibbs start is diag(f(eps)), and an interval's propagator is a
 `LowRankUnitary` of rank at most 3|R| per CFM4 step (three Gauss nodes'
 frames, compressed to the eigen-directions above roundoff), R being the sites
 the drive acts on. G is stored as the lower triangle of a Fortran-ordered
-complex128 array, which `rank_update` overwrites in O(|R| L^2) with one BLAS
-`zhemm` and one `zher2k`, allocating nothing of size L x L; whatever reads G
-reads that triangle only (`zhemm`, `eigvalsh(..., UPLO="L")`). Each row's
-reference scalars come from |R| x |R| resolvents (`ScalarDriveReferenceCache`),
-with no L x L `eigh`.
+complex128 array and advances one grid pair at a time: the pair's joint basis
+P (rank at most 6|R|) and cumulative Ks give both rows of the pair from one
+BLAS `zhemm` of G, and `rank_update` overwrites the triangle with one
+`zher2k`, O(|R| L^2) per pair and nothing of size L x L allocated; whatever
+reads G reads that triangle only (`zhemm`, `eigvalsh(..., UPLO="L")`). Each
+row's reference scalars come from |R| x |R| resolvents
+(`ScalarDriveReferenceCache`), with no L x L `eigh`.
 """
 
 from typing import NamedTuple
@@ -64,13 +66,15 @@ def interaction_picture(h0, protocol):
     return InteractionSteps(eps, phi, rows, coupling), blocks
 
 
-def rank_update(g, u):
+def rank_update(g, u, w=None):
     """Overwrite the lower triangle of a Hermitian G with that of U G U^dagger,
     for U = I + Q K Q^dagger, and return G.
 
     G must be a square, writable, Fortran-ordered complex128 array, of which
     only the lower triangle is read; anything else raises ValueError rather
-    than being copied. With W = G Q (`zhemm`, so X = Q^dagger G = W^dagger),
+    than being copied. `w` is G Q when the caller has it (the fast path reads
+    it from the one `zhemm` that also serves its rows); otherwise `zhemm`
+    takes it here. With W = G Q (so X = Q^dagger G = W^dagger),
     Y = K X + K (X Q) K^dagger Q^dagger / 2 and
     Y^dagger = W K^dagger + Q K (Q^dagger W) K^dagger / 2, the update is
     G + Q Y + Y^dagger Q^dagger: one `zher2k` with beta = 1, O(r L^2) for rank
@@ -84,7 +88,8 @@ def rank_update(g, u):
                          f"(Fortran order: {g.flags.f_contiguous})")
     q, k = u
     kh = k.conj().T
-    w = zhemm(1.0, g, q, lower=1)
+    if w is None:
+        w = zhemm(1.0, g, q, lower=1)
     y_h = w @ kh + 0.5 * (q @ (k @ (q.conj().T @ w) @ kh))
     return zher2k(1.0, q, y_h, beta=1.0, c=g, lower=1, overwrite_c=1)
 

@@ -14,8 +14,8 @@ from fermiproc.lattice import hopping_hamiltonian, number_operator  # noqa: E402
 from fermiproc.linalg import spectral_norm, symmetrize  # noqa: E402
 from fermiproc.observables import (charge, charge_rate, expectation,  # noqa: E402
                                    internal_energy, ledger_row)
-from fermiproc.propagator import (DenseSteps, TimeDependentHamiltonian,  # noqa: E402
-                                  propagate_grid)
+from fermiproc.propagator import (Block, DenseSteps,  # noqa: E402
+                                  TimeDependentHamiltonian, propagate_grid)
 from fermiproc.states import gibbs_state, von_neumann_entropy  # noqa: E402
 
 
@@ -45,8 +45,10 @@ def dense_exact_trajectory(spec, params, protocol, times, tol, probe_ops=None):
     n_op = number_operator(spec)
     tdh = TimeDependentHamiltonian(h0, protocol, times[0], "fock")
     vs = protocol.d_operator(times[0], "fock") if protocol else []
+    rho0 = gibbs_state(h0, n_op, params).rho
+    s_start = von_neumann_entropy(rho0)
 
-    def observe(rho, t, s_start):
+    def observe(rho, t):
         w_t = protocol.operator(t, "fock") if protocol else np.zeros_like(h0)
         dw = protocol.d_operator(t, "fock") if protocol else []
         lam_dot = protocol.lam_dot(t) if protocol else np.zeros(0)
@@ -62,11 +64,11 @@ def dense_exact_trajectory(spec, params, protocol, times, tol, probe_ops=None):
         rho = gibbs_state(h0 + sum(lj * v for lj, v in zip(lam, vs)), n_op, params).rho
         return np.array([expectation(rho, a) for a in probe_ops or []])
 
-    rho0 = gibbs_state(h0, n_op, params).rho
     rep = harness._Representation(
-        rho0, von_neumann_entropy(rho0), iter(propagate_grid(tdh, times, tol)),
-        lambda rho, step: symmetrize(step.matrix @ rho @ step.matrix.conj().T),
-        observe, lambda rho, t: (rho, von_neumann_entropy(rho), None),
+        rho0, s_start, (Block((p.t_end,), (p,)) for p in propagate_grid(tdh, times, tol)),
+        harness._one_at_a_time(
+            lambda rho, step: symmetrize(step.matrix @ rho @ step.matrix.conj().T), observe),
+        lambda rho, t: (rho, von_neumann_entropy(rho), None),
         gibbs_probes, tuple(map(spectral_norm, vs)))
     return harness._trajectory(rep, params, times)
 

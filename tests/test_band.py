@@ -8,26 +8,39 @@ U G U^dagger."""
 
 import numpy as np
 import pytest
+from scipy.linalg.blas import zhemm
 
+from fermiproc import harness, quadratic
 from fermiproc.drive import KernelSpec, Perturbation, switch_on_protocol
 from fermiproc.lattice import Boundary, LatticeSpec, one_body_laplacian
 from fermiproc.linalg import expm_unitary
 from fermiproc.propagator import LowRankUnitary, step_grid
 from fermiproc.quadratic import interaction_picture, rank_update
+from fermiproc.states import GibbsParams
 
 from conftest import (FILLED, TAYLOR_THETA, TRIDIAGONAL, from_lower, low_rank_dense,
                       random_unitary, taylor_expm)
 
 
-def _drive(n_sites, kernel, boundary=Boundary.DIRICHLET, amplitude=0.05):
-    """h0, the drive's protocol and its one-body matrix at full strength
-    (`amplitude` times the kernel's), on four central sites."""
+def _spec_and_protocol(n_sites, kernel, boundary, amplitude):
     start = n_sites // 2 - 2
     sites = tuple(range(start, start + 4))
     spec = LatticeSpec(n_sites, boundary, sites)
     pert = Perturbation([KernelSpec(1, sites, kernel)], spec)
-    protocol = switch_on_protocol(pert, 0.0, 0.5, amplitude)
+    return spec, switch_on_protocol(pert, 0.0, 0.5, amplitude), pert
+
+
+def _drive(n_sites, kernel, boundary=Boundary.DIRICHLET, amplitude=0.05):
+    """h0, the drive's protocol and its one-body matrix at full strength
+    (`amplitude` times the kernel's), on four central sites."""
+    spec, protocol, pert = _spec_and_protocol(n_sites, kernel, boundary, amplitude)
     return one_body_laplacian(spec), protocol, amplitude * pert.one_body()
+
+
+#: L = 512 grid of the block tests at tol 1e-7 with FILLED at amplitude 0.3:
+#: an accepted pair, a refined pair (its intervals 0.05 wide), an accepted
+#: pair and the lone last interval
+BLOCK_GRID = [0.0, 0.0125, 0.025, 0.075, 0.125, 0.1375, 0.15, 0.1625]
 
 
 def _half_bandwidth(a):
@@ -149,7 +162,8 @@ def test_banded_gamma_update_matches_dense(kernel):
     h0, protocol, _ = _drive(512, kernel, amplitude=0.3)
     steps, _ = interaction_picture(h0, protocol)
     g = np.diag(np.linspace(0.05, 0.95, 512)).astype(complex)
-    for step in step_grid(steps, [0.0, 0.02048, 0.04096, 0.06144], 1e-6):
+    for step in (p for block in step_grid(steps, [0.0, 0.02048, 0.04096, 0.06144], 1e-6)
+                 for p in block.propagators):
         u = low_rank_dense(step.matrix)
         want = u @ g @ u.conj().T
         assert step.matrix.q.shape[1] <= 16
@@ -191,7 +205,8 @@ def test_rank_update_chain_matches_dense_oracle(rng):
     # against the dense U G U^dagger chain
     h0, protocol, _ = _drive(512, FILLED, amplitude=0.3)
     steps, _ = interaction_picture(h0, protocol)
-    factors = [step.matrix for step in step_grid(steps, 0.0125 * np.arange(10), 1e-6)]
+    factors = [step.matrix for block in step_grid(steps, 0.0125 * np.arange(10), 1e-6)
+               for step in block.propagators]
     factors.insert(4, LowRankUnitary(np.eye(512), random_unitary(rng, 512) - np.eye(512)))
     assert len(factors) == 10
     want = np.diag(np.linspace(0.05, 0.95, 512)).astype(complex)
@@ -201,3 +216,103 @@ def test_rank_update_chain_matches_dense_oracle(rng):
         want = dense @ want @ dense.conj().T
         assert rank_update(state, u) is state
     assert np.max(np.abs(from_lower(state) - want)) <= 1e-13
+
+
+def test_block_chain_matches_dense_oracle():
+    # L = 512: each grid pair's joint basis P and cumulative K on it against
+    # the dense product of its per-interval factors, and the block update
+    # (one zher2k with W = G P from the caller) chained over accepted pairs,
+    # a refined pair and a lone last interval, against the dense U G U^dagger
+    h0, protocol, _ = _drive(512, FILLED, amplitude=0.3)
+    steps, _ = interaction_picture(h0, protocol)
+    blocks = list(step_grid(steps, BLOCK_GRID, 1e-7))
+    assert [[p.refined for p in b.propagators] for b in blocks] == [
+        [False, False], [True, True], [False, False], [False]]
+    want = np.diag(np.linspace(0.05, 0.95, 512)).astype(complex)
+    state = np.array(want, order="F")
+    for block in blocks:
+        p = block.basis
+        assert np.max(np.abs(p.conj().T @ p - np.eye(p.shape[1]))) <= 1e-14
+        assert block.times == tuple(s.t_end for s in block.propagators)
+        cumulative = np.eye(512)
+        for step, k in zip(block.propagators, block.ks):
+            cumulative = low_rank_dense(step.matrix) @ cumulative
+            assert np.max(np.abs(low_rank_dense(LowRankUnitary(p, k)) - cumulative)) <= 1e-13
+        want = cumulative @ want @ cumulative.conj().T
+        w = zhemm(1.0, state, p, lower=1)
+        assert rank_update(state, LowRankUnitary(p, block.ks[-1]), w) is state
+    assert np.max(np.abs(from_lower(state) - want)) <= 1e-13
+
+
+def _block_trajectory(monkeypatch, probe_ops=None):
+    """The L = 512 fast path on BLOCK_GRID, with each row's sum_k eps_k G_kk
+    and tr G as handed to the ledger."""
+    spec, protocol, _ = _spec_and_protocol(512, FILLED, Boundary.DIRICHLET, 0.3)
+    scalars = []
+    ledger = harness.quadratic_entropy_ledger
+
+    def recorded(t, free_energy, q, *args):
+        scalars.append((free_energy, q))
+        return ledger(t, free_energy, q, *args)
+
+    monkeypatch.setattr(harness, "quadratic_entropy_ledger", recorded)
+    traj = harness.quadratic_trajectory(spec, GibbsParams(1.0, 0.2), protocol,
+                                        np.array(BLOCK_GRID), 1e-7, probe_ops)
+    return spec, protocol, traj, np.array(scalars)
+
+
+def test_block_rows_match_direct_reads(monkeypatch):
+    # every row of a block is read from G at the block's start, corrected by
+    # the cumulative K; against G updated interval by interval and read
+    # directly: Gamma_SS = conj(Y_S^dagger G Y_S) in full (probes on each
+    # entry's real and imaginary part), sum_k eps_k G_kk and tr G
+    spec, protocol, _ = _spec_and_protocol(512, FILLED, Boundary.DIRICHLET, 0.3)
+    sites = list(spec.local_region)
+    probes = []
+    for part in (1.0, -1j):
+        for i in sites:
+            for j in sites:
+                w = np.zeros((512, 512), dtype=complex)
+                w[i, j] = part
+                probes.append(w)
+    _, _, traj, scalars = _block_trajectory(monkeypatch, probes)
+    n = len(sites) ** 2
+    gammas = (traj.probe_series[:, :n] + 1j * traj.probe_series[:, n:]).reshape(-1, 4, 4)
+
+    steps, _ = interaction_picture(one_body_laplacian(spec), protocol)
+    occupations = quadratic.expit(-1.0 * (steps.eps - 0.2))
+    state = quadratic.diagonal_state(occupations)
+    directs = []
+    for t, step in zip(BLOCK_GRID, [None] + [p for b in step_grid(steps, BLOCK_GRID, 1e-7)
+                                             for p in b.propagators]):
+        if step is not None:
+            rank_update(state, step.matrix)
+        g = from_lower(state)
+        y = steps.frame(t, sites)
+        directs.append(((y.conj().T @ g @ y).conj(), steps.eps @ np.real(np.diagonal(g)),
+                        np.real(np.trace(g))))
+    assert len(directs) == len(gammas) == len(scalars) == len(BLOCK_GRID)
+    for (gamma, energy, charge), got, (got_energy, got_charge) in zip(directs, gammas, scalars):
+        assert np.max(np.abs(got - gamma)) <= 1e-12
+        assert abs(got_energy - energy) <= 1e-12
+        assert abs(got_charge - charge) <= 1e-12
+
+
+def test_fast_path_takes_one_zhemm_per_block(monkeypatch):
+    # one zhemm of G per grid pair (its rows and its update), one for row 0
+    # and one for the final Gamma; one zher2k per grid pair
+    calls = {"zhemm": 0, "zher2k": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (harness, quadratic):
+        monkeypatch.setattr(module, "zhemm", counted("zhemm", module.zhemm))
+    monkeypatch.setattr(quadratic, "zher2k", counted("zher2k", quadratic.zher2k))
+    _, _, traj, _ = _block_trajectory(monkeypatch)
+    blocks = 4  # seven intervals: three pairs and a lone last interval
+    assert len(traj.records) == len(BLOCK_GRID)
+    assert calls == {"zhemm": blocks + 2, "zher2k": blocks}

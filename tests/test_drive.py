@@ -1,5 +1,7 @@
 """Perturbation builders, control protocols, certification."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,28 @@ def test_degree_two_kernel_matches_hand_assembly(spec):
     built = build_perturbation([KernelSpec(2, (0, 1), w2)], spec)
     direct = 0.7 * monomial_matrix(3, (0, 1), (1, 0))
     assert max_abs(built - direct) <= 1e-12
+
+
+def test_degree_two_build_makes_no_full_size_temporary():
+    # L = 10: the Hermiticity drift is read by row strips and the gauge
+    # condition on W's nonzero entries, so the build peaks below 1.5 W (3 W
+    # with a 2^L x 2^L difference and commutator); W is the sum of its
+    # monomials bit for bit
+    spec = LatticeSpec(10, local_region=(3, 4, 5, 6))
+    w2 = np.zeros((3, 3, 3, 3))
+    w2[0, 1, 1, 0] = w2[1, 0, 0, 1] = 0.4
+    w2[0, 1, 2, 0] = w2[0, 2, 1, 0] = 0.3
+    kernel = KernelSpec(2, (3, 4, 5), w2)
+    tracemalloc.start()
+    try:
+        w = build_perturbation([kernel], spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * w.nbytes
+    direct = sum(c * monomial_matrix(10, (3 + i, 3 + j), (3 + k, 3 + m))
+                 for (i, j, k, m), c in np.ndenumerate(w2) if c)
+    assert np.array_equal(w, direct)
 
 
 def test_kernel_validation(spec):

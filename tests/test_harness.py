@@ -132,9 +132,9 @@ def test_streamed_steps_match_full_grid():
     steps, _ = interaction_picture(one_body_laplacian(spec), protocol)
     times = time_grid(0.0, 2.3, 0.1)  # odd interval count: a lone last interval
     tol = 1e-7  # refines three late pairs only
-    full = list(step_grid(steps, times, tol))
+    full = [p for block in step_grid(steps, times, tol) for p in block.propagators]
     streamed = [p for k in range(0, len(times) - 1, 2)
-                for p in step_grid(steps, times[k:k + 3], tol)]
+                for block in step_grid(steps, times[k:k + 3], tol) for p in block.propagators]
     assert len(streamed) == len(full) == 23
     assert any(p.refined for p in full) and not all(p.refined for p in full)
     for a, b in zip(streamed, full):
@@ -338,7 +338,8 @@ def test_process2_period_refines_no_interval():
     steps, _ = interaction_picture(one_body_laplacian(spec),
                                    harness.build_protocol(cfg, spec))
     step = cfg.drive.period / 64
-    grid = list(step_grid(steps, step * np.arange(65), 1e-6))
+    grid = [p for block in step_grid(steps, step * np.arange(65), 1e-6)
+            for p in block.propagators]
     assert len(grid) == 64
     assert not any(p.refined for p in grid)
     assert all(p.min_step == p.t_end - p.t_start for p in grid)

@@ -15,8 +15,8 @@ from fermiproc.drive import KernelSpec, Perturbation, periodic_protocol, switch_
 from fermiproc.lattice import Boundary, LatticeSpec, one_body_laplacian
 from fermiproc.observables import ledger_row, work_accumulate
 from fermiproc.propagator import (BASIS_CACHE_SIZE, GAUSS_NODES, ROUNDOFF_FLOOR,
-                                  DenseSteps, IntegrationError, InteractionSteps,
-                                  TimeDependentHamiltonian, cfm4, propagate)
+                                  IntegrationError, InteractionSteps,
+                                  TimeDependentHamiltonian, _on_joint_span, cfm4, propagate)
 from fermiproc.quadratic import (correlation_entropy, gibbs_correlation, interaction_picture,
                                  quadratic_observable, reference_scalars)
 from fermiproc.states import GibbsParams
@@ -131,12 +131,31 @@ def test_step_is_the_dense_interaction_picture_step():
         low = steps.step(a, b)
         assert np.max(np.abs(low_rank_dense(low) - _cfm4_step(h_int, a, b))) <= 1e-13
     whole = steps.step(0.1, 0.3)
-    fine = steps.compose(steps.step(0.2, 0.3), steps.step(0.1, 0.2))
-    entrywise = DenseSteps(h_int).distance((low_rank_dense(fine),),
-                                           (low_rank_dense(whole),))
-    assert entrywise <= steps.distance(fine, whole) <= 64 * entrywise
+    (_, fine), spectral = steps.pair(steps.step(0.1, 0.2), steps.step(0.2, 0.3), whole)
+    entrywise = np.max(np.abs(low_rank_dense(fine) - low_rank_dense(whole)))
+    assert entrywise <= spectral <= 64 * entrywise
     assert np.max(np.abs(low_rank_dense(fine) - _cfm4_step(h_int, 0.2, 0.3)
                          @ _cfm4_step(h_int, 0.1, 0.2))) <= 1e-13
+
+
+@pytest.mark.parametrize("a,b,accepted", [(0.0, 0.0125, True), (0.025, 0.125, False)],
+                         ids=["accepted", "refined"])
+def test_pair_distance_is_the_two_qr_distance(a, b, accepted):
+    # the pair test's one QR of [Q_l, Q_r, Q_whole] against the two it
+    # replaces (compose's QR of [Q_l, Q_r], then that of [P_fine, Q_whole]):
+    # the same Richardson difference to 1e-14, and the same products
+    spec, protocol = _protocol(512, "switch_on", kernel=FILLED)
+    steps, _ = interaction_picture(one_body_laplacian(spec), protocol)
+    m = 0.5 * (a + b)
+    left, right, whole = steps.step(a, m), steps.step(m, b), steps.step(a, b)
+    (first, fine), err = steps.pair(left, right, whole)
+    two_qr = steps.compose(right, left)
+    d = np.subtract(*_on_joint_span(two_qr, whole)[1])
+    assert abs(err - np.linalg.norm(d, 2)) <= 1e-14
+    assert (err <= 1e-7 * (b - a) + ROUNDOFF_FLOOR) == accepted
+    assert np.array_equal(first.q, fine.q)
+    assert np.max(np.abs(low_rank_dense(first) - low_rank_dense(left))) <= 1e-14
+    assert np.max(np.abs(low_rank_dense(fine) - low_rank_dense(two_qr))) <= 1e-14
 
 
 def test_compressed_step_matches_uncompressed():

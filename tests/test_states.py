@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg as sla
 
 from fermiproc.lattice import LatticeSpec, hopping_hamiltonian, number_operator
-from fermiproc.linalg import max_abs
+from fermiproc.linalg import STRIP, NonHermitianError, ensure_hermitian, max_abs
 from fermiproc.harness import random_density
 from fermiproc.states import (GibbsParams, SupportError, gibbs_state, relative_entropy,
                               von_neumann_entropy)
@@ -57,6 +57,31 @@ def test_gibbs_requires_hermitian(rng):
     bad = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     with pytest.raises(ValueError):
         gibbs_state(bad, np.eye(4), GibbsParams(1.0))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_ensure_hermitian_reads_by_strips_without_writing(rng, dtype):
+    # the drift is read by row strips: a Hermitian input, real or complex,
+    # comes back as the same object, its entries untouched; a defect or a NaN
+    # in the last strip still fails, and a small one is repaired exactly
+    n = 2 * STRIP + 7
+    a = rng.normal(size=(n, n)).astype(dtype)
+    if dtype is complex:
+        a = a + 1j * rng.normal(size=(n, n))
+    a = a + a.conj().T
+    kept = a.copy()
+    assert ensure_hermitian(a) is a
+    assert np.array_equal(a, kept)
+    for defect in (1.0, np.nan):
+        bad = a.copy()
+        bad[n - 1, 3] += defect
+        with pytest.raises(NonHermitianError):
+            ensure_hermitian(bad)
+    near = a.copy()
+    near[n - 1, 3] += 1e-10
+    fixed = ensure_hermitian(near)
+    assert np.array_equal(fixed, fixed.conj().T)
+    assert abs(fixed[n - 1, 3] - a[n - 1, 3]) <= 1e-10
 
 
 def test_gibbs_commutes_with_number():
