@@ -58,18 +58,19 @@ from .propagator import (Block, DenseSteps, LowRankUnitary, TimeDependentHamilto
                          dyson_propagator, heisenberg_evolve, interaction_to_schrodinger,
                          propagate, propagate_grid, step_grid)
 from .quadratic import (ScalarDriveReferenceCache, binary_entropy, diagonal_state,
-                        gibbs_correlation, interaction_picture, pauli_excess,
-                        quadratic_entropy_ledger, quadratic_observable, rank_update)
+                        interaction_picture, pauli_excess, quadratic_entropy_ledger,
+                        rank_update)
 # not called here; perfbench/tracing.py wraps these harness attributes by name
-from .quadratic import correlation_entropy, reference_scalars  # noqa: F401
+from .quadratic import (correlation_entropy, gibbs_correlation,  # noqa: F401
+                        quadratic_observable, reference_scalars)
 from .smallness import grid_axis, grid_norm
 from .states import (GibbsParams, gibbs_state, relative_entropy, sector_gibbs_state,
                      von_neumann_entropy)
 from .storage import write_series_csv
 
-#: largest L of a `both` run; at L = 10 the exact oracle takes about 0.5 s per
-#: grid interval (43 s for an 80-interval switch-on run, one BLAS thread on a
-#: 2-core VM)
+#: largest L of a `both` run; at L = 10 the exact oracle, on the float64 sector
+#: blocks of its real operators, takes about 0.14 s per grid interval (11 s
+#: for the 80-interval `configs/both_L10.yaml`, one BLAS thread on a 2-core VM)
 BOTH_SITE_CAP = 10
 #: maximal group velocity of the unit-hopping dispersion 2 - 2 cos k
 V_MAX = 2.0
@@ -427,9 +428,17 @@ def _one_at_a_time(update, observe):
     return advance
 
 
-def _sector_trace(rho, a):
-    """tr(rho A) from the sector blocks of a block-diagonal rho and of any A."""
-    return sum(expectation(r, b) for r, b in zip(rho, a))
+def _sector_reads(stacks, rho, rows=slice(None)):
+    """Re tr(rho A) of the `rows` of operators A stacked per sector n as rows
+    A_nn.ravel() of one (m, d_n^2) array, from the sector blocks of a
+    block-diagonal rho: one product per sector, exact for any A, since
+    tr(rho_n A_nn) = sum_ij (rho_n^T)_ij (A_nn)_ij. A real stack reads
+    Re rho_n only, so no complex copy of the stack is made."""
+    def read(stack, r):
+        if stack.dtype.kind == "f":
+            return stack[rows] @ r.real.T.ravel()
+        return (stack[rows] @ r.T.ravel()).real
+    return sum(read(s, r) for s, r in zip(stacks, rho))
 
 
 def exact_trajectory(spec, params, protocol, times, tol, probe_ops=None):
@@ -437,15 +446,22 @@ def exact_trajectory(spec, params, protocol, times, tol, probe_ops=None):
     charge-sector blocks.
 
     H_0, each V_j = dW/dlambda_j and every probe are sliced once into their
-    n-particle blocks; N is n on sector n, so it is never built. rho, H(t) and
-    every propagator are tuples of those blocks, and U_n rho_n U_n^dagger is
-    the update. Each row takes G and <V_j>_ref from the per-sector spectra of
-    H(t) (`sector_gibbs_state`), and a probe A reads sum_n tr(rho_n A_nn),
-    exact for any A since rho is block-diagonal. dq/dt is zero by
-    construction. A drive component with a nonzero entry between sectors is
-    refused before any step. `final_state` is the dense rho. The Gibbs probe
-    values and the norm of each V_j (the largest over its sectors) come from
-    the same blocks.
+    n-particle blocks (`FockBasis.sectors`: float64 for the real operators
+    of every reference drive, complex128 for a complex one); N is n on sector
+    n, so it is never built. H(t) per sector is then real too, and so are
+    each CFM4 exponent's `eigh` and each row's reference state; the
+    propagators exp(-i dt h) and rho(t) are complex. rho, H(t) and every
+    propagator are tuples of blocks, and U_n rho_n U_n^dagger is the update.
+    Per sector, [H_0, V_1..V_k, probes] are stacked once, so each row reads
+    tr(rho_n A) of all of them in one product per sector (`_sector_reads`,
+    exact for any A since rho is block-diagonal), with
+    U = tr(rho H_0) + sum_j lambda_j tr(rho V_j), and <V_j>_ref in one more
+    from the reference state; G and that state come from the per-sector
+    spectra of H(t) (`sector_gibbs_state`). dq/dt is zero by construction. A
+    drive component with a nonzero entry between sectors is refused before
+    any step. `final_state` is the dense rho. The Gibbs probe values (by the
+    same stacked read) and the norm of each V_j (the largest over its
+    sectors) come from the same blocks.
     """
     basis = FockBasis(spec.n_sites)
     h0 = basis.sectors(hopping_hamiltonian(spec))
@@ -455,7 +471,14 @@ def exact_trajectory(spec, params, protocol, times, tol, probe_ops=None):
         if np.count_nonzero(v) != sum(np.count_nonzero(b) for b in blocks):
             raise ValueError(f"drive component {j} couples charge sectors; the exact "
                              "path needs gauge-invariant drives")
-    probes = [basis.sectors(np.asarray(a)) for a in probe_ops or []]
+    # per sector, [H_0, V_1..V_k, probes] as the rows A_nn.ravel() of one
+    # array, float64 where all of them are real
+    stacks = [np.stack(blocks).reshape(len(blocks), -1)
+              for blocks in zip(h0, *vs, *(basis.sectors(np.asarray(a)) for a in probe_ops or []))]
+    drive_rows, probe_rows = slice(1, 1 + len(vs)), slice(1 + len(vs), None)
+
+    def controls(t):
+        return protocol.controls(t) if protocol else np.zeros(0)
 
     def h_of(lam):
         return tuple(h + sum((lj * v[n] for lj, v in zip(lam, vs)), np.zeros_like(h))
@@ -463,12 +486,10 @@ def exact_trajectory(spec, params, protocol, times, tol, probe_ops=None):
 
     def h_at(t):
         # W = 0 before the grid starts, as in TimeDependentHamiltonian
-        return h_of(protocol.controls(t) if protocol and t >= times[0]
-                    else np.zeros(len(vs)))
+        return h_of(controls(t) if t >= times[0] else np.zeros(len(vs)))
 
     def gibbs_probes(lam):
-        rho = sector_gibbs_state(h_of(lam), params).rho
-        return np.array([_sector_trace(rho, a) for a in probes])
+        return _sector_reads(stacks, sector_gibbs_state(h_of(lam), params).rho, probe_rows)
 
     def entropy(rho):
         return sum(von_neumann_entropy(r) for r in rho)
@@ -478,14 +499,17 @@ def exact_trajectory(spec, params, protocol, times, tol, probe_ops=None):
 
     def observe(rho, t):
         # relS takes S_vN(rho_t) = s_start: the unitary flow keeps the spectrum
-        h_t = h_at(t)
-        ref = sector_gibbs_state(h_t, params)
+        lam = controls(t)
+        ref = sector_gibbs_state(h_of(lam), params)
+        reads = _sector_reads(stacks, rho)
+        drive = reads[drive_rows]
         lam_dot = protocol.lam_dot(t) if protocol else np.zeros(0)
-        rec = ledger_row(t, _sector_trace(rho, h_t),
+        rec = ledger_row(t, float(reads[0] + lam @ drive),
                          sum(n * float(np.real(np.trace(r))) for n, r in enumerate(rho)),
-                         [_sector_trace(rho, v) for v in vs], ref.grand_potential,
-                         [_sector_trace(ref.rho, v) for v in vs], lam_dot, params, s_start)
-        return rec, np.array([_sector_trace(rho, a) for a in probes])
+                         drive.tolist(), ref.grand_potential,
+                         _sector_reads(stacks, ref.rho, drive_rows).tolist(), lam_dot, params,
+                         s_start)
+        return rec, reads[probe_rows]
 
     def update(rho, step):
         return tuple(symmetrize(u @ r @ u.conj().T) for u, r in zip(step.matrix, rho))
@@ -514,8 +538,10 @@ def quadratic_trajectory(spec, params, protocol, times, tol, probe_ops=None):
     scalars from |R| x |R| resolvents. At the end one `eigvalsh` of G (whose
     spectrum is Gamma's) gives both the final entropy and the Pauli defect;
     `final_state` is Gamma, from one basis change written over G and
-    completed to an exactly Hermitian matrix. The Gibbs probe values are
-    `gibbs_correlation` of h0 + sum_j lambda_j V_j, and ||V_j|| is the norm
+    completed to an exactly Hermitian matrix. The Gibbs probe values read
+    the probes on S x S, as the rows do, from Gamma_SS = conj(phi_S f
+    phi_S^dagger) of one `eigh` of h0 + sum_j lambda_j V_j (the reference of
+    `gibbs_correlation` with `quadratic_observable`), and ||V_j|| is the norm
     of its R x R block.
     """
     if protocol is not None and not protocol.is_quadratic:
@@ -535,6 +561,7 @@ def quadratic_trajectory(spec, params, protocol, times, tol, probe_ops=None):
 
     sites = np.unique(np.concatenate([steps.rows] + [support(w) for w in probe_ops or []]))
     on_rows = np.ix_(np.searchsorted(sites, steps.rows), np.searchsorted(sites, steps.rows))
+    on_drive = np.ix_(steps.rows, steps.rows)
     probe_rows = np.array([np.asarray(w)[np.ix_(sites, sites)].ravel() for w in probe_ops or []])
     probe_rows = probe_rows.reshape(len(probe_rows), sites.size ** 2)
 
@@ -597,9 +624,16 @@ def quadratic_trajectory(spec, params, protocol, times, tol, probe_ops=None):
         return g, rows
 
     def gibbs_probes(lam):
-        mats = [c.one_body() for c in protocol.components] if protocol else []
-        gamma = gibbs_correlation(h0 + sum(lj * v for lj, v in zip(lam, mats)), params)
-        return np.array([quadratic_observable(gamma, w) for w in probe_ops or []])
+        # one eigh of h(lambda) = h0 + sum_j lambda_j V_j (V_j on R x R), and
+        # the probes read as each row reads them, from
+        # Gamma_SS = conj(phi_S f phi_S^dagger) in h(lambda)'s eigenbasis phi
+        h = h0.astype(np.result_type(h0, *blocks))
+        for lj, c in zip(lam, blocks):
+            h[on_drive] += lj * c
+        w, v = np.linalg.eigh(h)
+        v_s = v[sites]
+        gamma = ((v_s * expit(-params.beta * (w - params.mu))) @ v_s.conj().T).conj()
+        return (probe_rows @ gamma.ravel()).real
 
     def final(g, t):
         nu = np.linalg.eigvalsh(g, UPLO="L")

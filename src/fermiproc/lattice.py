@@ -133,7 +133,17 @@ class FockBasis:
         return np.nonzero(self.popcounts == n_particles)[0]
 
     def sectors(self, a):
-        """The n-particle diagonal blocks of a Fock matrix, n = 0..L."""
+        """The n-particle diagonal blocks of a Fock matrix, n = 0..L.
+
+        The blocks are float64 when the imaginary part of `a` is exactly
+        zero, and complex128 otherwise. H_0, the degree-1 and degree-2 drives
+        of real kernels and the density and hopping probes are all real, so
+        their blocks take real symmetric `eigh`s (about a quarter of the
+        complex Hermitian flops); the code downstream of this slicing works
+        with either dtype.
+        """
+        if np.iscomplexobj(a) and not np.any(a.imag):
+            a = a.real
         return tuple(a[key] for key in self._keys)
 
     def assemble(self, blocks):

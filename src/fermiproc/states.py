@@ -81,7 +81,10 @@ def sector_gibbs_state(h_sectors, params):
 
     Each block is diagonalized once and its spectrum shifted by -mu*n; the
     weights use `gibbs_state`'s log-sum-exp. `rho` is the tuple of the
-    state's sector blocks.
+    state's sector blocks, of each H block's dtype: a real symmetric block
+    (every reference drive's H(t), from `FockBasis.sectors`) takes a real
+    `eigh`, about a quarter of a complex Hermitian one's flops, and gives a
+    real rho block.
     """
     eigs = [np.linalg.eigh(h) for h in h_sectors]
     weights, beta_g = _boltzmann_weights(

@@ -1,14 +1,15 @@
-"""Charge sectors as Fock space's block structure: `FockBasis.sectors` and
-`assemble`, the sector Gibbs state against the dense one at L = 8, and the
-dense Gibbs state, relative entropy and exponential against their formulas,
-including Fock matrices that are not gauge-invariant."""
+"""Charge sectors as Fock space's block structure: `FockBasis.sectors` (float64
+blocks where the matrix is real) and `assemble`, the sector Gibbs state
+against the dense one at L = 8, and the dense Gibbs state, relative entropy
+and exponential against their formulas, including Fock matrices that are not
+gauge-invariant."""
 
 import numpy as np
 import pytest
 
 from fermiproc.drive import KernelSpec, Perturbation
 from fermiproc.lattice import (FockBasis, LatticeSpec, creation_op, hopping_hamiltonian,
-                               number_operator, one_body_laplacian)
+                               number_operator, one_body_laplacian, quadratic_fock_operator)
 from fermiproc.linalg import expm_unitary
 from fermiproc.states import (GibbsParams, SupportError, gibbs_state, relative_entropy,
                               sector_gibbs_state)
@@ -75,6 +76,22 @@ def test_sector_gibbs_state_matches_dense_at_L8(beta):
     assert abs(dense.beta_g - sector.beta_g) <= 1e-12
     # h is block-diagonal over the sectors: slicing and assembling is exact
     assert np.array_equal(basis.assemble(basis.sectors(h)), h)
+
+
+def test_sectors_are_float64_where_the_matrix_is_real():
+    # a complex128 matrix with an exactly zero imaginary part gives float64
+    # blocks; an imaginary hopping 0.2j from site 4 to site 3 gives complex128
+    # ones; assembling the blocks gives the matrix back in both cases
+    h, _ = _driven_fock(2, 0.4)
+    hop = np.zeros((8, 8), dtype=complex)
+    hop[3, 4], hop[4, 3] = 0.2j, -0.2j
+    complex_h = h + quadratic_fock_operator(LatticeSpec(8), hop)
+    assert h.dtype == complex_h.dtype == np.complex128 and not np.any(h.imag)
+    basis = FockBasis(8)
+    for mat, dtype in ((h, np.float64), (complex_h, np.complex128)):
+        blocks = basis.sectors(mat)
+        assert {b.dtype for b in blocks} == {np.dtype(dtype)}
+        assert np.array_equal(basis.assemble(blocks), mat)
 
 
 @pytest.mark.parametrize("degree", [1, 2])

@@ -394,13 +394,17 @@ def test_both_path_oracle_small(tmp_path):
 
 # -- sector-blocked exact path against the dense Fock oracle ---------------------
 
-def _sector_case(n_sites, degree, drive):
+def _sector_case(n_sites, degree, drive, hop=0.3):
+    """The drive on sites 1..3, with `hop` the hopping from site 2 to site 1:
+    a complex `hop` makes V_1 complex Hermitian, and its sector blocks
+    complex128."""
     from fermiproc.drive import (KernelSpec, Perturbation, periodic_protocol,
                                  switch_on_protocol)
     from fermiproc.lattice import LatticeSpec
     region = (1, 2, 3)
     spec = LatticeSpec(n_sites, local_region=region)
-    kernels = [KernelSpec(1, region, [[0.5, 0.3, 0.0], [0.3, -0.4, 0.2], [0.0, 0.2, 0.1]])]
+    kernels = [KernelSpec(1, region, [[0.5, hop, 0.0], [np.conj(hop), -0.4, 0.2],
+                                      [0.0, 0.2, 0.1]])]
     if degree == 2:
         w2 = np.zeros((3,) * 4)
         w2[0, 1, 1, 0] = 0.7  # n_1 n_2
@@ -412,15 +416,17 @@ def _sector_case(n_sites, degree, drive):
     return spec, periodic_protocol(pert, 0.8, "sin", 0.0, 0.4)
 
 
-@pytest.mark.parametrize("n_sites,degree,drive", [
-    (5, 1, "switch_on"),
-    (6, 2, "periodic"),
-    (5, 1, "periodic"),
-    (6, 2, "switch_on"),
+@pytest.mark.parametrize("n_sites,degree,drive,hop", [
+    pytest.param(5, 1, "switch_on", 0.3, id="5-1-switch_on"),
+    pytest.param(6, 2, "periodic", 0.3, id="6-2-periodic"),
+    pytest.param(5, 1, "periodic", 0.3, id="5-1-periodic"),
+    pytest.param(6, 2, "switch_on", 0.3, id="6-2-switch_on"),
+    # complex Hermitian V_1: the exact path on complex128 blocks
+    pytest.param(5, 1, "switch_on", 0.3 + 0.2j, id="5-1-switch_on-complex"),
 ])
-def test_sector_exact_path_matches_dense_oracle(n_sites, degree, drive):
+def test_sector_exact_path_matches_dense_oracle(n_sites, degree, drive, hop):
     from conftest import dense_exact_trajectory
-    spec, protocol = _sector_case(n_sites, degree, drive)
+    spec, protocol = _sector_case(n_sites, degree, drive, hop)
     params = harness.GibbsParams(1.2, 0.3)
     times = time_grid(0.0, 0.8, 0.1)
     pairs = harness.probe_site_pairs(RunConfig(LatticeConfig(n_sites), GibbsConfig(1.0)),
@@ -436,6 +442,64 @@ def test_sector_exact_path_matches_dense_oracle(n_sites, degree, drive):
         assert np.max(np.abs(sector.gibbs_probes(lam) - dense.gibbs_probes(lam))) <= 1e-12
     assert len(sector.drive_norms) == len(dense.drive_norms) == 1
     assert np.max(np.abs(np.subtract(sector.drive_norms, dense.drive_norms))) <= 1e-12
+
+
+@pytest.mark.parametrize("hop", [0.3, 0.3 + 0.2j], ids=["real", "complex"])
+def test_stacked_reads_match_per_operator_expectations(monkeypatch, hop):
+    # every row's U, <V_j>_rho, <V_j>_ref and probe values, and the Gibbs
+    # probe values, from the stacked reads equal `expectation` summed over
+    # the same sector blocks: float64 blocks for the real drive, complex128
+    # for the complex one, with a current probe i(a_1^* a_2 - a_2^* a_1)
+    from fermiproc.lattice import FockBasis, hopping_hamiltonian, quadratic_fock_operator
+    from fermiproc.observables import expectation
+    spec, protocol = _sector_case(5, 1, "switch_on", hop)
+    params = harness.GibbsParams(1.2, 0.3)
+    pairs = harness.probe_site_pairs(RunConfig(LatticeConfig(5), GibbsConfig(1.0)), spec)
+    ops = harness.probe_matrices(pairs, spec, "fock")
+    if isinstance(hop, complex):
+        current = np.zeros((5, 5), dtype=complex)
+        current[1, 2], current[2, 1] = 1j, -1j
+        ops.append(quadratic_fock_operator(spec, current))
+    basis = FockBasis(5)
+    (v,) = [basis.sectors(d) for d in protocol.d_operator(0.0, "fock")]
+    probes = [basis.sectors(a) for a in ops]
+    assert {b.dtype for b in v} == {np.dtype(type(hop))}
+
+    def trace(rho, blocks):
+        return sum(expectation(r, b) for r, b in zip(rho, blocks))
+
+    seen, rows = {}, []
+    gibbs, reads, ledger = harness.sector_gibbs_state, harness._sector_reads, harness.ledger_row
+
+    def recorded_gibbs(h, p):
+        seen["h"], seen["ref"] = h, gibbs(h, p)
+        return seen["ref"]
+
+    def recorded_reads(stacks, rho, which=slice(None)):
+        if which == slice(None):
+            seen["rho"] = rho
+        return reads(stacks, rho, which)
+
+    def recorded_ledger(t, energy, q, drive, g, gradient, *args):
+        rows.append((energy, drive, gradient, seen["h"], seen["rho"], seen["ref"].rho))
+        return ledger(t, energy, q, drive, g, gradient, *args)
+
+    monkeypatch.setattr(harness, "sector_gibbs_state", recorded_gibbs)
+    monkeypatch.setattr(harness, "_sector_reads", recorded_reads)
+    monkeypatch.setattr(harness, "ledger_row", recorded_ledger)
+    traj = harness.exact_trajectory(spec, params, protocol, time_grid(0.0, 0.8, 0.1), 1e-8,
+                                    ops)
+    assert len(rows) == len(traj.probe_series) == 9
+    for (energy, drive, gradient, h, rho, ref), values in zip(rows, traj.probe_series):
+        assert abs(energy - trace(rho, h)) <= 1e-13
+        assert abs(drive[0] - trace(rho, v)) <= 1e-13
+        assert abs(gradient[0] - trace(ref, v)) <= 1e-13
+        assert np.max(np.abs(values - [trace(rho, a) for a in probes])) <= 1e-13
+    h0 = basis.sectors(hopping_hamiltonian(spec))
+    for lam in (0.0, 0.4):
+        ref = gibbs(tuple(a + lam * b for a, b in zip(h0, v)), params).rho
+        assert np.max(np.abs(traj.gibbs_probes([lam])
+                             - [trace(ref, a) for a in probes])) <= 1e-13
 
 
 @pytest.mark.parametrize("degree,drive", [(1, "switch_on"), (2, "periodic")])

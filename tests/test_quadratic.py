@@ -272,3 +272,26 @@ def test_final_state_is_exactly_hermitian(rng):
     assert gamma.dtype == complex and np.array_equal(gamma, gamma.conj().T)
     assert abs(traj.pauli_defect - pauli_defect(gamma)) <= 1e-12
     assert traj.pauli_defect <= 1e-9 and traj.entropy_drift <= 1e-9
+
+
+@pytest.mark.parametrize("hop", [0.3, 0.3 + 0.2j], ids=["real", "complex"])
+def test_gibbs_probes_read_the_probe_support(hop):
+    # the fast path's Gibbs probe values, from Gamma_SS = conj(phi_S f phi_S^dagger)
+    # of one eigh, equal the full L x L `gibbs_correlation` read by
+    # `quadratic_observable`; one probe lies outside the drive's sites, and
+    # the current i(a_19^* a_20 - a_20^* a_19) on the complex bond reads Im Gamma
+    spec = LatticeSpec(40, local_region=(19, 20, 21))
+    kernel = KernelSpec(1, (19, 20, 21), [[0.5, hop, 0.0], [np.conj(hop), -0.4, 0.2],
+                                          [0.0, 0.2, 0.1]])
+    protocol = switch_on_protocol(Perturbation([kernel], spec), 0.0, 0.5, 0.4)
+    params = GibbsParams(1.5, 0.1)
+    pairs = probe_site_pairs(RunConfig(LatticeConfig(40), GibbsConfig(1.5)), spec)
+    current = np.zeros((40, 40), dtype=complex)
+    current[19, 20], current[20, 19] = 1j, -1j
+    ops = probe_matrices(pairs + [(5, 7)], spec, "one_body") + [current]
+    traj = quadratic_trajectory(spec, params, protocol, time_grid(0.0, 0.2, 0.1), 1e-8, ops)
+    (v,) = [c.one_body() for c in protocol.components]
+    for lam in (0.0, 0.4, -1.3):
+        gamma = gibbs_correlation(one_body_laplacian(spec) + lam * v, params)
+        expected = [quadratic_observable(gamma, w) for w in ops]
+        assert np.max(np.abs(traj.gibbs_probes([lam]) - expected)) <= 1e-12
