@@ -9,7 +9,7 @@ running Gibbs reference, entropy production rate, and work.
 __version__ = "0.1.0"
 
 from .lattice import (Boundary, FockBasis, LatticeSpec, LatticeTooLargeError,
-                      annihilation_op, creation_op, embed_local, gauge_transform,
+                      annihilation_op, creation_op, gauge_transform,
                       hopping_hamiltonian, is_gauge_invariant, number_operator,
                       one_body_laplacian, quadratic_fock_operator)
 from .states import (GibbsParams, GibbsResult, gibbs_state, relative_entropy,

@@ -130,31 +130,38 @@ _PROFILES = {
 
 
 def cmd_norm(args):
-    spec = load_kernel_file(args.kernel_file)
     total = 0.0
     rich = 0.0
-    sup_scale = float(spec.get("sup_scale", 1.0))
-    lattice_terms = [(t["degree"], np.asarray(t["coeffs"], dtype=float), t["sites"])
-                     for t in spec.get("terms", [])]
-    if lattice_terms:
-        report = smallness.smallness_norm(lattice_terms, sup_scale=sup_scale,
-                                          points=args.points, box=args.box)
-        total += report.value
-        rich += report.richardson
-        for val in report.per_term:
-            print(f"lattice term contribution: {val:.8g}")
-    for t in spec.get("profile_terms", []):
-        profile = _PROFILES[t["profile"]]
-        amp = float(t.get("amplitude", 1.0))
-        ndim = int(t.get("ndim", 1))
-        est = smallness.kernel_norm(
-            lambda *axes: amp * profile(*axes), ndim, box=args.box, points=args.points)
-        degree = int(t.get("degree", 1))
-        weight = 2.0 ** (5 * degree) * degree * sup_scale
-        print(f"profile {t['profile']} (M={ndim}): ||f||' = {est.value:.8g} "
-              f"(richardson {est.richardson:.2g})")
-        total += weight * est.value
-        rich += weight * est.richardson
+    try:  # a malformed file or an unresolvable norm is a config error, not a FAIL
+        spec = load_kernel_file(args.kernel_file)
+        sup_scale = float(spec.get("sup_scale", 1.0))
+        lattice_terms = [(t["degree"], np.asarray(t["coeffs"], dtype=float), t["sites"])
+                         for t in spec.get("terms", [])]
+        if lattice_terms:
+            report = smallness.smallness_norm(lattice_terms, sup_scale=sup_scale,
+                                              points=args.points, box=args.box)
+            total += report.value
+            rich += report.richardson
+            for val in report.per_term:
+                print(f"lattice term contribution: {val:.8g}")
+        for t in spec.get("profile_terms", []):
+            if t["profile"] not in _PROFILES:
+                raise ValueError(f"unknown profile {t['profile']!r}, "
+                                 f"known: {', '.join(sorted(_PROFILES))}")
+            profile = _PROFILES[t["profile"]]
+            amp = float(t.get("amplitude", 1.0))
+            ndim = int(t.get("ndim", 1))
+            est = smallness.kernel_norm(
+                lambda *axes: amp * profile(*axes), ndim, box=args.box, points=args.points)
+            weight = smallness.term_weight(int(t.get("degree", 1)), sup_scale)
+            print(f"profile {t['profile']} (M={ndim}): ||f||' = {est.value:.8g} "
+                  f"(richardson {est.richardson:.2g})")
+            total += weight * est.value
+            rich += weight * est.richardson
+    except KeyError as exc:
+        raise harness.ConfigError(f"{args.kernel_file}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise harness.ConfigError(f"{args.kernel_file}: {exc}") from exc
     verdict = "PASS" if total < smallness.SMALLNESS_THRESHOLD else "FAIL"
     print(f"aggregate smallness norm = {total:.8g} (richardson {rich:.2g})")
     print(f"threshold 1/(24*pi) = {smallness.SMALLNESS_THRESHOLD:.8g} -> {verdict}")

@@ -7,19 +7,20 @@ sum w_{i1 i2 j1 j2} a_{i1}^* a_{i2}^* a_{j1} a_{j2}. Every built perturbation
 is Hermitian, local, and gauge-invariant by construction.
 
 Protocols wrap a control path lambda(t) with its analytic derivative and a
-linear map lambda -> W(lambda) = sum_j lambda_j V_j.
+linear map lambda -> W(lambda) = sum_j lambda_j V_j. `certify_drive` reads a
+protocol's norms and smallness norm from its kernels alone, so one drive gets
+the same certificate at every L.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from . import smallness
-from .smallness import SmallnessReport
-from .lattice import (LatticeSpec, _monomial, ensure_hermitian, is_gauge_invariant,
-                      locality_defect, quadratic_fock_operator, site_index)
-from .linalg import max_abs, spectral_norm
+from .lattice import (FockBasis, LatticeSpec, _monomial, ensure_hermitian,
+                      is_gauge_invariant, quadratic_fock_operator, site_index)
+from .linalg import spectral_norm
 
 
 @dataclass(frozen=True)
@@ -145,10 +146,20 @@ class Perturbation:
             return self.fock()
         raise ValueError(f"unknown representation {representation!r}")
 
-    def norm(self, representation="one_body"):
-        if representation == "one_body" and self.is_quadratic:
-            return spectral_norm(self.one_body())
-        return spectral_norm(self.fock())
+    def norm(self):
+        """Fock-space operator norm of V.
+
+        A one-body V = sum w_ij a_i^* a_j has the spectrum {sum of the e_k
+        over occupied modes k}, e_k the eigenvalues of w, so its norm is
+        max(sum e_k^+, -sum e_k^-), read on the rows where w is nonzero. A
+        degree-2 V takes the largest norm over its charge-sector blocks.
+        """
+        if not self.is_quadratic:
+            return max(map(spectral_norm, FockBasis(self.lattice.n_sites).sectors(self.fock())))
+        w = self.one_body()
+        rows = np.flatnonzero(np.any(w, axis=0))
+        e = np.linalg.eigvalsh(w[np.ix_(rows, rows)])
+        return float(max(e[e > 0].sum(), -e[e < 0].sum()))
 
 
 # -- control paths -------------------------------------------------------------
@@ -217,7 +228,7 @@ class DriveProtocol:
     tau_r: Optional[float] = None
     period: Optional[float] = None
     waveform: Optional[str] = None
-    amplitude: Optional[float] = None
+    amplitude: float = 1.0
 
     def lam(self, t):
         if t < self.t0:
@@ -251,21 +262,13 @@ class DriveProtocol:
         """[dW/dlambda_j at lambda(t)] in the requested representation."""
         return [c.matrix(representation) for c in self.components]
 
-    def sup_lambda(self, horizon=None):
-        """sup_t |lambda_j(t)| per component, over [t0, t0 + horizon]."""
-        if self.kind == "switch_on":
-            t_eval = self.t0 + (1e9 if horizon is None else horizon)
-            return np.abs(self.lam(t_eval))
-        taus = np.linspace(0.0, self.period, 513)
-        return np.max([np.abs(self.lam(self.t0 + x)) for x in taus], axis=0)
-
 
 def switch_on_protocol(w_inf: Perturbation, t0, tau_r, amplitude=1.0):
     """Exponential switch-on toward W_inf: lambda(t) = A(1 - e^{-(t-t0)/tau_r}).
 
     ||W_t - W_inf|| decays like e^{-(t-t0)/tau_r}, so the switching integral
-    int ||W_t - W_inf|| dt equals tau_r * ||W_inf|| in closed form (reported
-    by `certify_drive`).
+    int ||W_t - W_inf|| dt equals tau_r * ||W_inf|| in closed form (the
+    integrability constant of `certify_drive`).
     """
     if tau_r <= 0:
         raise ValueError("tau_r must be positive")
@@ -309,90 +312,44 @@ def periodic_protocol(w_base: Perturbation, period, waveform="sin", t0=0.0,
 
 @dataclass(frozen=True)
 class DriveCertificate:
-    """Numerical certification of a protocol against its declared properties."""
+    """Where a drive stands against the paper's hypotheses, read from its kernels.
 
-    locality_defect: float
-    locality_ok: bool
-    gauge_invariant: bool
-    charge_conserving: bool
-    sup_norm: float
-    integrability_constant: Optional[float] = None
-    period: Optional[float] = None
-    smallness: Optional[SmallnessReport] = None
-    notes: tuple = ()
-
-
-def certify_drive(protocol: DriveProtocol, lattice: LatticeSpec,
-                  sample_times=None, locality_tol=1e-10,
-                  smallness_points=smallness.DEFAULT_POINTS):
-    """Check locality, gauge invariance, norms, and smallness of a drive.
-
-    The locality and gauge checks run on the Fock representation when the
-    lattice is within the exact-path cap, otherwise on the one-body support
-    pattern. Failures are reported in the certificate, not raised.
+    `smallness` is the aggregate smallness norm, or the reason it could not be
+    computed (a kernel whose site bumps leave the grid's box, or a grid too
+    coarse to resolve it); `inside_hypothesis` is None then.
     """
-    notes = []
-    exact_scale = lattice.n_sites <= 10
-    horizon = 8.0 * (protocol.tau_r or 0.0) + 2.0 * (protocol.period or 0.0) or 10.0
-    if sample_times is None:
-        sample_times = protocol.t0 + np.linspace(0.0, horizon, 17)
 
-    if not exact_scale and not protocol.is_quadratic:
-        raise ValueError(
-            "certification of non-quadratic drives needs the Fock representation; "
-            f"L={lattice.n_sites} is beyond exact-path certification scale"
-        )
-    sup_w = 0.0
-    gauge_ok = True
-    loc_defect = 0.0
-    region = set(lattice.local_region)
-    for t in sample_times:
-        if exact_scale:
-            w = protocol.operator(t, "fock")
-            sup_w = max(sup_w, spectral_norm(w))
-            gauge_ok &= bool(is_gauge_invariant(w, 1e-10, lattice.n_sites))
-            # kernels build parity-even operators, for which the embed round
-            # trip of `locality_defect` is unambiguous (it raises otherwise)
-            loc_defect = max(loc_defect, locality_defect(w, lattice))
-        else:
-            w = protocol.operator(t, "one_body")
-            sup_w = max(sup_w, spectral_norm(w))
-            mask = np.ones_like(w, dtype=bool)
-            for i in region:
-                for j in region:
-                    mask[i, j] = False
-            loc_defect = max(loc_defect, max_abs(np.where(mask, w, 0.0)))
-    if not exact_scale:
-        notes.append("locality and gauge checks ran on the one-body representation; "
-                     "one-body kernels are gauge-invariant by construction")
+    sup_norm: float  # sup_t ||W(lambda(t))|| = |amplitude| * sum_j ||V_j||
+    integrability_constant: Optional[float]  # tau_r * sup_norm (switch-on)
+    period: Optional[float]
+    smallness: Union[float, str]
+    smallness_threshold: float
+    inside_hypothesis: Optional[bool]
 
-    integrability = None
-    if protocol.kind == "switch_on":
-        w_inf_norm = sum(
-            abs(protocol.amplitude or 1.0) * c.norm("one_body" if not exact_scale else "fock")
-            for c in protocol.components
-        )
-        integrability = protocol.tau_r * w_inf_norm
-        sup_w = max(sup_w, w_inf_norm)
 
-    small = None
-    if protocol.is_quadratic:
-        sup_scale = float(np.max(protocol.sup_lambda()))
-        terms = [(k.degree, k.coeffs, k.sites)
-                 for c in protocol.components for k in c.kernels]
-        small = smallness.smallness_norm(terms, sup_scale=sup_scale,
-                                         points=smallness_points)
+def certify_drive(protocol: DriveProtocol):
+    """Norms and smallness of a drive, from its kernels at any L.
 
+    Both protocols have sup_t |lambda(t)| = |amplitude|. Locality and gauge
+    invariance hold by construction (`KernelSpec.validate_support`, and equal
+    creator and annihilator counts in every monomial), so they are not read.
+    """
+    scale = abs(protocol.amplitude)
+    sup_norm = scale * sum(c.norm() for c in protocol.components)
+    terms = [(k.degree, k.coeffs, k.sites) for c in protocol.components for k in c.kernels]
+    try:
+        report = smallness.smallness_norm(terms, sup_scale=scale)
+        value, inside = float(report.value), bool(report.passed)
+    except (smallness.KernelOutsideBoxError, smallness.GridTooCoarseError) as exc:
+        value, inside = str(exc), None
     return DriveCertificate(
-        locality_defect=loc_defect,
-        locality_ok=loc_defect <= locality_tol,
-        gauge_invariant=gauge_ok,
-        charge_conserving=gauge_ok,
-        sup_norm=sup_w,
-        integrability_constant=integrability,
+        sup_norm=sup_norm,
+        integrability_constant=(protocol.tau_r * sup_norm if protocol.kind == "switch_on"
+                                else None),
         period=protocol.period,
-        smallness=small,
-        notes=tuple(notes),
+        smallness=value,
+        smallness_threshold=smallness.SMALLNESS_THRESHOLD,
+        inside_hypothesis=inside,
     )
 
 

@@ -2,9 +2,10 @@
 
 A run is declared in a YAML file whose sections mirror the RunConfig fields;
 unknown keys are errors. Runs emit `series.csv` (the thermodynamic ledger)
-and `manifest.json` (config echo, invariant verdicts, summary scalars, and
-per path the integrator's summed error estimate, the count of intervals that
-failed the CFM4 pair test and the narrowest step).
+and `manifest.json` (config echo, invariant verdicts, summary scalars, per
+path the integrator's summed error estimate, the count of intervals that
+failed the CFM4 pair test and the narrowest step, and on a driven run the
+drive certificate: its norms and its smallness norm against 1/(24 pi)).
 
 Layout. One trajectory loop, `_trajectory`, owns the step loop, the
 integrator report, the work recurrence and the entropy drift;
@@ -45,8 +46,8 @@ from scipy.linalg.blas import zgemm, zhemm
 from scipy.special import expit
 
 from . import __version__
-from .drive import (DriveProtocol, KernelSpec, Perturbation, periodic_protocol,
-                    switch_on_protocol)
+from .drive import (DriveProtocol, KernelSpec, Perturbation, certify_drive,
+                    periodic_protocol, switch_on_protocol)
 from .lattice import (EXACT_SITE_CAP, Boundary, FockBasis, LatticeSpec,
                       creation_op, gauge_transform, hopping_hamiltonian,
                       number_operator, one_body_laplacian, quadratic_fock_operator,
@@ -760,6 +761,9 @@ def _run_process(cfg: RunConfig, kind, times, verdict=None) -> ProcessResult:
     protocol = build_protocol(cfg, spec)
     pairs = probe_site_pairs(cfg, spec)
     manifest = _manifest_skeleton(cfg, spec, kind)
+    if protocol is not None:
+        # a note on the paper's hypotheses: never an invariant or summary entry
+        manifest["drive"] = asdict(certify_drive(protocol))
     manifest["integrator"] = {}  # path tag -> IntegratorReport
     trajectories = {}
     both = cfg.path == "both"

@@ -3,8 +3,10 @@
 Occupation-number Fock space over a 1-D chain of L spinless-fermion sites,
 with creation/annihilation matrices satisfying the canonical anticommutation
 relations (CAR), the hopping Hamiltonian (second-quantized discrete
-Laplacian), the particle-number operator, gauge transformations generated by
-it, and embedding of operators supported on a distinguished local region.
+Laplacian), the particle-number operator, and gauge transformations generated
+by it. The chain singles out a local region, the support of every drive
+kernel: locality is checked on the kernels' sites
+(`drive.KernelSpec.validate_support`), never on Fock matrices.
 
 Basis convention: basis index k in [0, 2^L) encodes the occupation bitstring,
 bit j of k being the occupancy of site j. Operator products use site-ascending
@@ -289,97 +291,9 @@ def _infer_sites(dim):
     return n
 
 
-def _mode_permutation(spec):
-    """Signed basis permutation moving local_region sites to the low bits.
-
-    Returns (new_index, sign) arrays over the full Fock basis. The sign is
-    the fermionic reordering parity: the inversion count of the occupied
-    sites' target positions, read in ascending site order.
-    """
-    n = spec.n_sites
-    order = list(spec.local_region) + [s for s in range(n) if s not in spec.local_region]
-    site_to_pos = {s: p for p, s in enumerate(order)}
-    dim = 1 << n
-    new_index = np.zeros(dim, dtype=np.int64)
-    sign = np.ones(dim, dtype=np.int64)
-    for k in range(dim):
-        positions = [site_to_pos[s] for s in range(n) if (k >> s) & 1]
-        knew = 0
-        inversions = 0
-        for idx, p in enumerate(positions):
-            knew |= 1 << p
-            inversions += sum(1 for q in positions[idx + 1:] if q < p)
-        new_index[k] = knew
-        sign[k] = -1 if inversions & 1 else 1
-    return new_index, sign
-
-
-def local_parity_defect(a_local):
-    """Max modulus of matrix elements connecting even and odd parity sectors."""
-    a_local = np.asarray(a_local)
-    n_loc = _infer_sites(a_local.shape[0])
-    par = _popcounts(n_loc) & 1
-    mixed = par[:, None] != par[None, :]
-    return max_abs(np.where(mixed, a_local, 0.0))
-
-
-def embed_local(a_local, spec, parity_tol=1e-12):
-    """Extend an operator on Fock(local_region) to the full lattice.
-
-    Only even-parity local operators are accepted: for those the embedding
-    agrees with rewriting the operator's CAR monomials in the full-space
-    creation/annihilation operators, so locality is unambiguous. Odd-parity
-    operators carry a Jordan-Wigner ordering ambiguity and are rejected.
-    """
-    a_local = np.asarray(a_local, dtype=complex)
-    m = len(spec.local_region)
-    if a_local.shape != (1 << m, 1 << m):
-        raise ValueError(f"local operator must act on Fock dimension 2^{m}")
-    defect = local_parity_defect(a_local)
-    if defect > parity_tol:
-        raise ValueError(
-            f"local operator mixes fermion parity (defect {defect:.3e}); "
-            "only even-parity operators embed unambiguously"
-        )
-    spec.fock_dim  # enforces the exact-path site cap
-    rest = np.eye(1 << (spec.n_sites - m), dtype=complex)
-    block = np.kron(rest, a_local)
-    new_index, sign = _mode_permutation(spec)
-    out = block[np.ix_(new_index, new_index)]
-    out *= sign[:, None] * sign[None, :]
-    return out
-
-
-def restrict_local(a, spec):
-    """Compress a full-space operator to Fock(local_region).
-
-    Reads the matrix elements between states whose complement sites are all
-    empty, undoing the reordering signs of `embed_local`. For an operator that
-    is an embedding this inverts it exactly.
-    """
-    a = np.asarray(a)
-    m = len(spec.local_region)
-    new_index, sign = _mode_permutation(spec)
-    # full-space index whose position-ordered image is the bare local index
-    lookup = np.empty(1 << spec.n_sites, dtype=np.int64)
-    lookup[new_index] = np.arange(1 << spec.n_sites)
-    idx = lookup[np.arange(1 << m)]
-    s = sign[idx]
-    return (s[:, None] * s[None, :]) * a[np.ix_(idx, idx)]
-
-
-def locality_defect(a, spec):
-    """||A - embed_local(restrict_local(A))||_max.
-
-    Zero (to roundoff) iff A acts trivially outside the local region.
-    """
-    return max_abs(np.asarray(a) - embed_local(restrict_local(a, spec), spec))
-
-
 __all__ = [
     "EXACT_SITE_CAP", "Boundary", "LatticeSpec", "FockBasis", "LatticeTooLargeError",
     "creation_op", "annihilation_op", "number_operator", "one_body_laplacian",
     "quadratic_fock_operator", "hopping_hamiltonian", "gauge_transform",
-    "is_gauge_invariant", "monomial_matrix", "embed_local", "local_parity_defect",
-    "restrict_local", "locality_defect", "ensure_hermitian", "site_index",
+    "is_gauge_invariant", "monomial_matrix", "ensure_hermitian", "site_index",
 ]

@@ -37,6 +37,10 @@ class UnsupportedKernelDegree(ValueError):
     """Kernels of degree >= 3 are outside the supported family."""
 
 
+class KernelOutsideBoxError(ValueError):
+    """A kernel's site bumps do not fit inside the grid's box."""
+
+
 def grid_axis(box, points):
     """Cell-centered uniform coordinates on [-box, box]: x_i = -b + (i+1/2)*dx."""
     dx = 2.0 * box / points
@@ -145,7 +149,7 @@ def lattice_kernel_norm(coeffs, sites, sigma=0.5, spacing=1.0,
     m_dim = w.ndim
     positions = site_positions(sites, spacing)
     if np.max(np.abs(positions)) > box - 5 * sigma:
-        raise ValueError("site positions too close to the box edge; enlarge box")
+        raise KernelOutsideBoxError("site positions too close to the box edge; enlarge box")
     n_sites = len(positions)
     if w.shape != (n_sites,) * m_dim:
         raise ValueError(f"coefficient tensor shape {w.shape} does not match {n_sites} sites")
@@ -177,13 +181,19 @@ class SmallnessReport:
         return self.value < self.threshold
 
 
+def term_weight(degree, sup_scale):
+    """2^{5N} N |sup_scale|: the weight of a degree-N term's ||w^N||' in the
+    aggregate (the norm is absolutely homogeneous, so only |sup_scale| counts)."""
+    return 2.0 ** (5 * degree) * degree * abs(sup_scale)
+
+
 def smallness_norm(terms: Sequence, sup_scale=1.0, box=DEFAULT_BOX,
                    points=DEFAULT_POINTS, sigma=0.5, spacing=1.0):
     """Aggregate norm sum_N 2^{5N} N sup_t ||w^N(t)||' of a kernel family.
 
     `terms` is a sequence of (degree, coefficient tensor over sites, sites);
-    `sup_scale` is sup_t |lambda(t)| for linearly driven kernels (the norm is
-    absolutely homogeneous, so the sup over time factors out).
+    `sup_scale` is sup_t |lambda(t)| for linearly driven kernels (the sup over
+    time factors out of `term_weight`).
     """
     per_term = []
     total = 0.0
@@ -195,7 +205,7 @@ def smallness_norm(terms: Sequence, sup_scale=1.0, box=DEFAULT_BOX,
             )
         est = lattice_kernel_norm(coeffs, sites, sigma=sigma, spacing=spacing,
                                   box=box, points=points)
-        weight = 2.0 ** (5 * degree) * degree * abs(sup_scale)
+        weight = term_weight(degree, sup_scale)
         per_term.append(weight * est.value)
         total += weight * est.value
         rich += weight * est.richardson
@@ -204,7 +214,7 @@ def smallness_norm(terms: Sequence, sup_scale=1.0, box=DEFAULT_BOX,
 
 __all__ = [
     "SMALLNESS_THRESHOLD", "DEFAULT_BOX", "DEFAULT_POINTS", "GridTooCoarseError",
-    "UnsupportedKernelDegree", "NormEstimate", "grid_axis", "grid_norm",
-    "kernel_norm", "lattice_kernel_norm", "site_positions", "SmallnessReport",
-    "smallness_norm",
+    "UnsupportedKernelDegree", "KernelOutsideBoxError", "NormEstimate", "grid_axis",
+    "grid_norm", "kernel_norm", "lattice_kernel_norm", "site_positions",
+    "SmallnessReport", "term_weight", "smallness_norm",
 ]

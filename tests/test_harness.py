@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -304,6 +305,33 @@ def test_process1_manifest_notes_window():
     cfg = small_process1_config()
     result = run_process_I(cfg)
     assert "recurrence window" in result.manifest["notes"]["recurrence_window"]
+
+
+def test_drive_certificate_in_driven_manifests_only(tmp_path):
+    # a note on the paper's hypotheses, never a verdict or a summary scalar
+    m = run_process_I(small_process1_config(tmp_path)).manifest
+    on_disk = json.loads((tmp_path / "manifest.json").read_text())["drive"]
+    assert on_disk == m["drive"]
+    assert math.isfinite(on_disk["smallness"]) and on_disk["inside_hypothesis"] is False
+    assert on_disk["smallness_threshold"] == pytest.approx(1 / (24 * math.pi))
+    assert not any("smallness" in key for key in chain(m["invariants"], m["summary"]))
+    cfg = small_process1_config()
+    cfg.drive = DriveConfig()
+    cfg.output.t_final = 1.0
+    assert "drive" not in execute_run(cfg).manifest
+
+
+def test_wide_kernel_run_records_why_smallness_is_missing():
+    # sites 0 and 12 put the kernel's bumps past the smallness grid's box;
+    # the run completes and the certificate says why it has no value
+    cfg = small_process1_config(L=20)
+    cfg.lattice.local_region = [0, 12]
+    cfg.drive.kernels = [KernelConfig(1, [0, 12], KERNEL)]
+    m = run_process_I(cfg).manifest
+    assert "process1_decay_ratio" in m["invariants"]
+    assert "box edge" in m["drive"]["smallness"]
+    assert m["drive"]["inside_hypothesis"] is None
+    assert m["drive"]["sup_norm"] > 0
 
 
 # -- process II -----------------------------------------------------------------
@@ -814,6 +842,39 @@ def test_cli_norm(tmp_path, capsys):
     assert code == 0
     assert "PASS" in out
     assert "1/(24*pi)" in out
+
+
+def _norm_of(tmp_path, capsys, spec):
+    from fermiproc.cli import main
+    kfile = tmp_path / "kern.json"
+    kfile.write_text(spec if isinstance(spec, str) else json.dumps(spec))
+    code = main(["norm", str(kfile), "--points", "256"])
+    return code, capsys.readouterr()
+
+
+def test_cli_norm_weights_by_abs_sup_scale(tmp_path, capsys):
+    # the aggregate takes |sup_scale|, so a sign flip cannot pass a large kernel
+    outputs = []
+    for sup_scale in (1.0, -1.0):
+        code, captured = _norm_of(tmp_path, capsys, {
+            "profile_terms": [{"profile": "hermite0", "ndim": 1}], "sup_scale": sup_scale})
+        assert code == 1
+        outputs.append([line for line in captured.out.splitlines()
+                        if line.startswith("aggregate")])
+    # hermite0's exact norm is 1, weighted by 2^5 * 1 * |sup_scale|
+    assert outputs[0] == outputs[1]
+    assert float(outputs[0][0].split()[4]) == pytest.approx(32.0, rel=1e-3)
+
+
+@pytest.mark.parametrize("spec", [
+    {"profile_terms": [{"profile": "lorentz", "ndim": 1}]},
+    {"terms": [{"degree": 1, "sites": [0, 1], "coeffs": [[1.0, 0.0, 0.0]]}]},
+    '{"terms": [',
+], ids=["unknown_profile", "coeffs_shape", "not_json"])
+def test_cli_norm_malformed_kernel_file(tmp_path, capsys, spec):
+    code, captured = _norm_of(tmp_path, capsys, spec)
+    assert code == 2
+    assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
 
 
 def test_cli_sweep(tmp_path, capsys):

@@ -1,16 +1,14 @@
-"""Fock-space kinematics: CAR, hopping structure, gauge action, embeddings."""
+"""Fock-space kinematics: CAR, hopping structure, gauge action."""
 
 import numpy as np
 import pytest
 from math import comb
 
 from fermiproc.lattice import (Boundary, FockBasis, LatticeSpec, LatticeTooLargeError,
-                               annihilation_op, creation_op, embed_local,
-                               gauge_transform, hopping_hamiltonian,
-                               is_gauge_invariant, local_parity_defect,
-                               locality_defect, monomial_matrix, number_operator,
-                               one_body_laplacian, quadratic_fock_operator,
-                               restrict_local)
+                               annihilation_op, creation_op, gauge_transform,
+                               hopping_hamiltonian, is_gauge_invariant, monomial_matrix,
+                               number_operator, one_body_laplacian,
+                               quadratic_fock_operator)
 from fermiproc.linalg import max_abs
 
 from conftest import random_hermitian
@@ -180,86 +178,6 @@ def test_gauge_preserves_adjoint_and_norm(rng):
     tau = 0.9
     assert max_abs(gauge_transform(a.conj().T, tau) - gauge_transform(a, tau).conj().T) <= 1e-13
     assert abs(np.linalg.norm(gauge_transform(a, tau)) - np.linalg.norm(a)) <= 1e-10
-
-
-# -- embedding ------------------------------------------------------------------
-
-def test_embed_identity():
-    spec = LatticeSpec(3, local_region=(0, 1))
-    out = embed_local(np.eye(4, dtype=complex), spec)
-    assert max_abs(out - np.eye(8)) == 0
-
-
-def test_embed_local_number_operator():
-    spec = LatticeSpec(3, local_region=(0,))
-    n_local = np.diag([0.0, 1.0]).astype(complex)
-    full = creation_op(spec, 0) @ annihilation_op(spec, 0)
-    assert max_abs(embed_local(n_local, spec) - full) == 0
-
-
-def test_embed_monomial_with_string():
-    # a'_0^* a'_1 over local region (0, 2) must become a_0^* a_2, whose
-    # Jordan-Wigner string crosses the excluded site 1
-    spec = LatticeSpec(3, local_region=(0, 2))
-    local = monomial_matrix(2, (0,), (1,))
-    full = creation_op(spec, 0) @ annihilation_op(spec, 2)
-    assert max_abs(embed_local(local, spec) - full) == 0
-
-
-def test_embed_unsorted_region():
-    spec = LatticeSpec(3, local_region=(2, 0))
-    local = monomial_matrix(2, (0,), (1,))
-    full = creation_op(spec, 2) @ annihilation_op(spec, 0)
-    assert max_abs(embed_local(local, spec) - full) == 0
-
-
-def test_embed_rejects_odd_parity():
-    spec = LatticeSpec(3, local_region=(0,))
-    a_local = monomial_matrix(1, (), (0,))
-    assert local_parity_defect(a_local) == 1.0
-    with pytest.raises(ValueError, match="parity"):
-        embed_local(a_local, spec)
-
-
-def test_embed_product_state_expectations(rng):
-    # diagonal occupancy mixtures are product states; local expectations of
-    # an embedded even operator must equal the local ones
-    spec = LatticeSpec(4, local_region=(1, 2))
-    probs = rng.uniform(0.1, 0.9, size=4)
-
-    def product_state(sites):
-        diag = np.ones(1 << len(sites))
-        for pos, s in enumerate(sites):
-            occ = (np.arange(1 << len(sites)) >> pos) & 1
-            diag *= np.where(occ, probs[s], 1.0 - probs[s])
-        return np.diag(diag).astype(complex)
-
-    a_local = random_hermitian(rng, 4)
-    # project out parity-mixing blocks to get an even operator
-    par = np.array([0, 1, 1, 0])
-    mask = par[:, None] == par[None, :]
-    a_local = np.where(mask, a_local, 0.0)
-    rho_local = product_state(spec.local_region)
-    rho_full = product_state(tuple(range(4)))
-    lhs = np.trace(rho_full @ embed_local(a_local, spec))
-    rhs = np.trace(rho_local @ a_local)
-    assert abs(lhs - rhs) <= 1e-12
-
-
-def test_restrict_inverts_embedding(rng):
-    spec = LatticeSpec(4, local_region=(0, 3))
-    a_local = random_hermitian(rng, 4)
-    par = np.array([0, 1, 1, 0])
-    a_local = np.where(par[:, None] == par[None, :], a_local, 0.0)
-    emb = embed_local(a_local, spec)
-    assert max_abs(restrict_local(emb, spec) - a_local) <= 1e-13
-    assert locality_defect(emb, spec) <= 1e-13
-
-
-def test_locality_defect_detects_nonlocal():
-    spec = LatticeSpec(3, local_region=(0,))
-    nonlocal_op = creation_op(spec, 1) @ annihilation_op(spec, 1)
-    assert locality_defect(nonlocal_op, spec) > 0.5
 
 
 def test_site_cap():
