@@ -4,8 +4,9 @@ A run is declared in a YAML file whose sections mirror the RunConfig fields;
 unknown keys are errors. Runs emit `series.csv` (the thermodynamic ledger)
 and `manifest.json` (config echo, invariant verdicts, summary scalars, per
 path the integrator's summed error estimate, the count of intervals that
-failed the CFM4 pair test and the narrowest step, and on a driven run the
-drive certificate: its norms and its smallness norm against 1/(24 pi)).
+failed the CFM4 pair test, the narrowest step and the count of intervals
+reused from one drive period earlier, and on a driven run the drive
+certificate: its norms and its smallness norm against 1/(24 pi)).
 
 Layout. One trajectory loop, `_trajectory`, owns the step loop, the
 integrator report, the work recurrence and the entropy drift;
@@ -43,7 +44,6 @@ from typing import Callable, Iterator, NamedTuple, Optional
 import numpy as np
 import yaml
 from scipy.linalg.blas import zgemm, zhemm
-from scipy.special import expit
 
 from . import __version__
 from .drive import (DriveProtocol, KernelSpec, Perturbation, certify_drive,
@@ -58,7 +58,7 @@ from .observables import (delta_entropy, entropy_rate, entropy_rate_decomposed,
 from .propagator import (Block, DenseSteps, LowRankUnitary, TimeDependentHamiltonian,
                          dyson_propagator, heisenberg_evolve, interaction_to_schrodinger,
                          propagate, propagate_grid, step_grid)
-from .quadratic import (ScalarDriveReferenceCache, binary_entropy, diagonal_state,
+from .quadratic import (ScalarDriveReferenceCache, binary_entropy, diagonal_state, expit,
                         interaction_picture, pauli_excess, quadratic_entropy_ledger,
                         rank_update)
 # not called here; perfbench/tracing.py wraps these harness attributes by name
@@ -347,10 +347,12 @@ class IntegratorReport:
     est_error: float = 0.0  # summed Propagator.est_error
     refined_intervals: int = 0  # intervals that failed the CFM4 pair test
     min_step: Optional[float] = None  # narrowest accepted step
+    reused_intervals: int = 0  # intervals moved from one drive period earlier
 
     def add(self, step):
         self.est_error += step.est_error
         self.refined_intervals += int(step.refined)
+        self.reused_intervals += int(step.reused)
         self.min_step = step.min_step if self.min_step is None else min(self.min_step,
                                                                          step.min_step)
 
@@ -533,7 +535,10 @@ def quadratic_trajectory(spec, params, protocol, times, tol, probe_ops=None):
     `step_grid` yields the pair's joint basis P (rank at most 6|R|) and each
     interval's cumulative K on it; one `zhemm`, G [P, Y_S(t_mid), Y_S(t_end)],
     gives both rows, and one `zher2k` (`rank_update`) writes the update in
-    place. The ledger and the probes read Gamma on S = R + the probe sites
+    place. Under a periodic drive `step_grid` gets the drive's (t0, T), and
+    each grid pair one period after an earlier one reuses that pair's Block,
+    its basis rotated by diag(e^{i eps T}), with no step taken. The ledger
+    and the probes read Gamma on S = R + the probe sites
     only, Y_S(t) = diag(e^{i eps t}) phi_S^T. One `ScalarDriveReferenceCache`,
     sized for the run's largest |lambda_j|, gives every row's reference
     scalars from |R| x |R| resolvents. At the end one `eigvalsh` of G (whose
@@ -644,8 +649,11 @@ def quadratic_trajectory(spec, params, protocol, times, tol, probe_ops=None):
                       overwrite_c=1)
         return fill_upper(np.conjugate(gamma, out=gamma)), binary_entropy(nu), pauli_excess(nu)
 
-    rep = _Representation(diagonal_state(occupations), s_start, step_grid(steps, times, tol),
-                          advance, final, gibbs_probes, tuple(map(spectral_norm, blocks)))
+    period = ((protocol.t0, protocol.period)
+              if protocol is not None and protocol.kind == "periodic" else None)
+    rep = _Representation(diagonal_state(occupations), s_start,
+                          step_grid(steps, times, tol, period), advance, final, gibbs_probes,
+                          tuple(map(spectral_norm, blocks)))
     return _trajectory(rep, params, times)
 
 

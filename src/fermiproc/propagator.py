@@ -39,15 +39,27 @@ difference) and `block` (what `step_grid` yields for a grid pair):
   reference drives). Steps compose on their joint span, and the Richardson
   difference is the spectral norm there, an upper bound of the max-modulus;
   the pair test takes one QR of [Q_l, Q_r, Q_whole], whose first columns are
-  the grid pair's joint basis P.
+  the grid pair's joint basis P. The product of a refined interval's
+  accepted pieces (`compose`) is compressed the same way, so its basis has
+  the rank of its K, not the sum of its pieces' ranks.
+
+Periodic reuse. Under a drive that is T-periodic from t0, the interaction
+picture gives U_I(s + T, t + T) = Phi U_I(s, t) Phi^dagger with
+Phi = diag(e^{i eps T}). `step_grid` given the drive's (t0, T) yields a grid
+pair one period after an earlier one as that pair's Block moved by
+`InteractionSteps.shift` (P becomes Phi P, the Ks stay), holding at most
+one period of Blocks for it. `DenseSteps` has no `shift`: the exact path is
+the oracle that `both` runs pin the reused fast path against, and one period
+of its sector unitaries would be large (2 x 32 x sum_n d_n^2 complex entries
+for a 64-interval period at L = 10, about 190 MB).
 """
 
+from collections import deque
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy.linalg import schur
-from scipy.special import gammainc
 
 from .linalg import expm_unitary, max_abs, spectral_norm
 
@@ -71,7 +83,8 @@ class Propagator:
     the Dyson series remainder bound. `refined` says the interval failed the
     direct method's CFM4 pair test and was propagated by halved steps.
     `min_step` is the width of the narrowest CFM4 step accepted (None for
-    other methods).
+    other methods). `reused` says it was not stepped but moved from the same
+    interval one drive period earlier (`InteractionSteps.shift`).
     """
 
     matrix: object
@@ -82,6 +95,7 @@ class Propagator:
     warning: Optional[str] = None
     refined: bool = False
     min_step: Optional[float] = None
+    reused: bool = False
 
 
 @dataclass(frozen=True)
@@ -187,6 +201,14 @@ def _on_joint_span(*factors):
     return p, ks
 
 
+def _compressed(q, k):
+    """I + Q K Q^dagger without K's eigen-directions at or below
+    ROUNDOFF_FLOOR: I + K is unitary, so K is normal and its Schur form,
+    sorted with those directions last, diagonal."""
+    form, z, rank = schur(k, output="complex", sort=lambda d: abs(d) > ROUNDOFF_FLOOR)
+    return LowRankUnitary(q @ z[:, :rank], form[:rank, :rank])
+
+
 def _cumulative(p, ks):
     """The products of two consecutive factors whose Ks on the basis P are
     kl, kr = ks[:2]: I + P kl P^dagger over the first, and
@@ -247,15 +269,14 @@ class InteractionSteps:
         couplings = [self.coupling(a + c * dt) for c in GAUSS_NODES]
         _check_finite(couplings, a, b)
         samples = [m @ h @ m.conj().T for m, h in zip(cols, couplings)]
-        k = cfm4(samples, dt) - np.eye(q0.shape[1])
-        # I + K is unitary, so K is normal and its Schur form diagonal: the
-        # eigen-directions with |d| <= ROUNDOFF_FLOOR are dropped
-        form, z, rank = schur(k, output="complex", sort=lambda d: abs(d) > ROUNDOFF_FLOOR)
-        q = np.exp(1j * a * self.eps)[:, None] * (q0 @ z[:, :rank])
-        return LowRankUnitary(q, form[:rank, :rank])
+        u = _compressed(q0, cfm4(samples, dt) - np.eye(q0.shape[1]))
+        return u._replace(q=np.exp(1j * a * self.eps)[:, None] * u.q)
 
     def compose(self, right, left):
-        return _cumulative(*_on_joint_span(left, right))[1]
+        """The product on the factors' joint span, compressed as `step` is:
+        a refined interval's basis keeps the rank of its product's K, not the
+        sum of its pieces' ranks."""
+        return _compressed(*_cumulative(*_on_joint_span(left, right))[1])
 
     def pair(self, left, right, whole):
         """The products over [a, m] and [a, b] of `left` and `right` after
@@ -280,6 +301,20 @@ class InteractionSteps:
             cumulative = units if len(units) == 1 else _cumulative(*_on_joint_span(*units))
         return Block(tuple(p.t_end for p in propagators), tuple(propagators),
                      cumulative[0].q, tuple(u.k for u in cumulative))
+
+    def shift(self, block, period, points):
+        """`block` one drive period T = `period` later, on the grid points
+        `points` (its start and its times, each the block's own plus T up to
+        rounding): with the drive T-periodic, U_I(s + T, t + T) =
+        Phi U_I(s, t) Phi^dagger for Phi = diag(e^{i eps T}), so P becomes
+        Phi P and the Ks stay. Each Propagator keeps its `est_error`,
+        `refined` and `min_step`, and is marked `reused`."""
+        phase = np.exp(1j * period * self.eps)[:, None]
+        propagators = tuple(
+            replace(p, matrix=LowRankUnitary(phase * p.matrix.q, p.matrix.k),
+                    t_start=lo, t_end=hi, reused=True)
+            for p, lo, hi in zip(block.propagators, points, points[1:]))
+        return Block(tuple(points[1:]), propagators, phase * block.basis, block.ks)
 
 
 def _finite(u):
@@ -353,7 +388,14 @@ def _grid_pair(steps, a, m, b, lone, tol):
     return block
 
 
-def step_grid(steps, times, tol=DEFAULT_TOL):
+#: grid times one drive period apart match when they differ from the period
+#: by at most this many ulps of the later pair's end: `time_grid`'s
+#: t0 + step * k rounds each time, so exact equality misses 27% to all of
+#: the later pairs of process II grids at T = 5, 2 pi and 7.3
+PERIOD_ULPS = 4
+
+
+def step_grid(steps, times, tol=DEFAULT_TOL, period=None):
     """The Blocks of an output grid, one per pair of grid intervals, in grid
     order, from the CFM4 step representation `steps` (`DenseSteps` or
     `InteractionSteps`).
@@ -370,6 +412,14 @@ def step_grid(steps, times, tol=DEFAULT_TOL):
     `_adaptive` halves each interval from them, and the intervals are
     `refined`. A non-finite Hamiltonian sample, or a non-finite propagator
     entry, raises IntegrationError.
+
+    `period` = (t0, T) declares the drive T-periodic from t0 on
+    (`InteractionSteps` only). A pair whose grid times (a, m, b) are those of
+    an earlier pair plus T, up to PERIOD_ULPS ulps of b, where the earlier
+    pair starts at or after t0 and is of the same kind (a pair, or the lone
+    last interval), is the earlier pair's Block moved by `steps.shift`, with
+    no step taken. Only the pairs of the last period are held for this;
+    anything older than a - T is dropped.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -377,10 +427,26 @@ def step_grid(steps, times, tol=DEFAULT_TOL):
     if np.any(np.diff(times) <= 0):
         raise ValueError("time grid must be strictly increasing")
     n = times.size - 1
+    earlier = deque()  # (grid points, lone, Block) of the last period's pairs
     for i in range(0, n, 2):
         lone = i + 1 == n
         a, b = times[i], times[min(i + 2, n)]
-        yield _grid_pair(steps, a, 0.5 * (a + b) if lone else times[i + 1], b, lone, tol)
+        points = (a, 0.5 * (a + b) if lone else times[i + 1], b)
+        block = None
+        if period is not None:
+            t0, length = period
+            slack = PERIOD_ULPS * np.spacing(abs(b))
+            while earlier and earlier[0][0][0] < a - length - slack:
+                earlier.popleft()
+            if earlier and earlier[0][1] == lone and all(
+                    abs(x - y - length) <= slack for x, y in zip(points, earlier[0][0])):
+                block = steps.shift(earlier.popleft()[2], length,
+                                    points[::2] if lone else points)
+        if block is None:
+            block = _grid_pair(steps, *points, lone, tol)
+        if period is not None and a >= t0:
+            earlier.append((points, lone, block))
+        yield block
 
 
 def propagate(h, s, t, tol=DEFAULT_TOL):
@@ -433,6 +499,8 @@ def dyson_remainder(strength, order):
     """Tail bound sum_{k>order} x^k / k! of the exponential majorant."""
     if strength == 0:
         return 0.0
+    # imported here: scipy.special is left out of the trajectory's import graph
+    from scipy.special import gammainc
     return float(np.exp(strength) * gammainc(order + 1, strength))
 
 

@@ -23,16 +23,29 @@ row's reference scalars come from |R| x |R| resolvents
 (`ScalarDriveReferenceCache`), with no L x L `eigh`.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.blas import zhemm, zher2k
-from scipy.special import expit
 
 from .linalg import ensure_hermitian, symmetrize
 from .observables import ledger_row
 from .propagator import InteractionSteps
 from .states import EIG_FLOOR
+
+
+def expit(x):
+    """The logistic function 1 / (1 + e^{-x}) of each entry of a 1-D x, 0
+    where e^{-x} overflows: scipy.special's formula on libm's `exp`, bit for
+    bit (numpy's vectorised `exp` differs in the last bit on about 2% of
+    inputs)."""
+    def one(v):
+        try:
+            return 1.0 / (1.0 + math.exp(-v))
+        except OverflowError:
+            return 0.0
+    return np.array([one(v) for v in np.asarray(x, dtype=float).tolist()])
 
 
 def gibbs_correlation(h, params):
@@ -228,7 +241,7 @@ def quadratic_entropy_ledger(t, free_energy, q, gamma_rr, blocks, lam, lam_dot, 
 
 
 __all__ = [
-    "gibbs_correlation", "interaction_picture",
+    "expit", "gibbs_correlation", "interaction_picture",
     "rank_update", "diagonal_state", "quadratic_observable", "binary_entropy", "pauli_excess",
     "correlation_entropy", "pauli_defect", "ReferenceScalars",
     "reference_scalars", "ScalarDriveReferenceCache", "quadratic_entropy_ledger",

@@ -244,6 +244,35 @@ def test_block_chain_matches_dense_oracle():
     assert np.max(np.abs(from_lower(state) - want)) <= 1e-13
 
 
+def test_refined_pair_basis_is_compressed(monkeypatch):
+    # L = 512, FILLED at amplitude 0.3, tol 1e-7: each 0.1-wide interval
+    # refines into two accepted pieces of 16 columns, whose product's K has 10
+    # eigen-directions above the roundoff floor. `compose` keeps those only, so
+    # the refined pair's P is no wider than an accepted pair's 6|R| (64 columns
+    # uncompressed), and its cumulative factors and the block update match the
+    # uncompressed ones to 1e-13
+    from fermiproc import propagator
+    h0, protocol, _ = _drive(512, FILLED, amplitude=0.3)
+    steps, _ = interaction_picture(h0, protocol)
+    grid = [0.0, 0.1, 0.2]
+    (block,) = step_grid(steps, grid, 1e-7)
+    monkeypatch.setattr(propagator.InteractionSteps, "compose", lambda self, right, left:
+                        propagator._cumulative(*propagator._on_joint_span(left, right))[1])
+    (wide,) = step_grid(steps, grid, 1e-7)
+    assert [p.refined for p in block.propagators] == [True, True]
+    assert block.basis.shape[1] <= 6 * 4 < wide.basis.shape[1] == 64
+    p = block.basis
+    assert np.max(np.abs(p.conj().T @ p - np.eye(p.shape[1]))) <= 1e-14
+    for k, k_wide in zip(block.ks, wide.ks):
+        assert np.max(np.abs(low_rank_dense(LowRankUnitary(p, k))
+                             - low_rank_dense(LowRankUnitary(wide.basis, k_wide)))) <= 1e-13
+    start = np.diag(np.linspace(0.05, 0.95, 512)).astype(complex)
+    states = [np.array(start, order="F") for _ in range(2)]
+    for state, b in zip(states, (block, wide)):
+        rank_update(state, LowRankUnitary(b.basis, b.ks[-1]))
+    assert np.max(np.abs(from_lower(states[0]) - from_lower(states[1]))) <= 1e-13
+
+
 def _block_trajectory(monkeypatch, probe_ops=None):
     """The L = 512 fast path on BLOCK_GRID, with each row's sum_k eps_k G_kk
     and tr G as handed to the ledger."""

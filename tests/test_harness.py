@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from itertools import chain
 from pathlib import Path
 
@@ -398,6 +399,80 @@ def test_process2_rejects_long_period():
                             kernels=[KernelConfig(1, [9, 10], KERNEL)])
     with pytest.raises(ConfigError, match="periods"):
         run_process_II(cfg)
+
+
+# -- periodic reuse ---------------------------------------------------------------
+
+PERIOD = 2 * np.pi  # grid times T k / 64 plus T often differ in their last bits
+
+
+def _periodic_case(L=40):
+    """A T = 2 pi drive on the two central sites of an L-site chain, as a
+    config, its lattice and its protocol."""
+    cfg = small_process1_config(L=L)
+    lo = L // 2 - 1
+    cfg.drive = DriveConfig(type="periodic", amplitude=0.08, period=PERIOD,
+                            kernels=[KernelConfig(1, [lo, lo + 1], KERNEL)])
+    spec = harness.lattice_spec(cfg)
+    return cfg, spec, harness.build_protocol(cfg, spec)
+
+
+@pytest.mark.parametrize("tol,refined", [(1e-6, 0), (1e-7, 112)], ids=["accepted", "refining"])
+def test_periodic_reuse_matches_stepped_run(monkeypatch, tol, refined):
+    # 3.5 periods on the process II grid T/64 at L = 40: every interval after
+    # the first period is reused, whether or not its pair was refined, and
+    # the ledger and probes match the run that steps every pair to 1e-12
+    cfg, spec, protocol = _periodic_case()
+    ops = harness.probe_matrices(harness.probe_site_pairs(cfg, spec), spec, "one_body")
+    params = harness.GibbsParams(1.0, 0.0)
+    times = time_grid(0.0, 3.5 * PERIOD, PERIOD / 64)
+    assert len(times) == 225
+    reused = harness.quadratic_trajectory(spec, params, protocol, times, tol, ops)
+    step_grid = harness.step_grid
+    monkeypatch.setattr(harness, "step_grid",
+                        lambda steps, times, tol, period: step_grid(steps, times, tol))
+    stepped = harness.quadratic_trajectory(spec, params, protocol, times, tol, ops)
+    assert reused.integrator.reused_intervals == 224 - 64
+    assert stepped.integrator.reused_intervals == 0
+    assert reused.integrator.refined_intervals == stepped.integrator.refined_intervals == refined
+    assert harness.path_deviation(reused, stepped) <= 1e-12
+    assert [r.t for r in reused.records] == list(times)
+
+
+@pytest.mark.parametrize("step,reused", [(PERIOD / 64, 160), (0.1, 0)],
+                         ids=["repeating", "never_repeating"])
+def test_period_cache_holds_one_period(step, reused):
+    # the Blocks step_grid still holds after yielding each pair (each alive
+    # basis is one) never exceed one period's pairs, T / (2 step) rounded up,
+    # whether or not the grid's times repeat one period later
+    from fermiproc.propagator import step_grid
+    from fermiproc.quadratic import interaction_picture
+    _, spec, protocol = _periodic_case()
+    steps, _ = interaction_picture(harness.one_body_laplacian(spec), protocol)
+    times = time_grid(0.0, 3.5 * PERIOD, step)
+    refs, most, count = [], 0, 0
+    for block in step_grid(steps, times, 1e-6, (0.0, PERIOD)):
+        refs.append(weakref.ref(block.basis))
+        count += sum(p.reused for p in block.propagators)
+        del block
+        most = max(most, sum(r() is not None for r in refs))
+    assert count == reused
+    assert most == math.ceil(PERIOD / (2 * step) - 1e-9)
+
+
+def test_periodic_both_run_passes_oracle(tmp_path):
+    # both_L8's drive made periodic, over three periods: the reused fast
+    # path against the exact path, which steps every pair
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "both_L8.yaml")
+    cfg.drive.type, cfg.drive.period, cfg.drive.tau_r = "periodic", PERIOD, None
+    cfg.integrator.tol = 1e-6  # process II's; the paths agree to 2e-9
+    cfg.output = OutputConfig(grid_step=PERIOD / 64, t_final=3 * PERIOD,
+                              directory=str(tmp_path))
+    result = harness.run_plain(cfg)
+    assert result.manifest["invariants"]["oracle_equivalence"]["passed"]
+    report = result.manifest["integrator"]
+    assert report["quadratic"]["reused_intervals"] == 192 - 64
+    assert report["exact"]["reused_intervals"] == 0
 
 
 # -- both-path oracle ---------------------------------------------------------
@@ -927,6 +1002,19 @@ def test_cli_verify(tmp_path, capsys):
     code = main(["verify", str(cfg)])
     assert code == 0
     assert "[PASS] car_relations" in capsys.readouterr().out
+
+
+def test_harness_import_leaves_scipy_stats_and_special_out():
+    # importing a run's modules loads neither scipy.stats nor scipy.special:
+    # each costs set-up time and memory in every run
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    code = ("import sys, fermiproc.cli, fermiproc.harness; print(sorted(m for m in sys.modules"
+            " if m.startswith(('scipy.stats', 'scipy.special'))))")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # -- benchmark tracer ------------------------------------------------------------

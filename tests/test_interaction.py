@@ -15,8 +15,9 @@ from fermiproc.drive import KernelSpec, Perturbation, periodic_protocol, switch_
 from fermiproc.lattice import Boundary, LatticeSpec, one_body_laplacian
 from fermiproc.observables import ledger_row, work_accumulate
 from fermiproc.propagator import (BASIS_CACHE_SIZE, GAUSS_NODES, ROUNDOFF_FLOOR,
-                                  IntegrationError, InteractionSteps,
-                                  TimeDependentHamiltonian, _on_joint_span, cfm4, propagate)
+                                  IntegrationError, InteractionSteps, LowRankUnitary,
+                                  TimeDependentHamiltonian, _on_joint_span, cfm4, propagate,
+                                  step_grid)
 from fermiproc.quadratic import (correlation_entropy, gibbs_correlation, interaction_picture,
                                  quadratic_observable, reference_scalars)
 from fermiproc.states import GibbsParams
@@ -210,3 +211,28 @@ def test_nonfinite_coupling_aborts():
     with pytest.raises(IntegrationError,
                        match=r"non-finite Hamiltonian entries on \[0\.0, 0\.1\]"):
         bad.step(0.0, 0.1)
+
+
+@pytest.mark.parametrize("tol", [1e-5, 1e-9], ids=["accepted", "refined"])
+def test_shift_is_the_pair_one_period_later(tol):
+    # U_I(s + T, t + T) = Phi U_I(s, t) Phi^dagger, Phi = diag(e^{i eps T}):
+    # a grid pair's Block shifted by the drive's period T = 1.2 is the Block
+    # stepped one period later, to 1e-13 on every cumulative factor, with the
+    # later grid times and the same integrator metadata
+    spec, protocol = _protocol(64, "periodic")
+    steps, _ = interaction_picture(one_body_laplacian(spec), protocol)
+    points = (0.3, 0.35, 0.4)
+    (block,) = step_grid(steps, points, tol)
+    later = tuple(t + 1.2 for t in points)
+    (stepped,) = step_grid(steps, later, tol)
+    shifted = steps.shift(block, 1.2, later)
+    assert shifted.times == later[1:] == stepped.times
+    for a, b in zip(shifted.ks, stepped.ks):
+        assert np.max(np.abs(low_rank_dense(LowRankUnitary(shifted.basis, a))
+                             - low_rank_dense(LowRankUnitary(stepped.basis, b)))) <= 1e-13
+    for p, q, s in zip(block.propagators, stepped.propagators, shifted.propagators):
+        assert (s.t_start, s.t_end) == (q.t_start, q.t_end)
+        assert (s.est_error, s.refined, s.min_step) == (p.est_error, p.refined, p.min_step)
+        assert s.reused and not (p.reused or q.reused)
+        assert p.refined == (tol == 1e-9)
+        assert np.max(np.abs(low_rank_dense(s.matrix) - low_rank_dense(q.matrix))) <= 1e-13

@@ -289,8 +289,9 @@ def test_manifest_counts_refined_intervals(tmp_path):
     harness.run_plain(cfg)
     with open(tmp_path / "manifest.json") as fh:
         report = json.load(fh)["integrator"]["quadratic"]
-    assert set(report) == {"est_error", "refined_intervals", "min_step"}
+    assert set(report) == {"est_error", "refined_intervals", "min_step", "reused_intervals"}
     assert 0 < report["refined_intervals"] <= 16
+    assert report["reused_intervals"] == 0  # one period: nothing to reuse
 
 
 # -- Dyson series -------------------------------------------------------------

@@ -16,12 +16,21 @@ from fermiproc.linalg import max_abs
 from fermiproc.observables import expectation
 from fermiproc.propagator import TimeDependentHamiltonian, propagate
 from fermiproc.harness import ConfigError
+from fermiproc import quadratic
 from fermiproc.quadratic import (ScalarDriveReferenceCache, binary_entropy,
                                  correlation_entropy, gibbs_correlation, pauli_defect,
                                  quadratic_observable, reference_scalars)
 from fermiproc.states import GibbsParams, gibbs_state, von_neumann_entropy
 
 from conftest import correlation_update, random_hermitian
+
+
+def test_expit_is_scipy_expit_bit_for_bit(rng):
+    # the Fermi occupations' logistic function on libm's exp is scipy's,
+    # bit for bit, where e^{-x} overflows (x < -709.78) included
+    x = np.concatenate([scale * rng.normal(size=20000) for scale in (1.0, 30.0, 1000.0)]
+                       + [[-800.0, -709.8, -709.7, -0.0, 0.0, 5e-324, 709.8, 800.0]])
+    assert np.array_equal(quadratic.expit(x), expit(x))
 
 
 def test_gibbs_correlation_scalar():
