@@ -348,6 +348,8 @@ class IntegratorReport:
     refined_intervals: int = 0  # intervals that failed the CFM4 pair test
     min_step: Optional[float] = None  # narrowest accepted step
     reused_intervals: int = 0  # intervals moved from one drive period earlier
+    # the widest joint basis P of a Block (one-body path; None on the exact path)
+    max_block_rank: Optional[int] = None
 
     def add(self, step):
         self.est_error += step.est_error
@@ -406,6 +408,8 @@ def _trajectory(rep, params, times):
     for block in chain([Block((times[0],))], rep.blocks):
         for step in block.propagators:
             report.add(step)
+        if block.basis is not None:
+            report.max_block_rank = max(report.max_block_rank or 0, block.basis.shape[1])
         state, rows = rep.advance(state, block)
         for rec, probes in rows:
             records.append(rec)
@@ -533,15 +537,16 @@ def quadratic_trajectory(spec, params, protocol, times, tol, probe_ops=None):
     and its entropy is sum_k -f_k ln f_k - (1 - f_k) ln(1 - f_k) in closed
     form. The state advances one grid pair at a time (`advance`): CFM4
     `step_grid` yields the pair's joint basis P (rank at most 6|R|) and each
-    interval's cumulative K on it; one `zhemm`, G [P, Y_S(t_mid), Y_S(t_end)],
-    gives both rows, and one `zher2k` (`rank_update`) writes the update in
-    place. Under a periodic drive `step_grid` gets the drive's (t0, T), and
-    each grid pair one period after an earlier one reuses that pair's Block,
-    its basis rotated by diag(e^{i eps T}), with no step taken. The ledger
-    and the probes read Gamma on S = R + the probe sites
-    only, Y_S(t) = diag(e^{i eps t}) phi_S^T. One `ScalarDriveReferenceCache`,
-    sized for the run's largest |lambda_j|, gives every row's reference
-    scalars from |R| x |R| resolvents. At the end one `eigvalsh` of G (whose
+    interval's cumulative K on P's leading columns; one `zhemm`,
+    G [P, Y_S(t_mid), Y_S(t_end)], gives both rows, and one `zher2k`
+    (`rank_update`) writes the update in place at the last K's rank (8
+    where P has 16 columns for the reference drives). Under a periodic drive
+    `step_grid` gets the drive's (t0, T), and each grid pair one period after
+    an earlier one reuses that pair's Block, its basis rotated by
+    diag(e^{i eps T}), with no step taken. The ledger and the probes read
+    Gamma on S = R + the probe sites only, Y_S(t) = diag(e^{i eps t}) phi_S^T.
+    One `ScalarDriveReferenceCache`, sized for the run's largest |lambda_j|,
+    gives every row's reference scalars from |R| x |R| resolvents. At the end one `eigvalsh` of G (whose
     spectrum is Gamma's) gives both the final entropy and the Pauli defect;
     `final_state` is Gamma, from one basis change written over G and
     completed to an exactly Hermitian matrix. The Gibbs probe values read
@@ -608,22 +613,26 @@ def quadratic_trajectory(spec, params, protocol, times, tol, probe_ops=None):
             wep, pep = (pe @ w).conj(), (pe @ p).T  # transposed, for tr(A B) = sum(A * B^T)
         rows = []
         for i, (t, m) in enumerate(zip(block.times, ks)):
+            # U = I + P_n M P_n^dagger on the basis' first n columns
+            n = len(m)
             on = slice(rank + i * width, rank + (i + 1) * width)
-            # Gamma_SS after U = I + P M P^dagger, with a = P^dagger Y and
-            # b = P^dagger G Y: conj(Y^dagger G Y + a^dagger M b + (a^dagger M b)^dagger
-            # + a^dagger M C M^dagger a)
-            z = m.conj().T @ py[:, i * width:(i + 1) * width]
-            amb = z.conj().T @ fx[:rank, on]
-            gamma = (fx[on, on] + amb + amb.conj().T + z.conj().T @ c @ z).conj()
+            # Gamma_SS after U, with a = P_n^dagger Y and b = P_n^dagger G Y:
+            # conj(Y^dagger G Y + a^dagger M b + (a^dagger M b)^dagger + a^dagger M C M^dagger a)
+            z = m.conj().T @ py[:n, i * width:(i + 1) * width]
+            amb = z.conj().T @ fx[:n, on]
+            gamma = (fx[on, on] + amb + amb.conj().T + z.conj().T @ c[:n, :n] @ z).conj()
             if i + 1 < len(ks):
-                mcm = m @ c @ m.conj().T
-                energy = scalars[0] + float(np.real(2 * np.sum(m * wep) + np.sum(mcm * pep)))
-                charge = scalars[1] + float(np.real(2 * np.sum(m * c.T) + np.trace(mcm)))
+                mcm = m @ c[:n, :n] @ m.conj().T
+                energy = scalars[0] + float(np.real(2 * np.sum(m * wep[:n, :n])
+                                                    + np.sum(mcm * pep[:n, :n])))
+                charge = scalars[1] + float(np.real(2 * np.sum(m * c[:n, :n].T)
+                                                    + np.trace(mcm)))
             else:
                 # the last row's scalars from the updated diagonal, so no
-                # error accumulates across blocks
-                if rank:
-                    g = rank_update(g, LowRankUnitary(p, m), w)
+                # error accumulates across blocks; the update has the last
+                # K's rank n
+                if n:
+                    g = rank_update(g, LowRankUnitary(p[:, :n], m), w[:, :n])
                 g_diag = np.real(np.diagonal(g))
                 energy, charge = float(eps @ g_diag), float(np.sum(g_diag))
             rows.append(row(t, energy, charge, gamma))

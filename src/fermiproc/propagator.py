@@ -16,10 +16,11 @@ matrices, so unitarity holds to roundoff regardless of step size.
 Step control is step doubling: a step is accepted when the Richardson
 difference between one step and two half steps falls below the tolerance per
 unit time; the fine solution's error is estimated as that difference / 15,
-split evenly over a grid pair. The pair test and the halving are written
-once, over a step representation with `step`, `compose`, `pair` (the
-products over a pair's first interval and over both, and the Richardson
-difference) and `block` (what `step_grid` yields for a grid pair):
+split evenly over a grid pair. The halving is written once, over a step
+representation with `pair_test` (the steps over [a, m] and [m, b], their
+products over [a, m] and [a, b], and the Richardson difference from one step
+over [a, b]), `compose` (joining a refined interval's accepted pieces) and
+`block` (what `step_grid` yields for a grid pair):
 
 - `DenseSteps`: dense unitaries of H(t) given as a tuple of Hermitian
   diagonal blocks, one unitary per block, compared entrywise (max-modulus
@@ -29,19 +30,27 @@ difference) and `block` (what `step_grid` yields for a grid pair):
 - `InteractionSteps`: the one-body fast path in the interaction picture of
   h0 = phi diag(eps) phi^T, in h0's eigenbasis. A drive on the sites R is
   Y(t) C(t) Y(t)^dagger there, with Y(t) = diag(e^{i eps t}) phi_R^T, so a
-  CFM4 step is the `LowRankUnitary` I + Q K Q^dagger: Q from a QR of the
-  L x 3|R| frames [Y(a + c_i dt)], K from two 3|R| x 3|R| exponentials, and
-  no L x L exponential. Since Y(a + c dt) = diag(e^{i eps a}) Y(c dt), that
-  QR is diag(e^{i eps a}) times the QR of [Y(c_i dt)], kept for the last
-  `BASIS_CACHE_SIZE` step widths. I + K is unitary, so K is normal: its
+  CFM4 step is the `LowRankUnitary` I + Q K Q^dagger, Q an orthonormal basis
+  of the L x 3|R| frames [Y(a + c_i dt)] and K from two 3|R| x 3|R|
+  exponentials: no L x L exponential. The pair test runs in coordinates:
+  since Y(a + s) = diag(e^{i eps a}) Y(s), the frames of all three steps of
+  a grid pair [a, a + h1, a + h1 + h2] are diag(e^{i eps a}) B times their
+  coordinates, with B the orthonormal basis of [Y(c_i h1),
+  Y(h1 + c_i h2), Y(c_i (h1 + h2))], kept for the last `BASIS_CACHE_SIZE`
+  pair geometries (h1, h2, b - a). The six exponentials are one stacked
+  `eigh`; I + K is unitary, so K is normal, and each step drops its
   eigen-directions with |d| <= ROUNDOFF_FLOOR, inside the pair test's
-  absolute floor, are dropped, leaving rank <= 3|R| (8 of 12 for the
-  reference drives). Steps compose on their joint span, and the Richardson
-  difference is the spectral norm there, an upper bound of the max-modulus;
-  the pair test takes one QR of [Q_l, Q_r, Q_whole], whose first columns are
-  the grid pair's joint basis P. The product of a refined interval's
-  accepted pieces (`compose`) is compressed the same way, so its basis has
-  the rank of its K, not the sum of its pieces' ranks.
+  absolute floor, leaving rank <= 3|R| (8 of 12 for the reference drives).
+  The three steps' joint span (one QR of at most 9|R| coordinates) gives
+  the Richardson difference, the spectral norm there, an upper bound of the
+  max-modulus; its first columns, turned so that the product over both
+  intervals has its eigen-directions first, give the grid pair's joint
+  basis P = diag(e^{i eps a}) B Z, the pair's only L-sized product. The last
+  product is kept on those first columns only, so a block's update has that
+  product's rank, not P's (8 of 16 for the reference drives). The product
+  of a refined interval's accepted pieces (`compose`, on L-vectors) is
+  compressed the same way, so its basis has the rank of its K, not the sum
+  of its pieces' ranks.
 
 Periodic reuse. Under a drive that is T-periodic from t0, the interaction
 picture gives U_I(s + T, t + T) = Phi U_I(s, t) Phi^dagger with
@@ -59,7 +68,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import schur
 
 from .linalg import expm_unitary, max_abs, spectral_norm
 
@@ -165,11 +173,16 @@ class DenseSteps(NamedTuple):
     def compose(self, right, left):
         return tuple(r @ l for r, l in zip(right, left))
 
-    def pair(self, left, right, whole):
-        """The products over [a, m] and [a, b] of `left` and `right` after
-        it, and the max-modulus difference of the latter from `whole`."""
+    def pair_test(self, a, m, b, whole=None):
+        """Steps over [a, m] and [m, b], their products over [a, m] and
+        [a, b], and the max-modulus difference of the latter from one step
+        over [a, b] (`whole`, when the caller has it; otherwise taken last),
+        the largest over blocks."""
+        left, right = self.step(a, m), self.step(m, b)
+        if whole is None:
+            whole = self.step(a, b)
         fine = self.compose(right, left)
-        return (left, fine), max(max_abs(a - b) for a, b in zip(fine, whole))
+        return left, right, (left, fine), max(max_abs(x - y) for x, y in zip(fine, whole))
 
     def block(self, propagators, cumulative=None):
         return Block(tuple(p.t_end for p in propagators), tuple(propagators))
@@ -201,12 +214,22 @@ def _on_joint_span(*factors):
     return p, ks
 
 
-def _compressed(q, k):
-    """I + Q K Q^dagger without K's eigen-directions at or below
-    ROUNDOFF_FLOOR: I + K is unitary, so K is normal and its Schur form,
-    sorted with those directions last, diagonal."""
-    form, z, rank = schur(k, output="complex", sort=lambda d: abs(d) > ROUNDOFF_FLOOR)
-    return LowRankUnitary(q @ z[:, :rank], form[:rank, :rank])
+def _eigen_order(k):
+    """The eigenvectors of a normal K (I + K unitary), or of each of a stack
+    of them, as the columns of a unitary V, V^dagger K V (diagonal up to
+    roundoff), and which eigenvalues d have |d| > ROUNDOFF_FLOOR. V is the
+    `eigh` of the Hermitian (K - K^dagger) / 2i, whose eigenvalues
+    sin(theta) for d = e^{i theta} - 1 separate K's while |theta| < pi / 2."""
+    _, v = np.linalg.eigh(-0.5j * (k - np.swapaxes(k, -1, -2).conj()))
+    form = np.swapaxes(v, -1, -2).conj() @ k @ v
+    return v, form, np.abs(np.diagonal(form, axis1=-2, axis2=-1)) > ROUNDOFF_FLOOR
+
+
+def _compressed(qs, ks):
+    """The factors I + Q K Q^dagger of the bases `qs` and the stack `ks`,
+    each without its K's eigen-directions at or below ROUNDOFF_FLOOR."""
+    v, form, keep = _eigen_order(np.asarray(ks))
+    return [LowRankUnitary(x[:, s], f[s][:, s]) for x, f, s in zip(qs @ v, form, keep)]
 
 
 def _cumulative(p, ks):
@@ -217,12 +240,25 @@ def _cumulative(p, ks):
     return LowRankUnitary(p, kl), LowRankUnitary(p, kl + kr + kr @ kl)
 
 
+def _last_first(p, ks):
+    """The basis P turned by the eigenvectors of the last K on it, those
+    above ROUNDOFF_FLOOR first (`_eigen_order`), and the Ks on the turned
+    basis, the last one on its leading columns only: a block's update has
+    the rank of its last K, not of its basis."""
+    v, form, keep = _eigen_order(ks[-1])
+    order = np.argsort(~keep, kind="stable")
+    kept = order[:np.count_nonzero(keep)]
+    v = v[:, order]
+    return p @ v, tuple(v.conj().T @ k @ v for k in ks[:-1]) + (form[np.ix_(kept, kept)],)
+
+
 class Block(NamedTuple):
     """One grid pair of `step_grid`: the grid times its intervals end at
     (their rows; the grid's first time for the empty block that reads row 0),
     the one or two per-interval Propagators, and, from `InteractionSteps`, the
-    pair's joint orthonormal basis P with each interval's cumulative K on it,
-    U(times[i], start) = I + P ks[i] P^dagger."""
+    pair's joint orthonormal basis P with each interval's cumulative K on its
+    leading columns, U(times[i], start) = I + P_i ks[i] P_i^dagger with
+    P_i = P[:, :len(ks[i])]; the last K is compressed to its rank."""
 
     times: tuple
     propagators: tuple = ()
@@ -230,77 +266,109 @@ class Block(NamedTuple):
     ks: tuple = ()
 
 
-#: step widths whose frame basis `InteractionSteps` keeps; reference grids
-#: take 1 to 17 distinct widths
+#: grid-pair geometries whose joint frame basis `InteractionSteps` keeps: the
+#: reference configs take 12 to 31 (the 10^4 steps of `process1_L512.yaml`,
+#: met in time order, so each is built once), the benchmark grids 1 to 5
 BASIS_CACHE_SIZE = 32
+
+#: CFM4's two exponents as combinations of the samples at the Gauss nodes:
+#: B0/2 + 2 B1 (the factor acting last) and B0/2 - 2 B1 (`cfm4`)
+_EXPONENTS = np.array([0.5 * GAUSS_WEIGHTS + sign * 2.0 * GAUSS_WEIGHTS * (GAUSS_NODES - 0.5)
+                       for sign in (1.0, -1.0)])
 
 
 class InteractionSteps:
     """CFM4 steps of a one-body drive in the interaction picture of h0 =
     phi diag(eps) phi^T: the drive acts on the sites `rows` (R) through its
-    R x R block `coupling(t)`."""
+    R x R block, `coupling(times)` stacking those at the given times."""
 
     def __init__(self, eps, phi, rows, coupling):
         self.eps, self.phi, self.rows, self.coupling = eps, phi, rows, coupling
-        self.bases = {}  # step width -> `basis`, in the order first seen
+        self.geometries = {}  # (h1, h2, h) -> `geometry`, in the order first seen
 
     def frame(self, t, sites):
         """Y(t) = diag(e^{i eps t}) phi_S^T for the sites S."""
         return np.exp(1j * t * self.eps)[:, None] * self.phi[sites].T
 
-    def basis(self, dt):
-        """The QR (Q0, R) of the frames [Y(c_i dt)] at the Gauss nodes c_i, a
-        step of width dt from t = 0; kept for the BASIS_CACHE_SIZE widths seen
-        last."""
-        if dt not in self.bases:
-            if len(self.bases) == BASIS_CACHE_SIZE:
-                del self.bases[next(iter(self.bases))]
-            self.bases[dt] = np.linalg.qr(np.hstack([self.frame(c * dt, self.rows)
-                                                     for c in GAUSS_NODES]))
-        return self.bases[dt]
+    def geometry(self, h1, h2, h):
+        """The pair test's frames for a grid pair [a, a + h1, a + h1 + h2]
+        moved to a = 0: the orthonormal basis B (L x d, d <= 9|R|) of the
+        frames [Y(c_i h1), Y(h1 + c_i h2), Y(c_i h)] of its three steps
+        ([0, h1], [h1, h1 + h2] and [0, h], h = h1 + h2 up to rounding), and
+        per step the QR q r of its frames' coordinates on B: q as a
+        (3, d, k) stack and r's node blocks as a (9, k, |R|) stack. Kept for
+        the BASIS_CACHE_SIZE geometries seen last."""
+        key = (h1, h2, h)
+        if key not in self.geometries:
+            if len(self.geometries) == BASIS_CACHE_SIZE:
+                del self.geometries[next(iter(self.geometries))]
+            n = len(self.rows)
+            times = [lo + c * w for lo, w in ((0.0, h1), (h1, h2), (0.0, h)) for c in GAUSS_NODES]
+            basis, coords = np.linalg.qr(np.hstack([self.frame(t, self.rows) for t in times]))
+            q, r = zip(*(np.linalg.qr(coords[:, 3 * n * s:3 * n * (s + 1)]) for s in range(3)))
+            nodes = np.stack([x[:, i * n:(i + 1) * n] for x in r for i in range(3)])
+            self.geometries[key] = basis, np.stack(q), nodes
+        return self.geometries[key]
 
-    def step(self, a, b):
-        # [Y(a + c_i dt)] = diag(e^{i eps a}) [Y(c_i dt)], whose QR is
-        # diag(e^{i eps a}) Q0 times the same R
-        dt = b - a
-        q0, r = self.basis(dt)
-        n = len(self.rows)
-        cols = [r[:, i * n:(i + 1) * n] for i in range(len(GAUSS_NODES))]
-        couplings = [self.coupling(a + c * dt) for c in GAUSS_NODES]
-        _check_finite(couplings, a, b)
-        samples = [m @ h @ m.conj().T for m, h in zip(cols, couplings)]
-        u = _compressed(q0, cfm4(samples, dt) - np.eye(q0.shape[1]))
-        return u._replace(q=np.exp(1j * a * self.eps)[:, None] * u.q)
+    def pair_test(self, a, m, b, whole=None):
+        """Steps over [a, m] and [m, b], their products over [a, m] and
+        [a, b], all on the pair's basis P, and the spectral norm of the
+        latter's difference from one step over [a, b]; in coordinates on the
+        pair's `geometry` (see the module docstring), where each step is
+        I + diag(e^{i eps a}) B (q K q^dagger) B^dagger diag(e^{-i eps a}).
+        The step over [a, b] is among the six exponentials, so `whole` is not
+        read."""
+        widths = np.array([m - a, b - m, b - a])
+        basis, q, r = self.geometry(*widths.tolist())
+        couplings = self.coupling([lo + c * w for lo, w in zip((a, m, a), widths)
+                                   for c in GAUSS_NODES])
+        _check_finite([couplings], a, b)
+        samples = r @ couplings @ r.conj().transpose(0, 2, 1)
+        k = samples.shape[-1]
+        exponents = (_EXPONENTS @ samples.reshape(3, 3, k * k)).reshape(3, 2, k, k)
+        w, v = np.linalg.eigh(exponents)
+        # each exponential as I + D, D = v (e^{-i dt w} - 1) v^dagger by
+        # `expm1`, and K = D+ + D- + D+ D-: no I is added and taken away, so
+        # I + K is unitary to the roundoff of K, not of 1 (a saturated drive
+        # repeats the same K on every pair, and its defect drifts the charge)
+        phases = np.expm1(-1j * widths[:, None, None] * w)[:, :, None, :]
+        d = (v * phases) @ v.conj().swapaxes(2, 3)
+        left, right, whole = _compressed(q, d[:, 0] + d[:, 1] + d[:, 0] @ d[:, 1])
+        z, ks = _on_joint_span(left, right, whole)
+        fine = _cumulative(z, ks)[1]
+        diff = fine.k - ks[2]
+        # R is upper trapezoidal, so kl and kr vanish beyond [Q_l, Q_r]'s columns
+        n = min(left.q.shape[1] + right.q.shape[1], z.shape[1])
+        z, (kl, kr, kf) = _last_first(z[:, :n], tuple(x[:n, :n] for x in (ks[0], ks[1], fine.k)))
+        p = np.exp(1j * a * self.eps)[:, None] * (basis @ z)
+        first = LowRankUnitary(p, kl)
+        # the spectral norm from the largest eigenvalue of diff^dagger diff
+        err = (np.sqrt(max(np.linalg.eigvalsh(diff.conj().T @ diff)[-1], 0.0))
+               if diff.size else 0.0)
+        return (first, LowRankUnitary(p, kr), (first, LowRankUnitary(p[:, :len(kf)], kf)),
+                float(err))
 
     def compose(self, right, left):
-        """The product on the factors' joint span, compressed as `step` is:
-        a refined interval's basis keeps the rank of its product's K, not the
-        sum of its pieces' ranks."""
-        return _compressed(*_cumulative(*_on_joint_span(left, right))[1])
-
-    def pair(self, left, right, whole):
-        """The products over [a, m] and [a, b] of `left` and `right` after
-        it, on their joint basis P, and the spectral norm of the latter's
-        difference from `whole`: one QR of [Q_l, Q_r, Q_whole], whose first
-        columns are P."""
-        p, ks = _on_joint_span(left, right, whole)
-        cumulative = _cumulative(p, ks)
-        d = cumulative[1].k - ks[2]
-        # R is upper trapezoidal, so kl and kr vanish beyond [Q_l, Q_r]'s columns
-        n = min(left.q.shape[1] + right.q.shape[1], p.shape[1])
-        return (tuple(LowRankUnitary(p[:, :n], u.k[:n, :n]) for u in cumulative),
-                float(np.linalg.norm(d, 2)) if d.size else 0.0)
+        """The product on the factors' joint span, compressed: a refined
+        interval's basis keeps the rank of its product's K, not the sum of
+        its pieces' ranks."""
+        fine = _cumulative(*_on_joint_span(left, right))[1]
+        return _compressed(fine.q[None], fine.k[None])[0]
 
     def block(self, propagators, cumulative=None):
         """The Block of one grid pair's propagators: P and the cumulative Ks
         from the pair test's products on P (`cumulative`), from a lone
         interval's own factor, or from one `_on_joint_span` of a refined
-        pair's two."""
+        pair's two, turned by `_last_first`."""
+        times = tuple(p.t_end for p in propagators)
         if cumulative is None:
             units = [p.matrix for p in propagators]
-            cumulative = units if len(units) == 1 else _cumulative(*_on_joint_span(*units))
-        return Block(tuple(p.t_end for p in propagators), tuple(propagators),
-                     cumulative[0].q, tuple(u.k for u in cumulative))
+            if len(units) > 1:
+                p, ks = _on_joint_span(*units)
+                return Block(times, tuple(propagators),
+                             *_last_first(p, tuple(u.k for u in _cumulative(p, ks))))
+            cumulative = units
+        return Block(times, tuple(propagators), cumulative[0].q, tuple(u.k for u in cumulative))
 
     def shift(self, block, period, points):
         """`block` one drive period T = `period` later, on the grid points
@@ -308,29 +376,21 @@ class InteractionSteps:
         rounding): with the drive T-periodic, U_I(s + T, t + T) =
         Phi U_I(s, t) Phi^dagger for Phi = diag(e^{i eps T}), so P becomes
         Phi P and the Ks stay. Each Propagator keeps its `est_error`,
-        `refined` and `min_step`, and is marked `reused`."""
+        `refined` and `min_step`, and is marked `reused`; those of a pair
+        that passed its test are on P itself, and move with it."""
         phase = np.exp(1j * period * self.eps)[:, None]
+        basis = phase * block.basis
         propagators = tuple(
-            replace(p, matrix=LowRankUnitary(phase * p.matrix.q, p.matrix.k),
-                    t_start=lo, t_end=hi, reused=True)
+            replace(p, matrix=LowRankUnitary(
+                basis if p.matrix.q is block.basis else phase * p.matrix.q, p.matrix.k),
+                t_start=lo, t_end=hi, reused=True)
             for p, lo, hi in zip(block.propagators, points, points[1:]))
-        return Block(tuple(points[1:]), propagators, phase * block.basis, block.ks)
+        return Block(tuple(points[1:]), propagators, basis, block.ks)
 
 
 def _finite(u):
     """Whether a block tuple or a LowRankUnitary has finite entries only."""
     return all(np.all(np.isfinite(a)) for a in u)
-
-
-def _pair_test(steps, a, m, b, whole=None):
-    """Steps over [a, m] and [m, b], their products over [a, m] and [a, b]
-    (`steps.pair`), and the latter's Richardson difference from one step over
-    [a, b] (`whole`, when the caller has it; otherwise taken last)."""
-    left = steps.step(a, m)
-    right = steps.step(m, b)
-    if whole is None:
-        whole = steps.step(a, b)
-    return (left, right) + steps.pair(left, right, whole)
 
 
 def _adaptive(steps, pieces, tol):
@@ -349,7 +409,7 @@ def _adaptive(steps, pieces, tol):
     while stack:
         a0, b0, u0 = stack.pop()
         m = 0.5 * (a0 + b0)
-        ul, ur, (_, fine), err = _pair_test(steps, a0, m, b0, u0)
+        ul, ur, (_, fine), err = steps.pair_test(a0, m, b0, u0)
         budget = tol * (b0 - a0) + ROUNDOFF_FLOOR
         if err <= budget:
             out.append((a0, b0, fine, err / 15.0))
@@ -371,7 +431,7 @@ def _adaptive(steps, pieces, tol):
 def _grid_pair(steps, a, m, b, lone, tol):
     """The Block of one grid pair, [a, m] and [m, b], or of the `lone`
     interval [a, b] (m its midpoint); the pair test's other steps die here."""
-    left, right, cumulative, err = _pair_test(steps, a, m, b)
+    left, right, cumulative, err = steps.pair_test(a, m, b)
     if err <= tol * (b - a) + ROUNDOFF_FLOOR:
         parts = [(a, b, cumulative[1])] if lone else [(a, m, left), (m, b, right)]
         pair = [Propagator(u, lo, hi, "direct", err / 15.0 / len(parts),

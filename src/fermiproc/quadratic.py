@@ -9,24 +9,28 @@ bug source; it is pinned by exact-diagonalization and dense oracles in the
 test suite before anything large runs on it.
 
 The trajectory runs in the interaction picture of h0 = phi diag(eps) phi^T
-(`interaction_picture`): the state is G = conj(Gamma) in h0's eigenbasis, a
-Gibbs start is diag(f(eps)), and an interval's propagator is a
-`LowRankUnitary` of rank at most 3|R| per CFM4 step (three Gauss nodes'
-frames, compressed to the eigen-directions above roundoff), R being the sites
-the drive acts on. G is stored as the lower triangle of a Fortran-ordered
-complex128 array and advances one grid pair at a time: the pair's joint basis
-P (rank at most 6|R|) and cumulative Ks give both rows of the pair from one
-BLAS `zhemm` of G, and `rank_update` overwrites the triangle with one
-`zher2k`, O(|R| L^2) per pair and nothing of size L x L allocated; whatever
-reads G reads that triangle only (`zhemm`, `eigvalsh(..., UPLO="L")`). Each
-row's reference scalars come from |R| x |R| resolvents
-(`ScalarDriveReferenceCache`), with no L x L `eigh`.
+(`interaction_picture`, one tridiagonal eigensolve for an open chain): the
+state is G = conj(Gamma) in h0's eigenbasis, a Gibbs start is diag(f(eps)),
+and an interval's propagator is a `LowRankUnitary` of rank at most 3|R| per
+CFM4 step (three Gauss nodes' frames, compressed to the eigen-directions above
+roundoff), R being the sites the drive acts on. Each grid pair's CFM4 pair
+test runs on at most 9|R| x 9|R| matrices, in coordinates on a joint frame
+basis kept per pair geometry, and forms one L-sized product, the pair's joint
+basis P (rank at most 6|R|). G is stored as the lower triangle of a
+Fortran-ordered complex128 array and advances one grid pair at a time: P and
+the cumulative Ks give both rows of the pair from one BLAS `zhemm` of G, and
+`rank_update` overwrites the triangle with one `zher2k` at the rank of the
+pair's product, O(|R| L^2) per pair and nothing of size L x L allocated;
+whatever reads G reads that triangle only (`zhemm`,
+`eigvalsh(..., UPLO="L")`). Each row's reference scalars come from
+|R| x |R| resolvents (`ScalarDriveReferenceCache`), with no L x L `eigh`.
 """
 
 import math
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.blas import zhemm, zher2k
 
 from .linalg import ensure_hermitian, symmetrize
@@ -65,16 +69,22 @@ def interaction_picture(h0, protocol):
     drive's R x R blocks dW/dlambda_j.
 
     R is the set of rows where a component's one-body matrix is nonzero
-    (empty without a drive); one `eigh` of h0 serves the whole trajectory.
+    (empty without a drive); one eigendecomposition of h0 serves the whole
+    trajectory: `eigh_tridiagonal` for a real h0 with no entries beyond its
+    first off-diagonal (open chains), `eigh` otherwise (periodic ones).
     """
-    eps, phi = np.linalg.eigh(h0)
+    if np.isrealobj(h0) and not np.any(np.triu(h0, 2)):
+        eps, phi = eigh_tridiagonal(np.diagonal(h0), np.diagonal(h0, 1))
+    else:
+        eps, phi = np.linalg.eigh(h0)
     mats = [c.one_body() for c in protocol.components] if protocol is not None else []
     rows = np.flatnonzero(sum((np.any(m != 0, axis=1) for m in mats), np.zeros(eps.size)))
     blocks = [m[np.ix_(rows, rows)] for m in mats]
+    stack = np.array(blocks).reshape(len(blocks), rows.size, rows.size)
 
-    def coupling(t):
-        lam = protocol.controls(t) if protocol is not None else ()
-        return sum((lj * c for lj, c in zip(lam, blocks)), np.zeros((rows.size,) * 2))
+    def coupling(times):
+        lam = [protocol.controls(t) if protocol is not None else () for t in times]
+        return np.tensordot(np.reshape(lam, (len(times), len(blocks))), stack, 1)
 
     return InteractionSteps(eps, phi, rows, coupling), blocks
 

@@ -14,7 +14,8 @@ from fermiproc.lattice import hopping_hamiltonian, number_operator  # noqa: E402
 from fermiproc.linalg import spectral_norm, symmetrize  # noqa: E402
 from fermiproc.observables import (charge, charge_rate, expectation,  # noqa: E402
                                    internal_energy, ledger_row)
-from fermiproc.propagator import (Block, DenseSteps,  # noqa: E402
+from fermiproc.propagator import (GAUSS_NODES, Block, DenseSteps,  # noqa: E402
+                                  LowRankUnitary, _cumulative, _on_joint_span, cfm4,
                                   TimeDependentHamiltonian, propagate_grid)
 from fermiproc.states import gibbs_state, von_neumann_entropy  # noqa: E402
 
@@ -77,6 +78,30 @@ def cfm4_step(h_at, a, b):
     """One dense CFM4 step of the matrix h_at(t) over [a, b]: `DenseSteps`'
     one-block case."""
     return DenseSteps(lambda t: (h_at(t),)).step(a, b)[0]
+
+
+def interaction_step(steps, a, b):
+    """One CFM4 step of `InteractionSteps`' drive over [a, b] on L-vectors,
+    uncompressed (the reference of its pair test): Q and R from the QR of the
+    L x 3|R| frames [Y(a + c_i dt)], K = cfm4 of the samples
+    R_i C(a + c_i dt) R_i^dagger, minus I."""
+    dt, n = b - a, steps.rows.size
+    times = [a + c * dt for c in GAUSS_NODES]
+    q, r = np.linalg.qr(np.hstack([steps.frame(t, steps.rows) for t in times]))
+    samples = [r[:, i * n:(i + 1) * n] @ h @ r[:, i * n:(i + 1) * n].conj().T
+               for i, h in enumerate(steps.coupling(times))]
+    return LowRankUnitary(q, cfm4(samples, dt) - np.eye(q.shape[1]))
+
+
+def two_qr_pair(steps, a, m, b):
+    """The pair test on L-vectors with two QRs: the uncompressed steps over
+    [a, m], [m, b] and [a, b] (`interaction_step`), the product over [a, b]
+    on the joint span of the first two, and the spectral norm of its
+    difference from the third on the joint span of both: (first, fine,
+    whole, err)."""
+    left, right, whole = (interaction_step(steps, lo, hi) for lo, hi in ((a, m), (m, b), (a, b)))
+    fine = _cumulative(*_on_joint_span(left, right))[1]
+    return left, fine, whole, float(np.linalg.norm(np.subtract(*_on_joint_span(fine, whole)[1]), 2))
 
 
 def correlation_update(gamma, u):

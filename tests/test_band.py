@@ -6,6 +6,8 @@ dense block, and the rank-r Gamma update against its dense formula.
 that triangle (`from_lower`) before it is compared with the dense
 U G U^dagger."""
 
+from itertools import pairwise
+
 import numpy as np
 import pytest
 from scipy.linalg.blas import zhemm
@@ -18,8 +20,8 @@ from fermiproc.propagator import LowRankUnitary, step_grid
 from fermiproc.quadratic import interaction_picture, rank_update
 from fermiproc.states import GibbsParams
 
-from conftest import (FILLED, TAYLOR_THETA, TRIDIAGONAL, from_lower, low_rank_dense,
-                      random_unitary, taylor_expm)
+from conftest import (FILLED, TAYLOR_THETA, TRIDIAGONAL, from_lower, interaction_step,
+                      low_rank_dense, random_unitary, taylor_expm)
 
 
 def _spec_and_protocol(n_sites, kernel, boundary, amplitude):
@@ -49,9 +51,10 @@ def _half_bandwidth(a):
 
 
 def test_half_bandwidth():
-    # a step's width is at most 3|R|, R the drive's nonzero rows (three Gauss
-    # nodes' frames), and at least 2|R| here: it follows which sites the
-    # kernel couples, not how far off the diagonal its entries sit
+    # the width of an interval's product of two CFM4 half steps (the pair
+    # test's, compressed) is at most 3|R|, R the drive's nonzero rows (three
+    # Gauss nodes' frames), and at least 2|R| here: it follows which sites
+    # the kernel couples, not how far off the diagonal its entries sit
     corner = np.zeros((4, 4), dtype=complex)
     corner[3, 0], corner[0, 3] = 0.5j, -0.5j  # couples the end sites only
     diagonal = np.diag([0.3, 0.0, 0.0, -0.2])
@@ -63,18 +66,18 @@ def test_half_bandwidth():
         assert list(steps.rows) == [18 + s for s in local]
         rr = np.ix_(steps.rows, steps.rows)
         assert np.max(np.abs(0.05 * blocks[0] - v[rr])) <= 1e-16
-        n, width = steps.step(0.1, 0.2).q.shape
+        n, width = steps.pair_test(0.1, 0.15, 0.2)[2][1].q.shape
         assert n == 40 and 2 * len(local) <= width <= 3 * len(local)
     steps, blocks = interaction_picture(one_body_laplacian(LatticeSpec(40)), None)
     assert steps.rows.size == 0 and blocks == []
 
 
 def test_band_matmul_covering_band_is_plain_product(rng):
-    # 3|R| >= L: the step's basis covers the whole space, and the update with
-    # a full-rank factor (Q = I) is the plain product
+    # 3|R| >= L: the basis of an interval's product covers the whole space,
+    # and the update with a full-rank factor (Q = I) is the plain product
     h0, protocol, _ = _drive(6, FILLED, Boundary.PERIODIC, amplitude=0.3)
     steps, _ = interaction_picture(h0, protocol)
-    u = steps.step(0.0, 0.4)
+    u = steps.pair_test(0.0, 0.2, 0.4)[2][1]
     assert u.q.shape == (6, 6)
     assert np.max(np.abs(u.q.conj().T @ u.q - np.eye(6))) <= 1e-14
     dense = low_rank_dense(u)
@@ -115,7 +118,7 @@ def test_periodic_chain_takes_dense_route_bit_for_bit(rng):
     assert np.array_equal(expm_unitary(h, 0.05), (vecs * np.exp(-0.05j * w)) @ vecs.conj().T)
     steps, _ = interaction_picture(h0, protocol)
     assert list(steps.rows) == [98, 99, 100, 101]
-    u = steps.step(0.0, 0.05)
+    u = steps.pair_test(0.0, 0.025, 0.05)[2][1]
     assert u.q.shape == (200, 8)
     g = np.diag(rng.uniform(size=200)).astype(complex)
     dense = low_rank_dense(u)
@@ -219,10 +222,11 @@ def test_rank_update_chain_matches_dense_oracle(rng):
 
 
 def test_block_chain_matches_dense_oracle():
-    # L = 512: each grid pair's joint basis P and cumulative K on it against
-    # the dense product of its per-interval factors, and the block update
-    # (one zher2k with W = G P from the caller) chained over accepted pairs,
-    # a refined pair and a lone last interval, against the dense U G U^dagger
+    # L = 512: each grid pair's joint basis P and cumulative K on its leading
+    # columns against the dense product of its per-interval factors, and the
+    # block update (one zher2k at the last K's rank, with W = G P from the
+    # caller) chained over accepted pairs, a refined pair and a lone last
+    # interval, against the dense U G U^dagger
     h0, protocol, _ = _drive(512, FILLED, amplitude=0.3)
     steps, _ = interaction_picture(h0, protocol)
     blocks = list(step_grid(steps, BLOCK_GRID, 1e-7))
@@ -237,40 +241,46 @@ def test_block_chain_matches_dense_oracle():
         cumulative = np.eye(512)
         for step, k in zip(block.propagators, block.ks):
             cumulative = low_rank_dense(step.matrix) @ cumulative
-            assert np.max(np.abs(low_rank_dense(LowRankUnitary(p, k)) - cumulative)) <= 1e-13
+            assert np.max(np.abs(low_rank_dense(LowRankUnitary(p[:, :len(k)], k))
+                                 - cumulative)) <= 1e-13
         want = cumulative @ want @ cumulative.conj().T
-        w = zhemm(1.0, state, p, lower=1)
-        assert rank_update(state, LowRankUnitary(p, block.ks[-1]), w) is state
+        last = LowRankUnitary(p[:, :len(block.ks[-1])], block.ks[-1])
+        w = zhemm(1.0, state, last.q, lower=1)
+        assert rank_update(state, last, w) is state
     assert np.max(np.abs(from_lower(state) - want)) <= 1e-13
 
 
-def test_refined_pair_basis_is_compressed(monkeypatch):
-    # L = 512, FILLED at amplitude 0.3, tol 1e-7: each 0.1-wide interval
-    # refines into two accepted pieces of 16 columns, whose product's K has 10
-    # eigen-directions above the roundoff floor. `compose` keeps those only, so
-    # the refined pair's P is no wider than an accepted pair's 6|R| (64 columns
-    # uncompressed), and its cumulative factors and the block update match the
-    # uncompressed ones to 1e-13
-    from fermiproc import propagator
+def test_refined_pair_basis_is_compressed():
+    # L = 512, FILLED at amplitude 0.3, tol 1e-7: the intervals of a
+    # 0.05-wide grid pair are each accepted at their first halving, and those
+    # of a 0.1-wide pair each as two such pieces; every piece is the product
+    # of two 0.025-wide CFM4 steps, 24 columns uncompressed. The pair test
+    # keeps its K's eigen-directions above the roundoff floor (8 of them at
+    # 0.025), and `compose` those of the pieces' product (10), so the refined
+    # pair's P is no wider than an accepted pair's 6|R| (32 columns for 0.05
+    # and 64 for 0.1 with the pieces uncompressed); its cumulative factors
+    # and the block update match the products of the uncompressed steps to
+    # 1e-13
     h0, protocol, _ = _drive(512, FILLED, amplitude=0.3)
     steps, _ = interaction_picture(h0, protocol)
-    grid = [0.0, 0.1, 0.2]
-    (block,) = step_grid(steps, grid, 1e-7)
-    monkeypatch.setattr(propagator.InteractionSteps, "compose", lambda self, right, left:
-                        propagator._cumulative(*propagator._on_joint_span(left, right))[1])
-    (wide,) = step_grid(steps, grid, 1e-7)
-    assert [p.refined for p in block.propagators] == [True, True]
-    assert block.basis.shape[1] <= 6 * 4 < wide.basis.shape[1] == 64
-    p = block.basis
-    assert np.max(np.abs(p.conj().T @ p - np.eye(p.shape[1]))) <= 1e-14
-    for k, k_wide in zip(block.ks, wide.ks):
-        assert np.max(np.abs(low_rank_dense(LowRankUnitary(p, k))
-                             - low_rank_dense(LowRankUnitary(wide.basis, k_wide)))) <= 1e-13
     start = np.diag(np.linspace(0.05, 0.95, 512)).astype(complex)
-    states = [np.array(start, order="F") for _ in range(2)]
-    for state, b in zip(states, (block, wide)):
-        rank_update(state, LowRankUnitary(b.basis, b.ks[-1]))
-    assert np.max(np.abs(from_lower(states[0]) - from_lower(states[1]))) <= 1e-13
+    for grid, width in (([0.0, 0.05, 0.1], 16), ([0.0, 0.1, 0.2], 20)):
+        (block,) = step_grid(steps, grid, 1e-7)
+        assert [p.refined for p in block.propagators] == [True, True]
+        assert [p.min_step for p in block.propagators] == pytest.approx([0.025] * 2, abs=1e-15)
+        assert block.basis.shape[1] == width <= 6 * 4
+        p = block.basis
+        assert np.max(np.abs(p.conj().T @ p - np.eye(p.shape[1]))) <= 1e-14
+        cumulative = np.eye(512)
+        for lo, hi, k in zip(grid, grid[1:], block.ks):
+            for a, b in pairwise(np.linspace(lo, hi, round((hi - lo) / 0.025) + 1)):
+                cumulative = low_rank_dense(interaction_step(steps, a, b)) @ cumulative
+            assert np.max(np.abs(low_rank_dense(LowRankUnitary(p[:, :len(k)], k))
+                                 - cumulative)) <= 1e-13
+        state = np.array(start, order="F")
+        rank_update(state, LowRankUnitary(p[:, :len(block.ks[-1])], block.ks[-1]))
+        assert np.max(np.abs(from_lower(state) - cumulative @ start @ cumulative.conj().T)) \
+            <= 1e-13
 
 
 def _block_trajectory(monkeypatch, probe_ops=None):

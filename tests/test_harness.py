@@ -473,6 +473,9 @@ def test_periodic_both_run_passes_oracle(tmp_path):
     report = result.manifest["integrator"]
     assert report["quadratic"]["reused_intervals"] == 192 - 64
     assert report["exact"]["reused_intervals"] == 0
+    # the widest joint basis fills the L = 8 one-particle space; the exact
+    # path has none
+    assert (report["quadratic"]["max_block_rank"], report["exact"]["max_block_rank"]) == (8, None)
 
 
 # -- both-path oracle ---------------------------------------------------------

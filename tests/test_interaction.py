@@ -14,15 +14,15 @@ from fermiproc import harness
 from fermiproc.drive import KernelSpec, Perturbation, periodic_protocol, switch_on_protocol
 from fermiproc.lattice import Boundary, LatticeSpec, one_body_laplacian
 from fermiproc.observables import ledger_row, work_accumulate
-from fermiproc.propagator import (BASIS_CACHE_SIZE, GAUSS_NODES, ROUNDOFF_FLOOR,
-                                  IntegrationError, InteractionSteps, LowRankUnitary,
-                                  TimeDependentHamiltonian, _on_joint_span, cfm4, propagate,
-                                  step_grid)
+from fermiproc.propagator import (BASIS_CACHE_SIZE, ROUNDOFF_FLOOR, IntegrationError,
+                                  InteractionSteps, LowRankUnitary, TimeDependentHamiltonian,
+                                  propagate, step_grid)
 from fermiproc.quadratic import (correlation_entropy, gibbs_correlation, interaction_picture,
                                  quadratic_observable, reference_scalars)
 from fermiproc.states import GibbsParams
 
-from conftest import FILLED, TRIDIAGONAL, correlation_update, low_rank_dense
+from conftest import (FILLED, TRIDIAGONAL, correlation_update, interaction_step,
+                      low_rank_dense, two_qr_pair)
 from conftest import cfm4_step as _cfm4_step
 
 # Hermitian with imaginary hoppings: Gamma and conj(Gamma) give different ledgers
@@ -116,9 +116,11 @@ def test_both_path_oracle_where_rank_exceeds_lattice(region):
 
 
 def test_step_is_the_dense_interaction_picture_step():
-    # I + Q K Q^dagger equals the dense CFM4 step of the interaction-picture
-    # Hamiltonian in h0's eigenbasis; the spectral-norm distance bounds the
-    # entrywise one from above
+    # the pair test's factors over [a, m] and [m, b], and its product over
+    # [a, b], equal the dense CFM4 steps of the interaction-picture
+    # Hamiltonian in h0's eigenbasis and their product; its spectral-norm
+    # distance bounds the entrywise one from the dense step over [a, b] from
+    # above
     spec, protocol = _protocol(64, "switch_on", kernel=FILLED)
     steps, _ = interaction_picture(one_body_laplacian(spec), protocol)
     eps, phi = steps.eps, steps.phi
@@ -128,41 +130,58 @@ def test_step_is_the_dense_interaction_picture_step():
         w = phi.T @ protocol.operator(t, "one_body") @ phi
         return phase[:, None] * w * phase.conj()[None, :]
 
-    for a, b in ((0.1, 0.3), (0.2, 0.25)):
-        low = steps.step(a, b)
-        assert np.max(np.abs(low_rank_dense(low) - _cfm4_step(h_int, a, b))) <= 1e-13
-    whole = steps.step(0.1, 0.3)
-    (_, fine), spectral = steps.pair(steps.step(0.1, 0.2), steps.step(0.2, 0.3), whole)
-    entrywise = np.max(np.abs(low_rank_dense(fine) - low_rank_dense(whole)))
-    assert entrywise <= spectral <= 64 * entrywise
-    assert np.max(np.abs(low_rank_dense(fine) - _cfm4_step(h_int, 0.2, 0.3)
-                         @ _cfm4_step(h_int, 0.1, 0.2))) <= 1e-13
+    for a, m, b in ((0.1, 0.2, 0.3), (0.2, 0.225, 0.25)):
+        left, right, (first, fine), spectral = steps.pair_test(a, m, b)
+        dense = [_cfm4_step(h_int, lo, hi) for lo, hi in ((a, m), (m, b), (a, b))]
+        assert np.max(np.abs(low_rank_dense(left) - dense[0])) <= 1e-13
+        assert np.max(np.abs(low_rank_dense(right) - dense[1])) <= 1e-13
+        assert np.max(np.abs(low_rank_dense(fine) - dense[1] @ dense[0])) <= 1e-13
+        assert first is left
+        entrywise = np.max(np.abs(low_rank_dense(fine) - dense[2]))
+        assert entrywise <= spectral <= 64 * entrywise
 
 
-@pytest.mark.parametrize("a,b,accepted", [(0.0, 0.0125, True), (0.025, 0.125, False)],
-                         ids=["accepted", "refined"])
-def test_pair_distance_is_the_two_qr_distance(a, b, accepted):
-    # the pair test's one QR of [Q_l, Q_r, Q_whole] against the two it
-    # replaces (compose's QR of [Q_l, Q_r], then that of [P_fine, Q_whole]):
-    # the same Richardson difference to 1e-14, and the same products
+#: L = 512, FILLED at amplitude 0.3, tol 1e-7: an accepted pair, a pair that
+#: refines, and the lone last interval of an odd grid (the pair test of its
+#: halves)
+PAIRS = {"accepted": (0.0, 0.00625, 0.0125, True), "refined": (0.025, 0.075, 0.125, False),
+         "lone": (0.125, 0.13125, 0.1375, True)}
+
+
+@pytest.mark.parametrize("case", list(PAIRS), ids=list(PAIRS))
+def test_pair_distance_is_the_two_qr_distance(case):
+    # the pair test in coordinates on its geometry's joint frame basis
+    # against the same test on L-vectors with two QRs (the product's on
+    # [Q_l, Q_r], then the distance's on [P_fine, Q_whole]), uncompressed:
+    # the same Richardson difference to 1e-14, and the same products; a
+    # lone interval's Block is the product over both halves, compressed to
+    # its rank, and carries the same difference
+    a, m, b, accepted = PAIRS[case]
     spec, protocol = _protocol(512, "switch_on", kernel=FILLED)
     steps, _ = interaction_picture(one_body_laplacian(spec), protocol)
-    m = 0.5 * (a + b)
-    left, right, whole = steps.step(a, m), steps.step(m, b), steps.step(a, b)
-    (first, fine), err = steps.pair(left, right, whole)
-    two_qr = steps.compose(right, left)
-    d = np.subtract(*_on_joint_span(two_qr, whole)[1])
-    assert abs(err - np.linalg.norm(d, 2)) <= 1e-14
+    left, _, (first, fine), err = steps.pair_test(a, m, b)
+    ref_first, ref_fine, _, ref_err = two_qr_pair(steps, a, m, b)
+    assert abs(err - ref_err) <= 1e-14
     assert (err <= 1e-7 * (b - a) + ROUNDOFF_FLOOR) == accepted
-    assert np.array_equal(first.q, fine.q)
-    assert np.max(np.abs(low_rank_dense(first) - low_rank_dense(left))) <= 1e-14
-    assert np.max(np.abs(low_rank_dense(fine) - low_rank_dense(two_qr))) <= 1e-14
+    assert first is left and np.array_equal(first.q[:, :fine.q.shape[1]], fine.q)
+    assert np.max(np.abs(low_rank_dense(first) - low_rank_dense(ref_first))) <= 1e-14
+    assert np.max(np.abs(low_rank_dense(fine) - low_rank_dense(ref_fine))) <= 1e-14
+    if case == "lone":
+        (block,) = step_grid(steps, [a, b], 1e-7)
+        (p,) = block.propagators
+        assert block.basis.shape[1] == len(block.ks[0]) == fine.q.shape[1] < ref_fine.q.shape[1]
+        assert abs(15 * p.est_error - ref_err) <= 1e-14
+        assert np.max(np.abs(low_rank_dense(LowRankUnitary(block.basis, block.ks[0]))
+                             - low_rank_dense(ref_fine))) <= 1e-14
 
 
 def test_compressed_step_matches_uncompressed():
-    # a step drops the eigen-directions of K with |d| <= ROUNDOFF_FLOOR: on the
-    # whole space it is the uncompressed I + Q K Q^dagger, Q from the QR of
-    # the L x 3|R| frames [Y(a + c_i dt)], to 1e-14, and its rank is below 3|R|
+    # each factor drops the eigen-directions of its K with |d| <=
+    # ROUNDOFF_FLOOR: the pair test's products are the uncompressed ones, Q
+    # from the QR of the L x 3|R| frames [Y(a + c_i dt)] of each step, to
+    # 1e-14; the product over both intervals has rank below 3|R| and all of
+    # its K's eigenvalues above the floor, on the first columns of the
+    # orthonormal basis P that also carries the first interval's product
     cfg = harness.load_config(Path(__file__).resolve().parents[1] / "configs"
                               / "process2_L200.yaml")
     spec = harness.lattice_spec(cfg)
@@ -170,35 +189,38 @@ def test_compressed_step_matches_uncompressed():
                                    harness.build_protocol(cfg, spec))
     n = steps.rows.size
     for a, dt in ((0.0, 0.09375), (1.7, 0.09375), (2.3, 0.046875)):
-        q, r = np.linalg.qr(np.hstack([steps.frame(a + c * dt, steps.rows)
-                                       for c in GAUSS_NODES]))
-        samples = [r[:, i * n:(i + 1) * n] @ steps.coupling(a + c * dt)
-                   @ r[:, i * n:(i + 1) * n].conj().T for i, c in enumerate(GAUSS_NODES)]
-        full = np.eye(spec.n_sites) + q @ (cfm4(samples, dt) - np.eye(3 * n)) @ q.conj().T
-        u = steps.step(a, a + dt)
-        assert u.q.shape[1] < 3 * n
-        assert np.max(np.abs(u.q.conj().T @ u.q - np.eye(u.q.shape[1]))) <= 1e-14
-        assert np.max(np.abs(low_rank_dense(u) - full)) <= 1e-14
-        assert ROUNDOFF_FLOOR < np.min(np.abs(np.diagonal(u.k)))
+        left, right, (_, fine), _ = steps.pair_test(a, a + dt, a + 2 * dt)
+        full = [low_rank_dense(interaction_step(steps, lo, lo + dt)) for lo in (a, a + dt)]
+        p = left.q
+        assert right.q is p and fine.q.shape[1] < 3 * n < p.shape[1]
+        assert np.max(np.abs(p.conj().T @ p - np.eye(p.shape[1]))) <= 1e-14
+        assert np.max(np.abs(low_rank_dense(left) - full[0])) <= 1e-14
+        assert np.max(np.abs(low_rank_dense(right) - full[1])) <= 1e-14
+        assert np.max(np.abs(low_rank_dense(fine) - full[1] @ full[0])) <= 1e-14
+        assert ROUNDOFF_FLOOR < np.min(np.abs(np.linalg.eigvals(fine.k)))
 
 
 def test_frame_basis_cache_is_bounded_and_exact():
-    # a grid of 200 distinct step widths: the per-width frame bases stay within
-    # BASIS_CACHE_SIZE, and steps from cached bases (the repeat) or fresh ones
-    # are bit for bit those of a new InteractionSteps
+    # a grid of 200 distinct pair geometries (h1, h2, b - a): the joint frame
+    # bases stay within BASIS_CACHE_SIZE, and pair tests from cached bases
+    # (the repeat) or fresh ones are bit for bit those of a new
+    # InteractionSteps
     spec, protocol = _protocol(64, "periodic")
     steps, _ = interaction_picture(one_body_laplacian(spec), protocol)
-    times = np.concatenate([[0.0], np.cumsum(0.05 + 1e-4 * np.arange(200))])
-    assert len(set(np.diff(times))) == 200
-    for a, b in zip(times[:-1], times[1:]):
+    times = np.concatenate([[0.0], np.cumsum(0.05 + 1e-4 * np.arange(400))])
+    pairs = list(zip(times[:-2:2], times[1:-1:2], times[2::2]))
+    assert len({(m - a, b - m, b - a) for a, m, b in pairs}) == 200
+    for a, m, b in pairs:
         new = InteractionSteps(steps.eps, steps.phi, steps.rows, steps.coupling)
-        fresh = new.step(a, b)
-        first = steps.step(a, b)
-        assert b - a in steps.bases  # the repeat takes the kept basis
-        for u in (first, steps.step(a, b)):
-            assert np.array_equal(u.q, fresh.q) and np.array_equal(u.k, fresh.k)
-        assert len(steps.bases) <= BASIS_CACHE_SIZE
-    assert len(steps.bases) == BASIS_CACHE_SIZE
+        fresh = new.pair_test(a, m, b)
+        first = steps.pair_test(a, m, b)
+        assert (m - a, b - m, b - a) in steps.geometries  # the repeat takes the kept basis
+        for got in (first, steps.pair_test(a, m, b)):
+            assert got[3] == fresh[3]
+            for u, v in zip(got[:2] + got[2], fresh[:2] + fresh[2]):
+                assert np.array_equal(u.q, v.q) and np.array_equal(u.k, v.k)
+        assert len(steps.geometries) <= BASIS_CACHE_SIZE
+    assert len(steps.geometries) == BASIS_CACHE_SIZE
 
 
 def test_nonfinite_coupling_aborts():
@@ -207,10 +229,10 @@ def test_nonfinite_coupling_aborts():
     spec, protocol = _protocol(16, "switch_on")
     steps, _ = interaction_picture(one_body_laplacian(spec), protocol)
     bad = InteractionSteps(steps.eps, steps.phi, steps.rows,
-                           lambda t: np.full((steps.rows.size,) * 2, np.nan))
+                           lambda times: np.full((len(times),) + (steps.rows.size,) * 2, np.nan))
     with pytest.raises(IntegrationError,
                        match=r"non-finite Hamiltonian entries on \[0\.0, 0\.1\]"):
-        bad.step(0.0, 0.1)
+        bad.pair_test(0.0, 0.05, 0.1)
 
 
 @pytest.mark.parametrize("tol", [1e-5, 1e-9], ids=["accepted", "refined"])
@@ -228,8 +250,9 @@ def test_shift_is_the_pair_one_period_later(tol):
     shifted = steps.shift(block, 1.2, later)
     assert shifted.times == later[1:] == stepped.times
     for a, b in zip(shifted.ks, stepped.ks):
-        assert np.max(np.abs(low_rank_dense(LowRankUnitary(shifted.basis, a))
-                             - low_rank_dense(LowRankUnitary(stepped.basis, b)))) <= 1e-13
+        assert np.max(np.abs(low_rank_dense(LowRankUnitary(shifted.basis[:, :len(a)], a))
+                             - low_rank_dense(LowRankUnitary(stepped.basis[:, :len(b)], b)))) \
+            <= 1e-13
     for p, q, s in zip(block.propagators, stepped.propagators, shifted.propagators):
         assert (s.t_start, s.t_end) == (q.t_start, q.t_end)
         assert (s.est_error, s.refined, s.min_step) == (p.est_error, p.refined, p.min_step)

@@ -121,6 +121,29 @@ def test_driven_occupations_match_fock_oracle():
     assert pauli_defect(gamma) <= 1e-9
 
 
+@pytest.mark.parametrize("boundary,tridiagonal", [(Boundary.DIRICHLET, True),
+                                                  (Boundary.NEUMANN, True),
+                                                  (Boundary.PERIODIC, False)],
+                         ids=["dirichlet", "neumann", "periodic"])
+def test_interaction_picture_eigensolver(monkeypatch, boundary, tridiagonal):
+    # L = 512: an open chain's h0 has no entries beyond its first
+    # off-diagonal and takes `eigh_tridiagonal`, the periodic chain's wrap
+    # bond takes `eigh`; either way h0 = phi diag(eps) phi^T to roundoff,
+    # with eps ascending and equal to `eigvalsh`'s
+    calls = []
+    solver = quadratic.eigh_tridiagonal
+    monkeypatch.setattr(quadratic, "eigh_tridiagonal",
+                        lambda *args: calls.append(args) or solver(*args))
+    h0 = one_body_laplacian(LatticeSpec(512, boundary))
+    steps, _ = quadratic.interaction_picture(h0, None)
+    eps, phi = steps.eps, steps.phi
+    assert len(calls) == int(tridiagonal)
+    assert np.max(np.abs(h0 @ phi - phi * eps)) <= 1e-14
+    assert np.max(np.abs(phi.T @ phi - np.eye(512))) <= 1e-13
+    assert np.all(np.diff(eps) >= 0)
+    assert np.max(np.abs(eps - np.linalg.eigvalsh(h0))) <= 1e-13
+
+
 def test_quadratic_observable_total_number():
     gamma = gibbs_correlation(one_body_laplacian(LatticeSpec(5)), GibbsParams(1.0, 0.2))
     total = quadratic_observable(gamma, np.eye(5))
