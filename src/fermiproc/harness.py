@@ -5,8 +5,10 @@ unknown keys are errors. Runs emit `series.csv` (the thermodynamic ledger)
 and `manifest.json` (config echo, invariant verdicts, summary scalars, per
 path the integrator's summed error estimate, the count of intervals that
 failed the CFM4 pair test, the narrowest step and the count of intervals
-reused from one drive period earlier, and on a driven run the drive
-certificate: its norms and its smallness norm against 1/(24 pi)).
+reused from one drive period earlier, on a driven run the drive
+certificate: its norms and its smallness norm against 1/(24 pi), and the
+environment: library versions, BLAS thread variables and the CPUs the exact
+path's charge sectors are spread over).
 
 Layout. One trajectory loop, `_trajectory`, owns the step loop, the
 integrator report, the work recurrence and the entropy drift;
@@ -34,6 +36,8 @@ saying so.
 """
 
 import json
+import os
+import platform
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -42,6 +46,7 @@ from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
+import scipy
 import yaml
 from scipy.linalg.blas import zgemm, zhemm
 
@@ -52,15 +57,16 @@ from .lattice import (EXACT_SITE_CAP, Boundary, FockBasis, LatticeSpec,
                       creation_op, gauge_transform, hopping_hamiltonian,
                       number_operator, one_body_laplacian, quadratic_fock_operator,
                       site_index)
-from .linalg import fill_upper, max_abs, spectral_norm, symmetrize, unitarity_defect
+from .linalg import (fill_upper, max_abs, sector_map, sector_workers, spectral_norm,
+                     symmetrize, unitarity_defect)
 from .observables import (delta_entropy, entropy_rate, entropy_rate_decomposed,
                           expectation, internal_energy, ledger_row, work_accumulate)
 from .propagator import (Block, DenseSteps, LowRankUnitary, TimeDependentHamiltonian,
                          dyson_propagator, heisenberg_evolve, interaction_to_schrodinger,
                          propagate, propagate_grid, step_grid)
-from .quadratic import (ScalarDriveReferenceCache, binary_entropy, diagonal_state, expit,
-                        interaction_picture, pauli_excess, quadratic_entropy_ledger,
-                        rank_update)
+from .quadratic import (ReferenceScalars, ScalarDriveReferenceCache, binary_entropy,
+                        diagonal_state, expit, interaction_picture, pauli_excess,
+                        quadratic_entropy_ledger, rank_update)
 # not called here; perfbench/tracing.py wraps these harness attributes by name
 from .quadratic import (correlation_entropy, gibbs_correlation,  # noqa: F401
                         quadratic_observable, reference_scalars)
@@ -70,9 +76,16 @@ from .states import (GibbsParams, gibbs_state, relative_entropy, sector_gibbs_st
 from .storage import write_series_csv
 
 #: largest L of a `both` run; at L = 10 the exact oracle, on the float64 sector
-#: blocks of its real operators, takes about 0.14 s per grid interval (11 s
-#: for the 80-interval `configs/both_L10.yaml`, one BLAS thread on a 2-core VM)
+#: blocks of its real operators, takes about 0.08 s per grid interval with its
+#: sectors spread over two cores (6.2 s for the 80-interval
+#: `configs/both_L10.yaml`, against 10.9 s on one core; one BLAS thread)
 BOTH_SITE_CAP = 10
+#: grid times whose reference scalars the fast path takes in one stacked call:
+#: all of the benchmark grids' (129 and 151), and a 10^4-step run's stacked
+#: resolvents stay near 1 MB for |R| = 4
+REFERENCE_CHUNK = 256
+#: the environment variables that set BLAS threads, recorded in every manifest
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 #: maximal group velocity of the unit-hopping dispersion 2 - 2 cos k
 V_MAX = 2.0
 #: fraction of the ballistic traversal time taken as the safe window
@@ -448,6 +461,11 @@ def _sector_reads(stacks, rho, rows=slice(None)):
     return sum(read(s, r) for s, r in zip(stacks, rho))
 
 
+def _conjugated(u, r):
+    """U r U^dagger, made exactly Hermitian."""
+    return symmetrize(u @ r @ u.conj().T)
+
+
 def exact_trajectory(spec, params, protocol, times, tol, probe_ops=None):
     """Fock-space simulation with the complete ledger at each grid time, on
     charge-sector blocks.
@@ -459,6 +477,12 @@ def exact_trajectory(spec, params, protocol, times, tol, probe_ops=None):
     each CFM4 exponent's `eigh` and each row's reference state; the
     propagators exp(-i dt h) and rho(t) are complex. rho, H(t) and every
     propagator are tuples of blocks, and U_n rho_n U_n^dagger is the update.
+    The sectors never couple, so their work runs on every CPU through
+    `sector_map`: the CFM4 exponentials of a pair test's steps
+    (`DenseSteps`), the updates, the sector entropies and each reference
+    state's `eigh`s and blocks (`sector_gibbs_state`). Each sector's
+    arithmetic is the serial one and every sum over sectors keeps their
+    order, so the outputs do not depend on the CPU count, to the last bit.
     Per sector, [H_0, V_1..V_k, probes] are stacked once, so each row reads
     tr(rho_n A) of all of them in one product per sector (`_sector_reads`,
     exact for any A since rho is block-diagonal), with
@@ -499,7 +523,7 @@ def exact_trajectory(spec, params, protocol, times, tol, probe_ops=None):
         return _sector_reads(stacks, sector_gibbs_state(h_of(lam), params).rho, probe_rows)
 
     def entropy(rho):
-        return sum(von_neumann_entropy(r) for r in rho)
+        return sum(sector_map(von_neumann_entropy, rho))
 
     rho0 = sector_gibbs_state(h0, params).rho
     s_start = entropy(rho0)
@@ -519,7 +543,7 @@ def exact_trajectory(spec, params, protocol, times, tol, probe_ops=None):
         return rec, reads[probe_rows]
 
     def update(rho, step):
-        return tuple(symmetrize(u @ r @ u.conj().T) for u, r in zip(step.matrix, rho))
+        return tuple(sector_map(_conjugated, step.matrix, rho))
 
     rep = _Representation(rho0, s_start, step_grid(DenseSteps(h_at), times, tol),
                           _one_at_a_time(update, observe),
@@ -546,8 +570,10 @@ def quadratic_trajectory(spec, params, protocol, times, tol, probe_ops=None):
     diag(e^{i eps T}), with no step taken. The ledger and the probes read
     Gamma on S = R + the probe sites only, Y_S(t) = diag(e^{i eps t}) phi_S^T.
     One `ScalarDriveReferenceCache`, sized for the run's largest |lambda_j|,
-    gives every row's reference scalars from |R| x |R| resolvents. At the end one `eigvalsh` of G (whose
-    spectrum is Gamma's) gives both the final entropy and the Pauli defect;
+    gives every row's reference scalars from |R| x |R| resolvents, in
+    stacked calls over up to REFERENCE_CHUNK grid times each. At the end one
+    `eigvalsh` of G (whose spectrum is Gamma's) gives both the final entropy
+    and the Pauli defect;
     `final_state` is Gamma, from one basis change written over G and
     completed to an exactly Hermitian matrix. The Gibbs probe values read
     the probes on S x S, as the rows do, from Gamma_SS = conj(phi_S f
@@ -560,9 +586,21 @@ def quadratic_trajectory(spec, params, protocol, times, tol, probe_ops=None):
     h0 = one_body_laplacian(spec)
     steps, blocks = interaction_picture(h0, protocol)
     eps, phi = steps.eps, steps.phi
-    lams = [protocol.controls(t) if protocol else np.zeros(0) for t in times]
+    lams = np.reshape([protocol.controls(t) if protocol else () for t in times],
+                      (len(times), len(blocks)))
     reference = ScalarDriveReferenceCache(eps, phi[steps.rows], blocks, params,
                                           np.max(np.abs(lams), axis=0))
+
+    def reference_rows():
+        # the grid times' controls and reference scalars in grid order, from
+        # one stacked call per REFERENCE_CHUNK times
+        for lo in range(0, len(lams), REFERENCE_CHUNK):
+            chunk = lams[lo:lo + REFERENCE_CHUNK]
+            scalars = reference(chunk)
+            yield from zip(chunk, map(ReferenceScalars, scalars.grand_potential.tolist(),
+                                      scalars.gradient))
+
+    references = reference_rows()
 
     # S = R + the probe sites, and each probe's entries on S x S, where all
     # its nonzero entries lie: a row reads every probe by one product
@@ -582,10 +620,10 @@ def quadratic_trajectory(spec, params, protocol, times, tol, probe_ops=None):
     def row(t, energy, charge, gamma):
         """The ledger row and probe values at t from sum_k eps_k G_kk, tr G
         and Gamma on S x S."""
-        lam = protocol.controls(t) if protocol else np.zeros(0)
+        lam, scalars = next(references)
         lam_dot = protocol.lam_dot(t) if protocol else np.zeros(0)
         rec = quadratic_entropy_ledger(t, energy, charge, gamma[on_rows], blocks, lam,
-                                       lam_dot, params, s_start, reference(lam))
+                                       lam_dot, params, s_start, scalars)
         # a copy: np.real's view would keep each row's complex product alive
         return rec, (probe_rows @ gamma.ravel()).real.copy()
 
@@ -668,6 +706,20 @@ def quadratic_trajectory(spec, params, protocol, times, tol, probe_ops=None):
 
 # -- manifests -----------------------------------------------------------------
 
+def run_environment():
+    """What a run ran on: the interpreter and library versions, the BLAS
+    thread variables as set (None where unset) and `sector_workers`, the
+    CPUs over which `sector_map` spreads the exact path's charge sectors."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "fermiproc": __version__,
+        "blas_threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARS},
+        "sector_workers": sector_workers(),
+    }
+
+
 def _manifest_skeleton(cfg: RunConfig, spec: LatticeSpec, kind: str):
     window = recurrence_window(spec.n_sites)
     return {
@@ -675,6 +727,7 @@ def _manifest_skeleton(cfg: RunConfig, spec: LatticeSpec, kind: str):
         "version": __version__,
         "path": cfg.path,
         "seed": cfg.seed,
+        "environment": run_environment(),
         "config": asdict(cfg),
         "invariants": {},
         "summary": {},
@@ -1234,6 +1287,7 @@ def run_sweep(cfg: RunConfig, axis, values) -> dict:
         "axis": axis,
         "values": [float(v) for v in values],
         "version": __version__,
+        "environment": run_environment(),
         "runs": outcomes,
     }
     if base_dir is not None:
@@ -1255,7 +1309,7 @@ __all__ = [
     "car_defect", "propagator_law_defects", "random_density",
     "klein_minimum", "two_route_entropy_rate_defect", "first_law_residual",
     "charge_drift", "entropy_gap", "path_deviation", "smallness_homogeneity_defect",
-    "manifest_passed", "write_outputs", "V_MAX", "WINDOW_FRACTION",
+    "manifest_passed", "write_outputs", "run_environment", "V_MAX", "WINDOW_FRACTION",
     "PROCESS1_DECAY_BOUND", "PROCESS1_SDOT_BOUND", "PROCESS2_CYCLE_BOUND",
     "PROCESS2_SPEARMAN_BOUND",
 ]

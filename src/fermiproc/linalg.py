@@ -1,6 +1,11 @@
 """Shared dense linear-algebra helpers: norms, Hermiticity policy, unitary
-exponentials. Block structure in Fock space is the charge sectors, held by
+exponentials, and `sector_map`, which spreads independent per-block work
+over the CPUs. Block structure in Fock space is the charge sectors, held by
 `lattice.FockBasis`."""
+
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -90,3 +95,79 @@ def expm_unitary(h, dt):
 def unitarity_defect(u):
     """||U^dagger U - 1||_max."""
     return max_abs(u.conj().T @ u - np.eye(u.shape[0]))
+
+
+# -- per-sector work on every CPU ------------------------------------------------
+
+_pool = None  # `sector_map`'s helper threads, started at its first parallel call
+_pool_lock = threading.Lock()
+
+
+def _forget_pool():
+    # a forked child has none of its parent's threads, and its copy of the
+    # lock may have been taken by one of them
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def sector_workers():
+    """The number of CPUs this process may run on: `sector_map`'s bins."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _dimension(x):
+    """The dimension of an array's last axis, or of a sequence's first item."""
+    return x.shape[-1] if hasattr(x, "shape") else _dimension(x[0])
+
+
+def sector_map(fn, *seqs):
+    """[fn(*a) for a in zip(*seqs)], in input order, the calls spread over
+    the CPUs.
+
+    The calls go into one bin per CPU (`sector_workers`), balanced greedily
+    by the cube of each first argument's dimension, an `eigh`'s or a
+    product's cost. The calling thread runs the first bin and a module-level
+    thread pool the others; LAPACK and BLAS release the GIL, so the sectors
+    of the exact path run on every core. With one CPU or one call it runs
+    serially. Each call is computed as in a serial run, so the results are
+    identical bit for bit; a caller that reduces them keeps input order.
+    `fn` must not call `sector_map` itself (the pool would wait on itself).
+    An exception from any call is raised here, after every bin has ended.
+    """
+    calls = list(zip(*seqs))
+    cpus = sector_workers()
+    workers = min(cpus, len(calls))
+    if workers <= 1:
+        return [fn(*a) for a in calls]
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=cpus - 1,
+                                       thread_name_prefix="fermiproc-sector")
+    bins, loads = [[] for _ in range(workers)], [0] * workers
+    costs = [_dimension(a[0]) ** 3 for a in calls]
+    for i in sorted(range(len(calls)), key=costs.__getitem__, reverse=True):
+        lightest = loads.index(min(loads))
+        bins[lightest].append(i)
+        loads[lightest] += costs[i]
+    out = [None] * len(calls)
+
+    def run(indices):
+        for i in indices:
+            out[i] = fn(*calls[i])
+
+    futures = [_pool.submit(run, b) for b in bins[1:]]
+    try:
+        run(bins[0])
+    finally:
+        wait(futures)
+    for f in futures:
+        f.result()
+    return out

@@ -25,8 +25,9 @@ over [a, b]), `compose` (joining a refined interval's accepted pieces) and
 - `DenseSteps`: dense unitaries of H(t) given as a tuple of Hermitian
   diagonal blocks, one unitary per block, compared entrywise (max-modulus
   norm, the largest over blocks, which is that of the block-diagonal
-  matrix). The exact path steps its charge sectors; `propagate` and
-  `propagate_grid` are the one-block case of a whole matrix.
+  matrix). The exact path steps its charge sectors, the blocks of all
+  steps of a pair test in one `linalg.sector_map`, so on every CPU;
+  `propagate` and `propagate_grid` are the one-block case of a whole matrix.
 - `InteractionSteps`: the one-body fast path in the interaction picture of
   h0 = phi diag(eps) phi^T, in h0's eigenbasis. A drive on the sites R is
   Y(t) C(t) Y(t)^dagger there, with Y(t) = diag(e^{i eps t}) phi_R^T, so a
@@ -69,7 +70,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .linalg import expm_unitary, max_abs, spectral_norm
+from .linalg import expm_unitary, max_abs, sector_map, spectral_norm
 
 DEFAULT_TOL = 1e-8  # local error budget per unit time
 #: absolute acceptance floor: Richardson differences at roundoff scale stop
@@ -161,14 +162,26 @@ def _check_finite(samples, a, b):
 
 class DenseSteps(NamedTuple):
     """Dense CFM4 unitaries of the Hamiltonian `h_at(t)`, a tuple of Hermitian
-    diagonal blocks; a unitary is the tuple of its blocks."""
+    diagonal blocks; a unitary is the tuple of its blocks. The blocks of all
+    steps taken together (the two or three of a pair test) are one
+    `sector_map`, so the charge sectors of the exact path run on every CPU."""
 
     h_at: Callable
 
+    def steps(self, *intervals):
+        """One CFM4 step over each interval (a, b): the Hamiltonian is sampled
+        and checked on every interval before any exponential is formed."""
+        samples = [[self.h_at(a + c * (b - a)) for c in GAUSS_NODES] for a, b in intervals]
+        for (a, b), hs in zip(intervals, samples):
+            _check_finite([h for blocks in hs for h in blocks], a, b)
+        tasks = [(blocks, b - a) for (a, b), hs in zip(intervals, samples)
+                 for blocks in zip(*hs)]
+        units = sector_map(cfm4, *zip(*tasks))
+        n = len(units) // len(intervals)
+        return [tuple(units[i:i + n]) for i in range(0, len(units), n)]
+
     def step(self, a, b):
-        samples = [self.h_at(a + c * (b - a)) for c in GAUSS_NODES]
-        _check_finite([h for blocks in samples for h in blocks], a, b)
-        return tuple(cfm4(blocks, b - a) for blocks in zip(*samples))
+        return self.steps((a, b))[0]
 
     def compose(self, right, left):
         return tuple(r @ l for r, l in zip(right, left))
@@ -176,11 +189,12 @@ class DenseSteps(NamedTuple):
     def pair_test(self, a, m, b, whole=None):
         """Steps over [a, m] and [m, b], their products over [a, m] and
         [a, b], and the max-modulus difference of the latter from one step
-        over [a, b] (`whole`, when the caller has it; otherwise taken last),
-        the largest over blocks."""
-        left, right = self.step(a, m), self.step(m, b)
+        over [a, b] (`whole`, when the caller has it; otherwise taken with
+        the other two), the largest over blocks."""
         if whole is None:
-            whole = self.step(a, b)
+            left, right, whole = self.steps((a, m), (m, b), (a, b))
+        else:
+            left, right = self.steps((a, m), (m, b))
         fine = self.compose(right, left)
         return left, right, (left, fine), max(max_abs(x - y) for x, y in zip(fine, whole))
 
@@ -266,10 +280,12 @@ class Block(NamedTuple):
     ks: tuple = ()
 
 
-#: grid-pair geometries whose joint frame basis `InteractionSteps` keeps: the
-#: reference configs take 12 to 31 (the 10^4 steps of `process1_L512.yaml`,
-#: met in time order, so each is built once), the benchmark grids 1 to 5
-BASIS_CACHE_SIZE = 32
+#: grid-pair geometries whose joint frame basis (L x 36 complex entries for
+#: |R| = 4) `InteractionSteps` keeps, dropping the oldest: the benchmark grids
+#: meet 1 to 5; the 10^4-step grids of `process1_L512.yaml` and of the L = 2048
+#: run meet 31, in time order, and build 32 bases through 8 slots, about
+#: 9 MB at L = 2048 where 32 slots held 37 MB
+BASIS_CACHE_SIZE = 8
 
 #: CFM4's two exponents as combinations of the samples at the Gauss nodes:
 #: B0/2 + 2 B1 (the factor acting last) and B0/2 - 2 B1 (`cfm4`)

@@ -205,6 +205,9 @@ class ScalarDriveReferenceCache:
         G = G(0) + tr C / 2 - sum_p (2 r_p / beta) ln|det(I - G0(w_p) C)|,
     G(0) from eps. The pole count follows from beta times a bound on
     |spec h(lambda) - mu| for |lambda_j| <= lam_bound_j; a call beyond it raises.
+    A call takes one control vector or a stack of them, such as every grid
+    time's, as stacked `solve` and `slogdet` calls: each lambda's scalars
+    are those of its own call, bit for bit.
     """
 
     def __init__(self, eps, phi_r, blocks, params, lam_bound):
@@ -220,18 +223,24 @@ class ScalarDriveReferenceCache:
         self.g_zero = beta_g / params.beta
 
     def __call__(self, lam):
+        """The ReferenceScalars at the controls `lam`, of shape (k,) or
+        (n, k); for a stack, G has shape (n,) and the gradient (n, k)."""
         lam = np.asarray(lam, dtype=float)
-        if np.any(np.abs(lam) > self.lam_bound):
-            raise ValueError(f"controls {lam} leave the bound {self.lam_bound} "
-                             "the Fermi poles were sized for")
-        c = np.tensordot(lam, self.blocks, axes=1)
-        m = np.eye(len(c)) - self.g0 @ c
+        beyond = np.any(np.abs(lam) > self.lam_bound, axis=-1)
+        if np.any(beyond):
+            raise ValueError(f"controls {lam[beyond] if lam.ndim > 1 else lam} leave the "
+                             f"bound {self.lam_bound} the Fermi poles were sized for")
+        c = np.tensordot(lam, self.blocks, axes=1)[..., None, :, :]  # one per pole
+        m = np.eye(c.shape[-1]) - self.g0 @ c
         resolvent = np.linalg.solve(m, self.g0)  # [(w_p - h)^-1]_RR
         grads = (np.real(np.einsum("jaa->j", self.blocks)) / 2
-                 + np.real(np.einsum("jab,pba->jp", self.blocks, resolvent)) @ self.weights)
-        g = (self.g_zero + np.real(np.trace(c)) / 2
-             - self.weights @ np.linalg.slogdet(m)[1])
-        return ReferenceScalars(float(g), grads)
+                 + np.real(np.einsum("jab,...pba->...jp", self.blocks, resolvent))
+                 @ self.weights)
+        # the pole sum as one dot per lambda, as a single call takes it
+        log_dets = np.linalg.slogdet(m)[1][..., None]
+        g = (self.g_zero + np.real(np.trace(c[..., 0, :, :], axis1=-2, axis2=-1)) / 2
+             - (self.weights @ log_dets)[..., 0])
+        return ReferenceScalars(g if lam.ndim > 1 else float(g), grads)
 
 
 def quadratic_entropy_ledger(t, free_energy, q, gamma_rr, blocks, lam, lam_dot, params,

@@ -5,7 +5,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import ensure_hermitian, symmetrize
+from .linalg import ensure_hermitian, sector_map, symmetrize
 
 #: eigenvalues below this contribute zero to entropy sums (x ln x -> 0)
 EIG_FLOOR = 1e-14
@@ -75,21 +75,28 @@ def _boltzmann_weights(spectra, beta):
     return [z / xi_shifted for z in zs], float(beta * w_ground - np.log(xi_shifted))
 
 
+def _weighted(v, p):
+    """V diag(p) V^dagger, made exactly Hermitian."""
+    return symmetrize((v * p) @ v.conj().T)
+
+
 def sector_gibbs_state(h_sectors, params):
     """`gibbs_state` of a charge-conserving H given by its charge-sector
     blocks: `h_sectors[n]` is H on the n-particle sector, where N = n.
 
     Each block is diagonalized once and its spectrum shifted by -mu*n; the
-    weights use `gibbs_state`'s log-sum-exp. `rho` is the tuple of the
-    state's sector blocks, of each H block's dtype: a real symmetric block
-    (every reference drive's H(t), from `FockBasis.sectors`) takes a real
-    `eigh`, about a quarter of a complex Hermitian one's flops, and gives a
-    real rho block.
+    weights use `gibbs_state`'s log-sum-exp, summed over the sectors in
+    order. The `eigh`s, and then the rho blocks, are each one `sector_map`
+    over the sectors, so they run on every CPU with the serial result bit for
+    bit. `rho` is the tuple of the state's sector blocks, of each H block's
+    dtype: a real symmetric block (every reference drive's H(t), from
+    `FockBasis.sectors`) takes a real `eigh`, about a quarter of a complex
+    Hermitian one's flops, and gives a real rho block.
     """
-    eigs = [np.linalg.eigh(h) for h in h_sectors]
+    spectra, vectors = zip(*sector_map(np.linalg.eigh, h_sectors))
     weights, beta_g = _boltzmann_weights(
-        [w - params.mu * n for n, (w, _) in enumerate(eigs)], params.beta)
-    rho = tuple(symmetrize((v * p) @ v.conj().T) for (_, v), p in zip(eigs, weights))
+        [w - params.mu * n for n, w in enumerate(spectra)], params.beta)
+    rho = tuple(sector_map(_weighted, vectors, weights))
     return GibbsResult(rho, beta_g / params.beta, beta_g,
                        float(min(p.min() for p in weights)))
 

@@ -16,7 +16,7 @@ from fermiproc.linalg import max_abs
 from fermiproc.observables import expectation
 from fermiproc.propagator import TimeDependentHamiltonian, propagate
 from fermiproc.harness import ConfigError
-from fermiproc import quadratic
+from fermiproc import harness, quadratic
 from fermiproc.quadratic import (ScalarDriveReferenceCache, binary_entropy,
                                  correlation_entropy, gibbs_correlation, pauli_defect,
                                  quadratic_observable, reference_scalars)
@@ -327,3 +327,38 @@ def test_gibbs_probes_read_the_probe_support(hop):
         gamma = gibbs_correlation(one_body_laplacian(spec) + lam * v, params)
         expected = [quadratic_observable(gamma, w) for w in ops]
         assert np.max(np.abs(traj.gibbs_probes([lam]) - expected)) <= 1e-12
+
+
+def test_reference_cache_stacks_controls():
+    # a stack of control vectors gives each one's scalars as its own call
+    # does; the fast path takes its rows' scalars in stacked chunks
+    h0 = one_body_laplacian(LatticeSpec(30))
+    eps, phi = np.linalg.eigh(h0)
+    for kind in ("complex", "two_controls", "none"):
+        rows, blocks = _reference_drive(30, kind)
+        lams = np.random.default_rng(3).uniform(-1.0, 1.0, size=(17, len(blocks)))
+        cache = ScalarDriveReferenceCache(eps, phi[rows], blocks, GibbsParams(2.0, 0.1),
+                                          np.ones(len(blocks)))
+        stacked = cache(lams)
+        assert stacked.grand_potential.shape == (17,)
+        assert stacked.gradient.shape == (17, len(blocks))
+        for lam, g, grad in zip(lams, stacked.grand_potential, stacked.gradient):
+            one = cache(lam)
+            assert isinstance(one.grand_potential, float)
+            assert abs(one.grand_potential - g) <= 1e-14 * max(1.0, abs(g))
+            assert np.max(np.abs(one.gradient - grad), initial=0.0) <= 1e-14
+        if blocks:
+            with pytest.raises(ValueError, match="bound"):
+                cache(np.vstack([lams, np.full((1, len(blocks)), 2.0)]))
+
+
+def test_reference_chunks_leave_the_rows_unchanged(monkeypatch):
+    # chunk boundaries inside the grid give the rows of one stacked call
+    spec = LatticeSpec(12, local_region=(5, 6))
+    pert = Perturbation([KernelSpec(1, (5, 6), [[0.6, 0.3], [0.3, -0.5]])], spec)
+    protocol = switch_on_protocol(pert, 0.0, 0.3, 0.5)
+    args = (spec, GibbsParams(1.0, 0.1), protocol, time_grid(0.0, 1.0, 0.05), 1e-8)
+    whole = quadratic_trajectory(*args)
+    monkeypatch.setattr(harness, "REFERENCE_CHUNK", 4)
+    chunked = quadratic_trajectory(*args)
+    assert [r.csv_row() for r in chunked.records] == [r.csv_row() for r in whole.records]
