@@ -41,6 +41,7 @@ import platform
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
+from functools import cache
 from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, Optional
@@ -65,7 +66,7 @@ from .propagator import (Block, DenseSteps, LowRankUnitary, TimeDependentHamilto
                          dyson_propagator, heisenberg_evolve, interaction_to_schrodinger,
                          propagate, propagate_grid, step_grid)
 from .quadratic import (ReferenceScalars, ScalarDriveReferenceCache, binary_entropy,
-                        diagonal_state, expit, interaction_picture, pauli_excess,
+                        diagonal_state, eigenbasis, expit, interaction_picture, pauli_excess,
                         quadratic_entropy_ledger, rank_update)
 # not called here; perfbench/tracing.py wraps these harness attributes by name
 from .quadratic import (correlation_entropy, gibbs_correlation,  # noqa: F401
@@ -361,8 +362,11 @@ class IntegratorReport:
     refined_intervals: int = 0  # intervals that failed the CFM4 pair test
     min_step: Optional[float] = None  # narrowest accepted step
     reused_intervals: int = 0  # intervals moved from one drive period earlier
-    # the widest joint basis P of a Block (one-body path; None on the exact path)
+    windows: int = 0  # Blocks of grid pairs: one pair each on the exact path
+    # one-body path (None on the exact path): the widest update of G, the
+    # rank of a window's product, and the width d of the run's frame basis
     max_block_rank: Optional[int] = None
+    window_basis_width: Optional[int] = None
 
     def add(self, step):
         self.est_error += step.est_error
@@ -377,7 +381,7 @@ class Trajectory:
     records: list
     probe_series: np.ndarray  # (n_times, n_probes)
     times: np.ndarray
-    final_state: np.ndarray
+    final: Callable  # () -> the final state, formed on its first read (`final_state`)
     entropy_drift: float  # |S_vN(final) - S_vN(initial)|, spectrum-preservation check
     integrator: IntegratorReport = field(default_factory=IntegratorReport)
     # one-body path: how far the final Gamma's spectrum escapes [0, 1]
@@ -386,22 +390,27 @@ class Trajectory:
     gibbs_probes: Optional[Callable] = None
     drive_norms: tuple = ()  # ||dW/dlambda_j|| per drive component
 
+    @property
+    def final_state(self):
+        """rho on the exact path, Gamma on the one-body path."""
+        return self.final()
+
 
 class _Representation(NamedTuple):
     """What a state representation supplies to the trajectory loop, which
-    hands `advance` one grid pair's Block at a time: the one-body path reads
-    G once per block (one `zhemm`) and writes it once (one `zher2k`); the
-    exact path applies the block's sector steps one by one."""
+    hands `advance` one window's Block at a time: the one-body path reads
+    G once per window (one `zhemm`) and writes it once (one `zher2k`); the
+    exact path applies its one grid pair's sector steps one by one."""
 
     state: np.ndarray  # initial state: rho (Fock) or G (one-body, see quadratic_trajectory)
     s_start: float  # von Neumann entropy of the initial state
-    blocks: Iterator  # `step_grid`'s Blocks, one per grid pair, in grid order
+    blocks: Iterator  # `step_grid`'s Blocks, one per window of grid pairs, in grid order
     # (state, Block) -> (the state at the block's last time, exactly Hermitian,
     # and per block time its (ProcessRecord, probe values)); the loop fills
     # `work`. The empty Block of the grid's first time reads row 0.
     advance: Callable
-    # (state, t) -> (the reported final state, its von Neumann entropy, its
-    # Pauli defect or None where the representation has none)
+    # (state, t) -> (a memoized () -> the reported final state, its von
+    # Neumann entropy, its Pauli defect or None where the representation has none)
     final: Callable
     gibbs_probes: Callable  # lambda -> probe values in the Gibbs state of H(lambda)
     drive_norms: tuple  # spectral norm of each V_j = dW/dlambda_j
@@ -421,17 +430,19 @@ def _trajectory(rep, params, times):
     for block in chain([Block((times[0],))], rep.blocks):
         for step in block.propagators:
             report.add(step)
-        if block.basis is not None:
-            report.max_block_rank = max(report.max_block_rank or 0, block.basis.shape[1])
+        report.windows += bool(block.propagators)
+        if block.update is not None:
+            report.max_block_rank = max(report.max_block_rank or 0, len(block.update.k))
+            report.window_basis_width = len(block.update.q)
         state, rows = rep.advance(state, block)
         for rec, probes in rows:
             records.append(rec)
             probe_rows.append(probes)
-    block = step = None  # the last block's basis would live on through `final`
+    block = step = None  # the last block's frame basis would live on through `final`
     for rec, work in zip(records, work_accumulate(records, params)):
         rec.work = work
-    final_state, s_final, pauli = rep.final(state, times[-1])
-    return Trajectory(records, np.array(probe_rows), np.asarray(times), final_state,
+    final, s_final, pauli = rep.final(state, times[-1])
+    return Trajectory(records, np.array(probe_rows), np.asarray(times), final,
                       abs(s_final - rep.s_start), report, pauli, rep.gibbs_probes,
                       rep.drive_norms)
 
@@ -547,7 +558,8 @@ def exact_trajectory(spec, params, protocol, times, tol, probe_ops=None):
 
     rep = _Representation(rho0, s_start, step_grid(DenseSteps(h_at), times, tol),
                           _one_at_a_time(update, observe),
-                          lambda rho, t: (basis.assemble(rho), entropy(rho), None),
+                          lambda rho, t: (cache(lambda: basis.assemble(rho)), entropy(rho),
+                                          None),
                           gibbs_probes, tuple(max(map(spectral_norm, v)) for v in vs))
     return _trajectory(rep, params, times)
 
@@ -559,36 +571,46 @@ def quadratic_trajectory(spec, params, protocol, times, tol, probe_ops=None):
     picture of h0, kept as the lower triangle of one Fortran-ordered
     complex128 array; the Gibbs start is diag(f(eps)), built in that array,
     and its entropy is sum_k -f_k ln f_k - (1 - f_k) ln(1 - f_k) in closed
-    form. The state advances one grid pair at a time (`advance`): CFM4
-    `step_grid` yields the pair's joint basis P (rank at most 6|R|) and each
-    interval's cumulative K on P's leading columns; one `zhemm`,
-    G [P, Y_S(t_mid), Y_S(t_end)], gives both rows, and one `zher2k`
-    (`rank_update`) writes the update in place at the last K's rank (8
-    where P has 16 columns for the reference drives). Under a periodic drive
-    `step_grid` gets the drive's (t0, T), and each grid pair one period after
-    an earlier one reuses that pair's Block, its basis rotated by
-    diag(e^{i eps T}), with no step taken. The ledger and the probes read
-    Gamma on S = R + the probe sites only, Y_S(t) = diag(e^{i eps t}) phi_S^T.
+    form. The state advances one window of grid pairs at a time (`advance`):
+    CFM4 `step_grid` yields each interval's factor and the window's product
+    in the coordinates of the window's frame basis B_a = diag(e^{i eps a}) B
+    (L x d, one B per run); one `zhemm`, G B_a, gives every row of the window
+    from d x d and d x |S| coordinates, at O(d^2 (r + |S|)) per row for
+    factors of rank r, and one `zher2k` (`rank_update`) writes the update in
+    place at the rank of the window's product (16 pairs, d = 22 and rank 14
+    on `process1_L512.yaml`). Under a periodic drive `step_grid` gets the
+    drive's (t0, T), and each window one period after an earlier one reuses
+    that window's Block, its origin moved by T, with no step taken. The
+    ledger and the probes read Gamma on S = R + the probe sites only,
+    Y_S(t) = diag(e^{i eps t}) phi_S^T.
     One `ScalarDriveReferenceCache`, sized for the run's largest |lambda_j|,
     gives every row's reference scalars from |R| x |R| resolvents, in
     stacked calls over up to REFERENCE_CHUNK grid times each. At the end one
     `eigvalsh` of G (whose spectrum is Gamma's) gives both the final entropy
-    and the Pauli defect;
-    `final_state` is Gamma, from one basis change written over G and
-    completed to an exactly Hermitian matrix. The Gibbs probe values read
-    the probes on S x S, as the rows do, from Gamma_SS = conj(phi_S f
-    phi_S^dagger) of one `eigh` of h0 + sum_j lambda_j V_j (the reference of
-    `gibbs_correlation` with `quadratic_observable`), and ||V_j|| is the norm
-    of its R x R block.
+    and the Pauli defect. `final_state` is Gamma, formed on its first read
+    by one basis change written over G and completed to an exactly
+    Hermitian matrix; a run that does not read it skips that L^3 work. The
+    Gibbs probe values read the probes on S x S, as the rows do, from
+    Gamma_SS = conj(phi_S f phi_S^dagger) of one `eigh` of
+    h0 + sum_j lambda_j V_j (the reference of `gibbs_correlation` with
+    `quadratic_observable`), and ||V_j|| is the norm of its R x R block.
     """
     if protocol is not None and not protocol.is_quadratic:
         raise ConfigError("quadratic path requires a quadratic (degree-1) drive")
     h0 = one_body_laplacian(spec)
-    steps, blocks = interaction_picture(h0, protocol)
-    eps, phi = steps.eps, steps.phi
+
+    # S = R + the probe sites, and each probe's entries on S x S, where all
+    # its nonzero entries lie: a row reads every probe by one product
+    def support(w):
+        nonzero = np.asarray(w) != 0
+        return np.flatnonzero(nonzero.any(0) | nonzero.any(1))
+
+    steps, blocks = interaction_picture(
+        h0, protocol, np.concatenate([support(w) for w in probe_ops or []] + [[]]))
+    eps, sites = steps.eps, steps.sites
     lams = np.reshape([protocol.controls(t) if protocol else () for t in times],
                       (len(times), len(blocks)))
-    reference = ScalarDriveReferenceCache(eps, phi[steps.rows], blocks, params,
+    reference = ScalarDriveReferenceCache(eps, steps.phi[steps.rows], blocks, params,
                                           np.max(np.abs(lams), axis=0))
 
     def reference_rows():
@@ -601,15 +623,7 @@ def quadratic_trajectory(spec, params, protocol, times, tol, probe_ops=None):
                                       scalars.gradient))
 
     references = reference_rows()
-
-    # S = R + the probe sites, and each probe's entries on S x S, where all
-    # its nonzero entries lie: a row reads every probe by one product
-    def support(w):
-        nonzero = np.asarray(w) != 0
-        return np.flatnonzero(nonzero.any(0) | nonzero.any(1))
-
-    sites = np.unique(np.concatenate([steps.rows] + [support(w) for w in probe_ops or []]))
-    on_rows = np.ix_(np.searchsorted(sites, steps.rows), np.searchsorted(sites, steps.rows))
+    on_rows = np.ix_(steps.on_rows, steps.on_rows)
     on_drive = np.ix_(steps.rows, steps.rows)
     probe_rows = np.array([np.asarray(w)[np.ix_(sites, sites)].ravel() for w in probe_ops or []])
     probe_rows = probe_rows.reshape(len(probe_rows), sites.size ** 2)
@@ -627,53 +641,50 @@ def quadratic_trajectory(spec, params, protocol, times, tol, probe_ops=None):
         # a copy: np.real's view would keep each row's complex product alive
         return rec, (probe_rows @ gamma.ravel()).real.copy()
 
-    # the empty block reads row 0 through the same formula: rank 0, M 0 x 0
-    unmoved = (np.zeros((eps.size, 0), dtype=complex), (np.zeros((0, 0), dtype=complex),))
+    def scalars(g):
+        g_diag = np.real(np.diagonal(g))
+        return float(eps @ g_diag), float(np.sum(g_diag))
 
     def advance(g, block):
-        # one zhemm, X = G F for F = [P, Y_S(t_1), ...], serves every row and
-        # the update: W = G P = X[:, :rank], and F^dagger X holds C = P^dagger W,
-        # each P^dagger G Y_S and Y_S^dagger G Y_S, all from G at the block's start
-        p, ks = (block.basis, block.ks) if block.ks else unmoved
-        rank, width = p.shape[1], sites.size
-        frames = np.hstack([p] + [steps.frame(t, sites) for t in block.times])
-        x = zhemm(1.0, g, frames, lower=1)
-        fh = frames.conj().T
-        fx, py = fh @ x, fh[:rank] @ frames[:, rank:]
-        w, c = x[:, :rank], fx[:rank, :rank]
-        if len(ks) > 1:
-            # mid rows' sum_k eps_k G_kk and tr G: with G' = U G U^dagger,
-            # tr(E G') = tr(E G) + 2 Re tr(M W^dagger E P) + tr(M C M^dagger P^dagger E P)
-            # for E = diag(eps), and P^dagger P = I for E = I
-            g_diag = np.real(np.diagonal(g))
-            scalars = (float(eps @ g_diag), float(np.sum(g_diag)))
-            pe = fh[:rank] * eps
-            wep, pep = (pe @ w).conj(), (pe @ p).T  # transposed, for tr(A B) = sum(A * B^T)
-        rows = []
-        for i, (t, m) in enumerate(zip(block.times, ks)):
-            # U = I + P_n M P_n^dagger on the basis' first n columns
-            n = len(m)
-            on = slice(rank + i * width, rank + (i + 1) * width)
-            # Gamma_SS after U, with a = P_n^dagger Y and b = P_n^dagger G Y:
-            # conj(Y^dagger G Y + a^dagger M b + (a^dagger M b)^dagger + a^dagger M C M^dagger a)
-            z = m.conj().T @ py[:n, i * width:(i + 1) * width]
-            amb = z.conj().T @ fx[:n, on]
-            gamma = (fx[on, on] + amb + amb.conj().T + z.conj().T @ c[:n, :n] @ z).conj()
-            if i + 1 < len(ks):
-                mcm = m @ c[:n, :n] @ m.conj().T
-                energy = scalars[0] + float(np.real(2 * np.sum(m * wep[:n, :n])
-                                                    + np.sum(mcm * pep[:n, :n])))
-                charge = scalars[1] + float(np.real(2 * np.sum(m * c[:n, :n].T)
-                                                    + np.trace(mcm)))
-            else:
-                # the last row's scalars from the updated diagonal, so no
-                # error accumulates across blocks; the update has the last
-                # K's rank n
-                if n:
-                    g = rank_update(g, LowRankUnitary(p[:, :n], m), w[:, :n])
-                g_diag = np.real(np.diagonal(g))
-                energy, charge = float(eps @ g_diag), float(np.sum(g_diag))
-            rows.append(row(t, energy, charge, gamma))
+        if not block.propagators:
+            # row 0: Gamma_SS = conj(Y_S^dagger G Y_S) at the grid's first time
+            y = steps.frame(block.times[0], sites)
+            gamma = (y.conj().T @ zhemm(1.0, g, y, lower=1)).conj()
+            return g, [row(block.times[0], *scalars(g), gamma)]
+        # one zhemm, X = G B_a, serves every row and the update. With
+        # H = B_a^dagger G B_a and U(t_i, a) = I + B_a D_i B_a^dagger,
+        # B_a^dagger U G U^dagger B_a = H_i = (I + D_i) H (I + D_i)^dagger; both
+        # are taken interval by interval from each step's factor (q, k) at
+        # O(d^2 r); Gamma_SS = conj(c^dagger H_i c) for the frame's
+        # coordinates c; tr G_i = tr G + tr(H_i - H); and, with
+        # A = (X - B_a H)^dagger diag(eps) B_a and E_B = B^dagger diag(eps) B,
+        # sum_k eps_k (G_i)_kk = sum_k eps_k G_kk + tr(E_B (H_i - H))
+        # + 2 Re tr(D_i A): O(d^2 (r + |S|)) per row, nothing of size d^3
+        basis, e_b = block.frame.vectors, block.frame.basis.energy
+        x = zhemm(1.0, g, basis, lower=1)
+        h = basis.conj().T @ x
+        a = x.conj().T @ (eps[:, None] * basis) - h @ e_b
+        energy0, charge0 = scalars(g)
+        coords = block.frame.coordinates(block.times)
+        h_i, d_i, rows = h, np.zeros_like(h), []
+        for i, (t, step, c) in enumerate(zip(block.times, block.propagators, coords)):
+            q, k = step.matrix
+            qh = q.conj().T
+            d_i = d_i + q @ (k @ (qh + qh @ d_i))
+            u_h = h_i + q @ (k @ (qh @ h_i))
+            h_i = u_h + (u_h @ q) @ k.conj().T @ qh
+            gamma = (c.conj().T @ h_i @ c).conj()
+            if i + 1 < len(block.times):
+                dh = h_i - h
+                energy = energy0 + float(np.real(np.sum(e_b * dh.T)
+                                                 + 2 * np.sum(d_i * a.T)))
+                rows.append(row(t, energy, charge0 + float(np.real(np.trace(dh))), gamma))
+        # the last row's scalars from the updated diagonal, so no error
+        # accumulates across windows; the update has the window product's rank
+        v, k = block.update
+        if len(k):
+            g = rank_update(g, LowRankUnitary(basis @ v, k), x @ v)
+        rows.append(row(block.times[-1], *scalars(g), gamma))
         return g, rows
 
     def gibbs_probes(lam):
@@ -690,11 +701,18 @@ def quadratic_trajectory(spec, params, protocol, times, tol, probe_ops=None):
 
     def final(g, t):
         nu = np.linalg.eigvalsh(g, UPLO="L")
-        # Gamma = conj(V G V^dagger), V = phi diag(e^{-i eps t}), over G's memory
-        v = np.multiply(phi, np.exp(-1j * t * eps), order="F")
-        gamma = zgemm(1.0, zhemm(1.0, g, v, side=1, lower=1), v, trans_b=2, c=g,
-                      overwrite_c=1)
-        return fill_upper(np.conjugate(gamma, out=gamma)), binary_entropy(nu), pauli_excess(nu)
+
+        @cache
+        def gamma():
+            # Gamma = conj(V G V^dagger), V = phi diag(e^{-i eps t}), over G's
+            # memory; phi is taken again from h0, which the Gibbs probes keep,
+            # so an unread Gamma holds G and nothing more
+            eps, phi = eigenbasis(h0)
+            v = np.multiply(phi, np.exp(-1j * t * eps), order="F")
+            out = zgemm(1.0, zhemm(1.0, g, v, side=1, lower=1), v, trans_b=2, c=g,
+                        overwrite_c=1)
+            return fill_upper(np.conjugate(out, out=out))
+        return gamma, binary_entropy(nu), pauli_excess(nu)
 
     period = ((protocol.t0, protocol.period)
               if protocol is not None and protocol.kind == "periodic" else None)

@@ -18,50 +18,49 @@ difference between one step and two half steps falls below the tolerance per
 unit time; the fine solution's error is estimated as that difference / 15,
 split evenly over a grid pair. The halving is written once, over a step
 representation with `pair_test` (the steps over [a, m] and [m, b], their
-products over [a, m] and [a, b], and the Richardson difference from one step
-over [a, b]), `compose` (joining a refined interval's accepted pieces) and
-`block` (what `step_grid` yields for a grid pair):
+product over [a, b], and the Richardson difference from one step over
+[a, b]), `compose` (joining a refined interval's accepted pieces), `windows`
+(how `step_grid` groups the grid pairs) and `block` (what it yields for a
+window):
 
 - `DenseSteps`: dense unitaries of H(t) given as a tuple of Hermitian
   diagonal blocks, one unitary per block, compared entrywise (max-modulus
   norm, the largest over blocks, which is that of the block-diagonal
-  matrix). The exact path steps its charge sectors, the blocks of all
-  steps of a pair test in one `linalg.sector_map`, so on every CPU;
-  `propagate` and `propagate_grid` are the one-block case of a whole matrix.
+  matrix), one grid pair per window. The exact path steps its charge
+  sectors, the blocks of all steps of a pair test in one
+  `linalg.sector_map`, so on every CPU; `propagate` and `propagate_grid` are
+  the one-block case of a whole matrix.
 - `InteractionSteps`: the one-body fast path in the interaction picture of
   h0 = phi diag(eps) phi^T, in h0's eigenbasis. A drive on the sites R is
   Y(t) C(t) Y(t)^dagger there, with Y(t) = diag(e^{i eps t}) phi_R^T, so a
   CFM4 step is the `LowRankUnitary` I + Q K Q^dagger, Q an orthonormal basis
-  of the L x 3|R| frames [Y(a + c_i dt)] and K from two 3|R| x 3|R|
-  exponentials: no L x L exponential. The pair test runs in coordinates:
-  since Y(a + s) = diag(e^{i eps a}) Y(s), the frames of all three steps of
-  a grid pair [a, a + h1, a + h1 + h2] are diag(e^{i eps a}) B times their
-  coordinates, with B the orthonormal basis of [Y(c_i h1),
-  Y(h1 + c_i h2), Y(c_i (h1 + h2))], kept for the last `BASIS_CACHE_SIZE`
-  pair geometries (h1, h2, b - a). The six exponentials are one stacked
-  `eigh`; I + K is unitary, so K is normal, and each step drops its
-  eigen-directions with |d| <= ROUNDOFF_FLOOR, inside the pair test's
-  absolute floor, leaving rank <= 3|R| (8 of 12 for the reference drives).
-  The three steps' joint span (one QR of at most 9|R| coordinates) gives
-  the Richardson difference, the spectral norm there, an upper bound of the
-  max-modulus; its first columns, turned so that the product over both
-  intervals has its eigen-directions first, give the grid pair's joint
-  basis P = diag(e^{i eps a}) B Z, the pair's only L-sized product. The last
-  product is kept on those first columns only, so a block's update has that
-  product's rank, not P's (8 of 16 for the reference drives). The product
-  of a refined interval's accepted pieces (`compose`, on L-vectors) is
-  compressed the same way, so its basis has the rank of its K, not the sum
-  of its pieces' ranks.
+  of the 3|R| frames [Y(a + c_i dt)] and K from two 3|R| x 3|R|
+  exponentials: no L x L exponential. Everything runs in coordinates on one
+  frame basis per run (`FrameBasis`): B (L x d) holds every frame Y_S(s),
+  s in [0, W], for S = R and the probe sites and W the widest window's
+  span, to about 1e-15, and since Y(a + s) = diag(e^{i eps a}) Y(s), a
+  window starting at a has the basis diag(e^{i eps a}) B (`FrameWindow`).
+  A frame's coordinates come from the Chebyshev series of e^{i eps s}
+  (O(d |S|) per term, nothing of size L). Each pair test is one QR per step
+  (d x 3|R|), the six exponentials as one stacked `eigh`, and one QR of the
+  three steps' joint span; I + K is unitary, so K is normal, and each
+  factor, as each refined interval's product (`compose`), drops its
+  eigen-directions with |d| <= ROUNDOFF_FLOOR, leaving rank <= 3|R| (8 of
+  12 for the reference drives). A window of up to WINDOW_PAIRS grid pairs
+  (`InteractionSteps.windows`) is one Block: each interval's factor in the
+  window's coordinates and the window's product compressed to its rank, so
+  the fast path reads G once and writes it once per window.
 
 Periodic reuse. Under a drive that is T-periodic from t0, the interaction
 picture gives U_I(s + T, t + T) = Phi U_I(s, t) Phi^dagger with
-Phi = diag(e^{i eps T}). `step_grid` given the drive's (t0, T) yields a grid
-pair one period after an earlier one as that pair's Block moved by
-`InteractionSteps.shift` (P becomes Phi P, the Ks stay), holding at most
-one period of Blocks for it. `DenseSteps` has no `shift`: the exact path is
-the oracle that `both` runs pin the reused fast path against, and one period
-of its sector unitaries would be large (2 x 32 x sum_n d_n^2 complex entries
-for a 64-interval period at L = 10, about 190 MB).
+Phi = diag(e^{i eps T}). Windows restart at each period, and `step_grid`
+given the drive's (t0, T) yields a window one period after an earlier one as
+that window's Block moved by `InteractionSteps.shift` (the window's origin
+moves by T, every coordinate stays), holding at most one period of Blocks
+for it. `DenseSteps` has no `shift`: the exact path is the oracle that
+`both` runs pin the reused fast path against, and one period of its sector
+unitaries would be large (2 x 32 x sum_n d_n^2 complex entries for a
+64-interval period at L = 10, about 190 MB).
 """
 
 from collections import deque
@@ -187,18 +186,22 @@ class DenseSteps(NamedTuple):
         return tuple(r @ l for r, l in zip(right, left))
 
     def pair_test(self, a, m, b, whole=None):
-        """Steps over [a, m] and [m, b], their products over [a, m] and
-        [a, b], and the max-modulus difference of the latter from one step
-        over [a, b] (`whole`, when the caller has it; otherwise taken with
-        the other two), the largest over blocks."""
+        """Steps over [a, m] and [m, b], their product over [a, b], and its
+        max-modulus difference from one step over [a, b] (`whole`, when the
+        caller has it; otherwise taken with the other two), the largest over
+        blocks."""
         if whole is None:
             left, right, whole = self.steps((a, m), (m, b), (a, b))
         else:
             left, right = self.steps((a, m), (m, b))
         fine = self.compose(right, left)
-        return left, right, (left, fine), max(max_abs(x - y) for x, y in zip(fine, whole))
+        return left, right, fine, max(max_abs(x - y) for x, y in zip(fine, whole))
 
-    def block(self, propagators, cumulative=None):
+    def windows(self, pairs, period=None):
+        """One grid pair per window, each stepped by these steps."""
+        return [(self, [pair]) for pair in pairs]
+
+    def block(self, propagators):
         return Block(tuple(p.t_end for p in propagators), tuple(propagators))
 
 
@@ -210,7 +213,8 @@ def _one_block(h):
 
 
 class LowRankUnitary(NamedTuple):
-    """U = I + Q K Q^dagger, with Q an L x r orthonormal basis and K r x r."""
+    """U = I + Q K Q^dagger, with Q an orthonormal basis (L x r, or d x r in
+    the coordinates of a FrameWindow) and K r x r."""
 
     q: np.ndarray
     k: np.ndarray
@@ -254,38 +258,54 @@ def _cumulative(p, ks):
     return LowRankUnitary(p, kl), LowRankUnitary(p, kl + kr + kr @ kl)
 
 
-def _last_first(p, ks):
-    """The basis P turned by the eigenvectors of the last K on it, those
-    above ROUNDOFF_FLOOR first (`_eigen_order`), and the Ks on the turned
-    basis, the last one on its leading columns only: a block's update has
-    the rank of its last K, not of its basis."""
-    v, form, keep = _eigen_order(ks[-1])
-    order = np.argsort(~keep, kind="stable")
-    kept = order[:np.count_nonzero(keep)]
-    v = v[:, order]
-    return p @ v, tuple(v.conj().T @ k @ v for k in ks[:-1]) + (form[np.ix_(kept, kept)],)
+def _product(propagators, d):
+    """The product of the propagators' factors (q, k), in order, as one
+    LowRankUnitary on the d coordinates: D_i = D_{i-1} + q k q^dagger (I + D_{i-1})
+    at O(d^2 r) per factor, the last D compressed to its eigen-directions
+    above ROUNDOFF_FLOOR (`_eigen_order`)."""
+    total = np.zeros((d, d), dtype=complex)
+    for p in propagators:
+        q, k = p.matrix
+        qh = q.conj().T
+        total = total + q @ (k @ (qh + qh @ total))
+    v, form, keep = _eigen_order(total)
+    return LowRankUnitary(v[:, keep], form[np.ix_(keep, keep)])
 
 
 class Block(NamedTuple):
-    """One grid pair of `step_grid`: the grid times its intervals end at
-    (their rows; the grid's first time for the empty block that reads row 0),
-    the one or two per-interval Propagators, and, from `InteractionSteps`, the
-    pair's joint orthonormal basis P with each interval's cumulative K on its
-    leading columns, U(times[i], start) = I + P_i ks[i] P_i^dagger with
-    P_i = P[:, :len(ks[i])]; the last K is compressed to its rank."""
+    """One window of `step_grid`: consecutive grid pairs, one pair from
+    `DenseSteps`. `times` are the grid times its intervals end at (their
+    rows; the grid's first time for the empty block that reads row 0) and
+    `propagators` the per-interval Propagators. From `InteractionSteps`,
+    both are in the coordinates of the window's frame basis
+    B_a = diag(e^{i eps a}) B (L x d), `frame` the FrameWindow of a: a
+    Propagator's matrix (q, k) is I + B_a q k q^dagger B_a^dagger, and
+    `update` (V, K), V d x r, is the window's product U(times[-1], a),
+    compressed to its rank r (`_product`): the window's one update of G."""
 
     times: tuple
     propagators: tuple = ()
-    basis: Optional[np.ndarray] = None
-    ks: tuple = ()
+    frame: Optional["FrameWindow"] = None
+    update: Optional[LowRankUnitary] = None
 
 
-#: grid-pair geometries whose joint frame basis (L x 36 complex entries for
-#: |R| = 4) `InteractionSteps` keeps, dropping the oldest: the benchmark grids
-#: meet 1 to 5; the 10^4-step grids of `process1_L512.yaml` and of the L = 2048
-#: run meet 31, in time order, and build 32 bases through 8 slots, about
-#: 9 MB at L = 2048 where 32 slots held 37 MB
-BASIS_CACHE_SIZE = 8
+#: the most grid pairs one fast-path window holds, and the widest frame
+#: basis, as a fraction of L, a window of more than one pair may take
+#: (`InteractionSteps.windows`)
+WINDOW_PAIRS = 16
+WINDOW_WIDTH = 0.25
+#: the Chebyshev series of e^{i eps s} over a window's span is cut where the
+#: Jacobi-Anger tail bound 2 (theta/2)^n / n! falls below this
+CHEBYSHEV_TAIL = 1e-17
+#: singular values of the frames' Chebyshev coefficients at or below this
+#: are left out of the frame basis: the frames have unit columns, and the
+#: basis reproduces every frame to about 1e-15 (below it, roundoff in the
+#: SVD adds columns: d 20 -> 54 at L = 2048 for windows of two pairs)
+FRAME_FLOOR = 1e-14
+#: frames are read this far (relative to the span) beyond either end of
+#: [0, span]: rounding of the grid times, where the Chebyshev series still
+#: holds to roundoff
+FRAME_SLACK = 1e-9
 
 #: CFM4's two exponents as combinations of the samples at the Gauss nodes:
 #: B0/2 + 2 B1 (the factor acting last) and B0/2 - 2 B1 (`cfm4`)
@@ -293,54 +313,171 @@ _EXPONENTS = np.array([0.5 * GAUSS_WEIGHTS + sign * 2.0 * GAUSS_WEIGHTS * (GAUSS
                        for sign in (1.0, -1.0)])
 
 
+class FrameBasis(NamedTuple):
+    """A run's orthonormal frame basis B (L x d) of the frames Y_S(s),
+    s in [0, `span`] (`InteractionSteps.frame_basis`): `energy` is
+    B^dagger diag(eps) B, and `chebyshev` (n x d x |S|) stacks the
+    coordinates B^dagger F_n of the frames' Chebyshev coefficients F_n."""
+
+    span: float
+    vectors: np.ndarray
+    energy: np.ndarray
+    chebyshev: np.ndarray
+
+    def coordinates(self, offsets):
+        """B^dagger Y_S(s) = sum_n T_n(2 s / span - 1) B^dagger F_n of each
+        offset s, a (len(offsets), d, |S|) stack. An offset beyond
+        [0, span] by more than FRAME_SLACK of the span raises ValueError: no
+        frame is projected onto a basis that does not hold it."""
+        s = np.asarray(offsets, dtype=float)
+        slack = FRAME_SLACK * self.span
+        if np.any(s < -slack) or np.any(s > self.span + slack):
+            raise ValueError(f"frames at offsets {s.min()} to {s.max()} leave the span "
+                             f"[0, {self.span}] of the frame basis")
+        x = 2.0 * s / self.span - 1.0
+        terms = [np.ones_like(x), x]
+        while len(terms) < len(self.chebyshev):
+            terms.append(2.0 * x * terms[-1] - terms[-2])
+        return np.tensordot(np.stack(terms[:len(self.chebyshev)], axis=-1), self.chebyshev, 1)
+
+
 class InteractionSteps:
     """CFM4 steps of a one-body drive in the interaction picture of h0 =
     phi diag(eps) phi^T: the drive acts on the sites `rows` (R) through its
-    R x R block, `coupling(times)` stacking those at the given times."""
+    R x R block, `coupling(times)` stacking those at the given times.
+    `sites` (S, sorted, R among them) are the sites whose frames a run
+    reads."""
 
-    def __init__(self, eps, phi, rows, coupling):
+    def __init__(self, eps, phi, rows, coupling, sites=None):
         self.eps, self.phi, self.rows, self.coupling = eps, phi, rows, coupling
-        self.geometries = {}  # (h1, h2, h) -> `geometry`, in the order first seen
+        self.sites = np.asarray(rows if sites is None else sites)
+        self.on_rows = np.searchsorted(self.sites, rows)
 
     def frame(self, t, sites):
         """Y(t) = diag(e^{i eps t}) phi_S^T for the sites S."""
         return np.exp(1j * t * self.eps)[:, None] * self.phi[sites].T
 
-    def geometry(self, h1, h2, h):
-        """The pair test's frames for a grid pair [a, a + h1, a + h1 + h2]
-        moved to a = 0: the orthonormal basis B (L x d, d <= 9|R|) of the
-        frames [Y(c_i h1), Y(h1 + c_i h2), Y(c_i h)] of its three steps
-        ([0, h1], [h1, h1 + h2] and [0, h], h = h1 + h2 up to rounding), and
-        per step the QR q r of its frames' coordinates on B: q as a
-        (3, d, k) stack and r's node blocks as a (9, k, |R|) stack. Kept for
-        the BASIS_CACHE_SIZE geometries seen last."""
-        key = (h1, h2, h)
-        if key not in self.geometries:
-            if len(self.geometries) == BASIS_CACHE_SIZE:
-                del self.geometries[next(iter(self.geometries))]
-            n = len(self.rows)
-            times = [lo + c * w for lo, w in ((0.0, h1), (h1, h2), (0.0, h)) for c in GAUSS_NODES]
-            basis, coords = np.linalg.qr(np.hstack([self.frame(t, self.rows) for t in times]))
-            q, r = zip(*(np.linalg.qr(coords[:, 3 * n * s:3 * n * (s + 1)]) for s in range(3)))
-            nodes = np.stack([x[:, i * n:(i + 1) * n] for x in r for i in range(3)])
-            self.geometries[key] = basis, np.stack(q), nodes
-        return self.geometries[key]
+    def frame_basis(self, span):
+        """The FrameBasis of every frame Y_S(s), s in [0, span]. With
+        x = 2 s / span - 1, e^{i eps s} = sum_n c_n(eps) T_n(x) (Chebyshev
+        polynomials T_n; the c_n by a DCT of n samples, n the first count at
+        which the tail bound CHEBYSHEV_TAIL holds for theta = max|eps| span / 2),
+        so Y_S(s) = sum_n T_n(x) F_n with F_n = diag(c_n) phi_S^T. B is the
+        left singular basis of [F_0 ... F_{n-1}] above FRAME_FLOOR, so a
+        frame's coordinates cost n d |S|, with nothing of size L."""
+        theta = 0.5 * span * float(np.max(np.abs(self.eps)))
+        n, tail = 0, 2.0  # tail = 2 (theta/2)^n / n!, which bounds the terms from n on
+        while tail > CHEBYSHEV_TAIL or n < max(theta, 2):
+            n += 1
+            tail *= 0.5 * theta / n
+        x = np.cos(np.pi * (np.arange(n) + 0.5) / n)
+        dct = 2.0 / n * np.cos(np.outer(np.arange(n) + 0.5, np.pi * np.arange(n)) / n)
+        dct[:, 0] *= 0.5
+        coefs = np.exp(0.5j * span * np.outer(self.eps, x + 1.0)) @ dct  # L x n
+        frames = coefs[:, :, None] * self.phi[self.sites].T[:, None, :]
+        u, sv, vh = np.linalg.svd(frames.reshape(self.eps.size, -1), full_matrices=False)
+        d = int(np.count_nonzero(sv > FRAME_FLOOR))
+        b = u[:, :d]
+        chebyshev = (sv[:d, None] * vh[:d]).reshape(d, n, self.sites.size).transpose(1, 0, 2)
+        return FrameBasis(span, b, (b.conj().T * self.eps) @ b, chebyshev)
+
+    def windows(self, pairs, period=None):
+        """The grid pairs (a, m, b, lone) in windows of consecutive pairs,
+        each with its FrameWindow; one FrameBasis, for the widest window's
+        span, serves them all.
+
+        The rule: a window holds n pairs, n the largest of WINDOW_PAIRS,
+        WINDOW_PAIRS / 2, ..., 1 whose frame basis has d <= L / 4 columns
+        (WINDOW_WIDTH). A window costs one zhemm of width d and one zher2k
+        at its product's rank r <= d, L^2 (d + r) in all; in coordinates each
+        interval costs O(d^2 (r_step + |S|)), which the bound keeps below a
+        sixteenth of the L^2 r_step of updating G interval by interval. It
+        depends on L, the grid and the sites only, not on the machine. The
+        reference runs at L = 200, 512 and 2048 take 16 pairs (d = 34, 22 and
+        32); at L = 200 8 pairs run as fast, at L = 512 and 2048 32 pairs save
+        under 2%. Fewer pairs where a drive period begins: with `period` =
+        (t0, T) no window holds pairs from two of the periods
+        [t0 + k T, t0 + (k + 1) T) (nor from before t0 and after), so the
+        windows of a period are those of the period before, moved by T.
+        """
+        def epoch(t):
+            if period is None:
+                return 0
+            t0, length = period
+            return np.floor((t - t0 + PERIOD_ULPS * np.spacing(abs(t))) / length)
+
+        n = WINDOW_PAIRS
+        while True:
+            groups = []
+            for pair in pairs:
+                if groups and len(groups[-1]) < n and epoch(pair[0]) == epoch(groups[-1][0][0]):
+                    groups[-1].append(pair)
+                else:
+                    groups.append([pair])
+            basis = self.frame_basis(max(group[-1][2] - group[0][0] for group in groups))
+            if n == 1 or basis.vectors.shape[1] <= WINDOW_WIDTH * self.eps.size:
+                return [(FrameWindow(self, basis, group[0][0]), group) for group in groups]
+            n //= 2
+
+    def shift(self, block, period, points):
+        """`block` one drive period T = `period` later, on the grid points
+        `points` (its start and its times, each the block's own plus T up to
+        rounding; fewer points than the block's take its leading intervals):
+        with the drive T-periodic, U_I(s + T, t + T) = Phi U_I(s, t) Phi^dagger
+        for Phi = diag(e^{i eps T}), and Phi diag(e^{i eps a}) B is the frame
+        basis of a window at a + T, so the origin moves by T and every
+        coordinate stays. Each Propagator keeps its `est_error`, `refined`
+        and `min_step`, and is marked `reused`."""
+        propagators = tuple(replace(p, t_start=lo, t_end=hi, reused=True)
+                            for p, lo, hi in zip(block.propagators, points, points[1:]))
+        update = (block.update if len(propagators) == len(block.propagators)
+                  else _product(propagators, len(block.update.q)))
+        return Block(tuple(points[1:]), propagators,
+                     block.frame._replace(origin=block.frame.origin + period), update)
+
+
+class FrameWindow(NamedTuple):
+    """`InteractionSteps` on the window that starts at `origin`, a: its steps
+    are in the coordinates of B_a = diag(e^{i eps a}) B, B = `basis.vectors`,
+    since Y(a + s) = diag(e^{i eps a}) Y(s) gives a frame at t the
+    coordinates of Y(t - a) on B."""
+
+    steps: InteractionSteps
+    basis: FrameBasis
+    origin: float
+
+    @property
+    def vectors(self):
+        """B_a, L x d."""
+        return np.exp(1j * self.origin * self.steps.eps)[:, None] * self.basis.vectors
+
+    def coordinates(self, times):
+        """B_a^dagger Y_S(t) of each time t, a (len(times), d, |S|) stack."""
+        return self.basis.coordinates(np.asarray(times, dtype=float) - self.origin)
 
     def pair_test(self, a, m, b, whole=None):
-        """Steps over [a, m] and [m, b], their products over [a, m] and
-        [a, b], all on the pair's basis P, and the spectral norm of the
-        latter's difference from one step over [a, b]; in coordinates on the
-        pair's `geometry` (see the module docstring), where each step is
-        I + diag(e^{i eps a}) B (q K q^dagger) B^dagger diag(e^{-i eps a}).
-        The step over [a, b] is among the six exponentials, so `whole` is not
-        read."""
+        """Steps over [a, m] and [m, b], their product over [a, b], and the
+        spectral norm of its difference from one step over [a, b], all in
+        the window's coordinates: each step's three node frames (d x 3|R|)
+        have one QR q r, the step is I + q K q^dagger with K from the
+        samples r_i C(t_i) r_i^dagger, and the six exponentials are one
+        stacked `eigh`; I + K is unitary, so K is normal, and each step drops
+        its eigen-directions with |d| <= ROUNDOFF_FLOOR, inside the pair
+        test's absolute floor, leaving rank <= 3|R| (8 of 12 for the
+        reference drives). The three steps' joint span (one QR of at most
+        9|R| columns) gives the Richardson difference, and the product is
+        compressed the same way. The step over [a, b] is among the six
+        exponentials, so `whole` is not read."""
+        steps, n, d = self.steps, self.steps.rows.size, self.basis.vectors.shape[1]
         widths = np.array([m - a, b - m, b - a])
-        basis, q, r = self.geometry(*widths.tolist())
-        couplings = self.coupling([lo + c * w for lo, w in zip((a, m, a), widths)
-                                   for c in GAUSS_NODES])
+        times = np.array([lo + c * w for lo, w in zip((a, m, a), widths) for c in GAUSS_NODES])
+        couplings = steps.coupling(times)
         _check_finite([couplings], a, b)
-        samples = r @ couplings @ r.conj().transpose(0, 2, 1)
-        k = samples.shape[-1]
+        y = self.coordinates(times)[:, :, steps.on_rows]
+        q, r = np.linalg.qr(y.reshape(3, 3, d, n).transpose(0, 2, 1, 3).reshape(3, d, 3 * n))
+        k = r.shape[1]
+        nodes = r.reshape(3, k, 3, n).transpose(0, 2, 1, 3).reshape(9, k, n)
+        samples = nodes @ couplings @ nodes.conj().transpose(0, 2, 1)
         exponents = (_EXPONENTS @ samples.reshape(3, 3, k * k)).reshape(3, 2, k, k)
         w, v = np.linalg.eigh(exponents)
         # each exponential as I + D, D = v (e^{-i dt w} - 1) v^dagger by
@@ -348,60 +485,26 @@ class InteractionSteps:
         # I + K is unitary to the roundoff of K, not of 1 (a saturated drive
         # repeats the same K on every pair, and its defect drifts the charge)
         phases = np.expm1(-1j * widths[:, None, None] * w)[:, :, None, :]
-        d = (v * phases) @ v.conj().swapaxes(2, 3)
-        left, right, whole = _compressed(q, d[:, 0] + d[:, 1] + d[:, 0] @ d[:, 1])
+        e = (v * phases) @ v.conj().swapaxes(2, 3)
+        left, right, whole = _compressed(q, e[:, 0] + e[:, 1] + e[:, 0] @ e[:, 1])
         z, ks = _on_joint_span(left, right, whole)
         fine = _cumulative(z, ks)[1]
         diff = fine.k - ks[2]
-        # R is upper trapezoidal, so kl and kr vanish beyond [Q_l, Q_r]'s columns
-        n = min(left.q.shape[1] + right.q.shape[1], z.shape[1])
-        z, (kl, kr, kf) = _last_first(z[:, :n], tuple(x[:n, :n] for x in (ks[0], ks[1], fine.k)))
-        p = np.exp(1j * a * self.eps)[:, None] * (basis @ z)
-        first = LowRankUnitary(p, kl)
         # the spectral norm from the largest eigenvalue of diff^dagger diff
         err = (np.sqrt(max(np.linalg.eigvalsh(diff.conj().T @ diff)[-1], 0.0))
                if diff.size else 0.0)
-        return (first, LowRankUnitary(p, kr), (first, LowRankUnitary(p[:, :len(kf)], kf)),
-                float(err))
+        return left, right, _compressed(fine.q[None], fine.k[None])[0], float(err)
 
     def compose(self, right, left):
         """The product on the factors' joint span, compressed: a refined
-        interval's basis keeps the rank of its product's K, not the sum of
+        interval's factor keeps the rank of its product's K, not the sum of
         its pieces' ranks."""
         fine = _cumulative(*_on_joint_span(left, right))[1]
         return _compressed(fine.q[None], fine.k[None])[0]
 
-    def block(self, propagators, cumulative=None):
-        """The Block of one grid pair's propagators: P and the cumulative Ks
-        from the pair test's products on P (`cumulative`), from a lone
-        interval's own factor, or from one `_on_joint_span` of a refined
-        pair's two, turned by `_last_first`."""
-        times = tuple(p.t_end for p in propagators)
-        if cumulative is None:
-            units = [p.matrix for p in propagators]
-            if len(units) > 1:
-                p, ks = _on_joint_span(*units)
-                return Block(times, tuple(propagators),
-                             *_last_first(p, tuple(u.k for u in _cumulative(p, ks))))
-            cumulative = units
-        return Block(times, tuple(propagators), cumulative[0].q, tuple(u.k for u in cumulative))
-
-    def shift(self, block, period, points):
-        """`block` one drive period T = `period` later, on the grid points
-        `points` (its start and its times, each the block's own plus T up to
-        rounding): with the drive T-periodic, U_I(s + T, t + T) =
-        Phi U_I(s, t) Phi^dagger for Phi = diag(e^{i eps T}), so P becomes
-        Phi P and the Ks stay. Each Propagator keeps its `est_error`,
-        `refined` and `min_step`, and is marked `reused`; those of a pair
-        that passed its test are on P itself, and move with it."""
-        phase = np.exp(1j * period * self.eps)[:, None]
-        basis = phase * block.basis
-        propagators = tuple(
-            replace(p, matrix=LowRankUnitary(
-                basis if p.matrix.q is block.basis else phase * p.matrix.q, p.matrix.k),
-                t_start=lo, t_end=hi, reused=True)
-            for p, lo, hi in zip(block.propagators, points, points[1:]))
-        return Block(tuple(points[1:]), propagators, basis, block.ks)
+    def block(self, propagators):
+        return Block(tuple(p.t_end for p in propagators), tuple(propagators), self,
+                     _product(propagators, self.basis.vectors.shape[1]))
 
 
 def _finite(u):
@@ -425,7 +528,7 @@ def _adaptive(steps, pieces, tol):
     while stack:
         a0, b0, u0 = stack.pop()
         m = 0.5 * (a0 + b0)
-        ul, ur, (_, fine), err = steps.pair_test(a0, m, b0, u0)
+        ul, ur, fine, err = steps.pair_test(a0, m, b0, u0)
         budget = tol * (b0 - a0) + ROUNDOFF_FLOOR
         if err <= budget:
             out.append((a0, b0, fine, err / 15.0))
@@ -445,41 +548,39 @@ def _adaptive(steps, pieces, tol):
 
 
 def _grid_pair(steps, a, m, b, lone, tol):
-    """The Block of one grid pair, [a, m] and [m, b], or of the `lone`
+    """The Propagators of one grid pair, [a, m] and [m, b], or of the `lone`
     interval [a, b] (m its midpoint); the pair test's other steps die here."""
-    left, right, cumulative, err = steps.pair_test(a, m, b)
+    left, right, fine, err = steps.pair_test(a, m, b)
     if err <= tol * (b - a) + ROUNDOFF_FLOOR:
-        parts = [(a, b, cumulative[1])] if lone else [(a, m, left), (m, b, right)]
+        parts = [(a, b, fine)] if lone else [(a, m, left), (m, b, right)]
         pair = [Propagator(u, lo, hi, "direct", err / 15.0 / len(parts),
                            min_step=0.5 * (b - a) if lone else hi - lo)
                 for lo, hi, u in parts]
-        block = steps.block(pair, cumulative[1:] if lone else cumulative)
     else:
         halves = [[(a, m, left)], [(m, b, right)]]
         pair = [replace(_adaptive(steps, pieces, tol), refined=True)
                 for pieces in ([halves[0] + halves[1]] if lone else halves)]
-        block = steps.block(pair)
     if not all(_finite(p.matrix) for p in pair):
         raise IntegrationError(f"non-finite propagator entries on [{a}, {b}]")
-    return block
+    return pair
 
 
 #: grid times one drive period apart match when they differ from the period
-#: by at most this many ulps of the later pair's end: `time_grid`'s
+#: by at most this many ulps of the later window's end: `time_grid`'s
 #: t0 + step * k rounds each time, so exact equality misses 27% to all of
 #: the later pairs of process II grids at T = 5, 2 pi and 7.3
 PERIOD_ULPS = 4
 
 
 def step_grid(steps, times, tol=DEFAULT_TOL, period=None):
-    """The Blocks of an output grid, one per pair of grid intervals, in grid
-    order, from the CFM4 step representation `steps` (`DenseSteps` or
-    `InteractionSteps`).
+    """The Blocks of an output grid, one per window of grid pairs, in grid
+    order, from the CFM4 step representation `steps` (`DenseSteps`, one pair
+    per window, or `InteractionSteps`, whose `windows` set the length).
 
     A generator: it checks `tol` and the grid before the first step and
-    yields each grid pair's Block as soon as it is done; from
-    `InteractionSteps` a Block's joint basis P has rank at most 6|R|, so the
-    fast path advances a pair with one `zhemm` and one `zher2k`.
+    yields each window's Block as soon as it is done; from `InteractionSteps`
+    a Block is in the coordinates of the window's frame basis, so the fast
+    path advances a window with one `zhemm` and one `zher2k`.
 
     The step control runs on the grid pairs (the lone last interval of an odd
     grid as a pair of half steps, keeping their product), with the error
@@ -490,12 +591,13 @@ def step_grid(steps, times, tol=DEFAULT_TOL, period=None):
     entry, raises IntegrationError.
 
     `period` = (t0, T) declares the drive T-periodic from t0 on
-    (`InteractionSteps` only). A pair whose grid times (a, m, b) are those of
-    an earlier pair plus T, up to PERIOD_ULPS ulps of b, where the earlier
-    pair starts at or after t0 and is of the same kind (a pair, or the lone
-    last interval), is the earlier pair's Block moved by `steps.shift`, with
-    no step taken. Only the pairs of the last period are held for this;
-    anything older than a - T is dropped.
+    (`InteractionSteps` only). A window whose grid times are those of an
+    earlier window plus T, up to PERIOD_ULPS ulps of its end, where the
+    earlier window starts at or after t0 and has the same pairs (a pair, or
+    the lone last interval) or more of them after those, is the earlier
+    window's Block, or its leading intervals, moved by `steps.shift`, with
+    no step taken. Only the windows of the last period
+    are held for this; anything older than a - T is dropped.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -503,25 +605,26 @@ def step_grid(steps, times, tol=DEFAULT_TOL, period=None):
     if np.any(np.diff(times) <= 0):
         raise ValueError("time grid must be strictly increasing")
     n = times.size - 1
-    earlier = deque()  # (grid points, lone, Block) of the last period's pairs
-    for i in range(0, n, 2):
-        lone = i + 1 == n
-        a, b = times[i], times[min(i + 2, n)]
-        points = (a, 0.5 * (a + b) if lone else times[i + 1], b)
+    pairs = [(times[i], 0.5 * (times[i] + times[n]) if i + 1 == n else times[i + 1],
+              times[min(i + 2, n)], i + 1 == n) for i in range(0, n, 2)]
+    earlier = deque()  # (grid points, kinds, Block) of the last period's windows
+    for frame, window in steps.windows(pairs, period):
+        a = window[0][0]
+        points = (a,) + tuple(t for _, m, b, lone in window for t in ((b,) if lone else (m, b)))
+        kinds = tuple(lone for *_, lone in window)
         block = None
         if period is not None:
             t0, length = period
-            slack = PERIOD_ULPS * np.spacing(abs(b))
+            slack = PERIOD_ULPS * np.spacing(abs(points[-1]))
             while earlier and earlier[0][0][0] < a - length - slack:
                 earlier.popleft()
-            if earlier and earlier[0][1] == lone and all(
+            if earlier and earlier[0][1][:len(kinds)] == kinds and all(
                     abs(x - y - length) <= slack for x, y in zip(points, earlier[0][0])):
-                block = steps.shift(earlier.popleft()[2], length,
-                                    points[::2] if lone else points)
+                block = steps.shift(earlier.popleft()[2], length, points)
         if block is None:
-            block = _grid_pair(steps, *points, lone, tol)
+            block = frame.block([p for pair in window for p in _grid_pair(frame, *pair, tol)])
         if period is not None and a >= t0:
-            earlier.append((points, lone, block))
+            earlier.append((points, kinds, block))
         yield block
 
 
@@ -661,7 +764,7 @@ def heisenberg_evolve(a, propagator):
 __all__ = [
     "DEFAULT_TOL", "IntegrationError", "Propagator", "TimeDependentHamiltonian",
     "GAUSS_NODES", "GAUSS_WEIGHTS", "cfm4", "DenseSteps", "LowRankUnitary",
-    "InteractionSteps", "Block", "step_grid",
+    "InteractionSteps", "FrameBasis", "FrameWindow", "Block", "step_grid",
     "propagate", "propagate_grid", "dyson_propagator", "dyson_remainder",
     "interaction_to_schrodinger", "heisenberg_evolve",
 ]

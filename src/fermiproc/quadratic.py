@@ -13,15 +13,15 @@ The trajectory runs in the interaction picture of h0 = phi diag(eps) phi^T
 state is G = conj(Gamma) in h0's eigenbasis, a Gibbs start is diag(f(eps)),
 and an interval's propagator is a `LowRankUnitary` of rank at most 3|R| per
 CFM4 step (three Gauss nodes' frames, compressed to the eigen-directions above
-roundoff), R being the sites the drive acts on. Each grid pair's CFM4 pair
-test runs on at most 9|R| x 9|R| matrices, in coordinates on a joint frame
-basis kept per pair geometry, and forms one L-sized product, the pair's joint
-basis P (rank at most 6|R|). G is stored as the lower triangle of a
-Fortran-ordered complex128 array and advances one grid pair at a time: P and
-the cumulative Ks give both rows of the pair from one BLAS `zhemm` of G, and
-`rank_update` overwrites the triangle with one `zher2k` at the rank of the
-pair's product, O(|R| L^2) per pair and nothing of size L x L allocated;
-whatever reads G reads that triangle only (`zhemm`,
+roundoff), R being the sites the drive acts on. Every CFM4 pair test runs in
+coordinates on the run's one frame basis B (L x d, d about 20-35 for the
+reference runs), which holds the frames of R and of the probe sites over a
+window of grid pairs. G is stored as the lower triangle of a Fortran-ordered
+complex128 array and advances one window of up to 16 grid pairs at a time:
+one BLAS `zhemm`, G diag(e^{i eps a}) B, gives every row of the window in
+coordinates, and `rank_update` overwrites the triangle with one `zher2k` at
+the rank of the window's product, O(d L^2) per window and nothing of size
+L x L allocated; whatever reads G reads that triangle only (`zhemm`,
 `eigvalsh(..., UPLO="L")`). Each row's reference scalars come from
 |R| x |R| resolvents (`ScalarDriveReferenceCache`), with no L x L `eigh`.
 """
@@ -64,19 +64,25 @@ def gibbs_correlation(h, params):
     return symmetrize(((v * occ) @ v.conj().T).conj())
 
 
-def interaction_picture(h0, protocol):
+def eigenbasis(h0):
+    """The eigenvalues eps and eigenvectors phi of h0: `eigh_tridiagonal`
+    for a real h0 with no entries beyond its first off-diagonal (open
+    chains), `eigh` otherwise (periodic ones)."""
+    if np.isrealobj(h0) and not np.any(np.triu(h0, 2)):
+        return eigh_tridiagonal(np.diagonal(h0), np.diagonal(h0, 1))
+    return np.linalg.eigh(h0)
+
+
+def interaction_picture(h0, protocol, probe_sites=()):
     """CFM4 steps of `protocol` in the interaction picture of h0, and the
     drive's R x R blocks dW/dlambda_j.
 
     R is the set of rows where a component's one-body matrix is nonzero
-    (empty without a drive); one eigendecomposition of h0 serves the whole
-    trajectory: `eigh_tridiagonal` for a real h0 with no entries beyond its
-    first off-diagonal (open chains), `eigh` otherwise (periodic ones).
+    (empty without a drive); the steps' frame sites S are R and
+    `probe_sites`. One eigendecomposition of h0 (`eigenbasis`) serves the
+    whole trajectory.
     """
-    if np.isrealobj(h0) and not np.any(np.triu(h0, 2)):
-        eps, phi = eigh_tridiagonal(np.diagonal(h0), np.diagonal(h0, 1))
-    else:
-        eps, phi = np.linalg.eigh(h0)
+    eps, phi = eigenbasis(h0)
     mats = [c.one_body() for c in protocol.components] if protocol is not None else []
     rows = np.flatnonzero(sum((np.any(m != 0, axis=1) for m in mats), np.zeros(eps.size)))
     blocks = [m[np.ix_(rows, rows)] for m in mats]
@@ -86,7 +92,8 @@ def interaction_picture(h0, protocol):
         lam = [protocol.controls(t) if protocol is not None else () for t in times]
         return np.tensordot(np.reshape(lam, (len(times), len(blocks))), stack, 1)
 
-    return InteractionSteps(eps, phi, rows, coupling), blocks
+    sites = np.union1d(rows, np.asarray(probe_sites, dtype=int))
+    return InteractionSteps(eps, phi, rows, coupling, sites), blocks
 
 
 def rank_update(g, u, w=None):
@@ -260,7 +267,7 @@ def quadratic_entropy_ledger(t, free_energy, q, gamma_rr, blocks, lam, lam_dot, 
 
 
 __all__ = [
-    "expit", "gibbs_correlation", "interaction_picture",
+    "expit", "gibbs_correlation", "eigenbasis", "interaction_picture",
     "rank_update", "diagonal_state", "quadratic_observable", "binary_entropy", "pauli_excess",
     "correlation_entropy", "pauli_defect", "ReferenceScalars",
     "reference_scalars", "ScalarDriveReferenceCache", "quadratic_entropy_ledger",

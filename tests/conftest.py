@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 
 # one BLAS thread per test process: on a shared or small machine, BLAS threads
 # oversubscribe the cores and the timing criterion measures the contention;
@@ -15,8 +16,8 @@ from fermiproc.linalg import spectral_norm, symmetrize  # noqa: E402
 from fermiproc.observables import (charge, charge_rate, expectation,  # noqa: E402
                                    internal_energy, ledger_row)
 from fermiproc.propagator import (GAUSS_NODES, Block, DenseSteps,  # noqa: E402
-                                  LowRankUnitary, _cumulative, _on_joint_span, cfm4,
-                                  TimeDependentHamiltonian, propagate_grid)
+                                  FrameWindow, LowRankUnitary, _cumulative, _on_joint_span,
+                                  cfm4, TimeDependentHamiltonian, propagate_grid, step_grid)
 from fermiproc.states import gibbs_state, von_neumann_entropy  # noqa: E402
 
 
@@ -69,7 +70,7 @@ def dense_exact_trajectory(spec, params, protocol, times, tol, probe_ops=None):
         rho0, s_start, (Block((p.t_end,), (p,)) for p in propagate_grid(tdh, times, tol)),
         harness._one_at_a_time(
             lambda rho, step: symmetrize(step.matrix @ rho @ step.matrix.conj().T), observe),
-        lambda rho, t: (rho, von_neumann_entropy(rho), None),
+        lambda rho, t: (lambda: rho, von_neumann_entropy(rho), None),
         gibbs_probes, tuple(map(spectral_norm, vs)))
     return harness._trajectory(rep, params, times)
 
@@ -102,6 +103,25 @@ def two_qr_pair(steps, a, m, b):
     left, right, whole = (interaction_step(steps, lo, hi) for lo, hi in ((a, m), (m, b), (a, b)))
     fine = _cumulative(*_on_joint_span(left, right))[1]
     return left, fine, whole, float(np.linalg.norm(np.subtract(*_on_joint_span(fine, whole)[1]), 2))
+
+
+def lifted(frame, u):
+    """A factor (q, k) in a FrameWindow's coordinates as the LowRankUnitary
+    I + B_a q k q^dagger B_a^dagger on L-vectors."""
+    return LowRankUnitary(frame.vectors @ u.q, u.k)
+
+
+def pair_window(steps, a, b):
+    """The FrameWindow at a of `InteractionSteps` with a frame basis for
+    [a, b]: the window of pair tests within [a, b]."""
+    return FrameWindow(steps, steps.frame_basis(b - a), a)
+
+
+def grid_steps(steps, times, tol):
+    """`step_grid`'s per-interval Propagators, each factor lifted to
+    L-vectors (`lifted`)."""
+    return [replace(p, matrix=lifted(block.frame, p.matrix))
+            for block in step_grid(steps, times, tol) for p in block.propagators]
 
 
 def correlation_update(gamma, u):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.linalg.blas import zhemm
 
-from fermiproc import harness, quadratic
+from fermiproc import harness, propagator, quadratic
 from fermiproc.drive import KernelSpec, Perturbation, switch_on_protocol
 from fermiproc.lattice import Boundary, LatticeSpec, one_body_laplacian
 from fermiproc.linalg import expm_unitary
@@ -20,8 +20,9 @@ from fermiproc.propagator import LowRankUnitary, step_grid
 from fermiproc.quadratic import interaction_picture, rank_update
 from fermiproc.states import GibbsParams
 
-from conftest import (FILLED, TAYLOR_THETA, TRIDIAGONAL, from_lower, interaction_step,
-                      low_rank_dense, random_unitary, taylor_expm)
+from conftest import (FILLED, TAYLOR_THETA, TRIDIAGONAL, from_lower, grid_steps,
+                      interaction_step, lifted, low_rank_dense, pair_window, random_unitary,
+                      taylor_expm)
 
 
 def _spec_and_protocol(n_sites, kernel, boundary, amplitude):
@@ -43,6 +44,9 @@ def _drive(n_sites, kernel, boundary=Boundary.DIRICHLET, amplitude=0.05):
 #: an accepted pair, a refined pair (its intervals 0.05 wide), an accepted
 #: pair and the lone last interval
 BLOCK_GRID = [0.0, 0.0125, 0.025, 0.075, 0.125, 0.1375, 0.15, 0.1625]
+#: most pairs per window for the block tests: all of BLOCK_GRID in one
+#: window, or three pairs and then a short last window of the lone interval
+WINDOWS = (16, 3)
 
 
 def _half_bandwidth(a):
@@ -66,7 +70,8 @@ def test_half_bandwidth():
         assert list(steps.rows) == [18 + s for s in local]
         rr = np.ix_(steps.rows, steps.rows)
         assert np.max(np.abs(0.05 * blocks[0] - v[rr])) <= 1e-16
-        n, width = steps.pair_test(0.1, 0.15, 0.2)[2][1].q.shape
+        window = pair_window(steps, 0.1, 0.2)
+        n, width = lifted(window, window.pair_test(0.1, 0.15, 0.2)[2]).q.shape
         assert n == 40 and 2 * len(local) <= width <= 3 * len(local)
     steps, blocks = interaction_picture(one_body_laplacian(LatticeSpec(40)), None)
     assert steps.rows.size == 0 and blocks == []
@@ -77,7 +82,8 @@ def test_band_matmul_covering_band_is_plain_product(rng):
     # and the update with a full-rank factor (Q = I) is the plain product
     h0, protocol, _ = _drive(6, FILLED, Boundary.PERIODIC, amplitude=0.3)
     steps, _ = interaction_picture(h0, protocol)
-    u = steps.pair_test(0.0, 0.2, 0.4)[2][1]
+    window = pair_window(steps, 0.0, 0.4)
+    u = lifted(window, window.pair_test(0.0, 0.2, 0.4)[2])
     assert u.q.shape == (6, 6)
     assert np.max(np.abs(u.q.conj().T @ u.q - np.eye(6))) <= 1e-14
     dense = low_rank_dense(u)
@@ -118,7 +124,8 @@ def test_periodic_chain_takes_dense_route_bit_for_bit(rng):
     assert np.array_equal(expm_unitary(h, 0.05), (vecs * np.exp(-0.05j * w)) @ vecs.conj().T)
     steps, _ = interaction_picture(h0, protocol)
     assert list(steps.rows) == [98, 99, 100, 101]
-    u = steps.pair_test(0.0, 0.025, 0.05)[2][1]
+    window = pair_window(steps, 0.0, 0.05)
+    u = lifted(window, window.pair_test(0.0, 0.025, 0.05)[2])
     assert u.q.shape == (200, 8)
     g = np.diag(rng.uniform(size=200)).astype(complex)
     dense = low_rank_dense(u)
@@ -165,8 +172,7 @@ def test_banded_gamma_update_matches_dense(kernel):
     h0, protocol, _ = _drive(512, kernel, amplitude=0.3)
     steps, _ = interaction_picture(h0, protocol)
     g = np.diag(np.linspace(0.05, 0.95, 512)).astype(complex)
-    for step in (p for block in step_grid(steps, [0.0, 0.02048, 0.04096, 0.06144], 1e-6)
-                 for p in block.propagators):
+    for step in grid_steps(steps, [0.0, 0.02048, 0.04096, 0.06144], 1e-6):
         u = low_rank_dense(step.matrix)
         want = u @ g @ u.conj().T
         assert step.matrix.q.shape[1] <= 16
@@ -208,8 +214,7 @@ def test_rank_update_chain_matches_dense_oracle(rng):
     # against the dense U G U^dagger chain
     h0, protocol, _ = _drive(512, FILLED, amplitude=0.3)
     steps, _ = interaction_picture(h0, protocol)
-    factors = [step.matrix for block in step_grid(steps, 0.0125 * np.arange(10), 1e-6)
-               for step in block.propagators]
+    factors = [step.matrix for step in grid_steps(steps, 0.0125 * np.arange(10), 1e-6)]
     factors.insert(4, LowRankUnitary(np.eye(512), random_unitary(rng, 512) - np.eye(512)))
     assert len(factors) == 10
     want = np.diag(np.linspace(0.05, 0.95, 512)).astype(complex)
@@ -221,33 +226,38 @@ def test_rank_update_chain_matches_dense_oracle(rng):
     assert np.max(np.abs(from_lower(state) - want)) <= 1e-13
 
 
-def test_block_chain_matches_dense_oracle():
-    # L = 512: each grid pair's joint basis P and cumulative K on its leading
-    # columns against the dense product of its per-interval factors, and the
-    # block update (one zher2k at the last K's rank, with W = G P from the
-    # caller) chained over accepted pairs, a refined pair and a lone last
-    # interval, against the dense U G U^dagger
+def test_block_chain_matches_dense_oracle(monkeypatch):
+    # L = 512: each window's frame basis B_a is orthonormal, each interval's
+    # factor (q, k) is I + B_a q k q^dagger B_a^dagger in its coordinates, and
+    # the window's update, its product compressed to its rank, matches the
+    # dense product of its factors; the update (one zher2k at the product's
+    # rank, with W = G B_a V from the caller) chained over accepted pairs, a
+    # refined pair inside a window and a lone last interval, in one window or
+    # in a window of three pairs and a short last one, against the dense
+    # U G U^dagger
     h0, protocol, _ = _drive(512, FILLED, amplitude=0.3)
     steps, _ = interaction_picture(h0, protocol)
-    blocks = list(step_grid(steps, BLOCK_GRID, 1e-7))
-    assert [[p.refined for p in b.propagators] for b in blocks] == [
-        [False, False], [True, True], [False, False], [False]]
-    want = np.diag(np.linspace(0.05, 0.95, 512)).astype(complex)
-    state = np.array(want, order="F")
-    for block in blocks:
-        p = block.basis
-        assert np.max(np.abs(p.conj().T @ p - np.eye(p.shape[1]))) <= 1e-14
-        assert block.times == tuple(s.t_end for s in block.propagators)
-        cumulative = np.eye(512)
-        for step, k in zip(block.propagators, block.ks):
-            cumulative = low_rank_dense(step.matrix) @ cumulative
-            assert np.max(np.abs(low_rank_dense(LowRankUnitary(p[:, :len(k)], k))
-                                 - cumulative)) <= 1e-13
-        want = cumulative @ want @ cumulative.conj().T
-        last = LowRankUnitary(p[:, :len(block.ks[-1])], block.ks[-1])
-        w = zhemm(1.0, state, last.q, lower=1)
-        assert rank_update(state, last, w) is state
-    assert np.max(np.abs(from_lower(state) - want)) <= 1e-13
+    refined = [False, False, True, True, False, False, False]
+    for window_pairs, layout in zip(WINDOWS, ([refined], [refined[:6], refined[6:]])):
+        monkeypatch.setattr(propagator, "WINDOW_PAIRS", window_pairs)
+        blocks = list(step_grid(steps, BLOCK_GRID, 1e-7))
+        assert [[p.refined for p in b.propagators] for b in blocks] == layout
+        want = np.diag(np.linspace(0.05, 0.95, 512)).astype(complex)
+        state = np.array(want, order="F")
+        for block in blocks:
+            b = block.frame.vectors
+            assert np.max(np.abs(b.conj().T @ b - np.eye(b.shape[1]))) <= 1e-14
+            assert block.times == tuple(s.t_end for s in block.propagators)
+            assert block.frame.origin == block.propagators[0].t_start
+            cumulative = np.eye(512)
+            for step in block.propagators:
+                cumulative = low_rank_dense(lifted(block.frame, step.matrix)) @ cumulative
+            update = lifted(block.frame, block.update)
+            assert np.max(np.abs(low_rank_dense(update) - cumulative)) <= 1e-13
+            want = cumulative @ want @ cumulative.conj().T
+            w = zhemm(1.0, state, update.q, lower=1)
+            assert rank_update(state, update, w) is state
+        assert np.max(np.abs(from_lower(state) - want)) <= 1e-13
 
 
 def test_refined_pair_basis_is_compressed():
@@ -256,36 +266,39 @@ def test_refined_pair_basis_is_compressed():
     # of a 0.1-wide pair each as two such pieces; every piece is the product
     # of two 0.025-wide CFM4 steps, 24 columns uncompressed. The pair test
     # keeps its K's eigen-directions above the roundoff floor (8 of them at
-    # 0.025), and `compose` those of the pieces' product (10), so the refined
-    # pair's P is no wider than an accepted pair's 6|R| (32 columns for 0.05
-    # and 64 for 0.1 with the pieces uncompressed); its cumulative factors
-    # and the block update match the products of the uncompressed steps to
-    # 1e-13
+    # 0.025), and `compose` those of the pieces' product (10), so each
+    # refined interval's factor has 8 or 10 columns and the window's update
+    # is no wider than an accepted pair's 6|R|; the factors and the update
+    # match the products of the uncompressed steps to 1e-13
     h0, protocol, _ = _drive(512, FILLED, amplitude=0.3)
     steps, _ = interaction_picture(h0, protocol)
     start = np.diag(np.linspace(0.05, 0.95, 512)).astype(complex)
-    for grid, width in (([0.0, 0.05, 0.1], 16), ([0.0, 0.1, 0.2], 20)):
+    for grid, width in (([0.0, 0.05, 0.1], 8), ([0.0, 0.1, 0.2], 10)):
         (block,) = step_grid(steps, grid, 1e-7)
         assert [p.refined for p in block.propagators] == [True, True]
         assert [p.min_step for p in block.propagators] == pytest.approx([0.025] * 2, abs=1e-15)
-        assert block.basis.shape[1] == width <= 6 * 4
-        p = block.basis
-        assert np.max(np.abs(p.conj().T @ p - np.eye(p.shape[1]))) <= 1e-14
+        assert [p.matrix.q.shape[1] for p in block.propagators] == [width] * 2
+        assert len(block.update.k) <= 6 * 4
         cumulative = np.eye(512)
-        for lo, hi, k in zip(grid, grid[1:], block.ks):
+        for lo, hi, p in zip(grid, grid[1:], block.propagators):
+            own = np.eye(512)
             for a, b in pairwise(np.linspace(lo, hi, round((hi - lo) / 0.025) + 1)):
-                cumulative = low_rank_dense(interaction_step(steps, a, b)) @ cumulative
-            assert np.max(np.abs(low_rank_dense(LowRankUnitary(p[:, :len(k)], k))
-                                 - cumulative)) <= 1e-13
+                own = low_rank_dense(interaction_step(steps, a, b)) @ own
+            assert np.max(np.abs(low_rank_dense(lifted(block.frame, p.matrix)) - own)) <= 1e-13
+            cumulative = own @ cumulative
+        update = lifted(block.frame, block.update)
+        assert np.max(np.abs(low_rank_dense(update) - cumulative)) <= 1e-13
         state = np.array(start, order="F")
-        rank_update(state, LowRankUnitary(p[:, :len(block.ks[-1])], block.ks[-1]))
+        rank_update(state, update)
         assert np.max(np.abs(from_lower(state) - cumulative @ start @ cumulative.conj().T)) \
             <= 1e-13
 
 
-def _block_trajectory(monkeypatch, probe_ops=None):
-    """The L = 512 fast path on BLOCK_GRID, with each row's sum_k eps_k G_kk
-    and tr G as handed to the ledger."""
+def _block_trajectory(monkeypatch, window_pairs, probe_ops=None):
+    """The L = 512 fast path on BLOCK_GRID in windows of at most
+    `window_pairs` pairs, with each row's sum_k eps_k G_kk and tr G as
+    handed to the ledger."""
+    monkeypatch.setattr(propagator, "WINDOW_PAIRS", window_pairs)
     spec, protocol, _ = _spec_and_protocol(512, FILLED, Boundary.DIRICHLET, 0.3)
     scalars = []
     ledger = harness.quadratic_entropy_ledger
@@ -301,10 +314,13 @@ def _block_trajectory(monkeypatch, probe_ops=None):
 
 
 def test_block_rows_match_direct_reads(monkeypatch):
-    # every row of a block is read from G at the block's start, corrected by
-    # the cumulative K; against G updated interval by interval and read
-    # directly: Gamma_SS = conj(Y_S^dagger G Y_S) in full (probes on each
-    # entry's real and imaginary part), sum_k eps_k G_kk and tr G
+    # every row of a window is read from G at the window's start, in the
+    # coordinates of its frame basis, through the cumulative product; against
+    # G updated interval by interval and read directly: Gamma_SS =
+    # conj(Y_S^dagger G Y_S) in full (probes on each entry's real and
+    # imaginary part), sum_k eps_k G_kk and tr G; in one window with a
+    # refined pair inside and a lone last interval, and in a window of three
+    # pairs and a short last one
     spec, protocol, _ = _spec_and_protocol(512, FILLED, Boundary.DIRICHLET, 0.3)
     sites = list(spec.local_region)
     probes = []
@@ -314,32 +330,34 @@ def test_block_rows_match_direct_reads(monkeypatch):
                 w = np.zeros((512, 512), dtype=complex)
                 w[i, j] = part
                 probes.append(w)
-    _, _, traj, scalars = _block_trajectory(monkeypatch, probes)
-    n = len(sites) ** 2
-    gammas = (traj.probe_series[:, :n] + 1j * traj.probe_series[:, n:]).reshape(-1, 4, 4)
-
     steps, _ = interaction_picture(one_body_laplacian(spec), protocol)
     occupations = quadratic.expit(-1.0 * (steps.eps - 0.2))
     state = quadratic.diagonal_state(occupations)
     directs = []
-    for t, step in zip(BLOCK_GRID, [None] + [p for b in step_grid(steps, BLOCK_GRID, 1e-7)
-                                             for p in b.propagators]):
+    for t, step in zip(BLOCK_GRID, [None] + grid_steps(steps, BLOCK_GRID, 1e-7)):
         if step is not None:
             rank_update(state, step.matrix)
         g = from_lower(state)
         y = steps.frame(t, sites)
         directs.append(((y.conj().T @ g @ y).conj(), steps.eps @ np.real(np.diagonal(g)),
                         np.real(np.trace(g))))
-    assert len(directs) == len(gammas) == len(scalars) == len(BLOCK_GRID)
-    for (gamma, energy, charge), got, (got_energy, got_charge) in zip(directs, gammas, scalars):
-        assert np.max(np.abs(got - gamma)) <= 1e-12
-        assert abs(got_energy - energy) <= 1e-12
-        assert abs(got_charge - charge) <= 1e-12
+    n = len(sites) ** 2
+    for window_pairs, windows in zip(WINDOWS, (1, 2)):
+        _, _, traj, scalars = _block_trajectory(monkeypatch, window_pairs, probes)
+        assert traj.integrator.windows == windows
+        gammas = (traj.probe_series[:, :n] + 1j * traj.probe_series[:, n:]).reshape(-1, 4, 4)
+        assert len(directs) == len(gammas) == len(scalars) == len(BLOCK_GRID)
+        for (gamma, energy, charge), got, (got_energy, got_charge) in zip(directs, gammas,
+                                                                           scalars):
+            assert np.max(np.abs(got - gamma)) <= 1e-12
+            assert abs(got_energy - energy) <= 1e-12
+            assert abs(got_charge - charge) <= 1e-12
 
 
 def test_fast_path_takes_one_zhemm_per_block(monkeypatch):
-    # one zhemm of G per grid pair (its rows and its update), one for row 0
-    # and one for the final Gamma; one zher2k per grid pair
+    # one zhemm of G per window (its rows and its update) and one for row 0,
+    # one zher2k per window; the final Gamma takes one more zhemm when it is
+    # read, and none while it is not
     calls = {"zhemm": 0, "zher2k": 0}
 
     def counted(name, fn):
@@ -351,7 +369,13 @@ def test_fast_path_takes_one_zhemm_per_block(monkeypatch):
     for module in (harness, quadratic):
         monkeypatch.setattr(module, "zhemm", counted("zhemm", module.zhemm))
     monkeypatch.setattr(quadratic, "zher2k", counted("zher2k", quadratic.zher2k))
-    _, _, traj, _ = _block_trajectory(monkeypatch)
-    blocks = 4  # seven intervals: three pairs and a lone last interval
-    assert len(traj.records) == len(BLOCK_GRID)
-    assert calls == {"zhemm": blocks + 2, "zher2k": blocks}
+    # seven intervals: three pairs and a lone one, in one window or two
+    for window_pairs, windows in zip(WINDOWS, (1, 2)):
+        calls.update(zhemm=0, zher2k=0)
+        _, _, traj, _ = _block_trajectory(monkeypatch, window_pairs)
+        assert len(traj.records) == len(BLOCK_GRID)
+        assert traj.integrator.windows == windows
+        assert calls == {"zhemm": windows + 1, "zher2k": windows}
+        gamma = traj.final_state
+        assert traj.final_state is gamma
+        assert calls == {"zhemm": windows + 2, "zher2k": windows}

@@ -121,12 +121,13 @@ def test_recurrence_window():
 
 
 def test_streamed_steps_match_full_grid():
-    # step_grid over consecutive three-point windows repeats its pair
-    # computations over the whole grid exactly, on the fast path's
-    # interaction-picture steps
+    # step_grid over consecutive three-point grids repeats its pair
+    # computations over the whole grid, on the fast path's interaction-picture
+    # steps: each run has its own frame basis, so the factors agree to
+    # roundoff (1e-14 on L-vectors) and the error estimates to 1e-15
     from fermiproc.harness import build_protocol, lattice_spec
     from fermiproc.lattice import one_body_laplacian
-    from fermiproc.propagator import step_grid
+    from conftest import grid_steps, low_rank_dense
     from fermiproc.quadratic import interaction_picture
     cfg = small_process1_config(L=20)
     spec = lattice_spec(cfg)
@@ -134,15 +135,15 @@ def test_streamed_steps_match_full_grid():
     steps, _ = interaction_picture(one_body_laplacian(spec), protocol)
     times = time_grid(0.0, 2.3, 0.1)  # odd interval count: a lone last interval
     tol = 1e-7  # refines three late pairs only
-    full = [p for block in step_grid(steps, times, tol) for p in block.propagators]
+    full = grid_steps(steps, times, tol)
     streamed = [p for k in range(0, len(times) - 1, 2)
-                for block in step_grid(steps, times[k:k + 3], tol) for p in block.propagators]
+                for p in grid_steps(steps, times[k:k + 3], tol)]
     assert len(streamed) == len(full) == 23
     assert any(p.refined for p in full) and not all(p.refined for p in full)
     for a, b in zip(streamed, full):
-        assert all(np.array_equal(x, y) for x, y in zip(a.matrix, b.matrix))
-        assert (a.t_start, a.t_end, a.est_error, a.refined) == \
-            (b.t_start, b.t_end, b.est_error, b.refined)
+        assert np.max(np.abs(low_rank_dense(a.matrix) - low_rank_dense(b.matrix))) <= 1e-14
+        assert (a.t_start, a.t_end, a.refined) == (b.t_start, b.t_end, b.refined)
+        assert abs(a.est_error - b.est_error) <= 1e-15
     traj = harness.quadratic_trajectory(spec, harness.GibbsParams(1.0, 0.0), protocol,
                                         times, tol)
     assert traj.integrator.est_error == sum(p.est_error for p in full)
@@ -223,7 +224,7 @@ def test_health_verdicts_fail_on_corrupted_final_state(monkeypatch):
     def corrupted(*args, **kwargs):
         traj = real(*args, **kwargs)
         shifted = traj.final_state - 0.1 * np.eye(traj.final_state.shape[0])
-        return replace(traj, final_state=shifted, entropy_drift=1e-5,
+        return replace(traj, final=lambda: shifted, entropy_drift=1e-5,
                        pauli_defect=pauli_defect(shifted))
 
     monkeypatch.setattr(harness, "quadratic_trajectory", corrupted)
@@ -439,25 +440,48 @@ def test_periodic_reuse_matches_stepped_run(monkeypatch, tol, refined):
     assert [r.t for r in reused.records] == list(times)
 
 
+def test_windows_restart_at_each_period(monkeypatch):
+    # L = 200, 20 grid pairs per period: windows of 16 and 4 pairs restart at
+    # each period, so every window after the first period is the one a
+    # period earlier, and the last half period's window of 10 pairs reuses
+    # the leading pairs of its 16-pair twin; the ledger and probes match
+    # the run that steps every pair to 1e-12
+    cfg, spec, protocol = _periodic_case(L=200)
+    ops = harness.probe_matrices(harness.probe_site_pairs(cfg, spec), spec, "one_body")
+    params = harness.GibbsParams(1.0, 0.0)
+    times = time_grid(0.0, 2.5 * PERIOD, PERIOD / 40)
+    reused = harness.quadratic_trajectory(spec, params, protocol, times, 1e-6, ops)
+    step_grid = harness.step_grid
+    monkeypatch.setattr(harness, "step_grid",
+                        lambda steps, times, tol, period: step_grid(steps, times, tol))
+    stepped = harness.quadratic_trajectory(spec, params, protocol, times, 1e-6, ops)
+    assert (reused.integrator.windows, stepped.integrator.windows) == (5, 4)
+    assert reused.integrator.reused_intervals == 100 - 40
+    assert harness.path_deviation(reused, stepped) <= 1e-12
+
+
 @pytest.mark.parametrize("step,reused", [(PERIOD / 64, 160), (0.1, 0)],
                          ids=["repeating", "never_repeating"])
 def test_period_cache_holds_one_period(step, reused):
-    # the Blocks step_grid still holds after yielding each pair (each alive
-    # basis is one) never exceed one period's pairs, T / (2 step) rounded up,
-    # whether or not the grid's times repeat one period later
+    # the Blocks step_grid still holds after yielding each window (each
+    # alive first Propagator is one) never exceed one period's windows,
+    # those that start within T of the latest, whether or not the grid's
+    # times repeat one period later
     from fermiproc.propagator import step_grid
     from fermiproc.quadratic import interaction_picture
     _, spec, protocol = _periodic_case()
     steps, _ = interaction_picture(harness.one_body_laplacian(spec), protocol)
     times = time_grid(0.0, 3.5 * PERIOD, step)
-    refs, most, count = [], 0, 0
+    refs, starts, most, count = [], [], 0, 0
     for block in step_grid(steps, times, 1e-6, (0.0, PERIOD)):
-        refs.append(weakref.ref(block.basis))
+        refs.append(weakref.ref(block.propagators[0]))
+        starts.append(block.propagators[0].t_start)
         count += sum(p.reused for p in block.propagators)
         del block
         most = max(most, sum(r() is not None for r in refs))
     assert count == reused
-    assert most == math.ceil(PERIOD / (2 * step) - 1e-9)
+    assert most == max(sum(s > a - PERIOD + 1e-9 for s in starts[:i + 1])
+                       for i, a in enumerate(starts))
 
 
 def test_periodic_both_run_passes_oracle(tmp_path):
@@ -473,9 +497,12 @@ def test_periodic_both_run_passes_oracle(tmp_path):
     report = result.manifest["integrator"]
     assert report["quadratic"]["reused_intervals"] == 192 - 64
     assert report["exact"]["reused_intervals"] == 0
-    # the widest joint basis fills the L = 8 one-particle space; the exact
-    # path has none
-    assert (report["quadratic"]["max_block_rank"], report["exact"]["max_block_rank"]) == (8, None)
+    # the frame basis fills the L = 8 one-particle space, so each window is
+    # one pair, and the widest update has its product's rank 5; the exact
+    # path has neither, and steps one pair per window
+    for key, value in (("window_basis_width", 8), ("max_block_rank", 5), ("windows", 96)):
+        assert (report["quadratic"][key], report["exact"][key]) == (
+            value, 96 if key == "windows" else None), key
 
 
 # -- both-path oracle ---------------------------------------------------------

@@ -14,15 +14,15 @@ from fermiproc import harness
 from fermiproc.drive import KernelSpec, Perturbation, periodic_protocol, switch_on_protocol
 from fermiproc.lattice import Boundary, LatticeSpec, one_body_laplacian
 from fermiproc.observables import ledger_row, work_accumulate
-from fermiproc.propagator import (BASIS_CACHE_SIZE, ROUNDOFF_FLOOR, IntegrationError,
-                                  InteractionSteps, LowRankUnitary, TimeDependentHamiltonian,
-                                  propagate, step_grid)
+from fermiproc.propagator import (ROUNDOFF_FLOOR, FrameWindow, IntegrationError,
+                                  InteractionSteps, TimeDependentHamiltonian, propagate,
+                                  step_grid)
 from fermiproc.quadratic import (correlation_entropy, gibbs_correlation, interaction_picture,
                                  quadratic_observable, reference_scalars)
 from fermiproc.states import GibbsParams
 
-from conftest import (FILLED, TRIDIAGONAL, correlation_update, interaction_step,
-                      low_rank_dense, two_qr_pair)
+from conftest import (FILLED, TRIDIAGONAL, correlation_update, interaction_step, lifted,
+                      low_rank_dense, pair_window, two_qr_pair)
 from conftest import cfm4_step as _cfm4_step
 
 # Hermitian with imaginary hoppings: Gamma and conj(Gamma) give different ledgers
@@ -117,10 +117,10 @@ def test_both_path_oracle_where_rank_exceeds_lattice(region):
 
 def test_step_is_the_dense_interaction_picture_step():
     # the pair test's factors over [a, m] and [m, b], and its product over
-    # [a, b], equal the dense CFM4 steps of the interaction-picture
-    # Hamiltonian in h0's eigenbasis and their product; its spectral-norm
-    # distance bounds the entrywise one from the dense step over [a, b] from
-    # above
+    # [a, b], in the coordinates of a window's frame basis, equal the dense
+    # CFM4 steps of the interaction-picture Hamiltonian in h0's eigenbasis
+    # and their product; its spectral-norm distance bounds the entrywise one
+    # from the dense step over [a, b] from above
     spec, protocol = _protocol(64, "switch_on", kernel=FILLED)
     steps, _ = interaction_picture(one_body_laplacian(spec), protocol)
     eps, phi = steps.eps, steps.phi
@@ -131,12 +131,13 @@ def test_step_is_the_dense_interaction_picture_step():
         return phase[:, None] * w * phase.conj()[None, :]
 
     for a, m, b in ((0.1, 0.2, 0.3), (0.2, 0.225, 0.25)):
-        left, right, (first, fine), spectral = steps.pair_test(a, m, b)
+        window = pair_window(steps, a, b)
+        left, right, fine = (lifted(window, u) for u in window.pair_test(a, m, b)[:3])
+        spectral = window.pair_test(a, m, b)[3]
         dense = [_cfm4_step(h_int, lo, hi) for lo, hi in ((a, m), (m, b), (a, b))]
         assert np.max(np.abs(low_rank_dense(left) - dense[0])) <= 1e-13
         assert np.max(np.abs(low_rank_dense(right) - dense[1])) <= 1e-13
         assert np.max(np.abs(low_rank_dense(fine) - dense[1] @ dense[0])) <= 1e-13
-        assert first is left
         entrywise = np.max(np.abs(low_rank_dense(fine) - dense[2]))
         assert entrywise <= spectral <= 64 * entrywise
 
@@ -150,38 +151,42 @@ PAIRS = {"accepted": (0.0, 0.00625, 0.0125, True), "refined": (0.025, 0.075, 0.1
 
 @pytest.mark.parametrize("case", list(PAIRS), ids=list(PAIRS))
 def test_pair_distance_is_the_two_qr_distance(case):
-    # the pair test in coordinates on its geometry's joint frame basis
-    # against the same test on L-vectors with two QRs (the product's on
-    # [Q_l, Q_r], then the distance's on [P_fine, Q_whole]), uncompressed:
-    # the same Richardson difference to 1e-14, and the same products; a
-    # lone interval's Block is the product over both halves, compressed to
-    # its rank, and carries the same difference
+    # the pair test in coordinates on a window's frame basis against the
+    # same test on L-vectors with two QRs (the product's on [Q_l, Q_r], then
+    # the distance's on [P_fine, Q_whole]), uncompressed: the same
+    # Richardson difference to 1e-14, and the same products; a lone
+    # interval's Block is the product over both halves, compressed to its
+    # rank, and carries the same difference
     a, m, b, accepted = PAIRS[case]
     spec, protocol = _protocol(512, "switch_on", kernel=FILLED)
     steps, _ = interaction_picture(one_body_laplacian(spec), protocol)
-    left, _, (first, fine), err = steps.pair_test(a, m, b)
+    window = pair_window(steps, a, b)
+    left, _, fine, err = window.pair_test(a, m, b)
     ref_first, ref_fine, _, ref_err = two_qr_pair(steps, a, m, b)
     assert abs(err - ref_err) <= 1e-14
     assert (err <= 1e-7 * (b - a) + ROUNDOFF_FLOOR) == accepted
-    assert first is left and np.array_equal(first.q[:, :fine.q.shape[1]], fine.q)
-    assert np.max(np.abs(low_rank_dense(first) - low_rank_dense(ref_first))) <= 1e-14
-    assert np.max(np.abs(low_rank_dense(fine) - low_rank_dense(ref_fine))) <= 1e-14
+    assert np.max(np.abs(low_rank_dense(lifted(window, left))
+                         - low_rank_dense(ref_first))) <= 1e-14
+    assert np.max(np.abs(low_rank_dense(lifted(window, fine))
+                         - low_rank_dense(ref_fine))) <= 1e-14
     if case == "lone":
         (block,) = step_grid(steps, [a, b], 1e-7)
         (p,) = block.propagators
-        assert block.basis.shape[1] == len(block.ks[0]) == fine.q.shape[1] < ref_fine.q.shape[1]
+        assert p.matrix.q.shape[1] == len(block.update.k) == fine.q.shape[1] \
+            < ref_fine.q.shape[1]
         assert abs(15 * p.est_error - ref_err) <= 1e-14
-        assert np.max(np.abs(low_rank_dense(LowRankUnitary(block.basis, block.ks[0]))
-                             - low_rank_dense(ref_fine))) <= 1e-14
+        for u in (p.matrix, block.update):
+            assert np.max(np.abs(low_rank_dense(lifted(block.frame, u))
+                                 - low_rank_dense(ref_fine))) <= 1e-14
 
 
 def test_compressed_step_matches_uncompressed():
     # each factor drops the eigen-directions of its K with |d| <=
     # ROUNDOFF_FLOOR: the pair test's products are the uncompressed ones, Q
     # from the QR of the L x 3|R| frames [Y(a + c_i dt)] of each step, to
-    # 1e-14; the product over both intervals has rank below 3|R| and all of
-    # its K's eigenvalues above the floor, on the first columns of the
-    # orthonormal basis P that also carries the first interval's product
+    # 1e-14; each factor's basis is orthonormal with at most 3|R| columns,
+    # and the product over both intervals has rank below 3|R| and all of its
+    # K's eigenvalues above the floor
     cfg = harness.load_config(Path(__file__).resolve().parents[1] / "configs"
                               / "process2_L200.yaml")
     spec = harness.lattice_spec(cfg)
@@ -189,38 +194,72 @@ def test_compressed_step_matches_uncompressed():
                                    harness.build_protocol(cfg, spec))
     n = steps.rows.size
     for a, dt in ((0.0, 0.09375), (1.7, 0.09375), (2.3, 0.046875)):
-        left, right, (_, fine), _ = steps.pair_test(a, a + dt, a + 2 * dt)
+        window = pair_window(steps, a, a + 2 * dt)
+        left, right, fine = (lifted(window, u)
+                             for u in window.pair_test(a, a + dt, a + 2 * dt)[:3])
         full = [low_rank_dense(interaction_step(steps, lo, lo + dt)) for lo in (a, a + dt)]
-        p = left.q
-        assert right.q is p and fine.q.shape[1] < 3 * n < p.shape[1]
-        assert np.max(np.abs(p.conj().T @ p - np.eye(p.shape[1]))) <= 1e-14
+        assert fine.q.shape[1] < 3 * n
+        for p in (left.q, right.q):
+            assert p.shape[1] <= 3 * n
+            assert np.max(np.abs(p.conj().T @ p - np.eye(p.shape[1]))) <= 1e-14
         assert np.max(np.abs(low_rank_dense(left) - full[0])) <= 1e-14
         assert np.max(np.abs(low_rank_dense(right) - full[1])) <= 1e-14
         assert np.max(np.abs(low_rank_dense(fine) - full[1] @ full[0])) <= 1e-14
         assert ROUNDOFF_FLOOR < np.min(np.abs(np.linalg.eigvals(fine.k)))
 
 
-def test_frame_basis_cache_is_bounded_and_exact():
-    # a grid of 200 distinct pair geometries (h1, h2, b - a): the joint frame
-    # bases stay within BASIS_CACHE_SIZE, and pair tests from cached bases
-    # (the repeat) or fresh ones are bit for bit those of a new
-    # InteractionSteps
-    spec, protocol = _protocol(64, "periodic")
+#: runs whose frame bases are checked: config, L, region start, grid step
+#: and intervals, and probe sites beyond the drive's
+FRAME_RUNS = {
+    "process1_L512": ("process1_L512.yaml", 512, 254, 0.02048, 70, ()),
+    "process2_L200-probes": ("process2_L200.yaml", 200, 98, 0.1, 40, (3, 150)),
+    "L2048-short_last_window": ("process1_L512.yaml", 2048, 1022, 0.08192, 33, ()),
+}
+
+
+@pytest.mark.parametrize("run", list(FRAME_RUNS), ids=list(FRAME_RUNS))
+def test_frame_basis_reproduces_every_frame(run):
+    # one frame basis B per run: every frame Y_S(t) a window reads (its
+    # grid times and its steps' Gauss nodes, here a dense sample of its
+    # span), S the drive's sites and the probe sites, is B_a times its
+    # coordinates to 1e-14; at L = 2048 the grid's last window is short and
+    # ends in a lone interval
+    name, n_sites, first, step, intervals, probes = FRAME_RUNS[run]
+    cfg = harness.load_config(Path(__file__).resolve().parents[1] / "configs" / name)
+    region = list(range(first, first + 4))
+    cfg.lattice.L, cfg.lattice.local_region = n_sites, region
+    for k in cfg.drive.kernels:
+        k.sites = region
+    spec = harness.lattice_spec(cfg)
+    steps, _ = interaction_picture(one_body_laplacian(spec), harness.build_protocol(cfg, spec),
+                                   probes)
+    assert list(steps.sites) == sorted(region + list(probes))
+    times = 30.0 + step * np.arange(intervals + 1)
+    blocks = list(step_grid(steps, times, cfg.integrator.tol))
+    assert {id(b.frame.basis) for b in blocks} == {id(blocks[0].frame.basis)}
+    span = blocks[0].frame.basis.span
+    assert all(b.times[-1] - b.frame.origin <= span for b in blocks)
+    for block in blocks:
+        sample = block.frame.origin + np.concatenate([np.linspace(0.0, span, 41),
+                                                      np.array(block.times) - block.frame.origin])
+        for t, c in zip(sample, block.frame.coordinates(sample)):
+            assert np.max(np.abs(block.frame.vectors @ c - steps.frame(t, steps.sites))) <= 1e-14
+
+
+def test_frame_outside_the_basis_raises():
+    # a frame basis for [0, span] refuses frames beyond it, past rounding of
+    # the grid times: a pair test over a wider pair, or one starting before
+    # the window, raises rather than projecting its frames
+    spec, protocol = _protocol(64, "switch_on", kernel=FILLED)
     steps, _ = interaction_picture(one_body_laplacian(spec), protocol)
-    times = np.concatenate([[0.0], np.cumsum(0.05 + 1e-4 * np.arange(400))])
-    pairs = list(zip(times[:-2:2], times[1:-1:2], times[2::2]))
-    assert len({(m - a, b - m, b - a) for a, m, b in pairs}) == 200
-    for a, m, b in pairs:
-        new = InteractionSteps(steps.eps, steps.phi, steps.rows, steps.coupling)
-        fresh = new.pair_test(a, m, b)
-        first = steps.pair_test(a, m, b)
-        assert (m - a, b - m, b - a) in steps.geometries  # the repeat takes the kept basis
-        for got in (first, steps.pair_test(a, m, b)):
-            assert got[3] == fresh[3]
-            for u, v in zip(got[:2] + got[2], fresh[:2] + fresh[2]):
-                assert np.array_equal(u.q, v.q) and np.array_equal(u.k, v.k)
-        assert len(steps.geometries) <= BASIS_CACHE_SIZE
-    assert len(steps.geometries) == BASIS_CACHE_SIZE
+    basis = steps.frame_basis(0.1)
+    window = FrameWindow(steps, basis, 1.0)
+    window.pair_test(1.0, 1.05, 1.1 * (1 + 1e-12))  # rounding of the grid times
+    for a, m, b in ((1.0, 1.1, 1.2), (0.95, 1.0, 1.05)):
+        with pytest.raises(ValueError, match="leave the span"):
+            window.pair_test(a, m, b)
+    with pytest.raises(ValueError, match="leave the span"):
+        basis.coordinates([0.1 * (1 + 1e-8)])
 
 
 def test_nonfinite_coupling_aborts():
@@ -232,30 +271,34 @@ def test_nonfinite_coupling_aborts():
                            lambda times: np.full((len(times),) + (steps.rows.size,) * 2, np.nan))
     with pytest.raises(IntegrationError,
                        match=r"non-finite Hamiltonian entries on \[0\.0, 0\.1\]"):
-        bad.pair_test(0.0, 0.05, 0.1)
+        pair_window(bad, 0.0, 0.1).pair_test(0.0, 0.05, 0.1)
 
 
 @pytest.mark.parametrize("tol", [1e-5, 1e-9], ids=["accepted", "refined"])
 def test_shift_is_the_pair_one_period_later(tol):
     # U_I(s + T, t + T) = Phi U_I(s, t) Phi^dagger, Phi = diag(e^{i eps T}):
-    # a grid pair's Block shifted by the drive's period T = 1.2 is the Block
-    # stepped one period later, to 1e-13 on every cumulative factor, with the
-    # later grid times and the same integrator metadata
-    spec, protocol = _protocol(64, "periodic")
+    # a window of grid pairs shifted by the drive's period T = 1.2 is the
+    # window stepped one period later, to 1e-13 on every interval's factor and
+    # on its product, with the later grid times and the same integrator
+    # metadata; so are its leading pair alone (a shorter window one period
+    # later) and that pair's product; at L = 200, where two pairs take one
+    # window
+    spec, protocol = _protocol(200, "periodic")
     steps, _ = interaction_picture(one_body_laplacian(spec), protocol)
-    points = (0.3, 0.35, 0.4)
+    points = (0.3, 0.35, 0.4, 0.45, 0.5)
     (block,) = step_grid(steps, points, tol)
-    later = tuple(t + 1.2 for t in points)
-    (stepped,) = step_grid(steps, later, tol)
-    shifted = steps.shift(block, 1.2, later)
-    assert shifted.times == later[1:] == stepped.times
-    for a, b in zip(shifted.ks, stepped.ks):
-        assert np.max(np.abs(low_rank_dense(LowRankUnitary(shifted.basis[:, :len(a)], a))
-                             - low_rank_dense(LowRankUnitary(stepped.basis[:, :len(b)], b)))) \
-            <= 1e-13
-    for p, q, s in zip(block.propagators, stepped.propagators, shifted.propagators):
-        assert (s.t_start, s.t_end) == (q.t_start, q.t_end)
-        assert (s.est_error, s.refined, s.min_step) == (p.est_error, p.refined, p.min_step)
-        assert s.reused and not (p.reused or q.reused)
-        assert p.refined == (tol == 1e-9)
-        assert np.max(np.abs(low_rank_dense(s.matrix) - low_rank_dense(q.matrix))) <= 1e-13
+    for n in (5, 3):
+        later = tuple(t + 1.2 for t in points[:n])
+        (stepped,) = step_grid(steps, later, tol)
+        shifted = steps.shift(block, 1.2, later)
+        assert shifted.times == later[1:] == stepped.times
+        assert np.max(np.abs(low_rank_dense(lifted(shifted.frame, shifted.update))
+                             - low_rank_dense(lifted(stepped.frame, stepped.update)))) <= 1e-13
+        for p, q, s in zip(block.propagators[:n - 1], stepped.propagators,
+                           shifted.propagators, strict=True):
+            assert (s.t_start, s.t_end) == (q.t_start, q.t_end)
+            assert (s.est_error, s.refined, s.min_step) == (p.est_error, p.refined, p.min_step)
+            assert s.reused and not (p.reused or q.reused)
+            assert p.refined == (tol == 1e-9)
+            assert np.max(np.abs(low_rank_dense(lifted(shifted.frame, s.matrix))
+                                 - low_rank_dense(lifted(stepped.frame, q.matrix)))) <= 1e-13

@@ -290,7 +290,7 @@ def test_manifest_counts_refined_intervals(tmp_path):
     with open(tmp_path / "manifest.json") as fh:
         report = json.load(fh)["integrator"]["quadratic"]
     assert set(report) == {"est_error", "refined_intervals", "min_step", "reused_intervals",
-                           "max_block_rank"}
+                           "windows", "max_block_rank", "window_basis_width"}
     assert 0 < report["refined_intervals"] <= 16
     assert report["reused_intervals"] == 0  # one period: nothing to reuse
 
