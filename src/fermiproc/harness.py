@@ -63,8 +63,8 @@ from .linalg import (fill_upper, max_abs, sector_map, sector_workers, spectral_n
 from .observables import (delta_entropy, entropy_rate, entropy_rate_decomposed,
                           expectation, internal_energy, ledger_row, work_accumulate)
 from .propagator import (Block, DenseSteps, LowRankUnitary, TimeDependentHamiltonian,
-                         dyson_propagator, heisenberg_evolve, interaction_to_schrodinger,
-                         propagate, propagate_grid, step_grid)
+                         cumulative_factors, dyson_propagator, heisenberg_evolve,
+                         interaction_to_schrodinger, propagate, propagate_grid, step_grid)
 from .quadratic import (ReferenceScalars, ScalarDriveReferenceCache, binary_entropy,
                         diagonal_state, eigenbasis, expit, interaction_picture, pauli_excess,
                         quadratic_entropy_ledger, rank_update)
@@ -655,8 +655,8 @@ def quadratic_trajectory(spec, params, protocol, times, tol, probe_ops=None):
         # H = B_a^dagger G B_a and U(t_i, a) = I + B_a D_i B_a^dagger,
         # B_a^dagger U G U^dagger B_a = H_i = (I + D_i) H (I + D_i)^dagger; both
         # are taken interval by interval from each step's factor (q, k) at
-        # O(d^2 r); Gamma_SS = conj(c^dagger H_i c) for the frame's
-        # coordinates c; tr G_i = tr G + tr(H_i - H); and, with
+        # O(d^2 r), D_i by `cumulative_factors`; Gamma_SS = conj(c^dagger H_i c)
+        # for the frame's coordinates c; tr G_i = tr G + tr(H_i - H); and, with
         # A = (X - B_a H)^dagger diag(eps) B_a and E_B = B^dagger diag(eps) B,
         # sum_k eps_k (G_i)_kk = sum_k eps_k G_kk + tr(E_B (H_i - H))
         # + 2 Re tr(D_i A): O(d^2 (r + |S|)) per row, nothing of size d^3
@@ -666,11 +666,12 @@ def quadratic_trajectory(spec, params, protocol, times, tol, probe_ops=None):
         a = x.conj().T @ (eps[:, None] * basis) - h @ e_b
         energy0, charge0 = scalars(g)
         coords = block.frame.coordinates(block.times)
-        h_i, d_i, rows = h, np.zeros_like(h), []
-        for i, (t, step, c) in enumerate(zip(block.times, block.propagators, coords)):
+        h_i, rows = h, []
+        cumulative = cumulative_factors(block.propagators, len(h))
+        for i, (t, step, c, d_i) in enumerate(zip(block.times, block.propagators, coords,
+                                                  cumulative)):
             q, k = step.matrix
             qh = q.conj().T
-            d_i = d_i + q @ (k @ (qh + qh @ d_i))
             u_h = h_i + q @ (k @ (qh @ h_i))
             h_i = u_h + (u_h @ q) @ k.conj().T @ qh
             gamma = (c.conj().T @ h_i @ c).conj()

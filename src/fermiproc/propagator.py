@@ -37,8 +37,9 @@ window):
   of the 3|R| frames [Y(a + c_i dt)] and K from two 3|R| x 3|R|
   exponentials: no L x L exponential. Everything runs in coordinates on one
   frame basis per run (`FrameBasis`): B (L x d) holds every frame Y_S(s),
-  s in [0, W], for S = R and the probe sites and W the widest window's
-  span, to about 1e-15, and since Y(a + s) = diag(e^{i eps a}) Y(s), a
+  s in [0, W], for S = R and the probe sites and W a span set by the grid's
+  widest interval and the longest window (so not by where the grid is
+  cut), to about 1e-15, and since Y(a + s) = diag(e^{i eps a}) Y(s), a
   window starting at a has the basis diag(e^{i eps a}) B (`FrameWindow`).
   A frame's coordinates come from the Chebyshev series of e^{i eps s}
   (O(d |S|) per term, nothing of size L). Each pair test is one QR per step
@@ -258,16 +259,23 @@ def _cumulative(p, ks):
     return LowRankUnitary(p, kl), LowRankUnitary(p, kl + kr + kr @ kl)
 
 
-def _product(propagators, d):
-    """The product of the propagators' factors (q, k), in order, as one
-    LowRankUnitary on the d coordinates: D_i = D_{i-1} + q k q^dagger (I + D_{i-1})
-    at O(d^2 r) per factor, the last D compressed to its eigen-directions
-    above ROUNDOFF_FLOOR (`_eigen_order`)."""
+def cumulative_factors(propagators, d):
+    """The running products of the propagators' factors (q, k) on the d
+    coordinates, in order: each D_i of I + D_i = U(t_i, t_0), from
+    D_i = D_{i-1} + q k q^dagger (I + D_{i-1}) at O(d^2 r) per factor."""
     total = np.zeros((d, d), dtype=complex)
     for p in propagators:
         q, k = p.matrix
         qh = q.conj().T
         total = total + q @ (k @ (qh + qh @ total))
+        yield total
+
+
+def _product(propagators, d):
+    """The product of the propagators' factors as one LowRankUnitary on the
+    d coordinates: the last of `cumulative_factors`, compressed to its
+    eigen-directions above ROUNDOFF_FLOOR (`_eigen_order`)."""
+    (total,) = deque(cumulative_factors(propagators, d), maxlen=1)
     v, form, keep = _eigen_order(total)
     return LowRankUnitary(v[:, keep], form[np.ix_(keep, keep)])
 
@@ -306,6 +314,10 @@ FRAME_FLOOR = 1e-14
 #: [0, span]: rounding of the grid times, where the Chebyshev series still
 #: holds to roundoff
 FRAME_SLACK = 1e-9
+#: a run's frame basis span is rounded up to a power of 2^(1/SPAN_STEPS), at
+#: most 2.2% wider, so grids that differ by rounding of their times get the
+#: same basis (`InteractionSteps.windows`)
+SPAN_STEPS = 32
 
 #: CFM4's two exponents as combinations of the samples at the Gauss nodes:
 #: B0/2 + 2 B1 (the factor acting last) and B0/2 - 2 B1 (`cfm4`)
@@ -383,8 +395,7 @@ class InteractionSteps:
 
     def windows(self, pairs, period=None):
         """The grid pairs (a, m, b, lone) in windows of consecutive pairs,
-        each with its FrameWindow; one FrameBasis, for the widest window's
-        span, serves them all.
+        each with its FrameWindow; one FrameBasis serves them all.
 
         The rule: a window holds n pairs, n the largest of WINDOW_PAIRS,
         WINDOW_PAIRS / 2, ..., 1 whose frame basis has d <= L / 4 columns
@@ -399,6 +410,12 @@ class InteractionSteps:
         (t0, T) no window holds pairs from two of the periods
         [t0 + k T, t0 + (k + 1) T) (nor from before t0 and after), so the
         windows of a period are those of the period before, moved by T.
+
+        The basis spans twice the grid's widest interval (a lone interval's
+        width, or either half of a pair) per pair of the longest window,
+        rounded up to a power of 2^(1/SPAN_STEPS): it holds every window, and
+        it does not depend on where the grid is cut, so pieces of a grid
+        whose windows are single pairs are stepped bit for bit as the grid is.
         """
         def epoch(t):
             if period is None:
@@ -406,6 +423,7 @@ class InteractionSteps:
             t0, length = period
             return np.floor((t - t0 + PERIOD_ULPS * np.spacing(abs(t))) / length)
 
+        widest = max(b - a if lone else max(m - a, b - m) for a, m, b, lone in pairs)
         n = WINDOW_PAIRS
         while True:
             groups = []
@@ -414,10 +432,12 @@ class InteractionSteps:
                     groups[-1].append(pair)
                 else:
                     groups.append([pair])
-            basis = self.frame_basis(max(group[-1][2] - group[0][0] for group in groups))
-            if n == 1 or basis.vectors.shape[1] <= WINDOW_WIDTH * self.eps.size:
+            size = max(map(len, groups))
+            span = 2.0 ** (np.ceil(SPAN_STEPS * np.log2(2 * size * widest)) / SPAN_STEPS)
+            basis = self.frame_basis(span)
+            if size == 1 or basis.vectors.shape[1] <= WINDOW_WIDTH * self.eps.size:
                 return [(FrameWindow(self, basis, group[0][0]), group) for group in groups]
-            n //= 2
+            n = 1 << ((size - 1).bit_length() - 1)  # the next of n / 2, ... to change them
 
     def shift(self, block, period, points):
         """`block` one drive period T = `period` later, on the grid points
@@ -764,7 +784,8 @@ def heisenberg_evolve(a, propagator):
 __all__ = [
     "DEFAULT_TOL", "IntegrationError", "Propagator", "TimeDependentHamiltonian",
     "GAUSS_NODES", "GAUSS_WEIGHTS", "cfm4", "DenseSteps", "LowRankUnitary",
-    "InteractionSteps", "FrameBasis", "FrameWindow", "Block", "step_grid",
+    "InteractionSteps", "FrameBasis", "FrameWindow", "Block", "cumulative_factors",
+    "step_grid",
     "propagate", "propagate_grid", "dyson_propagator", "dyson_remainder",
     "interaction_to_schrodinger", "heisenberg_evolve",
 ]
