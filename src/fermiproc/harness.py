@@ -438,7 +438,9 @@ def _trajectory(rep, params, times):
         for rec, probes in rows:
             records.append(rec)
             probe_rows.append(probes)
-    block = step = None  # the last block's frame basis would live on through `final`
+        # dropped before the next block is stepped, and the last one's frame
+        # basis would live on through `final`
+        block = step = None
     for rec, work in zip(records, work_accumulate(records, params)):
         rec.work = work
     final, s_final, pauli = rep.final(state, times[-1])

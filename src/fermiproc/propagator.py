@@ -19,9 +19,10 @@ unit time; the fine solution's error is estimated as that difference / 15,
 split evenly over a grid pair. The halving is written once, over a step
 representation with `pair_test` (the steps over [a, m] and [m, b], their
 product over [a, b], and the Richardson difference from one step over
-[a, b]), `compose` (joining a refined interval's accepted pieces), `windows`
-(how `step_grid` groups the grid pairs) and `block` (what it yields for a
-window):
+[a, b]), `pair_tests` (the first pair test of every grid pair of a window
+at once), `compose` (joining a refined interval's accepted pieces),
+`windows` (how `step_grid` groups the grid pairs) and `block` (what it
+yields for a window):
 
 - `DenseSteps`: dense unitaries of H(t) given as a tuple of Hermitian
   diagonal blocks, one unitary per block, compared entrywise (max-modulus
@@ -42,10 +43,13 @@ window):
   cut), to about 1e-15, and since Y(a + s) = diag(e^{i eps a}) Y(s), a
   window starting at a has the basis diag(e^{i eps a}) B (`FrameWindow`).
   A frame's coordinates come from the Chebyshev series of e^{i eps s}
-  (O(d |S|) per term, nothing of size L). Each pair test is one QR per step
-  (d x 3|R|), the six exponentials as one stacked `eigh`, and one QR of the
-  three steps' joint span; I + K is unitary, so K is normal, and each
-  factor, as each refined interval's product (`compose`), drops its
+  (O(d |S|) per term, nothing of size L). A pair test is one QR per step
+  (d x 3|R|), the six exponentials, and one QR of the three steps' joint
+  span; the pair tests of a window's grid pairs do not depend on each other
+  or on G, so `FrameWindow.pair_tests` runs them as one stacked
+  computation, each of those a single stacked call over the window, and
+  `pair_test` is its one-pair case. I + K is unitary, so K is normal, and
+  each factor, as each refined interval's product (`compose`), drops its
   eigen-directions with |d| <= ROUNDOFF_FLOOR, leaving rank <= 3|R| (8 of
   12 for the reference drives). A window of up to WINDOW_PAIRS grid pairs
   (`InteractionSteps.windows`) is one Block: each interval's factor in the
@@ -192,9 +196,16 @@ class DenseSteps(NamedTuple):
         caller has it; otherwise taken with the other two), the largest over
         blocks."""
         if whole is None:
-            left, right, whole = self.steps((a, m), (m, b), (a, b))
-        else:
-            left, right = self.steps((a, m), (m, b))
+            return self.pair_tests([(a, m, b)])[0]
+        return self._richardson(*self.steps((a, m), (m, b)), whole)
+
+    def pair_tests(self, pairs):
+        """`pair_test` of each grid pair (a, m, b, ...), the three steps of
+        every pair in one `steps`."""
+        units = self.steps(*[iv for a, m, b, *_ in pairs for iv in ((a, m), (m, b), (a, b))])
+        return [self._richardson(*units[i:i + 3]) for i in range(0, len(units), 3)]
+
+    def _richardson(self, left, right, whole):
         fine = self.compose(right, left)
         return left, right, fine, max(max_abs(x - y) for x, y in zip(fine, whole))
 
@@ -221,16 +232,42 @@ class LowRankUnitary(NamedTuple):
     k: np.ndarray
 
 
+def _on_joint_spans(groups):
+    """For each group of factors (the same number in every group), an
+    orthonormal basis P of their joint span, stacked over the groups, and
+    each factor's K on it, stacked over the factors and then the groups:
+    with Q = P M from the QR, Q K Q^dagger = P (M K M^dagger) P^dagger. The
+    groups' spans are one stacked QR, each span's columns followed by zero
+    columns up to the widest; those add zero rows to M (R is upper
+    triangular). Each factor's M, its columns of R, and its K are stacked
+    with zero columns and rows up to the highest rank, which add nothing to
+    M K M^dagger."""
+    ranks = np.array([[f.q.shape[1] for f in group] for group in groups]).T
+    ends = np.cumsum(ranks, axis=0)
+    width = ends[-1].max()
+    spans = np.zeros((len(groups), len(groups[0][0].q), width), dtype=complex)
+    ks = np.zeros(ranks.shape + (ranks.max(),) * 2, dtype=complex)
+    columns = np.full(ks.shape[:3], width)  # R's zero column, appended below
+    for g, group in enumerate(groups):
+        for i, f in enumerate(group):
+            rank, hi = f.q.shape[1], ends[i, g]
+            spans[g, :, hi - rank:hi] = f.q
+            ks[i, g, :rank, :rank] = f.k
+            columns[i, g, :rank] = np.arange(hi - rank, hi)
+    p, r = np.linalg.qr(spans)
+    del spans
+    r = np.concatenate([r, np.zeros(r.shape[:2] + (1,))], axis=2)
+    m = np.take_along_axis(r[None], columns[:, :, None, :], axis=3)
+    del r
+    ks = m @ ks
+    return p, ks @ np.conjugate(m, out=m).swapaxes(-1, -2)
+
+
 def _on_joint_span(*factors):
     """An orthonormal basis P of the factors' joint span, and each factor's K
-    on it: with Q = P M from the QR, Q K Q^dagger = P (M K M^dagger) P^dagger."""
-    p, r = np.linalg.qr(np.hstack([f.q for f in factors]))
-    ks, start = [], 0
-    for f in factors:
-        m = r[:, start:start + f.q.shape[1]]
-        ks.append(m @ f.k @ m.conj().T)
-        start += f.q.shape[1]
-    return p, ks
+    on it (`_on_joint_spans` of one group)."""
+    p, ks = _on_joint_spans([factors])
+    return p[0], ks[:, 0]
 
 
 def _eigen_order(k):
@@ -476,44 +513,74 @@ class FrameWindow(NamedTuple):
         return self.basis.coordinates(np.asarray(times, dtype=float) - self.origin)
 
     def pair_test(self, a, m, b, whole=None):
-        """Steps over [a, m] and [m, b], their product over [a, b], and the
-        spectral norm of its difference from one step over [a, b], all in
-        the window's coordinates: each step's three node frames (d x 3|R|)
-        have one QR q r, the step is I + q K q^dagger with K from the
-        samples r_i C(t_i) r_i^dagger, and the six exponentials are one
-        stacked `eigh`; I + K is unitary, so K is normal, and each step drops
-        its eigen-directions with |d| <= ROUNDOFF_FLOOR, inside the pair
-        test's absolute floor, leaving rank <= 3|R| (8 of 12 for the
-        reference drives). The three steps' joint span (one QR of at most
-        9|R| columns) gives the Richardson difference, and the product is
-        compressed the same way. The step over [a, b] is among the six
-        exponentials, so `whole` is not read."""
+        """`pair_tests` of the one pair (a, m, b); `whole` is not read."""
+        return self.pair_tests([(a, m, b)])[0]
+
+    def pair_tests(self, pairs):
+        """For each grid pair (a, m, b, ...) of `pairs`: the steps over
+        [a, m] and [m, b], their product over [a, b], and the spectral norm
+        of its difference from one step over [a, b], all in the window's
+        coordinates. The pairs do not depend on each other, so every stage is
+        one stacked call over all of them: one `coupling` call for the 9
+        node times of each pair (checked finite before any QR or `eigh`; the
+        error names the first pair with a non-finite sample), one
+        `coordinates` call, one QR of each step's three node frames
+        (d x 3|R|), so the step is I + q K q^dagger with K from the samples
+        r_i C(t_i) r_i^dagger, one `eigh` of the six exponentials of each
+        pair, and one of each step's K: I + K is unitary, so K is normal, and
+        each step drops its eigen-directions with |d| <= ROUNDOFF_FLOOR,
+        inside the pair test's absolute floor, leaving rank <= 3|R| (8 of 12
+        for the reference drives). Each pair's three steps' joint span (one
+        stacked QR of at most 9|R| columns per pair, `_on_joint_spans`)
+        gives the Richardson difference, its norm from one stacked
+        `eigvalsh`, and the product, compressed the same way. Without a
+        drive (R empty) every factor is the identity, with err 0."""
         steps, n, d = self.steps, self.steps.rows.size, self.basis.vectors.shape[1]
-        widths = np.array([m - a, b - m, b - a])
-        times = np.array([lo + c * w for lo, w in zip((a, m, a), widths) for c in GAUSS_NODES])
+        count = 3 * len(pairs)  # steps
+        ends = np.array([pair[:3] for pair in pairs], dtype=float)
+        lows = ends[:, [0, 1, 0]]
+        widths = ends[:, [1, 2, 2]] - lows
+        times = (lows[:, :, None] + GAUSS_NODES * widths[:, :, None]).ravel()
         couplings = steps.coupling(times)
-        _check_finite([couplings], a, b)
-        y = self.coordinates(times)[:, :, steps.on_rows]
-        q, r = np.linalg.qr(y.reshape(3, 3, d, n).transpose(0, 2, 1, 3).reshape(3, d, 3 * n))
+        if not np.isfinite(couplings).all():
+            for pair, samples in zip(pairs, couplings.reshape(len(pairs), 9, n, n)):
+                _check_finite(samples, pair[0], pair[2])
+        frames = (self.coordinates(times)[:, :, steps.on_rows]
+                  .reshape(count, 3, d, n).transpose(0, 2, 1, 3).reshape(count, d, 3 * n))
+        q, r = np.linalg.qr(frames)
+        # each stack is dropped once read: a window's stacks at L = 200 are
+        # about 1 MB, which adds to the run's peak memory
+        del frames
         k = r.shape[1]
-        nodes = r.reshape(3, k, 3, n).transpose(0, 2, 1, 3).reshape(9, k, n)
+        nodes = r.reshape(count, k, 3, n).transpose(0, 2, 1, 3).reshape(3 * count, k, n)
         samples = nodes @ couplings @ nodes.conj().transpose(0, 2, 1)
-        exponents = (_EXPONENTS @ samples.reshape(3, 3, k * k)).reshape(3, 2, k, k)
+        exponents = (_EXPONENTS @ samples.reshape(count, 3, k * k)).reshape(count, 2, k, k)
+        del r, nodes, samples
         w, v = np.linalg.eigh(exponents)
+        del exponents
         # each exponential as I + D, D = v (e^{-i dt w} - 1) v^dagger by
         # `expm1`, and K = D+ + D- + D+ D-: no I is added and taken away, so
         # I + K is unitary to the roundoff of K, not of 1 (a saturated drive
         # repeats the same K on every pair, and its defect drifts the charge)
-        phases = np.expm1(-1j * widths[:, None, None] * w)[:, :, None, :]
-        e = (v * phases) @ v.conj().swapaxes(2, 3)
-        left, right, whole = _compressed(q, e[:, 0] + e[:, 1] + e[:, 0] @ e[:, 1])
-        z, ks = _on_joint_span(left, right, whole)
-        fine = _cumulative(z, ks)[1]
-        diff = fine.k - ks[2]
+        e = v * np.expm1(-1j * widths.reshape(count, 1, 1) * w)[:, :, None, :]
+        e = e @ np.conjugate(v, out=v).swapaxes(2, 3)
+        step_ks = e[:, 0] + e[:, 1]
+        step_ks += e[:, 0] @ e[:, 1]
+        del w, v, e
+        factors = _compressed(q, step_ks)
+        del q, step_ks
+        z, ks = _on_joint_spans([factors[i:i + 3] for i in range(0, count, 3)])
+        kl, kr, kw = ks
+        fine = kl + kr
+        fine += kr @ kl
+        diff = kw - fine
+        del ks, kl, kr, kw
         # the spectral norm from the largest eigenvalue of diff^dagger diff
-        err = (np.sqrt(max(np.linalg.eigvalsh(diff.conj().T @ diff)[-1], 0.0))
-               if diff.size else 0.0)
-        return left, right, _compressed(fine.q[None], fine.k[None])[0], float(err)
+        err = (np.sqrt(np.maximum(np.linalg.eigvalsh(diff.conj().swapaxes(1, 2) @ diff)[:, -1],
+                                  0.0)) if diff.shape[-1] else np.zeros(len(pairs)))
+        del diff
+        return [(factors[3 * i], factors[3 * i + 1], u, float(x))
+                for i, (u, x) in enumerate(zip(_compressed(z, fine), err))]
 
     def compose(self, right, left):
         """The product on the factors' joint span, compressed: a refined
@@ -567,10 +634,11 @@ def _adaptive(steps, pieces, tol):
                       min_step=0.5 * min(hi - lo for lo, hi, *_ in out))
 
 
-def _grid_pair(steps, a, m, b, lone, tol):
+def _grid_pair(steps, a, m, b, lone, tol, test):
     """The Propagators of one grid pair, [a, m] and [m, b], or of the `lone`
-    interval [a, b] (m its midpoint); the pair test's other steps die here."""
-    left, right, fine, err = steps.pair_test(a, m, b)
+    interval [a, b] (m its midpoint), from its pair test `test` (`pair_tests`);
+    the pair test's other steps die here."""
+    left, right, fine, err = test
     if err <= tol * (b - a) + ROUNDOFF_FLOOR:
         parts = [(a, b, fine)] if lone else [(a, m, left), (m, b, right)]
         pair = [Propagator(u, lo, hi, "direct", err / 15.0 / len(parts),
@@ -604,11 +672,13 @@ def step_grid(steps, times, tol=DEFAULT_TOL, period=None):
 
     The step control runs on the grid pairs (the lone last interval of an odd
     grid as a pair of half steps, keeping their product), with the error
-    budget `tol` per unit time. A pair whose two one-interval steps agree with one
+    budget `tol` per unit time. Each window's first pair tests are one
+    `pair_tests` call, one stacked computation over its pairs (a single pair
+    from `DenseSteps`). A pair whose two one-interval steps agree with one
     two-interval step keeps those steps (6 exponentials per pair); otherwise
-    `_adaptive` halves each interval from them, and the intervals are
-    `refined`. A non-finite Hamiltonian sample, or a non-finite propagator
-    entry, raises IntegrationError.
+    `_adaptive` halves each interval from them, pair by pair, and the
+    intervals are `refined`. A non-finite Hamiltonian sample, or a
+    non-finite propagator entry, raises IntegrationError.
 
     `period` = (t0, T) declares the drive T-periodic from t0 on
     (`InteractionSteps` only). A window whose grid times are those of an
@@ -642,7 +712,8 @@ def step_grid(steps, times, tol=DEFAULT_TOL, period=None):
                     abs(x - y - length) <= slack for x, y in zip(points, earlier[0][0])):
                 block = steps.shift(earlier.popleft()[2], length, points)
         if block is None:
-            block = frame.block([p for pair in window for p in _grid_pair(frame, *pair, tol)])
+            block = frame.block([p for pair, test in zip(window, frame.pair_tests(window))
+                                 for p in _grid_pair(frame, *pair, tol, test)])
         if period is not None and a >= t0:
             earlier.append((points, kinds, block))
         yield block

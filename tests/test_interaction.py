@@ -180,6 +180,43 @@ def test_pair_distance_is_the_two_qr_distance(case):
                                  - low_rank_dense(ref_fine))) <= 1e-14
 
 
+#: windows of the PAIRS run's grid pairs: each PAIRS case alone, and windows
+#: of 5 and 16 pairs from t = 0 with an accepted pair, a pair that refines
+#: and the lone last interval, and more pairs 0.0125 wide between them
+STACKED = {**{f"1-{case}": [(a, m, b, case == "lone")] for case, (a, m, b, _) in PAIRS.items()},
+           "5": [(0.0, 0.00625, 0.0125, False), (0.0125, 0.01875, 0.025, False),
+                 (0.025, 0.075, 0.125, False), (0.125, 0.13125, 0.1375, False),
+                 (0.1375, 0.14375, 0.15, True)],
+           "16": [(0.0, 0.00625, 0.0125, False), (0.0125, 0.01875, 0.025, False),
+                  (0.025, 0.075, 0.125, False)]
+           + [(t, t + 0.00625, t + 0.0125, False) for t in 0.125 + 0.0125 * np.arange(12)]
+           + [(0.275, 0.28125, 0.2875, True)]}
+
+
+@pytest.mark.parametrize("window_pairs", list(STACKED))
+def test_stacked_pair_tests_match_one_by_one(window_pairs):
+    # a window's pair tests as one stacked computation are each pair's own
+    # pair test: the same factors and product, lifted to L-vectors, and the
+    # same Richardson difference, to 1e-14
+    spec, protocol = _protocol(512, "switch_on", kernel=FILLED)
+    steps, _ = interaction_picture(one_body_laplacian(spec), protocol)
+    pairs = STACKED[window_pairs]
+    window = pair_window(steps, pairs[0][0], pairs[-1][2])
+    stacked = window.pair_tests(pairs)
+    assert len(stacked) == len(pairs)
+    accepted = [err <= 1e-7 * (b - a) + ROUNDOFF_FLOOR
+                for (a, _, b, _), (*_, err) in zip(pairs, stacked)]
+    if len(pairs) > 1:
+        assert accepted[0] and not accepted[2]
+    for (a, m, b, _), got in zip(pairs, stacked):
+        want = window.pair_test(a, m, b)
+        assert abs(got[3] - want[3]) <= 1e-14
+        for u, v in zip(got[:3], want[:3]):
+            assert u.k.shape == v.k.shape
+            assert np.max(np.abs(low_rank_dense(lifted(window, u))
+                                 - low_rank_dense(lifted(window, v)))) <= 1e-14
+
+
 def test_compressed_step_matches_uncompressed():
     # each factor drops the eigen-directions of its K with |d| <=
     # ROUNDOFF_FLOOR: the pair test's products are the uncompressed ones, Q
@@ -262,9 +299,11 @@ def test_frame_outside_the_basis_raises():
         basis.coordinates([0.1 * (1 + 1e-8)])
 
 
-def test_nonfinite_coupling_aborts():
+def test_nonfinite_coupling_aborts(monkeypatch):
     # like the dense step rule, the interaction-picture one refuses a
-    # non-finite drive sample before any moment is formed
+    # non-finite drive sample before any moment is formed; in a window of
+    # pair tests, before any QR or eigh, naming the first pair with one (the
+    # third of four, not the window)
     spec, protocol = _protocol(16, "switch_on")
     steps, _ = interaction_picture(one_body_laplacian(spec), protocol)
     bad = InteractionSteps(steps.eps, steps.phi, steps.rows,
@@ -272,6 +311,24 @@ def test_nonfinite_coupling_aborts():
     with pytest.raises(IntegrationError,
                        match=r"non-finite Hamiltonian entries on \[0\.0, 0\.1\]"):
         pair_window(bad, 0.0, 0.1).pair_test(0.0, 0.05, 0.1)
+
+    def third_bad(times):  # and the fourth
+        couplings = steps.coupling(times)
+        couplings[times > 0.05] = np.nan
+        return couplings
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a QR or eigh ran before the finiteness check")
+
+    for name in ("qr", "eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    pairs = [(0.0, 0.0125, 0.025, False), (0.025, 0.0375, 0.05, False),
+             (0.05, 0.0625, 0.075, False), (0.075, 0.0875, 0.1, False)]
+    window = pair_window(InteractionSteps(steps.eps, steps.phi, steps.rows, third_bad),
+                         0.0, 0.1)
+    with pytest.raises(IntegrationError,
+                       match=r"non-finite Hamiltonian entries on \[0\.05, 0\.075\]"):
+        window.pair_tests(pairs)
 
 
 @pytest.mark.parametrize("tol", [1e-5, 1e-9], ids=["accepted", "refined"])
