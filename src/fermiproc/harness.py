@@ -62,12 +62,12 @@ from .linalg import (fill_upper, max_abs, sector_map, sector_workers, spectral_n
                      symmetrize, unitarity_defect)
 from .observables import (delta_entropy, entropy_rate, entropy_rate_decomposed,
                           expectation, internal_energy, ledger_row, work_accumulate)
-from .propagator import (Block, DenseSteps, LowRankUnitary, TimeDependentHamiltonian,
-                         cumulative_factors, dyson_propagator, heisenberg_evolve,
-                         interaction_to_schrodinger, propagate, propagate_grid, step_grid)
-from .quadratic import (ReferenceScalars, ScalarDriveReferenceCache, binary_entropy,
-                        diagonal_state, eigenbasis, expit, interaction_picture, pauli_excess,
-                        quadratic_entropy_ledger, rank_update)
+from .propagator import (Block, DenseSteps, TimeDependentHamiltonian, dyson_propagator,
+                         heisenberg_evolve, interaction_to_schrodinger, propagate,
+                         propagate_grid, step_grid)
+from .quadratic import (ReferenceScalars, ScalarDriveReferenceCache, advance_window,
+                        binary_entropy, diagonal_reads, diagonal_state, eigenbasis, expit,
+                        interaction_picture, pauli_excess, quadratic_entropy_ledger)
 # not called here; perfbench/tracing.py wraps these harness attributes by name
 from .quadratic import (correlation_entropy, gibbs_correlation,  # noqa: F401
                         quadratic_observable, reference_scalars)
@@ -398,9 +398,9 @@ class Trajectory:
 
 class _Representation(NamedTuple):
     """What a state representation supplies to the trajectory loop, which
-    hands `advance` one window's Block at a time: the one-body path reads
-    G once per window (one `zhemm`) and writes it once (one `zher2k`); the
-    exact path applies its one grid pair's sector steps one by one."""
+    hands `advance` one window's Block at a time: the one-body path advances
+    G by `quadratic.advance_window`; the exact path applies its one grid
+    pair's sector steps one by one."""
 
     state: np.ndarray  # initial state: rho (Fock) or G (one-body, see quadratic_trajectory)
     s_start: float  # von Neumann entropy of the initial state
@@ -431,9 +431,6 @@ def _trajectory(rep, params, times):
         for step in block.propagators:
             report.add(step)
         report.windows += bool(block.propagators)
-        if block.update is not None:
-            report.max_block_rank = max(report.max_block_rank or 0, len(block.update.k))
-            report.window_basis_width = len(block.update.q)
         state, rows = rep.advance(state, block)
         for rec, probes in rows:
             records.append(rec)
@@ -573,18 +570,13 @@ def quadratic_trajectory(spec, params, protocol, times, tol, probe_ops=None):
     picture of h0, kept as the lower triangle of one Fortran-ordered
     complex128 array; the Gibbs start is diag(f(eps)), built in that array,
     and its entropy is sum_k -f_k ln f_k - (1 - f_k) ln(1 - f_k) in closed
-    form. The state advances one window of grid pairs at a time (`advance`):
-    CFM4 `step_grid` yields each interval's factor and the window's product
-    in the coordinates of the window's frame basis B_a = diag(e^{i eps a}) B
-    (L x d, one B per run); one `zhemm`, G B_a, gives every row of the window
-    from d x d and d x |S| coordinates, at O(d^2 (r + |S|)) per row for
-    factors of rank r, and one `zher2k` (`rank_update`) writes the update in
-    place at the rank of the window's product (16 pairs, d = 22 and rank 14
-    on `process1_L512.yaml`). Under a periodic drive `step_grid` gets the
-    drive's (t0, T), and each window one period after an earlier one reuses
-    that window's Block, its origin moved by T, with no step taken. The
-    ledger and the probes read Gamma on S = R + the probe sites only,
-    Y_S(t) = diag(e^{i eps t}) phi_S^T.
+    form. The state advances one window of CFM4 `step_grid`'s grid pairs at
+    a time by `quadratic.advance_window` (16 pairs, frame basis width d = 22
+    and update rank 14 on `process1_L512.yaml`). Under a periodic drive
+    `step_grid` gets the drive's (t0, T), and each window one period after
+    an earlier one reuses that window's Block, its origin moved by T, with
+    no step taken. The ledger and the probes read Gamma on S = R + the probe
+    sites only, Y_S(t) = diag(e^{i eps t}) phi_S^T.
     One `ScalarDriveReferenceCache`, sized for the run's largest |lambda_j|,
     gives every row's reference scalars from |R| x |R| resolvents, in
     stacked calls over up to REFERENCE_CHUNK grid times each. At the end one
@@ -643,52 +635,18 @@ def quadratic_trajectory(spec, params, protocol, times, tol, probe_ops=None):
         # a copy: np.real's view would keep each row's complex product alive
         return rec, (probe_rows @ gamma.ravel()).real.copy()
 
-    def scalars(g):
-        g_diag = np.real(np.diagonal(g))
-        return float(eps @ g_diag), float(np.sum(g_diag))
+    rank = width = None  # the integrator report's max_block_rank and window_basis_width
 
     def advance(g, block):
+        nonlocal rank, width
         if not block.propagators:
             # row 0: Gamma_SS = conj(Y_S^dagger G Y_S) at the grid's first time
             y = steps.frame(block.times[0], sites)
             gamma = (y.conj().T @ zhemm(1.0, g, y, lower=1)).conj()
-            return g, [row(block.times[0], *scalars(g), gamma)]
-        # one zhemm, X = G B_a, serves every row and the update. With
-        # H = B_a^dagger G B_a and U(t_i, a) = I + B_a D_i B_a^dagger,
-        # B_a^dagger U G U^dagger B_a = H_i = (I + D_i) H (I + D_i)^dagger; both
-        # are taken interval by interval from each step's factor (q, k) at
-        # O(d^2 r), D_i by `cumulative_factors`; Gamma_SS = conj(c^dagger H_i c)
-        # for the frame's coordinates c; tr G_i = tr G + tr(H_i - H); and, with
-        # A = (X - B_a H)^dagger diag(eps) B_a and E_B = B^dagger diag(eps) B,
-        # sum_k eps_k (G_i)_kk = sum_k eps_k G_kk + tr(E_B (H_i - H))
-        # + 2 Re tr(D_i A): O(d^2 (r + |S|)) per row, nothing of size d^3
-        basis, e_b = block.frame.vectors, block.frame.basis.energy
-        x = zhemm(1.0, g, basis, lower=1)
-        h = basis.conj().T @ x
-        a = x.conj().T @ (eps[:, None] * basis) - h @ e_b
-        energy0, charge0 = scalars(g)
-        coords = block.frame.coordinates(block.times)
-        h_i, rows = h, []
-        cumulative = cumulative_factors(block.propagators, len(h))
-        for i, (t, step, c, d_i) in enumerate(zip(block.times, block.propagators, coords,
-                                                  cumulative)):
-            q, k = step.matrix
-            qh = q.conj().T
-            u_h = h_i + q @ (k @ (qh @ h_i))
-            h_i = u_h + (u_h @ q) @ k.conj().T @ qh
-            gamma = (c.conj().T @ h_i @ c).conj()
-            if i + 1 < len(block.times):
-                dh = h_i - h
-                energy = energy0 + float(np.real(np.sum(e_b * dh.T)
-                                                 + 2 * np.sum(d_i * a.T)))
-                rows.append(row(t, energy, charge0 + float(np.real(np.trace(dh))), gamma))
-        # the last row's scalars from the updated diagonal, so no error
-        # accumulates across windows; the update has the window product's rank
-        v, k = block.update
-        if len(k):
-            g = rank_update(g, LowRankUnitary(basis @ v, k), x @ v)
-        rows.append(row(block.times[-1], *scalars(g), gamma))
-        return g, rows
+            return g, [row(block.times[0], *diagonal_reads(g, eps), gamma)]
+        g, reads, update = advance_window(g, block)
+        rank, width = max(rank or 0, len(update.k)), len(update.q)
+        return g, [row(t, *read) for t, read in zip(block.times, reads)]
 
     def gibbs_probes(lam):
         # one eigh of h(lambda) = h0 + sum_j lambda_j V_j (V_j on R x R), and
@@ -722,7 +680,9 @@ def quadratic_trajectory(spec, params, protocol, times, tol, probe_ops=None):
     rep = _Representation(diagonal_state(occupations), s_start,
                           step_grid(steps, times, tol, period), advance, final, gibbs_probes,
                           tuple(map(spectral_norm, blocks)))
-    return _trajectory(rep, params, times)
+    traj = _trajectory(rep, params, times)
+    traj.integrator.max_block_rank, traj.integrator.window_basis_width = rank, width
+    return traj
 
 
 # -- manifests -----------------------------------------------------------------

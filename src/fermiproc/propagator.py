@@ -52,9 +52,9 @@ yields for a window):
   each factor, as each refined interval's product (`compose`), drops its
   eigen-directions with |d| <= ROUNDOFF_FLOOR, leaving rank <= 3|R| (8 of
   12 for the reference drives). A window of up to WINDOW_PAIRS grid pairs
-  (`InteractionSteps.windows`) is one Block: each interval's factor in the
-  window's coordinates and the window's product compressed to its rank, so
-  the fast path reads G once and writes it once per window.
+  (`InteractionSteps.windows`) is one Block of each interval's factor in the
+  window's coordinates, from which `quadratic.advance_window` forms the
+  window's product and reads G once and writes it once.
 
 Periodic reuse. Under a drive that is T-periodic from t0, the interaction
 picture gives U_I(s + T, t + T) = Phi U_I(s, t) Phi^dagger with
@@ -308,15 +308,6 @@ def cumulative_factors(propagators, d):
         yield total
 
 
-def _product(propagators, d):
-    """The product of the propagators' factors as one LowRankUnitary on the
-    d coordinates: the last of `cumulative_factors`, compressed to its
-    eigen-directions above ROUNDOFF_FLOOR (`_eigen_order`)."""
-    (total,) = deque(cumulative_factors(propagators, d), maxlen=1)
-    v, form, keep = _eigen_order(total)
-    return LowRankUnitary(v[:, keep], form[np.ix_(keep, keep)])
-
-
 class Block(NamedTuple):
     """One window of `step_grid`: consecutive grid pairs, one pair from
     `DenseSteps`. `times` are the grid times its intervals end at (their
@@ -324,14 +315,11 @@ class Block(NamedTuple):
     `propagators` the per-interval Propagators. From `InteractionSteps`,
     both are in the coordinates of the window's frame basis
     B_a = diag(e^{i eps a}) B (L x d), `frame` the FrameWindow of a: a
-    Propagator's matrix (q, k) is I + B_a q k q^dagger B_a^dagger, and
-    `update` (V, K), V d x r, is the window's product U(times[-1], a),
-    compressed to its rank r (`_product`): the window's one update of G."""
+    Propagator's matrix (q, k) is I + B_a q k q^dagger B_a^dagger."""
 
     times: tuple
     propagators: tuple = ()
     frame: Optional["FrameWindow"] = None
-    update: Optional[LowRankUnitary] = None
 
 
 #: the most grid pairs one fast-path window holds, and the widest frame
@@ -442,8 +430,9 @@ class InteractionSteps:
         sixteenth of the L^2 r_step of updating G interval by interval. It
         depends on L, the grid and the sites only, not on the machine. The
         reference runs at L = 200, 512 and 2048 take 16 pairs (d = 34, 22 and
-        32); at L = 200 8 pairs run as fast, at L = 512 and 2048 32 pairs save
-        under 2%. Fewer pairs where a drive period begins: with `period` =
+        32); the 10^4-step L = 2048 run took 27.7-28.6 s so, and 19.5 s with
+        32 pairs (one BLAS thread), so 16 is not the fastest cap at large L.
+        Fewer pairs where a drive period begins: with `period` =
         (t0, T) no window holds pairs from two of the periods
         [t0 + k T, t0 + (k + 1) T) (nor from before t0 and after), so the
         windows of a period are those of the period before, moved by T.
@@ -487,10 +476,8 @@ class InteractionSteps:
         and `min_step`, and is marked `reused`."""
         propagators = tuple(replace(p, t_start=lo, t_end=hi, reused=True)
                             for p, lo, hi in zip(block.propagators, points, points[1:]))
-        update = (block.update if len(propagators) == len(block.propagators)
-                  else _product(propagators, len(block.update.q)))
         return Block(tuple(points[1:]), propagators,
-                     block.frame._replace(origin=block.frame.origin + period), update)
+                     block.frame._replace(origin=block.frame.origin + period))
 
 
 class FrameWindow(NamedTuple):
@@ -590,8 +577,7 @@ class FrameWindow(NamedTuple):
         return _compressed(fine.q[None], fine.k[None])[0]
 
     def block(self, propagators):
-        return Block(tuple(p.t_end for p in propagators), tuple(propagators), self,
-                     _product(propagators, self.basis.vectors.shape[1]))
+        return Block(tuple(p.t_end for p in propagators), tuple(propagators), self)
 
 
 def _finite(u):

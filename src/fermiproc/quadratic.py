@@ -17,12 +17,12 @@ roundoff), R being the sites the drive acts on. Every CFM4 pair test runs in
 coordinates on the run's one frame basis B (L x d, d about 20-35 for the
 reference runs), which holds the frames of R and of the probe sites over a
 window of grid pairs. G is stored as the lower triangle of a Fortran-ordered
-complex128 array and advances one window of up to 16 grid pairs at a time:
-one BLAS `zhemm`, G diag(e^{i eps a}) B, gives every row of the window in
-coordinates, and `rank_update` overwrites the triangle with one `zher2k` at
-the rank of the window's product, O(d L^2) per window and nothing of size
-L x L allocated; whatever reads G reads that triangle only (`zhemm`,
-`eigvalsh(..., UPLO="L")`). Each row's reference scalars come from
+complex128 array and advances one window of up to 16 grid pairs at a time
+(`advance_window`): one BLAS `zhemm`, G diag(e^{i eps a}) B, gives every row
+of the window in coordinates, and `rank_update` overwrites the triangle with
+one `zher2k` at the rank of the window's product, O(d L^2) per window and
+nothing of size L x L allocated; whatever reads G reads that triangle only
+(`zhemm`, `eigvalsh(..., UPLO="L")`). Each row's reference scalars come from
 |R| x |R| resolvents (`ScalarDriveReferenceCache`), with no L x L `eigh`.
 """
 
@@ -35,7 +35,7 @@ from scipy.linalg.blas import zhemm, zher2k
 
 from .linalg import ensure_hermitian, symmetrize
 from .observables import ledger_row
-from .propagator import InteractionSteps
+from .propagator import InteractionSteps, LowRankUnitary, _eigen_order, cumulative_factors
 from .states import EIG_FLOOR
 
 
@@ -122,6 +122,56 @@ def rank_update(g, u, w=None):
         w = zhemm(1.0, g, q, lower=1)
     y_h = w @ kh + 0.5 * (q @ (k @ (q.conj().T @ w) @ kh))
     return zher2k(1.0, q, y_h, beta=1.0, c=g, lower=1, overwrite_c=1)
+
+
+def diagonal_reads(g, eps):
+    """sum_k eps_k G_kk and tr G, from G's real diagonal."""
+    g_diag = np.real(np.diagonal(g))
+    return float(eps @ g_diag), float(np.sum(g_diag))
+
+
+def advance_window(g, block):
+    """Advance G over one window, a Block of `InteractionSteps`: one `zhemm`
+    reads G and one `zher2k` (`rank_update`) writes its lower triangle.
+    Returns the updated G, each block time's (sum_k eps_k G_kk, tr G,
+    Gamma_SS), and the window's update (V, K) in its frame coordinates.
+
+    With B_a = diag(e^{i eps a}) B the window's frame basis, X = G B_a,
+    H = B_a^dagger X and U(t_i, a) = I + B_a D_i B_a^dagger, one pass over
+    the factors (q, k) takes H_i = (I + D_i) H (I + D_i)^dagger =
+    B_a^dagger G_i B_a and D_i (`cumulative_factors`), each at O(d^2 r).
+    Then Gamma_SS = conj(c^dagger H_i c) for the frames' coordinates c,
+    tr G_i = tr G + tr(H_i - H), and sum_k eps_k (G_i)_kk = sum_k eps_k G_kk
+    + tr(E_B (H_i - H)) + 2 Re tr(D_i A), with E_B = B^dagger diag(eps) B
+    and A = (X - B_a H)^dagger diag(eps) B_a: O(d^2 (r + |S|)) per row and
+    nothing of size d^3. The last D_i is the window's product; its
+    eigen-directions above ROUNDOFF_FLOOR (`_eigen_order`) give the update
+    at its rank r, written with G B_a V = X V. The last row reads the
+    updated diagonal, so no error accumulates across windows.
+    """
+    frame = block.frame
+    eps, basis, e_b = frame.steps.eps, frame.vectors, frame.basis.energy
+    x = zhemm(1.0, g, basis, lower=1)
+    h = basis.conj().T @ x
+    a = x.conj().T @ (eps[:, None] * basis) - h @ e_b
+    energy0, charge0 = diagonal_reads(g, eps)
+    h_i, reads = h, []
+    for step, c, d_i in zip(block.propagators, frame.coordinates(block.times),
+                            cumulative_factors(block.propagators, len(h))):
+        q, k = step.matrix
+        qh = q.conj().T
+        u_h = h_i + q @ (k @ (qh @ h_i))
+        h_i = u_h + (u_h @ q) @ k.conj().T @ qh
+        gamma = (c.conj().T @ h_i @ c).conj()
+        dh = h_i - h
+        reads.append((energy0 + float(np.real(np.sum(e_b * dh.T) + 2 * np.sum(d_i * a.T))),
+                      charge0 + float(np.real(np.trace(dh))), gamma))
+    v, form, keep = _eigen_order(d_i)
+    update = LowRankUnitary(v[:, keep], form[np.ix_(keep, keep)])
+    if len(update.k):
+        g = rank_update(g, LowRankUnitary(basis @ update.q, update.k), x @ update.q)
+    reads[-1] = (*diagonal_reads(g, eps), gamma)
+    return g, reads, update
 
 
 def diagonal_state(occupations):
@@ -268,7 +318,7 @@ def quadratic_entropy_ledger(t, free_energy, q, gamma_rr, blocks, lam, lam_dot, 
 
 __all__ = [
     "expit", "gibbs_correlation", "eigenbasis", "interaction_picture",
-    "rank_update", "diagonal_state", "quadratic_observable", "binary_entropy", "pauli_excess",
-    "correlation_entropy", "pauli_defect", "ReferenceScalars",
+    "rank_update", "diagonal_reads", "advance_window", "diagonal_state", "quadratic_observable",
+    "binary_entropy", "pauli_excess", "correlation_entropy", "pauli_defect", "ReferenceScalars",
     "reference_scalars", "ScalarDriveReferenceCache", "quadratic_entropy_ledger",
 ]

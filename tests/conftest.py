@@ -18,6 +18,7 @@ from fermiproc.observables import (charge, charge_rate, expectation,  # noqa: E4
 from fermiproc.propagator import (GAUSS_NODES, Block, DenseSteps,  # noqa: E402
                                   FrameWindow, LowRankUnitary, _cumulative, _on_joint_span,
                                   cfm4, TimeDependentHamiltonian, propagate_grid, step_grid)
+from fermiproc.quadratic import advance_window, diagonal_state  # noqa: E402
 from fermiproc.states import gibbs_state, von_neumann_entropy  # noqa: E402
 
 
@@ -109,6 +110,14 @@ def lifted(frame, u):
     """A factor (q, k) in a FrameWindow's coordinates as the LowRankUnitary
     I + B_a q k q^dagger B_a^dagger on L-vectors."""
     return LowRankUnitary(frame.vectors @ u.q, u.k)
+
+
+def window_update(block):
+    """The update of G that `advance_window` forms for a Block of
+    `InteractionSteps` (the window's product, compressed to its rank), lifted
+    to L-vectors, from a diagonal G, which the update does not depend on."""
+    g = diagonal_state(np.linspace(0.05, 0.95, block.frame.steps.eps.size))
+    return lifted(block.frame, advance_window(g, block)[2])
 
 
 def pair_window(steps, a, b):

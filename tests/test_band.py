@@ -10,14 +10,13 @@ from itertools import pairwise
 
 import numpy as np
 import pytest
-from scipy.linalg.blas import zhemm
 
 from fermiproc import harness, propagator, quadratic
 from fermiproc.drive import KernelSpec, Perturbation, switch_on_protocol
 from fermiproc.lattice import Boundary, LatticeSpec, one_body_laplacian
 from fermiproc.linalg import expm_unitary
 from fermiproc.propagator import LowRankUnitary, step_grid
-from fermiproc.quadratic import interaction_picture, rank_update
+from fermiproc.quadratic import advance_window, interaction_picture, rank_update
 from fermiproc.states import GibbsParams
 
 from conftest import (FILLED, TAYLOR_THETA, TRIDIAGONAL, from_lower, grid_steps,
@@ -230,11 +229,11 @@ def test_block_chain_matches_dense_oracle(monkeypatch):
     # L = 512: each window's frame basis B_a is orthonormal, each interval's
     # factor (q, k) is I + B_a q k q^dagger B_a^dagger in its coordinates, and
     # the window's update, its product compressed to its rank, matches the
-    # dense product of its factors; the update (one zher2k at the product's
-    # rank, with W = G B_a V from the caller) chained over accepted pairs, a
-    # refined pair inside a window and a lone last interval, in one window or
-    # in a window of three pairs and a short last one, against the dense
-    # U G U^dagger
+    # dense product of its factors; the update (`advance_window`: one zhemm,
+    # and one zher2k at the product's rank, in place) chained over accepted
+    # pairs, a refined pair inside a window and a lone last interval, in one
+    # window or in a window of three pairs and a short last one, against the
+    # dense U G U^dagger
     h0, protocol, _ = _drive(512, FILLED, amplitude=0.3)
     steps, _ = interaction_picture(h0, protocol)
     refined = [False, False, True, True, False, False, False]
@@ -252,11 +251,11 @@ def test_block_chain_matches_dense_oracle(monkeypatch):
             cumulative = np.eye(512)
             for step in block.propagators:
                 cumulative = low_rank_dense(lifted(block.frame, step.matrix)) @ cumulative
-            update = lifted(block.frame, block.update)
+            got, _, update = advance_window(state, block)
+            assert got is state
+            update = lifted(block.frame, update)
             assert np.max(np.abs(low_rank_dense(update) - cumulative)) <= 1e-13
             want = cumulative @ want @ cumulative.conj().T
-            w = zhemm(1.0, state, update.q, lower=1)
-            assert rank_update(state, update, w) is state
         assert np.max(np.abs(from_lower(state) - want)) <= 1e-13
 
 
@@ -269,7 +268,8 @@ def test_refined_pair_basis_is_compressed():
     # 0.025), and `compose` those of the pieces' product (10), so each
     # refined interval's factor has 8 or 10 columns and the window's update
     # is no wider than an accepted pair's 6|R|; the factors and the update
-    # match the products of the uncompressed steps to 1e-13
+    # match the products of the uncompressed steps to 1e-13, and so does G
+    # after the update
     h0, protocol, _ = _drive(512, FILLED, amplitude=0.3)
     steps, _ = interaction_picture(h0, protocol)
     start = np.diag(np.linspace(0.05, 0.95, 512)).astype(complex)
@@ -278,7 +278,9 @@ def test_refined_pair_basis_is_compressed():
         assert [p.refined for p in block.propagators] == [True, True]
         assert [p.min_step for p in block.propagators] == pytest.approx([0.025] * 2, abs=1e-15)
         assert [p.matrix.q.shape[1] for p in block.propagators] == [width] * 2
-        assert len(block.update.k) <= 6 * 4
+        state = np.array(start, order="F")
+        _, _, update = advance_window(state, block)
+        assert len(update.k) <= 6 * 4
         cumulative = np.eye(512)
         for lo, hi, p in zip(grid, grid[1:], block.propagators):
             own = np.eye(512)
@@ -286,10 +288,8 @@ def test_refined_pair_basis_is_compressed():
                 own = low_rank_dense(interaction_step(steps, a, b)) @ own
             assert np.max(np.abs(low_rank_dense(lifted(block.frame, p.matrix)) - own)) <= 1e-13
             cumulative = own @ cumulative
-        update = lifted(block.frame, block.update)
+        update = lifted(block.frame, update)
         assert np.max(np.abs(low_rank_dense(update) - cumulative)) <= 1e-13
-        state = np.array(start, order="F")
-        rank_update(state, update)
         assert np.max(np.abs(from_lower(state) - cumulative @ start @ cumulative.conj().T)) \
             <= 1e-13
 
@@ -352,6 +352,26 @@ def test_block_rows_match_direct_reads(monkeypatch):
             assert np.max(np.abs(got - gamma)) <= 1e-12
             assert abs(got_energy - energy) <= 1e-12
             assert abs(got_charge - charge) <= 1e-12
+
+
+def test_fast_path_forms_each_window_product_once(monkeypatch):
+    # a window's cumulative products D_i serve its rows and its update in one
+    # pass: `cumulative_factors` runs once per window, over its intervals
+    calls = []
+    real = propagator.cumulative_factors
+
+    def counted(propagators, d):
+        calls.append(len(propagators))
+        return real(propagators, d)
+
+    for module in (propagator, quadratic, harness):
+        monkeypatch.setattr(module, "cumulative_factors", counted, raising=False)
+    # seven intervals: three pairs and a lone one, in one window or two
+    for window_pairs, intervals in zip(WINDOWS, ([7], [6, 1])):
+        calls.clear()
+        _, _, traj, _ = _block_trajectory(monkeypatch, window_pairs)
+        assert traj.integrator.windows == len(intervals)
+        assert calls == intervals
 
 
 def test_fast_path_takes_one_zhemm_per_block(monkeypatch):

@@ -22,7 +22,7 @@ from fermiproc.quadratic import (correlation_entropy, gibbs_correlation, interac
 from fermiproc.states import GibbsParams
 
 from conftest import (FILLED, TRIDIAGONAL, correlation_update, interaction_step, lifted,
-                      low_rank_dense, pair_window, two_qr_pair)
+                      low_rank_dense, pair_window, two_qr_pair, window_update)
 from conftest import cfm4_step as _cfm4_step
 
 # Hermitian with imaginary hoppings: Gamma and conj(Gamma) give different ledgers
@@ -172,12 +172,12 @@ def test_pair_distance_is_the_two_qr_distance(case):
     if case == "lone":
         (block,) = step_grid(steps, [a, b], 1e-7)
         (p,) = block.propagators
-        assert p.matrix.q.shape[1] == len(block.update.k) == fine.q.shape[1] \
+        update = window_update(block)
+        assert p.matrix.q.shape[1] == len(update.k) == fine.q.shape[1] \
             < ref_fine.q.shape[1]
         assert abs(15 * p.est_error - ref_err) <= 1e-14
-        for u in (p.matrix, block.update):
-            assert np.max(np.abs(low_rank_dense(lifted(block.frame, u))
-                                 - low_rank_dense(ref_fine))) <= 1e-14
+        for u in (lifted(block.frame, p.matrix), update):
+            assert np.max(np.abs(low_rank_dense(u) - low_rank_dense(ref_fine))) <= 1e-14
 
 
 #: windows of the PAIRS run's grid pairs: each PAIRS case alone, and windows
@@ -349,8 +349,8 @@ def test_shift_is_the_pair_one_period_later(tol):
         (stepped,) = step_grid(steps, later, tol)
         shifted = steps.shift(block, 1.2, later)
         assert shifted.times == later[1:] == stepped.times
-        assert np.max(np.abs(low_rank_dense(lifted(shifted.frame, shifted.update))
-                             - low_rank_dense(lifted(stepped.frame, stepped.update)))) <= 1e-13
+        assert np.max(np.abs(low_rank_dense(window_update(shifted))
+                             - low_rank_dense(window_update(stepped)))) <= 1e-13
         for p, q, s in zip(block.propagators[:n - 1], stepped.propagators,
                            shifted.propagators, strict=True):
             assert (s.t_start, s.t_end) == (q.t_start, q.t_end)
