@@ -488,9 +488,11 @@ def exact_trajectory(spec, params, protocol, times, tol, probe_ops=None):
     propagators exp(-i dt h) and rho(t) are complex. rho, H(t) and every
     propagator are tuples of blocks, and U_n rho_n U_n^dagger is the update.
     The sectors never couple, so their work runs on every CPU through
-    `sector_map`: the CFM4 exponentials of a pair test's steps
-    (`DenseSteps`), the updates, the sector entropies and each reference
-    state's `eigh`s and blocks (`sector_gibbs_state`). Each sector's
+    `sector_map`: each sector's pair test (`DenseSteps`: one stacked `eigh`
+    of the CFM4 exponents of its steps, from H(t) sampled once per pair
+    test at every node time as one stack per sector), the updates, the
+    sector entropies and each reference state's `eigh`s and blocks
+    (`sector_gibbs_state`). Each sector's
     arithmetic is the serial one and every sum over sectors keeps their
     order, so the outputs do not depend on the CPU count, to the last bit.
     Per sector, [H_0, V_1..V_k, probes] are stacked once, so each row reads
@@ -525,9 +527,13 @@ def exact_trajectory(spec, params, protocol, times, tol, probe_ops=None):
         return tuple(h + sum((lj * v[n] for lj, v in zip(lam, vs)), np.zeros_like(h))
                      for n, h in enumerate(h0))
 
-    def h_at(t):
+    def h_at(ts):
+        # per sector, H(t) stacked over the times ts, summed as `h_of` sums;
         # W = 0 before the grid starts, as in TimeDependentHamiltonian
-        return h_of(controls(t) if t >= times[0] else np.zeros(len(vs)))
+        lams = np.array([controls(t) if t >= times[0] else np.zeros(len(vs)) for t in ts])
+        return tuple(h + sum((lj[:, None, None] * v[n] for lj, v in zip(lams.T, vs)),
+                             np.zeros((len(ts),) + h.shape, h.dtype))
+                     for n, h in enumerate(h0))
 
     def gibbs_probes(lam):
         return _sector_reads(stacks, sector_gibbs_state(h_of(lam), params).rho, probe_rows)

@@ -85,10 +85,10 @@ def spectral_norm(a):
 def expm_unitary(h, dt):
     """exp(-i*dt*h) for Hermitian h via eigendecomposition (exactly unitary).
 
-    One eigendecomposition of the whole matrix: the exact path hands in its
-    charge sectors one at a time.
+    `h` is the matrix, or its `eigh` (w, v): `propagator.cfm4` takes the
+    `eigh` of all its exponents as one stack and hands in each one's.
     """
-    w, v = np.linalg.eigh(h)
+    w, v = h if isinstance(h, tuple) else np.linalg.eigh(h)
     return (v * np.exp(-1j * dt * w)) @ v.conj().T
 
 

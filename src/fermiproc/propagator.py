@@ -27,10 +27,13 @@ yields for a window):
 - `DenseSteps`: dense unitaries of H(t) given as a tuple of Hermitian
   diagonal blocks, one unitary per block, compared entrywise (max-modulus
   norm, the largest over blocks, which is that of the block-diagonal
-  matrix), one grid pair per window. The exact path steps its charge
-  sectors, the blocks of all steps of a pair test in one
-  `linalg.sector_map`, so on every CPU; `propagate` and `propagate_grid` are
-  the one-block case of a whole matrix.
+  matrix), one grid pair per window. A pair test samples H once at the
+  Gauss nodes of all its steps, as one stack per block, and each block is
+  one task of one `linalg.sector_map`, so the exact path's charge sectors
+  run on every CPU: one stacked `cfm4` (one `eigh` of all the block's
+  exponents), then the steps, their product and its distance a step at a
+  time. `propagate` and `propagate_grid` are the one-block case of a whole
+  matrix.
 - `InteractionSteps`: the one-body fast path in the interaction picture of
   h0 = phi diag(eps) phi^T, in h0's eigenbasis. A drive on the sites R is
   Y(t) C(t) Y(t)^dagger there, with Y(t) = diag(e^{i eps t}) phi_R^T, so a
@@ -147,45 +150,54 @@ GAUSS_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 18.0
 
 
 def cfm4(samples, dt, nodes=GAUSS_NODES, weights=GAUSS_WEIGHTS):
-    """One CFM4 step from the Hermitian matrices h(a + c_i dt) sampled at the
-    quadrature `nodes` c_i: with the Magnus moments B0 = sum_i w_i h(c_i) and
-    B1 = sum_i w_i (c_i - 1/2) h(c_i),
+    """CFM4 steps of widths dt_j from the Hermitian matrices h(a_j + c_i dt_j)
+    sampled at the quadrature `nodes` c_i, samples[i] the stack over j of
+    node i's: with the Magnus moments B0 = sum_i w_i h(c_i) and
+    B1 = sum_i w_i (c_i - 1/2) h(c_i), each step is
     U = exp(-i dt (B0/2 + 2 B1)) exp(-i dt (B0/2 - 2 B1)), the right factor
-    acting first."""
+    acting first. The exponents of all steps are one stacked `eigh`; the
+    steps are yielded in turn, each formed from its two exponentials as it is
+    read, so no temporary holds more than one step's unitaries."""
     b0 = sum(w * h for w, h in zip(weights, samples))
     b1 = sum(w * (c - 0.5) * h for c, w, h in zip(nodes, weights, samples))
-    return expm_unitary(0.5 * b0 + 2.0 * b1, dt) @ expm_unitary(0.5 * b0 - 2.0 * b1, dt)
+    w, v = np.linalg.eigh(np.stack((0.5 * b0 + 2.0 * b1, 0.5 * b0 - 2.0 * b1), axis=1))
+    del b0, b1
+    for dt_j, w_j, v_j in zip(dt, w, v):
+        yield expm_unitary((w_j[0], v_j[0]), dt_j) @ expm_unitary((w_j[1], v_j[1]), dt_j)
 
 
-def _check_finite(samples, a, b):
+def _check_finite(samples, intervals):
     """Raise IntegrationError, before any moment or exponential is formed, if
-    a Hamiltonian sampled on [a, b] has a non-finite entry."""
-    if not all(np.isfinite(h).all() for h in samples):
-        raise IntegrationError(f"non-finite Hamiltonian entries on [{a}, {b}]")
+    a Hamiltonian sampled on one of the `intervals` (a, b) has a non-finite
+    entry: each of the `samples` stacks, per block, an equal number of
+    samples on every interval in turn, and the error names the first such
+    interval [a, b]."""
+    if all(np.isfinite(s).all() for s in samples):
+        return
+    bad = np.any([~np.isfinite(s).reshape(len(intervals), -1).all(1) for s in samples], axis=0)
+    a, b = intervals[np.argmax(bad)]
+    raise IntegrationError(f"non-finite Hamiltonian entries on [{a}, {b}]")
+
+
+def _block_pair_tests(samples, dt, wholes):
+    """`DenseSteps.pair_tests` on one block, from one `cfm4` of its
+    `samples`: the steps of each pair are over [a, m], [m, b] and, where its
+    `wholes` entry is None, [a, b]."""
+    units = cfm4(samples, dt)
+    out = []
+    for whole in wholes:
+        left, right = next(units), next(units)
+        fine = right @ left
+        out.append((left, right, fine, max_abs(fine - (next(units) if whole is None else whole))))
+    return out
 
 
 class DenseSteps(NamedTuple):
-    """Dense CFM4 unitaries of the Hamiltonian `h_at(t)`, a tuple of Hermitian
-    diagonal blocks; a unitary is the tuple of its blocks. The blocks of all
-    steps taken together (the two or three of a pair test) are one
-    `sector_map`, so the charge sectors of the exact path run on every CPU."""
+    """Dense CFM4 unitaries of the Hamiltonian sampled by `h_at(times)`, a
+    tuple of Hermitian diagonal blocks, each stacked over the times; a
+    unitary is the tuple of its blocks."""
 
     h_at: Callable
-
-    def steps(self, *intervals):
-        """One CFM4 step over each interval (a, b): the Hamiltonian is sampled
-        and checked on every interval before any exponential is formed."""
-        samples = [[self.h_at(a + c * (b - a)) for c in GAUSS_NODES] for a, b in intervals]
-        for (a, b), hs in zip(intervals, samples):
-            _check_finite([h for blocks in hs for h in blocks], a, b)
-        tasks = [(blocks, b - a) for (a, b), hs in zip(intervals, samples)
-                 for blocks in zip(*hs)]
-        units = sector_map(cfm4, *zip(*tasks))
-        n = len(units) // len(intervals)
-        return [tuple(units[i:i + n]) for i in range(0, len(units), n)]
-
-    def step(self, a, b):
-        return self.steps((a, b))[0]
 
     def compose(self, right, left):
         return tuple(r @ l for r, l in zip(right, left))
@@ -195,19 +207,28 @@ class DenseSteps(NamedTuple):
         max-modulus difference from one step over [a, b] (`whole`, when the
         caller has it; otherwise taken with the other two), the largest over
         blocks."""
-        if whole is None:
-            return self.pair_tests([(a, m, b)])[0]
-        return self._richardson(*self.steps((a, m), (m, b)), whole)
+        return self.pair_tests([(a, m, b)], [whole])[0]
 
-    def pair_tests(self, pairs):
-        """`pair_test` of each grid pair (a, m, b, ...), the three steps of
-        every pair in one `steps`."""
-        units = self.steps(*[iv for a, m, b, *_ in pairs for iv in ((a, m), (m, b), (a, b))])
-        return [self._richardson(*units[i:i + 3]) for i in range(0, len(units), 3)]
-
-    def _richardson(self, left, right, whole):
-        fine = self.compose(right, left)
-        return left, right, fine, max(max_abs(x - y) for x, y in zip(fine, whole))
+    def pair_tests(self, pairs, wholes=None):
+        """`pair_test` of each grid pair (a, m, b, ...), its `wholes` entry
+        (None for all by default) as `whole`. One `h_at` call samples every
+        step's Gauss nodes, checked before any exponential is formed; each
+        block is then one `sector_map` task, so the charge sectors of the
+        exact path run on every CPU."""
+        wholes = [None] * len(pairs) if wholes is None else wholes
+        intervals = [iv for (a, m, b, *_), whole in zip(pairs, wholes)
+                     for iv in ((a, m), (m, b), (a, b))[:3 if whole is None else 2]]
+        lows, highs = np.array(intervals, dtype=float).T
+        dt = highs - lows
+        samples = self.h_at((lows[:, None] + GAUSS_NODES * dt[:, None]).ravel())
+        _check_finite(samples, intervals)
+        nodes = [s.reshape((len(intervals), len(GAUSS_NODES)) + s.shape[1:]).swapaxes(0, 1)
+                 for s in samples]
+        blocks = sector_map(_block_pair_tests, nodes, [dt] * len(nodes),
+                            [[None if w is None else w[n] for w in wholes]
+                             for n in range(len(nodes))])
+        return [(left, right, fine, max(errs))
+                for left, right, fine, errs in (zip(*tests) for tests in zip(*blocks))]
 
     def windows(self, pairs, period=None):
         """One grid pair per window, each stepped by these steps."""
@@ -221,7 +242,7 @@ def _one_block(h):
     """`DenseSteps` of a whole matrix: `h` is a TimeDependentHamiltonian, a
     callable t -> matrix, or a constant matrix."""
     h_at = _as_callable(h)
-    return DenseSteps(lambda t: (h_at(t),))
+    return DenseSteps(lambda times: (np.stack([h_at(t) for t in times]),))
 
 
 class LowRankUnitary(NamedTuple):
@@ -529,9 +550,7 @@ class FrameWindow(NamedTuple):
         widths = ends[:, [1, 2, 2]] - lows
         times = (lows[:, :, None] + GAUSS_NODES * widths[:, :, None]).ravel()
         couplings = steps.coupling(times)
-        if not np.isfinite(couplings).all():
-            for pair, samples in zip(pairs, couplings.reshape(len(pairs), 9, n, n)):
-                _check_finite(samples, pair[0], pair[2])
+        _check_finite([couplings], ends[:, ::2].tolist())
         frames = (self.coordinates(times)[:, :, steps.on_rows]
                   .reshape(count, 3, d, n).transpose(0, 2, 1, 3).reshape(count, d, 3 * n))
         q, r = np.linalg.qr(frames)

@@ -15,7 +15,7 @@ from fermiproc.lattice import hopping_hamiltonian, number_operator  # noqa: E402
 from fermiproc.linalg import spectral_norm, symmetrize  # noqa: E402
 from fermiproc.observables import (charge, charge_rate, expectation,  # noqa: E402
                                    internal_energy, ledger_row)
-from fermiproc.propagator import (GAUSS_NODES, Block, DenseSteps,  # noqa: E402
+from fermiproc.propagator import (GAUSS_NODES, Block,  # noqa: E402
                                   FrameWindow, LowRankUnitary, _cumulative, _on_joint_span,
                                   cfm4, TimeDependentHamiltonian, propagate_grid, step_grid)
 from fermiproc.quadratic import advance_window, diagonal_state  # noqa: E402
@@ -77,9 +77,10 @@ def dense_exact_trajectory(spec, params, protocol, times, tol, probe_ops=None):
 
 
 def cfm4_step(h_at, a, b):
-    """One dense CFM4 step of the matrix h_at(t) over [a, b]: `DenseSteps`'
-    one-block case."""
-    return DenseSteps(lambda t: (h_at(t),)).step(a, b)[0]
+    """One dense CFM4 step of the matrix h_at(t) over [a, b]: `cfm4` of one
+    step, as `DenseSteps` samples it."""
+    samples = np.stack([h_at(a + c * (b - a)) for c in GAUSS_NODES])
+    return next(cfm4(samples[:, None], [b - a]))
 
 
 def interaction_step(steps, a, b):
@@ -92,7 +93,7 @@ def interaction_step(steps, a, b):
     q, r = np.linalg.qr(np.hstack([steps.frame(t, steps.rows) for t in times]))
     samples = [r[:, i * n:(i + 1) * n] @ h @ r[:, i * n:(i + 1) * n].conj().T
                for i, h in enumerate(steps.coupling(times))]
-    return LowRankUnitary(q, cfm4(samples, dt) - np.eye(q.shape[1]))
+    return LowRankUnitary(q, next(cfm4(np.stack(samples)[:, None], [dt])) - np.eye(q.shape[1]))
 
 
 def two_qr_pair(steps, a, m, b):

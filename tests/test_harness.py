@@ -208,6 +208,40 @@ def test_trajectory_memory_does_not_grow_with_intervals():
     assert long_ <= 20 * matrix_bytes
 
 
+def _exact_peak_bytes(n_intervals):
+    # the exact-path benchmark's run: L = 8, a switch-on ramp of the reference
+    # kernel on sites 2-5, grid 0.1 from t = 0, tol 1e-6, the default probes
+    from fermiproc.harness import build_protocol, lattice_spec, probe_matrices, probe_site_pairs
+    sites = [2, 3, 4, 5]
+    kernel = load_config(Path(__file__).resolve().parents[1] / "configs"
+                         / "process1_L200.yaml").drive.kernels[0].coeffs
+    cfg = RunConfig(lattice=LatticeConfig(L=8, local_region=sites),
+                    gibbs=GibbsConfig(beta=1.0, mu=0.2),
+                    drive=DriveConfig(type="switch_on", amplitude=0.05, tau_r=2.0,
+                                      kernels=[KernelConfig(1, sites, kernel)]),
+                    path="exact")
+    spec = lattice_spec(cfg)
+    protocol = build_protocol(cfg, spec)
+    ops = probe_matrices(probe_site_pairs(cfg, spec), spec, "fock")
+    times = 0.1 * np.arange(n_intervals + 1)
+    tracemalloc.start()
+    try:
+        harness.exact_trajectory(spec, harness.GibbsParams(1.0, 0.2), protocol, times, 1e-6,
+                                 ops)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_exact_trajectory_memory_does_not_grow_with_intervals():
+    # the sector blocks of rho and one pair test's steps are all an exact
+    # trajectory holds: steps are streamed, one pair per window, and a pair
+    # test forms its sectors' exponentials one step at a time
+    sector_bytes = sum(math.comb(8, n) ** 2 for n in range(9)) * 16
+    short, long_ = _exact_peak_bytes(20), _exact_peak_bytes(80)
+    assert long_ - short <= 2 * sector_bytes
+
+
 def test_health_verdicts_fail_on_corrupted_final_state(monkeypatch):
     # entropy drift and the Pauli defect of the final Gamma are verdicts of
     # every process run; the trajectory reports both from the final spectrum,

@@ -10,13 +10,14 @@ import scipy.linalg as sla
 
 from fermiproc import harness, propagator
 from fermiproc.drive import KernelSpec, Perturbation, switch_on_protocol
-from fermiproc.lattice import (LatticeSpec, hopping_hamiltonian, number_operator,
-                               one_body_laplacian, quadratic_fock_operator)
+from fermiproc.lattice import (FockBasis, LatticeSpec, hopping_hamiltonian,
+                               number_operator, one_body_laplacian, quadratic_fock_operator)
 from fermiproc.linalg import expm_unitary, max_abs, unitarity_defect
 from fermiproc.propagator import (DenseSteps, IntegrationError, TimeDependentHamiltonian,
                                   _adaptive, cfm4, dyson_propagator,
                                   dyson_remainder, heisenberg_evolve,
-                                  interaction_to_schrodinger, propagate, propagate_grid)
+                                  interaction_to_schrodinger, propagate, propagate_grid,
+                                  step_grid)
 from fermiproc.states import GibbsParams, gibbs_state
 
 from conftest import cfm4_step as _cfm4_step
@@ -177,16 +178,17 @@ def test_two_node_moments_are_two_point_cfm4(rng, monkeypatch):
     nodes = 0.5 + np.sqrt(3.0) / 6.0 * np.array([-1.0, 1.0])
     w1, w2 = (3.0 - 2.0 * np.sqrt(3.0)) / 12.0, (3.0 + 2.0 * np.sqrt(3.0)) / 12.0
     exponents = []
+    eigh = np.linalg.eigh
 
-    def recorded(h, dt):
+    def recorded(h):
         exponents.append(h)
-        return expm_unitary(h, dt)
+        return eigh(h)
 
-    monkeypatch.setattr(propagator, "expm_unitary", recorded)
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
     for dim, dt in ((6, 0.1), (40, 0.7)):
         early, late = random_hermitian(rng, dim), random_hermitian(rng, dim)
-        got = cfm4([early, late], dt, nodes, [0.5, 0.5])
-        second, first = exponents[-2:]  # the right factor acts first
+        got = next(cfm4(np.stack([early, late])[:, None], [dt], nodes, [0.5, 0.5]))
+        second, first = exponents[-1][0]  # the right factor acts first
         assert max_abs(first - (w2 * early + w1 * late)) <= 1e-15
         assert max_abs(second - (w1 * early + w2 * late)) <= 1e-15
         want = (expm_unitary(w1 * early + w2 * late, dt)
@@ -268,11 +270,106 @@ def test_propagate_is_the_one_interval_grid(driven_problem):
     _, _, tdh, _ = driven_problem
     a, b, tol = 0.0, 1.5, 1e-8
     p = propagate(tdh, a, b, tol)
-    steps = DenseSteps(lambda t: (tdh(t),))
-    q = _adaptive(steps, [(a, b, steps.step(a, b))], tol)
+    steps = DenseSteps(lambda times: (np.stack([tdh(t) for t in times]),))
+    q = _adaptive(steps, [(a, b, (_cfm4_step(tdh, a, b),))], tol)
     assert p.refined and q.refined
     assert np.array_equal(p.matrix, q.matrix[0])
     assert (p.est_error, p.min_step) == (q.est_error, q.min_step)
+
+
+def _sector_hamiltonian(kernel):
+    """Per charge sector of L = 8, H(t) = H_0 + lambda(t) V stacked over the
+    given times, for the exact-path benchmark's switch-on ramp of `kernel` on
+    sites 2-5 (float64 blocks for a real kernel, complex128 otherwise)."""
+    sites = (2, 3, 4, 5)
+    spec = LatticeSpec(8, local_region=sites)
+    protocol = switch_on_protocol(Perturbation([KernelSpec(1, sites, kernel)], spec),
+                                  0.0, 0.05, 2.0)
+    basis = FockBasis(8)
+    h0 = basis.sectors(hopping_hamiltonian(spec))
+    v = basis.sectors(protocol.d_operator(0.0, "fock")[0])
+
+    def h_at(times):
+        lam = np.array([protocol.controls(t)[0] for t in times])[:, None, None]
+        return tuple(h + lam * vn for h, vn in zip(h0, v))
+
+    return h_at
+
+
+def _per_matrix_step(h_at, a, b):
+    """One CFM4 step per block, by the per-matrix formula: two `expm_unitary`
+    calls of the exponents and their product."""
+    samples = [h_at(np.array([a + c * (b - a)])) for c in propagator.GAUSS_NODES]
+    unitaries = []
+    for hs in zip(*samples):
+        hs = [h[0] for h in hs]
+        b0 = sum(w * h for w, h in zip(propagator.GAUSS_WEIGHTS, hs))
+        b1 = sum(w * (c - 0.5) * h
+                 for c, w, h in zip(propagator.GAUSS_NODES, propagator.GAUSS_WEIGHTS, hs))
+        unitaries.append(expm_unitary(0.5 * b0 + 2.0 * b1, b - a)
+                         @ expm_unitary(0.5 * b0 - 2.0 * b1, b - a))
+    return tuple(unitaries)
+
+
+def _per_matrix_pair_test(h_at, a, m, b, whole=None):
+    left, right = _per_matrix_step(h_at, a, m), _per_matrix_step(h_at, m, b)
+    whole = _per_matrix_step(h_at, a, b) if whole is None else whole
+    fine = tuple(r @ l for r, l in zip(right, left))
+    return left, right, fine, max(max_abs(f - w) for f, w in zip(fine, whole))
+
+
+def _identical(got, want):
+    *units, err = got
+    *want_units, want_err = want
+    return err == want_err and all(
+        len(x) == len(y) and all(np.array_equal(u, w) and u.dtype == w.dtype
+                                 for u, w in zip(x, y))
+        for x, y in zip(units, want_units))
+
+
+@pytest.mark.parametrize("kernel", ["real", "complex"])
+def test_stacked_pair_tests_match_the_per_matrix_formula(kernel):
+    # one stacked `eigh` per sector of every exponent of the pair tests gives
+    # the per-matrix CFM4 steps, products and distances bit for bit: a
+    # multi-pair call (with the lone last interval), `pair_test` with the
+    # step over [a, b] given, as `_adaptive` refines, and the lone interval
+    # of an odd grid as `step_grid` keeps it
+    coeffs = np.array(harness.load_config(CONFIGS / "process1_L200.yaml")
+                      .drive.kernels[0].coeffs, dtype=complex)
+    if kernel == "complex":
+        coeffs[0, 1], coeffs[1, 0] = coeffs[0, 1] + 0.2j, coeffs[1, 0] - 0.2j
+    else:
+        coeffs = coeffs.real
+    h_at = _sector_hamiltonian(coeffs)
+    steps = DenseSteps(h_at)
+    assert all(h.dtype == coeffs.dtype for h in h_at([0.0]))
+    pairs = [(0.0, 0.1, 0.2, False), (1.2, 1.3, 1.4, False), (3.9, 3.95, 4.0, True)]
+    for got, (a, m, b, _) in zip(steps.pair_tests(pairs), pairs, strict=True):
+        assert _identical(got, _per_matrix_pair_test(h_at, a, m, b))
+    whole = _per_matrix_step(h_at, 0.4, 0.6)
+    assert _identical(steps.pair_test(0.4, 0.5, 0.6, whole),
+                      _per_matrix_pair_test(h_at, 0.4, 0.5, 0.6, whole))
+    *_, last = step_grid(steps, [3.7, 3.8, 3.9, 4.0], 1e-4)
+    (p,) = last.propagators
+    fine = _per_matrix_pair_test(h_at, 3.9, 3.95, 4.0)[2]
+    assert not p.refined
+    assert all(np.array_equal(u, w) for u, w in zip(p.matrix, fine, strict=True))
+
+
+def test_stacked_pair_test_of_one_block_matches_the_per_matrix_formula(driven_problem):
+    # `_one_block` of a one-matrix callable: a pair test is the per-matrix
+    # formula on the whole matrix, with and without the step over [a, b]
+    _, _, tdh, _ = driven_problem
+
+    def h_at(times):
+        return (np.stack([tdh(t) for t in times]),)
+
+    steps = propagator._one_block(tdh)
+    assert _identical(steps.pair_test(0.2, 0.35, 0.5),
+                      _per_matrix_pair_test(h_at, 0.2, 0.35, 0.5))
+    whole = _per_matrix_step(h_at, 0.2, 0.5)
+    assert _identical(steps.pair_test(0.2, 0.35, 0.5, whole),
+                      _per_matrix_pair_test(h_at, 0.2, 0.35, 0.5, whole))
 
 
 def test_manifest_counts_refined_intervals(tmp_path):
