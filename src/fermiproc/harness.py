@@ -523,20 +523,21 @@ def exact_trajectory(spec, params, protocol, times, tol, probe_ops=None):
     def controls(t):
         return protocol.controls(t) if protocol else np.zeros(0)
 
-    def h_of(lam):
-        return tuple(h + sum((lj * v[n] for lj, v in zip(lam, vs)), np.zeros_like(h))
+    def h_of(lams):
+        # per sector, H_0 + sum_j lambda_j V_j stacked over the rows of lams
+        return tuple(h + sum((lj[:, None, None] * v[n] for lj, v in zip(lams.T, vs)),
+                             np.zeros((len(lams),) + h.shape, h.dtype))
                      for n, h in enumerate(h0))
 
     def h_at(ts):
-        # per sector, H(t) stacked over the times ts, summed as `h_of` sums;
         # W = 0 before the grid starts, as in TimeDependentHamiltonian
-        lams = np.array([controls(t) if t >= times[0] else np.zeros(len(vs)) for t in ts])
-        return tuple(h + sum((lj[:, None, None] * v[n] for lj, v in zip(lams.T, vs)),
-                             np.zeros((len(ts),) + h.shape, h.dtype))
-                     for n, h in enumerate(h0))
+        return h_of(np.array([controls(t) if t >= times[0] else np.zeros(len(vs)) for t in ts]))
+
+    def reference(lam):
+        return sector_gibbs_state(tuple(h[0] for h in h_of(np.asarray(lam)[None])), params)
 
     def gibbs_probes(lam):
-        return _sector_reads(stacks, sector_gibbs_state(h_of(lam), params).rho, probe_rows)
+        return _sector_reads(stacks, reference(lam).rho, probe_rows)
 
     def entropy(rho):
         return sum(sector_map(von_neumann_entropy, rho))
@@ -547,7 +548,7 @@ def exact_trajectory(spec, params, protocol, times, tol, probe_ops=None):
     def observe(rho, t):
         # relS takes S_vN(rho_t) = s_start: the unitary flow keeps the spectrum
         lam = controls(t)
-        ref = sector_gibbs_state(h_of(lam), params)
+        ref = reference(lam)
         reads = _sector_reads(stacks, rho)
         drive = reads[drive_rows]
         lam_dot = protocol.lam_dot(t) if protocol else np.zeros(0)

@@ -16,19 +16,19 @@ matrices, so unitarity holds to roundoff regardless of step size.
 Step control is step doubling: a step is accepted when the Richardson
 difference between one step and two half steps falls below the tolerance per
 unit time; the fine solution's error is estimated as that difference / 15,
-split evenly over a grid pair. The halving is written once, over a step
-representation with `pair_test` (the steps over [a, m] and [m, b], their
-product over [a, b], and the Richardson difference from one step over
-[a, b]), `pair_tests` (the first pair test of every grid pair of a window
-at once), `compose` (joining a refined interval's accepted pieces),
-`windows` (how `step_grid` groups the grid pairs) and `block` (what it
-yields for a window):
+split evenly over a grid pair. The halving is written once, in `step_grid`,
+over a step representation with `windows` (how `step_grid` groups the grid
+pairs, and the representation that steps each window), `pair_tests` (for
+each of a list of pair tests (a, m, b): the steps over [a, m] and [m, b],
+their product over [a, b], and the Richardson difference from one step over
+[a, b], taken unless the test is handed it) and `compose` (joining a refined
+interval's accepted pieces):
 
 - `DenseSteps`: dense unitaries of H(t) given as a tuple of Hermitian
   diagonal blocks, one unitary per block, compared entrywise (max-modulus
   norm, the largest over blocks, which is that of the block-diagonal
-  matrix), one grid pair per window. A pair test samples H once at the
-  Gauss nodes of all its steps, as one stack per block, and each block is
+  matrix), one grid pair per window. A `pair_tests` call samples H once at
+  the Gauss nodes of all its steps, as one stack per block, and each block is
   one task of one `linalg.sector_map`, so the exact path's charge sectors
   run on every CPU: one stacked `cfm4` (one `eigh` of all the block's
   exponents), then the steps, their product and its distance a step at a
@@ -50,14 +50,16 @@ yields for a window):
   (d x 3|R|), the six exponentials, and one QR of the three steps' joint
   span; the pair tests of a window's grid pairs do not depend on each other
   or on G, so `FrameWindow.pair_tests` runs them as one stacked
-  computation, each of those a single stacked call over the window, and
-  `pair_test` is its one-pair case. I + K is unitary, so K is normal, and
-  each factor, as each refined interval's product (`compose`), drops its
-  eigen-directions with |d| <= ROUNDOFF_FLOOR, leaving rank <= 3|R| (8 of
-  12 for the reference drives). A window of up to WINDOW_PAIRS grid pairs
-  (`InteractionSteps.windows`) is one Block of each interval's factor in the
-  window's coordinates, from which `quadratic.advance_window` forms the
-  window's product and reads G once and writes it once.
+  computation, each of those a single stacked call over the window, and so
+  do the tests of each halving depth of a window's refined intervals, each
+  reading its step over [a, b] from the test before. I + K is unitary, so K
+  is normal, and each factor, as each refined interval's product
+  (`compose`), drops its eigen-directions with |d| <= ROUNDOFF_FLOOR,
+  leaving rank <= 3|R| (8 of 12 for the reference drives). A window of up
+  to WINDOW_PAIRS grid pairs (`InteractionSteps.windows`) is one Block of
+  each interval's factor in the window's coordinates, from which
+  `quadratic.advance_window` forms the window's product and reads G once
+  and writes it once.
 
 Periodic reuse. Under a drive that is T-periodic from t0, the interaction
 picture gives U_I(s + T, t + T) = Phi U_I(s, t) Phi^dagger with
@@ -179,10 +181,15 @@ def _check_finite(samples, intervals):
     raise IntegrationError(f"non-finite Hamiltonian entries on [{a}, {b}]")
 
 
+def _pair_steps(a, m, b, whole):
+    """The steps (lo, hi) that the pair test (a, m, b) takes: over [a, m]
+    and [m, b], and over [a, b] unless its `whole` step is given."""
+    return ((a, m), (m, b), (a, b))[:3 if whole is None else 2]
+
+
 def _block_pair_tests(samples, dt, wholes):
     """`DenseSteps.pair_tests` on one block, from one `cfm4` of its
-    `samples`: the steps of each pair are over [a, m], [m, b] and, where its
-    `wholes` entry is None, [a, b]."""
+    `samples`, the steps of each test in `_pair_steps` order."""
     units = cfm4(samples, dt)
     out = []
     for whole in wholes:
@@ -202,22 +209,18 @@ class DenseSteps(NamedTuple):
     def compose(self, right, left):
         return tuple(r @ l for r, l in zip(right, left))
 
-    def pair_test(self, a, m, b, whole=None):
-        """Steps over [a, m] and [m, b], their product over [a, b], and its
-        max-modulus difference from one step over [a, b] (`whole`, when the
-        caller has it; otherwise taken with the other two), the largest over
-        blocks."""
-        return self.pair_tests([(a, m, b)], [whole])[0]
-
     def pair_tests(self, pairs, wholes=None):
-        """`pair_test` of each grid pair (a, m, b, ...), its `wholes` entry
-        (None for all by default) as `whole`. One `h_at` call samples every
-        step's Gauss nodes, checked before any exponential is formed; each
-        block is then one `sector_map` task, so the charge sectors of the
-        exact path run on every CPU."""
+        """For each pair test (a, m, b, ...) of `pairs`: the steps over
+        [a, m] and [m, b], their product over [a, b], and its max-modulus
+        difference from one step over [a, b], the largest over blocks. That
+        step is the test's `wholes` entry where one is given (None for all by
+        default); otherwise it is taken with the other two. One `h_at` call
+        samples every step's Gauss nodes, checked before any exponential is
+        formed; each block is then one `sector_map` task, so the charge
+        sectors of the exact path run on every CPU."""
         wholes = [None] * len(pairs) if wholes is None else wholes
         intervals = [iv for (a, m, b, *_), whole in zip(pairs, wholes)
-                     for iv in ((a, m), (m, b), (a, b))[:3 if whole is None else 2]]
+                     for iv in _pair_steps(a, m, b, whole)]
         lows, highs = np.array(intervals, dtype=float).T
         dt = highs - lows
         samples = self.h_at((lows[:, None] + GAUSS_NODES * dt[:, None]).ravel())
@@ -233,9 +236,6 @@ class DenseSteps(NamedTuple):
     def windows(self, pairs, period=None):
         """One grid pair per window, each stepped by these steps."""
         return [(self, [pair]) for pair in pairs]
-
-    def block(self, propagators):
-        return Block(tuple(p.t_end for p in propagators), tuple(propagators))
 
 
 def _one_block(h):
@@ -284,13 +284,6 @@ def _on_joint_spans(groups):
     return p, ks @ np.conjugate(m, out=m).swapaxes(-1, -2)
 
 
-def _on_joint_span(*factors):
-    """An orthonormal basis P of the factors' joint span, and each factor's K
-    on it (`_on_joint_spans` of one group)."""
-    p, ks = _on_joint_spans([factors])
-    return p[0], ks[:, 0]
-
-
 def _eigen_order(k):
     """The eigenvectors of a normal K (I + K unitary), or of each of a stack
     of them, as the columns of a unitary V, V^dagger K V (diagonal up to
@@ -309,14 +302,6 @@ def _compressed(qs, ks):
     return [LowRankUnitary(x[:, s], f[s][:, s]) for x, f, s in zip(qs @ v, form, keep)]
 
 
-def _cumulative(p, ks):
-    """The products of two consecutive factors whose Ks on the basis P are
-    kl, kr = ks[:2]: I + P kl P^dagger over the first, and
-    I + P (kl + kr + kr kl) P^dagger over both."""
-    kl, kr = ks[:2]
-    return LowRankUnitary(p, kl), LowRankUnitary(p, kl + kr + kr @ kl)
-
-
 def cumulative_factors(propagators, d):
     """The running products of the propagators' factors (q, k) on the d
     coordinates, in order: each D_i of I + D_i = U(t_i, t_0), from
@@ -332,15 +317,16 @@ def cumulative_factors(propagators, d):
 class Block(NamedTuple):
     """One window of `step_grid`: consecutive grid pairs, one pair from
     `DenseSteps`. `times` are the grid times its intervals end at (their
-    rows; the grid's first time for the empty block that reads row 0) and
-    `propagators` the per-interval Propagators. From `InteractionSteps`,
-    both are in the coordinates of the window's frame basis
-    B_a = diag(e^{i eps a}) B (L x d), `frame` the FrameWindow of a: a
-    Propagator's matrix (q, k) is I + B_a q k q^dagger B_a^dagger."""
+    rows; the grid's first time for the empty block that reads row 0),
+    `propagators` the per-interval Propagators and `frame` the step
+    representation that stepped the window (`windows`): the `DenseSteps`,
+    or from `InteractionSteps` the FrameWindow of the window's start a, in
+    whose coordinates on the frame basis B_a = diag(e^{i eps a}) B (L x d)
+    a Propagator's matrix (q, k) is I + B_a q k q^dagger B_a^dagger."""
 
     times: tuple
     propagators: tuple = ()
-    frame: Optional["FrameWindow"] = None
+    frame: object = None
 
 
 #: the most grid pairs one fast-path window holds, and the widest frame
@@ -520,37 +506,38 @@ class FrameWindow(NamedTuple):
         """B_a^dagger Y_S(t) of each time t, a (len(times), d, |S|) stack."""
         return self.basis.coordinates(np.asarray(times, dtype=float) - self.origin)
 
-    def pair_test(self, a, m, b, whole=None):
-        """`pair_tests` of the one pair (a, m, b); `whole` is not read."""
-        return self.pair_tests([(a, m, b)])[0]
-
-    def pair_tests(self, pairs):
-        """For each grid pair (a, m, b, ...) of `pairs`: the steps over
+    def pair_tests(self, pairs, wholes=None):
+        """For each pair test (a, m, b, ...) of `pairs`: the steps over
         [a, m] and [m, b], their product over [a, b], and the spectral norm
         of its difference from one step over [a, b], all in the window's
-        coordinates. The pairs do not depend on each other, so every stage is
-        one stacked call over all of them: one `coupling` call for the 9
-        node times of each pair (checked finite before any QR or `eigh`; the
-        error names the first pair with a non-finite sample), one
+        coordinates. That step is the test's `wholes` entry where one is
+        given (None for all by default); otherwise it is taken with the other
+        two. The tests do not depend on each other, so every stage is one
+        stacked call over all of them: one `coupling` call for the 3 node
+        times of each step (checked finite before any QR or `eigh`; the error
+        names the first test [a, b] with a non-finite sample), one
         `coordinates` call, one QR of each step's three node frames
         (d x 3|R|), so the step is I + q K q^dagger with K from the samples
-        r_i C(t_i) r_i^dagger, one `eigh` of the six exponentials of each
-        pair, and one of each step's K: I + K is unitary, so K is normal, and
+        r_i C(t_i) r_i^dagger, one `eigh` of the two exponentials of each
+        step, and one of each step's K: I + K is unitary, so K is normal, and
         each step drops its eigen-directions with |d| <= ROUNDOFF_FLOOR,
         inside the pair test's absolute floor, leaving rank <= 3|R| (8 of 12
-        for the reference drives). Each pair's three steps' joint span (one
-        stacked QR of at most 9|R| columns per pair, `_on_joint_spans`)
+        for the reference drives). Each test's three steps' joint span (one
+        stacked QR of at most 9|R| columns per test, `_on_joint_spans`)
         gives the Richardson difference, its norm from one stacked
         `eigvalsh`, and the product, compressed the same way. Without a
         drive (R empty) every factor is the identity, with err 0."""
         steps, n, d = self.steps, self.steps.rows.size, self.basis.vectors.shape[1]
-        count = 3 * len(pairs)  # steps
-        ends = np.array([pair[:3] for pair in pairs], dtype=float)
-        lows = ends[:, [0, 1, 0]]
-        widths = ends[:, [1, 2, 2]] - lows
-        times = (lows[:, :, None] + GAUSS_NODES * widths[:, :, None]).ravel()
+        wholes = [None] * len(pairs) if wholes is None else wholes
+        spans, intervals = zip(*[((a, b), iv) for (a, m, b, *_), whole in zip(pairs, wholes)
+                                 for iv in _pair_steps(a, m, b, whole)])
+        count = len(intervals)  # steps
+        lows, highs = np.array(intervals, dtype=float).T
+        widths = highs - lows
+        times = (lows[:, None] + GAUSS_NODES * widths[:, None]).ravel()
         couplings = steps.coupling(times)
-        _check_finite([couplings], ends[:, ::2].tolist())
+        _check_finite([couplings], spans)
+        del spans, intervals
         frames = (self.coordinates(times)[:, :, steps.on_rows]
                   .reshape(count, 3, d, n).transpose(0, 2, 1, 3).reshape(count, d, 3 * n))
         q, r = np.linalg.qr(frames)
@@ -573,9 +560,11 @@ class FrameWindow(NamedTuple):
         step_ks = e[:, 0] + e[:, 1]
         step_ks += e[:, 0] @ e[:, 1]
         del w, v, e
-        factors = _compressed(q, step_ks)
+        factors = iter(_compressed(q, step_ks))
         del q, step_ks
-        z, ks = _on_joint_spans([factors[i:i + 3] for i in range(0, count, 3)])
+        tests = [(next(factors), next(factors), next(factors) if whole is None else whole)
+                 for whole in wholes]
+        z, ks = _on_joint_spans(tests)
         kl, kr, kw = ks
         fine = kl + kr
         fine += kr @ kl
@@ -585,18 +574,16 @@ class FrameWindow(NamedTuple):
         err = (np.sqrt(np.maximum(np.linalg.eigvalsh(diff.conj().swapaxes(1, 2) @ diff)[:, -1],
                                   0.0)) if diff.shape[-1] else np.zeros(len(pairs)))
         del diff
-        return [(factors[3 * i], factors[3 * i + 1], u, float(x))
-                for i, (u, x) in enumerate(zip(_compressed(z, fine), err))]
+        return [(left, right, u, float(x))
+                for (left, right, _), u, x in zip(tests, _compressed(z, fine), err)]
 
     def compose(self, right, left):
         """The product on the factors' joint span, compressed: a refined
         interval's factor keeps the rank of its product's K, not the sum of
         its pieces' ranks."""
-        fine = _cumulative(*_on_joint_span(left, right))[1]
-        return _compressed(fine.q[None], fine.k[None])[0]
-
-    def block(self, propagators):
-        return Block(tuple(p.t_end for p in propagators), tuple(propagators), self)
+        p, ks = _on_joint_spans([(left, right)])
+        kl, kr = ks[:, 0]
+        return _compressed(p, (kl + kr + kr @ kl)[None])[0]
 
 
 def _finite(u):
@@ -604,58 +591,51 @@ def _finite(u):
     return all(np.all(np.isfinite(a)) for a in u)
 
 
-def _adaptive(steps, pieces, tol):
-    """One propagator over consecutive `pieces` (a, b, one CFM4 step over
-    [a, b]) by recursive halving of CFM4 steps, down to 2^-42 of their span.
-
-    An accepted piece is two CFM4 steps of half its width, with the
-    fourth-order Richardson estimate (difference from one step) / 15.
-    """
-    min_step = max((pieces[-1][1] - pieces[0][0]) * 2.0 ** -42, 1e-300)
-    if not all(_finite(u) for *_, u in pieces):
-        raise IntegrationError(f"non-finite propagator entries on "
-                               f"[{pieces[0][0]}, {pieces[-1][1]}]")
-    stack = pieces[::-1]
-    out = []  # accepted (a, b, U, err) pieces
-    while stack:
-        a0, b0, u0 = stack.pop()
-        m = 0.5 * (a0 + b0)
-        ul, ur, fine, err = steps.pair_test(a0, m, b0, u0)
-        budget = tol * (b0 - a0) + ROUNDOFF_FLOOR
-        if err <= budget:
-            out.append((a0, b0, fine, err / 15.0))
-        elif b0 - a0 <= min_step:
-            raise IntegrationError(f"step underflow at t={a0}: local error {err:.3e} "
-                                   f"still above tolerance at step {b0 - a0:.3e}")
-        else:
-            stack.append((m, b0, ur))
-            stack.append((a0, m, ul))
-    out.sort(key=lambda item: item[0])
-    u_total = out[0][2]
-    for _, _, piece, _ in out[1:]:
-        u_total = steps.compose(piece, u_total)
-    return Propagator(u_total, pieces[0][0], pieces[-1][1], "direct",
-                      float(sum(e for *_, e in out)), refined=len(out) > 1,
-                      min_step=0.5 * min(hi - lo for lo, hi, *_ in out))
-
-
-def _grid_pair(steps, a, m, b, lone, tol, test):
-    """The Propagators of one grid pair, [a, m] and [m, b], or of the `lone`
-    interval [a, b] (m its midpoint), from its pair test `test` (`pair_tests`);
-    the pair test's other steps die here."""
-    left, right, fine, err = test
-    if err <= tol * (b - a) + ROUNDOFF_FLOOR:
-        parts = [(a, b, fine)] if lone else [(a, m, left), (m, b, right)]
-        pair = [Propagator(u, lo, hi, "direct", err / 15.0 / len(parts),
-                           min_step=0.5 * (b - a) if lone else hi - lo)
-                for lo, hi, u in parts]
-    else:
-        halves = [[(a, m, left)], [(m, b, right)]]
-        pair = [replace(_adaptive(steps, pieces, tol), refined=True)
-                for pieces in ([halves[0] + halves[1]] if lone else halves)]
-    if not all(_finite(p.matrix) for p in pair):
-        raise IntegrationError(f"non-finite propagator entries on [{a}, {b}]")
-    return pair
+def _step_window(frame, window, tol):
+    """The Block of a window's grid pairs (a, m, b, lone), stepped by the
+    window's step representation `frame` (see `step_grid`). The pending
+    tests (a, m, b, lone, whole, interval) of each halving depth are one
+    `frame.pair_tests` call. `lone` says that [a, b] lies in one interval,
+    which a passing test gives the product of its two half steps; a grid
+    pair's first test has no `whole` and never raises step underflow."""
+    spans, tests = [], []  # (a, b) of each interval; the pending tests
+    for a, m, b, lone in window:
+        tests.append((a, m, b, lone, None, len(spans)))
+        spans += [(a, b)] if lone else [(a, m), (m, b)]
+    pieces = [[] for _ in spans]  # accepted (a, b, U, est_error, step width)
+    refined = [False] * len(spans)
+    while tests:
+        halves = []
+        for (a, m, b, lone, whole, i), (left, right, fine, err) in zip(
+                tests, frame.pair_tests(tests, [test[4] for test in tests])):
+            if err <= tol * (b - a) + ROUNDOFF_FLOOR:
+                if lone:
+                    pieces[i].append((a, b, fine, err / 15.0, 0.5 * (b - a)))
+                else:
+                    pieces[i].append((a, m, left, err / 15.0 / 2, m - a))
+                    pieces[i + 1].append((m, b, right, err / 15.0 / 2, b - m))
+                continue
+            lo, hi = spans[i]
+            if whole is not None and b - a <= max((hi - lo) * 2.0 ** -42, 1e-300):
+                raise IntegrationError(f"step underflow at t={a}: local error {err:.3e} "
+                                       f"still above tolerance at step {b - a:.3e}")
+            if not (_finite(left) and _finite(right)):
+                raise IntegrationError(f"non-finite propagator entries on [{a}, {b}]")
+            j = i if lone else i + 1
+            refined[i] = refined[j] = True
+            halves += [(a, 0.5 * (a + m), m, True, left, i), (m, 0.5 * (m + b), b, True, right, j)]
+        tests = halves
+    propagators = []
+    for (lo, hi), done, was_refined in zip(spans, pieces, refined):
+        done.sort(key=lambda piece: piece[0])
+        u = done[0][2]
+        for piece in done[1:]:
+            u = frame.compose(piece[2], u)
+        if not _finite(u):
+            raise IntegrationError(f"non-finite propagator entries on [{lo}, {hi}]")
+        propagators.append(Propagator(u, lo, hi, "direct", float(sum(p[3] for p in done)),
+                                      refined=was_refined, min_step=min(p[4] for p in done)))
+    return Block(tuple(hi for _, hi in spans), tuple(propagators), frame)
 
 
 #: grid times one drive period apart match when they differ from the period
@@ -677,13 +657,20 @@ def step_grid(steps, times, tol=DEFAULT_TOL, period=None):
 
     The step control runs on the grid pairs (the lone last interval of an odd
     grid as a pair of half steps, keeping their product), with the error
-    budget `tol` per unit time. Each window's first pair tests are one
-    `pair_tests` call, one stacked computation over its pairs (a single pair
-    from `DenseSteps`). A pair whose two one-interval steps agree with one
-    two-interval step keeps those steps (6 exponentials per pair); otherwise
-    `_adaptive` halves each interval from them, pair by pair, and the
-    intervals are `refined`. A non-finite Hamiltonian sample, or a
-    non-finite propagator entry, raises IntegrationError.
+    budget `tol` per unit time. Each window is stepped by one loop over
+    halving depths (`_step_window`), each depth's pair tests one
+    `pair_tests` call, one stacked computation over them: a window makes at
+    most 1 + (its deepest halving) calls. A pair whose two one-interval
+    steps agree with one two-interval step keeps those steps (6
+    exponentials per pair). Otherwise its intervals are `refined`: a failed
+    test splits into the tests of its halves, each handed its own step from
+    it as its step over [a, b] (4 exponentials a test), and a passing
+    refinement test keeps the product of its two half steps, with the
+    fourth-order Richardson estimate (difference from one step) / 15. Each
+    interval's pieces are composed left to right. A refinement test still
+    failing at 2^-42 of its interval's width raises IntegrationError, as do
+    a non-finite Hamiltonian sample, non-finite halves before they split,
+    and a non-finite Propagator.
 
     `period` = (t0, T) declares the drive T-periodic from t0 on
     (`InteractionSteps` only). A window whose grid times are those of an
@@ -717,8 +704,7 @@ def step_grid(steps, times, tol=DEFAULT_TOL, period=None):
                     abs(x - y - length) <= slack for x, y in zip(points, earlier[0][0])):
                 block = steps.shift(earlier.popleft()[2], length, points)
         if block is None:
-            block = frame.block([p for pair, test in zip(window, frame.pair_tests(window))
-                                 for p in _grid_pair(frame, *pair, tol, test)])
+            block = _step_window(frame, window, tol)
         if period is not None and a >= t0:
             earlier.append((points, kinds, block))
         yield block

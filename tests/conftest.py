@@ -16,7 +16,7 @@ from fermiproc.linalg import spectral_norm, symmetrize  # noqa: E402
 from fermiproc.observables import (charge, charge_rate, expectation,  # noqa: E402
                                    internal_energy, ledger_row)
 from fermiproc.propagator import (GAUSS_NODES, Block,  # noqa: E402
-                                  FrameWindow, LowRankUnitary, _cumulative, _on_joint_span,
+                                  FrameWindow, LowRankUnitary, _on_joint_spans,
                                   cfm4, TimeDependentHamiltonian, propagate_grid, step_grid)
 from fermiproc.quadratic import advance_window, diagonal_state  # noqa: E402
 from fermiproc.states import gibbs_state, von_neumann_entropy  # noqa: E402
@@ -103,8 +103,11 @@ def two_qr_pair(steps, a, m, b):
     difference from the third on the joint span of both: (first, fine,
     whole, err)."""
     left, right, whole = (interaction_step(steps, lo, hi) for lo, hi in ((a, m), (m, b), (a, b)))
-    fine = _cumulative(*_on_joint_span(left, right))[1]
-    return left, fine, whole, float(np.linalg.norm(np.subtract(*_on_joint_span(fine, whole)[1]), 2))
+    p, ks = _on_joint_spans([(left, right)])
+    kl, kr = ks[:, 0]
+    fine = LowRankUnitary(p[0], kl + kr + kr @ kl)
+    diff = np.subtract(*_on_joint_spans([(fine, whole)])[1][:, 0])
+    return left, fine, whole, float(np.linalg.norm(diff, 2))
 
 
 def lifted(frame, u):

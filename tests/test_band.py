@@ -70,7 +70,7 @@ def test_half_bandwidth():
         rr = np.ix_(steps.rows, steps.rows)
         assert np.max(np.abs(0.05 * blocks[0] - v[rr])) <= 1e-16
         window = pair_window(steps, 0.1, 0.2)
-        n, width = lifted(window, window.pair_test(0.1, 0.15, 0.2)[2]).q.shape
+        n, width = lifted(window, window.pair_tests([(0.1, 0.15, 0.2)])[0][2]).q.shape
         assert n == 40 and 2 * len(local) <= width <= 3 * len(local)
     steps, blocks = interaction_picture(one_body_laplacian(LatticeSpec(40)), None)
     assert steps.rows.size == 0 and blocks == []
@@ -82,7 +82,7 @@ def test_band_matmul_covering_band_is_plain_product(rng):
     h0, protocol, _ = _drive(6, FILLED, Boundary.PERIODIC, amplitude=0.3)
     steps, _ = interaction_picture(h0, protocol)
     window = pair_window(steps, 0.0, 0.4)
-    u = lifted(window, window.pair_test(0.0, 0.2, 0.4)[2])
+    u = lifted(window, window.pair_tests([(0.0, 0.2, 0.4)])[0][2])
     assert u.q.shape == (6, 6)
     assert np.max(np.abs(u.q.conj().T @ u.q - np.eye(6))) <= 1e-14
     dense = low_rank_dense(u)
@@ -124,7 +124,7 @@ def test_periodic_chain_takes_dense_route_bit_for_bit(rng):
     steps, _ = interaction_picture(h0, protocol)
     assert list(steps.rows) == [98, 99, 100, 101]
     window = pair_window(steps, 0.0, 0.05)
-    u = lifted(window, window.pair_test(0.0, 0.025, 0.05)[2])
+    u = lifted(window, window.pair_tests([(0.0, 0.025, 0.05)])[0][2])
     assert u.q.shape == (200, 8)
     g = np.diag(rng.uniform(size=200)).astype(complex)
     dense = low_rank_dense(u)

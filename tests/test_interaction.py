@@ -132,8 +132,8 @@ def test_step_is_the_dense_interaction_picture_step():
 
     for a, m, b in ((0.1, 0.2, 0.3), (0.2, 0.225, 0.25)):
         window = pair_window(steps, a, b)
-        left, right, fine = (lifted(window, u) for u in window.pair_test(a, m, b)[:3])
-        spectral = window.pair_test(a, m, b)[3]
+        left, right, fine = (lifted(window, u) for u in window.pair_tests([(a, m, b)])[0][:3])
+        spectral = window.pair_tests([(a, m, b)])[0][3]
         dense = [_cfm4_step(h_int, lo, hi) for lo, hi in ((a, m), (m, b), (a, b))]
         assert np.max(np.abs(low_rank_dense(left) - dense[0])) <= 1e-13
         assert np.max(np.abs(low_rank_dense(right) - dense[1])) <= 1e-13
@@ -161,7 +161,7 @@ def test_pair_distance_is_the_two_qr_distance(case):
     spec, protocol = _protocol(512, "switch_on", kernel=FILLED)
     steps, _ = interaction_picture(one_body_laplacian(spec), protocol)
     window = pair_window(steps, a, b)
-    left, _, fine, err = window.pair_test(a, m, b)
+    left, _, fine, err = window.pair_tests([(a, m, b)])[0]
     ref_first, ref_fine, _, ref_err = two_qr_pair(steps, a, m, b)
     assert abs(err - ref_err) <= 1e-14
     assert (err <= 1e-7 * (b - a) + ROUNDOFF_FLOOR) == accepted
@@ -209,12 +209,44 @@ def test_stacked_pair_tests_match_one_by_one(window_pairs):
     if len(pairs) > 1:
         assert accepted[0] and not accepted[2]
     for (a, m, b, _), got in zip(pairs, stacked):
-        want = window.pair_test(a, m, b)
+        want = window.pair_tests([(a, m, b)])[0]
         assert abs(got[3] - want[3]) <= 1e-14
         for u, v in zip(got[:3], want[:3]):
             assert u.k.shape == v.k.shape
             assert np.max(np.abs(low_rank_dense(lifted(window, u))
                                  - low_rank_dense(lifted(window, v)))) <= 1e-14
+
+
+def test_refinement_tests_are_stacked_and_read_their_whole_step(monkeypatch):
+    # the window of STACKED's 5 pairs, one of which refines: each halving
+    # depth's tests are one `pair_tests` call, at most 1 + (the deepest
+    # halving) calls, and a refinement test samples `coupling` at the 6 node
+    # times of its two steps, not 9: it reads its step over [a, b] from the
+    # test before rather than taking it again
+    spec, protocol = _protocol(512, "switch_on", kernel=FILLED)
+    steps, _ = interaction_picture(one_body_laplacian(spec), protocol)
+    pairs = STACKED["5"]
+    times = [pairs[0][0]] + [t for _, m, b, _ in pairs for t in (m, b)]
+    calls, nodes = [], []
+    pair_tests, coupling = FrameWindow.pair_tests, steps.coupling
+
+    def counted(self, tests, wholes=None):
+        calls.append((len(tests), sum(w is not None for w in wholes or [])))
+        return pair_tests(self, tests, wholes)
+
+    def sampled(t):
+        nodes.append(len(t))
+        return coupling(t)
+
+    monkeypatch.setattr(FrameWindow, "pair_tests", counted)
+    monkeypatch.setattr(steps, "coupling", sampled)
+    (block,) = step_grid(steps, times, 1e-7)
+    depth = max(round(np.log2((p.t_end - p.t_start) / p.min_step)) for p in block.propagators)
+    assert any(p.refined for p in block.propagators)
+    assert 1 < len(calls) <= 1 + depth
+    assert calls[0] == (len(pairs), 0) and nodes[0] == 9 * len(pairs)
+    for (n, given), count in zip(calls[1:], nodes[1:], strict=True):
+        assert given == n and count == 6 * n
 
 
 def test_compressed_step_matches_uncompressed():
@@ -233,7 +265,7 @@ def test_compressed_step_matches_uncompressed():
     for a, dt in ((0.0, 0.09375), (1.7, 0.09375), (2.3, 0.046875)):
         window = pair_window(steps, a, a + 2 * dt)
         left, right, fine = (lifted(window, u)
-                             for u in window.pair_test(a, a + dt, a + 2 * dt)[:3])
+                             for u in window.pair_tests([(a, a + dt, a + 2 * dt)])[0][:3])
         full = [low_rank_dense(interaction_step(steps, lo, lo + dt)) for lo in (a, a + dt)]
         assert fine.q.shape[1] < 3 * n
         for p in (left.q, right.q):
@@ -291,10 +323,10 @@ def test_frame_outside_the_basis_raises():
     steps, _ = interaction_picture(one_body_laplacian(spec), protocol)
     basis = steps.frame_basis(0.1)
     window = FrameWindow(steps, basis, 1.0)
-    window.pair_test(1.0, 1.05, 1.1 * (1 + 1e-12))  # rounding of the grid times
+    window.pair_tests([(1.0, 1.05, 1.1 * (1 + 1e-12))])  # rounding of the grid times
     for a, m, b in ((1.0, 1.1, 1.2), (0.95, 1.0, 1.05)):
         with pytest.raises(ValueError, match="leave the span"):
-            window.pair_test(a, m, b)
+            window.pair_tests([(a, m, b)])
     with pytest.raises(ValueError, match="leave the span"):
         basis.coordinates([0.1 * (1 + 1e-8)])
 
@@ -310,7 +342,7 @@ def test_nonfinite_coupling_aborts(monkeypatch):
                            lambda times: np.full((len(times),) + (steps.rows.size,) * 2, np.nan))
     with pytest.raises(IntegrationError,
                        match=r"non-finite Hamiltonian entries on \[0\.0, 0\.1\]"):
-        pair_window(bad, 0.0, 0.1).pair_test(0.0, 0.05, 0.1)
+        pair_window(bad, 0.0, 0.1).pair_tests([(0.0, 0.05, 0.1)])
 
     def third_bad(times):  # and the fourth
         couplings = steps.coupling(times)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +14,9 @@ from fermiproc.drive import KernelSpec, Perturbation, switch_on_protocol
 from fermiproc.lattice import (FockBasis, LatticeSpec, hopping_hamiltonian,
                                number_operator, one_body_laplacian, quadratic_fock_operator)
 from fermiproc.linalg import expm_unitary, max_abs, unitarity_defect
-from fermiproc.propagator import (DenseSteps, IntegrationError, TimeDependentHamiltonian,
-                                  _adaptive, cfm4, dyson_propagator,
-                                  dyson_remainder, heisenberg_evolve,
+from fermiproc.propagator import (ROUNDOFF_FLOOR, DenseSteps, FrameWindow, IntegrationError,
+                                  InteractionSteps, TimeDependentHamiltonian, cfm4,
+                                  dyson_propagator, dyson_remainder, heisenberg_evolve,
                                   interaction_to_schrodinger, propagate, propagate_grid,
                                   step_grid)
 from fermiproc.states import GibbsParams, gibbs_state
@@ -264,17 +265,73 @@ def test_lone_last_interval_is_a_pair_of_half_steps(monkeypatch):
     assert max_abs(p.matrix - propagate(h, 1.5, 1.5 + step, 1e-10).matrix) <= 1e-8 * step
 
 
+def _halved(steps, a, b, whole, tol):
+    """The accepted pieces (a, b, U, est_error) of [a, b] by depth-first
+    recursive halving from `whole`, one CFM4 step over [a, b], a pair test
+    at a time."""
+    m = 0.5 * (a + b)
+    left, right, fine, err = steps.pair_tests([(a, m, b)], [whole])[0]
+    if err <= tol * (b - a) + ROUNDOFF_FLOOR:
+        return [(a, b, fine, err / 15.0)]
+    return _halved(steps, a, m, left, tol) + _halved(steps, m, b, right, tol)
+
+
 def test_propagate_is_the_one_interval_grid(driven_problem):
     # on an interval that refines, propagate's step_grid over [a, b] gives
-    # bit for bit the halving from one CFM4 step over [a, b]
+    # bit for bit the depth-first halving from one CFM4 step over [a, b],
+    # its pieces composed left to right
     _, _, tdh, _ = driven_problem
     a, b, tol = 0.0, 1.5, 1e-8
     p = propagate(tdh, a, b, tol)
     steps = DenseSteps(lambda times: (np.stack([tdh(t) for t in times]),))
-    q = _adaptive(steps, [(a, b, (_cfm4_step(tdh, a, b),))], tol)
-    assert p.refined and q.refined
-    assert np.array_equal(p.matrix, q.matrix[0])
-    assert (p.est_error, p.min_step) == (q.est_error, q.min_step)
+    pieces = _halved(steps, a, b, (_cfm4_step(tdh, a, b),), tol)
+    assert p.refined and len(pieces) > 1
+    u = pieces[0][2]
+    for piece in pieces[1:]:
+        u = steps.compose(piece[2], u)
+    assert np.array_equal(p.matrix, u[0])
+    assert (p.est_error, p.min_step) == (float(sum(piece[3] for piece in pieces)),
+                                         0.5 * min(hi - lo for lo, hi, *_ in pieces))
+
+
+#: a drive on two sites that switches on at once at t = 0.3
+JUMP_KERNEL = 3.0 * np.array([[0.6, 0.3], [0.3, -0.5]])
+
+
+def _jump(t):
+    return (np.asarray(t) >= 0.3).astype(float)
+
+
+@pytest.mark.parametrize("path", ["dense", "interaction"])
+def test_step_underflow_at_a_jump(monkeypatch, path):
+    # every test across a jump of the drive fails down to 2^-42 of its
+    # interval, where the refinement raises, naming t within 1e-12 of the
+    # jump; each halving depth's tests are one `pair_tests` call, and away
+    # from the jump they pass, so the pending tests stay at most 4 a depth
+    # over the 43 depths: a 4 x 4 dense H on [0, 1], and the L = 32
+    # interaction-picture steps on the grid [0, 0.5, 1]
+    kind = DenseSteps if path == "dense" else FrameWindow
+    rows, pair_tests = [], kind.pair_tests
+
+    def counted(self, pairs, wholes=None):
+        rows.append(len(pairs))
+        return pair_tests(self, pairs, wholes)
+
+    monkeypatch.setattr(kind, "pair_tests", counted)
+    if path == "dense":
+        h0, v = one_body_laplacian(LatticeSpec(4)), np.zeros((4, 4))
+        v[1:3, 1:3] = JUMP_KERNEL
+        with pytest.raises(IntegrationError, match="step underflow") as raised:
+            propagate(lambda t: h0 + _jump(t) * v, 0.0, 1.0, 1e-8)
+    else:
+        eps, phi = np.linalg.eigh(one_body_laplacian(LatticeSpec(32)))
+        steps = InteractionSteps(eps, phi, np.array([15, 16]),
+                                 lambda times: _jump(times)[:, None, None] * JUMP_KERNEL)
+        with pytest.raises(IntegrationError, match="step underflow") as raised:
+            list(step_grid(steps, [0.0, 0.5, 1.0], 1e-6))
+    t = float(re.search(r"at t=(\S+):", str(raised.value)).group(1))
+    assert abs(t - 0.3) <= 1e-12
+    assert sum(rows) <= 4 * 43
 
 
 def _sector_hamiltonian(kernel):
@@ -331,8 +388,8 @@ def _identical(got, want):
 def test_stacked_pair_tests_match_the_per_matrix_formula(kernel):
     # one stacked `eigh` per sector of every exponent of the pair tests gives
     # the per-matrix CFM4 steps, products and distances bit for bit: a
-    # multi-pair call (with the lone last interval), `pair_test` with the
-    # step over [a, b] given, as `_adaptive` refines, and the lone interval
+    # multi-pair call (with the lone last interval), a test with the step
+    # over [a, b] given, as a refinement test reads it, and the lone interval
     # of an odd grid as `step_grid` keeps it
     coeffs = np.array(harness.load_config(CONFIGS / "process1_L200.yaml")
                       .drive.kernels[0].coeffs, dtype=complex)
@@ -347,7 +404,7 @@ def test_stacked_pair_tests_match_the_per_matrix_formula(kernel):
     for got, (a, m, b, _) in zip(steps.pair_tests(pairs), pairs, strict=True):
         assert _identical(got, _per_matrix_pair_test(h_at, a, m, b))
     whole = _per_matrix_step(h_at, 0.4, 0.6)
-    assert _identical(steps.pair_test(0.4, 0.5, 0.6, whole),
+    assert _identical(steps.pair_tests([(0.4, 0.5, 0.6)], [whole])[0],
                       _per_matrix_pair_test(h_at, 0.4, 0.5, 0.6, whole))
     *_, last = step_grid(steps, [3.7, 3.8, 3.9, 4.0], 1e-4)
     (p,) = last.propagators
@@ -365,10 +422,10 @@ def test_stacked_pair_test_of_one_block_matches_the_per_matrix_formula(driven_pr
         return (np.stack([tdh(t) for t in times]),)
 
     steps = propagator._one_block(tdh)
-    assert _identical(steps.pair_test(0.2, 0.35, 0.5),
+    assert _identical(steps.pair_tests([(0.2, 0.35, 0.5)])[0],
                       _per_matrix_pair_test(h_at, 0.2, 0.35, 0.5))
     whole = _per_matrix_step(h_at, 0.2, 0.5)
-    assert _identical(steps.pair_test(0.2, 0.35, 0.5, whole),
+    assert _identical(steps.pair_tests([(0.2, 0.35, 0.5)], [whole])[0],
                       _per_matrix_pair_test(h_at, 0.2, 0.35, 0.5, whole))
 
 

@@ -2,6 +2,7 @@
 over threads give the serial run's outputs bit for bit, and a failure in one
 sector surfaces as itself."""
 
+import math
 import multiprocessing
 import os
 import sys
@@ -44,8 +45,9 @@ def _exact_l8():
 
 
 def _refined():
-    """A grid whose intervals fail the CFM4 pair test, so `_adaptive` halves
-    them from the pair test's steps (and is handed the one over [a, b])."""
+    """A grid whose intervals fail the CFM4 pair test, so `step_grid` halves
+    them from the pair test's steps, each refinement test handed its step
+    over [a, b]."""
     spec = LatticeSpec(6, local_region=(1, 2))
     kernel = [[0.6, 0.3], [0.3, -0.5]]
     protocol = switch_on_protocol(Perturbation([KernelSpec(1, (1, 2), kernel)], spec),
@@ -91,6 +93,34 @@ def test_pool_and_serial_exact_paths_are_identical(monkeypatch, case):
         assert pooled.integrator.refined_intervals > 0
     if case is _complex:
         assert np.iscomplexobj(pooled.final_state) and np.any(pooled.final_state.imag)
+
+
+def test_refinement_is_one_pair_tests_call_per_halving_depth(monkeypatch):
+    # `step_grid` steps each window one halving depth at a time: all the
+    # window's pending tests of a depth are one `pair_tests` call, so a
+    # window makes at most 1 + (its deepest halving) calls, that depth at
+    # most the largest log2 of an interval's width over its narrowest step
+    # (equal for the intervals of a pair, one more for the lone last one)
+    calls, windows = [], []
+    pair_tests, step_grid = propagator.DenseSteps.pair_tests, harness.step_grid
+
+    def counted(self, pairs, wholes=None):
+        calls.append(len(pairs))
+        return pair_tests(self, pairs, wholes)
+
+    def recorded(*args):
+        for block in step_grid(*args):
+            windows.append((len(calls), block.propagators))
+            calls.clear()
+            yield block
+
+    monkeypatch.setattr(propagator.DenseSteps, "pair_tests", counted)
+    monkeypatch.setattr(harness, "step_grid", recorded)
+    assert _run(_refined()).integrator.refined_intervals > 0
+    assert max(n for n, _ in windows) > 1
+    for n, propagators in windows:
+        assert n <= 1 + max(round(math.log2((p.t_end - p.t_start) / p.min_step))
+                            for p in propagators)
 
 
 def _both_config():
