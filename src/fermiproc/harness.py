@@ -10,17 +10,19 @@ certificate: its norms and its smallness norm against 1/(24 pi), and the
 environment: library versions, BLAS thread variables and the CPUs the exact
 path's charge sectors are spread over).
 
-Layout. One trajectory loop, `_trajectory`, owns the step loop, the
-integrator report, the work recurrence and the entropy drift;
-`exact_trajectory` (Fock space, with rho, H(t), the propagators and the
-probes as tuples of charge-sector blocks) and `quadratic_trajectory`
+Layout. One trajectory loop, `_trajectory`, owns the step loop, the grid
+times' controls, every ledger row (U = <H_0> + sum_j lambda_j <V_j>, then
+`ledger_row`), the integrator report, the work recurrence and the entropy
+drift; `exact_trajectory` (Fock space, with rho, H(t), the propagators and
+the probes as tuples of charge-sector blocks) and `quadratic_trajectory`
 (one-body correlations in the interaction picture of h0) supply only their
 representation: initial state and its entropy, the blocks of grid pairs, the
-state update with the ledger rows and probe reads of each block (`advance`;
-the exact path steps and reads interval by interval), the final
-state with its entropy (and, on the one-body path, its Pauli defect), the
-probes' Gibbs values at any lambda and the drive components' norms. Both take
-every block from CFM4 `step_grid` on their own step representation
+state update with each block time's reads <H_0>, q, <V_j> and probes
+(`advance`; the exact path steps and reads interval by interval), the
+reference scalars G and <V_j>_ref stacked over grid times (`reference`), the
+final state with its entropy (and, on the one-body path, its Pauli defect),
+the probes' Gibbs values at any lambda and the drive components' norms. Both
+take every block from CFM4 `step_grid` on their own step representation
 (`DenseSteps`, `InteractionSteps`).
 One process runner, `_run_process`, builds the lattice, drive, probes and
 manifest, simulates each configured path, and applies the shared ledger and
@@ -67,10 +69,10 @@ from .propagator import (Block, DenseSteps, TimeDependentHamiltonian, dyson_prop
                          propagate_grid, step_grid)
 from .quadratic import (ReferenceScalars, ScalarDriveReferenceCache, advance_window,
                         binary_entropy, diagonal_reads, diagonal_state, eigenbasis, expit,
-                        interaction_picture, pauli_excess, quadratic_entropy_ledger)
+                        interaction_picture, pauli_excess)
 # not called here; perfbench/tracing.py wraps these harness attributes by name
 from .quadratic import (correlation_entropy, gibbs_correlation,  # noqa: F401
-                        quadratic_observable, reference_scalars)
+                        quadratic_entropy_ledger, quadratic_observable, reference_scalars)
 from .smallness import grid_axis, grid_norm
 from .states import (GibbsParams, gibbs_state, relative_entropy, sector_gibbs_state,
                      von_neumann_entropy)
@@ -81,9 +83,9 @@ from .storage import write_series_csv
 #: sectors spread over two cores (6.2 s for the 80-interval
 #: `configs/both_L10.yaml`, against 10.9 s on one core; one BLAS thread)
 BOTH_SITE_CAP = 10
-#: grid times whose reference scalars the fast path takes in one stacked call:
-#: all of the benchmark grids' (129 and 151), and a 10^4-step run's stacked
-#: resolvents stay near 1 MB for |R| = 4
+#: grid times whose reference scalars `_trajectory` takes in one call, stacked
+#: on the fast path: all of the benchmark grids' (129 and 151), and a 10^4-step
+#: run's stacked resolvents stay near 1 MB for |R| = 4
 REFERENCE_CHUNK = 256
 #: the environment variables that set BLAS threads, recorded in every manifest
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -272,10 +274,8 @@ def validate_config(cfg: RunConfig):
     if cfg.output.t_final is not None:
         _number(cfg.output.t_final, "output.t_final", positive=False)
     _count(cfg.seed, "seed")
-    try:
-        GibbsParams(cfg.gibbs.beta, cfg.gibbs.mu)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"gibbs: {exc}") from exc
+    _number(cfg.gibbs.beta, "gibbs.beta")
+    _number(cfg.gibbs.mu, "gibbs.mu", positive=False)
     try:
         build_protocol(cfg, spec)
         probe_site_pairs(cfg, spec)
@@ -288,6 +288,9 @@ def validate_config(cfg: RunConfig):
 def lattice_spec(cfg: RunConfig) -> LatticeSpec:
     n_sites = site_index(cfg.lattice.L, "lattice.L")
     region = cfg.lattice.local_region
+    if region is not None and not region:
+        # LatticeSpec reads an empty region as the whole chain
+        raise ConfigError("local_region must list at least one site (or be null)")
     if region is None:
         # default: a centered block of up to four sites
         width = min(4, n_sites)
@@ -398,17 +401,21 @@ class Trajectory:
 
 class _Representation(NamedTuple):
     """What a state representation supplies to the trajectory loop, which
-    hands `advance` one window's Block at a time: the one-body path advances
-    G by `quadratic.advance_window`; the exact path applies its one grid
-    pair's sector steps one by one."""
+    forms every ledger row from its reads: `advance` takes one window's Block
+    at a time (the one-body path by `quadratic.advance_window`, the exact
+    path one sector step at a time), `reference` up to REFERENCE_CHUNK grid
+    times at once."""
 
     state: np.ndarray  # initial state: rho (Fock) or G (one-body, see quadratic_trajectory)
     s_start: float  # von Neumann entropy of the initial state
     blocks: Iterator  # `step_grid`'s Blocks, one per window of grid pairs, in grid order
-    # (state, Block) -> (the state at the block's last time, exactly Hermitian,
-    # and per block time its (ProcessRecord, probe values)); the loop fills
-    # `work`. The empty Block of the grid's first time reads row 0.
+    # (state, Block) -> (the state at its last time, exactly Hermitian; per
+    # block time (<H_0>, q, [<V_j>], probe values); the window's update of G,
+    # or None on the exact path); the empty Block of the grid's first time reads row 0
     advance: Callable
+    # controls (n, k) -> their stacked ReferenceScalars: G (n,) and <V_j> (n, k)
+    # in the Gibbs state of H(lambda)
+    reference: Callable
     # (state, t) -> (a memoized () -> the reported final state, its von
     # Neumann entropy, its Pauli defect or None where the representation has none)
     final: Callable
@@ -416,46 +423,57 @@ class _Representation(NamedTuple):
     drive_norms: tuple  # spectral norm of each V_j = dW/dlambda_j
 
 
-def _trajectory(rep, params, times):
-    """Evolve the state over the grid one block at a time and record the
-    ledger and probes.
+def _grid_controls(protocol, times):
+    """lambda and d lambda/dt at each grid time, as (n, k) arrays (k = 0
+    without a drive)."""
+    if protocol is None:
+        return np.zeros((len(times), 0)), np.zeros((len(times), 0))
+    return tuple(np.array([f(t) for t in times]) for f in (protocol.controls, protocol.lam_dot))
 
-    Each row's work is `work_accumulate`'s running sum; the entropy drift
-    checks that the unitary flow preserved the spectrum.
+
+def _trajectory(rep, params, times, lams, lam_dots):
+    """Evolve the state over the grid one block at a time and form every
+    ledger row and probe row.
+
+    `lams` and `lam_dots` are `_grid_controls`' lambda and d lambda/dt. One
+    `rep.reference` call serves REFERENCE_CHUNK grid times; each row is
+    `ledger_row`'s of `advance`'s reads, with U = <H_0> + sum_j lambda_j <V_j>,
+    and its work `work_accumulate`'s running sum. The integrator report takes
+    the widest window update and the basis width from `advance`; the entropy
+    drift checks that the unitary flow preserved the spectrum.
     """
+    times = np.asarray(times)
+
+    def references():
+        for lo in range(0, len(lams), REFERENCE_CHUNK):
+            scalars = rep.reference(lams[lo:lo + REFERENCE_CHUNK])
+            yield from zip(scalars.grand_potential.tolist(), scalars.gradient)
+
+    grid = zip(times, lams, lam_dots, references())
     state = rep.state
     report = IntegratorReport()
-    records = []
-    probe_rows = []
+    records, probe_rows = [], []
     for block in chain([Block((times[0],))], rep.blocks):
         for step in block.propagators:
             report.add(step)
         report.windows += bool(block.propagators)
-        state, rows = rep.advance(state, block)
-        for rec, probes in rows:
-            records.append(rec)
+        state, reads, update = rep.advance(state, block)
+        if update is not None:
+            report.max_block_rank = max(report.max_block_rank or 0, len(update.k))
+            report.window_basis_width = len(update.q)
+        for (energy, q, drive, probes), (t, lam, lam_dot, (g, gradient)) in zip(reads, grid):
+            records.append(ledger_row(t, float(energy + sum(lj * d for lj, d in zip(lam, drive))),
+                                      q, drive, g, gradient, lam_dot, params, rep.s_start))
             probe_rows.append(probes)
         # dropped before the next block is stepped, and the last one's frame
         # basis would live on through `final`
-        block = step = None
+        block = step = update = None
     for rec, work in zip(records, work_accumulate(records, params)):
         rec.work = work
     final, s_final, pauli = rep.final(state, times[-1])
-    return Trajectory(records, np.array(probe_rows), np.asarray(times), final,
+    return Trajectory(records, np.array(probe_rows), times, final,
                       abs(s_final - rep.s_start), report, pauli, rep.gibbs_probes,
                       rep.drive_norms)
-
-
-def _one_at_a_time(update, observe):
-    """`advance` from `update(state, Propagator)` and `observe(state, t)`:
-    the block's propagators applied one by one, each followed by its row."""
-    def advance(state, block):
-        rows = [] if block.propagators else [observe(state, block.times[0])]
-        for step in block.propagators:
-            state = update(state, step)
-            rows.append(observe(state, step.t_end))
-        return state, rows
-    return advance
 
 
 def _sector_reads(stacks, rho, rows=slice(None)):
@@ -497,14 +515,14 @@ def exact_trajectory(spec, params, protocol, times, tol, probe_ops=None):
     order, so the outputs do not depend on the CPU count, to the last bit.
     Per sector, [H_0, V_1..V_k, probes] are stacked once, so each row reads
     tr(rho_n A) of all of them in one product per sector (`_sector_reads`,
-    exact for any A since rho is block-diagonal), with
-    U = tr(rho H_0) + sum_j lambda_j tr(rho V_j), and <V_j>_ref in one more
-    from the reference state; G and that state come from the per-sector
-    spectra of H(t) (`sector_gibbs_state`). dq/dt is zero by construction. A
-    drive component with a nonzero entry between sectors is refused before
-    any step. `final_state` is the dense rho. The Gibbs probe values (by the
-    same stacked read) and the norm of each V_j (the largest over its
-    sectors) come from the same blocks.
+    exact for any A since rho is block-diagonal), and each grid time's
+    <V_j>_ref in one more from its reference state, one held at a time; G
+    and that state come from the per-sector spectra of H(lambda)
+    (`sector_gibbs_state`). dq/dt is zero by construction. A drive component
+    with a nonzero entry between sectors is refused before any step.
+    `final_state` is the dense rho. The Gibbs probe values (by the same
+    stacked read) and the norm of each V_j (the largest over its sectors)
+    come from the same blocks.
     """
     basis = FockBasis(spec.n_sites)
     h0 = basis.sectors(hopping_hamiltonian(spec))
@@ -520,9 +538,6 @@ def exact_trajectory(spec, params, protocol, times, tol, probe_ops=None):
               for blocks in zip(h0, *vs, *(basis.sectors(np.asarray(a)) for a in probe_ops or []))]
     drive_rows, probe_rows = slice(1, 1 + len(vs)), slice(1 + len(vs), None)
 
-    def controls(t):
-        return protocol.controls(t) if protocol else np.zeros(0)
-
     def h_of(lams):
         # per sector, H_0 + sum_j lambda_j V_j stacked over the rows of lams
         return tuple(h + sum((lj[:, None, None] * v[n] for lj, v in zip(lams.T, vs)),
@@ -531,43 +546,48 @@ def exact_trajectory(spec, params, protocol, times, tol, probe_ops=None):
 
     def h_at(ts):
         # W = 0 before the grid starts, as in TimeDependentHamiltonian
-        return h_of(np.array([controls(t) if t >= times[0] else np.zeros(len(vs)) for t in ts]))
+        return h_of(np.array([protocol.controls(t) if protocol and t >= times[0]
+                              else np.zeros(len(vs)) for t in ts]))
 
-    def reference(lam):
+    def reference_state(lam):
         return sector_gibbs_state(tuple(h[0] for h in h_of(np.asarray(lam)[None])), params)
 
+    def scalars_at(lam):
+        ref = reference_state(lam)
+        return ref.grand_potential, _sector_reads(stacks, ref.rho, drive_rows)
+
+    def reference(lams):
+        gs, grads = zip(*map(scalars_at, lams))
+        return ReferenceScalars(np.array(gs), np.array(grads))
+
     def gibbs_probes(lam):
-        return _sector_reads(stacks, reference(lam).rho, probe_rows)
+        return _sector_reads(stacks, reference_state(lam).rho, probe_rows)
 
     def entropy(rho):
         return sum(sector_map(von_neumann_entropy, rho))
 
+    def observe(rho):
+        # relS takes S_vN(rho_t) = s_start: the unitary flow keeps the spectrum
+        reads = _sector_reads(stacks, rho)
+        return (float(reads[0]), sum(n * float(np.real(np.trace(r))) for n, r in enumerate(rho)),
+                reads[drive_rows].tolist(), reads[probe_rows])
+
+    def advance(rho, block):
+        # the block's grid pair stepped interval by interval, each read after
+        rows = [] if block.propagators else [observe(rho)]
+        for step in block.propagators:
+            rho = tuple(sector_map(_conjugated, step.matrix, rho))
+            rows.append(observe(rho))
+        return rho, rows, None
+
     rho0 = sector_gibbs_state(h0, params).rho
     s_start = entropy(rho0)
-
-    def observe(rho, t):
-        # relS takes S_vN(rho_t) = s_start: the unitary flow keeps the spectrum
-        lam = controls(t)
-        ref = reference(lam)
-        reads = _sector_reads(stacks, rho)
-        drive = reads[drive_rows]
-        lam_dot = protocol.lam_dot(t) if protocol else np.zeros(0)
-        rec = ledger_row(t, float(reads[0] + lam @ drive),
-                         sum(n * float(np.real(np.trace(r))) for n, r in enumerate(rho)),
-                         drive.tolist(), ref.grand_potential,
-                         _sector_reads(stacks, ref.rho, drive_rows).tolist(), lam_dot, params,
-                         s_start)
-        return rec, reads[probe_rows]
-
-    def update(rho, step):
-        return tuple(sector_map(_conjugated, step.matrix, rho))
-
-    rep = _Representation(rho0, s_start, step_grid(DenseSteps(h_at), times, tol),
-                          _one_at_a_time(update, observe),
+    rep = _Representation(rho0, s_start, step_grid(DenseSteps(h_at), times, tol), advance,
+                          reference,
                           lambda rho, t: (cache(lambda: basis.assemble(rho)), entropy(rho),
                                           None),
                           gibbs_probes, tuple(max(map(spectral_norm, v)) for v in vs))
-    return _trajectory(rep, params, times)
+    return _trajectory(rep, params, times, *_grid_controls(protocol, times))
 
 
 def quadratic_trajectory(spec, params, protocol, times, tol, probe_ops=None):
@@ -582,17 +602,17 @@ def quadratic_trajectory(spec, params, protocol, times, tol, probe_ops=None):
     and update rank 14 on `process1_L512.yaml`). Under a periodic drive
     `step_grid` gets the drive's (t0, T), and each window one period after
     an earlier one reuses that window's Block, its origin moved by T, with
-    no step taken. The ledger and the probes read Gamma on S = R + the probe
-    sites only, Y_S(t) = diag(e^{i eps t}) phi_S^T.
-    One `ScalarDriveReferenceCache`, sized for the run's largest |lambda_j|,
-    gives every row's reference scalars from |R| x |R| resolvents, in
-    stacked calls over up to REFERENCE_CHUNK grid times each. At the end one
-    `eigvalsh` of G (whose spectrum is Gamma's) gives both the final entropy
-    and the Pauli defect. `final_state` is Gamma, formed on its first read
-    by one basis change written over G and completed to an exactly
-    Hermitian matrix; a run that does not read it skips that L^3 work. The
-    Gibbs probe values read the probes on S x S, as the rows do, from
-    Gamma_SS = conj(phi_S f phi_S^dagger) of one `eigh` of
+    no step taken. Each row reads Gamma on S = R + the probe sites only,
+    Y_S(t) = diag(e^{i eps t}) phi_S^T: <V_j> from its R x R block and the
+    probes from all of it. The reference is one `ScalarDriveReferenceCache`,
+    sized for the run's largest |lambda_j|: every row's reference scalars
+    from |R| x |R| resolvents, stacked over the grid times of a call. At
+    the end one `eigvalsh` of G (whose spectrum is Gamma's) gives both the
+    final entropy and the Pauli defect. `final_state` is Gamma, formed on
+    its first read by one basis change written over G and completed to an
+    exactly Hermitian matrix; a run that does not read it skips that L^3
+    work. The Gibbs probe values read the probes on S x S, as the rows do,
+    from Gamma_SS = conj(phi_S f phi_S^dagger) of one `eigh` of
     h0 + sum_j lambda_j V_j (the reference of `gibbs_correlation` with
     `quadratic_observable`), and ||V_j|| is the norm of its R x R block.
     """
@@ -609,21 +629,9 @@ def quadratic_trajectory(spec, params, protocol, times, tol, probe_ops=None):
     steps, blocks = interaction_picture(
         h0, protocol, np.concatenate([support(w) for w in probe_ops or []] + [[]]))
     eps, sites = steps.eps, steps.sites
-    lams = np.reshape([protocol.controls(t) if protocol else () for t in times],
-                      (len(times), len(blocks)))
+    lams, lam_dots = _grid_controls(protocol, times)
     reference = ScalarDriveReferenceCache(eps, steps.phi[steps.rows], blocks, params,
                                           np.max(np.abs(lams), axis=0))
-
-    def reference_rows():
-        # the grid times' controls and reference scalars in grid order, from
-        # one stacked call per REFERENCE_CHUNK times
-        for lo in range(0, len(lams), REFERENCE_CHUNK):
-            chunk = lams[lo:lo + REFERENCE_CHUNK]
-            scalars = reference(chunk)
-            yield from zip(chunk, map(ReferenceScalars, scalars.grand_potential.tolist(),
-                                      scalars.gradient))
-
-    references = reference_rows()
     on_rows = np.ix_(steps.on_rows, steps.on_rows)
     on_drive = np.ix_(steps.rows, steps.rows)
     probe_rows = np.array([np.asarray(w)[np.ix_(sites, sites)].ravel() for w in probe_ops or []])
@@ -632,28 +640,21 @@ def quadratic_trajectory(spec, params, protocol, times, tol, probe_ops=None):
     occupations = expit(-params.beta * (eps - params.mu))
     s_start = binary_entropy(occupations)
 
-    def row(t, energy, charge, gamma):
-        """The ledger row and probe values at t from sum_k eps_k G_kk, tr G
-        and Gamma on S x S."""
-        lam, scalars = next(references)
-        lam_dot = protocol.lam_dot(t) if protocol else np.zeros(0)
-        rec = quadratic_entropy_ledger(t, energy, charge, gamma[on_rows], blocks, lam,
-                                       lam_dot, params, s_start, scalars)
+    def row(energy, charge, gamma):
+        """A row's reads from sum_k eps_k G_kk, tr G and Gamma on S x S."""
+        gamma_rr = gamma[on_rows]
         # a copy: np.real's view would keep each row's complex product alive
-        return rec, (probe_rows @ gamma.ravel()).real.copy()
-
-    rank = width = None  # the integrator report's max_block_rank and window_basis_width
+        return (energy, charge, [float(np.real(np.sum(c * gamma_rr))) for c in blocks],
+                (probe_rows @ gamma.ravel()).real.copy())
 
     def advance(g, block):
-        nonlocal rank, width
         if not block.propagators:
             # row 0: Gamma_SS = conj(Y_S^dagger G Y_S) at the grid's first time
             y = steps.frame(block.times[0], sites)
             gamma = (y.conj().T @ zhemm(1.0, g, y, lower=1)).conj()
-            return g, [row(block.times[0], *diagonal_reads(g, eps), gamma)]
+            return g, [row(*diagonal_reads(g, eps), gamma)], None
         g, reads, update = advance_window(g, block)
-        rank, width = max(rank or 0, len(update.k)), len(update.q)
-        return g, [row(t, *read) for t, read in zip(block.times, reads)]
+        return g, [row(*read) for read in reads], update
 
     def gibbs_probes(lam):
         # one eigh of h(lambda) = h0 + sum_j lambda_j V_j (V_j on R x R), and
@@ -685,11 +686,9 @@ def quadratic_trajectory(spec, params, protocol, times, tol, probe_ops=None):
     period = ((protocol.t0, protocol.period)
               if protocol is not None and protocol.kind == "periodic" else None)
     rep = _Representation(diagonal_state(occupations), s_start,
-                          step_grid(steps, times, tol, period), advance, final, gibbs_probes,
-                          tuple(map(spectral_norm, blocks)))
-    traj = _trajectory(rep, params, times)
-    traj.integrator.max_block_rank, traj.integrator.window_basis_width = rank, width
-    return traj
+                          step_grid(steps, times, tol, period), advance, reference, final,
+                          gibbs_probes, tuple(map(spectral_norm, blocks)))
+    return _trajectory(rep, params, times, lams, lam_dots)
 
 
 # -- manifests -----------------------------------------------------------------

@@ -2,11 +2,11 @@
 
 Internal energy, charge, the entropy functional relative to the running
 reference state, its rate, the work differential, and their integrated
-budgets. `ledger_row` is the one formula both state representations use for
-S, dS/dt and dG/dt. The entropy rate also comes in two algebraically
-equivalent routes (the direct formula and the energy/charge/grand-potential
-decomposition) so checks can assert the identity rather than trust one code
-path.
+budgets. `ledger_row` is the one formula for S, dS/dt and dG/dt, and
+`harness._trajectory` forms every row of both state representations with it.
+The entropy rate also comes in two algebraically equivalent routes (the
+direct formula and the energy/charge/grand-potential decomposition) so
+checks can assert the identity rather than trust one code path.
 """
 
 from dataclasses import dataclass, field

@@ -302,7 +302,8 @@ class ScalarDriveReferenceCache:
 
 def quadratic_entropy_ledger(t, free_energy, q, gamma_rr, blocks, lam, lam_dot, params,
                              s_start, reference: ReferenceScalars):
-    """One ledger row of a quadratic-drive process at time t.
+    """One ledger row of a quadratic-drive process at time t, outside the
+    runs: `harness._trajectory` forms theirs from the fast path's reads.
 
     `free_energy` = sum_k eps_k G_kk = <h0> and `q` = tr G; `gamma_rr` is
     Gamma on the drive's rows R, where `blocks` are the dW/dlambda_j, so

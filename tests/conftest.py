@@ -14,9 +14,9 @@ from fermiproc import harness  # noqa: E402
 from fermiproc.lattice import hopping_hamiltonian, number_operator  # noqa: E402
 from fermiproc.linalg import spectral_norm, symmetrize  # noqa: E402
 from fermiproc.observables import (charge, charge_rate, expectation,  # noqa: E402
-                                   internal_energy, ledger_row)
-from fermiproc.propagator import (GAUSS_NODES, Block,  # noqa: E402
-                                  FrameWindow, LowRankUnitary, _on_joint_spans,
+                                   internal_energy, ledger_row, work_accumulate)
+from fermiproc.propagator import (GAUSS_NODES, FrameWindow,  # noqa: E402
+                                  LowRankUnitary, _on_joint_spans,
                                   cfm4, TimeDependentHamiltonian, propagate_grid, step_grid)
 from fermiproc.quadratic import advance_window, diagonal_state  # noqa: E402
 from fermiproc.states import gibbs_state, von_neumann_entropy  # noqa: E402
@@ -40,40 +40,44 @@ def random_unitary(rng, dim):
 
 def dense_exact_trajectory(spec, params, protocol, times, tol, probe_ops=None):
     """The exact path on dense 2^L x 2^L Fock matrices (the oracle of the
-    sector-blocked `harness.exact_trajectory`): `propagate_grid` steps, per
-    row the dense `gibbs_state`, `expectation` and `charge_rate`, the Gibbs
-    probe values from the dense `gibbs_state` of H_0 + sum_j lambda_j V_j, and
-    the spectral norm of each dense V_j."""
+    sector-blocked `harness.exact_trajectory`), with its own row loop:
+    `propagate_grid` steps, per row the dense `gibbs_state`, `expectation`
+    and `charge_rate` handed to `ledger_row`, the work from
+    `work_accumulate`, the Gibbs probe values from the dense `gibbs_state` of
+    H_0 + sum_j lambda_j V_j, and the spectral norm of each dense V_j."""
     h0 = hopping_hamiltonian(spec)
     n_op = number_operator(spec)
     tdh = TimeDependentHamiltonian(h0, protocol, times[0], "fock")
     vs = protocol.d_operator(times[0], "fock") if protocol else []
-    rho0 = gibbs_state(h0, n_op, params).rho
-    s_start = von_neumann_entropy(rho0)
-
-    def observe(rho, t):
+    rho = gibbs_state(h0, n_op, params).rho
+    s_start = von_neumann_entropy(rho)
+    report = harness.IntegratorReport()
+    records, probes = [], []
+    for step, t in zip([None] + propagate_grid(tdh, times, tol), times):
+        if step is not None:
+            report.add(step)
+            report.windows += 1
+            rho = symmetrize(step.matrix @ rho @ step.matrix.conj().T)
         w_t = protocol.operator(t, "fock") if protocol else np.zeros_like(h0)
         dw = protocol.d_operator(t, "fock") if protocol else []
         lam_dot = protocol.lam_dot(t) if protocol else np.zeros(0)
         h_t = h0 + w_t
         ref = gibbs_state(h_t, n_op, params)
-        rec = ledger_row(t, internal_energy(rho, h_t), charge(rho, n_op),
-                         [expectation(rho, d) for d in dw], ref.grand_potential,
-                         [expectation(ref.rho, d) for d in dw], lam_dot, params,
-                         s_start, charge_rate(rho, w_t, n_op))
-        return rec, np.array([expectation(rho, a) for a in probe_ops or []])
+        records.append(ledger_row(t, internal_energy(rho, h_t), charge(rho, n_op),
+                                  [expectation(rho, d) for d in dw], ref.grand_potential,
+                                  [expectation(ref.rho, d) for d in dw], lam_dot, params,
+                                  s_start, charge_rate(rho, w_t, n_op)))
+        probes.append([expectation(rho, a) for a in probe_ops or []])
+    for rec, work in zip(records, work_accumulate(records, params)):
+        rec.work = work
 
     def gibbs_probes(lam):
         rho = gibbs_state(h0 + sum(lj * v for lj, v in zip(lam, vs)), n_op, params).rho
         return np.array([expectation(rho, a) for a in probe_ops or []])
 
-    rep = harness._Representation(
-        rho0, s_start, (Block((p.t_end,), (p,)) for p in propagate_grid(tdh, times, tol)),
-        harness._one_at_a_time(
-            lambda rho, step: symmetrize(step.matrix @ rho @ step.matrix.conj().T), observe),
-        lambda rho, t: (lambda: rho, von_neumann_entropy(rho), None),
-        gibbs_probes, tuple(map(spectral_norm, vs)))
-    return harness._trajectory(rep, params, times)
+    return harness.Trajectory(records, np.array(probes), np.asarray(times), lambda: rho,
+                              abs(von_neumann_entropy(rho) - s_start), report, None,
+                              gibbs_probes, tuple(map(spectral_norm, vs)))
 
 
 def cfm4_step(h_at, a, b):

@@ -297,17 +297,20 @@ def test_refined_pair_basis_is_compressed():
 def _block_trajectory(monkeypatch, window_pairs, probe_ops=None):
     """The L = 512 fast path on BLOCK_GRID in windows of at most
     `window_pairs` pairs, with each row's sum_k eps_k G_kk and tr G as
-    handed to the ledger."""
+    `advance` hands them to the trajectory loop."""
     monkeypatch.setattr(propagator, "WINDOW_PAIRS", window_pairs)
     spec, protocol, _ = _spec_and_protocol(512, FILLED, Boundary.DIRICHLET, 0.3)
     scalars = []
-    ledger = harness.quadratic_entropy_ledger
+    trajectory = harness._trajectory
 
-    def recorded(t, free_energy, q, *args):
-        scalars.append((free_energy, q))
-        return ledger(t, free_energy, q, *args)
+    def recorded(rep, *args):
+        def advance(state, block):
+            state, reads, update = rep.advance(state, block)
+            scalars.extend((energy, q) for energy, q, *_ in reads)
+            return state, reads, update
+        return trajectory(rep._replace(advance=advance), *args)
 
-    monkeypatch.setattr(harness, "quadratic_entropy_ledger", recorded)
+    monkeypatch.setattr(harness, "_trajectory", recorded)
     traj = harness.quadratic_trajectory(spec, GibbsParams(1.0, 0.2), protocol,
                                         np.array(BLOCK_GRID), 1e-7, probe_ops)
     return spec, protocol, traj, np.array(scalars)

@@ -635,20 +635,22 @@ def test_stacked_reads_match_per_operator_expectations(monkeypatch, hop):
     def trace(rho, blocks):
         return sum(expectation(r, b) for r, b in zip(rho, blocks))
 
-    seen, rows = {}, []
+    # the states in grid order: the reference states are formed a chunk of
+    # grid times ahead of their rows, after the initial Gibbs state
+    references, states, rows = [], [], []
     gibbs, reads, ledger = harness.sector_gibbs_state, harness._sector_reads, harness.ledger_row
 
     def recorded_gibbs(h, p):
-        seen["h"], seen["ref"] = h, gibbs(h, p)
-        return seen["ref"]
+        references.append((h, gibbs(h, p)))
+        return references[-1][1]
 
     def recorded_reads(stacks, rho, which=slice(None)):
         if which == slice(None):
-            seen["rho"] = rho
+            states.append(rho)
         return reads(stacks, rho, which)
 
     def recorded_ledger(t, energy, q, drive, g, gradient, *args):
-        rows.append((energy, drive, gradient, seen["h"], seen["rho"], seen["ref"].rho))
+        rows.append((energy, drive, gradient))
         return ledger(t, energy, q, drive, g, gradient, *args)
 
     monkeypatch.setattr(harness, "sector_gibbs_state", recorded_gibbs)
@@ -656,6 +658,9 @@ def test_stacked_reads_match_per_operator_expectations(monkeypatch, hop):
     monkeypatch.setattr(harness, "ledger_row", recorded_ledger)
     traj = harness.exact_trajectory(spec, params, protocol, time_grid(0.0, 0.8, 0.1), 1e-8,
                                     ops)
+    assert len(references) == 10 and len(states) == 9
+    rows = [(*row, h, rho, ref.rho)
+            for row, (h, ref), rho in zip(rows, references[1:], states)]
     assert len(rows) == len(traj.probe_series) == 9
     for (energy, drive, gradient, h, rho, ref), values in zip(rows, traj.probe_series):
         assert abs(energy - trace(rho, h)) <= 1e-13
@@ -949,11 +954,14 @@ _SWITCH_ON = {"type": "switch_on", "amplitude": 0.1, "tau_r": 0.5}
     ("drive", {"type": "periodic", "amplitude": 0.1, "period": "long",
                "kernels": [{"degree": 1, "sites": [2, 3], "coeffs": KERNEL}]}),
     ("seed", "x"),
+    ("lattice", {"L": 6, "local_region": []}),
+    ("gibbs", {"beta": True}),
+    ("gibbs", {"beta": 1.0, "mu": True}),
 ], ids=["region_off_lattice", "unknown_boundary", "kernel_off_region",
         "kernel_shape", "probe_off_lattice", "probe_negative", "probes_empty",
         "float_size", "float_region_site", "float_kernel_site", "float_probe_site",
         "negative_tol", "string_tol", "removed_method_key", "infinite_beta",
-        "nan_mu", "string_period", "string_seed"])
+        "nan_mu", "string_period", "string_seed", "empty_region", "bool_beta", "bool_mu"])
 def test_cli_malformed_config_exit_code(tmp_path, capsys, section, value):
     # malformed configs are configuration errors (exit 2, one line), never
     # tracebacks, hangs (a negative tol never meets its budget) or silently

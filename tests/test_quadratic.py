@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from fermiproc.drive import KernelSpec, Perturbation, switch_on_protocol
+from fermiproc.drive import DriveProtocol, KernelSpec, Perturbation, switch_on_protocol
 from fermiproc.harness import (exact_trajectory, probe_matrices, probe_site_pairs,
                                quadratic_trajectory, time_grid)
 from fermiproc.harness import LatticeConfig, GibbsConfig, RunConfig
@@ -352,13 +352,45 @@ def test_reference_cache_stacks_controls():
                 cache(np.vstack([lams, np.full((1, len(blocks)), 2.0)]))
 
 
-def test_reference_chunks_leave_the_rows_unchanged(monkeypatch):
-    # chunk boundaries inside the grid give the rows of one stacked call
-    spec = LatticeSpec(12, local_region=(5, 6))
-    pert = Perturbation([KernelSpec(1, (5, 6), [[0.6, 0.3], [0.3, -0.5]])], spec)
+@pytest.mark.parametrize("trajectory,n_sites,sites", [(exact_trajectory, 6, (2, 3)),
+                                                      (quadratic_trajectory, 12, (5, 6))],
+                         ids=["exact", "quadratic"])
+def test_reference_chunks_leave_the_rows_unchanged(monkeypatch, trajectory, n_sites, sites):
+    # chunk boundaries inside the grid give the rows of one stacked call, on
+    # both paths: the trajectory loop takes every row's reference by chunks
+    spec = LatticeSpec(n_sites, local_region=sites)
+    pert = Perturbation([KernelSpec(1, sites, [[0.6, 0.3], [0.3, -0.5]])], spec)
     protocol = switch_on_protocol(pert, 0.0, 0.3, 0.5)
     args = (spec, GibbsParams(1.0, 0.1), protocol, time_grid(0.0, 1.0, 0.05), 1e-8)
-    whole = quadratic_trajectory(*args)
+    whole = trajectory(*args)
     monkeypatch.setattr(harness, "REFERENCE_CHUNK", 4)
-    chunked = quadratic_trajectory(*args)
+    chunked = trajectory(*args)
     assert [r.csv_row() for r in chunked.records] == [r.csv_row() for r in whole.records]
+
+
+def test_two_component_drive_matches_dense_oracle():
+    # a drive with two controls, lambda = (a switch-on, a sine) on the
+    # overlapping sites (1, 2) and (2, 3): U, S, dS/dt and dG/dt sum over
+    # both components on each path, against the dense Fock oracle
+    from conftest import dense_exact_trajectory
+    spec = LatticeSpec(5, local_region=(1, 2, 3))
+    protocol = DriveProtocol(
+        kind="switch_on", t0=0.0, control_dim=2,
+        lam_fn=lambda t: np.array([0.4 * -np.expm1(-t / 0.5), 0.3 * np.sin(2.0 * t)]),
+        lam_dot_fn=lambda t: np.array([0.8 * np.exp(-t / 0.5), 0.6 * np.cos(2.0 * t)]),
+        components=(Perturbation([KernelSpec(1, (1, 2), [[0.5, 0.3], [0.3, -0.4]])], spec),
+                    Perturbation([KernelSpec(1, (2, 3), [[0.2, -0.25], [-0.25, 0.1]])],
+                                 spec)))
+    params = GibbsParams(1.2, 0.3)
+    times = time_grid(0.0, 0.8, 0.1)
+    pairs = probe_site_pairs(RunConfig(LatticeConfig(5), GibbsConfig(1.0)), spec)
+    dense = dense_exact_trajectory(spec, params, protocol, times, 1e-12,
+                                   probe_matrices(pairs, spec, "fock"))
+    assert np.ptp([r.Sdot for r in dense.records]) > 1e-3
+    for trajectory, rep in ((exact_trajectory, "fock"), (quadratic_trajectory, "one_body")):
+        traj = trajectory(spec, params, protocol, times, 1e-12,
+                          probe_matrices(pairs, spec, rep))
+        assert harness.path_deviation(traj, dense) <= 1e-12
+        for lam in ([0.0, 0.0], [0.4, -0.3]):
+            assert np.max(np.abs(traj.gibbs_probes(lam) - dense.gibbs_probes(lam))) <= 1e-12
+        assert len(traj.drive_norms) == 2
