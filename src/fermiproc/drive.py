@@ -18,8 +18,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from . import smallness
-from .lattice import (FockBasis, LatticeSpec, _monomial, ensure_hermitian,
-                      is_gauge_invariant, quadratic_fock_operator, site_index)
+from .lattice import FockBasis, LatticeSpec, ensure_hermitian, one_body_terms, site_index
 from .linalg import spectral_norm
 
 
@@ -83,37 +82,32 @@ def build_one_body(kernels: Sequence[KernelSpec], lattice: LatticeSpec):
     return w
 
 
-def build_perturbation(kernels: Sequence[KernelSpec], lattice: LatticeSpec):
-    """Full Fock-space matrix W = sum_N sum w^N a^*..a^* a..a.
-
-    Each degree-2 monomial's entries are scattered into W from their
-    `_monomial` triplets, with no 2^L x 2^L temporary per coefficient.
-    Hermitian, supported on the local region, and gauge-invariant (equal
-    creator/annihilator counts per monomial); violations raise.
-    """
-    dim = lattice.fock_dim
-    w = np.zeros((dim, dim), dtype=complex)
+def perturbation_terms(kernels: Sequence[KernelSpec], lattice: LatticeSpec):
+    """The terms (c, creators, annihilators) of W = sum_N sum w^N a^*..a^* a..a:
+    a degree-1 kernel's from its L x L one-body matrix, a degree-2 kernel's
+    from its nonzero coefficients in order. Kernels outside the local region raise."""
     for k in kernels:
         k.validate_support(lattice)
         if k.degree == 1:
-            one = _add_one_body(np.zeros((lattice.n_sites,) * 2, dtype=complex), k)
-            w += quadratic_fock_operator(lattice, one)
+            yield from one_body_terms(_add_one_body(
+                np.zeros((lattice.n_sites,) * 2, dtype=complex), k))
         else:
             for idx in zip(*np.nonzero(k.coeffs)):
                 a1, a2, b1, b2 = (k.sites[i] for i in idx)
-                rows, cols, signs = _monomial(lattice.n_sites, (a1, a2), (b1, b2))
-                w[rows, cols] += k.coeffs[idx] * signs
-    w = ensure_hermitian(w, "perturbation")
-    if not is_gauge_invariant(w, 1e-10, lattice.n_sites):
-        raise ValueError("built perturbation is not gauge-invariant")
-    return w
+                yield k.coeffs[idx], (a1, a2), (b1, b2)
+
+
+def build_perturbation(kernels: Sequence[KernelSpec], lattice: LatticeSpec):
+    """W as a dense complex Fock matrix, assembled from its sector blocks."""
+    return FockBasis(lattice.n_sites).assemble(Perturbation(kernels, lattice).blocks(), complex)
 
 
 class Perturbation:
     """A kernel family with lazily built representations.
 
-    `one_body()` is available when every kernel has degree 1; `fock()` builds
-    the full 2^L matrix (subject to the exact-path site cap).
+    `one_body()` is available when every kernel has degree 1; `blocks()`
+    gives W's charge-sector blocks, which the exact path reads, and `fock()`
+    the dense 2^L matrix (both subject to the exact-path site cap).
     """
 
     def __init__(self, kernels: Sequence[KernelSpec], lattice: LatticeSpec):
@@ -133,6 +127,14 @@ class Perturbation:
         if "one_body" not in self._cache:
             self._cache["one_body"] = build_one_body(self.kernels, self.lattice)
         return self._cache["one_body"]
+
+    def blocks(self):
+        """`FockBasis.blocks` of W's monomials: Hermitian, and gauge-invariant
+        since every monomial has as many creators as annihilators."""
+        if "blocks" not in self._cache:
+            self._cache["blocks"] = FockBasis(self.lattice.n_sites).blocks(
+                perturbation_terms(self.kernels, self.lattice), "perturbation")
+        return self._cache["blocks"]
 
     def fock(self):
         if "fock" not in self._cache:
@@ -155,7 +157,7 @@ class Perturbation:
         degree-2 V takes the largest norm over its charge-sector blocks.
         """
         if not self.is_quadratic:
-            return max(map(spectral_norm, FockBasis(self.lattice.n_sites).sectors(self.fock())))
+            return max(map(spectral_norm, self.blocks()))
         w = self.one_body()
         rows = np.flatnonzero(np.any(w, axis=0))
         e = np.linalg.eigvalsh(w[np.ix_(rows, rows)])
@@ -355,6 +357,7 @@ def certify_drive(protocol: DriveProtocol):
 
 __all__ = [
     "KernelSpec", "Perturbation", "build_one_body", "build_perturbation",
+    "perturbation_terms",
     "DriveProtocol", "switch_on_protocol", "periodic_protocol",
     "DriveCertificate", "certify_drive", "WAVEFORMS",
 ]

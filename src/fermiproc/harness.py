@@ -58,8 +58,7 @@ from .drive import (DriveProtocol, KernelSpec, Perturbation, certify_drive,
                     periodic_protocol, switch_on_protocol)
 from .lattice import (EXACT_SITE_CAP, Boundary, FockBasis, LatticeSpec,
                       creation_op, gauge_transform, hopping_hamiltonian,
-                      number_operator, one_body_laplacian, quadratic_fock_operator,
-                      site_index)
+                      number_operator, one_body_laplacian, quadratic_blocks, site_index)
 from .linalg import (fill_upper, max_abs, sector_map, sector_workers, spectral_norm,
                      symmetrize, unitarity_defect)
 from .observables import (delta_entropy, entropy_rate, entropy_rate_decomposed,
@@ -71,6 +70,7 @@ from .quadratic import (ReferenceScalars, ScalarDriveReferenceCache, advance_win
                         binary_entropy, diagonal_reads, diagonal_state, eigenbasis, expit,
                         interaction_picture, pauli_excess)
 # not called here; perfbench/tracing.py wraps these harness attributes by name
+from .lattice import quadratic_fock_operator  # noqa: F401
 from .quadratic import (correlation_entropy, gibbs_correlation,  # noqa: F401
                         quadratic_entropy_ledger, quadratic_observable, reference_scalars)
 from .smallness import grid_axis, grid_norm
@@ -337,9 +337,9 @@ def probe_site_pairs(cfg: RunConfig, spec: LatticeSpec):
 
 def probe_matrices(pairs, spec: LatticeSpec, representation):
     """n_i for (i,i) pairs, a_i^* a_j + a_j^* a_i otherwise: L x L kernels
-    ("one_body") or their Fock matrices ("fock")."""
+    ("one_body") or their Fock operators' sector blocks ("fock")."""
     build = {"one_body": lambda w: w,
-             "fock": lambda w: quadratic_fock_operator(spec, w)}[representation]
+             "fock": lambda w: quadratic_blocks(spec, w)}[representation]
     mats = []
     for i, j in pairs:
         w = np.zeros((spec.n_sites,) * 2)
@@ -498,13 +498,15 @@ def exact_trajectory(spec, params, protocol, times, tol, probe_ops=None):
     """Fock-space simulation with the complete ledger at each grid time, on
     charge-sector blocks.
 
-    H_0, each V_j = dW/dlambda_j and every probe are sliced once into their
-    n-particle blocks (`FockBasis.sectors`: float64 for the real operators
-    of every reference drive, complex128 for a complex one); N is n on sector
-    n, so it is never built. H(t) per sector is then real too, and so are
-    each CFM4 exponent's `eigh` and each row's reference state; the
-    propagators exp(-i dt h) and rho(t) are complex. rho, H(t) and every
-    propagator are tuples of blocks, and U_n rho_n U_n^dagger is the update.
+    H_0, each V_j = dW/dlambda_j (`Perturbation.blocks`) and every probe
+    (`probe_matrices(..., "fock")`) come as their n-particle blocks from the
+    one Fock-operator scatter, `FockBasis.blocks`, which refuses a monomial
+    between sectors before any step: float64 for the real operators of
+    every reference drive, complex128 for a complex one. N is n on sector n,
+    so it is never built. H(t) per sector is then real too, and so are each
+    CFM4 exponent's `eigh` and each row's reference state; the propagators
+    exp(-i dt h) and rho(t) are complex. rho, H(t) and every propagator are
+    tuples of blocks, and U_n rho_n U_n^dagger is the update.
     The sectors never couple, so their work runs on every CPU through
     `sector_map`: each sector's pair test (`DenseSteps`: one stacked `eigh`
     of the CFM4 exponents of its steps, from H(t) sampled once per pair
@@ -518,24 +520,17 @@ def exact_trajectory(spec, params, protocol, times, tol, probe_ops=None):
     exact for any A since rho is block-diagonal), and each grid time's
     <V_j>_ref in one more from its reference state, one held at a time; G
     and that state come from the per-sector spectra of H(lambda)
-    (`sector_gibbs_state`). dq/dt is zero by construction. A drive component
-    with a nonzero entry between sectors is refused before any step.
+    (`sector_gibbs_state`). dq/dt is zero by construction.
     `final_state` is the dense rho. The Gibbs probe values (by the same
     stacked read) and the norm of each V_j (the largest over its sectors)
     come from the same blocks.
     """
-    basis = FockBasis(spec.n_sites)
-    h0 = basis.sectors(hopping_hamiltonian(spec))
-    components = protocol.d_operator(times[0], "fock") if protocol else []
-    vs = [basis.sectors(v) for v in components]
-    for j, (v, blocks) in enumerate(zip(components, vs)):
-        if np.count_nonzero(v) != sum(np.count_nonzero(b) for b in blocks):
-            raise ValueError(f"drive component {j} couples charge sectors; the exact "
-                             "path needs gauge-invariant drives")
+    h0 = quadratic_blocks(spec, one_body_laplacian(spec))
+    vs = [c.blocks() for c in protocol.components] if protocol else []
     # per sector, [H_0, V_1..V_k, probes] as the rows A_nn.ravel() of one
     # array, float64 where all of them are real
     stacks = [np.stack(blocks).reshape(len(blocks), -1)
-              for blocks in zip(h0, *vs, *(basis.sectors(np.asarray(a)) for a in probe_ops or []))]
+              for blocks in zip(h0, *vs, *(probe_ops or []))]
     drive_rows, probe_rows = slice(1, 1 + len(vs)), slice(1 + len(vs), None)
 
     def h_of(lams):
@@ -584,8 +579,8 @@ def exact_trajectory(spec, params, protocol, times, tol, probe_ops=None):
     s_start = entropy(rho0)
     rep = _Representation(rho0, s_start, step_grid(DenseSteps(h_at), times, tol), advance,
                           reference,
-                          lambda rho, t: (cache(lambda: basis.assemble(rho)), entropy(rho),
-                                          None),
+                          lambda rho, t: (cache(lambda: FockBasis(spec.n_sites).assemble(rho)),
+                                          entropy(rho), None),
                           gibbs_probes, tuple(max(map(spectral_norm, v)) for v in vs))
     return _trajectory(rep, params, times, *_grid_controls(protocol, times))
 
@@ -1125,12 +1120,8 @@ def run_verify(cfg: RunConfig) -> dict:
     n_op = number_operator(sp)
     comm = max_abs(h0 @ n_op - n_op @ h0)
     _verdict(manifest, "hopping_charge_commute", comm <= 1e-12, comm, 1e-12)
-    off = 0.0
-    for n_part in range(sp.n_sites + 1):
-        idx = basis.sector_indices(n_part)
-        rest = np.setdiff1d(np.arange(basis.dim), idx)
-        if idx.size and rest.size:
-            off = max(off, max_abs(h0[np.ix_(idx, rest)]))
+    # H_0's entries between basis states of different particle numbers
+    off = max_abs(h0[basis.popcounts[:, None] != basis.popcounts[None, :]])
     _verdict(manifest, "sector_block_structure", off <= 1e-12, off, 1e-12)
 
     # gauge automorphism multiplicativity

@@ -12,9 +12,12 @@ Basis convention: basis index k in [0, 2^L) encodes the occupation bitstring,
 bit j of k being the occupancy of site j. Operator products use site-ascending
 ordering for the Jordan-Wigner strings, i.e. |k> = prod_{sites s ascending}
 (a_s^dagger)^{n_s} |vac>.
+
+Every gauge-invariant Fock operator is scattered from its monomials into its
+charge-sector blocks (`FockBasis.blocks`); dense ones are `FockBasis.assemble`d.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -22,15 +25,14 @@ import numpy as np
 
 from .linalg import ensure_hermitian, max_abs
 
-#: largest site count for which full Fock-space (2^L-dimensional) matrices
-#: are constructed; beyond this the exact path refuses to run. The exact path
-#: steps charge-sector blocks, but its inputs are dense: H_0, each V_j and
-#: the probes take 16 * 4^L bytes each (the default ten probes alone 2.5 GiB
-#: at L = 12). Measured peak RSS with the default ten probes, one BLAS thread:
-#: 1057 MB for a 2-interval exact run at L = 11, 3919 MB at L = 12 (the x4 of
-#: one more site), and 1215 MB for a 44-interval process I run at L = 11,
-#: about 4.9 GB extrapolated to L = 12. L = 13 would need four times that,
-#: so 12 is the cap that fits an 8 GB machine.
+#: largest site count for which the exact path runs. Its operators are
+#: charge-sector blocks (`FockBasis.blocks`) of C(2L, L) entries each, 21.6 MB
+#: as float64 at L = 12, where one dense complex 2^L x 2^L matrix is 268 MB.
+#: Measured peak RSS of a 2-interval exact run, the reference 4x4 kernel on
+#: the central sites and the default ten probes, one BLAS thread: 325 MB at
+#: L = 11 and 1039 MB at L = 12, most of it the stacked pair-test samples and
+#: the sector unitaries, which grow about fourfold per site (a sector of
+#: L = 13 has up to 1716 rows). 12 stays the cap until L = 13 is measured.
 EXACT_SITE_CAP = 12
 
 
@@ -82,19 +84,13 @@ class LatticeSpec:
 
     @property
     def fock_dim(self):
-        if self.n_sites > EXACT_SITE_CAP:
-            raise LatticeTooLargeError(
-                f"exact path limited to {EXACT_SITE_CAP} sites "
-                f"(2^{self.n_sites} Fock dimension requested); use the quadratic path"
-            )
+        _check_cap(self.n_sites)
         return 1 << self.n_sites
 
 
 def _check_cap(n_sites):
     if n_sites > EXACT_SITE_CAP:
-        raise LatticeTooLargeError(
-            f"exact path limited to {EXACT_SITE_CAP} sites, got L={n_sites}"
-        )
+        raise LatticeTooLargeError(f"exact path limited to {EXACT_SITE_CAP} sites, got L={n_sites}")
 
 
 @lru_cache(maxsize=32)
@@ -108,51 +104,65 @@ def _popcounts(n_sites):
     return pops
 
 
-@dataclass(frozen=True)
 class FockBasis:
     """Occupation-number basis bookkeeping for L sites (dimension 2^L).
 
     The charge sectors n = 0..L are Fock space's block structure: every
-    gauge-invariant operator is block-diagonal over them. `sectors` slices a
-    matrix into its diagonal blocks and `assemble` puts blocks back.
+    gauge-invariant operator is block-diagonal over them. `blocks` builds an
+    operator's diagonal blocks from its monomials, each basis index ranked
+    within its sector, and `assemble` puts blocks together as a dense matrix.
     """
 
-    n_sites: int
-    popcounts: np.ndarray = field(init=False, repr=False, compare=False)
-    _keys: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "popcounts", _popcounts(self.n_sites))
-        object.__setattr__(self, "_keys", tuple(
-            np.ix_(idx, idx) for idx in map(self.sector_indices, range(self.n_sites + 1))))
-
-    @property
-    def dim(self):
-        return 1 << self.n_sites
+    def __init__(self, n_sites):
+        self.n_sites, self.dim = n_sites, 1 << n_sites
+        self.popcounts = _popcounts(n_sites)
+        # each basis index's rank within its sector, each sector's size and
+        # the offset of its block in `blocks`' flat buffer (one more: the end)
+        self._ranks = np.empty_like(self.popcounts)
+        for n in range(n_sites + 1):
+            idx = self.sector_indices(n)
+            self._ranks[idx] = np.arange(idx.size)
+        self._sizes = np.bincount(self.popcounts)
+        self._offsets = np.concatenate(([0], np.cumsum(self._sizes**2)))
 
     def sector_indices(self, n_particles):
         """Basis indices of the n-particle sector, ascending."""
         return np.nonzero(self.popcounts == n_particles)[0]
 
-    def sectors(self, a):
-        """The n-particle diagonal blocks of a Fock matrix, n = 0..L.
+    def blocks(self, terms, name="operator"):
+        """The n-particle diagonal blocks, n = 0..L, of the Fock operator
+        sum_t c_t a_{c1}^* ... a_{cM}^* a_{d1} ... a_{dK}, `terms` holding
+        each monomial's (c_t, creators, annihilators).
 
-        The blocks are float64 when the imaginary part of `a` is exactly
-        zero, and complex128 otherwise. H_0, the degree-1 and degree-2 drives
-        of real kernels and the density and hopping probes are all real, so
-        their blocks take real symmetric `eigh`s (about a quarter of the
-        complex Hermitian flops); the code downstream of this slicing works
-        with either dtype.
+        The terms' `_monomial` entries are scattered in order into one flat
+        buffer of C(2L, L) entries that the blocks view, so each entry sums
+        its terms in their order and no 2^L x 2^L array is made. The blocks
+        are float64 when no entry has an imaginary part (H_0, real kernels'
+        drives and the density and hopping probes, whose `eigh`s then take
+        about a quarter of the complex flops), complex128 otherwise, and each
+        is certified Hermitian. A monomial that changes the charge is refused.
         """
-        if np.iscomplexobj(a) and not np.any(a.imag):
-            a = a.real
-        return tuple(a[key] for key in self._keys)
+        flat = np.zeros(self._offsets[-1], dtype=complex)
+        for c, creators, annihilators in terms:
+            if len(creators) != len(annihilators):
+                raise ValueError(f"{name}: a monomial with creators {tuple(creators)} and "
+                                 f"annihilators {tuple(annihilators)} couples charge sectors")
+            rows, cols, signs = _monomial(self.n_sites, creators, annihilators)
+            n = self.popcounts[cols]
+            flat[self._offsets[n] + self._ranks[rows] * self._sizes[n]
+                 + self._ranks[cols]] += c * signs
+        if not np.any(flat.imag):
+            flat = flat.real.copy()
+        return tuple(ensure_hermitian(flat[a:b].reshape(m, m), name)
+                     for a, b, m in zip(self._offsets, self._offsets[1:], self._sizes))
 
-    def assemble(self, blocks):
-        """Dense block-diagonal Fock matrix with `blocks[n]` on sector n."""
-        out = np.zeros((self.dim, self.dim), np.result_type(*blocks))
-        for key, block in zip(self._keys, blocks):
-            out[key] = block
+    def assemble(self, blocks, dtype=None):
+        """Dense block-diagonal Fock matrix with `blocks[n]` on sector n, of
+        `dtype` (the blocks' common type by default)."""
+        out = np.zeros((self.dim, self.dim), dtype or np.result_type(*blocks))
+        for n, block in enumerate(blocks):
+            idx = self.sector_indices(n)
+            out[np.ix_(idx, idx)] = block
         return out
 
 
@@ -208,46 +218,43 @@ def one_body_laplacian(spec):
 
     Dirichlet: 2*I - adjacency (diagonal 2 everywhere, endpoints included).
     Neumann: degree - adjacency (diagonal 1 at the ends).
-    Periodic: 2*I - shift - shift^T (wrap edge; L=2 carries the doubled bond).
+    Periodic: degree - adjacency with the wrap edge (L=2 carries the doubled
+    bond, L=1 gives 0).
     """
-    n, bc = spec.n_sites, spec.boundary
+    n = spec.n_sites
     h = np.zeros((n, n))
-    if bc is Boundary.PERIODIC:
-        shift = np.zeros((n, n))
-        for i in range(n):
-            shift[i, (i + 1) % n] = 1.0
-        h = 2.0 * np.eye(n) - shift - shift.T
-        if n == 1:
-            h[:] = 0.0
-        return h
-    for i in range(n - 1):
-        h[i, i + 1] = h[i + 1, i] = -1.0
-    if bc is Boundary.DIRICHLET:
-        h += 2.0 * np.eye(n)
-    else:  # Neumann: diagonal = vertex degree
-        deg = np.full(n, 2.0)
-        deg[0] = deg[-1] = 1.0 if n > 1 else 0.0
-        h += np.diag(deg)
+    i = np.arange(n)
+    h[i[:-1], i[1:]] = h[i[1:], i[:-1]] = -1.0
+    if spec.boundary is Boundary.PERIODIC:
+        h[0, -1] -= 1.0
+        h[-1, 0] -= 1.0
+    h[i, i] += 2.0 if spec.boundary is Boundary.DIRICHLET else -h.sum(axis=1)
     return h
 
 
-def quadratic_fock_operator(spec_or_sites, w):
-    """Second quantization sum_{ij} w_ij a_i^* a_j as a dense Fock matrix,
-    scattered term by term from `_monomial`."""
+def one_body_terms(w):
+    """The terms (w_ij, (i,), (j,)) of sum_{ij} w_ij a_i^* a_j, one per
+    nonzero entry of w, row by row."""
+    return [(w[i, j], (i,), (j,)) for i, j in zip(*np.nonzero(w))]
+
+
+def quadratic_blocks(spec_or_sites, w):
+    """Charge-sector blocks of sum_{ij} w_ij a_i^* a_j (`FockBasis.blocks`)."""
     n = spec_or_sites.n_sites if isinstance(spec_or_sites, LatticeSpec) else int(spec_or_sites)
-    _check_cap(n)
     w = np.asarray(w, dtype=complex)
     if w.shape != (n, n):
         raise ValueError(f"one-body matrix must be {n}x{n}, got {w.shape}")
-    mat = np.zeros((1 << n,) * 2, dtype=complex)
-    for i, j in zip(*np.nonzero(w)):
-        rows, cols, signs = _monomial(n, (i,), (j,))
-        mat[rows, cols] += w[i, j] * signs
-    return mat
+    return FockBasis(n).blocks(one_body_terms(w))
+
+
+def quadratic_fock_operator(spec_or_sites, w):
+    """sum_{ij} w_ij a_i^* a_j as a dense complex Fock matrix."""
+    blocks = quadratic_blocks(spec_or_sites, w)
+    return FockBasis(len(blocks) - 1).assemble(blocks, complex)
 
 
 def hopping_hamiltonian(spec):
-    """Hopping Hamiltonian: second-quantized discrete Laplacian.
+    """Hopping Hamiltonian: second-quantized discrete Laplacian (dense).
 
     Commutes with the number operator and is block diagonal over
     particle-number sectors; the one-particle block equals
@@ -262,8 +269,7 @@ def gauge_transform(a, tau, n_sites=None):
     A *-automorphism for each tau; observables are its fixed points.
     """
     a = np.asarray(a)
-    if n_sites is None:
-        n_sites = _infer_sites(a.shape[0])
+    n_sites = _infer_sites(a.shape[0]) if n_sites is None else n_sites
     if a.shape != (1 << n_sites,) * 2:
         raise ValueError("operator dimension does not match the Fock space")
     pops = _popcounts(n_sites)
@@ -276,9 +282,7 @@ def is_gauge_invariant(a, tol=1e-10, n_sites=None):
     if tol <= 0:
         raise ValueError("tol must be positive")
     a = np.asarray(a)
-    if n_sites is None:
-        n_sites = _infer_sites(a.shape[0])
-    pops = _popcounts(n_sites)
+    pops = _popcounts(_infer_sites(a.shape[0]) if n_sites is None else n_sites)
     # [A, N]_ij = A_ij (N_j - N_i), read on A's nonzero entries only
     rows, cols = np.nonzero(a)
     return max_abs(a[rows, cols] * (pops[cols] - pops[rows])) <= tol
@@ -294,6 +298,7 @@ def _infer_sites(dim):
 __all__ = [
     "EXACT_SITE_CAP", "Boundary", "LatticeSpec", "FockBasis", "LatticeTooLargeError",
     "creation_op", "annihilation_op", "number_operator", "one_body_laplacian",
-    "quadratic_fock_operator", "hopping_hamiltonian", "gauge_transform",
-    "is_gauge_invariant", "monomial_matrix", "ensure_hermitian", "site_index",
+    "quadratic_fock_operator", "quadratic_blocks", "one_body_terms", "hopping_hamiltonian",
+    "gauge_transform", "is_gauge_invariant", "monomial_matrix", "ensure_hermitian",
+    "site_index",
 ]

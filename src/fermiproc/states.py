@@ -90,7 +90,7 @@ def sector_gibbs_state(h_sectors, params):
     over the sectors, so they run on every CPU with the serial result bit for
     bit. `rho` is the tuple of the state's sector blocks, of each H block's
     dtype: a real symmetric block (every reference drive's H(t), from
-    `FockBasis.sectors`) takes a real `eigh`, about a quarter of a complex
+    `FockBasis.blocks`) takes a real `eigh`, about a quarter of a complex
     Hermitian one's flops, and gives a real rho block.
     """
     spectra, vectors = zip(*sector_map(np.linalg.eigh, h_sectors))

@@ -11,7 +11,7 @@ import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 from fermiproc import harness  # noqa: E402
-from fermiproc.lattice import hopping_hamiltonian, number_operator  # noqa: E402
+from fermiproc.lattice import FockBasis, hopping_hamiltonian, number_operator  # noqa: E402
 from fermiproc.linalg import spectral_norm, symmetrize  # noqa: E402
 from fermiproc.observables import (charge, charge_rate, expectation,  # noqa: E402
                                    internal_energy, ledger_row, work_accumulate)
@@ -38,13 +38,28 @@ def random_unitary(rng, dim):
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
+def sector_slices(a):
+    """The n-particle diagonal blocks, n = 0..L, of a dense Fock matrix,
+    sliced by `FockBasis.sector_indices`: float64 where the imaginary part of
+    `a` is exactly zero, complex128 otherwise (the dense route that
+    `FockBasis.blocks` replaces)."""
+    basis = FockBasis(a.shape[0].bit_length() - 1)
+    if np.iscomplexobj(a) and not np.any(a.imag):
+        a = a.real
+    return tuple(a[np.ix_(idx, idx)]
+                 for idx in map(basis.sector_indices, range(basis.n_sites + 1)))
+
+
 def dense_exact_trajectory(spec, params, protocol, times, tol, probe_ops=None):
     """The exact path on dense 2^L x 2^L Fock matrices (the oracle of the
     sector-blocked `harness.exact_trajectory`), with its own row loop:
     `propagate_grid` steps, per row the dense `gibbs_state`, `expectation`
     and `charge_rate` handed to `ledger_row`, the work from
     `work_accumulate`, the Gibbs probe values from the dense `gibbs_state` of
-    H_0 + sum_j lambda_j V_j, and the spectral norm of each dense V_j."""
+    H_0 + sum_j lambda_j V_j, and the spectral norm of each dense V_j. The
+    probes are given as the exact path takes them, by their sector blocks,
+    and assembled here."""
+    probe_ops = [FockBasis(spec.n_sites).assemble(a) for a in probe_ops or []]
     h0 = hopping_hamiltonian(spec)
     n_op = number_operator(spec)
     tdh = TimeDependentHamiltonian(h0, protocol, times[0], "fock")
@@ -67,13 +82,13 @@ def dense_exact_trajectory(spec, params, protocol, times, tol, probe_ops=None):
                                   [expectation(rho, d) for d in dw], ref.grand_potential,
                                   [expectation(ref.rho, d) for d in dw], lam_dot, params,
                                   s_start, charge_rate(rho, w_t, n_op)))
-        probes.append([expectation(rho, a) for a in probe_ops or []])
+        probes.append([expectation(rho, a) for a in probe_ops])
     for rec, work in zip(records, work_accumulate(records, params)):
         rec.work = work
 
     def gibbs_probes(lam):
         rho = gibbs_state(h0 + sum(lj * v for lj, v in zip(lam, vs)), n_op, params).rho
-        return np.array([expectation(rho, a) for a in probe_ops or []])
+        return np.array([expectation(rho, a) for a in probe_ops])
 
     return harness.Trajectory(records, np.array(probes), np.asarray(times), lambda: rho,
                               abs(von_neumann_entropy(rho) - s_start), report, None,

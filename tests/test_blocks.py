@@ -1,16 +1,23 @@
-"""Charge sectors as Fock space's block structure: `FockBasis.sectors` (float64
-blocks where the matrix is real) and `assemble`, the sector Gibbs state
-against the dense one at L = 8, and the dense Gibbs state, relative entropy
-and exponential against their formulas, including Fock matrices that are not
+"""Charge sectors as Fock space's block structure: the one Fock-operator
+scatter, `FockBasis.blocks` (float64 blocks where the operator is real),
+pinned bit for bit against the dense scatter it replaces, sliced by
+`FockBasis.sector_indices`, and `assemble`; the sector Gibbs state against
+the dense one at L = 8, and the dense Gibbs state, relative entropy and
+exponential against their formulas, including Fock matrices that are not
 gauge-invariant."""
 
 import numpy as np
 import pytest
+from conftest import sector_slices
 
-from fermiproc.drive import KernelSpec, Perturbation
-from fermiproc.lattice import (FockBasis, LatticeSpec, creation_op, hopping_hamiltonian,
-                               number_operator, one_body_laplacian, quadratic_fock_operator)
-from fermiproc.linalg import expm_unitary
+from fermiproc.drive import (KernelSpec, Perturbation, build_perturbation, perturbation_terms,
+                             switch_on_protocol)
+from fermiproc.harness import (GibbsConfig, LatticeConfig, RunConfig, probe_matrices,
+                               probe_site_pairs)
+from fermiproc.lattice import (Boundary, FockBasis, LatticeSpec, _monomial, creation_op,
+                               hopping_hamiltonian, number_operator, one_body_laplacian,
+                               one_body_terms, quadratic_blocks, quadratic_fock_operator)
+from fermiproc.linalg import ensure_hermitian, expm_unitary
 from fermiproc.states import (GibbsParams, SupportError, gibbs_state, relative_entropy,
                               sector_gibbs_state)
 
@@ -71,27 +78,130 @@ def test_sector_gibbs_state_matches_dense_at_L8(beta):
     params = GibbsParams(beta=beta, mu=0.2)
     basis = FockBasis(8)
     dense = gibbs_state(h, n_op, params)
-    sector = sector_gibbs_state(basis.sectors(h), params)
+    sector = sector_gibbs_state(sector_slices(h), params)
     assert np.max(np.abs(dense.rho - basis.assemble(sector.rho))) <= 1e-12
     assert abs(dense.beta_g - sector.beta_g) <= 1e-12
     # h is block-diagonal over the sectors: slicing and assembling is exact
-    assert np.array_equal(basis.assemble(basis.sectors(h)), h)
+    assert np.array_equal(basis.assemble(sector_slices(h)), h)
+
+
+def _dense_scatter(n_sites, terms):
+    """The dense route `FockBasis.blocks` replaces: each term's `_monomial`
+    entries scattered into one complex 2^L x 2^L matrix, in turn."""
+    mat = np.zeros((1 << n_sites,) * 2, dtype=complex)
+    for c, creators, annihilators in terms:
+        rows, cols, signs = _monomial(n_sites, creators, annihilators)
+        mat[rows, cols] += c * signs
+    return mat
+
+
+def _dense_quadratic(n_sites, w):
+    """sum_ij w_ij a_i^* a_j by the dense scatter, term by term in row order."""
+    w = np.asarray(w, dtype=complex)
+    return _dense_scatter(n_sites, [(w[i, j], (i,), (j,)) for i, j in zip(*np.nonzero(w))])
+
+
+def _dense_perturbation(kernel, spec):
+    """W of one kernel by the dense route: a degree-1 kernel's one-body
+    matrix second-quantized, a degree-2 kernel's nonzero coefficients
+    scattered in order; then certified Hermitian."""
+    if kernel.degree == 1:
+        w = np.zeros((spec.n_sites,) * 2, dtype=complex)
+        w[np.ix_(kernel.sites, kernel.sites)] += kernel.coeffs
+        mat = _dense_quadratic(spec.n_sites, w)
+    else:
+        mat = _dense_scatter(spec.n_sites, [
+            (kernel.coeffs[idx], tuple(kernel.sites[i] for i in idx[:2]),
+             tuple(kernel.sites[i] for i in idx[2:])) for idx in zip(*np.nonzero(kernel.coeffs))])
+    return ensure_hermitian(mat, "perturbation")
+
+
+SITES = (2, 3, 4, 5)
+W2 = np.zeros((4,) * 4)
+W2[0, 1, 1, 0] = W2[1, 0, 0, 1] = 0.4
+W2[0, 1, 2, 0] = W2[0, 2, 1, 0] = 0.3
+KERNELS = {
+    "real-1": KernelSpec(1, SITES, [[0.8, 0.4, -0.1, 0.05], [0.4, -0.5, 0.3, 0.1],
+                                    [-0.1, 0.3, 0.6, 0.2], [0.05, 0.1, 0.2, -0.7]]),
+    "complex-1": KernelSpec(1, SITES, [[0.5, 0.3 + 0.2j, 0.0, 0.1j], [0.3 - 0.2j, -0.4, 0.2, 0.0],
+                                       [0.0, 0.2, 0.1, 0.25], [-0.1j, 0.0, 0.25, 0.3]]),
+    "degree-2": KernelSpec(2, SITES[:3], W2[:3, :3, :3, :3]),
+}
+
+
+def _same_blocks(built, sliced):
+    """Equal bit for bit, block by block, with the same dtypes."""
+    return (len(built) == len(sliced)
+            and all(a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+                    for a, b in zip(built, sliced)))
+
+
+def test_built_blocks_match_sliced_dense_operators():
+    # H_0 for every boundary, a real and a complex degree-1 kernel, a
+    # degree-2 kernel and every default probe at L = 8: the scatter into
+    # sector blocks gives the dense operators' slices, dtypes included
+    spec = LatticeSpec(8, local_region=SITES)
+    for bc in Boundary:
+        lap = one_body_laplacian(LatticeSpec(8, bc))
+        assert _same_blocks(quadratic_blocks(8, lap), sector_slices(_dense_quadratic(8, lap))), bc
+    for name, kernel in KERNELS.items():
+        sliced = sector_slices(_dense_perturbation(kernel, spec))
+        assert _same_blocks(Perturbation([kernel], spec).blocks(), sliced), name
+        assert {b.dtype for b in sliced} == {np.dtype(complex if "complex" in name else float)}
+    pairs = probe_site_pairs(RunConfig(LatticeConfig(8), GibbsConfig(1.0)), spec)
+    assert len(pairs) == 10
+    for (i, j), blocks in zip(pairs, probe_matrices(pairs, spec, "fock")):
+        w = np.zeros((8, 8))
+        w[i, j] = w[j, i] = 1.0
+        assert _same_blocks(blocks, sector_slices(_dense_quadratic(8, w))), (i, j)
+
+
+def test_assembled_blocks_match_dense_builders_bit_for_bit():
+    # every dense Fock builder is `assemble` of its blocks, complex128, with
+    # the dense scatter's values bit for bit
+    spec = LatticeSpec(8, local_region=SITES)
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    w = a + a.conj().T
+    pairs = [(quadratic_fock_operator(spec, w), _dense_quadratic(8, w))]
+    for bc in Boundary:
+        bspec = LatticeSpec(8, bc)
+        pairs.append((hopping_hamiltonian(bspec), _dense_quadratic(8, one_body_laplacian(bspec))))
+    for kernel in KERNELS.values():
+        dense = _dense_perturbation(kernel, spec)
+        protocol = switch_on_protocol(Perturbation([kernel], spec), 0.0, 0.5, 0.3)
+        lam = protocol.controls(0.7)[0]
+        pairs += [(build_perturbation([kernel], spec), dense),
+                  (protocol.operator(0.7, "fock"), lam * dense + np.zeros_like(dense))]
+    for built, dense in pairs:
+        assert built.dtype == dense.dtype == np.complex128
+        assert built.tobytes() == dense.tobytes()
 
 
 def test_sectors_are_float64_where_the_matrix_is_real():
-    # a complex128 matrix with an exactly zero imaginary part gives float64
+    # terms whose sums have an exactly zero imaginary part give float64
     # blocks; an imaginary hopping 0.2j from site 4 to site 3 gives complex128
-    # ones; assembling the blocks gives the matrix back in both cases
-    h, _ = _driven_fock(2, 0.4)
-    hop = np.zeros((8, 8), dtype=complex)
-    hop[3, 4], hop[4, 3] = 0.2j, -0.2j
-    complex_h = h + quadratic_fock_operator(LatticeSpec(8), hop)
-    assert h.dtype == complex_h.dtype == np.complex128 and not np.any(h.imag)
+    # ones; assembling the blocks gives the dense scatter in both cases
+    spec = LatticeSpec(8, local_region=(2, 3, 4))
+    w2 = np.zeros((3,) * 4)
+    w2[0, 1, 1, 0] = 0.7  # n_2 n_3
+    w2[0, 2, 2, 1] = w2[1, 2, 2, 0] = 0.25  # hop 3 <-> 2 next to an occupied 4
+    terms = (one_body_terms(one_body_laplacian(spec))
+             + list(perturbation_terms([KernelSpec(2, (2, 3, 4), w2)], spec)))
+    hop = [(0.2j, (3,), (4,)), (-0.2j, (4,), (3,))]
     basis = FockBasis(8)
-    for mat, dtype in ((h, np.float64), (complex_h, np.complex128)):
-        blocks = basis.sectors(mat)
+    for ops, dtype in ((terms, np.float64), (terms + hop, np.complex128)):
+        blocks = basis.blocks(ops)
         assert {b.dtype for b in blocks} == {np.dtype(dtype)}
-        assert np.array_equal(basis.assemble(blocks), mat)
+        assert np.array_equal(basis.assemble(blocks), _dense_scatter(8, ops))
+
+
+def test_charge_changing_term_is_refused():
+    # a_2 + a_2^* moves one particle between sectors: no block holds it
+    with pytest.raises(ValueError, match="couples charge sectors"):
+        FockBasis(5).blocks([(0.3, (2,), ()), (0.3, (), (2,))])
+    with pytest.raises(ValueError, match="couples charge sectors"):
+        FockBasis(5).blocks([(0.3, (2, 3), (1,))])
 
 
 @pytest.mark.parametrize("degree", [1, 2])

@@ -617,7 +617,7 @@ def test_stacked_reads_match_per_operator_expectations(monkeypatch, hop):
     # probe values, from the stacked reads equal `expectation` summed over
     # the same sector blocks: float64 blocks for the real drive, complex128
     # for the complex one, with a current probe i(a_1^* a_2 - a_2^* a_1)
-    from fermiproc.lattice import FockBasis, hopping_hamiltonian, quadratic_fock_operator
+    from fermiproc.lattice import one_body_laplacian, quadratic_blocks
     from fermiproc.observables import expectation
     spec, protocol = _sector_case(5, 1, "switch_on", hop)
     params = harness.GibbsParams(1.2, 0.3)
@@ -626,10 +626,9 @@ def test_stacked_reads_match_per_operator_expectations(monkeypatch, hop):
     if isinstance(hop, complex):
         current = np.zeros((5, 5), dtype=complex)
         current[1, 2], current[2, 1] = 1j, -1j
-        ops.append(quadratic_fock_operator(spec, current))
-    basis = FockBasis(5)
-    (v,) = [basis.sectors(d) for d in protocol.d_operator(0.0, "fock")]
-    probes = [basis.sectors(a) for a in ops]
+        ops.append(quadratic_blocks(spec, current))
+    (v,) = [c.blocks() for c in protocol.components]
+    probes = ops
     assert {b.dtype for b in v} == {np.dtype(type(hop))}
 
     def trace(rho, blocks):
@@ -667,7 +666,7 @@ def test_stacked_reads_match_per_operator_expectations(monkeypatch, hop):
         assert abs(drive[0] - trace(rho, v)) <= 1e-13
         assert abs(gradient[0] - trace(ref, v)) <= 1e-13
         assert np.max(np.abs(values - [trace(rho, a) for a in probes])) <= 1e-13
-    h0 = basis.sectors(hopping_hamiltonian(spec))
+    h0 = quadratic_blocks(spec, one_body_laplacian(spec))
     for lam in (0.0, 0.4):
         ref = gibbs(tuple(a + lam * b for a, b in zip(h0, v)), params).rho
         assert np.max(np.abs(traj.gibbs_probes([lam])
@@ -704,41 +703,102 @@ def test_sector_saturation_coefficient_matches_dense(monkeypatch, degree, drive)
         assert abs(value - dense) <= 1e-12, rep
 
 
-def test_exact_process1_builds_the_hopping_hamiltonian_once(monkeypatch):
-    # process I's verdict reads its Gibbs target and drive norms from the
-    # trajectory: no second Fock-space H_0
-    cfg = RunConfig(
+def _exact_process1_config(directory=None):
+    return RunConfig(
         lattice=LatticeConfig(L=6, local_region=[0, 1]),
         gibbs=GibbsConfig(beta=4.0, mu=0.2),
         drive=DriveConfig(type="switch_on", amplitude=0.05, tau_r=0.3,
                           kernels=[KernelConfig(1, [0, 1], KERNEL)]),
-        path="exact", output=OutputConfig(grid_step=0.1))
+        path="exact", output=OutputConfig(grid_step=0.1, directory=directory))
+
+
+def test_exact_process1_builds_the_hopping_hamiltonian_once(monkeypatch):
+    # process I's verdict reads its Gibbs target and drive norms from the
+    # trajectory: no second Fock-space H_0. The one H_0 is its sector blocks,
+    # second-quantized from the one-body Laplacian; the dense H_0 is never built
+    cfg = _exact_process1_config()
     calls = []
-    real = harness.hopping_hamiltonian
-    monkeypatch.setattr(harness, "hopping_hamiltonian",
+    real = harness.one_body_laplacian
+    monkeypatch.setattr(harness, "one_body_laplacian",
                         lambda spec: calls.append(spec) or real(spec))
+    monkeypatch.setattr(harness, "hopping_hamiltonian", _no_dense)
     result = run_process_I(cfg)
     assert len(calls) == 1
     assert result.manifest["summary"]["sdot_bound_coefficient"] > 0
     assert all(np.isfinite(r.D_probe) for r in result.records["exact"])
 
 
+def _no_dense(*args, **kwargs):
+    raise AssertionError("a dense Fock operator was built")
+
+
+#: the builders of dense 2^L x 2^L Fock operators, by module and name
+DENSE_BUILDERS = [("fermiproc.lattice", "quadratic_fock_operator"),
+                  ("fermiproc.lattice", "monomial_matrix"),
+                  ("fermiproc.drive", "build_perturbation"),
+                  ("fermiproc.harness", "quadratic_fock_operator"),
+                  ("fermiproc.harness", "hopping_hamiltonian"),
+                  ("fermiproc.harness", "number_operator")]
+
+
+def test_exact_path_builds_no_dense_operator(monkeypatch, tmp_path):
+    # with every dense Fock builder raising, the exact path runs from its
+    # sector blocks alone, bit for bit as it does with them: a degree-1 and
+    # a degree-2 drive with the default probes, an exact process I run, and
+    # the norm of a degree-2 kernel
+    def trajectories():
+        out = []
+        for n_sites, degree, drive in ((5, 1, "switch_on"), (6, 2, "periodic")):
+            spec, protocol = _sector_case(n_sites, degree, drive)
+            pairs = harness.probe_site_pairs(RunConfig(LatticeConfig(n_sites), GibbsConfig(1.0)),
+                                             spec)
+            out.append(harness.exact_trajectory(spec, harness.GibbsParams(1.2, 0.3), protocol,
+                                                time_grid(0.0, 0.5, 0.1), 1e-8,
+                                                harness.probe_matrices(pairs, spec, "fock")))
+        return out
+
+    def process(name):
+        cfg = _exact_process1_config(str(tmp_path / name))
+        result = harness.execute_run(cfg)
+        return (result, (tmp_path / name / "series.csv").read_bytes(),
+                {k: result.manifest[k] for k in ("integrator", "invariants", "summary")})
+
+    def quartic_norm():
+        return _sector_case(6, 2, "switch_on")[1].components[0].norm()
+
+    free = trajectories(), process("free"), quartic_norm()
+    for module, name in DENSE_BUILDERS:
+        monkeypatch.setattr(f"{module}.{name}", _no_dense)
+    patched = trajectories(), process("patched"), quartic_norm()
+    for a, b in zip(free[0], patched[0]):
+        assert ([r.csv_row() for r in a.records] == [r.csv_row() for r in b.records]
+                and a.probe_series.tobytes() == b.probe_series.tobytes()
+                and a.final_state.tobytes() == b.final_state.tobytes()
+                and a.drive_norms == b.drive_norms)
+    assert free[1][0].passed and patched[1][0].passed
+    assert free[1][1:] == patched[1][1:]
+    assert free[2] == patched[2] > 0
+
+
 class _HandMadeComponent:
-    """A drive component given by its Fock matrix, with no gauge check."""
+    """A drive component given by its monomials (c, creators, annihilators),
+    which no kernel builds and nothing checks before the exact path reads
+    its sector blocks."""
 
-    def __init__(self, fock):
-        self.fock = fock
+    def __init__(self, n_sites, terms):
+        self.n_sites, self.terms = n_sites, terms
 
-    def matrix(self, representation):
-        return self.fock
+    def blocks(self):
+        from fermiproc.lattice import FockBasis
+        return FockBasis(self.n_sites).blocks(self.terms)
 
 
 def test_sector_exact_path_refuses_off_sector_drive(monkeypatch):
     from dataclasses import replace
-    from fermiproc.lattice import creation_op
     spec, protocol = _sector_case(5, 1, "switch_on")
-    a2 = creation_op(spec, 2)
-    off_sector = replace(protocol, components=(_HandMadeComponent(0.3 * (a2 + a2.conj().T)),))
+    # 0.3 (a_2^* + a_2)
+    off_sector = replace(protocol, components=(
+        _HandMadeComponent(5, [(0.3, (2,), ()), (0.3, (), (2,))]),))
 
     def no_steps(*args, **kwargs):
         raise AssertionError("a step was taken")

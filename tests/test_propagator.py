@@ -11,8 +11,8 @@ import scipy.linalg as sla
 
 from fermiproc import harness, propagator
 from fermiproc.drive import KernelSpec, Perturbation, switch_on_protocol
-from fermiproc.lattice import (FockBasis, LatticeSpec, hopping_hamiltonian,
-                               number_operator, one_body_laplacian, quadratic_fock_operator)
+from fermiproc.lattice import (LatticeSpec, hopping_hamiltonian, number_operator,
+                               one_body_laplacian, quadratic_blocks, quadratic_fock_operator)
 from fermiproc.linalg import expm_unitary, max_abs, unitarity_defect
 from fermiproc.propagator import (ROUNDOFF_FLOOR, DenseSteps, FrameWindow, IntegrationError,
                                   InteractionSteps, TimeDependentHamiltonian, cfm4,
@@ -342,9 +342,8 @@ def _sector_hamiltonian(kernel):
     spec = LatticeSpec(8, local_region=sites)
     protocol = switch_on_protocol(Perturbation([KernelSpec(1, sites, kernel)], spec),
                                   0.0, 0.05, 2.0)
-    basis = FockBasis(8)
-    h0 = basis.sectors(hopping_hamiltonian(spec))
-    v = basis.sectors(protocol.d_operator(0.0, "fock")[0])
+    h0 = quadratic_blocks(spec, one_body_laplacian(spec))
+    v = protocol.components[0].blocks()
 
     def h_at(times):
         lam = np.array([protocol.controls(t)[0] for t in times])[:, None, None]
