@@ -13,8 +13,9 @@ path's charge sectors are spread over).
 Layout. One trajectory loop, `_trajectory`, owns the step loop, the grid
 times' controls, every ledger row (U = <H_0> + sum_j lambda_j <V_j>, then
 `ledger_row`), the integrator report, the work recurrence and the entropy
-drift; `exact_trajectory` (Fock space, with rho, H(t), the propagators and
-the probes as tuples of charge-sector blocks) and `quadratic_trajectory`
+drift; `exact_trajectory` (Fock space, with rho and the propagators as
+tuples of charge-sector blocks, and H_0, the V_j and the probes stacked per
+sector) and `quadratic_trajectory`
 (one-body correlations in the interaction picture of h0) supply only their
 representation: initial state and its entropy, the blocks of grid pairs, the
 state update with each block time's reads <H_0>, q, <V_j> and probes
@@ -63,9 +64,9 @@ from .linalg import (fill_upper, max_abs, sector_map, sector_workers, spectral_n
                      symmetrize, unitarity_defect)
 from .observables import (delta_entropy, entropy_rate, entropy_rate_decomposed,
                           expectation, internal_energy, ledger_row, work_accumulate)
-from .propagator import (Block, DenseSteps, TimeDependentHamiltonian, dyson_propagator,
-                         heisenberg_evolve, interaction_to_schrodinger, propagate,
-                         propagate_grid, step_grid)
+from .propagator import (Block, DenseSteps, TimeDependentHamiltonian, affine_exponents,
+                         dyson_propagator, heisenberg_evolve, interaction_to_schrodinger,
+                         node_times, propagate, propagate_grid, step_grid)
 from .quadratic import (ReferenceScalars, ScalarDriveReferenceCache, advance_window,
                         binary_entropy, diagonal_reads, diagonal_state, eigenbasis, expit,
                         interaction_picture, pauli_excess)
@@ -476,17 +477,54 @@ def _trajectory(rep, params, times, lams, lam_dots):
                       rep.drive_norms)
 
 
+def _reads(stack, rho, rows):
+    """Re tr(rho A) of the `rows` of the operators A stacked (m, d, d) in
+    one sector's `stack`, by one product, since
+    tr(rho A) = sum_ij (rho^T)_ij A_ij. A real stack reads Re rho only, so
+    no complex copy of the stack is made."""
+    a = stack[rows].reshape(-1, rho.size)
+    if stack.dtype.kind == "f":
+        return a @ rho.real.T.ravel()
+    return (a @ rho.T.ravel()).real
+
+
 def _sector_reads(stacks, rho, rows=slice(None)):
-    """Re tr(rho A) of the `rows` of operators A stacked per sector n as rows
-    A_nn.ravel() of one (m, d_n^2) array, from the sector blocks of a
-    block-diagonal rho: one product per sector, exact for any A, since
-    tr(rho_n A_nn) = sum_ij (rho_n^T)_ij (A_nn)_ij. A real stack reads
-    Re rho_n only, so no complex copy of the stack is made."""
-    def read(stack, r):
-        if stack.dtype.kind == "f":
-            return stack[rows] @ r.real.T.ravel()
-        return (stack[rows] @ r.T.ravel()).real
-    return sum(read(s, r) for s, r in zip(stacks, rho))
+    """Re tr(rho A) of the `rows` of operators A stacked per sector, from the
+    sector blocks of a block-diagonal rho: one product per sector (`_reads`),
+    exact for any A, since tr(rho A) = sum_n tr(rho_n A_nn)."""
+    return sum(_reads(s, r, rows) for s, r in zip(stacks, rho))
+
+
+def _sector_gibbs_reads(stack, n, lams, params, rows):
+    """Sector n's part of `_gibbs_reads` at each row lambda of `lams`, from
+    one `eigh` of H_n(lambda) = H_0 + sum_j lambda_j V_j (the stack's rows
+    0..k) each: with w the spectrum of K = H - mu N there, its lowest level
+    c, Z = sum e^{-beta (w - c)} and, z those weights, the `_reads` of
+    v diag(z) v^dagger on the stack's `rows`, each stacked over lambda."""
+    ops = stack[:1 + lams.shape[1]].reshape(1 + lams.shape[1], -1)
+    out = []
+    for lam in lams:
+        w, v = np.linalg.eigh((np.concatenate([[1.0], lam]) @ ops).reshape(stack.shape[1:]))
+        w = w - params.mu * n
+        z = np.exp(-params.beta * (w - w[0]))
+        out.append((w[0], z.sum(), _reads(stack, (v * z) @ v.conj().T, rows)))
+    return tuple(map(np.array, zip(*out)))
+
+
+def _gibbs_reads(stacks, lams, params, rows):
+    """The grand potential G and Tr(rho A) of the stacks' `rows` A in the
+    Gibbs state rho of H(lambda), at each row lambda of `lams`: one
+    `sector_map` of `_sector_gibbs_reads` over the sectors, combined by
+    the log-sum-exp of `states.gibbs_state`, shifted by the ground level c of
+    all sectors: Xi e^{beta c} = sum_n Z_n e^{-beta (c_n - c)}."""
+    n = len(stacks)
+    levels, sums, reads = map(np.array, zip(*sector_map(
+        _sector_gibbs_reads, stacks, range(n), [lams] * n, [params] * n, [rows] * n)))
+    ground = levels.min(axis=0)
+    scale = np.exp(-params.beta * (levels - ground))
+    xi = np.sum(scale * sums, axis=0)
+    values = np.sum(scale[:, :, None] * reads, axis=0) / xi[:, None]
+    return (params.beta * ground - np.log(xi)) / params.beta, values
 
 
 def _conjugated(u, r):
@@ -503,60 +541,47 @@ def exact_trajectory(spec, params, protocol, times, tol, probe_ops=None):
     one Fock-operator scatter, `FockBasis.blocks`, which refuses a monomial
     between sectors before any step: float64 for the real operators of
     every reference drive, complex128 for a complex one. N is n on sector n,
-    so it is never built. H(t) per sector is then real too, and so are each
-    CFM4 exponent's `eigh` and each row's reference state; the propagators
-    exp(-i dt h) and rho(t) are complex. rho, H(t) and every propagator are
-    tuples of blocks, and U_n rho_n U_n^dagger is the update.
-    The sectors never couple, so their work runs on every CPU through
-    `sector_map`: each sector's pair test (`DenseSteps`: one stacked `eigh`
-    of the CFM4 exponents of its steps, from H(t) sampled once per pair
-    test at every node time as one stack per sector), the updates, the
-    sector entropies and each reference state's `eigh`s and blocks
-    (`sector_gibbs_state`). Each sector's
-    arithmetic is the serial one and every sum over sectors keeps their
-    order, so the outputs do not depend on the CPU count, to the last bit.
-    Per sector, [H_0, V_1..V_k, probes] are stacked once, so each row reads
-    tr(rho_n A) of all of them in one product per sector (`_sector_reads`,
-    exact for any A since rho is block-diagonal), and each grid time's
-    <V_j>_ref in one more from its reference state, one held at a time; G
-    and that state come from the per-sector spectra of H(lambda)
-    (`sector_gibbs_state`). dq/dt is zero by construction.
-    `final_state` is the dense rho. The Gibbs probe values (by the same
-    stacked read) and the norm of each V_j (the largest over its sectors)
-    come from the same blocks.
+    so it is never built. Per sector, [H_0, V_1..V_k, probes] are stacked
+    once and every operator is read from there, so each is held once. H is
+    affine in the controls, so it is never sampled: each CFM4 exponent is
+    s+- H_0 + sum_j alpha+-_j V_j, one product with a stack's first 1 + k
+    rows (`propagator.affine_exponents`). For real operators every `eigh`
+    is real; the propagators and rho(t) are complex tuples of blocks, and
+    U_n rho_n U_n^dagger is the update. The sectors never couple, so their
+    work runs on every CPU through `sector_map`: each sector's pair test
+    (`DenseSteps`: one stacked `eigh` of its steps' exponents), the updates,
+    the sector entropies and the reference rows. Each sector's arithmetic
+    is the serial one and every sum over sectors keeps their order, so the
+    outputs do not depend on the CPU count, to the last bit. A row reads
+    tr(rho_n A) of all stacked operators in one product per sector
+    (`_sector_reads`, exact for any A since rho is block-diagonal), and the
+    reference scalars of a chunk of grid times are one `_gibbs_reads`: one
+    `eigh` per sector and lambda, the sectors joined by log-sum-exp, with no
+    reference state formed. dq/dt is zero by construction. `final_state` is
+    the dense rho. The Gibbs probe values (the same pass on the probe rows)
+    and the norm of each V_j (the largest over its sectors) come from the
+    same stacks; the initial state is `sector_gibbs_state` of H_0's.
     """
-    h0 = quadratic_blocks(spec, one_body_laplacian(spec))
     vs = [c.blocks() for c in protocol.components] if protocol else []
-    # per sector, [H_0, V_1..V_k, probes] as the rows A_nn.ravel() of one
-    # array, float64 where all of them are real
-    stacks = [np.stack(blocks).reshape(len(blocks), -1)
-              for blocks in zip(h0, *vs, *(probe_ops or []))]
-    drive_rows, probe_rows = slice(1, 1 + len(vs)), slice(1 + len(vs), None)
+    k = len(vs)
+    # float64 where all operators are real; no other block of H_0 or of a
+    # probe outlives this
+    stacks = [np.stack(blocks) for blocks in
+              zip(quadratic_blocks(spec, one_body_laplacian(spec)), *vs, *(probe_ops or []))]
+    del vs, probe_ops
+    drive_rows, probe_rows = slice(1, 1 + k), slice(1 + k, None)
 
-    def h_of(lams):
-        # per sector, H_0 + sum_j lambda_j V_j stacked over the rows of lams
-        return tuple(h + sum((lj[:, None, None] * v[n] for lj, v in zip(lams.T, vs)),
-                             np.zeros((len(lams),) + h.shape, h.dtype))
-                     for n, h in enumerate(h0))
-
-    def h_at(ts):
+    def exponents(lows, widths):
         # W = 0 before the grid starts, as in TimeDependentHamiltonian
-        return h_of(np.array([protocol.controls(t) if protocol and t >= times[0]
-                              else np.zeros(len(vs)) for t in ts]))
-
-    def reference_state(lam):
-        return sector_gibbs_state(tuple(h[0] for h in h_of(np.asarray(lam)[None])), params)
-
-    def scalars_at(lam):
-        ref = reference_state(lam)
-        return ref.grand_potential, _sector_reads(stacks, ref.rho, drive_rows)
+        lams = np.array([protocol.controls(t) if protocol and t >= times[0] else np.zeros(k)
+                         for t in node_times(lows, widths)])
+        return affine_exponents(lams.reshape(len(lows), 3, k), stacks)
 
     def reference(lams):
-        gs, grads = zip(*map(scalars_at, lams))
-        return ReferenceScalars(np.array(gs), np.array(grads))
+        return ReferenceScalars(*_gibbs_reads(stacks, lams, params, drive_rows))
 
     def gibbs_probes(lam):
-        return _sector_reads(stacks, reference_state(lam).rho, probe_rows)
+        return _gibbs_reads(stacks, np.asarray(lam, dtype=float)[None], params, probe_rows)[1][0]
 
     def entropy(rho):
         return sum(sector_map(von_neumann_entropy, rho))
@@ -575,13 +600,14 @@ def exact_trajectory(spec, params, protocol, times, tol, probe_ops=None):
             rows.append(observe(rho))
         return rho, rows, None
 
-    rho0 = sector_gibbs_state(h0, params).rho
+    rho0 = sector_gibbs_state(tuple(s[0] for s in stacks), params).rho
     s_start = entropy(rho0)
-    rep = _Representation(rho0, s_start, step_grid(DenseSteps(h_at), times, tol), advance,
+    rep = _Representation(rho0, s_start, step_grid(DenseSteps(exponents), times, tol), advance,
                           reference,
                           lambda rho, t: (cache(lambda: FockBasis(spec.n_sites).assemble(rho)),
                                           entropy(rho), None),
-                          gibbs_probes, tuple(max(map(spectral_norm, v)) for v in vs))
+                          gibbs_probes,
+                          tuple(max(spectral_norm(s[1 + j]) for s in stacks) for j in range(k)))
     return _trajectory(rep, params, times, *_grid_controls(protocol, times))
 
 

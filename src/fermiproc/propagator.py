@@ -27,13 +27,15 @@ interval's accepted pieces):
 - `DenseSteps`: dense unitaries of H(t) given as a tuple of Hermitian
   diagonal blocks, one unitary per block, compared entrywise (max-modulus
   norm, the largest over blocks, which is that of the block-diagonal
-  matrix), one grid pair per window. A `pair_tests` call samples H once at
-  the Gauss nodes of all its steps, as one stack per block, and each block is
-  one task of one `linalg.sector_map`, so the exact path's charge sectors
-  run on every CPU: one stacked `cfm4` (one `eigh` of all the block's
-  exponents), then the steps, their product and its distance a step at a
-  time. `propagate` and `propagate_grid` are the one-block case of a whole
-  matrix.
+  matrix), one grid pair per window. A `pair_tests` call takes the two
+  CFM4 exponents of all its steps from one call of its `exponents`
+  provider, one stack per block, and each block is one task of one
+  `linalg.sector_map`, so the exact path's charge sectors run on every
+  CPU: one stacked `cfm4` (one `eigh` of all the block's exponents), then
+  the steps, their product and its distance a step at a time. The exact
+  path's H is affine in its controls, so its exponents combine H_0 and the
+  V_j (`affine_exponents`) and H is never sampled; `propagate` and
+  `propagate_grid`, the one-block case of a whole matrix, combine samples.
 - `InteractionSteps`: the one-body fast path in the interaction picture of
   h0 = phi diag(eps) phi^T, in h0's eigenbasis. A drive on the sites R is
   Y(t) C(t) Y(t)^dagger there, with Y(t) = diag(e^{i eps t}) phi_R^T, so a
@@ -151,32 +153,63 @@ GAUSS_NODES = 0.5 + np.sqrt(15.0) / 10.0 * np.array([-1.0, 0.0, 1.0])
 GAUSS_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 18.0
 
 
-def cfm4(samples, dt, nodes=GAUSS_NODES, weights=GAUSS_WEIGHTS):
-    """CFM4 steps of widths dt_j from the Hermitian matrices h(a_j + c_i dt_j)
-    sampled at the quadrature `nodes` c_i, samples[i] the stack over j of
-    node i's: with the Magnus moments B0 = sum_i w_i h(c_i) and
-    B1 = sum_i w_i (c_i - 1/2) h(c_i), each step is
-    U = exp(-i dt (B0/2 + 2 B1)) exp(-i dt (B0/2 - 2 B1)), the right factor
-    acting first. The exponents of all steps are one stacked `eigh`; the
-    steps are yielded in turn, each formed from its two exponentials as it is
-    read, so no temporary holds more than one step's unitaries."""
-    b0 = sum(w * h for w, h in zip(weights, samples))
-    b1 = sum(w * (c - 0.5) * h for c, w, h in zip(nodes, weights, samples))
-    w, v = np.linalg.eigh(np.stack((0.5 * b0 + 2.0 * b1, 0.5 * b0 - 2.0 * b1), axis=1))
-    del b0, b1
+def _moment_exponents(nodes, weights):
+    """CFM4's two exponents as combinations of samples h(c_i) at the
+    quadrature `nodes` c_i: with the Magnus moments B0 = sum_i w_i h(c_i) and
+    B1 = sum_i w_i (c_i - 1/2) h(c_i), the rows give B0/2 + 2 B1 (the factor
+    acting last) and B0/2 - 2 B1."""
+    return np.array([0.5 * weights + sign * 2.0 * weights * (nodes - 0.5)
+                     for sign in (1.0, -1.0)])
+
+
+#: CFM4's two exponents from the samples at the three Gauss nodes (`cfm4`)
+_EXPONENTS = _moment_exponents(GAUSS_NODES, GAUSS_WEIGHTS)
+
+
+def node_times(lows, widths):
+    """The Gauss node times lo + c_i width of the steps [lo, lo + width],
+    three per step, step by step."""
+    return (lows[:, None] + GAUSS_NODES * widths[:, None]).ravel()
+
+
+def cfm4(exponents, dt):
+    """CFM4 steps of widths dt_j from their two exponents: exponents[j]
+    stacks step j's A+ = B0/2 + 2 B1 and A- = B0/2 - 2 B1 (`_EXPONENTS` of
+    its Hamiltonian at the Gauss nodes, or `affine_exponents`), and the step
+    is U = exp(-i dt A+) exp(-i dt A-), the right factor acting first. The
+    exponents of all steps are one stacked `eigh`; the steps are yielded in
+    turn, each formed from its two exponentials as it is read, so no
+    temporary holds more than one step's unitaries."""
+    w, v = np.linalg.eigh(exponents)
     for dt_j, w_j, v_j in zip(dt, w, v):
         yield expm_unitary((w_j[0], v_j[0]), dt_j) @ expm_unitary((w_j[1], v_j[1]), dt_j)
 
 
-def _check_finite(samples, intervals):
-    """Raise IntegrationError, before any moment or exponential is formed, if
-    a Hamiltonian sampled on one of the `intervals` (a, b) has a non-finite
-    entry: each of the `samples` stacks, per block, an equal number of
-    samples on every interval in turn, and the error names the first such
-    interval [a, b]."""
-    if all(np.isfinite(s).all() for s in samples):
+def affine_exponents(controls, stacks):
+    """The CFM4 exponents of H = A_0 + sum_j lambda_j A_j, affine in its
+    controls, without a sample of H: A+- = s+- A_0 + sum_j alpha+-_j A_j, with
+    alpha = `_EXPONENTS` @ lambda at a step's Gauss nodes and s+- the row
+    sums of `_EXPONENTS`. `controls` (steps, 3, k) holds lambda at each
+    step's nodes, and each of the `stacks` (one per block) holds A_0..A_k as
+    its first 1 + k rows; per block, a (steps, 2, d, d) stack for `cfm4`,
+    from one product with those rows."""
+    steps, _, k = controls.shape
+    with np.errstate(invalid="ignore"):  # `DenseSteps.pair_tests` refuses what is not finite
+        coeffs = _EXPONENTS @ np.concatenate([np.ones((steps, 3, 1)), controls], axis=2)
+        coeffs = coeffs.reshape(2 * steps, 1 + k)
+        return tuple((coeffs @ s[:1 + k].reshape(1 + k, -1)).reshape((steps, 2) + s.shape[1:])
+                     for s in stacks)
+
+
+def _check_finite(stacks, intervals):
+    """Raise IntegrationError, before any QR or `eigh`, if what is formed
+    from the Hamiltonian on one of the `intervals` (a, b), its samples or
+    its CFM4 exponents, has a non-finite entry: each of the `stacks` holds,
+    per block, an equal number of entries on every interval in turn, and
+    the error names the first such interval [a, b]."""
+    if all(np.isfinite(s).all() for s in stacks):
         return
-    bad = np.any([~np.isfinite(s).reshape(len(intervals), -1).all(1) for s in samples], axis=0)
+    bad = np.any([~np.isfinite(s).reshape(len(intervals), -1).all(1) for s in stacks], axis=0)
     a, b = intervals[np.argmax(bad)]
     raise IntegrationError(f"non-finite Hamiltonian entries on [{a}, {b}]")
 
@@ -187,10 +220,10 @@ def _pair_steps(a, m, b, whole):
     return ((a, m), (m, b), (a, b))[:3 if whole is None else 2]
 
 
-def _block_pair_tests(samples, dt, wholes):
+def _block_pair_tests(exponents, dt, wholes):
     """`DenseSteps.pair_tests` on one block, from one `cfm4` of its
-    `samples`, the steps of each test in `_pair_steps` order."""
-    units = cfm4(samples, dt)
+    `exponents`, the steps of each test in `_pair_steps` order."""
+    units = cfm4(exponents, dt)
     out = []
     for whole in wholes:
         left, right = next(units), next(units)
@@ -200,11 +233,13 @@ def _block_pair_tests(samples, dt, wholes):
 
 
 class DenseSteps(NamedTuple):
-    """Dense CFM4 unitaries of the Hamiltonian sampled by `h_at(times)`, a
-    tuple of Hermitian diagonal blocks, each stacked over the times; a
-    unitary is the tuple of its blocks."""
+    """Dense CFM4 unitaries of a Hamiltonian given by its CFM4 exponents:
+    `exponents(lows, widths)` returns, for the steps [lo, lo + width], a
+    tuple of Hermitian diagonal blocks, each a (steps, 2, d, d) stack of
+    every step's two exponents (`cfm4`); a unitary is the tuple of its
+    blocks."""
 
-    h_at: Callable
+    exponents: Callable
 
     def compose(self, right, left):
         return tuple(r @ l for r, l in zip(right, left))
@@ -214,22 +249,20 @@ class DenseSteps(NamedTuple):
         [a, m] and [m, b], their product over [a, b], and its max-modulus
         difference from one step over [a, b], the largest over blocks. That
         step is the test's `wholes` entry where one is given (None for all by
-        default); otherwise it is taken with the other two. One `h_at` call
-        samples every step's Gauss nodes, checked before any exponential is
-        formed; each block is then one `sector_map` task, so the charge
-        sectors of the exact path run on every CPU."""
+        default); otherwise it is taken with the other two. One `exponents`
+        call gives every step's exponents, checked finite before any
+        exponential is formed; each block is then one `sector_map` task, so
+        the charge sectors of the exact path run on every CPU."""
         wholes = [None] * len(pairs) if wholes is None else wholes
         intervals = [iv for (a, m, b, *_), whole in zip(pairs, wholes)
                      for iv in _pair_steps(a, m, b, whole)]
         lows, highs = np.array(intervals, dtype=float).T
         dt = highs - lows
-        samples = self.h_at((lows[:, None] + GAUSS_NODES * dt[:, None]).ravel())
-        _check_finite(samples, intervals)
-        nodes = [s.reshape((len(intervals), len(GAUSS_NODES)) + s.shape[1:]).swapaxes(0, 1)
-                 for s in samples]
-        blocks = sector_map(_block_pair_tests, nodes, [dt] * len(nodes),
+        exponents = self.exponents(lows, dt)
+        _check_finite(exponents, intervals)
+        blocks = sector_map(_block_pair_tests, exponents, [dt] * len(exponents),
                             [[None if w is None else w[n] for w in wholes]
-                             for n in range(len(nodes))])
+                             for n in range(len(exponents))])
         return [(left, right, fine, max(errs))
                 for left, right, fine, errs in (zip(*tests) for tests in zip(*blocks))]
 
@@ -240,9 +273,18 @@ class DenseSteps(NamedTuple):
 
 def _one_block(h):
     """`DenseSteps` of a whole matrix: `h` is a TimeDependentHamiltonian, a
-    callable t -> matrix, or a constant matrix."""
+    callable t -> matrix, or a constant matrix, sampled at each step's Gauss
+    nodes, its exponents `_EXPONENTS` @ the samples."""
     h_at = _as_callable(h)
-    return DenseSteps(lambda times: (np.stack([h_at(t) for t in times]),))
+
+    def exponents(lows, widths):
+        samples = np.stack([h_at(t) for t in node_times(lows, widths)])
+        d = samples.shape[-1]
+        with np.errstate(invalid="ignore"):  # `pair_tests` refuses what is not finite
+            return ((_EXPONENTS @ samples.reshape(len(lows), 3, d * d))
+                    .reshape(len(lows), 2, d, d),)
+
+    return DenseSteps(exponents)
 
 
 class LowRankUnitary(NamedTuple):
@@ -350,12 +392,6 @@ FRAME_SLACK = 1e-9
 #: most 2.2% wider, so grids that differ by rounding of their times get the
 #: same basis (`InteractionSteps.windows`)
 SPAN_STEPS = 32
-
-#: CFM4's two exponents as combinations of the samples at the Gauss nodes:
-#: B0/2 + 2 B1 (the factor acting last) and B0/2 - 2 B1 (`cfm4`)
-_EXPONENTS = np.array([0.5 * GAUSS_WEIGHTS + sign * 2.0 * GAUSS_WEIGHTS * (GAUSS_NODES - 0.5)
-                       for sign in (1.0, -1.0)])
-
 
 class FrameBasis(NamedTuple):
     """A run's orthonormal frame basis B (L x d) of the frames Y_S(s),
@@ -534,7 +570,7 @@ class FrameWindow(NamedTuple):
         count = len(intervals)  # steps
         lows, highs = np.array(intervals, dtype=float).T
         widths = highs - lows
-        times = (lows[:, None] + GAUSS_NODES * widths[:, None]).ravel()
+        times = node_times(lows, widths)
         couplings = steps.coupling(times)
         _check_finite([couplings], spans)
         del spans, intervals
@@ -845,7 +881,7 @@ def heisenberg_evolve(a, propagator):
 
 __all__ = [
     "DEFAULT_TOL", "IntegrationError", "Propagator", "TimeDependentHamiltonian",
-    "GAUSS_NODES", "GAUSS_WEIGHTS", "cfm4", "DenseSteps", "LowRankUnitary",
+    "GAUSS_NODES", "GAUSS_WEIGHTS", "node_times", "cfm4", "affine_exponents", "DenseSteps", "LowRankUnitary",
     "InteractionSteps", "FrameBasis", "FrameWindow", "Block", "cumulative_factors",
     "step_grid",
     "propagate", "propagate_grid", "dyson_propagator", "dyson_remainder",

@@ -15,7 +15,7 @@ from fermiproc.lattice import FockBasis, hopping_hamiltonian, number_operator  #
 from fermiproc.linalg import spectral_norm, symmetrize  # noqa: E402
 from fermiproc.observables import (charge, charge_rate, expectation,  # noqa: E402
                                    internal_energy, ledger_row, work_accumulate)
-from fermiproc.propagator import (GAUSS_NODES, FrameWindow,  # noqa: E402
+from fermiproc.propagator import (_EXPONENTS, GAUSS_NODES, FrameWindow,  # noqa: E402
                                   LowRankUnitary, _on_joint_spans,
                                   cfm4, TimeDependentHamiltonian, propagate_grid, step_grid)
 from fermiproc.quadratic import advance_window, diagonal_state  # noqa: E402
@@ -95,11 +95,19 @@ def dense_exact_trajectory(spec, params, protocol, times, tol, probe_ops=None):
                               gibbs_probes, tuple(map(spectral_norm, vs)))
 
 
+def cfm4_of_samples(samples, dt):
+    """One CFM4 step of width dt from the Hamiltonian's three samples at its
+    Gauss nodes: `cfm4` of the exponents `_EXPONENTS` @ samples, as
+    `propagator._one_block` forms them."""
+    samples = np.stack(samples)
+    d = samples.shape[-1]
+    return next(cfm4((_EXPONENTS @ samples.reshape(1, 3, d * d)).reshape(1, 2, d, d), [dt]))
+
+
 def cfm4_step(h_at, a, b):
     """One dense CFM4 step of the matrix h_at(t) over [a, b]: `cfm4` of one
-    step, as `DenseSteps` samples it."""
-    samples = np.stack([h_at(a + c * (b - a)) for c in GAUSS_NODES])
-    return next(cfm4(samples[:, None], [b - a]))
+    step, as `propagate` samples it."""
+    return cfm4_of_samples([h_at(a + c * (b - a)) for c in GAUSS_NODES], b - a)
 
 
 def interaction_step(steps, a, b):
@@ -112,7 +120,7 @@ def interaction_step(steps, a, b):
     q, r = np.linalg.qr(np.hstack([steps.frame(t, steps.rows) for t in times]))
     samples = [r[:, i * n:(i + 1) * n] @ h @ r[:, i * n:(i + 1) * n].conj().T
                for i, h in enumerate(steps.coupling(times))]
-    return LowRankUnitary(q, next(cfm4(np.stack(samples)[:, None], [dt])) - np.eye(q.shape[1]))
+    return LowRankUnitary(q, cfm4_of_samples(samples, dt) - np.eye(q.shape[1]))
 
 
 def two_qr_pair(steps, a, m, b):

@@ -619,6 +619,7 @@ def test_stacked_reads_match_per_operator_expectations(monkeypatch, hop):
     # for the complex one, with a current probe i(a_1^* a_2 - a_2^* a_1)
     from fermiproc.lattice import one_body_laplacian, quadratic_blocks
     from fermiproc.observables import expectation
+    from fermiproc.states import sector_gibbs_state
     spec, protocol = _sector_case(5, 1, "switch_on", hop)
     params = harness.GibbsParams(1.2, 0.3)
     pairs = harness.probe_site_pairs(RunConfig(LatticeConfig(5), GibbsConfig(1.0)), spec)
@@ -634,14 +635,10 @@ def test_stacked_reads_match_per_operator_expectations(monkeypatch, hop):
     def trace(rho, blocks):
         return sum(expectation(r, b) for r, b in zip(rho, blocks))
 
-    # the states in grid order: the reference states are formed a chunk of
-    # grid times ahead of their rows, after the initial Gibbs state
-    references, states, rows = [], [], []
-    gibbs, reads, ledger = harness.sector_gibbs_state, harness._sector_reads, harness.ledger_row
-
-    def recorded_gibbs(h, p):
-        references.append((h, gibbs(h, p)))
-        return references[-1][1]
+    # the read states in grid order; each row's reference state is formed
+    # here, as the Gibbs state of H(lambda) at its grid time
+    states, rows = [], []
+    reads, ledger = harness._sector_reads, harness.ledger_row
 
     def recorded_reads(stacks, rho, which=slice(None)):
         if which == slice(None):
@@ -649,28 +646,64 @@ def test_stacked_reads_match_per_operator_expectations(monkeypatch, hop):
         return reads(stacks, rho, which)
 
     def recorded_ledger(t, energy, q, drive, g, gradient, *args):
-        rows.append((energy, drive, gradient))
+        rows.append((t, energy, drive, gradient))
         return ledger(t, energy, q, drive, g, gradient, *args)
 
-    monkeypatch.setattr(harness, "sector_gibbs_state", recorded_gibbs)
     monkeypatch.setattr(harness, "_sector_reads", recorded_reads)
     monkeypatch.setattr(harness, "ledger_row", recorded_ledger)
     traj = harness.exact_trajectory(spec, params, protocol, time_grid(0.0, 0.8, 0.1), 1e-8,
                                     ops)
-    assert len(references) == 10 and len(states) == 9
-    rows = [(*row, h, rho, ref.rho)
-            for row, (h, ref), rho in zip(rows, references[1:], states)]
-    assert len(rows) == len(traj.probe_series) == 9
-    for (energy, drive, gradient, h, rho, ref), values in zip(rows, traj.probe_series):
+    assert len(rows) == len(states) == len(traj.probe_series) == 9
+    h0 = quadratic_blocks(spec, one_body_laplacian(spec))
+
+    def hamiltonian(lam):
+        return tuple(a + lam * b for a, b in zip(h0, v))
+
+    for (t, energy, drive, gradient), rho, values in zip(rows, states, traj.probe_series):
+        h = hamiltonian(protocol.controls(t)[0])
+        ref = sector_gibbs_state(h, params).rho
         assert abs(energy - trace(rho, h)) <= 1e-13
         assert abs(drive[0] - trace(rho, v)) <= 1e-13
         assert abs(gradient[0] - trace(ref, v)) <= 1e-13
         assert np.max(np.abs(values - [trace(rho, a) for a in probes])) <= 1e-13
-    h0 = quadratic_blocks(spec, one_body_laplacian(spec))
     for lam in (0.0, 0.4):
-        ref = gibbs(tuple(a + lam * b for a, b in zip(h0, v)), params).rho
+        ref = sector_gibbs_state(hamiltonian(lam), params).rho
         assert np.max(np.abs(traj.gibbs_probes([lam])
                              - [trace(ref, a) for a in probes])) <= 1e-13
+
+
+@pytest.mark.parametrize("degree,drive", [(1, "switch_on"), (2, "periodic")])
+@pytest.mark.parametrize("mu", [0.0, 0.7])
+@pytest.mark.parametrize("beta", [0.5, 1.0, 50.0])
+def test_sector_pass_matches_sector_gibbs_states(beta, mu, degree, drive):
+    # the one sector pass of the reference rows (one `eigh` per sector and
+    # lambda, the sectors joined by log-sum-exp) gives G and <V_j>_ref as the
+    # Gibbs state of `sector_gibbs_state` read by `_sector_reads` does, to
+    # 1e-13, and the Gibbs probe values likewise; at beta = 50 the sectors'
+    # Boltzmann factors span e^{-50 (c_n - c)}
+    from fermiproc.lattice import one_body_laplacian, quadratic_blocks
+    from fermiproc.states import sector_gibbs_state
+    spec, protocol = _sector_case(6, degree, drive)
+    params = harness.GibbsParams(beta, mu)
+    pairs = harness.probe_site_pairs(RunConfig(LatticeConfig(6), GibbsConfig(1.0)), spec)
+    ops = harness.probe_matrices(pairs, spec, "fock")
+    vs = [c.blocks() for c in protocol.components]
+    k = len(vs)
+    h0 = quadratic_blocks(spec, one_body_laplacian(spec))
+    stacks = [np.stack(blocks) for blocks in zip(h0, *vs, *ops)]
+    lams = np.array([[0.0] * k, [0.4] * k, [-1.3, 0.6][:k], [2.0, -0.5][:k]])
+    g, drive_values = harness._gibbs_reads(stacks, lams, params, slice(1, 1 + k))
+    traj = harness.exact_trajectory(spec, params, protocol, time_grid(0.0, 0.1, 0.1), 1e-8,
+                                    ops)
+    assert drive_values.shape == (len(lams), k)
+    for lam, g_lam, values in zip(lams, g, drive_values):
+        ref = sector_gibbs_state(tuple(h + sum(lj * v[n] for lj, v in zip(lam, vs))
+                                       for n, h in enumerate(h0)), params)
+        assert abs(g_lam - ref.grand_potential) <= 1e-13
+        assert np.max(np.abs(values - harness._sector_reads(stacks, ref.rho,
+                                                            slice(1, 1 + k)))) <= 1e-13
+        assert np.max(np.abs(traj.gibbs_probes(lam) - harness._sector_reads(
+            stacks, ref.rho, slice(1 + k, None)))) <= 1e-13
 
 
 @pytest.mark.parametrize("degree,drive", [(1, "switch_on"), (2, "periodic")])
@@ -805,6 +838,7 @@ def test_sector_exact_path_refuses_off_sector_drive(monkeypatch):
 
     monkeypatch.setattr(harness, "step_grid", no_steps)
     monkeypatch.setattr(harness, "sector_gibbs_state", no_steps)
+    monkeypatch.setattr(np.linalg, "eigh", no_steps)
     with pytest.raises(ValueError, match="couples charge sectors"):
         harness.exact_trajectory(spec, harness.GibbsParams(1.0), off_sector,
                                  time_grid(0.0, 0.2, 0.1), 1e-8)

@@ -103,6 +103,29 @@ def test_nonfinite_hamiltonian_aborts():
         propagate(bad, 0.0, 1.0, 1e-8)
 
 
+def test_nonfinite_control_aborts_the_exact_path(monkeypatch):
+    # the exact path forms each step's exponents from the controls at its
+    # Gauss nodes; a NaN control at a node (here only between the grid
+    # times 0.1 and 0.2, so the reference rows stay finite) is refused
+    # before any exponent's `eigh`, naming the first interval with one
+    from dataclasses import replace
+    sites = (1, 2)
+    spec = LatticeSpec(5, local_region=sites)
+    protocol = switch_on_protocol(
+        Perturbation([KernelSpec(1, sites, [[0.6, 0.3], [0.3, -0.5]])], spec), 0.0, 0.5, 0.4)
+    lam = protocol.lam_fn
+    bad = replace(protocol, lam_fn=lambda t: np.nan if 0.1 < t < 0.2 else lam(t))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an exponent's eigh ran before the finiteness check")
+
+    monkeypatch.setattr(propagator, "cfm4", refuse)
+    with pytest.raises(IntegrationError,
+                       match=r"non-finite Hamiltonian entries on \[0\.1, 0\.2\]"):
+        harness.exact_trajectory(spec, GibbsParams(1.0), bad, harness.time_grid(0.0, 0.2, 0.1),
+                                 1e-8)
+
+
 def test_propagate_argument_validation():
     h = np.eye(2)
     with pytest.raises(ValueError):
@@ -171,25 +194,19 @@ def test_cfm4_step_constant_hamiltonian(dim, rng):
     assert max_abs(u - expm_unitary(h, 0.3)) <= 1e-14
 
 
-def test_two_node_moments_are_two_point_cfm4(rng, monkeypatch):
+def test_two_node_moments_are_two_point_cfm4(rng):
     # the moment form at the two-point Gauss nodes 1/2 -+ sqrt(3)/6 (weights
     # 1/2) is CFM4 as exp(-i dt (w1 h- + w2 h+)) exp(-i dt (w2 h- + w1 h+)),
     # w1,2 = (3 -+ 2 sqrt(3)) / 12: the exponents agree to 1e-15, and the
     # unitaries to the roundoff of their eigendecompositions
     nodes = 0.5 + np.sqrt(3.0) / 6.0 * np.array([-1.0, 1.0])
     w1, w2 = (3.0 - 2.0 * np.sqrt(3.0)) / 12.0, (3.0 + 2.0 * np.sqrt(3.0)) / 12.0
-    exponents = []
-    eigh = np.linalg.eigh
-
-    def recorded(h):
-        exponents.append(h)
-        return eigh(h)
-
-    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    moments = propagator._moment_exponents(nodes, np.array([0.5, 0.5]))
     for dim, dt in ((6, 0.1), (40, 0.7)):
         early, late = random_hermitian(rng, dim), random_hermitian(rng, dim)
-        got = next(cfm4(np.stack([early, late])[:, None], [dt], nodes, [0.5, 0.5]))
-        second, first = exponents[-1][0]  # the right factor acts first
+        exponents = (moments @ np.stack([early, late]).reshape(2, -1)).reshape(1, 2, dim, dim)
+        got = next(cfm4(exponents, [dt]))
+        second, first = exponents[0]  # the right factor acts first
         assert max_abs(first - (w2 * early + w1 * late)) <= 1e-15
         assert max_abs(second - (w1 * early + w2 * late)) <= 1e-15
         want = (expm_unitary(w1 * early + w2 * late, dt)
@@ -283,7 +300,7 @@ def test_propagate_is_the_one_interval_grid(driven_problem):
     _, _, tdh, _ = driven_problem
     a, b, tol = 0.0, 1.5, 1e-8
     p = propagate(tdh, a, b, tol)
-    steps = DenseSteps(lambda times: (np.stack([tdh(t) for t in times]),))
+    steps = propagator._one_block(tdh)
     pieces = _halved(steps, a, b, (_cfm4_step(tdh, a, b),), tol)
     assert p.refined and len(pieces) > 1
     u = pieces[0][2]
@@ -335,41 +352,70 @@ def test_step_underflow_at_a_jump(monkeypatch, path):
 
 
 def _sector_hamiltonian(kernel):
-    """Per charge sector of L = 8, H(t) = H_0 + lambda(t) V stacked over the
-    given times, for the exact-path benchmark's switch-on ramp of `kernel` on
-    sites 2-5 (float64 blocks for a real kernel, complex128 otherwise)."""
+    """Per charge sector of L = 8, H(t) = H_0 + lambda(t) V, for the
+    exact-path benchmark's switch-on ramp of `kernel` on sites 2-5 (float64
+    blocks for a real kernel, complex128 otherwise): `h_at(times)` stacks
+    its samples at the given times, and `exponents(lows, widths)` gives each
+    step's CFM4 exponents from lambda at its Gauss nodes and the stacks
+    [H_0, V], as the exact path forms them."""
     sites = (2, 3, 4, 5)
     spec = LatticeSpec(8, local_region=sites)
     protocol = switch_on_protocol(Perturbation([KernelSpec(1, sites, kernel)], spec),
                                   0.0, 0.05, 2.0)
     h0 = quadratic_blocks(spec, one_body_laplacian(spec))
     v = protocol.components[0].blocks()
+    stacks = [np.stack(ops) for ops in zip(h0, v)]
+
+    def lam(times):
+        return np.array([protocol.controls(t)[0] for t in times])
 
     def h_at(times):
-        lam = np.array([protocol.controls(t)[0] for t in times])[:, None, None]
-        return tuple(h + lam * vn for h, vn in zip(h0, v))
+        return tuple(h + lam(times)[:, None, None] * vn for h, vn in zip(h0, v))
 
-    return h_at
+    def exponents(lows, widths):
+        controls = lam(propagator.node_times(lows, widths)).reshape(len(lows), 3, 1)
+        return propagator.affine_exponents(controls, stacks)
+
+    return h_at, exponents
 
 
-def _per_matrix_step(h_at, a, b):
+@pytest.mark.parametrize("kernel", ["real", "complex"])
+def test_affine_exponents_match_the_sampled_exponents(kernel):
+    # on every sector of L = 8, the exponents from the controls at the Gauss
+    # nodes and the stacked [H_0, V] equal `_EXPONENTS` @ the samples of H
+    # at those nodes to 1e-14 relative, of the same dtype
+    h_at, exponents = _sector_hamiltonian(_kernel(kernel))
+    lows, widths = np.array([0.0, 0.05, 0.4, 3.9]), np.array([0.05, 0.1, 0.2, 0.1])
+    samples = h_at(propagator.node_times(lows, widths))
+    got = exponents(lows, widths)
+    assert len(got) == len(samples) == 9
+    for h, a in zip(samples, got, strict=True):
+        d = h.shape[-1]
+        want = (propagator._EXPONENTS @ h.reshape(len(lows), 3, d * d)).reshape(a.shape)
+        assert a.dtype == h.dtype
+        assert max_abs(a - want) <= 1e-14 * max_abs(want)
+
+
+def _kernel(kind):
+    """The reference kernel, real, or with a complex hopping."""
+    coeffs = np.array(harness.load_config(CONFIGS / "process1_L200.yaml")
+                      .drive.kernels[0].coeffs, dtype=complex)
+    if kind == "complex":
+        coeffs[0, 1], coeffs[1, 0] = coeffs[0, 1] + 0.2j, coeffs[1, 0] - 0.2j
+        return coeffs
+    return coeffs.real
+
+
+def _per_matrix_step(exponents, a, b):
     """One CFM4 step per block, by the per-matrix formula: two `expm_unitary`
-    calls of the exponents and their product."""
-    samples = [h_at(np.array([a + c * (b - a)])) for c in propagator.GAUSS_NODES]
-    unitaries = []
-    for hs in zip(*samples):
-        hs = [h[0] for h in hs]
-        b0 = sum(w * h for w, h in zip(propagator.GAUSS_WEIGHTS, hs))
-        b1 = sum(w * (c - 0.5) * h
-                 for c, w, h in zip(propagator.GAUSS_NODES, propagator.GAUSS_WEIGHTS, hs))
-        unitaries.append(expm_unitary(0.5 * b0 + 2.0 * b1, b - a)
-                         @ expm_unitary(0.5 * b0 - 2.0 * b1, b - a))
-    return tuple(unitaries)
+    calls of the step's exponents and their product."""
+    return tuple(expm_unitary(plus, b - a) @ expm_unitary(minus, b - a)
+                 for (plus, minus), in exponents(np.array([a]), np.array([b - a])))
 
 
-def _per_matrix_pair_test(h_at, a, m, b, whole=None):
-    left, right = _per_matrix_step(h_at, a, m), _per_matrix_step(h_at, m, b)
-    whole = _per_matrix_step(h_at, a, b) if whole is None else whole
+def _per_matrix_pair_test(exponents, a, m, b, whole=None):
+    left, right = _per_matrix_step(exponents, a, m), _per_matrix_step(exponents, m, b)
+    whole = _per_matrix_step(exponents, a, b) if whole is None else whole
     fine = tuple(r @ l for r, l in zip(right, left))
     return left, right, fine, max(max_abs(f - w) for f, w in zip(fine, whole))
 
@@ -390,42 +436,40 @@ def test_stacked_pair_tests_match_the_per_matrix_formula(kernel):
     # multi-pair call (with the lone last interval), a test with the step
     # over [a, b] given, as a refinement test reads it, and the lone interval
     # of an odd grid as `step_grid` keeps it
-    coeffs = np.array(harness.load_config(CONFIGS / "process1_L200.yaml")
-                      .drive.kernels[0].coeffs, dtype=complex)
-    if kernel == "complex":
-        coeffs[0, 1], coeffs[1, 0] = coeffs[0, 1] + 0.2j, coeffs[1, 0] - 0.2j
-    else:
-        coeffs = coeffs.real
-    h_at = _sector_hamiltonian(coeffs)
-    steps = DenseSteps(h_at)
-    assert all(h.dtype == coeffs.dtype for h in h_at([0.0]))
+    coeffs = _kernel(kernel)
+    _, exponents = _sector_hamiltonian(coeffs)
+    steps = DenseSteps(exponents)
+    assert all(a.dtype == coeffs.dtype for a in exponents(np.zeros(1), np.ones(1)))
     pairs = [(0.0, 0.1, 0.2, False), (1.2, 1.3, 1.4, False), (3.9, 3.95, 4.0, True)]
     for got, (a, m, b, _) in zip(steps.pair_tests(pairs), pairs, strict=True):
-        assert _identical(got, _per_matrix_pair_test(h_at, a, m, b))
-    whole = _per_matrix_step(h_at, 0.4, 0.6)
+        assert _identical(got, _per_matrix_pair_test(exponents, a, m, b))
+    whole = _per_matrix_step(exponents, 0.4, 0.6)
     assert _identical(steps.pair_tests([(0.4, 0.5, 0.6)], [whole])[0],
-                      _per_matrix_pair_test(h_at, 0.4, 0.5, 0.6, whole))
+                      _per_matrix_pair_test(exponents, 0.4, 0.5, 0.6, whole))
     *_, last = step_grid(steps, [3.7, 3.8, 3.9, 4.0], 1e-4)
     (p,) = last.propagators
-    fine = _per_matrix_pair_test(h_at, 3.9, 3.95, 4.0)[2]
+    fine = _per_matrix_pair_test(exponents, 3.9, 3.95, 4.0)[2]
     assert not p.refined
     assert all(np.array_equal(u, w) for u, w in zip(p.matrix, fine, strict=True))
 
 
 def test_stacked_pair_test_of_one_block_matches_the_per_matrix_formula(driven_problem):
     # `_one_block` of a one-matrix callable: a pair test is the per-matrix
-    # formula on the whole matrix, with and without the step over [a, b]
+    # formula on the whole matrix, its exponents `_EXPONENTS` @ the samples,
+    # with and without the step over [a, b]
     _, _, tdh, _ = driven_problem
 
-    def h_at(times):
-        return (np.stack([tdh(t) for t in times]),)
+    def exponents(lows, widths):
+        samples = np.stack([tdh(t) for t in propagator.node_times(lows, widths)])
+        return ((propagator._EXPONENTS @ samples.reshape(len(lows), 3, -1))
+                .reshape((len(lows), 2) + samples.shape[1:]),)
 
     steps = propagator._one_block(tdh)
     assert _identical(steps.pair_tests([(0.2, 0.35, 0.5)])[0],
-                      _per_matrix_pair_test(h_at, 0.2, 0.35, 0.5))
-    whole = _per_matrix_step(h_at, 0.2, 0.5)
+                      _per_matrix_pair_test(exponents, 0.2, 0.35, 0.5))
+    whole = _per_matrix_step(exponents, 0.2, 0.5)
     assert _identical(steps.pair_tests([(0.2, 0.35, 0.5)], [whole])[0],
-                      _per_matrix_pair_test(h_at, 0.2, 0.35, 0.5, whole))
+                      _per_matrix_pair_test(exponents, 0.2, 0.35, 0.5, whole))
 
 
 def test_manifest_counts_refined_intervals(tmp_path):
